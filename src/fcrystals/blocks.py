@@ -58,7 +58,10 @@ def _validated_action(sigma, rank: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class LatticeData:
-    """A free Z-lattice of finite rank with a finite-order Galois action."""
+    """A free Z-lattice of finite rank with a finite-order Galois action.
+
+    The same data presents a torus by its cocharacter lattice, so TorusData
+    is an alias of this class."""
 
     rank: int
     sigma_action: tuple[tuple[int, ...], ...]
@@ -74,22 +77,7 @@ class LatticeData:
         return LatticeData(rank, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
 
 
-@dataclass(frozen=True)
-class TorusData:
-    """A torus given by its cocharacter lattice with a finite-order action."""
-
-    rank: int
-    sigma_action: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "sigma_action", tuple(tuple(int(x) for x in row) for row in self.sigma_action)
-        )
-        _validated_action(self.sigma_action, self.rank)
-
-    @staticmethod
-    def trivial(rank: int) -> "TorusData":
-        return TorusData(rank, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+TorusData = LatticeData
 
 
 def tate(m: int, params: RingParams) -> FilteredFModule:

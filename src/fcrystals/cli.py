@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import serialize as ser
 from .blocks import LatticeData, TorusData, abelian_from_ap, lattice_block, tate, torus_block
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .onemotive import (
     MotiveCrystal,
+    _dual_spec,
     assemble,
     cartier_dual,
     pair,
@@ -85,19 +85,15 @@ def _load(path: str):
         raise MalformedInputError(f"invalid JSON in {path}: {exc}", code="bad-json")
 
 
-def _ring(args) -> "ser.RingParams":
-    if args.ring is None:
-        raise MalformedInputError("this verb requires --ring", code="missing-ring")
-    params = ser.ring_from_doc(_load(args.ring))
-    if args.precision is not None:
-        params = with_precision(params, args.precision)
-    return params
-
-
-def _doc_ring(args, doc):
+def _ring(args, doc) -> "ser.RingParams":
+    """The --ring document, else the ring embedded in doc, at the --precision
+    length if one is given.  Verbs whose documents embed no ring pass None."""
     if args.ring is not None:
-        return _ring(args)
-    params = ser.ring_from_doc(ser._need(doc, "ring", dict))
+        params = ser.ring_from_doc(_load(args.ring))
+    elif doc is None:
+        raise MalformedInputError("this verb requires --ring", code="missing-ring")
+    else:
+        params = ser.ring_from_doc(ser._need(doc, "ring", dict))
     if args.precision is not None:
         params = with_precision(params, args.precision)
     return params
@@ -107,7 +103,7 @@ def _doc_ring(args, doc):
 
 
 def _h_witt_eval(args, doc):
-    params = _doc_ring(args, doc) if "ring" in doc else _ring(args)
+    params = _ring(args, doc if "ring" in doc else None)
     op = ser._need(doc, "op", str)
     raw_args = doc.get("args", [])
     elems = [ser.elem_from_doc(x, params) for x in raw_args]
@@ -151,15 +147,8 @@ def _h_witt_eval(args, doc):
     return {"result": ser.elem_to_doc(result)}
 
 
-def _module(args, doc):
-    params = ser.ring_from_doc(ser._need(doc, "ring", dict)) if args.ring is None else _ring(args)
-    if args.precision is not None:
-        params = with_precision(params, args.precision)
-    return ser.module_from_doc(doc, params)
-
-
 def _h_crystal_verify(args, doc):
-    rep = verify(_module(args, doc))
+    rep = verify(ser.module_from_doc(doc, _ring(args, doc)))
     out = ser.verify_report_to_doc(rep)
     if not rep.ok:
         raise VerificationFailure(f"invariant violated: {rep.first_failure.name}", out)
@@ -167,11 +156,11 @@ def _h_crystal_verify(args, doc):
 
 
 def _h_crystal_slopes(args, doc):
-    return ser.slopes_to_doc(newton_slopes(_module(args, doc)))
+    return ser.slopes_to_doc(newton_slopes(ser.module_from_doc(doc, _ring(args, doc))))
 
 
 def _h_crystal_dual(args, doc):
-    return ser.module_to_doc(twisted_dual(_module(args, doc)))
+    return ser.module_to_doc(twisted_dual(ser.module_from_doc(doc, _ring(args, doc))))
 
 
 def _h_crystal_tensor(args, doc):
@@ -181,7 +170,7 @@ def _h_crystal_tensor(args, doc):
 
 
 def _h_crystal_twist(args, doc):
-    params = _ring(args)
+    params = _ring(args, None)
     kind = ser._need(doc, "kind", str)
     if kind == "tate":
         m = doc.get("m", 1)
@@ -201,21 +190,13 @@ def _h_crystal_twist(args, doc):
     return ser.module_to_doc(module)
 
 
-def _motive(args, doc):
-    params = None if args.ring is None else _ring(args)
-    spec = ser.motive_from_doc(doc, params)
-    if args.precision is not None and args.ring is None:
-        spec = ser.motive_from_doc(doc, with_precision(spec.params, args.precision))
-    return spec
-
-
 def _h_motive_assemble(args, doc):
-    mc = assemble(_motive(args, doc))
+    mc = assemble(ser.motive_from_doc(doc, _ring(args, doc)))
     return {"module": ser.module_to_doc(mc.module), "label": mc.provenance.label}
 
 
 def _h_motive_verify(args, doc):
-    spec = _motive(args, doc)
+    spec = ser.motive_from_doc(doc, _ring(args, doc))
     if "module" in doc and doc["module"] is not None:
         module = ser.module_from_doc(doc["module"], spec.params)
         mc = MotiveCrystal(module, spec)
@@ -229,14 +210,13 @@ def _h_motive_verify(args, doc):
 
 
 def _h_motive_dual(args, doc):
-    return ser.motive_to_doc(cartier_dual(_motive(args, doc)))
+    return ser.motive_to_doc(cartier_dual(ser.motive_from_doc(doc, _ring(args, doc))))
 
 
 def _h_motive_pair(args, doc):
-    spec = _motive(args, doc)
+    spec = ser.motive_from_doc(doc, _ring(args, doc))
     mc = assemble(spec)
-    dual = assemble(cartier_dual(spec))
-    pairing = pair(mc, dual)
+    pairing = pair(mc, assemble(_dual_spec(spec, mc.module)))
     out = ser.pairing_to_doc(pairing)
     if not pairing.ok:
         raise VerificationFailure("pairing diagnostics failed", out)
@@ -244,7 +224,7 @@ def _h_motive_pair(args, doc):
 
 
 def _h_motive_height(args, doc):
-    spec = _motive(args, doc)
+    spec = ser.motive_from_doc(doc, _ring(args, doc))
     height, exponent = torsion_height(spec, args.n)
     return {
         "height": height,
@@ -264,7 +244,7 @@ def _h_simplicial_div0(args, doc):
 
 
 def _h_picard_skeleton(args, doc):
-    params = _ring(args)
+    params = _ring(args, None)
     simp = ser.simplicial_from_doc(ser._need(doc, "simplicial", dict))
     div = ser.divisor_from_doc(ser._need(doc, "divisor", dict))
     g = doc.get("g", 0)
@@ -275,12 +255,12 @@ def _h_picard_skeleton(args, doc):
 
 
 def _h_h1_ledger(args, doc):
-    params = _ring(args)
+    params = _ring(args, None)
     sk = ser.skeleton_from_doc(doc)
     ledger = h1_weight_ledger(sk, params)
     out = ser.ledger_to_doc(ledger)
     if not ledger.consistent:
-        raise VerificationFailure("ledger total disagrees with the assembled rank", out)
+        raise VerificationFailure("ledger disagrees with the assembled module", out)
     return out
 
 
@@ -339,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--precision", type=int, default=None, help="override the Witt length n")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for batch inputs")
     parser.add_argument("--n", type=int, default=1, help="torsion level for motive-height")
     args = parser.parse_args(argv)
 
@@ -361,14 +340,8 @@ def main(argv: list[str] | None = None) -> int:
             result = run_one(args.inputs[0])
             _emit(ser.canonical_dumps(result), args.out)
             return EXIT_OK
-        # batch verification over independent input files
-        workers = max(1, args.jobs)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(run_guarded, args.inputs))
-            results = dict(zip(args.inputs, reports))
-        else:
-            results = {path: run_guarded(path) for path in args.inputs}
+        # batch verification over independent input files, run serially
+        results = {path: run_guarded(path) for path in args.inputs}
         _emit(ser.canonical_dumps(results), args.out)
         return EXIT_OK if all(r["ok"] for r in results.values()) else EXIT_VERIFICATION
     except VerificationFailure as exc:

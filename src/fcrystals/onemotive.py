@@ -22,6 +22,7 @@ from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, lattice_block, torus_block
 from .errors import (
     DomainError,
+    FCrystalsError,
     IncompatibleRingsError,
     InvalidExtensionDataError,
     ShapeError,
@@ -134,7 +135,8 @@ class MotiveCrystal:
 
 
 def assemble(s: OneMotiveSpec) -> MotiveCrystal:
-    """Build the filtered module of the presentation.
+    """Build the filtered module of the presentation and check that it
+    verifies.
 
     F is block upper triangular over the (torus, abelian, lattice) basis;
     V is sigma^(-1)(p F^(-1)), computed blockwise at raised precision from
@@ -142,6 +144,14 @@ def assemble(s: OneMotiveSpec) -> MotiveCrystal:
     sigma(V_A) . ext_xa must vanish mod p, otherwise the extension data is
     rejected.
     """
+    module = _realize(s)
+    rep = verify(module)
+    assert rep.ok, f"assembled module failed verification: {rep.first_failure}"
+    return MotiveCrystal(module, s)
+
+
+def _realize(s: OneMotiveSpec) -> FilteredFModule:
+    """F and V of the presentation (see assemble), without the self-check."""
     params = s.params
     rT, g2, rX = s.segments
     r = rT + g2 + rX
@@ -225,10 +235,7 @@ def assemble(s: OneMotiveSpec) -> MotiveCrystal:
         sizes,
     )
     weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
-    module = FilteredFModule(params, r, weights, f, v, 1)
-    rep = verify(module)
-    assert rep.ok, f"assembled module failed verification: {rep.first_failure}"
-    return MotiveCrystal(module, s)
+    return FilteredFModule(params, r, weights, f, v, 1)
 
 
 def _inverse_transpose(sigma) -> tuple[tuple[int, ...], ...]:
@@ -254,9 +261,14 @@ def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
     extension blocks are read off the twisted dual of the assembled module
     so that assembling the dual reproduces it up to an explicit basis
     permutation (see dual_witness)."""
+    return _dual_spec(s, assemble(s).module)
+
+
+def _dual_spec(s: OneMotiveSpec, module: FilteredFModule) -> OneMotiveSpec:
+    """cartier_dual(s), given the assembled module of s."""
     params = s.params
     rT, g2, rX = s.segments
-    td = twisted_dual(assemble(s).module)
+    td = twisted_dual(module)
     perm = _dual_permutation(rX, g2, rT)
     f_c = tuple(tuple(td.f_mat[perm[i]][perm[j]] for j in range(len(perm))) for i in range(len(perm)))
     torus2 = TorusData(rX, _inverse_transpose(s.lattice.sigma_action))
@@ -292,8 +304,9 @@ def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
 def dual_witness(s: OneMotiveSpec):
     """Return (twisted, assembled_dual, perm) where conjugating the twisted
     dual of assemble(s) by the permutation reproduces assemble(cartier_dual(s))."""
-    td = twisted_dual(assemble(s).module)
-    ad = assemble(cartier_dual(s)).module
+    module = assemble(s).module
+    td = twisted_dual(module)
+    ad = assemble(_dual_spec(s, module)).module
     rT, g2, rX = s.segments
     return td, ad, _dual_permutation(rX, g2, rT)
 
@@ -341,7 +354,12 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     dT, dg2, dX = m_dual.provenance.segments
     if (dT, dg2, dX) != (rX, g2, rT):
         raise ShapeError("dual operand has incompatible graded ranks")
-    r = m.module.rank
+    r = rT + g2 + rX
+    if m.module.rank != r or m_dual.module.rank != r:
+        raise ShapeError(
+            f"pairing operands have ranks {m.module.rank} and {m_dual.module.rank}, "
+            f"their presentations {r}"
+        )
     rows = [[params.zero() for _ in range(r)] for _ in range(r)]
     one = params.one()
     for l in range(rT):
@@ -457,10 +475,11 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     items.append(("4.d", f_gr2_ok, "F unimodular on Gr_-2"))
 
     try:
-        dual = assemble(cartier_dual(s))
-        pairing = pair(m, dual)
+        # the dual is read off the realization of s, not off the module
+        # under test, which may have been altered
+        pairing = pair(m, assemble(_dual_spec(s, _realize(s))))
         items.append(("5", pairing.ok, "perfect pairing against the assembled dual"))
-    except Exception as exc:  # report, never raise
+    except FCrystalsError as exc:  # report invalid data, never raise
         items.append(("5", False, f"pairing failed: {exc}"))
 
     gr0 = sum(1 for w in mod.weights if w == 0)

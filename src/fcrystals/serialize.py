@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap
+from .blocks import AbelianBlock, LatticeData, abelian_from_ap
 from .errors import MalformedInputError
 from .onemotive import MotiveReport, OneMotiveSpec, PairingMatrix
 from .semilinear import FilteredFModule, SlopeProfile, VerifyReport, wmat, WMat
@@ -159,19 +159,19 @@ def motive_to_doc(s: OneMotiveSpec) -> dict:
     }
 
 
-def _lattice_from_doc(doc: dict, cls):
+def _lattice_from_doc(doc: dict) -> LatticeData:
     rank = _need(doc, "rank", int)
     sigma = doc.get("sigma")
     if sigma is None:
-        return cls.trivial(rank)
-    return cls(rank, _int_matrix_from_doc(sigma, "sigma"))
+        return LatticeData.trivial(rank)
+    return LatticeData(rank, _int_matrix_from_doc(sigma, "sigma"))
 
 
 def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpec:
     if params is None:
         params = ring_from_doc(_need(doc, "ring", dict))
-    lattice = _lattice_from_doc(_need(doc, "lattice", dict), LatticeData)
-    torus = _lattice_from_doc(_need(doc, "torus", dict), TorusData)
+    lattice = _lattice_from_doc(_need(doc, "lattice", dict))
+    torus = _lattice_from_doc(_need(doc, "torus", dict))
     abelian_doc = doc.get("abelian")
     if abelian_doc is None:
         abelian = AbelianBlock.empty(params)

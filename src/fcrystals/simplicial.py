@@ -202,6 +202,19 @@ def _default_abelian(g: int, params: RingParams) -> AbelianBlock:
     return block
 
 
+def _split_spec(
+    lattice_rank: int, torus_rank: int, g: int, params: RingParams, abelian: AbelianBlock | None, label: str
+) -> OneMotiveSpec:
+    """Split presentation with trivial actions and the caller's abelian block
+    (or the default one of dimension g)."""
+    block = abelian if abelian is not None else _default_abelian(g, params)
+    if block.dim != g:
+        raise ShapeError(f"abelian block has dimension {block.dim}, expected {g}")
+    return OneMotiveSpec.split(
+        params, LatticeData.trivial(lattice_rank), TorusData.trivial(torus_rank), block, label
+    )
+
+
 def picard_skeleton(
     s: SimplicialComponents,
     d: DivisorPresentation,
@@ -217,53 +230,41 @@ def picard_skeleton(
     """
     lattice_rank, _ = div0_lattice(d)
     torus_rank, _ = cocharacter_group(s)
-    block = abelian if abelian is not None else _default_abelian(g, params)
-    if block.dim != g:
-        raise ShapeError(f"abelian block has dimension {block.dim}, expected {g}")
-    skeleton = PicardSkeleton(lattice_rank, torus_rank, g)
-    spec = OneMotiveSpec.split(
-        params,
-        LatticeData.trivial(lattice_rank),
-        TorusData.trivial(torus_rank),
-        block,
-        label="picard-skeleton",
-    )
-    return skeleton, spec
+    spec = _split_spec(lattice_rank, torus_rank, g, params, abelian, "picard-skeleton")
+    return PicardSkeleton(lattice_rank, torus_rank, g), spec
 
 
 @dataclass(frozen=True)
 class H1Ledger:
     """Expected weight-graded ranks of the twisted first cohomology of the
-    simplicial pair, checked against the rank of the assembled realization."""
+    simplicial pair, checked against the assembled realization: its rank and
+    its numbers of basis vectors of weights -2, -1 and 0."""
 
     gr0: int
     gr1: int
     gr2: int
     total: int
     crystal_rank: int
+    crystal_graded: tuple[int, int, int]
 
     @property
     def consistent(self) -> bool:
-        return self.total == self.crystal_rank
+        return (
+            self.total == self.crystal_rank
+            and (self.gr0, self.gr1, self.gr2) == self.crystal_graded
+        )
 
 
 def h1_weight_ledger(
     sk: PicardSkeleton, params: RingParams, abelian: AbelianBlock | None = None
 ) -> H1Ledger:
     """Rank ledger: weight 0 from the torus cocharacters, weight 1 of size
-    2g, weight 2 from the boundary divisor lattice; the total must equal the
-    rank of the assembled split presentation."""
+    2g, weight 2 from the boundary divisor lattice.  The total must equal the
+    rank of the assembled split presentation, and the three graded ranks its
+    numbers of basis vectors of weights -2, -1 and 0."""
     g = sk.abelian_dim
-    block = abelian if abelian is not None else _default_abelian(g, params)
-    if block.dim != g:
-        raise ShapeError(f"abelian block has dimension {block.dim}, expected {g}")
-    spec = OneMotiveSpec.split(
-        params,
-        LatticeData.trivial(sk.lattice_rank),
-        TorusData.trivial(sk.torus_rank),
-        block,
-        label="h1-ledger",
-    )
-    crystal_rank = assemble(spec).module.rank
+    spec = _split_spec(sk.lattice_rank, sk.torus_rank, g, params, abelian, "h1-ledger")
+    module = assemble(spec).module
+    graded = tuple(sum(1 for w in module.weights if w == k) for k in (-2, -1, 0))
     gr0, gr1, gr2 = sk.torus_rank, 2 * g, sk.lattice_rank
-    return H1Ledger(gr0, gr1, gr2, gr0 + gr1 + gr2, crystal_rank)
+    return H1Ledger(gr0, gr1, gr2, gr0 + gr1 + gr2, module.rank, graded)

@@ -119,42 +119,6 @@ def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
     return f
 
 
-def _pinvmod(f: list[int], mod: list[int], p: int) -> list[int]:
-    """Inverse of f in F_p[t]/(mod); mod need not be irreducible as long as
-    gcd(f, mod) = 1."""
-    # extended Euclid
-    r0, r1 = [c % p for c in mod], _pmod(list(f), mod, p)
-    s0, s1 = [0], [1]
-    while _ptrim(list(r1)):
-        # divide r0 by r1
-        q = []
-        rem = list(r0)
-        dg = len(r1) - 1
-        inv_lead = pow(r1[-1], -1, p)
-        q = [0] * max(len(rem) - dg, 1)
-        while len(rem) - 1 >= dg and rem:
-            c = (rem[-1] * inv_lead) % p
-            shift = len(rem) - 1 - dg
-            q[shift] = c
-            for i, gc in enumerate(r1):
-                rem[shift + i] = (rem[shift + i] - c * gc) % p
-            _ptrim(rem)
-        r0, r1 = r1, rem
-        # s = s0 - q s1
-        prod = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, a in enumerate(q):
-            if a:
-                for j, b in enumerate(s1):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        length = max(len(s0), len(prod))
-        s = [((s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)) % p for i in range(length)]
-        s0, s1 = s1, _ptrim(s)
-    if len(r0) != 1:
-        raise DomainError("element is not invertible in the residue field")
-    c = pow(r0[0], -1, p)
-    return _pmod([(x * c) % p for x in s0], mod, p)
-
-
 def _irreducible_mod_p(modulus: Sequence[int], p: int, a: int) -> bool:
     f = [c % p for c in modulus]
     if len(_ptrim(list(f))) != a + 1:
@@ -408,10 +372,9 @@ class WittElem:
             raise DomainError("element is not a unit")
         if params.a == 1:
             return WittElem._raw(params, (pow(self.coords[0], -1, params.pn),))
-        # invert in the residue field, then Hensel-lift (Newton iteration)
+        # invert in the residue field F_q as c^(q-2), then Hensel-lift (Newton iteration)
         p = params.p
-        resmod = params.residue_modulus()
-        inv0 = _pinvmod([c % p for c in self.coords], resmod, p)
+        inv0 = _ppowmod(list(self.coords), p**params.a - 2, params.residue_modulus(), p)
         inv0 = inv0 + [0] * (params.a - len(inv0))
         y = params.elem(inv0)
         two = params.from_int(2)

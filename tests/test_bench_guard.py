@@ -1,0 +1,58 @@
+"""Names that code outside the package relies on.
+
+The span tracer in bench/layers.py rebinds fcrystals functions and methods by
+name, so deleting or renaming one would silently drop a layer from the traced
+benchmark.  The public names of the package are pinned here as well.
+"""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+import fcrystals
+
+LAYERS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "layers.py")
+
+PUBLIC_NAMES = """
+AbelianBlock LatticeData TorusData abelian_from_ap lattice_block tate torus_block
+DomainError FCrystalsError IncompatibleRingsError InvalidActionError
+InvalidExtensionDataError InvalidSimplicialError InvalidTraceError MalformedInputError
+PrecisionError ShapeError SingularFrobeniusError UnsupportedCharacteristicError
+UnsupportedInputError
+MotiveCrystal MotiveReport OneMotiveSpec PairingMatrix assemble cartier_dual dual_witness
+pair tdr_dimension torsion_height verify_motive
+FilteredFModule SlopeProfile VerifyReport direct_sum newton_slopes smith_normal_form tensor
+twisted_dual verify
+DivisorPresentation H1Ledger PicardSkeleton SimplicialComponents cocharacter_group
+component_complex div0_lattice h1_weight_ledger picard_skeleton
+RingParams WittCoords WittElem coords_add coords_mul coords_to_elem default_modulus dp_exp
+dp_log elem_to_coords frobenius frobenius_inverse teichmuller with_precision
+""".split()
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+layers = _layers()
+
+
+@pytest.mark.parametrize("module,name", [(m, f) for m, f, _, _ in layers.FUNCTIONS])
+def test_traced_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module(f"fcrystals.{module}"), name))
+
+
+@pytest.mark.parametrize("module,cls,attr", [(m, c, a) for m, c, a, _ in layers.METHODS])
+def test_traced_method_resolves(module, cls, attr):
+    owner = getattr(importlib.import_module(f"fcrystals.{module}"), cls)
+    assert callable(getattr(owner, attr))
+
+
+def test_public_names_import():
+    missing = [name for name in PUBLIC_NAMES if not hasattr(fcrystals, name)]
+    assert missing == []

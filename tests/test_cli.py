@@ -144,15 +144,54 @@ class TestBatch:
         results = json.loads(out.read_text())
         assert sum(1 for entry in results.values() if entry["ok"]) == 1
 
-    def test_batch_parallel_matches_serial(self, tmp_path):
-        argv = [
-            "crystal-verify",
-            "--in", "module_supersingular.json",
-            "--in", "module_tate1.json",
-            "--in", "module_bad_flag.json",
-        ]
-        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        code_s, _ = run_cli(argv, serial)
-        code_p, _ = run_cli(argv + ["--jobs", "3"], parallel)
-        assert code_s == code_p == 1
-        assert serial.read_bytes() == parallel.read_bytes()
+
+def _edited_fixture(tmp_path, fixture, edit):
+    with open(os.path.join(FX, fixture), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / f"edited_{fixture}"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestRingResolution:
+    @pytest.mark.parametrize(
+        "verb,fixture",
+        [
+            ("motive-assemble", "motive_kummer.json"),
+            ("crystal-verify", "module_tate1.json"),
+            ("crystal-dual", "module_tate1.json"),
+        ],
+    )
+    def test_precision_sets_embedded_length(self, verb, fixture, tmp_path):
+        edited = _edited_fixture(tmp_path, fixture, lambda doc: doc["ring"].update(n=6))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli([verb, "--in", fixture, "--precision", "6"], a)[0] == 0
+        assert run_cli([verb, "--in", edited], b)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "verb,fixture", [("motive-assemble", "motive_kummer.json"), ("crystal-dual", "module_tate1.json")]
+    )
+    def test_ring_overrides_embedded_ring(self, verb, fixture, tmp_path):
+        edited = _edited_fixture(
+            tmp_path, fixture, lambda doc: doc.update(ring={"p": 5, "n": 3, "a": 1})
+        )
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli([verb, "--ring", "ring_f5n3.json", "--in", fixture], a)[0] == 0
+        assert run_cli([verb, "--in", edited], b)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_missing_ring_for_ring_verb(self, tmp_path):
+        code, err = run_cli(["crystal-twist", "--in", "twist_tate1.json"], tmp_path / "o.json")
+        assert code == 2
+        assert json.loads(err)["code"] == "missing-ring"
+
+    @pytest.mark.parametrize(
+        "verb,fixture", [("motive-assemble", "motive_kummer.json"), ("crystal-verify", "module_tate1.json")]
+    )
+    def test_missing_embedded_ring(self, verb, fixture, tmp_path):
+        edited = _edited_fixture(tmp_path, fixture, lambda doc: doc.pop("ring"))
+        code, err = run_cli([verb, "--in", edited], tmp_path / "o.json")
+        assert code == 2
+        assert json.loads(err)["code"] == "missing-field"

@@ -332,6 +332,14 @@ class TestVerifyMotive:
         ).module
         rep = verify_motive(MotiveCrystal(wrong, s))
         assert not rep.ok and "1" in rep.failed()
+        item5 = {key: detail for key, _, detail in rep.items}["5"]
+        assert item5 == "pairing failed: pairing operands have ranks 3 and 2, their presentations 2"
+
+    def test_pair_rejects_rank_disagreeing_with_presentation(self):
+        s = kummer_spec()
+        wrong = assemble(mixed_spec(P54)).module
+        with pytest.raises(ShapeError):
+            pair(MotiveCrystal(wrong, s), assemble(cartier_dual(s)))
 
     def test_diagonal_mutation_fails_graded_item(self):
         s = mixed_spec(P54)

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from fcrystals import intmat
+from fcrystals import intmat, simplicial
 from fcrystals.blocks import abelian_from_ap
 from fcrystals.errors import InvalidSimplicialError, ShapeError, UnsupportedInputError
-from fcrystals.onemotive import assemble
+from fcrystals.onemotive import MotiveCrystal, assemble
 from fcrystals.simplicial import (
     DivisorPresentation,
     PicardSkeleton,
@@ -210,3 +211,17 @@ class TestLedger:
         ledger = h1_weight_ledger(PicardSkeleton(2, 3, 1), P54)
         assert (ledger.gr0, ledger.gr1, ledger.gr2) == (3, 2, 2)
         assert ledger.total == 7 == ledger.crystal_rank
+
+    def test_shifted_weight_is_inconsistent(self, monkeypatch):
+        """An assembly that keeps the rank but moves a basis vector from
+        weight -2 to weight -1 must fail the ledger check."""
+
+        def shifted(spec):
+            mc = assemble(spec)
+            weights = (-1,) + mc.module.weights[1:]
+            return MotiveCrystal(replace(mc.module, weights=weights), spec)
+
+        monkeypatch.setattr(simplicial, "assemble", shifted)
+        ledger = h1_weight_ledger(PicardSkeleton(2, 3, 1), P54)
+        assert ledger.total == ledger.crystal_rank
+        assert not ledger.consistent

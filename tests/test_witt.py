@@ -97,7 +97,7 @@ class TestAddMul:
 
     def test_unit_inverse(self):
         rng = random.Random(1)
-        for params in (RingParams(5, 4), F9, F27):
+        for params in (RingParams(5, 4), F9, F8, F25, F27):
             for _ in range(20):
                 x = params.elem([rng.randrange(params.pn) for _ in range(params.a)])
                 if not x.is_unit():
