@@ -75,14 +75,17 @@ class VerificationFailure(FCrystalsError):
         self.doc = doc
 
 
-def _load(path: str):
+def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise MalformedInputError(f"no such file: {path}", code="missing-file")
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}", code="bad-json")
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"{path} does not hold a JSON object", code="bad-type")
+    return doc
 
 
 def _ring(args, doc) -> "ser.RingParams":
@@ -164,8 +167,9 @@ def _h_crystal_dual(args, doc):
 
 
 def _h_crystal_tensor(args, doc):
-    left = ser.module_from_doc(ser._need(doc, "left", dict))
-    right = ser.module_from_doc(ser._need(doc, "right", dict))
+    left, right = ser._need(doc, "left", dict), ser._need(doc, "right", dict)
+    left = ser.module_from_doc(left, _ring(args, left))
+    right = ser.module_from_doc(right, _ring(args, right))
     return ser.module_to_doc(tensor(left, right))
 
 

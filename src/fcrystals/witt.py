@@ -10,13 +10,18 @@ layer for a = 1.
 Conventions
 -----------
 * modulus coefficients are stored low-to-high and reduced mod p^n,
-* the Frobenius sigma is the unique ring automorphism lifting x -> x^p,
+* the Frobenius sigma is the unique ring automorphism lifting x -> x^p.  It
+  is Z/p^n-linear, so each ring keeps its matrix S on the power basis
+  1, t, ..., t^(a-1): column j holds sigma(t)^j, where sigma(t) is the
+  Newton lift of the root of f congruent to t^p mod p, and sigma^(-1) is
+  S^(a-1),
 * the divided-power exp/log are defined on (p) and 1 + (p) for p >= 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -226,6 +231,46 @@ class RingParams:
             return [0, 1]
         return [c % self.p for c in self.modulus]  # type: ignore[union-attr]
 
+    # -- the Frobenius on the power basis 1, t, ..., t^(a-1), a > 1 ----------
+
+    @cached_property
+    def frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Rows of the matrix S of sigma: column j holds the coordinates of s^j.
+
+        s = sigma(t) is the root of the modulus f that is congruent to t^p
+        mod p, Newton-lifted s <- s - f(s)/f'(s) from its residue; each step
+        doubles the number of correct p-adic digits.  s depends on n and on
+        the chosen lift f, so the table belongs to this ring.
+        """
+        p, a, f = self.p, self.a, self.modulus
+        start = _ppowmod([0, 1], p, self.residue_modulus(), p)
+        s = self.elem(start + [0] * (a - len(start)))
+        two = self.from_int(2)
+        u = None  # 1/f'(s), refined by its own Newton step as s moves
+        prec = 1
+        while prec < self.n:
+            val = der = self.zero()
+            for c in reversed(f):  # type: ignore[arg-type]
+                der = der * s + val
+                val = val * s + self.from_int(c)
+            u = der.inverse() if u is None else u * (two - der * u)
+            s = s - val * u
+            prec *= 2
+        cols = [self.one()]
+        for _ in range(a - 1):
+            cols.append(cols[-1] * s)
+        return tuple(tuple(col.coords[i] for col in cols) for i in range(a))
+
+    @cached_property
+    def frobenius_inverse_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """S^(a-1), the matrix of sigma^(a-1) = sigma^(-1)."""
+        s, pn = self.frobenius_matrix, self.pn
+        cols = tuple(zip(*s))
+        out = s
+        for _ in range(self.a - 2):
+            out = tuple(tuple(sum(x * y for x, y in zip(row, col)) % pn for col in cols) for row in out)
+        return out
+
 
 def with_precision(params: RingParams, n: int) -> RingParams:
     """Same residue field and modulus lift, Witt length n."""
@@ -265,7 +310,7 @@ class WittElem:
     def __eq__(self, other):
         return (
             isinstance(other, WittElem)
-            and self.params == other.params
+            and (self.params is other.params or self.params == other.params)
             and self.coords == other.coords
         )
 
@@ -273,7 +318,7 @@ class WittElem:
         return hash((self.params.p, self.params.n, self.params.a, self.coords))
 
     def _same_ring(self, other: "WittElem"):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise IncompatibleRingsError("operands live in different Witt rings")
 
     def __add__(self, other: "WittElem") -> "WittElem":
@@ -457,33 +502,27 @@ def teichmuller_digits(x: WittElem) -> list[tuple[int, ...]]:
     return digits
 
 
-def _residue_pow_p(params: RingParams, res: tuple[int, ...]) -> tuple[int, ...]:
-    p = params.p
-    if params.a == 1:
-        return (res[0] % p,)
-    out = _ppowmod(list(res), p, params.residue_modulus(), p)
-    return tuple(out + [0] * (params.a - len(out)))[: params.a]
+def _apply(rows: tuple[tuple[int, ...], ...], x: WittElem) -> WittElem:
+    pn = x.params.pn
+    xs = x.coords
+    return WittElem._raw(x.params, tuple(sum(r * c for r, c in zip(row, xs)) % pn for row in rows))
 
 
 def frobenius(x: WittElem) -> WittElem:
-    """The ring automorphism sigma lifting c -> c^p; identity for a = 1."""
+    """The ring automorphism sigma lifting c -> c^p: the identity for a = 1,
+    else one product with the ring's matrix S (``RingParams.frobenius_matrix``)."""
     params = x.params
     if params.a == 1:
         return x
-    digits = teichmuller_digits(x)
-    acc = params.zero()
-    ppow = 1
-    for c in digits:
-        acc = acc + params.from_int(ppow) * teichmuller(params, _residue_pow_p(params, c))
-        ppow *= params.p
-    return acc
+    return _apply(params.frobenius_matrix, x)
 
 
 def frobenius_inverse(x: WittElem) -> WittElem:
-    """sigma^(-1) = sigma^(a-1), since sigma has order a."""
-    for _ in range(x.params.a - 1):
-        x = frobenius(x)
-    return x
+    """sigma^(-1) = sigma^(a-1), since sigma has order a: one product with S^(a-1)."""
+    params = x.params
+    if params.a == 1:
+        return x
+    return _apply(params.frobenius_inverse_matrix, x)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library code paths they check: the
 exp/log oracles work in plain integer arithmetic mod p^n, the kernel oracle
-does fraction-field Gaussian elimination, and the Z/p^n model is used as the
-ground truth for Witt coordinate arithmetic.
+does fraction-field Gaussian elimination, the Frobenius oracle goes through
+Teichmuller digits instead of the precomputed matrix, and the Z/p^n model is
+used as the ground truth for Witt coordinate arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_
 from fcrystals.onemotive import OneMotiveSpec
 from fcrystals.semilinear import wm_mul, wm_zero, wmat
 from fcrystals.simplicial import SimplicialComponents
-from fcrystals.witt import RingParams
+from fcrystals.witt import RingParams, WittElem, teichmuller, teichmuller_digits
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +51,26 @@ def log_oracle(u: int, p: int, n: int) -> int:
         v += 1
     assert num % p**v == 0
     return (num // p**v) * pow(d, -1, p**n) % p**n
+
+
+# ---------------------------------------------------------------------------
+# digit-based Frobenius oracle (any a)
+
+
+def residue_pow_p(params: RingParams, res: tuple[int, ...]) -> tuple[int, ...]:
+    """c -> c^p in the residue field, as a residue tuple."""
+    return (params.elem(res) ** params.p).residue()
+
+
+def frobenius_oracle(x: WittElem) -> WittElem:
+    """sigma(x) = sum p^i tau(c_i^p), read off the expansion x = sum p^i tau(c_i)."""
+    params = x.params
+    acc = params.zero()
+    ppow = 1
+    for c in teichmuller_digits(x):
+        acc = acc + params.from_int(ppow) * teichmuller(params, residue_pow_p(params, c))
+        ppow *= params.p
+    return acc
 
 
 # ---------------------------------------------------------------------------

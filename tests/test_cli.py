@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from fcrystals.cli import main
+from fcrystals.cli import _HANDLERS, main
 
 FX = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLD = os.path.join(FX, "golden")
@@ -195,3 +195,30 @@ class TestRingResolution:
         code, err = run_cli([verb, "--in", edited], tmp_path / "o.json")
         assert code == 2
         assert json.loads(err)["code"] == "missing-field"
+
+
+class TestTensorRing:
+    def test_precision_sets_both_operands(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert run_cli(["crystal-tensor", "--in", "tensor_input.json", "--precision", "7"], out)[0] == 0
+        assert json.loads(out.read_text())["ring"]["n"] == 7
+
+    def test_ring_is_checked(self, tmp_path):
+        code, err = run_cli(
+            ["crystal-tensor", "--ring", "ring_p4.json", "--in", "tensor_input.json"], tmp_path / "o.json"
+        )
+        assert code == 2
+        assert json.loads(err)["code"] == "not-prime"
+
+
+@pytest.mark.parametrize("text", ["5", '"x"', "null", "[1]"])
+@pytest.mark.parametrize("verb", sorted(_HANDLERS))
+def test_document_must_be_an_object(verb, text, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([verb, "--in", str(doc), "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert err.getvalue().count("\n") == 1
+    assert json.loads(err.getvalue())["code"] == "bad-type"

@@ -21,11 +21,12 @@ from fcrystals.witt import (
     elem_to_coords,
     frobenius,
     frobenius_inverse,
+    reduce_elem,
     teichmuller,
     with_precision,
 )
 
-from helpers import exp_oracle, log_oracle
+from helpers import exp_oracle, frobenius_oracle, log_oracle, residue_pow_p
 
 F9 = RingParams(3, 3, 2, default_modulus(3, 2))
 F8 = RingParams(2, 2, 3, default_modulus(2, 3))
@@ -174,10 +175,8 @@ class TestFrobenius:
     def test_teichmuller_compatibility_f8(self):
         # sigma(tau(c)) = tau(c^p), against the independently Hensel-lifted side
         for c in all_residues(F8):
-            from fcrystals.witt import _residue_pow_p
-
             lhs = frobenius(teichmuller(F8, c))
-            rhs = teichmuller(F8, _residue_pow_p(F8, c))
+            rhs = teichmuller(F8, residue_pow_p(F8, c))
             assert lhs == rhs
 
     def test_order_a_f9(self):
@@ -200,6 +199,78 @@ class TestFrobenius:
         for _ in range(30):
             x = F9.elem([rng.randrange(F9.pn), rng.randrange(F9.pn)])
             assert frobenius(x).residue() == (x ** F9.p).residue()
+
+
+def _galois_rings():
+    """W_n(F_{p^a}) for p in {2, 3, 5, 7}, a in {2, 3, 4}, n in {1, 2, 5, 9}, each
+    with the default modulus and with a lift whose lower coefficients are
+    shifted by multiples of p (a different Galois ring when n > 1)."""
+    rng = random.Random(11)
+    for p in (2, 3, 5, 7):
+        for a in (2, 3, 4):
+            base = default_modulus(p, a)
+            for n in (1, 2, 5, 9):
+                shifted = tuple(c + p * rng.randrange(1, p**n) for c in base[:-1]) + (1,)
+                for kind, modulus in (("default", base), ("shifted", shifted)):
+                    yield pytest.param(RingParams(p, n, a, modulus), id=f"p{p}-a{a}-n{n}-{kind}")
+
+
+GALOIS_RINGS = list(_galois_rings())
+
+
+def _random_elem(rng, params):
+    return params.elem([rng.randrange(params.pn) for _ in range(params.a)])
+
+
+class TestLinearFrobenius:
+    """The matrix kernel against the digit-based oracle and the ring laws."""
+
+    @pytest.mark.parametrize("params", GALOIS_RINGS)
+    def test_matches_digit_oracle(self, params):
+        rng = random.Random(params.pn + params.a)
+        for _ in range(2):
+            x = _random_elem(rng, params)
+            assert frobenius(x) == frobenius_oracle(x)
+            assert frobenius_oracle(frobenius_inverse(x)) == x
+
+    @pytest.mark.parametrize("params", GALOIS_RINGS)
+    def test_ring_automorphism_of_order_a(self, params):
+        rng = random.Random(params.pn * params.a)
+        small = with_precision(params, max(1, params.n - 3))
+        for _ in range(5):
+            x, y = _random_elem(rng, params), _random_elem(rng, params)
+            z = x
+            for _ in range(params.a):
+                z = frobenius(z)
+            assert z == x
+            assert frobenius_inverse(frobenius(x)) == x
+            assert frobenius(frobenius_inverse(x)) == x
+            assert frobenius(x + y) == frobenius(x) + frobenius(y)
+            assert frobenius(x * y) == frobenius(x) * frobenius(y)
+            assert reduce_elem(frobenius(x), small) == frobenius(reduce_elem(x, small))
+            assert reduce_elem(frobenius_inverse(x), small) == frobenius_inverse(reduce_elem(x, small))
+
+    def test_each_lift_has_its_own_table(self):
+        base = RingParams(3, 4, 2, default_modulus(3, 2))
+        other = RingParams(3, 4, 2, tuple(c + 3 for c in base.modulus[:-1]) + (1,))
+        assert base != other
+        assert base.frobenius_matrix != other.frobenius_matrix
+        assert with_precision(base, 2).frobenius_matrix != base.frobenius_matrix
+        for params in (base, other):
+            t = params.elem([0, 1])
+            assert frobenius(t) == frobenius_oracle(t)
+
+    def test_no_teichmuller_lifts(self, monkeypatch):
+        import fcrystals.witt as witt
+
+        calls = []
+        real = witt.teichmuller
+        monkeypatch.setattr(witt, "teichmuller", lambda *a: calls.append(a) or real(*a))
+        params = RingParams(5, 6, 3, default_modulus(5, 3))
+        x = params.elem([7, 11, 13])
+        frobenius(x)
+        frobenius_inverse(x)
+        assert calls == []
 
 
 class TestDividedPowers:
