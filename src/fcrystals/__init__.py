@@ -16,6 +16,7 @@ from .errors import (
     DomainError,
     FCrystalsError,
     IncompatibleRingsError,
+    InternalError,
     InvalidActionError,
     InvalidExtensionDataError,
     InvalidSimplicialError,

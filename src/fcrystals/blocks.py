@@ -10,11 +10,12 @@ graded piece and V on the highest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import intmat
 from .errors import (
+    InternalError,
     InvalidActionError,
     InvalidTraceError,
     PrecisionError,
@@ -61,16 +62,20 @@ class LatticeData:
     """A free Z-lattice of finite rank with a finite-order Galois action.
 
     The same data presents a torus by its cocharacter lattice, so TorusData
-    is an alias of this class."""
+    is an alias of this class.  The inverse of the action is computed once,
+    on construction, and read by every block built from the data."""
 
     rank: int
     sigma_action: tuple[tuple[int, ...], ...]
+    sigma_inverse: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "sigma_action", tuple(tuple(int(x) for x in row) for row in self.sigma_action)
         )
         _validated_action(self.sigma_action, self.rank)
+        inv = intmat.inverse_unimodular(self.sigma_action) if self.rank else ()
+        object.__setattr__(self, "sigma_inverse", tuple(tuple(row) for row in inv))
 
     @staticmethod
     def trivial(rank: int) -> "LatticeData":
@@ -100,19 +105,15 @@ def tate(m: int, params: RingParams) -> FilteredFModule:
 
 def lattice_block(d: LatticeData, params: RingParams) -> FilteredFModule:
     """Weight-0 block: F = p A, V = A^(-1) for the lifted sigma action A."""
-    a = [list(row) for row in d.sigma_action]
-    ainv = intmat.inverse_unimodular(a) if d.rank else []
-    f = wmat_from_ints(params, [[params.p * x for x in row] for row in a])
-    v = wmat_from_ints(params, ainv)
+    f = wmat_from_ints(params, [[params.p * x for x in row] for row in d.sigma_action])
+    v = wmat_from_ints(params, d.sigma_inverse)
     return FilteredFModule(params, d.rank, (0,) * d.rank, f, v, 1)
 
 
 def torus_block(d: TorusData, params: RingParams) -> FilteredFModule:
     """Weight -2 block: F = B, V = p B^(-1) for the lifted sigma action B."""
-    b = [list(row) for row in d.sigma_action]
-    binv = intmat.inverse_unimodular(b) if d.rank else []
-    f = wmat_from_ints(params, b)
-    v = wmat_from_ints(params, [[params.p * x for x in row] for row in binv])
+    f = wmat_from_ints(params, d.sigma_action)
+    v = wmat_from_ints(params, [[params.p * x for x in row] for row in d.sigma_inverse])
     return FilteredFModule(params, d.rank, (-2,) * d.rank, f, v, 1)
 
 
@@ -177,6 +178,9 @@ def abelian_from_ap(a_p: int, params: RingParams) -> AbelianBlock:
     v = wmat_from_ints(params, [[x // q for x in row] for row in entries])
     module = FilteredFModule(params, 2, (-1, -1), f, v, 1)
     slopes = newton_slopes(module).as_list()
-    assert sorted(Fraction(1) - s for s in slopes) == slopes
-    assert verify(module).ok
+    if sorted(Fraction(1) - s for s in slopes) != slopes:
+        raise InternalError(f"companion block slopes {slopes} are not symmetric under s -> 1-s")
+    rep = verify(module)
+    if not rep.ok:
+        raise InternalError(f"companion block fails verification: {rep.first_failure.name}")
     return AbelianBlock(1, module)

@@ -2,8 +2,9 @@
 JSON out.
 
 Exit codes: 0 success, 1 verification failure (an invariant of the input
-data is violated), 2 malformed input, 3 precision error.  Errors are
-reported as a machine-readable object on standard error.
+data is violated), 2 malformed input, 3 precision error, 4 internal error (an
+invariant that holds by construction failed: a bug in fcrystals, not in the
+input).  Errors are reported as a machine-readable object on standard error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     DomainError,
     FCrystalsError,
     IncompatibleRingsError,
+    InternalError,
     InvalidActionError,
     InvalidExtensionDataError,
     InvalidSimplicialError,
@@ -31,7 +33,6 @@ from .errors import (
 )
 from .onemotive import (
     MotiveCrystal,
-    _dual_spec,
     assemble,
     cartier_dual,
     pair,
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_MALFORMED = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 _MALFORMED = (
     MalformedInputError,
@@ -178,7 +180,7 @@ def _h_crystal_twist(args, doc):
     kind = ser._need(doc, "kind", str)
     if kind == "tate":
         m = doc.get("m", 1)
-        if not isinstance(m, int):
+        if not ser._is_int(m):
             raise MalformedInputError("twist exponent must be an integer", code="bad-type")
         module = tate(m, params)
     elif kind == "lattice":
@@ -219,8 +221,7 @@ def _h_motive_dual(args, doc):
 
 def _h_motive_pair(args, doc):
     spec = ser.motive_from_doc(doc, _ring(args, doc))
-    mc = assemble(spec)
-    pairing = pair(mc, assemble(_dual_spec(spec, mc.module)))
+    pairing = pair(assemble(spec), assemble(cartier_dual(spec)))
     out = ser.pairing_to_doc(pairing)
     if not pairing.ok:
         raise VerificationFailure("pairing diagnostics failed", out)
@@ -252,7 +253,7 @@ def _h_picard_skeleton(args, doc):
     simp = ser.simplicial_from_doc(ser._need(doc, "simplicial", dict))
     div = ser.divisor_from_doc(ser._need(doc, "divisor", dict))
     g = doc.get("g", 0)
-    if not isinstance(g, int):
+    if not ser._is_int(g):
         raise MalformedInputError("g must be an integer", code="bad-type")
     skeleton, spec = picard_skeleton(simp, div, g, params)
     return {"skeleton": ser.skeleton_to_doc(skeleton), "spec": ser.motive_to_doc(spec)}
@@ -292,6 +293,8 @@ def _classify(exc: Exception) -> int:
         return EXIT_VERIFICATION
     if isinstance(exc, PrecisionError):
         return EXIT_PRECISION
+    if isinstance(exc, InternalError):
+        return EXIT_INTERNAL
     if isinstance(exc, _MALFORMED):
         return EXIT_MALFORMED
     if isinstance(exc, _INVARIANT):

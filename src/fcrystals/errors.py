@@ -90,3 +90,9 @@ class InvalidSimplicialError(FCrystalsError):
     """Component face maps violate the simplicial identities."""
 
     code = "invalid-simplicial"
+
+
+class InternalError(FCrystalsError):
+    """An invariant that holds by construction failed: a bug, not bad input."""
+
+    code = "internal-error"

@@ -17,6 +17,7 @@ satisfying <F-, F-> = p sigma<-,-> and <V-, V-> = p sigma^(-1)<-,->.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, lattice_block, torus_block
@@ -24,12 +25,15 @@ from .errors import (
     DomainError,
     FCrystalsError,
     IncompatibleRingsError,
+    InternalError,
     InvalidExtensionDataError,
     ShapeError,
     UnsupportedInputError,
 )
 from .semilinear import (
     FilteredFModule,
+    VerifyReport,
+    conjugate_by_permutation,
     twisted_dual,
     verify,
     wm_balanced_lift,
@@ -105,6 +109,15 @@ class OneMotiveSpec:
         """Ranks of the (torus, abelian, lattice) basis segments."""
         return self.torus.rank, 2 * self.abelian.dim, self.lattice.rank
 
+    @cached_property
+    def assembled(self) -> "MotiveCrystal":
+        """The assembled motive crystal (see assemble), realized and
+        self-checked on first use and then kept on this presentation."""
+        mc = MotiveCrystal(_realize(self), self)
+        if not mc.report.ok:
+            raise InternalError(f"assembled module failed verification: {mc.report.first_failure}")
+        return mc
+
     @staticmethod
     def split(
         params: RingParams,
@@ -128,10 +141,25 @@ class OneMotiveSpec:
 
 @dataclass(frozen=True)
 class MotiveCrystal:
-    """Assembled filtered module together with the presentation it came from."""
+    """Assembled (or hand-altered) filtered module together with the
+    presentation it came from.
+
+    Two values derived from the module are computed on first use and kept
+    here: its verify report, and its canonical dual, the twisted dual
+    relabelled into the basis order of the dual presentation.
+    """
 
     module: FilteredFModule
     provenance: OneMotiveSpec
+
+    @cached_property
+    def report(self) -> VerifyReport:
+        return verify(self.module)
+
+    @cached_property
+    def canonical_dual(self) -> FilteredFModule:
+        rT, g2, rX = self.provenance.segments
+        return conjugate_by_permutation(twisted_dual(self.module), _dual_permutation(rX, g2, rT))
 
 
 def assemble(s: OneMotiveSpec) -> MotiveCrystal:
@@ -143,11 +171,12 @@ def assemble(s: OneMotiveSpec) -> MotiveCrystal:
     the canonical lift, and must be integral: concretely the product
     sigma(V_A) . ext_xa must vanish mod p, otherwise the extension data is
     rejected.
+
+    The work is done once per presentation object: the result is kept on s
+    (OneMotiveSpec.assembled), so assemble(s) is assemble(s), and its report
+    and canonical dual are shared by every later caller.
     """
-    module = _realize(s)
-    rep = verify(module)
-    assert rep.ok, f"assembled module failed verification: {rep.first_failure}"
-    return MotiveCrystal(module, s)
+    return s.assembled
 
 
 def _realize(s: OneMotiveSpec) -> FilteredFModule:
@@ -187,16 +216,8 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
                 "abelian block does not lift exactly: its balanced representatives "
                 "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
             )
-    binv_int = (
-        wmat(big, intmat.inverse_unimodular([list(map(int, row)) for row in s.torus.sigma_action]))
-        if rT
-        else None
-    )
-    ainv_int = (
-        wmat(big, intmat.inverse_unimodular([list(map(int, row)) for row in s.lattice.sigma_action]))
-        if rX
-        else None
-    )
+    binv_int = wmat(big, s.torus.sigma_inverse) if rT else None
+    ainv_int = wmat(big, s.lattice.sigma_inverse) if rX else None
     w_div = None
     if g2 and rX:
         prod_ax = wm_mul(big, sig_va, wm_balanced_lift(s.ext_xa, big))
@@ -238,12 +259,8 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
     return FilteredFModule(params, r, weights, f, v, 1)
 
 
-def _inverse_transpose(sigma) -> tuple[tuple[int, ...], ...]:
-    mat = [list(map(int, row)) for row in sigma]
-    if not mat:
-        return ()
-    inv = intmat.inverse_unimodular(mat)
-    return tuple(tuple(row) for row in intmat.transpose(inv))
+def _inverse_transpose(d: LatticeData) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(row) for row in intmat.transpose(d.sigma_inverse))
 
 
 def _dual_permutation(rX: int, g2: int, rT: int) -> list[int]:
@@ -258,57 +275,42 @@ def _dual_permutation(rX: int, g2: int, rT: int) -> list[int]:
 def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
     """Dual presentation: lattice and torus swap with inverse-transpose
     actions, the abelian block is replaced by its twisted dual, and the
-    extension blocks are read off the twisted dual of the assembled module
-    so that assembling the dual reproduces it up to an explicit basis
-    permutation (see dual_witness)."""
-    return _dual_spec(s, assemble(s).module)
-
-
-def _dual_spec(s: OneMotiveSpec, module: FilteredFModule) -> OneMotiveSpec:
-    """cartier_dual(s), given the assembled module of s."""
+    extension blocks are read off the canonical dual of assemble(s), so that
+    assembling the dual reproduces it (see dual_witness).  Nothing of s is
+    rebuilt: its realization and canonical dual are the ones kept on
+    assemble(s)."""
     params = s.params
     rT, g2, rX = s.segments
-    td = twisted_dual(module)
-    perm = _dual_permutation(rX, g2, rT)
-    f_c = tuple(tuple(td.f_mat[perm[i]][perm[j]] for j in range(len(perm))) for i in range(len(perm)))
-    torus2 = TorusData(rX, _inverse_transpose(s.lattice.sigma_action))
-    lattice2 = LatticeData(rT, _inverse_transpose(s.torus.sigma_action))
+    f_c = assemble(s).canonical_dual.f_mat
+    torus2 = TorusData(rX, _inverse_transpose(s.lattice))
+    lattice2 = LatticeData(rT, _inverse_transpose(s.torus))
     abelian2 = AbelianBlock(s.abelian.dim, twisted_dual(s.abelian.crystal)) if g2 else AbelianBlock.empty(params)
-    ext_at2 = wm_submatrix(f_c, range(0, rX), range(rX, rX + g2))
-    ext_xa2 = wm_submatrix(f_c, range(rX, rX + g2), range(rX + g2, rX + g2 + rT))
-    ext_xt2 = wm_submatrix(f_c, range(0, rX), range(rX + g2, rX + g2 + rT))
-    dual = OneMotiveSpec(
+    seg_t, seg_a, seg_x = range(0, rX), range(rX, rX + g2), range(rX + g2, rX + g2 + rT)
+    # diagonal blocks of the canonical dual must agree with the dual blocks
+    for what, seg, block in (
+        ("torus", seg_t, torus_block(torus2, params)),
+        ("abelian", seg_a, abelian2.crystal),
+        ("lattice", seg_x, lattice_block(lattice2, params)),
+    ):
+        if not wm_eq(wm_submatrix(f_c, seg, seg), block.f_mat):
+            raise InternalError(f"the {what} block of the canonical dual disagrees with the dual spec")
+    return OneMotiveSpec(
         params,
         lattice2,
         torus2,
         abelian2,
-        ext_at2,
-        ext_xa2,
-        ext_xt2,
+        wm_submatrix(f_c, seg_t, seg_a),
+        wm_submatrix(f_c, seg_a, seg_x),
+        wm_submatrix(f_c, seg_t, seg_x),
         label=f"{s.label}^dual" if s.label else "dual",
     )
-    # diagonal blocks of the permuted twisted dual must agree with the dual blocks
-    assert wm_eq(
-        wm_submatrix(f_c, range(0, rX), range(0, rX)), torus_block(torus2, params).f_mat
-    )
-    assert wm_eq(
-        wm_submatrix(f_c, range(rX, rX + g2), range(rX, rX + g2)), abelian2.crystal.f_mat
-    )
-    assert wm_eq(
-        wm_submatrix(f_c, range(rX + g2, rX + g2 + rT), range(rX + g2, rX + g2 + rT)),
-        lattice_block(lattice2, params).f_mat,
-    )
-    return dual
 
 
 def dual_witness(s: OneMotiveSpec):
     """Return (twisted, assembled_dual, perm) where conjugating the twisted
     dual of assemble(s) by the permutation reproduces assemble(cartier_dual(s))."""
-    module = assemble(s).module
-    td = twisted_dual(module)
-    ad = assemble(_dual_spec(s, module)).module
     rT, g2, rX = s.segments
-    return td, ad, _dual_permutation(rX, g2, rT)
+    return twisted_dual(assemble(s).module), assemble(cartier_dual(s)).module, _dual_permutation(rX, g2, rT)
 
 
 @dataclass(frozen=True)
@@ -342,10 +344,10 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     F^T . G . F' = p sigma(G),  V^T . G . V' = p sigma^(-1)(G).
 
     The Frobenius identity uses the dual module as given.  The Verschiebung
-    identity uses the dual's canonical Verschiebung (the twisted-dual matrix
-    determined by m's Frobenius): a dual re-assembled from its mod-p^n
-    presentation may legitimately differ from it by kernel slack in the top
-    p-adic digit, which is invisible to the underlying objects.
+    identity uses the Verschiebung of m's canonical dual (the twisted-dual
+    matrix determined by m's Frobenius, kept on m): a dual re-assembled from
+    its mod-p^n presentation may legitimately differ from it by kernel slack
+    in the top p-adic digit, which is invisible to the underlying objects.
     """
     params = m.module.params
     if params != m_dual.module.params:
@@ -382,12 +384,7 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     frob_ok = wm_eq(lhs_f, wm_scal(p_elem, wm_sigma(gram)))
     versch_ok = True
     if m.module.v_mat is not None:
-        perm = _dual_permutation(rX, g2, rT)
-        td_v = twisted_dual(m.module).v_mat
-        v_canon = tuple(
-            tuple(td_v[perm[i]][perm[j]] for j in range(len(perm))) for i in range(len(perm))
-        )
-        lhs_v = wm_mul(params, wm_transpose(m.module.v_mat), wm_mul(params, gram, v_canon))
+        lhs_v = wm_mul(params, wm_transpose(m.module.v_mat), wm_mul(params, gram, m.canonical_dual.v_mat))
         versch_ok = wm_eq(lhs_v, wm_scal(p_elem, wm_sigma_inv(gram)))
     return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
 
@@ -412,7 +409,11 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     altered) motive module against its presentation: rank and freeness,
     filtration shape, graded ranks and graded blocks, F/V flag behaviour and
     compositions, unimodularity of V on Gr_0 and of F on Gr_-2, and the
-    duality pairing against the assembled dual presentation."""
+    duality pairing against the assembled dual presentation.
+
+    Item 4 reads m.report, so a module from assemble reuses the report of
+    its self-check.  Item 5 reads the dual off assemble(s), the realization
+    of the presentation kept on s, never off the module under test."""
     s = m.provenance
     params = s.params
     mod = m.module
@@ -449,7 +450,7 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     items.append(("3.b", graded_match(seg_a, ab), f"Gr_-1 free of rank {g2}, abelian block"))
     items.append(("3.c", graded_match(seg_x, lb), f"Gr_0 free of rank {rX}, lattice block"))
 
-    rep = verify(mod)
+    rep = m.report
     by_name = {c.name: c for c in rep.checks}
     flag_ok = (
         by_name["weight-order"].ok
@@ -475,10 +476,10 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     items.append(("4.d", f_gr2_ok, "F unimodular on Gr_-2"))
 
     try:
-        # the dual is read off the realization of s, not off the module
-        # under test, which may have been altered
-        pairing = pair(m, assemble(_dual_spec(s, _realize(s))))
+        pairing = pair(m, assemble(cartier_dual(s)))
         items.append(("5", pairing.ok, "perfect pairing against the assembled dual"))
+    except InternalError:
+        raise
     except FCrystalsError as exc:  # report invalid data, never raise
         items.append(("5", False, f"pairing failed: {exc}"))
 

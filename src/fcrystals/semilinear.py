@@ -30,7 +30,6 @@ from .witt import (
     balanced_lift_elem,
     frobenius,
     frobenius_inverse,
-    lift_elem,
     reduce_elem,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "wm_eq",
     "wm_kron",
     "wm_block",
-    "wm_lift",
     "wm_balanced_lift",
     "wm_reduce",
     "wm_inverse_unit",
@@ -208,10 +206,6 @@ def wm_block(params: RingParams, grid: Sequence[Sequence[WMat]], row_sizes, col_
                     row.extend(blk[i])
             rows.append(tuple(row))
     return tuple(rows)
-
-
-def wm_lift(a: WMat, big: RingParams) -> WMat:
-    return tuple(tuple(lift_elem(x, big) for x in row) for row in a)
 
 
 def wm_balanced_lift(a: WMat, big: RingParams) -> WMat:
@@ -447,11 +441,6 @@ def direct_sum(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
     )
 
 
-def _reverse_conj(m: WMat) -> WMat:
-    r = len(m)
-    return tuple(tuple(m[r - 1 - i][r - 1 - j] for j in range(r)) for i in range(r))
-
-
 def twisted_dual(m: FilteredFModule) -> FilteredFModule:
     """Internal hom into the rank-1 twist (F: 1 -> 1, V: 1 -> p, weight -2).
 
@@ -462,8 +451,9 @@ def twisted_dual(m: FilteredFModule) -> FilteredFModule:
     """
     if m.v_mat is None:
         raise SingularFrobeniusError("the twisted dual needs an integral Verschiebung")
-    f_dual = _reverse_conj(wm_sigma(wm_transpose(m.v_mat)))
-    v_dual = _reverse_conj(wm_sigma_inv(wm_transpose(m.f_mat)))
+    reverse = range(m.rank - 1, -1, -1)
+    f_dual = _permute(wm_sigma(wm_transpose(m.v_mat)), reverse)
+    v_dual = _permute(wm_sigma_inv(wm_transpose(m.f_mat)), reverse)
     weights = tuple(-2 - w for w in reversed(m.weights))
     return FilteredFModule(m.params, m.rank, weights, f_dual, v_dual, m.level)
 

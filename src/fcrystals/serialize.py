@@ -47,11 +47,16 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _is_int(x) -> bool:
+    """An integer of the document: JSON true and false are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _need(doc: dict, key: str, kind=None):
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedInputError(f"missing field {key!r}", code="missing-field")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and not (_is_int(val) if kind is int else isinstance(val, kind)):
         raise MalformedInputError(f"field {key!r} has the wrong type", code="bad-type")
     return val
 
@@ -67,11 +72,11 @@ def ring_from_doc(doc: dict) -> RingParams:
     p = _need(doc, "p", int)
     n = _need(doc, "n", int)
     a = doc.get("a", 1)
-    if not isinstance(a, int):
+    if not _is_int(a):
         raise MalformedInputError("field 'a' has the wrong type", code="bad-type")
     modulus = doc.get("modulus")
     if modulus is not None:
-        if not isinstance(modulus, list) or not all(isinstance(c, int) for c in modulus):
+        if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
             raise MalformedInputError("modulus must be a list of integers", code="bad-modulus")
         modulus = tuple(modulus)
     return RingParams(p, n, a, modulus)
@@ -82,9 +87,9 @@ def elem_to_doc(x: WittElem) -> list[int]:
 
 
 def elem_from_doc(doc, params: RingParams) -> WittElem:
-    if isinstance(doc, int):
+    if _is_int(doc):
         return params.from_int(doc)
-    if not isinstance(doc, list) or not all(isinstance(c, int) for c in doc):
+    if not isinstance(doc, list) or not all(_is_int(c) for c in doc):
         raise MalformedInputError("element must be a list of integers", code="bad-element")
     return params.elem(doc)
 
@@ -115,11 +120,13 @@ def module_from_doc(doc: dict, params: RingParams | None = None) -> FilteredFMod
         params = ring_from_doc(_need(doc, "ring", dict))
     rank = _need(doc, "rank", int)
     weights = _need(doc, "weights", list)
+    if not all(_is_int(w) for w in weights):
+        raise MalformedInputError("weights must be integers", code="bad-type")
     f = wmat_from_doc(_need(doc, "F"), params)
     vdoc = doc.get("V")
     v = wmat_from_doc(vdoc, params) if vdoc is not None else None
     level = doc.get("level", 1)
-    if not isinstance(level, int):
+    if not _is_int(level):
         raise MalformedInputError("level must be an integer", code="bad-type")
     return FilteredFModule(params, rank, tuple(weights), f, v, level)
 
@@ -134,7 +141,7 @@ def slopes_to_doc(profile: SlopeProfile) -> dict:
 
 def _int_matrix_from_doc(doc, what: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(doc, list) or not all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in doc
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in doc
     ):
         raise MalformedInputError(f"{what} must be a nested integer list", code="bad-matrix")
     return tuple(tuple(row) for row in doc)
@@ -177,7 +184,7 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
         abelian = AbelianBlock.empty(params)
     elif "ap" in abelian_doc:
         ap = abelian_doc["ap"]
-        if not isinstance(ap, int):
+        if not _is_int(ap):
             raise MalformedInputError("abelian trace must be an integer", code="bad-type")
         abelian = abelian_from_ap(ap, params)
     elif "crystal" in abelian_doc:
@@ -209,7 +216,7 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
 def simplicial_from_doc(doc: dict) -> SimplicialComponents:
     counts = _need(doc, "counts", list)
     faces = _need(doc, "faces", dict)
-    if not all(isinstance(c, int) for c in counts):
+    if not all(_is_int(c) for c in counts):
         raise MalformedInputError("counts must be integers", code="bad-type")
     levels = len(counts) - 1
     face_maps = []
@@ -219,7 +226,7 @@ def simplicial_from_doc(doc: dict) -> SimplicialComponents:
         if level is None:
             raise MalformedInputError(f"faces missing level {key!r}", code="missing-field")
         if not isinstance(level, list) or not all(
-            isinstance(fmap, list) and all(isinstance(x, int) for x in fmap) for fmap in level
+            isinstance(fmap, list) and all(_is_int(x) for x in fmap) for fmap in level
         ):
             raise MalformedInputError(f"faces[{key!r}] must be integer lists", code="bad-type")
         face_maps.append(tuple(tuple(fmap) for fmap in level))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap
-from .errors import InvalidSimplicialError, ShapeError, UnsupportedInputError
+from .errors import InternalError, InvalidSimplicialError, ShapeError, UnsupportedInputError
 from .onemotive import OneMotiveSpec, assemble
 from .witt import RingParams
 
@@ -93,8 +93,8 @@ def component_complex(s: SimplicialComponents) -> tuple[list[list[int]], list[li
         d2[s.face(2, 0)[j]][j] += 1
         d2[s.face(2, 1)[j]][j] -= 1
         d2[s.face(2, 2)[j]][j] += 1
-    composite = intmat.mul(d1, d2)
-    assert all(all(x == 0 for x in row) for row in composite)
+    if any(x for row in intmat.mul(d1, d2) for x in row):
+        raise InternalError("d_1 d_2 != 0 although the simplicial identities hold")
     return d1, d2
 
 
@@ -103,14 +103,15 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     complex C^0 -> C^1 -> C^2.
 
     The quotient is free and Im(C_1 -> C_0) is a direct summand: both facts
-    are asserted via elementary divisors.
+    are checked via elementary divisors.
     """
     d1, d2 = component_complex(s)
     dual1 = intmat.transpose(d1)  # C^0 -> C^1
     dual2 = intmat.transpose(d2)  # C^1 -> C^2
     # the image of d_1 (equivalently d^1) is a direct summand
     divisors = intmat.elementary_divisors(d1)
-    assert all(d == 1 for d in divisors), "image of C_1 -> C_0 is not a direct summand"
+    if any(d != 1 for d in divisors):
+        raise InternalError("image of C_1 -> C_0 is not a direct summand")
     kernel = intmat.kernel_basis(dual2)  # columns, saturated in C^1
     k = len(kernel)
     if k == 0:
@@ -118,10 +119,12 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     kmat = intmat.transpose(kernel)  # c1 x k, columns = kernel basis
     # express Im d^1 in kernel coordinates (possible: d^2 d^1 = 0, kernel saturated)
     coords = intmat.solve_exact(kmat, dual1)
-    assert coords is not None, "image of d^1 does not land in Ker d^2"
+    if coords is None:
+        raise InternalError("image of d^1 does not land in Ker d^2")
     u, d, _ = intmat.smith_normal_form(coords)
     nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-    assert all(x == 1 for x in nz), "cocharacter quotient has torsion"
+    if any(x != 1 for x in nz):
+        raise InternalError("cocharacter quotient has torsion")
     rank = k - len(nz)
     uinv = intmat.inverse_unimodular(u)
     # free-part basis lifts: kernel basis times the trailing columns of U^(-1)

@@ -17,7 +17,7 @@ LAYERS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "layers.py"
 
 PUBLIC_NAMES = """
 AbelianBlock LatticeData TorusData abelian_from_ap lattice_block tate torus_block
-DomainError FCrystalsError IncompatibleRingsError InvalidActionError
+DomainError FCrystalsError IncompatibleRingsError InternalError InvalidActionError
 InvalidExtensionDataError InvalidSimplicialError InvalidTraceError MalformedInputError
 PrecisionError ShapeError SingularFrobeniusError UnsupportedCharacteristicError
 UnsupportedInputError

@@ -222,3 +222,56 @@ def test_document_must_be_an_object(verb, text, tmp_path):
     assert code == 2
     assert err.getvalue().count("\n") == 1
     assert json.loads(err.getvalue())["code"] == "bad-type"
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return edit
+
+
+# (verb, fixture, edit, expected code): every integer field of a document
+# rejects JSON booleans, floats and strings instead of coercing them
+STRICT_INT_CASES = [
+    ("crystal-verify", "module_tate1.json", _set("weights", ["x"]), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("weights", [0.7]), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("weights", [True]), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("ring", "n", True), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("ring", "p", True), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("ring", "a", True), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("ring", {"p": 5, "n": 4, "a": 2, "modulus": [2, True, 1]}), "bad-modulus"),
+    ("crystal-verify", "module_tate1.json", _set("rank", True), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("level", True), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("F", [[[True]]]), "bad-element"),
+    ("crystal-verify", "module_tate1.json", _set("V", [[True]]), "bad-element"),
+    ("motive-assemble", "motive_kummer.json", _set("lattice", "sigma", [[True]]), "bad-matrix"),
+    ("motive-assemble", "motive_kummer.json", _set("torus", "rank", True), "bad-type"),
+    ("motive-assemble", "motive_mixed.json", _set("abelian", "ap", True), "bad-type"),
+    ("simplicial-cochar", "simplicial_nodal.json", _set("counts", [1, True, 1]), "bad-type"),
+    ("simplicial-cochar", "simplicial_nodal.json", _set("faces", "2", [[0], [False], [0]]), "bad-type"),
+    ("simplicial-div0", "divisor_m3.json", _set("m", True), "bad-type"),
+    ("simplicial-div0", "divisor_m3.json", _set("NS", [[1, 1, True]]), "bad-matrix"),
+    ("h1-ledger", "skeleton_g1m3.json", _set("lattice_rank", True), "bad-type"),
+    ("picard-skeleton", "picard_input.json", _set("g", True), "bad-type"),
+    ("crystal-twist", "twist_tate1.json", _set("m", True), "bad-type"),
+    ("crystal-twist", "twist_abelian0.json", _set("ap", False), "bad-type"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb,fixture,edit,code", STRICT_INT_CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(STRICT_INT_CASES)]
+)
+def test_integer_fields_are_strict(verb, fixture, edit, code, tmp_path):
+    edited = _edited_fixture(tmp_path, fixture, edit)
+    argv = [verb, "--in", edited]
+    if verb in ("h1-ledger", "picard-skeleton", "crystal-twist"):
+        argv += ["--ring", "ring_f5n4.json"]
+    status, err = run_cli(argv, tmp_path / "o.json")
+    assert status == 2
+    assert err.count("\n") == 1
+    assert json.loads(err)["code"] == code
