@@ -45,16 +45,19 @@ __all__ = [
 
 
 def _validated_action(sigma, rank: int) -> list[list[int]]:
-    mat = [list(map(int, row)) for row in sigma]
-    r, c = intmat.shape(mat) if mat else (0, 0)
+    """Check that sigma is a unimodular rank x rank matrix of finite order and
+    return its inverse."""
+    r, c = intmat.shape(sigma) if sigma else (0, 0)
     if (r, c) != (rank, rank):
         raise ShapeError(f"sigma action must be {rank}x{rank}")
     if rank == 0:
-        return mat
-    if not intmat.is_unimodular(mat):
-        raise InvalidActionError("sigma action must be unimodular over Z")
-    intmat.matrix_order(mat, ORDER_SEARCH_LIMIT)
-    return mat
+        return []
+    try:
+        inverse = intmat.inverse_unimodular(sigma)
+    except InvalidActionError:
+        raise InvalidActionError("sigma action must be unimodular over Z") from None
+    intmat.matrix_order(sigma, ORDER_SEARCH_LIMIT)
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,7 @@ class LatticeData:
         object.__setattr__(
             self, "sigma_action", tuple(tuple(int(x) for x in row) for row in self.sigma_action)
         )
-        _validated_action(self.sigma_action, self.rank)
-        inv = intmat.inverse_unimodular(self.sigma_action) if self.rank else ()
+        inv = _validated_action(self.sigma_action, self.rank)
         object.__setattr__(self, "sigma_inverse", tuple(tuple(row) for row in inv))
 
     @staticmethod

@@ -4,14 +4,20 @@ JSON out.
 Exit codes: 0 success, 1 verification failure (an invariant of the input
 data is violated), 2 malformed input, 3 precision error, 4 internal error (an
 invariant that holds by construction failed: a bug in fcrystals, not in the
-input).  Errors are reported as a machine-readable object on standard error.
+input).  Errors are reported as one machine-readable object on standard error;
+a precision error's object also carries the least sufficient length as
+"required".  Any exception that is not an FCrystalsError is a bug too: it is
+reported as one {"code": "internal-error", ...} object with exit code 4, never
+as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 from . import serialize as ser
 from .blocks import LatticeData, TorusData, abelian_from_ap, lattice_block, tate, torus_block
@@ -111,6 +117,8 @@ def _h_witt_eval(args, doc):
     params = _ring(args, doc if "ring" in doc else None)
     op = ser._need(doc, "op", str)
     raw_args = doc.get("args", [])
+    if not isinstance(raw_args, list):
+        raise MalformedInputError("field 'args' must be a list", code="bad-type")
     elems = [ser.elem_from_doc(x, params) for x in raw_args]
 
     def arity(k):
@@ -289,17 +297,20 @@ _HANDLERS = {
 
 
 def _classify(exc: Exception) -> int:
-    if isinstance(exc, VerificationFailure):
-        return EXIT_VERIFICATION
     if isinstance(exc, PrecisionError):
         return EXIT_PRECISION
-    if isinstance(exc, InternalError):
-        return EXIT_INTERNAL
     if isinstance(exc, _MALFORMED):
         return EXIT_MALFORMED
     if isinstance(exc, _INVARIANT):
         return EXIT_VERIFICATION
-    raise exc
+    return EXIT_INTERNAL
+
+
+def _error_doc(exc: FCrystalsError) -> dict:
+    doc = {"code": exc.code, "message": str(exc)}
+    if isinstance(exc, PrecisionError) and exc.required is not None:
+        doc["required"] = exc.required
+    return doc
 
 
 def _emit(text: str, out_path: str | None):
@@ -353,12 +364,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if all(r["ok"] for r in results.values()) else EXIT_VERIFICATION
     except VerificationFailure as exc:
         _emit(ser.canonical_dumps(exc.doc), args.out)
-        sys.stderr.write(ser.canonical_dumps({"code": exc.code, "message": str(exc)}))
+        sys.stderr.write(ser.canonical_dumps(_error_doc(exc)))
         return EXIT_VERIFICATION
     except FCrystalsError as exc:
-        status = _classify(exc)
-        sys.stderr.write(ser.canonical_dumps({"code": exc.code, "message": str(exc)}))
-        return status
+        sys.stderr.write(ser.canonical_dumps(_error_doc(exc)))
+        return _classify(exc)
+    except Exception as exc:
+        # no library check names this failure, so it is a bug in fcrystals
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        message = f"{type(exc).__name__}: {exc} (at {where})"
+        sys.stderr.write(ser.canonical_dumps({"code": InternalError.code, "message": message}))
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

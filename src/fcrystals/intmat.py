@@ -1,13 +1,14 @@
 """Exact integer matrix algebra: Smith normal form, kernels, unimodular inverses.
 
-Matrices are plain lists of lists of Python ints (row-major).  All routines
-are deterministic; the Smith pivot rule is fixed (smallest absolute nonzero
+Matrices are plain lists of lists of Python ints (row-major).  The Smith
+normal form is the only elimination: kernels, exact solutions, ranks and
+unimodular inverses are all read off one U a V = D.  All routines are
+deterministic; the Smith pivot rule is fixed (smallest absolute nonzero
 value, ties broken row-major) so outputs are reproducible.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidActionError, ShapeError
@@ -68,72 +69,16 @@ def eq(a, b) -> bool:
     )
 
 
-def stack_rows(a, b) -> IntMat:
-    if a and b and len(a[0]) != len(b[0]):
-        raise ShapeError("row stacks need equal widths")
-    return copy(a) + copy(b)
-
-
-def bareiss_det(a) -> int:
-    """Fraction-free determinant."""
-    r, c = shape(a)
-    if r != c:
-        raise ShapeError("determinant of a non-square matrix")
-    if r == 0:
-        return 1
-    m = copy(a)
-    sign = 1
-    prev = 1
-    for k in range(r - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, r) if m[i][k]), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def is_unimodular(a) -> bool:
-    r, c = shape(a)
-    return r == c and abs(bareiss_det(a)) == 1
-
-
 def inverse_unimodular(a) -> IntMat:
-    """Integer inverse of a unimodular matrix (exact Gaussian elimination)."""
+    """Integer inverse of a unimodular matrix, read off its Smith normal form:
+    U a V = I gives a^(-1) = V U."""
     r, c = shape(a)
     if r != c:
         raise ShapeError("inverse of a non-square matrix")
-    m = [[Fraction(x) for x in row] for row in a]
-    inv = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if m[i][col]), None)
-        if piv is None:
-            raise InvalidActionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = m[col][col]
-        m[col] = [x / d for x in m[col]]
-        inv[col] = [x / d for x in inv[col]]
-        for i in range(r):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise InvalidActionError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
+    u, d, v = smith_normal_form(a)
+    if any(d[i][i] != 1 for i in range(r)):
+        raise InvalidActionError("matrix is not unimodular")
+    return mul(v, u)
 
 
 def matrix_order(a, limit: int = 64) -> int:

@@ -179,6 +179,9 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
         params = ring_from_doc(_need(doc, "ring", dict))
     lattice = _lattice_from_doc(_need(doc, "lattice", dict))
     torus = _lattice_from_doc(_need(doc, "torus", dict))
+    for key in ("abelian", "ext"):
+        if not isinstance(doc.get(key), (dict, type(None))):
+            raise MalformedInputError(f"field {key!r} must be an object or null", code="bad-type")
     abelian_doc = doc.get("abelian")
     if abelian_doc is None:
         abelian = AbelianBlock.empty(params)

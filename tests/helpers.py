@@ -2,9 +2,10 @@
 
 Oracles here deliberately avoid the library code paths they check: the
 exp/log oracles work in plain integer arithmetic mod p^n, the kernel oracle
-does fraction-field Gaussian elimination, the Frobenius oracle goes through
-Teichmuller digits instead of the precomputed matrix, and the Z/p^n model is
-used as the ground truth for Witt coordinate arithmetic.
+does fraction-field Gaussian elimination, the determinant oracle is Bareiss
+fraction-free elimination instead of the Smith form, the Frobenius oracle
+goes through Teichmuller digits instead of the precomputed matrix, and the
+Z/p^n model is used as the ground truth for Witt coordinate arithmetic.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def frobenius_oracle(x: WittElem) -> WittElem:
 
 
 # ---------------------------------------------------------------------------
-# fraction-field Gaussian elimination (independent kernel / rank oracle)
+# fraction-field Gaussian elimination (independent kernel / rank oracle) and
+# Bareiss elimination (independent determinant oracle)
 
 
 def rank_over_q(mat: list[list[int]]) -> int:
@@ -101,6 +103,29 @@ def rank_over_q(mat: list[list[int]]) -> int:
 def kernel_rank_over_q(mat: list[list[int]]) -> int:
     cols = len(mat[0]) if mat else 0
     return cols - rank_over_q(mat)
+
+
+def bareiss_det(a: list[list[int]]) -> int:
+    """Fraction-free determinant (Bareiss elimination) of a square matrix."""
+    r = len(a)
+    if r == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(r - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, r) if m[i][k]), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,28 @@ class TestExitCodes:
         )
         assert code == 3
         assert json.loads(err)["code"] == "precision-error"
+        assert json.loads(err)["required"] == 3
+
+    @pytest.mark.parametrize("sigma", [[[2, 0], [0, 1]], [[1, 2], [2, 4]]])
+    def test_non_unimodular_action_is_exit_1(self, sigma, tmp_path):
+        doc = tmp_path / "twist.json"
+        doc.write_text(json.dumps({"kind": "lattice", "sigma": sigma}))
+        code, err = run_cli(["crystal-twist", "--ring", "ring_f5n4.json", "--in", str(doc)], tmp_path / "o.json")
+        assert code == 1
+        assert err == '{"code":"invalid-action","message":"sigma action must be unimodular over Z"}\n'
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_stray_exception_is_exit_4(self, copies, monkeypatch, tmp_path):
+        def broken(args, doc):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(_HANDLERS, "crystal-verify", broken)
+        code, err = run_cli(["crystal-verify"] + ["--in", "module_tate1.json"] * copies, tmp_path / "o.json")
+        assert code == 4
+        assert err.count("\n") == 1
+        obj = json.loads(err)
+        assert obj["code"] == "internal-error"
+        assert obj["message"].startswith("TypeError: unsupported operand (at test_cli.py:")
 
     def test_missing_file_is_exit_2(self, tmp_path):
         code, err = run_cli(["crystal-verify", "--in", "no_such_fixture.json"], tmp_path / "o.json")
@@ -236,7 +258,8 @@ def _set(*path_and_value):
 
 
 # (verb, fixture, edit, expected code): every integer field of a document
-# rejects JSON booleans, floats and strings instead of coercing them
+# rejects JSON booleans, floats and strings instead of coercing them, and
+# every object or list field rejects a value of another type
 STRICT_INT_CASES = [
     ("crystal-verify", "module_tate1.json", _set("weights", ["x"]), "bad-type"),
     ("crystal-verify", "module_tate1.json", _set("weights", [0.7]), "bad-type"),
@@ -260,6 +283,9 @@ STRICT_INT_CASES = [
     ("picard-skeleton", "picard_input.json", _set("g", True), "bad-type"),
     ("crystal-twist", "twist_tate1.json", _set("m", True), "bad-type"),
     ("crystal-twist", "twist_abelian0.json", _set("ap", False), "bad-type"),
+    ("motive-verify", "motive_kummer.json", _set("ext", [1]), "bad-type"),
+    ("motive-verify", "motive_kummer.json", _set("abelian", 5), "bad-type"),
+    ("witt-eval", "witt_exp.json", _set("args", 5), "bad-type"),
 ]
 
 
@@ -269,7 +295,7 @@ STRICT_INT_CASES = [
 def test_integer_fields_are_strict(verb, fixture, edit, code, tmp_path):
     edited = _edited_fixture(tmp_path, fixture, edit)
     argv = [verb, "--in", edited]
-    if verb in ("h1-ledger", "picard-skeleton", "crystal-twist"):
+    if verb in ("h1-ledger", "picard-skeleton", "crystal-twist", "witt-eval"):
         argv += ["--ring", "ring_f5n4.json"]
     status, err = run_cli(argv, tmp_path / "o.json")
     assert status == 2

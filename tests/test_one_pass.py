@@ -1,7 +1,8 @@
 """The motive pipeline computes each derived object of a presentation once:
 one realization per presentation, one verify report per module, one
-canonical dual per assembled module, one action inverse per lattice.  And an
-internal invariant that fails raises InternalError, also under python -O."""
+canonical dual per assembled module, one action inverse per lattice, read
+off one Smith normal form.  And an internal invariant that fails raises
+InternalError, also under python -O."""
 
 import contextlib
 import io
@@ -75,6 +76,20 @@ def test_assemble_is_kept_on_the_spec():
     assert assemble(s) is mc
     assert mc.report is mc.report
     assert mc.canonical_dual is mc.canonical_dual
+
+
+def test_action_is_eliminated_once(monkeypatch):
+    calls = Counter()
+    original = fcrystals.intmat.smith_normal_form
+
+    def counting(a):
+        calls["smith_normal_form"] += 1
+        return original(a)
+
+    monkeypatch.setattr(fcrystals.intmat, "smith_normal_form", counting)
+    d = LatticeData(3, ((0, 0, 1), (1, 0, 0), (0, -1, 0)))
+    assert calls["smith_normal_form"] == 1
+    assert d.sigma_inverse == ((0, 1, 0), (0, 0, -1), (1, 0, 0))
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from fcrystals import intmat
 from fcrystals.blocks import LatticeData, TorusData, abelian_from_ap, lattice_block, tate, torus_block
-from fcrystals.errors import IncompatibleRingsError, PrecisionError, SingularFrobeniusError
+from fcrystals.errors import (
+    IncompatibleRingsError,
+    InvalidActionError,
+    PrecisionError,
+    ShapeError,
+    SingularFrobeniusError,
+)
 from fcrystals.onemotive import assemble
 from fcrystals.semilinear import (
     FilteredFModule,
@@ -31,7 +37,7 @@ from fcrystals.semilinear import (
 )
 from fcrystals.witt import RingParams, default_modulus
 
-from helpers import random_motive_spec, random_unimodular
+from helpers import bareiss_det, random_motive_spec, random_unimodular
 
 P54 = RingParams(5, 4)
 F9 = RingParams(3, 5, 2, default_modulus(3, 2))
@@ -52,7 +58,7 @@ class TestSmith:
         u, d, v = smith_normal_form(a)
         assert [d[0][0], d[1][1]] == [2, 4]
         assert intmat.mul(intmat.mul(u, a), v) == d
-        assert abs(intmat.bareiss_det(u)) == 1 and abs(intmat.bareiss_det(v)) == 1
+        assert abs(bareiss_det(u)) == 1 and abs(bareiss_det(v)) == 1
 
     def test_column_vector(self):
         a = [[1], [-1]]
@@ -77,8 +83,8 @@ class TestSmith:
         ]
         u, d, v = smith_normal_form(a)
         assert intmat.mul(intmat.mul(u, a), v) == d
-        assert abs(intmat.bareiss_det(u)) == 1
-        assert abs(intmat.bareiss_det(v)) == 1
+        assert abs(bareiss_det(u)) == 1
+        assert abs(bareiss_det(v)) == 1
         divisors = [d[i][i] for i in range(min(r, c))]
         for i in range(len(divisors) - 1):
             assert divisors[i] >= 0
@@ -108,6 +114,33 @@ class TestSmith:
         sol = intmat.solve_exact(a, [[4], [9]])
         assert sol == [[2], [3]]
         assert intmat.solve_exact(a, [[1], [0]]) is None
+
+    def test_inverse_unimodular(self):
+        rng = random.Random(13)
+        cases = [random_unimodular(rng, r) for r in range(9) for _ in range(5)]
+        for _ in range(5):
+            a = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(12)]
+            cases.append(smith_normal_form(a)[0])
+        for a in cases:
+            inv = intmat.inverse_unimodular(a)
+            ident = intmat.identity(len(a))
+            assert intmat.mul(a, inv) == ident
+            assert intmat.mul(inv, a) == ident
+
+    def test_inverse_rejects_non_unimodular(self):
+        rng = random.Random(14)
+        left, right = random_unimodular(rng, 4), random_unimodular(rng, 4)
+        det2 = intmat.mul(intmat.mul(left, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, 1]]), right)
+        assert abs(bareiss_det(det2)) == 2
+        singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        assert bareiss_det(singular) == 0
+        for a in ([[2]], [[0, 1], [2, 0]], det2, [[0]], [[0, 0], [0, 0]], singular):
+            with pytest.raises(InvalidActionError):
+                intmat.inverse_unimodular(a)
+
+    def test_inverse_rejects_non_square(self):
+        with pytest.raises(ShapeError):
+            intmat.inverse_unimodular([[1, 0, 0], [0, 1, 0]])
 
 
 # ---------------------------------------------------------------------------
