@@ -10,7 +10,7 @@ and must come out integral.
 
 The dual presentation is constructed so that assembling it reproduces the
 twisted dual of the assembled module up to an explicit basis permutation,
-and the evaluation pairing between the two is a unit-determinant matrix
+and the evaluation pairing between the two is the reversed permutation,
 satisfying <F-, F-> = p sigma<-,-> and <V-, V-> = p sigma^(-1)<-,->.
 """
 
@@ -27,6 +27,7 @@ from .errors import (
     IncompatibleRingsError,
     InternalError,
     InvalidExtensionDataError,
+    MalformedInputError,
     ShapeError,
     UnsupportedInputError,
 )
@@ -337,11 +338,12 @@ class PairingMatrix:
 def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     """Evaluation pairing of a motive against its assembled dual.
 
-    The gram matrix is written down in the canonical bases (it is a
-    permutation there) and every claimed identity is then checked against
-    the matrices: unit determinant, weight orthogonality
-    <W_i, W_j> = 0 for i + j < -2, and
-    F^T . G . F' = p sigma(G),  V^T . G . V' = p sigma^(-1)(G).
+    In the canonical bases G is the matrix of pi, the reverse of
+    _dual_permutation (G[i][j] = 1 iff j = pi[i]), and every identity is
+    checked on pi: perfectness (pi is a bijection), weight orthogonality
+    <W_i, W_j> = 0 for i + j < -2 on the pairs (i, pi[i]), and
+    F^T . G . F' = p sigma(G),  V^T . G . V' = p sigma^(-1)(G), each one
+    product, as G . X reindexes the rows of X and sigma^(+-1) fixes G.
 
     The Frobenius identity uses the dual module as given.  The Verschiebung
     identity uses the Verschiebung of m's canonical dual (the twisted-dual
@@ -353,8 +355,7 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     if params != m_dual.module.params:
         raise IncompatibleRingsError("pairing operands live over different rings")
     rT, g2, rX = m.provenance.segments
-    dT, dg2, dX = m_dual.provenance.segments
-    if (dT, dg2, dX) != (rX, g2, rT):
+    if m_dual.provenance.segments != (rX, g2, rT):
         raise ShapeError("dual operand has incompatible graded ranks")
     r = rT + g2 + rX
     if m.module.rank != r or m_dual.module.rank != r:
@@ -362,30 +363,19 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
             f"pairing operands have ranks {m.module.rank} and {m_dual.module.rank}, "
             f"their presentations {r}"
         )
-    rows = [[params.zero() for _ in range(r)] for _ in range(r)]
-    one = params.one()
-    for l in range(rT):
-        rows[l][rX + g2 + l] = one
-    for t in range(g2):
-        rows[rT + t][rX + (g2 - 1 - t)] = one
-    for j in range(rX):
-        rows[rT + g2 + j][j] = one
-    gram = tuple(tuple(row) for row in rows)
-    perfect = wm_det(params, gram).is_unit() if r else True
+    pi = _dual_permutation(rX, g2, rT)[::-1]
+    zero, one = params.zero(), params.one()
+    gram = tuple(tuple(one if j == pi[i] else zero for j in range(r)) for i in range(r))
+    perfect = sorted(pi) == list(range(r))
     wts, wts_d = m.module.weights, m_dual.module.weights
-    weight_orth = all(
-        gram[i][j].is_zero()
-        for i in range(r)
-        for j in range(r)
-        if wts[i] + wts_d[j] < -2
-    )
-    p_elem = params.from_int(params.p)
-    lhs_f = wm_mul(params, wm_transpose(m.module.f_mat), wm_mul(params, gram, m_dual.module.f_mat))
-    frob_ok = wm_eq(lhs_f, wm_scal(p_elem, wm_sigma(gram)))
-    versch_ok = True
-    if m.module.v_mat is not None:
-        lhs_v = wm_mul(params, wm_transpose(m.module.v_mat), wm_mul(params, gram, m.canonical_dual.v_mat))
-        versch_ok = wm_eq(lhs_v, wm_scal(p_elem, wm_sigma_inv(gram)))
+    weight_orth = all(wts[i] + wts_d[pi[i]] >= -2 for i in range(r))
+    p_gram = wm_scal(params.from_int(params.p), gram)
+
+    def compatible(a: WMat, b: WMat) -> bool:
+        return wm_eq(wm_mul(params, wm_transpose(a), tuple(b[k] for k in pi)), p_gram)
+
+    frob_ok = compatible(m.module.f_mat, m_dual.module.f_mat)
+    versch_ok = m.module.v_mat is None or compatible(m.module.v_mat, m.canonical_dual.v_mat)
     return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
 
 
@@ -491,7 +481,10 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
 
 def torsion_height(s: OneMotiveSpec, n: int) -> tuple[int, int]:
     """Height of the p-divisible part and the exponent e with |M[p^n]| = p^e,
-    from the discrete data alone: height = rk X + dim T + 2g, e = n * height."""
+    from the discrete data alone: height = rk X + dim T + 2g, e = n * height.
+    A level n that is not an int >= 0 raises MalformedInputError (bad-level)."""
+    if type(n) is not int or n < 0:
+        raise MalformedInputError(f"torsion level n = {n!r} must be a non-negative integer", code="bad-level")
     rT, g2, rX = s.segments
     height = rX + rT + g2
     return height, n * height

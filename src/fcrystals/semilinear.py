@@ -20,6 +20,7 @@ from typing import Sequence
 from . import intmat
 from .errors import (
     IncompatibleRingsError,
+    MalformedInputError,
     PrecisionError,
     ShapeError,
     SingularFrobeniusError,
@@ -289,7 +290,8 @@ def wm_inverse_unit(params: RingParams, a: WMat) -> WMat:
 @dataclass(frozen=True)
 class FilteredFModule:
     """Free W_n(k)-module with sigma-linear F, optional sigma^(-1)-linear V,
-    and an adapted weight flag (weights non-decreasing along the basis)."""
+    and an adapted weight flag (weights non-decreasing along the basis).
+    Rank, weights and level must be ints, not bools (else bad-type)."""
 
     params: RingParams
     rank: int
@@ -299,7 +301,9 @@ class FilteredFModule:
     level: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if not all(type(x) is int for x in (self.rank, self.level, *self.weights)):
+            raise MalformedInputError("rank, weights and level must be integers", code="bad-type")
         if len(self.weights) != self.rank:
             raise ShapeError("one weight per basis vector required")
         if wm_shape(self.f_mat) != (self.rank, self.rank):
@@ -325,26 +329,42 @@ class VerifyReport:
 
     @property
     def first_failure(self) -> CheckResult | None:
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
+        return next((c for c in self.checks if not c.ok), None)
 
 
-def _first_bad_flag(weights, m: WMat):
-    for i, wi in enumerate(weights):
-        for j, wj in enumerate(weights):
-            if wi > wj and not m[i][j].is_zero():
-                return (i, j)
-    return None
+def _first_entry(m: WMat, bad) -> tuple[int, int] | None:
+    """The first (i, j), row-major, with bad(i, j, m[i][j]), or None."""
+    return next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if bad(i, j, x)), None)
+
+
+def _flag_check(what: str, weights, mat: WMat) -> CheckResult:
+    """No entry of mat maps a basis vector into a lower weight."""
+    bad = _first_entry(mat, lambda i, j, x: weights[i] > weights[j] and not x.is_zero())
+    detail = "" if bad is None else f"{what}[{bad[0]}][{bad[1]}] breaks the flag"
+    return CheckResult(f"flag-{what}", bad is None, detail)
+
+
+def _product_check(name: str, what: str, m: FilteredFModule, a: WMat, b: WMat) -> CheckResult:
+    """a . b = p^level I, else name the first entry that differs, with its
+    actual and expected coordinates."""
+    claim = f"{what} != p^{m.level} I"
+    if m.level < 0:
+        return CheckResult(name, False, f"{claim}: p^{m.level} is not in W_n(k)")
+    c, zero = m.params.from_int(m.params.p**m.level), m.params.zero()
+    prod = wm_mul(m.params, a, b)
+    bad = _first_entry(prod, lambda i, j, x: x != (c if i == j else zero))
+    if bad is None:
+        return CheckResult(name, True)
+    i, j = bad
+    want = c if i == j else zero
+    return CheckResult(name, False, f"{claim}: entry {bad} is {list(prod[i][j].coords)}, expected {list(want.coords)}")
 
 
 def verify(m: FilteredFModule) -> VerifyReport:
     """Diagnostic report on every representation invariant: weight order,
     flag preservation by F and V, and the two compositions F sigma(V) =
     V sigma^(-1)(F) = p^level.  Never raises; reports the first violation
-    per invariant with indices."""
-    params = m.params
+    per invariant with indices; at level < 0 both compositions fail."""
     checks: list[CheckResult] = []
     checks.append(CheckResult("level", m.level >= 1, f"level = {m.level}"))
     sorted_ok = all(m.weights[i] <= m.weights[i + 1] for i in range(m.rank - 1))
@@ -355,26 +375,11 @@ def verify(m: FilteredFModule) -> VerifyReport:
             "" if sorted_ok else f"weights {m.weights} are not non-decreasing",
         )
     )
-    bad = _first_bad_flag(m.weights, m.f_mat)
-    checks.append(
-        CheckResult("flag-F", bad is None, "" if bad is None else f"F[{bad[0]}][{bad[1]}] breaks the flag")
-    )
+    checks.append(_flag_check("F", m.weights, m.f_mat))
     if m.v_mat is not None:
-        bad = _first_bad_flag(m.weights, m.v_mat)
-        checks.append(
-            CheckResult("flag-V", bad is None, "" if bad is None else f"V[{bad[0]}][{bad[1]}] breaks the flag")
-        )
-        target = wm_scal(params.from_int(params.p**m.level), wm_identity(params, m.rank))
-        fv = wm_mul(params, m.f_mat, wm_sigma(m.v_mat))
-        ok = wm_eq(fv, target)
-        checks.append(
-            CheckResult("fv-product", ok, "" if ok else f"F sigma(V) != p^{m.level} I")
-        )
-        vf = wm_mul(params, m.v_mat, wm_sigma_inv(m.f_mat))
-        ok = wm_eq(vf, target)
-        checks.append(
-            CheckResult("vf-product", ok, "" if ok else f"V sigma^-1(F) != p^{m.level} I")
-        )
+        checks.append(_flag_check("V", m.weights, m.v_mat))
+        checks.append(_product_check("fv-product", "F sigma(V)", m, m.f_mat, wm_sigma(m.v_mat)))
+        checks.append(_product_check("vf-product", "V sigma^-1(F)", m, m.v_mat, wm_sigma_inv(m.f_mat)))
     return VerifyReport(tuple(checks))
 
 

@@ -4,8 +4,10 @@ Oracles here deliberately avoid the library code paths they check: the
 exp/log oracles work in plain integer arithmetic mod p^n, the kernel oracle
 does fraction-field Gaussian elimination, the determinant oracle is Bareiss
 fraction-free elimination instead of the Smith form, the Frobenius oracle
-goes through Teichmuller digits instead of the precomputed matrix, and the
-Z/p^n model is used as the ground truth for Witt coordinate arithmetic.
+goes through Teichmuller digits instead of the precomputed matrix, the
+pairing oracle places the gram entries block by block and checks it as a
+dense matrix instead of reindexing by the dual permutation, and the Z/p^n
+model is used as the ground truth for Witt coordinate arithmetic.
 """
 
 from __future__ import annotations
@@ -15,8 +17,18 @@ import random
 from fractions import Fraction
 
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap
-from fcrystals.onemotive import OneMotiveSpec
-from fcrystals.semilinear import wm_mul, wm_zero, wmat
+from fcrystals.onemotive import MotiveCrystal, OneMotiveSpec, PairingMatrix
+from fcrystals.semilinear import (
+    wm_det,
+    wm_eq,
+    wm_mul,
+    wm_scal,
+    wm_sigma,
+    wm_sigma_inv,
+    wm_transpose,
+    wm_zero,
+    wmat,
+)
 from fcrystals.simplicial import SimplicialComponents
 from fcrystals.witt import RingParams, WittElem, teichmuller, teichmuller_digits
 
@@ -72,6 +84,43 @@ def frobenius_oracle(x: WittElem) -> WittElem:
         acc = acc + params.from_int(ppow) * teichmuller(params, residue_pow_p(params, c))
         ppow *= params.p
     return acc
+
+
+# ---------------------------------------------------------------------------
+# dense pairing oracle
+
+
+def pair_oracle(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
+    """The evaluation pairing with the gram matrix placed block by block
+    (torus against the dual lattice, abelian against the reversed dual
+    abelian part, lattice against the dual torus) and checked densely: det G
+    through the characteristic polynomial, weight orthogonality entry by
+    entry, and both identities as two full products against p sigma^(+-1)(G)."""
+    params = m.module.params
+    rT, g2, rX = m.provenance.segments
+    r = rT + g2 + rX
+    rows = [[params.zero() for _ in range(r)] for _ in range(r)]
+    one = params.one()
+    for l in range(rT):
+        rows[l][rX + g2 + l] = one
+    for t in range(g2):
+        rows[rT + t][rX + (g2 - 1 - t)] = one
+    for j in range(rX):
+        rows[rT + g2 + j][j] = one
+    gram = tuple(tuple(row) for row in rows)
+    perfect = wm_det(params, gram).is_unit() if r else True
+    wts, wts_d = m.module.weights, m_dual.module.weights
+    weight_orth = all(
+        gram[i][j].is_zero() for i in range(r) for j in range(r) if wts[i] + wts_d[j] < -2
+    )
+    p_elem = params.from_int(params.p)
+    lhs_f = wm_mul(params, wm_transpose(m.module.f_mat), wm_mul(params, gram, m_dual.module.f_mat))
+    frob_ok = wm_eq(lhs_f, wm_scal(p_elem, wm_sigma(gram)))
+    versch_ok = True
+    if m.module.v_mat is not None:
+        lhs_v = wm_mul(params, wm_transpose(m.module.v_mat), wm_mul(params, gram, m.canonical_dual.v_mat))
+        versch_ok = wm_eq(lhs_v, wm_scal(p_elem, wm_sigma_inv(gram)))
+    return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,16 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["code"] == "not-prime"
 
+    def test_negative_torsion_level_is_exit_2(self, tmp_path):
+        out = tmp_path / "o.json"
+        code, err = run_cli(["motive-height", "--in", "motive_mixed.json", "--n", "-3"], out)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == "bad-level"
+        assert not out.exists()
+        assert run_cli(["motive-height", "--in", "motive_mixed.json", "--n", "0"], out) == (0, "")
+        assert json.loads(out.read_text())["order_exponent"] == 0
+
     def test_bad_simplicial_is_exit_1(self, tmp_path):
         code, err = run_cli(["simplicial-cochar", "--in", "simplicial_bad.json"], tmp_path / "o.json")
         assert code == 1

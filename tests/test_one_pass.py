@@ -1,8 +1,9 @@
 """The motive pipeline computes each derived object of a presentation once:
 one realization per presentation, one verify report per module, one
 canonical dual per assembled module, one action inverse per lattice, read
-off one Smith normal form.  And an internal invariant that fails raises
-InternalError, also under python -O."""
+off one Smith normal form, and one matrix product per pairing identity.
+And an internal invariant that fails raises InternalError, also under
+python -O."""
 
 import contextlib
 import io
@@ -17,11 +18,13 @@ import pytest
 
 import fcrystals.intmat
 import fcrystals.onemotive as onemotive
+import fcrystals.semilinear as semilinear
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData
 from fcrystals.cli import main
 from fcrystals.errors import InternalError
-from fcrystals.onemotive import OneMotiveSpec, assemble
+from fcrystals.onemotive import OneMotiveSpec, assemble, cartier_dual, pair
 from fcrystals.semilinear import FilteredFModule
+from fcrystals.serialize import motive_from_doc
 from fcrystals.witt import RingParams
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -36,21 +39,21 @@ def _kummer():
     )
 
 
+def _count_calls(monkeypatch, counts, module, name):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def _counted_run(monkeypatch, argv):
     counts = Counter()
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
     for name in ("_realize", "verify", "twisted_dual"):
-        counting(onemotive, name)
-    counting(fcrystals.intmat, "inverse_unimodular")
+        _count_calls(monkeypatch, counts, onemotive, name)
+    _count_calls(monkeypatch, counts, fcrystals.intmat, "inverse_unimodular")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -68,6 +71,18 @@ def _counted_run(monkeypatch, argv):
 def test_motive_verify_work_counts(monkeypatch, fixture, expected):
     _, counts, _ = _counted_run(monkeypatch, ["motive-verify", "--in", os.path.join(FX, fixture)])
     assert {name: counts[name] for name in expected} == expected
+
+
+def test_pair_is_two_products(monkeypatch):
+    with open(os.path.join(FX, "motive_mixed.json"), encoding="utf-8") as fh:
+        spec = motive_from_doc(json.load(fh))
+    m, d = assemble(spec), assemble(cartier_dual(spec))
+    counts = Counter()
+    for module in (onemotive, semilinear):
+        _count_calls(monkeypatch, counts, module, "wm_mul")
+    _count_calls(monkeypatch, counts, semilinear, "charpoly")
+    assert pair(m, d).ok
+    assert (counts["wm_mul"], counts["charpoly"]) == (2, 0)
 
 
 def test_assemble_is_kept_on_the_spec():

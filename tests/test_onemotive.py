@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from fcrystals.blocks import (
     lattice_block,
     torus_block,
 )
-from fcrystals.errors import InvalidExtensionDataError, ShapeError
+from fcrystals.errors import InvalidExtensionDataError, MalformedInputError, ShapeError
 from fcrystals.onemotive import (
     MotiveCrystal,
     OneMotiveSpec,
@@ -38,7 +39,7 @@ from fcrystals.semilinear import (
 )
 from fcrystals.witt import RingParams
 
-from helpers import random_motive_spec
+from helpers import pair_oracle, random_motive_spec
 
 P54 = RingParams(5, 4)
 P34 = RingParams(3, 4)
@@ -253,6 +254,26 @@ class TestCartierDual:
         assert d.torus.sigma_action == action
 
 
+def _tampered(module, rng):
+    """Three single edits of a module: one F entry moved, one V entry moved,
+    one weight changed by 1."""
+    r = module.rank
+
+    def moved(mat):
+        rows = [list(row) for row in mat]
+        (i, j), (k, l) = [(rng.randrange(r), rng.randrange(r)) for _ in range(2)]
+        rows[i][j], rows[k][l] = rows[k][l], rows[i][j]
+        return tuple(map(tuple, rows))
+
+    weights = list(module.weights)
+    weights[rng.randrange(r)] += rng.choice((-1, 1))
+    return (
+        dataclasses.replace(module, f_mat=moved(module.f_mat)),
+        dataclasses.replace(module, v_mat=moved(module.v_mat)),
+        dataclasses.replace(module, weights=tuple(weights)),
+    )
+
+
 class TestPair:
     def test_rank_one_gram(self):
         s = OneMotiveSpec.split(
@@ -291,6 +312,30 @@ class TestPair:
             pm = pair(assemble(s), assemble(cartier_dual(s)))
             assert pm.perfect and pm.weight_orthogonal
             assert pm.frobenius_compatible and pm.verschiebung_compatible
+
+    def test_matches_dense_oracle_on_random_specs(self):
+        rng = random.Random(31)
+        for _ in range(24):
+            s = random_motive_spec(rng, P54)
+            m, d = assemble(s), assemble(cartier_dual(s))
+            got, want = pair(m, d), pair_oracle(m, d)
+            assert got == want and got.ok == want.ok
+
+    def test_matches_dense_oracle_on_tampered_modules(self):
+        rng = random.Random(32)
+        flags = {"frobenius_compatible", "verschiebung_compatible", "weight_orthogonal"}
+        failed = set()
+        for _ in range(24):
+            s = random_motive_spec(rng, P54)
+            good = assemble(s).module
+            if good.rank == 0:
+                continue
+            for bad in _tampered(good, rng):
+                m, d = MotiveCrystal(bad, s), assemble(cartier_dual(s))
+                got, want = pair(m, d), pair_oracle(m, d)
+                assert got == want and got.ok == want.ok
+                failed |= {f for f in flags if not getattr(got, f)}
+        assert failed == flags
 
     def test_shape_mismatch(self):
         s1 = kummer_spec()
@@ -362,6 +407,15 @@ class TestCounts:
             P54, LatticeData.trivial(0), TorusData.trivial(0), abelian_from_ap(0, P54), "ell"
         )
         assert torsion_height(s, 3) == (2, 6)
+
+    def test_torsion_height_level_zero(self):
+        assert torsion_height(kummer_spec(), 0) == (2, 0)
+
+    @pytest.mark.parametrize("n", [-1, -3, True, 1.0])
+    def test_torsion_height_rejects_bad_level(self, n):
+        with pytest.raises(MalformedInputError) as exc:
+            torsion_height(kummer_spec(), n)
+        assert exc.value.code == "bad-level"
 
     def test_tdr_examples(self):
         assert tdr_dimension(kummer_spec()) == 2

@@ -9,6 +9,7 @@ from fcrystals.blocks import LatticeData, TorusData, abelian_from_ap, lattice_bl
 from fcrystals.errors import (
     IncompatibleRingsError,
     InvalidActionError,
+    MalformedInputError,
     PrecisionError,
     ShapeError,
     SingularFrobeniusError,
@@ -157,6 +158,52 @@ class TestVerify:
         rep = verify(m)
         assert not rep.ok
         assert rep.first_failure.name == "fv-product"
+        details = {c.name: c.detail for c in rep.checks}
+        assert details["fv-product"] == "F sigma(V) != p^1 I: entry (0, 0) is [1], expected [3]"
+        assert details["vf-product"] == "V sigma^-1(F) != p^1 I: entry (0, 0) is [1], expected [3]"
+
+    def test_product_failure_names_first_offending_entry(self):
+        P = RingParams(3, 3)
+        good = tate(1, P)  # F = [1], V = [3]
+        f = wmat_from_ints(P, [[1, 0], [0, 1]])
+        v = wmat_from_ints(P, [[3, 0], [2, 3]])  # V[1][0] breaks F sigma(V) = 3 I off the diagonal
+        m = FilteredFModule(P, 2, good.weights * 2, f, v, 1)
+        details = {c.name: c.detail for c in verify(m).checks if not c.ok}
+        assert details == {
+            "fv-product": "F sigma(V) != p^1 I: entry (1, 0) is [2], expected [0]",
+            "vf-product": "V sigma^-1(F) != p^1 I: entry (1, 0) is [2], expected [0]",
+        }
+
+    def test_negative_level_fails_both_products(self):
+        P = RingParams(5, 4)
+        t = tate(1, P)
+        rep = verify(FilteredFModule(P, 1, t.weights, t.f_mat, t.v_mat, -1))
+        details = {c.name: c.detail for c in rep.checks if not c.ok}
+        assert details == {
+            "level": "level = -1",
+            "fv-product": "F sigma(V) != p^-1 I: p^-1 is not in W_n(k)",
+            "vf-product": "V sigma^-1(F) != p^-1 I: p^-1 is not in W_n(k)",
+        }
+
+    @pytest.mark.parametrize(
+        "rank,weights,level",
+        [
+            (1, (-2,), True),
+            (1, (-2,), 1.0),
+            (1, (-2,), "1"),
+            (1, (True,), 1),
+            (1, (-2.0,), 1),
+            (1, ("-2",), 1),
+            (True, (-2,), 1),
+            (1.0, (-2,), 1),
+        ],
+    )
+    def test_module_rejects_non_int_rank_weight_or_level(self, rank, weights, level):
+        P = RingParams(3, 3)
+        one = wmat_from_ints(P, [[1]])
+        with pytest.raises(MalformedInputError) as exc:
+            FilteredFModule(P, rank, weights, one, None, level)
+        assert exc.value.code == "bad-type"
 
     def test_descending_weights_rejected(self):
         P = RingParams(3, 3)
