@@ -4,7 +4,8 @@ Verschiebung, tensor and twisted-dual constructions, Newton slopes.
 A sigma-linear map is stored as a matrix M with the convention
 v |-> M . sigma(v), sigma applied entrywise to the coordinate column; a
 sigma^(-1)-linear map as v |-> M . sigma^(-1)(v).  Matrices over the Witt
-ring are immutable tuples of tuples of WittElem.
+ring are immutable tuples of tuples of WittElem at the API boundary; the
+kernels check each entry's ring once and compute on packed coordinates.
 
 The weight flag is stored in an adapted basis: one weight per basis vector,
 non-decreasing along the basis (lowest weight first), with W_j spanned by
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import intmat
@@ -25,14 +27,7 @@ from .errors import (
     ShapeError,
     SingularFrobeniusError,
 )
-from .witt import (
-    RingParams,
-    WittElem,
-    balanced_lift_elem,
-    frobenius,
-    frobenius_inverse,
-    reduce_elem,
-)
+from .witt import RingParams, WittElem, _apply, balanced_lift_elem, reduce_elem
 
 WMat = tuple[tuple[WittElem, ...], ...]
 
@@ -118,25 +113,40 @@ def wm_zero(params: RingParams, r: int, c: int) -> WMat:
     return tuple((zero,) * c for _ in range(r))
 
 
+def _packing(params: RingParams, terms: int):
+    """(pack, unpack) between entry coordinates and the ints the kernels use.
+    An entry packs to its coordinate (a = 1), else to its polynomial at 2^bits,
+    so an int product packs the length-(2a-1) polynomial product, and a sum of
+    `terms` of them does not carry; unpack reduces it once (modulus, p^n)."""
+    pn, a = params.pn, params.a
+    if a == 1:
+        return (lambda c: c[0]), (lambda s: (s % pn,))
+    bits = (terms * a * (pn - 1) ** 2).bit_length()
+    mask = (1 << bits) - 1
+    return (
+        lambda c: sum(x << (bits * i) for i, x in enumerate(c)),
+        lambda s: params.reduce([(s >> (bits * i)) & mask for i in range(2 * a - 1)]),
+    )
+
+
+def _pack(params: RingParams, m: WMat, pack) -> list[list]:
+    """pack(coordinates) of each entry of m, after one ring check per entry."""
+    if any(x.params is not params and x.params != params for row in m for x in row):
+        raise IncompatibleRingsError("matrix entry from a different ring")
+    return [[pack(x.coords) for x in row] for row in m]
+
+
 def wm_mul(params: RingParams, a: WMat, b: WMat) -> WMat:
     ra, ca = wm_shape(a)
     rb, cb = wm_shape(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    zero = params.zero()
-    if ca == 0:
-        return wm_zero(params, ra, cb)
-    out = []
-    for i in range(ra):
-        row = a[i]
-        orow = []
-        for j in range(cb):
-            acc = zero
-            for k in range(ca):
-                acc = acc + row[k] * b[k][j]
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
+    pack, unpack = _packing(params, ca)
+    cols = tuple(zip(*_pack(params, b, pack)))
+    return tuple(
+        tuple(WittElem._raw(params, unpack(sum(map(mul, row, col)))) for col in cols)
+        for row in _pack(params, a, pack)
+    )
 
 
 def wm_add(a: WMat, b: WMat) -> WMat:
@@ -164,12 +174,21 @@ def wm_transpose(a: WMat) -> WMat:
     return tuple(tuple(a[i][j] for i in range(r)) for j in range(c))
 
 
+def _sigma_each(a: WMat, table: str) -> WMat:
+    """The ring's `table` (S or S^(a-1)) on each entry's coordinates; a itself when a = 1."""
+    params = a[0][0].params if a and a[0] else None
+    if params is None or params.a == 1:
+        return a
+    s = getattr(params, table)
+    return tuple(map(tuple, _pack(params, a, lambda c: _apply(params, s, c))))
+
+
 def wm_sigma(a: WMat) -> WMat:
-    return tuple(tuple(frobenius(x) for x in row) for row in a)
+    return _sigma_each(a, "frobenius_matrix")
 
 
 def wm_sigma_inv(a: WMat) -> WMat:
-    return tuple(tuple(frobenius_inverse(x) for x in row) for row in a)
+    return _sigma_each(a, "frobenius_inverse_matrix")
 
 
 def wm_eq(a: WMat, b: WMat) -> bool:
@@ -179,17 +198,13 @@ def wm_eq(a: WMat, b: WMat) -> bool:
 
 
 def wm_kron(params: RingParams, a: WMat, b: WMat) -> WMat:
-    ra, ca = wm_shape(a)
-    rb, cb = wm_shape(b)
-    out = []
-    for i1 in range(ra):
-        for i2 in range(rb):
-            row = []
-            for j1 in range(ca):
-                for j2 in range(cb):
-                    row.append(a[i1][j1] * b[i2][j2])
-            out.append(tuple(row))
-    return tuple(out)
+    pack, unpack = _packing(params, 1)
+    pb = _pack(params, b, pack)
+    return tuple(
+        tuple(WittElem._raw(params, unpack(x * y)) for x in ra for y in rb)
+        for ra in _pack(params, a, pack)
+        for rb in pb
+    )
 
 
 def wm_block(params: RingParams, grid: Sequence[Sequence[WMat]], row_sizes, col_sizes) -> WMat:
@@ -223,32 +238,28 @@ def wm_submatrix(a: WMat, rows: range, cols: range) -> WMat:
 
 def charpoly(params: RingParams, a: WMat) -> list[WittElem]:
     """Characteristic polynomial det(xI - a), ascending coefficients
-    [c_0, ..., c_{r-1}, 1], by the division-free Samuelson-Berkowitz scheme."""
+    [c_0, ..., c_{r-1}, 1], by the division-free Samuelson-Berkowitz scheme,
+    on packed entries with one reduction per dot product."""
     r, c = wm_shape(a)
     if r != c:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    one = params.one()
-    poly = [one]  # descending coefficients, starts as char poly of the 0x0 block
+    pack, unpack = _packing(params, r + 1)
+    m, minus = _pack(params, a, pack), params.pn - 1  # -1 packs to p^n - 1 for every a
+
+    def red(s: int) -> int:
+        return pack(unpack(s))
+
+    poly = [1]  # descending, packed (1 packs to 1); the char poly of the 0x0 block
     for k in range(1, r + 1):
-        diag = a[k - 1][k - 1]
-        row = [a[k - 1][j] for j in range(k - 1)]
-        col = [a[i][k - 1] for i in range(k - 1)]
-        toeplitz = [one, -diag]
-        if k >= 2:
-            w = col
-            toeplitz.append(-sum((x * y for x, y in zip(row, w)), params.zero()))
-            for _ in range(3, k + 1):
-                w = [sum((a[i][j] * w[j] for j in range(k - 1)), params.zero()) for i in range(k - 1)]
-                toeplitz.append(-sum((x * y for x, y in zip(row, w)), params.zero()))
-        new = []
-        for i in range(k + 1):
-            acc = params.zero()
-            for j, t in enumerate(toeplitz):
-                if 0 <= i - j < len(poly):
-                    acc = acc + t * poly[i - j]
-            new.append(acc)
-        poly = new
-    return list(reversed(poly))
+        neg_row = [red(minus * x) for x in m[k - 1][:k]]
+        sub, w = [mrow[: k - 1] for mrow in m[: k - 1]], [mrow[k - 1] for mrow in m[: k - 1]]
+        toeplitz = [1, neg_row.pop()]
+        for j in range(k - 1):
+            if j:
+                w = [red(sum(map(mul, srow, w))) for srow in sub]
+            toeplitz.append(red(sum(map(mul, neg_row, w))))
+        poly = [red(sum(map(mul, toeplitz[max(0, i - k + 1) : i + 1], poly[i::-1]))) for i in range(k + 1)]
+    return [WittElem._raw(params, unpack(x)) for x in reversed(poly)]
 
 
 def wm_det(params: RingParams, a: WMat) -> WittElem:

@@ -17,7 +17,7 @@ from .errors import MalformedInputError
 from .onemotive import MotiveReport, OneMotiveSpec, PairingMatrix
 from .semilinear import FilteredFModule, SlopeProfile, VerifyReport, wmat, WMat
 from .simplicial import DivisorPresentation, H1Ledger, PicardSkeleton, SimplicialComponents
-from .witt import RingParams, WittElem
+from .witt import RingParams, WittElem, intern_ring
 
 __all__ = [
     "canonical_dumps",
@@ -69,17 +69,9 @@ def ring_to_doc(params: RingParams) -> dict:
 
 
 def ring_from_doc(doc: dict) -> RingParams:
-    p = _need(doc, "p", int)
-    n = _need(doc, "n", int)
-    a = doc.get("a", 1)
-    if not _is_int(a):
-        raise MalformedInputError("field 'a' has the wrong type", code="bad-type")
-    modulus = doc.get("modulus")
-    if modulus is not None:
-        if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
-            raise MalformedInputError("modulus must be a list of integers", code="bad-modulus")
-        modulus = tuple(modulus)
-    return RingParams(p, n, a, modulus)
+    """The interned ring of the document; RingParams rejects a bool or
+    non-int a (bad-type) and modulus entry (bad-modulus)."""
+    return intern_ring(_need(doc, "p", int), _need(doc, "n", int), doc.get("a", 1), doc.get("modulus"))
 
 
 def elem_to_doc(x: WittElem) -> list[int]:

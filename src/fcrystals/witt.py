@@ -153,6 +153,17 @@ def _irreducible_mod_p(modulus: Sequence[int], p: int, a: int) -> bool:
     return True
 
 
+def _ints(values, code: str, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, else (a bool or any other type) the boundary's error."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        values = (values,)
+    if not all(type(c) is int for c in values):
+        raise MalformedInputError(f"{what} must be integers, got {values!r}", code=code)
+    return values
+
+
 def default_modulus(p: int, a: int) -> tuple[int, ...]:
     """Lexicographically smallest monic degree-a polynomial irreducible mod p."""
     if a == 1:
@@ -184,11 +195,12 @@ class RingParams:
     pn: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
+        _ints((self.p, self.n, self.a), "bad-type", "p, n and a")
+        if not _is_prime(self.p):
             raise MalformedInputError(f"p = {self.p} is not prime", code="not-prime")
-        if not isinstance(self.n, int) or self.n < 1:
+        if self.n < 1:
             raise MalformedInputError(f"n = {self.n} must be a positive integer", code="bad-length")
-        if not isinstance(self.a, int) or self.a < 1:
+        if self.a < 1:
             raise MalformedInputError(f"a = {self.a} must be a positive integer", code="bad-degree")
         pn = self.p**self.n
         if self.a == 1:
@@ -197,7 +209,7 @@ class RingParams:
         else:
             if self.modulus is None:
                 raise MalformedInputError("modulus required when a > 1", code="bad-modulus")
-            mod = tuple(int(c) % pn for c in self.modulus)
+            mod = tuple(c % pn for c in _ints(self.modulus, "bad-modulus", "modulus coefficients"))
             if len(mod) != self.a + 1 or mod[-1] != 1:
                 raise MalformedInputError("modulus must be monic of degree a", code="bad-modulus")
             if not _irreducible_mod_p(mod, self.p, self.a):
@@ -210,7 +222,7 @@ class RingParams:
     def elem(self, coords: Iterable[int] | int) -> "WittElem":
         if isinstance(coords, int):
             coords = [coords] + [0] * (self.a - 1)
-        coords = tuple(int(c) for c in coords)
+        coords = _ints(coords, "bad-element", "element coordinates")
         if len(coords) != self.a:
             raise MalformedInputError(
                 f"element needs {self.a} coordinates, got {len(coords)}", code="bad-element"
@@ -224,7 +236,21 @@ class RingParams:
         return WittElem._raw(self, (1,) + (0,) * (self.a - 1))
 
     def from_int(self, c: int) -> "WittElem":
+        if type(c) is not int:
+            raise MalformedInputError(f"an element must be an integer, got {c!r}", code="bad-element")
         return WittElem._raw(self, (c % self.pn,) + (0,) * (self.a - 1))
+
+    def reduce(self, poly: list[int]) -> tuple[int, ...]:
+        """Coordinates of an unreduced integer polynomial (low to high, degree
+        < 2a - 1, overwritten) mod the monic modulus and p^n: the one reduction
+        of the Galois-ring product, for WittElem.__mul__ and the kernels."""
+        a, pn, mod = self.a, self.pn, self.modulus
+        for d in range(len(poly) - 1, a - 1, -1):
+            c = poly[d] % pn
+            if c:
+                for i in range(a):
+                    poly[d - a + i] -= c * mod[i]  # type: ignore[index]
+        return tuple(c % pn for c in poly[:a])
 
     def residue_modulus(self) -> list[int]:
         if self.a == 1:
@@ -272,14 +298,28 @@ class RingParams:
         return out
 
 
+_RINGS: dict[tuple, RingParams] = {}  # the last 32 validated rings, by normalized key
+
+
+def intern_ring(p: int, n: int, a: int = 1, modulus: Sequence[int] | None = None) -> RingParams:
+    """RingParams(p, n, a, modulus), validated, as one shared object per
+    normalized (p, n, a, modulus): its Frobenius tables are built once, and
+    the kernels' ring checks pass on identity."""
+    ring = RingParams(p, n, a, modulus)
+    key = (ring.p, ring.n, ring.a, ring.modulus)
+    if key not in _RINGS:
+        if len(_RINGS) >= 32:
+            del _RINGS[next(iter(_RINGS))]
+        _RINGS[key] = ring
+    return _RINGS[key]
+
+
 def with_precision(params: RingParams, n: int) -> RingParams:
-    """Same residue field and modulus lift, Witt length n."""
+    """Same residue field and modulus lift, Witt length n (interned)."""
     if n == params.n:
         return params
-    if params.a == 1:
-        return RingParams(params.p, n)
-    mod = tuple(c % params.p**n for c in params.modulus)  # type: ignore[union-attr]
-    return RingParams(params.p, n, params.a, mod)
+    mod = None if params.a == 1 else tuple(c % params.p**n for c in params.modulus)  # type: ignore[union-attr]
+    return intern_ring(params.p, n, params.a, mod)
 
 
 class WittElem:
@@ -288,7 +328,7 @@ class WittElem:
     __slots__ = ("params", "coords")
 
     def __init__(self, params: RingParams, coords: Sequence[int]):
-        coords = tuple(int(c) % params.pn for c in coords)
+        coords = tuple(c % params.pn for c in _ints(coords, "bad-element", "element coordinates"))
         if len(coords) != params.a:
             raise MalformedInputError("coordinate vector has the wrong length", code="bad-element")
         object.__setattr__(self, "params", params)
@@ -342,26 +382,14 @@ class WittElem:
     def __mul__(self, other: "WittElem") -> "WittElem":
         self._same_ring(other)
         params = self.params
-        pn = params.pn
-        a = params.a
-        if a == 1:
-            return WittElem._raw(params, ((self.coords[0] * other.coords[0]) % pn,))
-        prod = [0] * (2 * a - 1)
-        xs, ys = self.coords, other.coords
-        for i, x in enumerate(xs):
+        if params.a == 1:
+            return WittElem._raw(params, ((self.coords[0] * other.coords[0]) % params.pn,))
+        prod = [0] * (2 * params.a - 1)
+        for i, x in enumerate(self.coords):
             if x:
-                for j, y in enumerate(ys):
-                    prod[i + j] = (prod[i + j] + x * y) % pn
-        # reduce by the monic modulus
-        mod = params.modulus
-        for d in range(2 * a - 2, a - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                shift = d - a
-                for i in range(a):
-                    prod[shift + i] = (prod[shift + i] - c * mod[i]) % pn
-        return WittElem._raw(params, tuple(prod[:a]))
+                for j, y in enumerate(other.coords):
+                    prod[i + j] += x * y
+        return WittElem._raw(params, params.reduce(prod))
 
     def __pow__(self, e: int) -> "WittElem":
         if e < 0:
@@ -502,10 +530,9 @@ def teichmuller_digits(x: WittElem) -> list[tuple[int, ...]]:
     return digits
 
 
-def _apply(rows: tuple[tuple[int, ...], ...], x: WittElem) -> WittElem:
-    pn = x.params.pn
-    xs = x.coords
-    return WittElem._raw(x.params, tuple(sum(r * c for r, c in zip(row, xs)) % pn for row in rows))
+def _apply(params: RingParams, rows: tuple[tuple[int, ...], ...], xs: tuple[int, ...]) -> WittElem:
+    pn = params.pn
+    return WittElem._raw(params, tuple(sum(r * c for r, c in zip(row, xs)) % pn for row in rows))
 
 
 def frobenius(x: WittElem) -> WittElem:
@@ -514,7 +541,7 @@ def frobenius(x: WittElem) -> WittElem:
     params = x.params
     if params.a == 1:
         return x
-    return _apply(params.frobenius_matrix, x)
+    return _apply(params, params.frobenius_matrix, x.coords)
 
 
 def frobenius_inverse(x: WittElem) -> WittElem:
@@ -522,7 +549,7 @@ def frobenius_inverse(x: WittElem) -> WittElem:
     params = x.params
     if params.a == 1:
         return x
-    return _apply(params.frobenius_inverse_matrix, x)
+    return _apply(params, params.frobenius_inverse_matrix, x.coords)
 
 
 # ---------------------------------------------------------------------------

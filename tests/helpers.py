@@ -5,7 +5,8 @@ exp/log oracles work in plain integer arithmetic mod p^n, the kernel oracle
 does fraction-field Gaussian elimination, the determinant oracle is Bareiss
 fraction-free elimination instead of the Smith form, the Frobenius oracle
 goes through Teichmuller digits instead of the precomputed matrix, the
-pairing oracle places the gram entries block by block and checks it as a
+matrix-product and characteristic-polynomial oracles multiply WittElem
+entries one by one instead of packed coordinates, the pairing oracle places the gram entries block by block and checks it as a
 dense matrix instead of reindexing by the dual permutation, and the Z/p^n
 model is used as the ground truth for Witt coordinate arithmetic.
 """
@@ -84,6 +85,57 @@ def frobenius_oracle(x: WittElem) -> WittElem:
         acc = acc + params.from_int(ppow) * teichmuller(params, residue_pow_p(params, c))
         ppow *= params.p
     return acc
+
+
+# ---------------------------------------------------------------------------
+# element-path matrix kernels: one WittElem product and sum per scalar op
+
+
+def wm_mul_oracle(params: RingParams, a, b):
+    """The matrix product entry by entry in WittElem arithmetic."""
+    ra, ca = len(a), (len(a[0]) if a else 0)
+    cb = len(b[0]) if b else 0
+    if ca == 0:
+        return wm_zero(params, ra, cb)
+    out = []
+    for i in range(ra):
+        row = a[i]
+        orow = []
+        for j in range(cb):
+            acc = params.zero()
+            for k in range(ca):
+                acc = acc + row[k] * b[k][j]
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def charpoly_oracle(params: RingParams, a) -> list[WittElem]:
+    """det(xI - a), ascending coefficients, by Samuelson-Berkowitz in WittElem
+    arithmetic."""
+    r = len(a)
+    one = params.one()
+    poly = [one]  # descending coefficients, starts as char poly of the 0x0 block
+    for k in range(1, r + 1):
+        diag = a[k - 1][k - 1]
+        row = [a[k - 1][j] for j in range(k - 1)]
+        col = [a[i][k - 1] for i in range(k - 1)]
+        toeplitz = [one, -diag]
+        if k >= 2:
+            w = col
+            toeplitz.append(-sum((x * y for x, y in zip(row, w)), params.zero()))
+            for _ in range(3, k + 1):
+                w = [sum((a[i][j] * w[j] for j in range(k - 1)), params.zero()) for i in range(k - 1)]
+                toeplitz.append(-sum((x * y for x, y in zip(row, w)), params.zero()))
+        new = []
+        for i in range(k + 1):
+            acc = params.zero()
+            for j, t in enumerate(toeplitz):
+                if 0 <= i - j < len(poly):
+                    acc = acc + t * poly[i - j]
+            new.append(acc)
+        poly = new
+    return list(reversed(poly))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,10 @@ STRICT_INT_CASES = [
     ("motive-verify", "motive_kummer.json", _set("ext", [1]), "bad-type"),
     ("motive-verify", "motive_kummer.json", _set("abelian", 5), "bad-type"),
     ("witt-eval", "witt_exp.json", _set("args", 5), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("ring", {"p": 5, "n": 4, "a": 2, "modulus": [2, 0.5, 1]}), "bad-modulus"),
+    ("crystal-verify", "module_tate1.json", _set("ring", {"p": 5, "n": 4, "a": 2, "modulus": 7}), "bad-modulus"),
+    ("crystal-verify", "module_tate1.json", _set("ring", {"p": 5, "n": 4, "a": 2, "modulus": "211"}), "bad-modulus"),
+    ("crystal-verify", "module_tate1.json", _set("ring", "a", 2.0), "bad-type"),
 ]
 
 

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 import fcrystals.intmat
+import fcrystals.witt
 import fcrystals.onemotive as onemotive
 import fcrystals.semilinear as semilinear
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData
@@ -83,6 +84,22 @@ def test_pair_is_two_products(monkeypatch):
     _count_calls(monkeypatch, counts, semilinear, "charpoly")
     assert pair(m, d).ok
     assert (counts["wm_mul"], counts["charpoly"]) == (2, 0)
+
+
+def test_verify_takes_no_frobenius_at_a_1(monkeypatch):
+    """sigma is the identity on W_n(F_p): one verify of the assembled
+    motive_mixed.json applies neither frobenius nor frobenius_inverse."""
+    with open(os.path.join(FX, "motive_mixed.json"), encoding="utf-8") as fh:
+        spec = motive_from_doc(json.load(fh))
+    module = assemble(spec).module
+    counts = Counter()
+    for name in ("frobenius", "frobenius_inverse"):
+        original = getattr(fcrystals.witt, name)
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "fcrystals"]:
+            if getattr(mod, name, None) is original:
+                _count_calls(monkeypatch, counts, mod, name)
+    assert semilinear.verify(module).ok
+    assert (counts["frobenius"], counts["frobenius_inverse"]) == (0, 0)
 
 
 def test_assemble_is_kept_on_the_spec():

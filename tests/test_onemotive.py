@@ -32,12 +32,13 @@ from fcrystals.semilinear import (
     verify,
     wm_eq,
     wm_mul,
+    wm_reduce,
     wm_scal,
     wm_zero,
     wmat,
     wmat_from_ints,
 )
-from fcrystals.witt import RingParams
+from fcrystals.witt import RingParams, with_precision
 
 from helpers import pair_oracle, random_motive_spec
 
@@ -485,3 +486,41 @@ class TestIsomorphismInvariance:
                 lattice_block(s.lattice, P),
             )
             assert full == newton_slopes(graded)
+
+
+def _reduced_spec(s: OneMotiveSpec, small: RingParams) -> OneMotiveSpec:
+    """The presentation with every block over W_n reduced to W_(n-1)."""
+    c = s.abelian.crystal
+    crystal = FilteredFModule(
+        small, c.rank, c.weights, wm_reduce(c.f_mat, small), wm_reduce(c.v_mat, small), c.level
+    )
+    return OneMotiveSpec(
+        small,
+        s.lattice,
+        s.torus,
+        AbelianBlock(s.abelian.dim, crystal),
+        wm_reduce(s.ext_at, small),
+        wm_reduce(s.ext_xa, small),
+        wm_reduce(s.ext_xt, small),
+        s.label,
+    )
+
+
+class TestBaseChange:
+    """Realization commutes with base change W_8 -> W_7: F exactly, V up to
+    its top p-adic digit (V's (abelian, lattice) and (torus, lattice) blocks
+    divide by p, so that digit depends on the lift), and both modules verify."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_reduce_then_assemble(self, p):
+        big = RingParams(p, 8)
+        small, v_prec = with_precision(big, 7), with_precision(big, 6)
+        divided = 0
+        for seed in range(40):
+            s = random_motive_spec(random.Random(seed), big)
+            m_big, m_small = assemble(s), assemble(_reduced_spec(s, small))
+            assert m_big.report.ok and m_small.report.ok
+            assert wm_eq(m_small.module.f_mat, wm_reduce(m_big.module.f_mat, small))
+            assert wm_eq(wm_reduce(m_small.module.v_mat, v_prec), wm_reduce(m_big.module.v_mat, v_prec))
+            divided += s.abelian.dim > 0 and s.lattice.rank > 0
+        assert divided >= 10

@@ -31,14 +31,25 @@ from fcrystals.semilinear import (
     wm_eq,
     wm_identity,
     wm_inverse_unit,
+    wm_kron,
     wm_mul,
+    wm_shape,
+    wm_sigma,
+    wm_sigma_inv,
     wmat,
     wmat_from_ints,
     _argsort_stable,
 )
-from fcrystals.witt import RingParams, default_modulus
+from fcrystals.witt import RingParams, WittElem, default_modulus
 
-from helpers import bareiss_det, random_motive_spec, random_unimodular
+from helpers import (
+    bareiss_det,
+    charpoly_oracle,
+    frobenius_oracle,
+    random_motive_spec,
+    random_unimodular,
+    wm_mul_oracle,
+)
 
 P54 = RingParams(5, 4)
 F9 = RingParams(3, 5, 2, default_modulus(3, 2))
@@ -452,3 +463,99 @@ class TestMatrixKernels:
         assert is_isomorphism_witness(g, m, m)
         c = conjugate(m, g)
         assert wm_eq(c.f_mat, m.f_mat)
+
+
+# ---------------------------------------------------------------------------
+# packed kernels against the element-path oracles
+
+
+PACKED_RINGS = [
+    pytest.param(RingParams(p, 3, a, None if a == 1 else default_modulus(p, a)), id=f"p{p}-a{a}")
+    for p in (2, 3, 5)
+    for a in (1, 2, 3)
+]
+SHAPES = [(0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (3, 3), (6, 6)]
+
+
+def _random_wmat(rng, params, rows, cols):
+    return wmat(params, [[[rng.randrange(params.pn) for _ in range(params.a)] for _ in range(cols)] for _ in range(rows)])
+
+
+def _oracle_kron(a, b):
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+class TestPackedKernels:
+    """wm_mul, charpoly, wm_det, wm_kron, sigma and the unit inverse compute on
+    packed coordinates; each must agree with the WittElem-by-WittElem oracle."""
+
+    @pytest.mark.parametrize("params", PACKED_RINGS)
+    def test_mul_and_kron_match_oracle(self, params):
+        rng = random.Random(params.p * 10 + params.a)
+        for rows, inner in SHAPES:
+            a = _random_wmat(rng, params, rows, inner)
+            for cols in (0, 1, 4):
+                b = _random_wmat(rng, params, wm_shape(a)[1], cols)
+                assert wm_mul(params, a, b) == wm_mul_oracle(params, a, b)
+                assert wm_kron(params, a, b) == _oracle_kron(a, b)
+
+    @pytest.mark.parametrize("params", PACKED_RINGS)
+    def test_charpoly_and_det_match_oracle(self, params):
+        rng = random.Random(params.p * 100 + params.a)
+        for r in range(7):
+            a = _random_wmat(rng, params, r, r)
+            coeffs = charpoly_oracle(params, a)
+            assert charpoly(params, a) == coeffs
+            assert wm_det(params, a) == (coeffs[0] if r % 2 == 0 else -coeffs[0])
+
+    def test_charpoly_carries_no_digit_at_full_size(self):
+        """Every entry at p^n - 1, the largest coefficient sums the packing allows."""
+        for params in (RingParams(5, 8), RingParams(2, 9, 3, default_modulus(2, 3))):
+            top = [params.pn - 1] * params.a
+            a = wmat(params, [[top] * 6 for _ in range(6)])
+            assert charpoly(params, a) == charpoly_oracle(params, a)
+            assert wm_mul(params, a, a) == wm_mul_oracle(params, a, a)
+
+    @pytest.mark.parametrize("params", PACKED_RINGS)
+    def test_sigma_matches_digit_oracle(self, params):
+        rng = random.Random(params.p * 1000 + params.a)
+        for rows, cols in SHAPES:
+            m = _random_wmat(rng, params, rows, cols)
+            assert wm_sigma(m) == tuple(tuple(frobenius_oracle(x) for x in row) for row in m)
+            assert tuple(tuple(frobenius_oracle(x) for x in row) for row in wm_sigma_inv(m)) == m
+
+    @pytest.mark.parametrize("params", PACKED_RINGS)
+    def test_inverse_unit_matches_oracle(self, params):
+        rng = random.Random(params.p * 7 + params.a)
+        for r in (1, 2, 4):
+            a = _random_wmat(rng, params, r, r)
+            while not wm_det(params, a).is_unit():
+                a = _random_wmat(rng, params, r, r)
+            inv = wm_inverse_unit(params, a)
+            assert wm_mul_oracle(params, a, inv) == wm_identity(params, r)
+            assert wm_mul_oracle(params, inv, a) == wm_identity(params, r)
+
+    def test_sigma_is_the_identity_object_at_a_1(self):
+        m = wmat_from_ints(P54, [[1, 2], [3, 4]])
+        assert wm_sigma(m) is m
+        assert wm_sigma_inv(m) is m
+
+    @pytest.mark.parametrize("where", ["left", "right"])
+    def test_mixed_ring_entry_raises(self, where):
+        other = RingParams(5, 3)
+        m = wmat_from_ints(P54, [[1, 2], [3, 4]])
+        bad = ((m[0][0], WittElem(other, [2])), m[1])
+        a, b = (bad, m) if where == "left" else (m, bad)
+        with pytest.raises(IncompatibleRingsError):
+            wm_mul(P54, a, b)
+        with pytest.raises(IncompatibleRingsError):
+            wm_kron(P54, a, b)
+        with pytest.raises(IncompatibleRingsError):
+            charpoly(P54, bad)
+
+    def test_equal_ring_from_another_object_is_accepted(self):
+        twin = RingParams(5, 4)
+        assert twin is not P54
+        m = wmat_from_ints(P54, [[1, 2], [3, 4]])
+        assert wm_mul(twin, m, m) == wm_mul_oracle(P54, m, m)
+        assert charpoly(twin, m) == charpoly_oracle(P54, m)

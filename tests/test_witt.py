@@ -9,9 +9,12 @@ from fcrystals.errors import (
     MalformedInputError,
     UnsupportedCharacteristicError,
 )
+import fcrystals.witt as witt
+from fcrystals.serialize import ring_from_doc
 from fcrystals.witt import (
     RingParams,
     WittCoords,
+    WittElem,
     coords_add,
     coords_mul,
     coords_to_elem,
@@ -74,6 +77,97 @@ class TestRingParams:
     def test_default_modulus_is_irreducible(self):
         assert default_modulus(3, 2) == (1, 0, 1)
         assert default_modulus(2, 3) in ((1, 1, 0, 1), (1, 0, 1, 1))
+
+
+class TestStrictInts:
+    """The ring and element constructors take ints only: a bool, a float or a
+    string is rejected with the document boundary's code, never coerced."""
+
+    @pytest.mark.parametrize(
+        "args", [(5, True), (True, 2), (5, 2, True), (5.0, 2), (5, 2.0), (5, "2"), (5, 2, 2.0, (2, 4, 1))]
+    )
+    def test_ring_fields(self, args):
+        with pytest.raises(MalformedInputError) as exc:
+            RingParams(*args)
+        assert exc.value.code == "bad-type"
+
+    @pytest.mark.parametrize("modulus", [(2, True, 1), (2, 4.0, 1), ("2", 4, 1), 7])
+    def test_modulus(self, modulus):
+        with pytest.raises(MalformedInputError) as exc:
+            RingParams(5, 2, 2, modulus)
+        assert exc.value.code == "bad-modulus"
+
+    @pytest.mark.parametrize("coords", [True, 0.7, [True], [1.0], ["1"], [1, 2]])
+    def test_elem(self, coords):
+        params = RingParams(5, 2)
+        for make in (params.elem, lambda c: WittElem(params, c)):
+            with pytest.raises(MalformedInputError) as exc:
+                make(coords)
+            assert exc.value.code == "bad-element"
+
+    @pytest.mark.parametrize("c", [True, 0.7, "1", [1]])
+    def test_from_int(self, c):
+        with pytest.raises(MalformedInputError) as exc:
+            RingParams(5, 2).from_int(c)
+        assert exc.value.code == "bad-element"
+
+    def test_ints_still_build(self):
+        params = RingParams(5, 2, 2, [2, 4, 1])
+        assert params.modulus == (2, 4, 1)
+        assert params.elem(7).coords == (7, 0)
+        assert WittElem(params, [26, -1]).coords == (1, 24)
+        assert params.from_int(-1).coords == (24, 0)
+
+
+class TestInterning:
+    """Rings from documents and precision changes are shared objects, so each
+    ring's Frobenius tables are built once per process."""
+
+    DOC = {"p": 7, "n": 3, "a": 2, "modulus": list(default_modulus(7, 2))}
+
+    def test_ring_from_doc_is_interned(self):
+        assert ring_from_doc(self.DOC) is ring_from_doc(dict(self.DOC))
+        assert ring_from_doc({"p": 7, "n": 3}) is ring_from_doc({"p": 7, "n": 3, "a": 1})
+
+    def test_key_is_normalized(self):
+        shifted = [c + 7**3 for c in self.DOC["modulus"][:-1]] + [1]
+        assert ring_from_doc({**self.DOC, "modulus": shifted}) is ring_from_doc(self.DOC)
+
+    def test_with_precision_is_interned(self):
+        params = ring_from_doc(self.DOC)
+        assert with_precision(params, 5) is with_precision(params, 5)
+        assert with_precision(with_precision(params, 5), 3) is params
+
+    def test_frobenius_table_built_once(self, monkeypatch):
+        builds = []
+        table = RingParams.__dict__["frobenius_matrix"]
+
+        def counting(self):
+            builds.append(self)
+            return table.func(self)
+
+        prop = type(table)(counting)
+        prop.__set_name__(RingParams, "frobenius_matrix")
+        monkeypatch.setattr(RingParams, "frobenius_matrix", prop)
+        monkeypatch.setattr(witt, "_RINGS", {})
+        for _ in range(3):
+            x = ring_from_doc(self.DOC).elem([3, 5])
+            frobenius(x)
+            frobenius_inverse(x)
+        assert len(builds) == 1
+
+    def test_invalid_ring_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(witt, "_RINGS", {})
+        with pytest.raises(MalformedInputError):
+            ring_from_doc({"p": 4, "n": 3})
+        assert witt._RINGS == {}
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(witt, "_RINGS", {})
+        for n in range(1, 41):
+            ring_from_doc({"p": 3, "n": n})
+        assert len(witt._RINGS) == 32
+        assert ring_from_doc({"p": 3, "n": 40}) is witt._RINGS[(3, 40, 1, None)]
 
 
 class TestAddMul:
