@@ -29,7 +29,7 @@ from .semilinear import (
     verify,
     wmat_from_ints,
 )
-from .witt import RingParams
+from .witt import RingParams, _ints
 
 ORDER_SEARCH_LIMIT = 120
 
@@ -66,15 +66,17 @@ class LatticeData:
 
     The same data presents a torus by its cocharacter lattice, so TorusData
     is an alias of this class.  The inverse of the action is computed once,
-    on construction, and read by every block built from the data."""
+    on construction, and read by every block built from the data.  Rank and
+    action entries must be ints, not bools (else bad-type)."""
 
     rank: int
     sigma_action: tuple[tuple[int, ...], ...]
     sigma_inverse: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _ints((self.rank,), "bad-type", "rank")
         object.__setattr__(
-            self, "sigma_action", tuple(tuple(int(x) for x in row) for row in self.sigma_action)
+            self, "sigma_action", tuple(_ints(row, "bad-type", "sigma_action") for row in self.sigma_action)
         )
         inv = _validated_action(self.sigma_action, self.rank)
         object.__setattr__(self, "sigma_inverse", tuple(tuple(row) for row in inv))

@@ -2,9 +2,14 @@
 
 Matrices are plain lists of lists of Python ints (row-major).  The Smith
 normal form is the only elimination: kernels, exact solutions, ranks and
-unimodular inverses are all read off one U a V = D.  All routines are
-deterministic; the Smith pivot rule is fixed (smallest absolute nonzero
-value, ties broken row-major) so outputs are reproducible.
+unimodular inverses are read off U a V = D, and ``inverses=True`` carries
+U^(-1) and V^(-1) beside U and V (the inverse of each row or column
+operation, applied on the other side).  All routines are deterministic; the
+Smith pivot rule is fixed (smallest absolute nonzero value, ties broken
+row-major) so outputs are reproducible.  The pivot search stops at the
+first +-1, the pivot a full scan picks: nothing nonzero is smaller, and
+every later entry loses the tie.  A pivot of 1 divides every entry, so its
+divisor-chain sweep is skipped.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ def shape(a: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 
 def identity(r: int) -> IntMat:
-    return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    return [[0] * i + [1] + [0] * (r - 1 - i) for i in range(r)]
 
 
 def zeros(r: int, c: int) -> IntMat:
@@ -106,12 +111,15 @@ def _pivot(m: IntMat, t: int, rows: int, cols: int):
             v = m[i][j]
             if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
                 best = (i, j)
+                if v in (1, -1):
+                    return best
     return best
 
 
-def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
+def smith_normal_form(a, *, inverses: bool = False) -> tuple[IntMat, ...]:
     """Return (U, D, V) with U a V = D, U and V unimodular, D diagonal with
-    each diagonal entry dividing the next.
+    each diagonal entry dividing the next; (U, D, V, U^(-1), V^(-1)) with
+    ``inverses=True``.
 
     Pivot selection is the smallest nonzero absolute value, ties broken
     row-major, so the decomposition is reproducible.
@@ -119,11 +127,16 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
     >>> u, d, v = smith_normal_form([[2, 4], [6, 8]])
     >>> [d[0][0], d[1][1]]
     [2, 4]
+    >>> u, d, v, ui, vi = smith_normal_form([[2, 4], [6, 8]], inverses=True)
+    >>> mul(u, ui) == identity(2) == mul(vi, v)
+    True
     """
     rows, cols = shape(a)
     m = copy(a)
     u = identity(rows)
-    v = identity(cols)
+    # vt and ut hold the transposes of V and U^(-1): their column ops are row ops
+    vt = identity(cols)
+    ut, vi = (identity(rows), identity(cols)) if inverses else (None, None)
     t = 0
     while t < min(rows, cols):
         piv = _pivot(m, t, rows, cols)
@@ -134,58 +147,62 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
             if pi != t:
                 m[t], m[pi] = m[pi], m[t]
                 u[t], u[pi] = u[pi], u[t]
+                if inverses:
+                    ut[t], ut[pi] = ut[pi], ut[t]
             if pj != t:
-                for row in m:
+                for row in m[t:]:  # rows above t are zero from column t on
                     row[t], row[pj] = row[pj], row[t]
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
+                vt[t], vt[pj] = vt[pj], vt[t]
+                if inverses:
+                    vi[t], vi[pj] = vi[pj], vi[t]
             if m[t][t] < 0:
                 m[t] = [-x for x in m[t]]
                 u[t] = [-x for x in u[t]]
+                if inverses:
+                    ut[t] = [-x for x in ut[t]]
             # reduce column t
             dirty = False
             for i in range(t + 1, rows):
                 if m[i][t]:
                     q = m[i][t] // m[t][t]
                     if q:
-                        m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                        m[i][t:] = [x - q * y for x, y in zip(m[i][t:], m[t][t:])]
                         u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                        if inverses:
+                            ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
                     if m[i][t]:
                         dirty = True
             if dirty:
                 piv = _pivot(m, t, rows, cols)
                 continue
-            # reduce row t
+            # reduce row t; column t of m is zero off the diagonal by now
             dirty = False
             for j in range(t + 1, cols):
                 if m[t][j]:
                     q = m[t][j] // m[t][t]
                     if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
+                        m[t][j] -= q * m[t][t]
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                        if inverses:
+                            vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
                     if m[t][j]:
                         dirty = True
             if dirty:
                 piv = _pivot(m, t, rows, cols)
                 continue
             # pivot must divide the remaining submatrix for the divisor chain
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            rest = range(t + 1, rows) if m[t][t] != 1 else ()  # 1 divides everything
+            bad = next((i for i in rest if any(x % m[t][t] for x in m[i][t + 1 :])), None)
             if bad is None:
                 break
             m[t] = [x + y for x, y in zip(m[t], m[bad])]
             u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            if inverses:
+                ut[bad] = [x - y for x, y in zip(ut[bad], ut[t])]
             piv = _pivot(m, t, rows, cols)
         t += 1
-    return u, m, v
+    out = (u, m, [list(col) for col in zip(*vt)])
+    return out + ([list(col) for col in zip(*ut)], vi) if inverses else out
 
 
 def elementary_divisors(a) -> list[int]:

@@ -17,7 +17,7 @@ from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap
 from .errors import InternalError, InvalidSimplicialError, ShapeError, UnsupportedInputError
 from .onemotive import OneMotiveSpec, assemble
-from .witt import RingParams
+from .witt import RingParams, _ints
 
 __all__ = [
     "SimplicialComponents",
@@ -35,17 +35,18 @@ __all__ = [
 @dataclass(frozen=True)
 class SimplicialComponents:
     """Component counts of X_0..X_2 (optionally X_3) and the face maps at the
-    component level: face_maps[j-1][i] sends level-j components through d_i."""
+    component level: face_maps[j-1][i] sends level-j components through d_i.
+    Counts and face maps must be ints, not bools (else bad-type)."""
 
     counts: tuple[int, ...]
     face_maps: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", _ints(self.counts, "bad-type", "counts"))
         object.__setattr__(
             self,
             "face_maps",
-            tuple(tuple(tuple(int(x) for x in fmap) for fmap in level) for level in self.face_maps),
+            tuple(tuple(_ints(fmap, "bad-type", "face maps") for fmap in level) for level in self.face_maps),
         )
 
     def validate(self) -> None:
@@ -103,34 +104,33 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     complex C^0 -> C^1 -> C^2.
 
     The quotient is free and Im(C_1 -> C_0) is a direct summand: both facts
-    are checked via elementary divisors.
+    are checked via elementary divisors.  Ker d^2 is spanned by the trailing
+    columns of V in U d^2 V = D, Im d^1 is the trailing rows of V^(-1) d^1 in
+    that basis, and the free part lifts through U^(-1) of their Smith form.
     """
     d1, d2 = component_complex(s)
+    c1 = s.counts[1]
     dual1 = intmat.transpose(d1)  # C^0 -> C^1
-    dual2 = intmat.transpose(d2)  # C^1 -> C^2
+    dual2 = intmat.transpose(d2) or [[0] * c1]  # C^1 -> C^2; [] would lose c1 when c2 = 0
     # the image of d_1 (equivalently d^1) is a direct summand
     divisors = intmat.elementary_divisors(d1)
     if any(d != 1 for d in divisors):
         raise InternalError("image of C_1 -> C_0 is not a direct summand")
-    kernel = intmat.kernel_basis(dual2)  # columns, saturated in C^1
-    k = len(kernel)
-    if k == 0:
+    _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True)
+    r2 = sum(1 for i in range(min(len(d), c1)) if d[i][i])  # rank of d^2
+    if r2 == c1:
         return 0, []
-    kmat = intmat.transpose(kernel)  # c1 x k, columns = kernel basis
-    # express Im d^1 in kernel coordinates (possible: d^2 d^1 = 0, kernel saturated)
-    coords = intmat.solve_exact(kmat, dual1)
-    if coords is None:
+    # V^(-1) d^1 = [0; coords], coords being Im d^1 in the saturated kernel basis
+    image = intmat.mul(vinv, dual1)
+    if any(x for row in image[:r2] for x in row):
         raise InternalError("image of d^1 does not land in Ker d^2")
-    u, d, _ = intmat.smith_normal_form(coords)
+    _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True)
     nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
     if any(x != 1 for x in nz):
         raise InternalError("cocharacter quotient has torsion")
-    rank = k - len(nz)
-    uinv = intmat.inverse_unimodular(u)
-    # free-part basis lifts: kernel basis times the trailing columns of U^(-1)
-    lift = intmat.mul(kmat, [[uinv[i][j] for j in range(len(nz), k)] for i in range(k)])
-    basis = [[lift[i][j] for i in range(len(lift))] for j in range(rank)]
-    return rank, basis
+    # free-part basis lifts: kernel columns of V times trailing columns of U^(-1)
+    lift = intmat.mul([row[r2:] for row in v], [row[len(nz):] for row in uinv])
+    return c1 - r2 - len(nz), intmat.transpose(lift)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class DivisorPresentation:
     components upstairs, the two pullback matrices to level 1 (rows =
     divisor components on X_1), and the matrix of degree classes cutting out
     the subgroup mapping to zero in the component group of the Picard
-    functor."""
+    functor.  All entries must be ints, not bools (else bad-type)."""
 
     m: int
     pull0: tuple[tuple[int, ...], ...]
@@ -147,8 +147,9 @@ class DivisorPresentation:
     ns_classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for name, mat in (("pull0", self.pull0), ("pull1", self.pull1), ("ns_classes", self.ns_classes)):
-            object.__setattr__(self, name, tuple(tuple(int(x) for x in row) for row in mat))
+        _ints((self.m,), "bad-type", "m")
+        for name in ("pull0", "pull1", "ns_classes"):
+            object.__setattr__(self, name, tuple(_ints(row, "bad-type", name) for row in getattr(self, name)))
         if self.m < 0:
             raise ShapeError("m must be non-negative")
         r0 = intmat.shape(self.pull0) if self.pull0 else (0, self.m)

@@ -154,11 +154,11 @@ def _irreducible_mod_p(modulus: Sequence[int], p: int, a: int) -> bool:
 
 
 def _ints(values, code: str, what: str) -> tuple[int, ...]:
-    """values as a tuple of ints, else (a bool or any other type) the boundary's error."""
+    """values as a tuple of ints, else (a scalar, a bool or any other type) the boundary's error."""
     try:
         values = tuple(values)
     except TypeError:
-        values = (values,)
+        raise MalformedInputError(f"{what} must be a sequence, got {values!r}", code=code) from None
     if not all(type(c) is int for c in values):
         raise MalformedInputError(f"{what} must be integers, got {values!r}", code=code)
     return values
@@ -491,15 +491,15 @@ def teichmuller(params: RingParams, c) -> WittElem:
     """Teichmuller lift of a residue-field element.
 
     ``c`` may be a WittElem (taken mod p), an integer, or a coordinate
-    sequence mod p.  The lift is the unique root of x^(p^a) = x reducing
+    sequence mod p; a bool or any other type is a bad-element.  The lift is the unique root of x^(p^a) = x reducing
     to c, obtained by Hensel iteration x <- x^(p^a).
     """
     if isinstance(c, WittElem):
         res = c.residue()
-    elif isinstance(c, int):
+    elif type(c) is int:
         res = (c % params.p,) + (0,) * (params.a - 1)
     else:
-        res = tuple(int(v) % params.p for v in c)
+        res = tuple(v % params.p for v in _ints(c, "bad-element", "residue coordinates"))
         if len(res) != params.a:
             raise MalformedInputError("residue element has the wrong length", code="bad-element")
     x = params.elem(res)

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library code paths they check: the
 exp/log oracles work in plain integer arithmetic mod p^n, the kernel oracle
 does fraction-field Gaussian elimination, the determinant oracle is Bareiss
-fraction-free elimination instead of the Smith form, the Frobenius oracle
+fraction-free elimination instead of the Smith form, the Smith oracle is
+the elimination without its fast paths or inverse bookkeeping, the Frobenius oracle
 goes through Teichmuller digits instead of the precomputed matrix, the
 matrix-product and characteristic-polynomial oracles multiply WittElem
 entries one by one instead of packed coordinates, the pairing oracle places the gram entries block by block and checks it as a
@@ -227,6 +228,93 @@ def bareiss_det(a: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form oracle
+
+
+def _smith_pivot(m, t, rows, cols):
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            v = m[i][j]
+            if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def smith_oracle(a):
+    """(U, D, V) of the Smith normal form as first written: a full pivot scan
+    at every step, and the divisor-chain sweep after every pivot, even a
+    pivot of 1.  intmat.smith_normal_form must return the same triple."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(row) for row in a]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    t = 0
+    while t < min(rows, cols):
+        piv = _smith_pivot(m, t, rows, cols)
+        if piv is None:
+            break
+        while True:
+            pi, pj = piv
+            if pi != t:
+                m[t], m[pi] = m[pi], m[t]
+                u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                for row in m:
+                    row[t], row[pj] = row[pj], row[t]
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+                u[t] = [-x for x in u[t]]
+            # reduce column t
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    if q:
+                        m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if m[i][t]:
+                        dirty = True
+            if dirty:
+                piv = _smith_pivot(m, t, rows, cols)
+                continue
+            # reduce row t
+            dirty = False
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    if q:
+                        for row in m:
+                            row[j] -= q * row[t]
+                        for row in v:
+                            row[j] -= q * row[t]
+                    if m[t][j]:
+                        dirty = True
+            if dirty:
+                piv = _smith_pivot(m, t, rows, cols)
+                continue
+            # pivot must divide the remaining submatrix for the divisor chain
+            bad = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if m[i][j] % m[t][t]:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            m[t] = [x + y for x, y in zip(m[t], m[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            piv = _smith_pivot(m, t, rows, cols)
+        t += 1
+    return u, m, v
 
 
 # ---------------------------------------------------------------------------

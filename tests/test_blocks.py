@@ -15,6 +15,7 @@ from fcrystals.blocks import (
 from fcrystals.errors import (
     InvalidActionError,
     InvalidTraceError,
+    MalformedInputError,
     PrecisionError,
     UnsupportedInputError,
 )
@@ -65,6 +66,17 @@ class TestTate:
 
 
 class TestLatticeTorus:
+    @pytest.mark.parametrize(
+        "rank,action", [(1, ((True,),)), (1, ((1.0,),)), (True, ((1,),)), (2, ((0, 1), (1, "0"))), (1, (1,))]
+    )
+    def test_strict_ints(self, rank, action):
+        """A bool, float or string in the rank or the action is a bad-type,
+        never coerced to an int."""
+        with pytest.raises(MalformedInputError) as exc:
+            LatticeData(rank, action)
+        assert exc.value.code == "bad-type"
+        assert LatticeData(1, [[-1]]).sigma_action == ((-1,),)
+
     def test_rank1_trivial_matches_twists(self):
         lb = lattice_block(LatticeData.trivial(1), P54)
         assert wm_eq(lb.f_mat, tate(0, P54).f_mat)

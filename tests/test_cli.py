@@ -67,6 +67,28 @@ def test_two_runs_are_byte_identical(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+# structures with no level-2 components: Ker d^2 is all of C^1
+NO_LEVEL_TWO = {
+    "two-cycle": {"counts": [2, 2, 0], "faces": {"1": [[0, 1], [1, 0]], "2": [[], [], []]}},
+    "loop": {"counts": [1, 1, 0], "faces": {"1": [[0], [0]], "2": [[], [], []]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_LEVEL_TWO))
+def test_cocharacters_without_level_two(name, tmp_path):
+    """(c1 - rank d2) - rank d1 = 1 for both structures, also through
+    picard-skeleton."""
+    doc = tmp_path / "s.json"
+    doc.write_text(json.dumps(NO_LEVEL_TWO[name]))
+    out = tmp_path / "o.json"
+    assert run_cli(["simplicial-cochar", "--in", str(doc)], out) == (0, "")
+    assert json.loads(out.read_text())["rank"] == 1
+    picard = tmp_path / "p.json"
+    picard.write_text(json.dumps({"simplicial": NO_LEVEL_TWO[name], "divisor": {"m": 0}, "g": 0}))
+    assert run_cli(["picard-skeleton", "--ring", "ring_f5n4.json", "--in", str(picard)], out) == (0, "")
+    assert json.loads(out.read_text())["skeleton"] == {"g": 0, "lattice_rank": 0, "torus_rank": 1}
+
+
 class TestExitCodes:
     def test_verification_failure_is_exit_1(self, tmp_path):
         code, err = run_cli(["crystal-verify", "--in", "module_bad_flag.json"], tmp_path / "o.json")

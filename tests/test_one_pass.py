@@ -1,7 +1,8 @@
 """The motive pipeline computes each derived object of a presentation once:
 one realization per presentation, one verify report per module, one
 canonical dual per assembled module, one action inverse per lattice, read
-off one Smith normal form, and one matrix product per pairing identity.
+off one Smith normal form, three Smith forms per cocharacter group, and one
+matrix product per pairing identity.
 And an internal invariant that fails raises InternalError, also under
 python -O."""
 
@@ -122,6 +123,24 @@ def test_action_is_eliminated_once(monkeypatch):
     d = LatticeData(3, ((0, 0, 1), (1, 0, 0), (0, -1, 0)))
     assert calls["smith_normal_form"] == 1
     assert d.sigma_inverse == ((0, 1, 0), (0, 0, -1), (1, 0, 0))
+
+
+def test_cocharacters_take_three_eliminations(monkeypatch):
+    """One simplicial-cochar call reads the kernel, the coordinates of Im d^1
+    and the lift off three Smith forms (five, plus one solve_exact and one
+    inverse_unimodular, before the transforms carried their inverses)."""
+    calls = Counter()
+    for name in ("smith_normal_form", "solve_exact", "inverse_unimodular"):
+        _count_calls(monkeypatch, calls, fcrystals.intmat, name)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
+    assert code == 0 and json.loads(out.getvalue())["rank"] == 1
+    assert {name: calls[name] for name in ("smith_normal_form", "solve_exact", "inverse_unimodular")} == {
+        "smith_normal_form": 3,
+        "solve_exact": 0,
+        "inverse_unimodular": 0,
+    }
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

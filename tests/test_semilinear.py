@@ -40,6 +40,7 @@ from fcrystals.semilinear import (
     wmat_from_ints,
     _argsort_stable,
 )
+from fcrystals.simplicial import component_complex
 from fcrystals.witt import RingParams, WittElem, default_modulus
 
 from helpers import (
@@ -47,7 +48,9 @@ from helpers import (
     charpoly_oracle,
     frobenius_oracle,
     random_motive_spec,
+    random_simplicial,
     random_unimodular,
+    smith_oracle,
     wm_mul_oracle,
 )
 
@@ -153,6 +156,62 @@ class TestSmith:
     def test_inverse_rejects_non_square(self):
         with pytest.raises(ShapeError):
             intmat.inverse_unimodular([[1, 0, 0], [0, 1, 0]])
+
+
+def _smith_cases():
+    """Matrices for the differential Smith test: [] and k x 0, zero and
+    unit-free ones that need the divisor-chain fix-up, random ones of every
+    small shape and density, and the d1 / d2 of random simplicial structures."""
+    rng = random.Random(15)
+    cases = [[], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0]]]
+    cases += [[[2, 0], [0, 3]], [[6, 0, 0], [0, 10, 0], [0, 0, 15]], [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]]
+    cases += [[[4, 6]], [[4], [6]], [[3, 0, 0], [0, 0, 5]]]
+    for _ in range(400):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        hi, density = rng.choice([1, 2, 3, 10, 100]), rng.random()
+        cases.append([[rng.randint(-hi, hi) if rng.random() < density else 0 for _ in range(c)] for _ in range(r)])
+    for _ in range(60):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[rng.choice([0, 2, -2, 4, 6, 9, -15]) for _ in range(c)] for _ in range(r)])
+    for _ in range(40):
+        d1, d2 = component_complex(random_simplicial(rng, max_count=8))
+        cases += [d1, d2, intmat.transpose(d1), intmat.transpose(d2)]
+    return cases
+
+
+class TestSmithAgainstOracle:
+    """The fast paths (return at the first unit pivot, no divisor-chain sweep
+    under a pivot of 1) and the inverse bookkeeping leave (U, D, V) as the
+    full-scan elimination of tests/helpers.smith_oracle computes it."""
+
+    CASES = _smith_cases()
+
+    def test_fix_up_cases_need_the_sweep(self):
+        """diag(2, 3) is already diagonal, but 2 does not divide 3."""
+        assert smith_oracle([[2, 0], [0, 3]])[1] == [[1, 0], [0, 6]]
+
+    def test_same_triple(self):
+        for a in self.CASES:
+            assert smith_normal_form(a) == smith_oracle(a), a
+
+    def test_same_triple_with_inverses(self):
+        for a in self.CASES:
+            assert smith_normal_form(a, inverses=True)[:3] == smith_oracle(a), a
+
+    def test_inverses_invert(self):
+        for a in self.CASES:
+            rows, cols = intmat.shape(a)
+            u, _, v, u_inv, v_inv = smith_normal_form(a, inverses=True)
+            assert intmat.mul(u, u_inv) == intmat.identity(rows) == intmat.mul(u_inv, u), a
+            assert intmat.mul(v_inv, v) == intmat.identity(cols) == intmat.mul(v, v_inv), a
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_hypothesis_matrices(self, r, c, data):
+        a = [[data.draw(st.integers(-12, 12)) for _ in range(c)] for _ in range(r)]
+        u, d, v, u_inv, v_inv = smith_normal_form(a, inverses=True)
+        assert smith_normal_form(a) == (u, d, v) == smith_oracle(a)
+        assert intmat.mul(u, u_inv) == intmat.identity(r) and intmat.mul(v_inv, v) == intmat.identity(c)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ import pytest
 
 from fcrystals import intmat, simplicial
 from fcrystals.blocks import abelian_from_ap
-from fcrystals.errors import InvalidSimplicialError, ShapeError, UnsupportedInputError
+from fcrystals.errors import (
+    InternalError,
+    InvalidSimplicialError,
+    MalformedInputError,
+    ShapeError,
+    UnsupportedInputError,
+)
 from fcrystals.onemotive import MotiveCrystal, assemble
 from fcrystals.simplicial import (
     DivisorPresentation,
@@ -19,12 +25,15 @@ from fcrystals.simplicial import (
 )
 from fcrystals.witt import RingParams, default_modulus
 
-from helpers import kernel_rank_over_q, random_simplicial
+from helpers import bareiss_det, kernel_rank_over_q, rank_over_q, random_simplicial
 
 P54 = RingParams(5, 4)
 
 POINT = SimplicialComponents((1, 1, 1), (((0,), (0,)), ((0,), (0,), (0,))))
 NODAL = SimplicialComponents((1, 2, 1), (((0, 0), (0, 0)), ((0,), (0,), (0,))))
+# no level-2 components: Ker d^2 is all of C^1
+TWO_CYCLE = SimplicialComponents((2, 2, 0), (((0, 1), (1, 0)), ((), (), ())))
+LOOP = SimplicialComponents((1, 1, 0), (((0,), (0,)), ((), (), ())))
 
 
 def identity_divisor(m: int) -> DivisorPresentation:
@@ -99,8 +108,6 @@ class TestCocharacters:
             assert len(basis) == rank
 
     def test_rank_against_fraction_gauss(self):
-        from helpers import rank_over_q
-
         rng = random.Random(33)
         for _ in range(50):
             s = random_simplicial(rng)
@@ -111,6 +118,87 @@ class TestCocharacters:
             im_rank = rank_over_q(dual1)
             rank, _ = cocharacter_group(s)
             assert rank == ker_rank - im_rank
+
+
+    def test_loop_without_level_two(self):
+        assert cocharacter_group(LOOP) == (1, [[1]])
+
+    def test_two_cycle_without_level_two(self):
+        d1, _ = component_complex(TWO_CYCLE)
+        rank, basis = cocharacter_group(TWO_CYCLE)
+        assert rank == (2 - 0) - intmat.rank(d1) == 1
+        # the lift completes Im d^1 = Z (1, -1) to a basis of C^1
+        assert abs(bareiss_det([d1[0], basis[0]])) == 1
+
+    def test_rank_without_level_two_against_fraction_gauss(self):
+        """c2 = 0, drawn apart from random_simplicial: the rank is
+        c1 - rank d^1, and the lifted basis is independent of Im d^1."""
+        rng = random.Random(35)
+        for _ in range(60):
+            c0, c1 = rng.randint(1, 6), rng.randint(0, 6)
+            faces = tuple(tuple(rng.randrange(c0) for _ in range(c1)) for _ in range(2))
+            s = SimplicialComponents((c0, c1, 0), (faces, ((), (), ())))
+            d1, _ = component_complex(s)
+            rank, basis = cocharacter_group(s)
+            im_rank = rank_over_q(d1)  # the rows of d_1 span Im d^1
+            assert rank == c1 - im_rank
+            assert len(basis) == rank and all(len(col) == c1 for col in basis)
+            assert rank_over_q(d1 + basis) == rank + im_rank
+
+
+    @pytest.mark.parametrize(
+        "d1,d2,message",
+        [
+            ([[2, 0]], [[0], [1]], "not a direct summand"),
+            ([[1, 0]], [[1], [0]], "does not land in Ker d"),
+        ],
+    )
+    def test_broken_complex_is_internal_error(self, monkeypatch, d1, d2, message):
+        """A complex with d_1 d_2 != 0 or a non-summand image cannot come from
+        component_complex; fed one, cocharacter_group names the invariant."""
+        monkeypatch.setattr(simplicial, "component_complex", lambda s: (d1, d2))
+        with pytest.raises(InternalError, match=message):
+            cocharacter_group(NODAL)
+
+
+class TestStrictInts:
+    """The constructors take ints only: a bool or a float is a bad-type,
+    never coerced."""
+
+    @pytest.mark.parametrize(
+        "counts,faces",
+        [
+            ((1, True, 1), (((0,), (0,)), ((0,), (0,), (0,)))),
+            ((1, 1.0, 1), (((0,), (0,)), ((0,), (0,), (0,)))),
+            ((1, 1, 1), (((0,), (False,)), ((0,), (0,), (0,)))),
+            ((1, 1, 1), (((0,), (0,)), ((0,), (0.0,), (0,)))),
+            ((1, 1, 1), ((0, 0), ((0,), (0,), (0,)))),
+        ],
+    )
+    def test_simplicial_components(self, counts, faces):
+        with pytest.raises(MalformedInputError) as exc:
+            SimplicialComponents(counts, faces)
+        assert exc.value.code == "bad-type"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (True, ((1,),), ((1,),), ()),
+            (1.0, ((1,),), ((1,),), ()),
+            (1, ((1.5,),), ((1,),), ()),
+            (1, ((1,),), ((True,),), ()),
+            (1, ((1,),), ((1,),), (("1",),)),
+            (True, ((1.5,),), ((True,),), ()),
+        ],
+    )
+    def test_divisor_presentation(self, args):
+        with pytest.raises(MalformedInputError) as exc:
+            DivisorPresentation(*args)
+        assert exc.value.code == "bad-type"
+
+    def test_ints_still_build(self):
+        assert SimplicialComponents([1, 2, 1], [[[0, 0], [0, 0]], [[0], [0], [0]]]) == NODAL
+        assert DivisorPresentation(1, [[1]], [[0]], [[1]]).pull0 == ((1,),)
 
 
 class TestDiv0:
@@ -168,6 +256,12 @@ class TestPicardSkeleton:
     def test_nodal_torus(self):
         sk, _ = picard_skeleton(NODAL, DivisorPresentation(0, (), (), ()), 1, P54)
         assert sk == PicardSkeleton(0, 1, 1)
+
+    def test_torus_without_level_two(self):
+        for s in (LOOP, TWO_CYCLE):
+            sk, spec = picard_skeleton(s, DivisorPresentation(0, (), (), ()), 0, P54)
+            assert sk == PicardSkeleton(0, 1, 0)
+            assert assemble(spec).module.weights == (-2,)
 
     def test_explicit_abelian_block(self):
         block = abelian_from_ap(2, P54)

@@ -111,6 +111,13 @@ class TestStrictInts:
             RingParams(5, 2).from_int(c)
         assert exc.value.code == "bad-element"
 
+    @pytest.mark.parametrize("c", [True, 0.7, [0.7], [True], ["1"], [1.0, 0]])
+    def test_teichmuller(self, c):
+        for params in (RingParams(5, 3), RingParams(3, 2, 2, (2, 2, 1))):
+            with pytest.raises(MalformedInputError) as exc:
+                teichmuller(params, c)
+            assert exc.value.code == "bad-element"
+
     def test_ints_still_build(self):
         params = RingParams(5, 2, 2, [2, 4, 1])
         assert params.modulus == (2, 4, 1)
