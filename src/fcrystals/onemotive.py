@@ -6,7 +6,9 @@ W_n(k).  Assembly produces a level-1 filtered module whose basis is ordered
 torus part (weight -2), abelian part (weight -1), lattice part (weight 0),
 with the extension blocks sitting strictly above the diagonal; Verschiebung
 is determined as sigma^(-1)(p F^(-1)) from the canonical integer lift of F
-and must come out integral.
+and must come out integral.  The realization computes on coordinate rows at
+two guard digits and boxes only the three off-diagonal V blocks it returns;
+the graded blocks are built once per presentation.
 
 The dual presentation is constructed so that assembling it reproduces the
 twisted dual of the assembled module up to an explicit basis permutation,
@@ -22,7 +24,6 @@ from functools import cached_property
 from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, lattice_block, torus_block
 from .errors import (
-    DomainError,
     FCrystalsError,
     IncompatibleRingsError,
     InternalError,
@@ -34,26 +35,21 @@ from .errors import (
 from .semilinear import (
     FilteredFModule,
     VerifyReport,
+    _box,
+    _mul,
+    _scalar_gap,
+    _sigma_rows,
     conjugate_by_permutation,
     twisted_dual,
     verify,
-    wm_balanced_lift,
     wm_block,
     wm_det,
     wm_eq,
-    wm_identity,
     wm_mul,
-    wm_neg,
-    wm_reduce,
-    wm_scal,
     wm_shape,
-    wm_sigma,
-    wm_sigma_inv,
-    wm_sub,
     wm_submatrix,
     wm_transpose,
     wm_zero,
-    wmat,
     WMat,
 )
 from .witt import RingParams, with_precision
@@ -109,6 +105,11 @@ class OneMotiveSpec:
     def segments(self) -> tuple[int, int, int]:
         """Ranks of the (torus, abelian, lattice) basis segments."""
         return self.torus.rank, 2 * self.abelian.dim, self.lattice.rank
+
+    @cached_property
+    def blocks(self) -> tuple[FilteredFModule, FilteredFModule, FilteredFModule]:
+        """The (torus, abelian, lattice) graded blocks, built once per presentation."""
+        return torus_block(self.torus, self.params), self.abelian.crystal, lattice_block(self.lattice, self.params)
 
     @cached_property
     def assembled(self) -> "MotiveCrystal":
@@ -185,9 +186,7 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
     params = s.params
     rT, g2, rX = s.segments
     r = rT + g2 + rX
-    tb = torus_block(s.torus, params)
-    ab = s.abelian.crystal
-    lb = lattice_block(s.lattice, params)
+    tb, ab, lb = s.blocks
     sizes = [rT, g2, rX]
     f = wm_block(
         params,
@@ -199,53 +198,52 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
         sizes,
         sizes,
     )
-    # Off-diagonal blocks of p F^(-1), computed at two guard digits from
-    # balanced lifts.  The cancellations in F sigma(V) = V sigma^(-1)(F) = p
-    # are exact provided the lifted abelian identities hold on the nose,
-    # which is the case for every built-in block constructor (their matrices
-    # have small integer representatives); reject other abelian data.
+    # Off-diagonal blocks of p F^(-1), on coordinate rows at two guard digits
+    # from balanced lifts.  The cancellations in F sigma(V) = V sigma^(-1)(F)
+    # = p are exact provided the lifted abelian identities hold on the nose,
+    # as for every built-in block constructor (their matrices have small
+    # integer representatives); reject other abelian data.
     big = with_precision(params, params.n + 2)
-    va_lift = wm_balanced_lift(ab.v_mat, big)
-    sig_va = wm_sigma(va_lift)
+    p, pn, half, bpn, pad = params.p, params.pn, params.pn // 2, big.pn, (0,) * (params.a - 1)
+
+    def lift(m: WMat) -> list[list[tuple[int, ...]]]:
+        return [[tuple((c if c <= half else c - pn) % bpn for c in x.coords) for x in row] for row in m]
+
+    # p F^(-1) has blocks -B^(-1) ext_at sigma(V_A), -w_div A^(-1) and
+    # -B^(-1) (ext_xt - ext_at w_div) A^(-1); V's blocks are sigma^(-1) of them
+    def down(rows) -> WMat:  # -sigma^(-1)(rows), reduced to W_n and boxed
+        inv = _sigma_rows(big, rows, "frobenius_inverse_matrix")
+        return _box(params, [[tuple(-c % pn for c in x) for x in row] for row in inv])
+
+    va = lift(ab.v_mat)
+    sig_va = _sigma_rows(big, va, "frobenius_matrix")
     if g2:
-        d_lift = wm_balanced_lift(ab.f_mat, big)
-        p_ident = wm_scal(big.from_int(params.p), wm_identity(big, g2))
-        if not wm_eq(wm_mul(big, d_lift, sig_va), p_ident) or not wm_eq(
-            wm_mul(big, va_lift, wm_sigma_inv(d_lift)), p_ident
+        d = lift(ab.f_mat)
+        if _scalar_gap(big, _mul(big, d, sig_va), p) or _scalar_gap(
+            big, _mul(big, va, _sigma_rows(big, d, "frobenius_inverse_matrix")), p
         ):
             raise UnsupportedInputError(
                 "abelian block does not lift exactly: its balanced representatives "
                 "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
             )
-    binv_int = wmat(big, s.torus.sigma_inverse) if rT else None
-    ainv_int = wmat(big, s.lattice.sigma_inverse) if rX else None
-    w_div = None
+    binv = [[(c % bpn,) + pad for c in row] for row in s.torus.sigma_inverse]
+    ainv = [[(c % bpn,) + pad for c in row] for row in s.lattice.sigma_inverse]
+    v_ta, v_ax, v_tx = wm_zero(params, rT, g2), wm_zero(params, g2, rX), wm_zero(params, rT, rX)
+    at, inner = lift(s.ext_at), lift(s.ext_xt)  # inner: ext_xt - ext_at . w_div
     if g2 and rX:
-        prod_ax = wm_mul(big, sig_va, wm_balanced_lift(s.ext_xa, big))
-        try:
-            w_div = tuple(tuple(x.divide_exact(1) for x in row) for row in prod_ax)
-        except DomainError:
+        prod_ax = _mul(big, sig_va, lift(s.ext_xa))
+        if any(c % p for row in prod_ax for x in row for c in x):
             raise InvalidExtensionDataError(
                 "sigma(V_A) . ext_xa is not divisible by p: Verschiebung is not integral"
             )
-    v_ta = wm_zero(params, rT, g2)
+        w_div = [[tuple(c // p for c in x) for x in row] for row in prod_ax]
+        v_ax = down(_mul(big, w_div, ainv))
+        at_w = _mul(big, at, w_div)
+        inner = [[tuple((u - v) % bpn for u, v in zip(x, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(inner, at_w)]
     if rT and g2:
-        pinv_ta = wm_neg(
-            wm_mul(big, binv_int, wm_mul(big, wm_balanced_lift(s.ext_at, big), sig_va))
-        )
-        v_ta = wm_reduce(wm_sigma_inv(pinv_ta), params)
-    v_ax = wm_zero(params, g2, rX)
-    if g2 and rX:
-        v_ax = wm_reduce(wm_sigma_inv(wm_neg(wm_mul(big, w_div, ainv_int))), params)
-    v_tx = wm_zero(params, rT, rX)
+        v_ta = down(_mul(big, binv, _mul(big, at, sig_va)))
     if rT and rX:
-        inner = wm_neg(wm_balanced_lift(s.ext_xt, big))
-        if g2:
-            inner = wm_sub(
-                wm_mul(big, wm_balanced_lift(s.ext_at, big), w_div),
-                wm_balanced_lift(s.ext_xt, big),
-            )
-        v_tx = wm_reduce(wm_sigma_inv(wm_mul(big, binv_int, wm_mul(big, inner, ainv_int))), params)
+        v_tx = down(_mul(big, binv, _mul(big, inner, ainv)))
     v = wm_block(
         params,
         [
@@ -287,15 +285,7 @@ def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
     lattice2 = LatticeData(rT, _inverse_transpose(s.torus))
     abelian2 = AbelianBlock(s.abelian.dim, twisted_dual(s.abelian.crystal)) if g2 else AbelianBlock.empty(params)
     seg_t, seg_a, seg_x = range(0, rX), range(rX, rX + g2), range(rX + g2, rX + g2 + rT)
-    # diagonal blocks of the canonical dual must agree with the dual blocks
-    for what, seg, block in (
-        ("torus", seg_t, torus_block(torus2, params)),
-        ("abelian", seg_a, abelian2.crystal),
-        ("lattice", seg_x, lattice_block(lattice2, params)),
-    ):
-        if not wm_eq(wm_submatrix(f_c, seg, seg), block.f_mat):
-            raise InternalError(f"the {what} block of the canonical dual disagrees with the dual spec")
-    return OneMotiveSpec(
+    dual = OneMotiveSpec(
         params,
         lattice2,
         torus2,
@@ -305,6 +295,11 @@ def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
         wm_submatrix(f_c, seg_t, seg_x),
         label=f"{s.label}^dual" if s.label else "dual",
     )
+    # diagonal blocks of the canonical dual must agree with the dual blocks
+    for what, seg, block in zip(("torus", "abelian", "lattice"), (seg_t, seg_a, seg_x), dual.blocks):
+        if not wm_eq(wm_submatrix(f_c, seg, seg), block.f_mat):
+            raise InternalError(f"the {what} block of the canonical dual disagrees with the dual spec")
+    return dual
 
 
 def dual_witness(s: OneMotiveSpec):
@@ -364,12 +359,15 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
             f"their presentations {r}"
         )
     pi = _dual_permutation(rX, g2, rT)[::-1]
-    zero, one = params.zero(), params.one()
-    gram = tuple(tuple(one if j == pi[i] else zero for j in range(r)) for i in range(r))
+    zero = params.zero()
+
+    def placed(c):  # c at each (i, pi[i]), zero elsewhere
+        return tuple(tuple(c if j == pi[i] else zero for j in range(r)) for i in range(r))
+
+    gram, p_gram = placed(params.one()), placed(params.from_int(params.p))
     perfect = sorted(pi) == list(range(r))
     wts, wts_d = m.module.weights, m_dual.module.weights
     weight_orth = all(wts[i] + wts_d[pi[i]] >= -2 for i in range(r))
-    p_gram = wm_scal(params.from_int(params.p), gram)
 
     def compatible(a: WMat, b: WMat) -> bool:
         return wm_eq(wm_mul(params, wm_transpose(a), tuple(b[k] for k in pi)), p_gram)
@@ -422,9 +420,7 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     items.append(("2.d", all(w >= -2 for w in mod.weights), "no weights below -2"))
 
     shape_ok = mod.weights == (-2,) * rT + (-1,) * g2 + (0,) * rX and mod.rank == r_expect
-    tb = torus_block(s.torus, params)
-    ab = s.abelian.crystal
-    lb = lattice_block(s.lattice, params)
+    tb, ab, lb = s.blocks
     seg_t = range(0, rT)
     seg_a = range(rT, rT + g2)
     seg_x = range(rT + g2, r_expect)

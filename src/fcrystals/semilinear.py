@@ -4,8 +4,11 @@ Verschiebung, tensor and twisted-dual constructions, Newton slopes.
 A sigma-linear map is stored as a matrix M with the convention
 v |-> M . sigma(v), sigma applied entrywise to the coordinate column; a
 sigma^(-1)-linear map as v |-> M . sigma^(-1)(v).  Matrices over the Witt
-ring are immutable tuples of tuples of WittElem at the API boundary; the
-kernels check each entry's ring once and compute on packed coordinates.
+ring are immutable tuples of tuples of WittElem at the API boundary.  The
+kernels check each entry's ring once, compute on coordinate rows (rows of
+canonical coordinate tuples, packed into ints for products) and box a
+WittElem per entry only for the matrix they hand back.  One product kernel
+on coordinate rows serves wm_mul, verify and the motive realization.
 
 The weight flag is stored in an adapted basis: one weight per basis vector,
 non-decreasing along the basis (lowest weight first), with W_j spanned by
@@ -16,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import itemgetter, lshift, mul
 from typing import Sequence
 
 from . import intmat
@@ -114,26 +118,43 @@ def wm_zero(params: RingParams, r: int, c: int) -> WMat:
 
 
 def _packing(params: RingParams, terms: int):
-    """(pack, unpack) between entry coordinates and the ints the kernels use.
-    An entry packs to its coordinate (a = 1), else to its polynomial at 2^bits,
-    so an int product packs the length-(2a-1) polynomial product, and a sum of
-    `terms` of them does not carry; unpack reduces it once (modulus, p^n)."""
+    """(pack, unpack, width) between entry coordinates and the ints the kernels
+    use.  An entry packs to its coordinate (a = 1), else to its polynomial at
+    2^bits, so an int product packs the length-(2a-1) polynomial product, and
+    a sum of `terms` of them fits in `width` bits without carrying; unpack
+    reduces it once (modulus, p^n)."""
     pn, a = params.pn, params.a
-    if a == 1:
-        return (lambda c: c[0]), (lambda s: (s % pn,))
     bits = (terms * a * (pn - 1) ** 2).bit_length()
+    if a == 1:
+        return itemgetter(0), (lambda s: (s % pn,)), bits
     mask = (1 << bits) - 1
     return (
         lambda c: sum(x << (bits * i) for i, x in enumerate(c)),
         lambda s: params.reduce([(s >> (bits * i)) & mask for i in range(2 * a - 1)]),
+        (2 * a - 1) * bits,
     )
 
 
-def _pack(params: RingParams, m: WMat, pack) -> list[list]:
-    """pack(coordinates) of each entry of m, after one ring check per entry."""
+def _coords(params: RingParams, m: WMat, pack=None) -> list[list]:
+    """m's coordinate rows (pack applied to each entry), after one ring check per entry."""
     if any(x.params is not params and x.params != params for row in m for x in row):
         raise IncompatibleRingsError("matrix entry from a different ring")
-    return [[pack(x.coords) for x in row] for row in m]
+    return [[x.coords if pack is None else pack(x.coords) for x in row] for row in m]
+
+
+def _box(params: RingParams, rows) -> WMat:
+    """Coordinate rows as a WMat: the one boxing pass at the API boundary."""
+    return tuple(tuple(WittElem._raw(params, c) for c in row) for row in rows)
+
+
+def _mul(params: RingParams, a, b) -> list[list[tuple[int, ...]]]:
+    """The product kernel: a . b on coordinate rows.  Each row of b packs into
+    one int, entries `width` bits apart, so a row of a . b is one sum of int
+    products, cut into entries that are each reduced once."""
+    pack, unpack, width = _packing(params, len(b))
+    mask, shifts = (1 << width) - 1, range(0, width * len(b[0]), width) if b else ()
+    rows_b = [sum(map(lshift, map(pack, row), shifts)) for row in b]
+    return [[unpack((s >> k) & mask) for k in shifts] for s in (sum(map(mul, map(pack, row), rows_b)) for row in a)]
 
 
 def wm_mul(params: RingParams, a: WMat, b: WMat) -> WMat:
@@ -141,12 +162,7 @@ def wm_mul(params: RingParams, a: WMat, b: WMat) -> WMat:
     rb, cb = wm_shape(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    pack, unpack = _packing(params, ca)
-    cols = tuple(zip(*_pack(params, b, pack)))
-    return tuple(
-        tuple(WittElem._raw(params, unpack(sum(map(mul, row, col)))) for col in cols)
-        for row in _pack(params, a, pack)
-    )
+    return _box(params, _mul(params, _coords(params, a), _coords(params, b)))
 
 
 def wm_add(a: WMat, b: WMat) -> WMat:
@@ -174,13 +190,20 @@ def wm_transpose(a: WMat) -> WMat:
     return tuple(tuple(a[i][j] for i in range(r)) for j in range(c))
 
 
+def _sigma_rows(params: RingParams, rows, table: str):
+    """The ring's `table` (S or S^(a-1)) on each coordinate entry; rows itself when a = 1."""
+    if params.a == 1:
+        return rows
+    s = getattr(params, table)
+    return [[_apply(params, s, c) for c in row] for row in rows]
+
+
 def _sigma_each(a: WMat, table: str) -> WMat:
-    """The ring's `table` (S or S^(a-1)) on each entry's coordinates; a itself when a = 1."""
+    """_sigma_rows on the entries of a, boxed; a itself when a = 1."""
     params = a[0][0].params if a and a[0] else None
     if params is None or params.a == 1:
         return a
-    s = getattr(params, table)
-    return tuple(map(tuple, _pack(params, a, lambda c: _apply(params, s, c))))
+    return _box(params, _sigma_rows(params, _coords(params, a), table))
 
 
 def wm_sigma(a: WMat) -> WMat:
@@ -193,34 +216,23 @@ def wm_sigma_inv(a: WMat) -> WMat:
 
 def wm_eq(a: WMat, b: WMat) -> bool:
     return wm_shape(a) == wm_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+        x.coords == y.coords and (x.params is y.params or x.params == y.params) for x, y in zip(chain(*a), chain(*b))
     )
 
 
 def wm_kron(params: RingParams, a: WMat, b: WMat) -> WMat:
-    pack, unpack = _packing(params, 1)
-    pb = _pack(params, b, pack)
-    return tuple(
-        tuple(WittElem._raw(params, unpack(x * y)) for x in ra for y in rb)
-        for ra in _pack(params, a, pack)
-        for rb in pb
-    )
+    pack, unpack, _ = _packing(params, 1)
+    pb = _coords(params, b, pack)
+    return _box(params, ([unpack(x * y) for x in ra for y in rb] for ra in _coords(params, a, pack) for rb in pb))
 
 
 def wm_block(params: RingParams, grid: Sequence[Sequence[WMat]], row_sizes, col_sizes) -> WMat:
-    rows = []
-    for bi, rsize in enumerate(row_sizes):
-        for i in range(rsize):
-            row = []
-            for bj, csize in enumerate(col_sizes):
-                blk = grid[bi][bj]
-                if blk is None:
-                    row.extend([params.zero()] * csize)
-                else:
-                    if wm_shape(blk) != (rsize, csize):
-                        raise ShapeError("block has the wrong shape")
-                    row.extend(blk[i])
-            rows.append(tuple(row))
+    zero, rows = params.zero(), []
+    for blocks, rsize in zip(grid, row_sizes):
+        if rsize and any(b is not None and wm_shape(b) != (rsize, c) for b, c in zip(blocks, col_sizes)):
+            raise ShapeError("block has the wrong shape")
+        pieces = [((zero,) * c,) * rsize if b is None else b for b, c in zip(blocks, col_sizes)]
+        rows.extend(tuple(chain.from_iterable(parts)) for parts in zip(*pieces))
     return tuple(rows)
 
 
@@ -243,8 +255,8 @@ def charpoly(params: RingParams, a: WMat) -> list[WittElem]:
     r, c = wm_shape(a)
     if r != c:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    pack, unpack = _packing(params, r + 1)
-    m, minus = _pack(params, a, pack), params.pn - 1  # -1 packs to p^n - 1 for every a
+    pack, unpack, _ = _packing(params, r + 1)
+    m, minus = _coords(params, a, pack), params.pn - 1  # -1 packs to p^n - 1 for every a
 
     def red(s: int) -> int:
         return pack(unpack(s))
@@ -277,13 +289,14 @@ def wm_adjugate(params: RingParams, a: WMat) -> WMat:
     if r == 0:
         return ()
     coeffs = charpoly(params, a)  # ascending
-    acc = wm_identity(params, r)  # builds A^{r-1} + c_{r-1} A^{r-2} + ... + c_1 I
+    m, pn = _coords(params, a), params.pn
+    acc = _coords(params, wm_identity(params, r))  # builds A^{r-1} + c_{r-1} A^{r-2} + ... + c_1 I
     for i in range(r - 1, 0, -1):
-        acc = wm_mul(params, a, acc)
-        ci = wm_scal(coeffs[i], wm_identity(params, r))
-        acc = wm_add(acc, ci)
+        acc = _mul(params, m, acc)
+        for k in range(r):
+            acc[k][k] = tuple((x + y) % pn for x, y in zip(acc[k][k], coeffs[i].coords))
     # A * acc = -c_0 I = (-1)^(r+1) det(A) I
-    return acc if r % 2 == 1 else wm_neg(acc)
+    return _box(params, acc) if r % 2 == 1 else wm_neg(_box(params, acc))
 
 
 def wm_inverse_unit(params: RingParams, a: WMat) -> WMat:
@@ -343,32 +356,39 @@ class VerifyReport:
         return next((c for c in self.checks if not c.ok), None)
 
 
-def _first_entry(m: WMat, bad) -> tuple[int, int] | None:
-    """The first (i, j), row-major, with bad(i, j, m[i][j]), or None."""
-    return next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if bad(i, j, x)), None)
+def _scalar_gap(params: RingParams, rows, c: int):
+    """First (i, j) where coordinate rows (lists, as from _mul) differ from c I, with c I's entry there, or None."""
+    zero = (0,) * params.a
+    for i, row in enumerate(rows):
+        want = [zero] * len(row)
+        if i < len(row):
+            want[i] = (c % params.pn,) + zero[1:]
+        if row != want:
+            return next(((i, j), y) for j, (x, y) in enumerate(zip(row, want)) if x != y)
+    return None
 
 
 def _flag_check(what: str, weights, mat: WMat) -> CheckResult:
     """No entry of mat maps a basis vector into a lower weight."""
-    bad = _first_entry(mat, lambda i, j, x: weights[i] > weights[j] and not x.is_zero())
+    lower = ((i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if weights[i] > weights[j])
+    bad = next(((i, j) for i, j, x in lower if any(x.coords)), None)
     detail = "" if bad is None else f"{what}[{bad[0]}][{bad[1]}] breaks the flag"
     return CheckResult(f"flag-{what}", bad is None, detail)
 
 
-def _product_check(name: str, what: str, m: FilteredFModule, a: WMat, b: WMat) -> CheckResult:
-    """a . b = p^level I, else name the first entry that differs, with its
-    actual and expected coordinates."""
+def _product_check(name: str, what: str, m: FilteredFModule, a: WMat, b: WMat, table: str) -> CheckResult:
+    """a . sigma^(+-1)(b) = p^level I (table names sigma's matrix), else name
+    the first entry that differs, with its actual and expected coordinates."""
     claim = f"{what} != p^{m.level} I"
     if m.level < 0:
         return CheckResult(name, False, f"{claim}: p^{m.level} is not in W_n(k)")
-    c, zero = m.params.from_int(m.params.p**m.level), m.params.zero()
-    prod = wm_mul(m.params, a, b)
-    bad = _first_entry(prod, lambda i, j, x: x != (c if i == j else zero))
-    if bad is None:
+    params = m.params
+    prod = _mul(params, _coords(params, a), _sigma_rows(params, _coords(params, b), table))
+    gap = _scalar_gap(params, prod, params.p**m.level)
+    if gap is None:
         return CheckResult(name, True)
-    i, j = bad
-    want = c if i == j else zero
-    return CheckResult(name, False, f"{claim}: entry {bad} is {list(prod[i][j].coords)}, expected {list(want.coords)}")
+    (i, j), want = gap
+    return CheckResult(name, False, f"{claim}: entry {(i, j)} is {list(prod[i][j])}, expected {list(want)}")
 
 
 def verify(m: FilteredFModule) -> VerifyReport:
@@ -389,8 +409,8 @@ def verify(m: FilteredFModule) -> VerifyReport:
     checks.append(_flag_check("F", m.weights, m.f_mat))
     if m.v_mat is not None:
         checks.append(_flag_check("V", m.weights, m.v_mat))
-        checks.append(_product_check("fv-product", "F sigma(V)", m, m.f_mat, wm_sigma(m.v_mat)))
-        checks.append(_product_check("vf-product", "V sigma^-1(F)", m, m.v_mat, wm_sigma_inv(m.f_mat)))
+        checks.append(_product_check("fv-product", "F sigma(V)", m, m.f_mat, m.v_mat, "frobenius_matrix"))
+        checks.append(_product_check("vf-product", "V sigma^-1(F)", m, m.v_mat, m.f_mat, "frobenius_inverse_matrix"))
     return VerifyReport(tuple(checks))
 
 

@@ -337,8 +337,8 @@ class WittElem:
     @staticmethod
     def _raw(params: RingParams, coords: tuple[int, ...]) -> "WittElem":
         w = object.__new__(WittElem)
-        object.__setattr__(w, "params", params)
-        object.__setattr__(w, "coords", coords)
+        _set_params(w, params)  # the slot setters: no attribute lookup through __setattr__
+        _set_coords(w, coords)
         return w
 
     def __setattr__(self, *args):
@@ -468,6 +468,9 @@ class WittElem:
         return frobenius_inverse(self)
 
 
+_set_params, _set_coords = WittElem.params.__set__, WittElem.coords.__set__
+
+
 def lift_elem(x: WittElem, big: RingParams) -> WittElem:
     """Canonical lift: reinterpret the stored coordinates at higher precision."""
     return WittElem._raw(big, x.coords)
@@ -530,9 +533,9 @@ def teichmuller_digits(x: WittElem) -> list[tuple[int, ...]]:
     return digits
 
 
-def _apply(params: RingParams, rows: tuple[tuple[int, ...], ...], xs: tuple[int, ...]) -> WittElem:
+def _apply(params: RingParams, rows: tuple[tuple[int, ...], ...], xs: tuple[int, ...]) -> tuple[int, ...]:
     pn = params.pn
-    return WittElem._raw(params, tuple(sum(r * c for r, c in zip(row, xs)) % pn for row in rows))
+    return tuple(sum(r * c for r, c in zip(row, xs)) % pn for row in rows)
 
 
 def frobenius(x: WittElem) -> WittElem:
@@ -541,7 +544,7 @@ def frobenius(x: WittElem) -> WittElem:
     params = x.params
     if params.a == 1:
         return x
-    return _apply(params, params.frobenius_matrix, x.coords)
+    return WittElem._raw(params, _apply(params, params.frobenius_matrix, x.coords))
 
 
 def frobenius_inverse(x: WittElem) -> WittElem:
@@ -549,7 +552,7 @@ def frobenius_inverse(x: WittElem) -> WittElem:
     params = x.params
     if params.a == 1:
         return x
-    return _apply(params, params.frobenius_inverse_matrix, x.coords)
+    return WittElem._raw(params, _apply(params, params.frobenius_inverse_matrix, x.coords))
 
 
 # ---------------------------------------------------------------------------

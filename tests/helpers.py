@@ -18,21 +18,33 @@ import math
 import random
 from fractions import Fraction
 
-from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap
+from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, lattice_block, torus_block
+from fcrystals.errors import DomainError, InvalidExtensionDataError, UnsupportedInputError
 from fcrystals.onemotive import MotiveCrystal, OneMotiveSpec, PairingMatrix
 from fcrystals.semilinear import (
+    CheckResult,
+    FilteredFModule,
+    VerifyReport,
+    WMat,
+    wm_balanced_lift,
+    wm_block,
     wm_det,
     wm_eq,
+    wm_identity,
     wm_mul,
+    wm_neg,
+    wm_reduce,
     wm_scal,
     wm_sigma,
     wm_sigma_inv,
+    wm_sub,
     wm_transpose,
     wm_zero,
     wmat,
+    wmat_from_ints,
 )
 from fcrystals.simplicial import SimplicialComponents
-from fcrystals.witt import RingParams, WittElem, teichmuller, teichmuller_digits
+from fcrystals.witt import RingParams, WittElem, teichmuller, teichmuller_digits, with_precision
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +186,142 @@ def pair_oracle(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
         lhs_v = wm_mul(params, wm_transpose(m.module.v_mat), wm_mul(params, gram, m.canonical_dual.v_mat))
         versch_ok = wm_eq(lhs_v, wm_scal(p_elem, wm_sigma_inv(gram)))
     return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
+
+
+# ---------------------------------------------------------------------------
+# elementwise realization and verify oracles: the WittElem versions, kept as
+# they were before the pipeline moved to coordinate rows
+
+
+def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
+    """F and V of the presentation (see assemble), without the self-check."""
+    params = s.params
+    rT, g2, rX = s.segments
+    r = rT + g2 + rX
+    tb = torus_block(s.torus, params)
+    ab = s.abelian.crystal
+    lb = lattice_block(s.lattice, params)
+    sizes = [rT, g2, rX]
+    f = wm_block(
+        params,
+        [
+            [tb.f_mat, s.ext_at, s.ext_xt],
+            [None, ab.f_mat, s.ext_xa],
+            [None, None, lb.f_mat],
+        ],
+        sizes,
+        sizes,
+    )
+    # Off-diagonal blocks of p F^(-1), computed at two guard digits from
+    # balanced lifts.  The cancellations in F sigma(V) = V sigma^(-1)(F) = p
+    # are exact provided the lifted abelian identities hold on the nose,
+    # which is the case for every built-in block constructor (their matrices
+    # have small integer representatives); reject other abelian data.
+    big = with_precision(params, params.n + 2)
+    va_lift = wm_balanced_lift(ab.v_mat, big)
+    sig_va = wm_sigma(va_lift)
+    if g2:
+        d_lift = wm_balanced_lift(ab.f_mat, big)
+        p_ident = wm_scal(big.from_int(params.p), wm_identity(big, g2))
+        if not wm_eq(wm_mul(big, d_lift, sig_va), p_ident) or not wm_eq(
+            wm_mul(big, va_lift, wm_sigma_inv(d_lift)), p_ident
+        ):
+            raise UnsupportedInputError(
+                "abelian block does not lift exactly: its balanced representatives "
+                "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
+            )
+    binv_int = wmat(big, s.torus.sigma_inverse) if rT else None
+    ainv_int = wmat(big, s.lattice.sigma_inverse) if rX else None
+    w_div = None
+    if g2 and rX:
+        prod_ax = wm_mul(big, sig_va, wm_balanced_lift(s.ext_xa, big))
+        try:
+            w_div = tuple(tuple(x.divide_exact(1) for x in row) for row in prod_ax)
+        except DomainError:
+            raise InvalidExtensionDataError(
+                "sigma(V_A) . ext_xa is not divisible by p: Verschiebung is not integral"
+            )
+    v_ta = wm_zero(params, rT, g2)
+    if rT and g2:
+        pinv_ta = wm_neg(
+            wm_mul(big, binv_int, wm_mul(big, wm_balanced_lift(s.ext_at, big), sig_va))
+        )
+        v_ta = wm_reduce(wm_sigma_inv(pinv_ta), params)
+    v_ax = wm_zero(params, g2, rX)
+    if g2 and rX:
+        v_ax = wm_reduce(wm_sigma_inv(wm_neg(wm_mul(big, w_div, ainv_int))), params)
+    v_tx = wm_zero(params, rT, rX)
+    if rT and rX:
+        inner = wm_neg(wm_balanced_lift(s.ext_xt, big))
+        if g2:
+            inner = wm_sub(
+                wm_mul(big, wm_balanced_lift(s.ext_at, big), w_div),
+                wm_balanced_lift(s.ext_xt, big),
+            )
+        v_tx = wm_reduce(wm_sigma_inv(wm_mul(big, binv_int, wm_mul(big, inner, ainv_int))), params)
+    v = wm_block(
+        params,
+        [
+            [tb.v_mat, v_ta, v_tx],
+            [None, ab.v_mat, v_ax],
+            [None, None, lb.v_mat],
+        ],
+        sizes,
+        sizes,
+    )
+    weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
+    return FilteredFModule(params, r, weights, f, v, 1)
+
+
+def _first_entry(m: WMat, bad) -> tuple[int, int] | None:
+    """The first (i, j), row-major, with bad(i, j, m[i][j]), or None."""
+    return next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if bad(i, j, x)), None)
+
+
+def _flag_check(what: str, weights, mat: WMat) -> CheckResult:
+    """No entry of mat maps a basis vector into a lower weight."""
+    bad = _first_entry(mat, lambda i, j, x: weights[i] > weights[j] and not x.is_zero())
+    detail = "" if bad is None else f"{what}[{bad[0]}][{bad[1]}] breaks the flag"
+    return CheckResult(f"flag-{what}", bad is None, detail)
+
+
+def _product_check(name: str, what: str, m: FilteredFModule, a: WMat, b: WMat) -> CheckResult:
+    """a . b = p^level I, else name the first entry that differs, with its
+    actual and expected coordinates."""
+    claim = f"{what} != p^{m.level} I"
+    if m.level < 0:
+        return CheckResult(name, False, f"{claim}: p^{m.level} is not in W_n(k)")
+    c, zero = m.params.from_int(m.params.p**m.level), m.params.zero()
+    prod = wm_mul(m.params, a, b)
+    bad = _first_entry(prod, lambda i, j, x: x != (c if i == j else zero))
+    if bad is None:
+        return CheckResult(name, True)
+    i, j = bad
+    want = c if i == j else zero
+    return CheckResult(name, False, f"{claim}: entry {bad} is {list(prod[i][j].coords)}, expected {list(want.coords)}")
+
+
+def verify_oracle(m: FilteredFModule) -> VerifyReport:
+    """Diagnostic report on every representation invariant: weight order,
+    flag preservation by F and V, and the two compositions F sigma(V) =
+    V sigma^(-1)(F) = p^level.  Never raises; reports the first violation
+    per invariant with indices; at level < 0 both compositions fail."""
+    checks: list[CheckResult] = []
+    checks.append(CheckResult("level", m.level >= 1, f"level = {m.level}"))
+    sorted_ok = all(m.weights[i] <= m.weights[i + 1] for i in range(m.rank - 1))
+    checks.append(
+        CheckResult(
+            "weight-order",
+            sorted_ok,
+            "" if sorted_ok else f"weights {m.weights} are not non-decreasing",
+        )
+    )
+    checks.append(_flag_check("F", m.weights, m.f_mat))
+    if m.v_mat is not None:
+        checks.append(_flag_check("V", m.weights, m.v_mat))
+        checks.append(_product_check("fv-product", "F sigma(V)", m, m.f_mat, wm_sigma(m.v_mat)))
+        checks.append(_product_check("vf-product", "V sigma^-1(F)", m, m.v_mat, wm_sigma_inv(m.f_mat)))
+    return VerifyReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +536,51 @@ def random_motive_spec(
     else:
         ext_xa = wm_zero(params, g2, r_x)
     return OneMotiveSpec(params, lattice, torus, abelian, ext_at, ext_xa, ext_xt, label)
+
+
+def slope_half_block(params: RingParams) -> AbelianBlock:
+    """The rank-2 abelian block with F = V = [[0, p], [1, 0]] (both slopes 1/2),
+    valid at every residue degree a once n >= 2a + 1."""
+    mat = wmat_from_ints(params, [[0, params.p], [1, 0]])
+    return AbelianBlock.from_module(FilteredFModule(params, 2, (-1, -1), mat, mat, 1))
+
+
+def cube_root_block(params: RingParams) -> AbelianBlock:
+    """A rank-2 slope-1/2 block whose small entries sigma moves: over
+    W_n(F_4) with modulus t^2 + t + 1, t^3 = 1 and sigma(t) = t^2 = -1 - t
+    exactly, so F = [[0, 2], [t, 0]] and V = [[0, 2t], [1, 0]] satisfy
+    F sigma(V) = V sigma^(-1)(F) = 2 on the nose."""
+    if (params.p, params.a, params.modulus) != (2, 2, (1, 1, 1)):
+        raise ValueError("cube_root_block lives over W_n(F_4) with modulus t^2 + t + 1")
+    f = wmat(params, [[0, 2], [[0, 1], 0]])
+    v = wmat(params, [[0, [0, 2]], [1, 0]])
+    return AbelianBlock.from_module(FilteredFModule(params, 2, (-1, -1), f, v, 1))
+
+
+def random_galois_motive_spec(
+    rng: random.Random, params: RingParams, max_x: int = 3, max_t: int = 3, block=slope_half_block
+) -> OneMotiveSpec:
+    """A valid random presentation over any W_n(F_{p^a}): signed-permutation
+    actions, no abelian part or block(params), extension entries with all a
+    coordinates random, and ext_xa in the image of the abelian Frobenius."""
+    r_x, r_t, g2 = rng.randint(0, max_x), rng.randint(0, max_t), 2 * rng.randint(0, 1)
+    abelian = block(params) if g2 else AbelianBlock.empty(params)
+
+    def rand_mat(rows: int, cols: int):
+        entries = [[[rng.randrange(params.pn) for _ in range(params.a)] for _ in range(cols)] for _ in range(rows)]
+        return wmat(params, entries) if rows else wm_zero(params, rows, cols)
+
+    ext_xa = wm_mul(params, abelian.crystal.f_mat, rand_mat(g2, r_x)) if g2 and r_x else wm_zero(params, g2, r_x)
+    return OneMotiveSpec(
+        params,
+        LatticeData(r_x, random_signed_permutation(rng, r_x)),
+        TorusData(r_t, random_signed_permutation(rng, r_t)),
+        abelian,
+        rand_mat(r_t, g2),
+        ext_xa,
+        rand_mat(r_t, r_x),
+        "galois",
+    )
 
 
 def random_simplicial(rng: random.Random, max_count: int = 6) -> SimplicialComponents:

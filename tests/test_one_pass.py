@@ -1,5 +1,5 @@
 """The motive pipeline computes each derived object of a presentation once:
-one realization per presentation, one verify report per module, one
+one realization and one set of graded blocks per presentation, one verify report per module, one
 canonical dual per assembled module, one action inverse per lattice, read
 off one Smith normal form, three Smith forms per cocharacter group, and one
 matrix product per pairing identity.
@@ -21,11 +21,11 @@ import fcrystals.intmat
 import fcrystals.witt
 import fcrystals.onemotive as onemotive
 import fcrystals.semilinear as semilinear
-from fcrystals.blocks import AbelianBlock, LatticeData, TorusData
+from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, torus_block
 from fcrystals.cli import main
 from fcrystals.errors import InternalError
 from fcrystals.onemotive import OneMotiveSpec, assemble, cartier_dual, pair
-from fcrystals.semilinear import FilteredFModule
+from fcrystals.semilinear import FilteredFModule, wm_scal
 from fcrystals.serialize import motive_from_doc
 from fcrystals.witt import RingParams
 
@@ -73,6 +73,38 @@ def _counted_run(monkeypatch, argv):
 def test_motive_verify_work_counts(monkeypatch, fixture, expected):
     _, counts, _ = _counted_run(monkeypatch, ["motive-verify", "--in", os.path.join(FX, fixture)])
     assert {name: counts[name] for name in expected} == expected
+
+
+def test_graded_blocks_are_built_once_per_presentation(monkeypatch):
+    """One motive-verify of motive_mixed.json builds the torus and lattice
+    blocks of the presentation and of its dual once each (four times each,
+    in _realize, verify_motive, cartier_dual and the dual's _realize, before
+    the blocks were kept on the presentation)."""
+    counts = Counter()
+    for name in ("torus_block", "lattice_block"):
+        _count_calls(monkeypatch, counts, onemotive, name)
+    code, _, _ = _counted_run(monkeypatch, ["motive-verify", "--in", os.path.join(FX, "motive_mixed.json")])
+    assert code == 0
+    assert (counts["torus_block"], counts["lattice_block"]) == (2, 2)
+    s = _kummer()
+    assert s.blocks is s.blocks
+
+
+def test_dual_block_disagreement_raises_internal_error(monkeypatch):
+    """cartier_dual checks the canonical dual's diagonal blocks against the
+    dual presentation's blocks; here the dual torus block is skewed to 2 B."""
+
+    def skewed(d, params):
+        block = torus_block(d, params)
+        if not d.rank:
+            return block
+        f = wm_scal(params.from_int(2), block.f_mat)
+        return FilteredFModule(params, d.rank, block.weights, f, block.v_mat, block.level)
+
+    monkeypatch.setattr(onemotive, "torus_block", skewed)
+    s = OneMotiveSpec.split(P54, LatticeData.trivial(1), TorusData.trivial(0), AbelianBlock.empty(P54))
+    with pytest.raises(InternalError, match="the torus block of the canonical dual disagrees with the dual spec"):
+        cartier_dual(s)
 
 
 def test_pair_is_two_products(monkeypatch):

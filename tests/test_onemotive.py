@@ -11,7 +11,14 @@ from fcrystals.blocks import (
     lattice_block,
     torus_block,
 )
-from fcrystals.errors import InvalidExtensionDataError, MalformedInputError, ShapeError
+from fcrystals import onemotive
+from fcrystals.errors import (
+    FCrystalsError,
+    InvalidExtensionDataError,
+    MalformedInputError,
+    ShapeError,
+    UnsupportedInputError,
+)
 from fcrystals.onemotive import (
     MotiveCrystal,
     OneMotiveSpec,
@@ -38,9 +45,16 @@ from fcrystals.semilinear import (
     wmat,
     wmat_from_ints,
 )
-from fcrystals.witt import RingParams, with_precision
+from fcrystals.witt import RingParams, default_modulus, with_precision
 
-from helpers import pair_oracle, random_motive_spec
+from helpers import (
+    pair_oracle,
+    random_galois_motive_spec,
+    cube_root_block,
+    random_motive_spec,
+    realize_oracle,
+    slope_half_block,
+)
 
 P54 = RingParams(5, 4)
 P34 = RingParams(3, 4)
@@ -524,3 +538,90 @@ class TestBaseChange:
             assert wm_eq(wm_reduce(m_small.module.v_mat, v_prec), wm_reduce(m_big.module.v_mat, v_prec))
             divided += s.abelian.dim > 0 and s.lattice.rank > 0
         assert divided >= 10
+
+
+def _outcome(realize, s):
+    """What realize does with s: ("module", rank, weights, level, F, V coordinates and
+    rings), or ("error", its type and message)."""
+    try:
+        m = realize(s)
+    except FCrystalsError as exc:
+        return "error", type(exc), str(exc)
+    entries = lambda mat: [[(x.params, x.coords) for x in row] for row in mat]  # noqa: E731
+    return "module", m.rank, m.weights, m.level, entries(m.f_mat), entries(m.v_mat)
+
+
+class TestRealizeOracle:
+    """_realize on coordinate rows against the elementwise WittElem realization
+    in tests/helpers.realize_oracle: the same F and V entry for entry, and the
+    same error with the same message on every rejected presentation."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_specs(self, p):
+        params = RingParams(p, 6)
+        for seed in range(40):
+            s = random_motive_spec(random.Random(seed), params)
+            got = _outcome(onemotive._realize, s)
+            assert got[0] == "module" and got == _outcome(realize_oracle, s)
+
+    @pytest.mark.parametrize(
+        "p,n,a,block",
+        [
+            (2, 5, 2, slope_half_block),
+            (3, 5, 2, slope_half_block),
+            (5, 5, 2, slope_half_block),
+            (2, 7, 3, slope_half_block),
+            (3, 7, 3, slope_half_block),
+            (2, 5, 2, cube_root_block),
+        ],
+    )
+    def test_galois_rings(self, p, n, a, block):
+        """a > 1, where sigma moves coordinates: no abelian part, the
+        slope-1/2 block F = V = [[0, p], [1, 0]], or a slope-1/2 block whose
+        entries sigma moves."""
+        params = RingParams(p, n, a, default_modulus(p, a))
+        coupled = 0
+        for seed in range(12):
+            s = random_galois_motive_spec(random.Random(seed), params, block=block)
+            got = _outcome(onemotive._realize, s)
+            assert got[0] == "module" and got == _outcome(realize_oracle, s)
+            assert verify(onemotive._realize(s)).ok
+            coupled += s.abelian.dim > 0 and s.torus.rank > 0 and s.lattice.rank > 0
+        assert coupled >= 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_inexact_abelian_lift(self, p):
+        """F = diag(u, p u), V = diag(p/u, 1/u) verifies mod p^n, but the
+        balanced lift of 1/u is not an integer inverse of u."""
+        params = RingParams(p, 4)
+        u = 2 if p != 2 else 3
+        uinv = pow(u, -1, params.pn)
+        f = wmat_from_ints(params, [[u, 0], [0, p * u]])
+        v = wmat_from_ints(params, [[p * uinv, 0], [0, uinv]])
+        abelian = AbelianBlock.from_module(FilteredFModule(params, 2, (-1, -1), f, v, 1))
+        s = OneMotiveSpec.split(params, LatticeData.trivial(1), TorusData.trivial(1), abelian)
+        got = _outcome(onemotive._realize, s)
+        assert got[:2] == ("error", UnsupportedInputError)
+        assert got == _outcome(realize_oracle, s)
+
+    @pytest.mark.parametrize("p,n,a", [(3, 4, 1), (5, 6, 1), (2, 5, 2), (3, 7, 3)])
+    def test_indivisible_extension(self, p, n, a):
+        """ext_xa outside the image of F_A: sigma(V_A) . ext_xa is not divisible by p."""
+        params = RingParams(p, n, a, default_modulus(p, a) if a > 1 else None)
+        rng = random.Random(p * n * a)
+        rejected = 0
+        for _ in range(10):
+            entries = [[[rng.randrange(params.pn) for _ in range(a)] for _ in range(2)] for _ in range(2)]
+            s = OneMotiveSpec(
+                params,
+                LatticeData.trivial(2),
+                TorusData.trivial(1),
+                slope_half_block(params),
+                wm_zero(params, 1, 2),
+                wmat(params, entries),
+                wm_zero(params, 1, 2),
+            )
+            got = _outcome(onemotive._realize, s)
+            assert got == _outcome(realize_oracle, s)
+            rejected += got[:2] == ("error", InvalidExtensionDataError)
+        assert rejected >= 8

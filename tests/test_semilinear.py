@@ -29,6 +29,7 @@ from fcrystals.semilinear import (
     verify,
     wm_det,
     wm_eq,
+    wm_block,
     wm_identity,
     wm_inverse_unit,
     wm_kron,
@@ -41,16 +42,18 @@ from fcrystals.semilinear import (
     _argsort_stable,
 )
 from fcrystals.simplicial import component_complex
-from fcrystals.witt import RingParams, WittElem, default_modulus
+from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
 
 from helpers import (
     bareiss_det,
     charpoly_oracle,
     frobenius_oracle,
+    random_galois_motive_spec,
     random_motive_spec,
     random_simplicial,
     random_unimodular,
     smith_oracle,
+    verify_oracle,
     wm_mul_oracle,
 )
 
@@ -311,6 +314,99 @@ class TestVerify:
         assert "flag-V" in names
 
 
+def _report_or_error(check, m):
+    try:
+        return check(m)
+    except IncompatibleRingsError as exc:
+        return "raised", str(exc)
+
+
+def _replaced(m: FilteredFModule, which: str, i: int, j: int, x: WittElem, level=None) -> FilteredFModule:
+    """m with entry (i, j) of F or V replaced by x, at m's level or the one given."""
+    mats = {"F": [list(row) for row in m.f_mat], "V": [list(row) for row in m.v_mat]}
+    mats[which][i][j] = x
+    f, v = (tuple(map(tuple, mats[k])) for k in "FV")
+    return FilteredFModule(m.params, m.rank, m.weights, f, v, m.level if level is None else level)
+
+
+def _oracle_modules():
+    """Assembled modules at a = 1 and a = 2, all of positive rank."""
+    rings = [RingParams(p, 6) for p in (2, 3, 5)] + [RingParams(p, 5, 2, default_modulus(p, 2)) for p in (2, 3)]
+    for params in rings:
+        for seed in range(12):
+            rng = random.Random(seed)
+            s = random_galois_motive_spec(rng, params) if params.a > 1 else random_motive_spec(rng, params)
+            m = assemble(s).module
+            if m.rank:
+                yield rng, m
+
+
+class TestVerifyOracle:
+    """verify on coordinate rows against the WittElem verify kept in
+    tests/helpers.verify_oracle: equal reports, detail strings included."""
+
+    def test_tampered_entries(self):
+        """One F or V entry moved by unit * p^v: the first offending entry and
+        its coordinates are named the same way."""
+        failing = 0
+        for rng, m in _oracle_modules():
+            params = m.params
+            for _ in range(4):
+                which, i, j = rng.choice("FV"), rng.randrange(m.rank), rng.randrange(m.rank)
+                unit = params.zero()
+                while not unit.is_unit():
+                    unit = params.elem([rng.randrange(params.pn) for _ in range(params.a)])
+                old = (m.f_mat if which == "F" else m.v_mat)[i][j]
+                t = _replaced(m, which, i, j, old + unit * params.from_int(params.p ** rng.randrange(params.n)))
+                rep = verify(t)
+                assert rep == verify_oracle(t)
+                failing += not rep.ok
+        assert failing >= 200
+
+    def test_flag_entry_with_zero_first_coordinate(self):
+        """At a = 2 an entry can be nonzero with first coordinate 0."""
+        params = RingParams(3, 5, 2, default_modulus(3, 2))
+        t = params.elem([0, 1])
+        m = FilteredFModule(params, 2, (-2, 0), wmat(params, [[1, 0], [t, 3]]), wmat(params, [[3, 0], [t, 1]]), 1)
+        rep = verify(m)
+        assert rep == verify_oracle(m)
+        assert [c.detail for c in rep.checks if c.name.startswith("flag")] == ["F[1][0] breaks the flag", "V[1][0] breaks the flag"]
+
+    @pytest.mark.parametrize("level", [-2, -1, 0, 2])
+    def test_levels(self, level):
+        """Level <= 0 and a level the module does not have: the level check
+        and both products fail, with the oracle's details."""
+        for rng, m in _oracle_modules():
+            t = FilteredFModule(m.params, m.rank, m.weights, m.f_mat, m.v_mat, level)
+            rep = verify(t)
+            assert rep == verify_oracle(t) and not rep.ok
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_ring_mismatch(self, level):
+        """An entry from another ring raises the oracle's IncompatibleRingsError."""
+        for rng, m in _oracle_modules():
+            i, j = rng.randrange(m.rank), rng.randrange(m.rank)
+            for which in "FV":
+                old = (m.f_mat if which == "F" else m.v_mat)[i][j]
+                t = _replaced(m, which, i, j, WittElem(with_precision(m.params, m.params.n + 1), old.coords), level)
+                got = _report_or_error(verify, t)
+                assert got == ("raised", "matrix entry from a different ring")
+                assert got == _report_or_error(verify_oracle, t)
+
+    def test_ring_mismatch_at_negative_level(self):
+        """At level < 0 no product is formed and verify reads no entry's ring:
+        it reports and does not raise.  The oracle agrees at a = 1; at a > 1 it
+        raised from the sigma pass it made before looking at the level."""
+        for rng, m in _oracle_modules():
+            t = _replaced(m, "V", 0, 0, WittElem(with_precision(m.params, m.params.n + 1), m.v_mat[0][0].coords), -1)
+            rep = verify(t)
+            assert [c.name for c in rep.checks if not c.ok] == ["level", "fv-product", "vf-product"]
+            if m.params.a == 1:
+                assert rep == verify_oracle(t)
+            else:
+                assert _report_or_error(verify_oracle, t) == ("raised", "matrix entry from a different ring")
+
+
 # ---------------------------------------------------------------------------
 # tensor / dual / direct sum
 
@@ -514,6 +610,21 @@ class TestMatrixKernels:
             a = wmat(P54, random_unimodular(rng, 3))
             inv = wm_inverse_unit(P54, a)
             assert wm_eq(wm_mul(P54, a, inv), wm_identity(P54, 3))
+
+    def test_wm_eq_compares_rings(self):
+        """Equal coordinates over different rings are different matrices, as
+        for WittElem ==; an equal ring need not be the same object."""
+        a = wmat_from_ints(P54, [[1, 2], [3, 4]])
+        assert wm_eq(a, wmat_from_ints(RingParams(5, 4), [[1, 2], [3, 4]]))
+        assert not wm_eq(a, wmat_from_ints(RingParams(5, 5), [[1, 2], [3, 4]]))
+        assert not wm_eq(a, wmat_from_ints(P54, [[1, 2], [3, 5]]))
+
+    def test_block_shapes(self):
+        one, i2 = wmat_from_ints(P54, [[1]]), wm_identity(P54, 2)
+        assert wm_eq(wm_block(P54, [[one, None], [None, i2]], [1, 2], [1, 2]), wm_identity(P54, 3))
+        with pytest.raises(ShapeError):
+            wm_block(P54, [[one, one], [None, i2]], [1, 2], [1, 2])
+        assert wm_block(P54, [[one, None]], [0], [1, 1]) == ()  # a block row of height 0 reads no block
 
     def test_conjugate_isomorphism_witness(self):
         rng = random.Random(19)
