@@ -4,7 +4,10 @@ Matrices are plain lists of lists of Python ints (row-major).  The Smith
 normal form is the only elimination: kernels, exact solutions, ranks and
 unimodular inverses are read off U a V = D, and ``inverses=True`` carries
 U^(-1) and V^(-1) beside U and V (the inverse of each row or column
-operation, applied on the other side).  All routines are deterministic; the
+operation, applied on the other side).  An elimination builds only the
+transforms its caller asks for (``build``); pivots are chosen from the
+working matrix alone, so skipping a transform cannot move D or any
+transform that is built.  All routines are deterministic; the
 Smith pivot rule is fixed (smallest absolute nonzero value, ties broken
 row-major) so outputs are reproducible.  The pivot search stops at the
 first +-1, the pivot a full scan picks: nothing nonzero is smaller, and
@@ -14,9 +17,9 @@ divisor-chain sweep is skipped.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import InvalidActionError, ShapeError
+from .errors import InternalError, InvalidActionError, ShapeError
 
 IntMat = list[list[int]]
 
@@ -42,8 +45,8 @@ def copy(a) -> IntMat:
 
 
 def transpose(a) -> IntMat:
-    r, c = shape(a)
-    return [[a[i][j] for i in range(r)] for j in range(c)]
+    shape(a)
+    return [list(col) for col in zip(*a)]
 
 
 def mul(a, b) -> IntMat:
@@ -116,10 +119,12 @@ def _pivot(m: IntMat, t: int, rows: int, cols: int):
     return best
 
 
-def smith_normal_form(a, *, inverses: bool = False) -> tuple[IntMat, ...]:
+def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None = None) -> tuple[IntMat | None, ...]:
     """Return (U, D, V) with U a V = D, U and V unimodular, D diagonal with
     each diagonal entry dividing the next; (U, D, V, U^(-1), V^(-1)) with
-    ``inverses=True``.
+    ``inverses=True``.  ``build`` names the transforms to compute, from
+    "u", "v" and, with ``inverses=True``, "u_inv" and "v_inv" (default: all
+    of them); a slot not built is None.
 
     Pivot selection is the smallest nonzero absolute value, ties broken
     row-major, so the decomposition is reproducible.
@@ -130,13 +135,23 @@ def smith_normal_form(a, *, inverses: bool = False) -> tuple[IntMat, ...]:
     >>> u, d, v, ui, vi = smith_normal_form([[2, 4], [6, 8]], inverses=True)
     >>> mul(u, ui) == identity(2) == mul(vi, v)
     True
+    >>> smith_normal_form([[2, 4], [6, 8]], inverses=True, build=("v_inv",)) == (None, d, None, None, vi)
+    True
     """
     rows, cols = shape(a)
+    slots = ("u", "v", "u_inv", "v_inv") if inverses else ("u", "v")
+    if build is None:
+        build = slots
+    elif not set(build) <= set(slots):
+        raise InternalError(f"cannot build {sorted(set(build) - set(slots))}; the slots are {slots}")
     m = copy(a)
-    u = identity(rows)
     # vt and ut hold the transposes of V and U^(-1): their column ops are row ops
-    vt = identity(cols)
-    ut, vi = (identity(rows), identity(cols)) if inverses else (None, None)
+    u = identity(rows) if "u" in build else None
+    vt = identity(cols) if "v" in build else None
+    ut = identity(rows) if "u_inv" in build else None
+    vi = identity(cols) if "v_inv" in build else None
+    row_ops = [x for x in (m, u, ut) if x is not None]  # swapped and negated with the rows of m
+    col_ops = [x for x in (vt, vi) if x is not None]  # swapped with the columns of m
     t = 0
     while t < min(rows, cols):
         piv = _pivot(m, t, rows, cols)
@@ -145,21 +160,16 @@ def smith_normal_form(a, *, inverses: bool = False) -> tuple[IntMat, ...]:
         while True:
             pi, pj = piv
             if pi != t:
-                m[t], m[pi] = m[pi], m[t]
-                u[t], u[pi] = u[pi], u[t]
-                if inverses:
-                    ut[t], ut[pi] = ut[pi], ut[t]
+                for x in row_ops:
+                    x[t], x[pi] = x[pi], x[t]
             if pj != t:
                 for row in m[t:]:  # rows above t are zero from column t on
                     row[t], row[pj] = row[pj], row[t]
-                vt[t], vt[pj] = vt[pj], vt[t]
-                if inverses:
-                    vi[t], vi[pj] = vi[pj], vi[t]
+                for x in col_ops:
+                    x[t], x[pj] = x[pj], x[t]
             if m[t][t] < 0:
-                m[t] = [-x for x in m[t]]
-                u[t] = [-x for x in u[t]]
-                if inverses:
-                    ut[t] = [-x for x in ut[t]]
+                for x in row_ops:
+                    x[t] = [-y for y in x[t]]
             # reduce column t
             dirty = False
             for i in range(t + 1, rows):
@@ -167,8 +177,9 @@ def smith_normal_form(a, *, inverses: bool = False) -> tuple[IntMat, ...]:
                     q = m[i][t] // m[t][t]
                     if q:
                         m[i][t:] = [x - q * y for x, y in zip(m[i][t:], m[t][t:])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                        if inverses:
+                        if u is not None:
+                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                        if ut is not None:
                             ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
                     if m[i][t]:
                         dirty = True
@@ -182,8 +193,9 @@ def smith_normal_form(a, *, inverses: bool = False) -> tuple[IntMat, ...]:
                     q = m[t][j] // m[t][t]
                     if q:
                         m[t][j] -= q * m[t][t]
-                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
-                        if inverses:
+                        if vt is not None:
+                            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                        if vi is not None:
                             vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
                     if m[t][j]:
                         dirty = True
@@ -196,17 +208,18 @@ def smith_normal_form(a, *, inverses: bool = False) -> tuple[IntMat, ...]:
             if bad is None:
                 break
             m[t] = [x + y for x, y in zip(m[t], m[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
-            if inverses:
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            if ut is not None:
                 ut[bad] = [x - y for x, y in zip(ut[bad], ut[t])]
             piv = _pivot(m, t, rows, cols)
         t += 1
-    out = (u, m, [list(col) for col in zip(*vt)])
-    return out + ([list(col) for col in zip(*ut)], vi) if inverses else out
+    out = (u, m, None if vt is None else [list(col) for col in zip(*vt)])
+    return out + (None if ut is None else [list(col) for col in zip(*ut)], vi) if inverses else out
 
 
 def elementary_divisors(a) -> list[int]:
-    _, d, _ = smith_normal_form(a)
+    _, d, _ = smith_normal_form(a, build=())
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
 
 
@@ -220,7 +233,7 @@ def kernel_basis(a) -> list[list[int]]:
     rows, cols = shape(a)
     if cols == 0:
         return []
-    _, d, v = smith_normal_form(a)
+    _, d, v = smith_normal_form(a, build=("v",))
     nonzero = sum(1 for i in range(min(rows, cols)) if d[i][i])
     return [[v[i][j] for i in range(cols)] for j in range(nonzero, cols)]
 

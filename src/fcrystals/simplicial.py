@@ -94,7 +94,13 @@ def component_complex(s: SimplicialComponents) -> tuple[list[list[int]], list[li
         d2[s.face(2, 0)[j]][j] += 1
         d2[s.face(2, 1)[j]][j] -= 1
         d2[s.face(2, 2)[j]][j] += 1
-    if any(x for row in intmat.mul(d1, d2) for x in row):
+    # column j of d_1 d_2 counts the vertices of simplex j's edges with signs: it is
+    # zero exactly when the + and - vertices agree as multisets
+    d10, d11 = s.face(1, 0), s.face(1, 1)
+    if any(
+        sorted((d10[e0], d11[e1], d10[e2])) != sorted((d11[e0], d10[e1], d11[e2]))
+        for e0, e1, e2 in zip(s.face(2, 0), s.face(2, 1), s.face(2, 2))
+    ):
         raise InternalError("d_1 d_2 != 0 although the simplicial identities hold")
     return d1, d2
 
@@ -116,7 +122,7 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     divisors = intmat.elementary_divisors(d1)
     if any(d != 1 for d in divisors):
         raise InternalError("image of C_1 -> C_0 is not a direct summand")
-    _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True)
+    _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True, build=("v", "v_inv"))
     r2 = sum(1 for i in range(min(len(d), c1)) if d[i][i])  # rank of d^2
     if r2 == c1:
         return 0, []
@@ -124,7 +130,7 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     image = intmat.mul(vinv, dual1)
     if any(x for row in image[:r2] for x in row):
         raise InternalError("image of d^1 does not land in Ker d^2")
-    _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True)
+    _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True, build=("u_inv",))
     nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
     if any(x != 1 for x in nz):
         raise InternalError("cocharacter quotient has torsion")

@@ -1,7 +1,8 @@
 """The motive pipeline computes each derived object of a presentation once:
 one realization and one set of graded blocks per presentation, one verify report per module, one
 canonical dual per assembled module, one action inverse per lattice, read
-off one Smith normal form, three Smith forms per cocharacter group, and one
+off one Smith normal form, three Smith forms per cocharacter group (each
+building only the transforms it reads), and one
 matrix product per pairing identity.
 And an internal invariant that fails raises InternalError, also under
 python -O."""
@@ -173,6 +174,26 @@ def test_cocharacters_take_three_eliminations(monkeypatch):
         "solve_exact": 0,
         "inverse_unimodular": 0,
     }
+
+
+def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
+    """Of the three Smith forms of one simplicial-cochar call, the summand
+    check on d_1 builds no transform, the kernel form V and V^(-1), and the
+    lift form U^(-1) alone."""
+    built = []
+    original = fcrystals.intmat.smith_normal_form
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        names = ("u", None, "v", "u_inv", "v_inv")
+        built.append({name for name, x in zip(names, result) if name and x is not None})
+        return result
+
+    monkeypatch.setattr(fcrystals.intmat, "smith_normal_form", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
+    assert code == 0
+    assert built == [set(), {"v", "v_inv"}, {"u_inv"}]
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

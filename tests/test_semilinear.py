@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from fcrystals import intmat
 from fcrystals.blocks import LatticeData, TorusData, abelian_from_ap, lattice_block, tate, torus_block
 from fcrystals.errors import (
     IncompatibleRingsError,
+    InternalError,
     InvalidActionError,
     MalformedInputError,
     PrecisionError,
@@ -182,10 +184,33 @@ def _smith_cases():
     return cases
 
 
+SLOTS = {"u": 0, "v": 2, "u_inv": 3, "v_inv": 4}  # name -> place in the inverses=True tuple
+SUBSETS = [subset for k in range(len(SLOTS) + 1) for subset in itertools.combinations(SLOTS, k)]
+
+
+def _selected(full, subset):
+    """The full (U, D, V[, U^(-1), V^(-1)]) with every transform outside subset set to None."""
+    keep = {1} | {SLOTS[name] for name in subset}
+    return tuple(x if i in keep else None for i, x in enumerate(full))
+
+
+def _check_subsets(a):
+    """Each transform subset keeps the oracle's D, builds its transforms as
+    the full call does and leaves the others None, with and without inverses."""
+    full = smith_normal_form(a, inverses=True)
+    d = smith_oracle(a)[1]
+    for subset in SUBSETS:
+        got = smith_normal_form(a, inverses=True, build=subset)
+        assert got[1] == d and got == _selected(full, subset), (a, subset)
+        if not {"u_inv", "v_inv"} & set(subset):
+            assert smith_normal_form(a, build=subset) == _selected(full[:3], subset), (a, subset)
+
+
 class TestSmithAgainstOracle:
     """The fast paths (return at the first unit pivot, no divisor-chain sweep
-    under a pivot of 1) and the inverse bookkeeping leave (U, D, V) as the
-    full-scan elimination of tests/helpers.smith_oracle computes it."""
+    under a pivot of 1), the inverse bookkeeping and the skipped transforms
+    leave (U, D, V) as the full-scan elimination of tests/helpers.smith_oracle
+    computes it."""
 
     CASES = _smith_cases()
 
@@ -208,6 +233,16 @@ class TestSmithAgainstOracle:
             assert intmat.mul(u, u_inv) == intmat.identity(rows) == intmat.mul(u_inv, u), a
             assert intmat.mul(v_inv, v) == intmat.identity(cols) == intmat.mul(v, v_inv), a
 
+    def test_each_transform_subset(self):
+        assert len(SUBSETS) == 16
+        for a in self.CASES:
+            _check_subsets(a)
+
+    def test_unknown_transform_is_internal_error(self):
+        for build in (("u_inv",), ("v_inv", "v"), ("w",)):
+            with pytest.raises(InternalError, match="cannot build"):
+                smith_normal_form([[2, 4], [6, 8]], build=build)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
     def test_hypothesis_matrices(self, r, c, data):
@@ -215,6 +250,7 @@ class TestSmithAgainstOracle:
         u, d, v, u_inv, v_inv = smith_normal_form(a, inverses=True)
         assert smith_normal_form(a) == (u, d, v) == smith_oracle(a)
         assert intmat.mul(u, u_inv) == intmat.identity(r) and intmat.mul(v_inv, v) == intmat.identity(c)
+        _check_subsets(a)
 
 
 # ---------------------------------------------------------------------------

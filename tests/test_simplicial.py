@@ -36,6 +36,19 @@ TWO_CYCLE = SimplicialComponents((2, 2, 0), (((0, 1), (1, 0)), ((), (), ())))
 LOOP = SimplicialComponents((1, 1, 0), (((0,), (0,)), ((), (), ())))
 
 
+def dense_complex(s: SimplicialComponents):
+    """d_1 and d_2 of s as dense matrices, its face maps not validated."""
+    c0, c1, c2 = s.counts[:3]
+    d1, d2 = intmat.zeros(c0, c1), intmat.zeros(c1, c2)
+    for sign, i in ((1, 0), (-1, 1)):
+        for j, v in enumerate(s.face(1, i)):
+            d1[v][j] += sign
+    for sign, i in ((1, 0), (-1, 1), (1, 2)):
+        for j, e in enumerate(s.face(2, i)):
+            d2[e][j] += sign
+    return d1, d2
+
+
 def identity_divisor(m: int) -> DivisorPresentation:
     eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
     return DivisorPresentation(m, eye, eye, ((1,) * m,))
@@ -59,6 +72,40 @@ class TestComponentComplex:
             d1, d2 = component_complex(s)
             prod = intmat.mul(d1, d2)
             assert all(all(x == 0 for x in row) for row in prod)
+
+    def test_nonvanishing_composite_is_internal_error(self, monkeypatch):
+        """With validation switched off, face maps breaking d_0 d_1 = d_0 d_0
+        reach the d_1 d_2 = 0 check."""
+        monkeypatch.setattr(SimplicialComponents, "validate", lambda self: None)
+        bad = SimplicialComponents((2, 2, 1), (((0, 1), (1, 0)), ((0,), (1,), (0,))))
+        with pytest.raises(InternalError, match="d_1 d_2 != 0 although the simplicial identities hold"):
+            component_complex(bad)
+
+    def test_sparse_check_agrees_with_the_dense_product(self, monkeypatch):
+        """The per-simplex check of d_1 d_2 = 0 accepts exactly the face maps
+        whose dense product d_1 d_2 vanishes, valid or not."""
+        monkeypatch.setattr(SimplicialComponents, "validate", lambda self: None)
+        rng = random.Random(36)
+        seen = set()
+        for k in range(300):
+            if k % 3:
+                c0, c1, c2 = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+                faces = (
+                    tuple(tuple(rng.randrange(c0) for _ in range(c1)) for _ in range(2)),
+                    tuple(tuple(rng.randrange(c1) for _ in range(c2)) for _ in range(3)),
+                )
+                s = SimplicialComponents((c0, c1, c2), faces)
+            else:
+                s = random_simplicial(rng)
+            d1, d2 = dense_complex(s)
+            vanishes = not any(x for row in intmat.mul(d1, d2) for x in row)
+            seen.add(vanishes)
+            if vanishes:
+                assert component_complex(s) == (d1, d2)
+            else:
+                with pytest.raises(InternalError, match="d_1 d_2 != 0"):
+                    component_complex(s)
+        assert seen == {True, False}
 
     def test_face_identity_violation(self):
         bad = SimplicialComponents((2, 2, 1), (((0, 1), (1, 0)), ((0,), (1,), (0,))))
@@ -158,6 +205,15 @@ class TestCocharacters:
         component_complex; fed one, cocharacter_group names the invariant."""
         monkeypatch.setattr(simplicial, "component_complex", lambda s: (d1, d2))
         with pytest.raises(InternalError, match=message):
+            cocharacter_group(NODAL)
+
+    def test_torsion_quotient_is_internal_error(self, monkeypatch):
+        """Ker d^2 / Im d^1 is torsion-free once Im d_1 is a direct summand, so
+        the torsion check is reached only past a summand check that lies:
+        here Im d^1 = 2 Ker d^2."""
+        monkeypatch.setattr(simplicial, "component_complex", lambda s: ([[0, 2]], [[1], [0]]))
+        monkeypatch.setattr(intmat, "elementary_divisors", lambda a: [1])
+        with pytest.raises(InternalError, match="cocharacter quotient has torsion"):
             cocharacter_group(NODAL)
 
 
