@@ -14,6 +14,7 @@ as a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -321,7 +322,10 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged, and the
+    append action copies the --in default before it appends."""
     parser = argparse.ArgumentParser(
         prog="fcrystals",
         description="Exact filtered-module and motive-realization toolbox over truncated Witt rings.",
@@ -338,6 +342,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--precision", type=int, default=None, help="override the Witt length n")
     parser.add_argument("--n", type=int, default=1, help="torsion level for motive-height")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     handler = _HANDLERS[args.verb]

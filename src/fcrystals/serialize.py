@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .blocks import AbelianBlock, LatticeData, abelian_from_ap
-from .errors import MalformedInputError
+from .errors import MalformedInputError, ShapeError
 from .onemotive import MotiveReport, OneMotiveSpec, PairingMatrix
 from .semilinear import FilteredFModule, SlopeProfile, VerifyReport, wmat, WMat
 from .simplicial import DivisorPresentation, H1Ledger, PicardSkeleton, SimplicialComponents
@@ -91,9 +91,22 @@ def wmat_to_doc(m: WMat) -> list[list[list[int]]]:
 
 
 def wmat_from_doc(doc, params: RingParams) -> WMat:
+    """The matrix in one pass: a list of exactly a ints is reduced mod p^n
+    here, any other entry goes through elem_from_doc (for its value or its
+    error).  Every entry is parsed before the rows' widths are compared."""
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise MalformedInputError("matrix must be a nested list", code="bad-matrix")
-    return wmat(params, [[elem_from_doc(x, params) for x in row] for row in doc])
+    a, pn, raw = params.a, params.pn, WittElem._raw
+    rows = []
+    for row in doc:
+        cells = []
+        for x in row:
+            coords = tuple([c % pn for c in x if type(c) is int]) if type(x) is list else ()
+            cells.append(raw(params, coords) if len(coords) == a == len(x) else elem_from_doc(x, params))
+        rows.append(tuple(cells))
+    if any(len(cells) != len(rows[0]) for cells in rows):
+        raise ShapeError("ragged matrix")
+    return tuple(rows)
 
 
 def module_to_doc(m: FilteredFModule) -> dict:

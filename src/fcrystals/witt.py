@@ -21,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -124,7 +124,8 @@ def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
     return f
 
 
-def _irreducible_mod_p(modulus: Sequence[int], p: int, a: int) -> bool:
+@lru_cache(maxsize=64)  # pure in its arguments; bounded, so documents cannot grow it
+def _irreducible_mod_p(modulus: tuple[int, ...], p: int, a: int) -> bool:
     f = [c % p for c in modulus]
     if len(_ptrim(list(f))) != a + 1:
         return False

@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library code paths they check: the
 exp/log oracles work in plain integer arithmetic mod p^n, the kernel oracle
 does fraction-field Gaussian elimination, the determinant oracle is Bareiss
 fraction-free elimination instead of the Smith form, the Smith oracle is
-the elimination without its fast paths or inverse bookkeeping, the Frobenius oracle
+the elimination without its fast paths or inverse bookkeeping, the matrix
+document oracle parses entry by entry through elem_from_doc and wmat, the Frobenius oracle
 goes through Teichmuller digits instead of the precomputed matrix, the
 matrix-product and characteristic-polynomial oracles multiply WittElem
 entries one by one instead of packed coordinates, the pairing oracle places the gram entries block by block and checks it as a
@@ -19,7 +20,7 @@ import random
 from fractions import Fraction
 
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, lattice_block, torus_block
-from fcrystals.errors import DomainError, InvalidExtensionDataError, UnsupportedInputError
+from fcrystals.errors import DomainError, InvalidExtensionDataError, MalformedInputError, UnsupportedInputError
 from fcrystals.onemotive import MotiveCrystal, OneMotiveSpec, PairingMatrix
 from fcrystals.semilinear import (
     CheckResult,
@@ -43,6 +44,7 @@ from fcrystals.semilinear import (
     wmat,
     wmat_from_ints,
 )
+from fcrystals.serialize import elem_from_doc
 from fcrystals.simplicial import SimplicialComponents
 from fcrystals.witt import RingParams, WittElem, teichmuller, teichmuller_digits, with_precision
 
@@ -322,6 +324,18 @@ def verify_oracle(m: FilteredFModule) -> VerifyReport:
         checks.append(_product_check("fv-product", "F sigma(V)", m, m.f_mat, wm_sigma(m.v_mat)))
         checks.append(_product_check("vf-product", "V sigma^-1(F)", m, m.v_mat, wm_sigma_inv(m.f_mat)))
     return VerifyReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# the matrix document parse, one entry at a time
+
+
+def wmat_from_doc_oracle(doc, params: RingParams) -> WMat:
+    """The matrix document parsed entry by entry: elem_from_doc on each entry,
+    then wmat's ring and ragged-row checks."""
+    if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
+        raise MalformedInputError("matrix must be a nested list", code="bad-matrix")
+    return wmat(params, [[elem_from_doc(x, params) for x in row] for row in doc])
 
 
 # ---------------------------------------------------------------------------

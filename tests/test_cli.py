@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -337,3 +338,53 @@ def test_integer_fields_are_strict(verb, fixture, edit, code, tmp_path):
     assert status == 2
     assert err.count("\n") == 1
     assert json.loads(err)["code"] == code
+
+
+class TestSharedParser:
+    """Calls to main in one process share one argument parser: no option of
+    one call reaches the next, and usage, help and error bytes are those of a
+    parser built for the call."""
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, monkeypatch):
+        seen = []
+        handler = _HANDLERS["crystal-dual"]
+
+        def recording(args, doc):
+            seen.append(args)
+            return handler(args, doc)
+
+        monkeypatch.setitem(_HANDLERS, "crystal-dual", recording)
+        batch = tmp_path / "batch.json"
+        argv = ["crystal-dual", "--in", "module_tate1.json", "--in", "module_supersingular.json", "--precision", "6"]
+        assert run_cli(argv, batch)[0] == 0
+        assert len(json.loads(batch.read_text())) == 2
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(_with_paths(["crystal-dual", "--in", "module_tate1.json"])) == 0
+        first, second = seen[0], seen[-1]
+        assert (len(first.inputs), first.out, first.precision) == (2, str(batch), 6)
+        assert (len(second.inputs), second.out, second.precision) == (1, None, None)
+        with open(os.path.join(GOLD, "dual_tate1.json"), encoding="utf-8") as fh:
+            assert out.getvalue() == fh.read()
+        assert json.loads(out.getvalue())["ring"]["n"] == 4
+
+    # sha256 of the (stdout, stderr) bytes of a parser built for the call, at
+    # 80 columns; the same on CPython 3.10, 3.11 and 3.13
+    EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ARGV_BYTES = [
+        (["--help"], 0, "daf76d79802f392ca4e487b2707dc0ae615c446b98da6d70fa04baabf218be6c", EMPTY),
+        (["crystal-verify"], 2, EMPTY, "f3aac8ef537bbfe023a43e0efdc9c3b45f6597acb6c0bd6e5e104bcbfdb191d8"),
+        (["no-such-verb", "--in", "x.json"], 2, EMPTY, "d512b50c2bb646993d75a072f7cc28ffe1fc5eddaffb2084f71038ea0e35d4e1"),
+    ]
+
+    @pytest.mark.parametrize("argv,status,out_sha,err_sha", ARGV_BYTES, ids=["help", "no-input", "unknown-verb"])
+    def test_usage_bytes_are_unchanged(self, argv, status, out_sha, err_sha, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+            assert exc.value.code == status
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == out_sha
+            assert hashlib.sha256(err.getvalue().encode()).hexdigest() == err_sha

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
@@ -10,6 +13,7 @@ from fcrystals.errors import (
     UnsupportedCharacteristicError,
 )
 import fcrystals.witt as witt
+from fcrystals.cli import main
 from fcrystals.serialize import ring_from_doc
 from fcrystals.witt import (
     RingParams,
@@ -175,6 +179,61 @@ class TestInterning:
             ring_from_doc({"p": 3, "n": n})
         assert len(witt._RINGS) == 32
         assert ring_from_doc({"p": 3, "n": 40}) is witt._RINGS[(3, 40, 1, None)]
+
+
+class TestIrreducibilityMemo:
+    """A modulus is tested for irreducibility once per process; every other
+    check of RingParams runs on every document."""
+
+    DOC = {"p": 7, "n": 3, "a": 2, "modulus": list(default_modulus(7, 2))}
+
+    def test_second_parse_reuses_the_test(self):
+        witt._irreducible_mod_p.cache_clear()
+        assert ring_from_doc(self.DOC) is ring_from_doc(dict(self.DOC))
+        info = witt._irreducible_mod_p.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "edit,code", [({"n": True}, "bad-type"), ({"p": 4}, "not-prime"), ({"modulus": [3, 0, 2]}, "bad-modulus")]
+    )
+    def test_other_checks_still_run(self, edit, code):
+        ring_from_doc(self.DOC)
+        with pytest.raises(MalformedInputError) as exc:
+            ring_from_doc({**self.DOC, **edit})
+        assert exc.value.code == code
+
+    def test_reducible_modulus_fails_every_time(self, tmp_path):
+        # t^2 - 1 = (t-1)(t+1) mod 5
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({"p": 5, "n": 2, "a": 2, "modulus": [24, 0, 1]}))
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"op": "add", "args": [[1, 0], [2, 0]]}))
+        witt._irreducible_mod_p.cache_clear()
+        errs = []
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["witt-eval", "--ring", str(ring), "--in", str(doc), "--out", str(tmp_path / "o")])
+            assert code == 2
+            errs.append(err.getvalue())
+        assert json.loads(errs[0])["code"] == "reducible-modulus"
+        assert errs[0] == errs[1]
+        assert witt._irreducible_mod_p.cache_info().hits == 1
+
+    def test_cache_is_bounded(self):
+        assert witt._irreducible_mod_p.cache_info().maxsize == 64
+
+    def test_default_modulus_is_unchanged(self):
+        expected = {
+            (2, 2): (1, 1, 1),
+            (2, 3): (1, 1, 0, 1),
+            (2, 4): (1, 1, 0, 0, 1),
+            (3, 3): (1, 2, 0, 1),
+            (5, 2): (2, 0, 1),
+            (5, 3): (1, 1, 0, 1),
+        }
+        for _ in range(2):
+            assert {key: default_modulus(*key) for key in expected} == expected
 
 
 class TestAddMul:
