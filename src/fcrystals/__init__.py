@@ -65,15 +65,10 @@ from .simplicial import (
 )
 from .witt import (
     RingParams,
-    WittCoords,
     WittElem,
-    coords_add,
-    coords_mul,
-    coords_to_elem,
     default_modulus,
     dp_exp,
     dp_log,
-    elem_to_coords,
     frobenius,
     frobenius_inverse,
     teichmuller,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 import traceback
@@ -49,7 +50,7 @@ from .onemotive import (
 )
 from .semilinear import newton_slopes, tensor, twisted_dual, verify
 from .simplicial import cocharacter_group, div0_lattice, h1_weight_ledger, picard_skeleton
-from .witt import dp_exp, dp_log, frobenius, frobenius_inverse, teichmuller, with_precision
+from .witt import WittElem, dp_exp, dp_log, frobenius, frobenius_inverse, teichmuller, with_precision
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -114,6 +115,21 @@ def _ring(args, doc) -> "ser.RingParams":
 # --- handlers: each takes (args, doc) and returns a JSON-able object ---------
 
 
+# witt-eval op -> (number of arguments, function of the parsed elements)
+_WITT_OPS = {
+    "add": (2, operator.add),
+    "sub": (2, operator.sub),
+    "mul": (2, operator.mul),
+    "neg": (1, operator.neg),
+    "inv": (1, WittElem.inverse),
+    "frobenius": (1, frobenius),
+    "frobenius-inv": (1, frobenius_inverse),
+    "teichmuller": (1, lambda x: teichmuller(x.params, x)),
+    "exp": (1, dp_exp),
+    "log": (1, dp_log),
+}
+
+
 def _h_witt_eval(args, doc):
     params = _ring(args, doc if "ring" in doc else None)
     op = ser._need(doc, "op", str)
@@ -121,44 +137,12 @@ def _h_witt_eval(args, doc):
     if not isinstance(raw_args, list):
         raise MalformedInputError("field 'args' must be a list", code="bad-type")
     elems = [ser.elem_from_doc(x, params) for x in raw_args]
-
-    def arity(k):
-        if len(elems) != k:
-            raise MalformedInputError(f"op {op!r} needs {k} argument(s)", code="bad-arity")
-
-    if op == "add":
-        arity(2)
-        result = elems[0] + elems[1]
-    elif op == "sub":
-        arity(2)
-        result = elems[0] - elems[1]
-    elif op == "mul":
-        arity(2)
-        result = elems[0] * elems[1]
-    elif op == "neg":
-        arity(1)
-        result = -elems[0]
-    elif op == "inv":
-        arity(1)
-        result = elems[0].inverse()
-    elif op == "frobenius":
-        arity(1)
-        result = frobenius(elems[0])
-    elif op == "frobenius-inv":
-        arity(1)
-        result = frobenius_inverse(elems[0])
-    elif op == "teichmuller":
-        arity(1)
-        result = teichmuller(params, elems[0])
-    elif op == "exp":
-        arity(1)
-        result = dp_exp(elems[0])
-    elif op == "log":
-        arity(1)
-        result = dp_log(elems[0])
-    else:
+    if op not in _WITT_OPS:
         raise MalformedInputError(f"unknown witt op {op!r}", code="unknown-op")
-    return {"result": ser.elem_to_doc(result)}
+    k, fn = _WITT_OPS[op]
+    if len(elems) != k:
+        raise MalformedInputError(f"op {op!r} needs {k} argument(s)", code="bad-arity")
+    return {"result": ser.elem_to_doc(fn(*elems))}
 
 
 def _h_crystal_verify(args, doc):

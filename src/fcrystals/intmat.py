@@ -67,16 +67,6 @@ def mul(a, b) -> IntMat:
     return out
 
 
-def matvec(a, v) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def eq(a, b) -> bool:
-    return shape(a) == shape(b) and all(
-        a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]) if a else 0)
-    )
-
-
 def inverse_unimodular(a) -> IntMat:
     """Integer inverse of a unimodular matrix, read off its Smith normal form:
     U a V = I gives a^(-1) = V U."""
@@ -97,7 +87,7 @@ def matrix_order(a, limit: int = 64) -> int:
     ident = identity(r)
     power = copy(a)
     for k in range(1, limit + 1):
-        if eq(power, ident):
+        if power == ident:
             return k
         power = mul(power, a)
     raise InvalidActionError(f"matrix has no finite order up to {limit}")

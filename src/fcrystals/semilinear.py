@@ -55,7 +55,6 @@ __all__ = [
     "wm_identity",
     "wm_zero",
     "wm_mul",
-    "wm_add",
     "wm_sub",
     "wm_neg",
     "wm_scal",
@@ -165,12 +164,6 @@ def wm_mul(params: RingParams, a: WMat, b: WMat) -> WMat:
     return _box(params, _mul(params, _coords(params, a), _coords(params, b)))
 
 
-def wm_add(a: WMat, b: WMat) -> WMat:
-    if wm_shape(a) != wm_shape(b):
-        raise ShapeError("matrix addition with mismatched shapes")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def wm_sub(a: WMat, b: WMat) -> WMat:
     if wm_shape(a) != wm_shape(b):
         raise ShapeError("matrix subtraction with mismatched shapes")
@@ -274,21 +267,21 @@ def charpoly(params: RingParams, a: WMat) -> list[WittElem]:
     return [WittElem._raw(params, unpack(x)) for x in reversed(poly)]
 
 
+def _det(coeffs: list[WittElem]) -> WittElem:
+    """det(a) = (-1)^r c_0, read off the characteristic polynomial of an r x r matrix."""
+    return coeffs[0] if len(coeffs) % 2 == 1 else -coeffs[0]
+
+
 def wm_det(params: RingParams, a: WMat) -> WittElem:
-    coeffs = charpoly(params, a)
+    return _det(charpoly(params, a))
+
+
+def wm_adjugate(params: RingParams, a: WMat, coeffs: list[WittElem]) -> WMat:
+    """adj(a) with a . adj(a) = det(a) I, from the characteristic polynomial
+    ``coeffs`` of the square matrix a (ascending, as ``charpoly`` returns it)."""
     r = len(a)
-    d = coeffs[0]
-    return d if r % 2 == 0 else -d
-
-
-def wm_adjugate(params: RingParams, a: WMat) -> WMat:
-    """adj(a) with a . adj(a) = det(a) I, from the characteristic polynomial."""
-    r, c = wm_shape(a)
-    if r != c:
-        raise ShapeError("adjugate of a non-square matrix")
     if r == 0:
         return ()
-    coeffs = charpoly(params, a)  # ascending
     m, pn = _coords(params, a), params.pn
     acc = _coords(params, wm_identity(params, r))  # builds A^{r-1} + c_{r-1} A^{r-2} + ... + c_1 I
     for i in range(r - 1, 0, -1):
@@ -300,11 +293,12 @@ def wm_adjugate(params: RingParams, a: WMat) -> WMat:
 
 
 def wm_inverse_unit(params: RingParams, a: WMat) -> WMat:
-    """Inverse of a matrix with unit determinant."""
-    d = wm_det(params, a)
+    """Inverse of a matrix with unit determinant, from one characteristic polynomial."""
+    coeffs = charpoly(params, a)
+    d = _det(coeffs)
     if not d.is_unit():
         raise SingularFrobeniusError("matrix determinant is not a unit")
-    return wm_scal(d.inverse(), wm_adjugate(params, a))
+    return wm_scal(d.inverse(), wm_adjugate(params, a, coeffs))
 
 
 # ---------------------------------------------------------------------------

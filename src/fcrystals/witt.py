@@ -3,9 +3,9 @@
 W_n(F_{p^a}) is realized as the Galois ring (Z/p^n)[t]/(f) for a monic
 degree-a integer polynomial f that is irreducible mod p.  Elements are the
 coordinate vectors of their unique degree-<a polynomial representative with
-coefficients in [0, p^n); equality is coordinate-wise.  The classical Witt
-coordinates (via ghost components) are kept as an independent cross-check
-layer for a = 1.
+coefficients in [0, p^n); equality is coordinate-wise.  This is the one
+element representation: the classical Witt coordinates (via ghost
+components) live in ``tests/helpers.py`` as an independent oracle.
 
 Conventions
 -----------
@@ -34,9 +34,7 @@ from .errors import (
 __all__ = [
     "RingParams",
     "WittElem",
-    "WittCoords",
     "teichmuller",
-    "teichmuller_digits",
     "frobenius",
     "frobenius_inverse",
     "dp_exp",
@@ -45,10 +43,6 @@ __all__ = [
     "lift_elem",
     "reduce_elem",
     "default_modulus",
-    "coords_add",
-    "coords_mul",
-    "coords_to_elem",
-    "elem_to_coords",
 ]
 
 
@@ -516,24 +510,6 @@ def teichmuller(params: RingParams, c) -> WittElem:
     return x
 
 
-def teichmuller_digits(x: WittElem) -> list[tuple[int, ...]]:
-    """Digits c_i of the expansion x = sum p^i tau(c_i), as residue tuples."""
-    params = x.params
-    digits: list[tuple[int, ...]] = []
-    cur = x
-    cur_params = params
-    for i in range(params.n):
-        c = cur.residue()
-        digits.append(c)
-        if i == params.n - 1:
-            break
-        t = teichmuller(cur_params, c)
-        y = cur - t
-        cur_params = with_precision(cur_params, cur_params.n - 1)
-        cur = WittElem._raw(cur_params, tuple((v // params.p) % cur_params.pn for v in y.coords))
-    return digits
-
-
 def _apply(params: RingParams, rows: tuple[tuple[int, ...], ...], xs: tuple[int, ...]) -> tuple[int, ...]:
     pn = params.pn
     return tuple(sum(r * c for r, c in zip(row, xs)) % pn for row in rows)
@@ -652,71 +628,3 @@ def dp_log(u: WittElem) -> WittElem:
         term = power.divide_exact(v) * big.from_int(m // p**v).inverse()
         acc = acc + term if m % 2 == 1 else acc - term
     return reduce_elem(acc, params)
-
-
-# ---------------------------------------------------------------------------
-# classical Witt coordinates for a = 1 (ghost-component cross-check layer)
-
-
-@dataclass(frozen=True)
-class WittCoords:
-    """Classical p-typical Witt coordinates over F_p (length n, digits mod p)."""
-
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise MalformedInputError(f"p = {self.p} is not prime", code="not-prime")
-        object.__setattr__(self, "digits", tuple(d % self.p for d in self.digits))
-
-
-def _ghost(vec: Sequence[int], p: int) -> list[int]:
-    n = len(vec)
-    return [sum(p**j * vec[j] ** (p ** (i - j)) for j in range(i + 1)) for i in range(n)]
-
-
-def _unghost(ghost: Sequence[int], p: int) -> list[int]:
-    out: list[int] = []
-    for i, g in enumerate(ghost):
-        acc = g - sum(p**j * out[j] ** (p ** (i - j)) for j in range(i))
-        q, r = divmod(acc, p**i)
-        if r:
-            raise DomainError("ghost vector is not in the image of the Witt map")
-        out.append(q)
-    return out
-
-
-def coords_add(x: WittCoords, y: WittCoords) -> WittCoords:
-    """Witt-vector addition computed through integer ghost components."""
-    if x.p != y.p or len(x.digits) != len(y.digits):
-        raise IncompatibleRingsError("Witt coordinate vectors are incompatible")
-    gx, gy = _ghost(x.digits, x.p), _ghost(y.digits, x.p)
-    z = _unghost([u + v for u, v in zip(gx, gy)], x.p)
-    return WittCoords(x.p, tuple(z))
-
-
-def coords_mul(x: WittCoords, y: WittCoords) -> WittCoords:
-    if x.p != y.p or len(x.digits) != len(y.digits):
-        raise IncompatibleRingsError("Witt coordinate vectors are incompatible")
-    gx, gy = _ghost(x.digits, x.p), _ghost(y.digits, x.p)
-    z = _unghost([u * v for u, v in zip(gx, gy)], x.p)
-    return WittCoords(x.p, tuple(z))
-
-
-def coords_to_elem(wc: WittCoords, params: RingParams) -> WittElem:
-    """The bijection (x_i) -> sum p^i tau(x_i) onto W_n(F_p), a = 1 only."""
-    if params.a != 1 or params.p != wc.p or len(wc.digits) != params.n:
-        raise IncompatibleRingsError("coordinate bijection needs a = 1 and matching (p, n)")
-    acc = params.zero()
-    ppow = 1
-    for d in wc.digits:
-        acc = acc + params.from_int(ppow) * teichmuller(params, d)
-        ppow *= params.p
-    return acc
-
-
-def elem_to_coords(x: WittElem) -> WittCoords:
-    if x.params.a != 1:
-        raise IncompatibleRingsError("classical coordinates are kept for a = 1 only")
-    return WittCoords(x.params.p, tuple(d[0] for d in teichmuller_digits(x)))

@@ -5,22 +5,36 @@ exp/log oracles work in plain integer arithmetic mod p^n, the kernel oracle
 does fraction-field Gaussian elimination, the determinant oracle is Bareiss
 fraction-free elimination instead of the Smith form, the Smith oracle is
 the elimination without its fast paths or inverse bookkeeping, the matrix
-document oracle parses entry by entry through elem_from_doc and wmat, the Frobenius oracle
-goes through Teichmuller digits instead of the precomputed matrix, the
-matrix-product and characteristic-polynomial oracles multiply WittElem
-entries one by one instead of packed coordinates, the pairing oracle places the gram entries block by block and checks it as a
-dense matrix instead of reindexing by the dual permutation, and the Z/p^n
-model is used as the ground truth for Witt coordinate arithmetic.
+document oracle parses entry by entry through elem_from_doc and wmat, the
+Frobenius oracle goes through Teichmuller digits instead of the precomputed
+matrix, the matrix-product and characteristic-polynomial oracles multiply
+WittElem entries one by one instead of packed coordinates, and the pairing
+oracle places the gram entries block by block and checks it as a dense
+matrix instead of reindexing by the dual permutation.  The classical Witt
+coordinates (WittCoords, the ghost maps, coords_add, coords_mul and the
+bijection coords_to_elem / elem_to_coords through Teichmuller digits) are a
+second element representation for a = 1, kept here as an oracle: they add
+and multiply through integer ghost components, and the Z/p^n model of
+W_n(F_p) is their ground truth.  matvec is the integer matrix-vector product
+of the kernel checks.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, lattice_block, torus_block
-from fcrystals.errors import DomainError, InvalidExtensionDataError, MalformedInputError, UnsupportedInputError
+from fcrystals.errors import (
+    DomainError,
+    IncompatibleRingsError,
+    InvalidExtensionDataError,
+    MalformedInputError,
+    UnsupportedInputError,
+)
 from fcrystals.onemotive import MotiveCrystal, OneMotiveSpec, PairingMatrix
 from fcrystals.semilinear import (
     CheckResult,
@@ -46,7 +60,7 @@ from fcrystals.semilinear import (
 )
 from fcrystals.serialize import elem_from_doc
 from fcrystals.simplicial import SimplicialComponents
-from fcrystals.witt import RingParams, WittElem, teichmuller, teichmuller_digits, with_precision
+from fcrystals.witt import RingParams, WittElem, teichmuller, with_precision
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +105,24 @@ def residue_pow_p(params: RingParams, res: tuple[int, ...]) -> tuple[int, ...]:
     return (params.elem(res) ** params.p).residue()
 
 
+def teichmuller_digits(x: WittElem) -> list[tuple[int, ...]]:
+    """Digits c_i of the expansion x = sum p^i tau(c_i), as residue tuples."""
+    params = x.params
+    digits: list[tuple[int, ...]] = []
+    cur = x
+    cur_params = params
+    for i in range(params.n):
+        c = cur.residue()
+        digits.append(c)
+        if i == params.n - 1:
+            break
+        t = teichmuller(cur_params, c)
+        y = cur - t
+        cur_params = with_precision(cur_params, cur_params.n - 1)
+        cur = WittElem._raw(cur_params, tuple((v // params.p) % cur_params.pn for v in y.coords))
+    return digits
+
+
 def frobenius_oracle(x: WittElem) -> WittElem:
     """sigma(x) = sum p^i tau(c_i^p), read off the expansion x = sum p^i tau(c_i)."""
     params = x.params
@@ -100,6 +132,73 @@ def frobenius_oracle(x: WittElem) -> WittElem:
         acc = acc + params.from_int(ppow) * teichmuller(params, residue_pow_p(params, c))
         ppow *= params.p
     return acc
+
+
+# ---------------------------------------------------------------------------
+# classical Witt coordinates for a = 1: the ghost-component arithmetic, a
+# second element representation checked against the Galois-ring model
+
+
+@dataclass(frozen=True)
+class WittCoords:
+    """Classical p-typical Witt coordinates over F_p (length n, digits mod p)."""
+
+    p: int
+    digits: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "digits", tuple(d % self.p for d in self.digits))
+
+
+def _ghost(vec: Sequence[int], p: int) -> list[int]:
+    n = len(vec)
+    return [sum(p**j * vec[j] ** (p ** (i - j)) for j in range(i + 1)) for i in range(n)]
+
+
+def _unghost(ghost: Sequence[int], p: int) -> list[int]:
+    out: list[int] = []
+    for i, g in enumerate(ghost):
+        acc = g - sum(p**j * out[j] ** (p ** (i - j)) for j in range(i))
+        q, r = divmod(acc, p**i)
+        if r:
+            raise DomainError("ghost vector is not in the image of the Witt map")
+        out.append(q)
+    return out
+
+
+def coords_add(x: WittCoords, y: WittCoords) -> WittCoords:
+    """Witt-vector addition computed through integer ghost components."""
+    if x.p != y.p or len(x.digits) != len(y.digits):
+        raise IncompatibleRingsError("Witt coordinate vectors are incompatible")
+    gx, gy = _ghost(x.digits, x.p), _ghost(y.digits, x.p)
+    z = _unghost([u + v for u, v in zip(gx, gy)], x.p)
+    return WittCoords(x.p, tuple(z))
+
+
+def coords_mul(x: WittCoords, y: WittCoords) -> WittCoords:
+    if x.p != y.p or len(x.digits) != len(y.digits):
+        raise IncompatibleRingsError("Witt coordinate vectors are incompatible")
+    gx, gy = _ghost(x.digits, x.p), _ghost(y.digits, x.p)
+    z = _unghost([u * v for u, v in zip(gx, gy)], x.p)
+    return WittCoords(x.p, tuple(z))
+
+
+def coords_to_elem(wc: WittCoords, params: RingParams) -> WittElem:
+    """The bijection (x_i) -> sum p^i tau(x_i) onto W_n(F_p), a = 1 only."""
+    if params.a != 1 or params.p != wc.p or len(wc.digits) != params.n:
+        raise IncompatibleRingsError("coordinate bijection needs a = 1 and matching (p, n)")
+    acc = params.zero()
+    ppow = 1
+    for d in wc.digits:
+        acc = acc + params.from_int(ppow) * teichmuller(params, d)
+        ppow *= params.p
+    return acc
+
+
+def elem_to_coords(x: WittElem) -> WittCoords:
+    if x.params.a != 1:
+        raise IncompatibleRingsError("classical coordinates are kept for a = 1 only")
+    return WittCoords(x.params.p, tuple(d[0] for d in teichmuller_digits(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +461,10 @@ def rank_over_q(mat: list[list[int]]) -> int:
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def matvec(a: list[list[int]], v: list[int]) -> list[int]:
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def kernel_rank_over_q(mat: list[list[int]]) -> int:

@@ -38,17 +38,9 @@ from fcrystals.semilinear import (
     is_isomorphism_witness,
 )
 from fcrystals.simplicial import PicardSkeleton, component_complex, h1_weight_ledger
-from fcrystals.witt import (
-    RingParams,
-    coords_add,
-    coords_mul,
-    coords_to_elem,
-    dp_exp,
-    dp_log,
-    elem_to_coords,
-)
+from fcrystals.witt import RingParams, dp_exp, dp_log
 
-from helpers import random_motive_spec, random_simplicial
+from helpers import coords_add, coords_mul, coords_to_elem, elem_to_coords, random_motive_spec, random_simplicial
 
 
 def _report(num, elapsed, budget, desc):

@@ -2,12 +2,14 @@
 
 The span tracer in bench/layers.py rebinds fcrystals functions and methods by
 name, so deleting or renaming one would silently drop a layer from the traced
-benchmark.  The public names of the package are pinned here as well.
+benchmark.  The public names of the package are pinned here as well, both
+ways: none may go missing and none may appear unlisted.
 """
 
 import importlib
 import importlib.util
 import os
+import types
 
 import pytest
 
@@ -27,8 +29,8 @@ FilteredFModule SlopeProfile VerifyReport direct_sum newton_slopes smith_normal_
 twisted_dual verify
 DivisorPresentation H1Ledger PicardSkeleton SimplicialComponents cocharacter_group
 component_complex div0_lattice h1_weight_ledger picard_skeleton
-RingParams WittCoords WittElem coords_add coords_mul coords_to_elem default_modulus dp_exp
-dp_log elem_to_coords frobenius frobenius_inverse teichmuller with_precision
+RingParams WittElem default_modulus dp_exp dp_log frobenius frobenius_inverse teichmuller
+with_precision
 """.split()
 
 
@@ -56,3 +58,15 @@ def test_traced_method_resolves(module, cls, attr):
 def test_public_names_import():
     missing = [name for name in PUBLIC_NAMES if not hasattr(fcrystals, name)]
     assert missing == []
+
+
+def test_no_unlisted_public_names():
+    """Every public attribute of the package, apart from its submodules and
+    __version__, is listed: adding a public name is as deliberate as
+    removing one."""
+    exported = {
+        name
+        for name, value in vars(fcrystals).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(exported - set(PUBLIC_NAMES)) == []

@@ -388,3 +388,70 @@ class TestSharedParser:
             assert exc.value.code == status
             assert hashlib.sha256(out.getvalue().encode()).hexdigest() == out_sha
             assert hashlib.sha256(err.getvalue().encode()).hexdigest() == err_sha
+
+
+# the ten witt-eval ops and their argument counts
+WITT_ARITY = {
+    "add": 2, "sub": 2, "mul": 2, "neg": 1, "inv": 1,
+    "frobenius": 1, "frobenius-inv": 1, "teichmuller": 1, "exp": 1, "log": 1,
+}
+
+
+def _witt_eval(tmp_path, doc):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(["witt-eval", "--ring", "ring_f5n3.json", "--in", str(path)], tmp_path / "o.json")
+
+
+# (op, args, result) in W_2(F_125) with modulus t^3 + t + 1; a = 3, so that
+# frobenius and frobenius-inv give different results
+WITT_RESULTS = [
+    ("add", [[2, 3, 1], [4, 1, 0]], [6, 4, 1]),
+    ("sub", [[2, 3, 1], [4, 1, 0]], [23, 2, 1]),
+    ("mul", [[2, 3, 1], [4, 1, 0]], [7, 13, 7]),
+    ("neg", [[2, 3, 1]], [23, 22, 24]),
+    ("inv", [[2, 3, 1]], [7, 2, 12]),
+    ("frobenius", [[2, 3, 1]], [8, 11, 10]),
+    ("frobenius-inv", [[2, 3, 1]], [19, 11, 14]),
+    ("teichmuller", [[2, 3, 1]], [22, 13, 6]),
+    ("exp", [[5, 10, 0]], [6, 10, 0]),
+    ("log", [[6, 5, 5]], [5, 5, 5]),
+]
+
+
+@pytest.mark.parametrize("op,elems,result", WITT_RESULTS, ids=[c[0] for c in WITT_RESULTS])
+def test_witt_eval_op_results(op, elems, result, tmp_path):
+    doc = {"ring": {"p": 5, "n": 2, "a": 3, "modulus": [1, 1, 0, 1]}, "op": op, "args": elems}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["witt-eval", "--in", str(path)], tmp_path / "o.json") == (0, "")
+    assert (tmp_path / "o.json").read_text() == json.dumps({"result": result}, separators=(",", ":")) + "\n"
+
+
+class TestWittEvalErrors:
+    """witt-eval parses the elements first, then looks the op up, then checks
+    its argument count; each failure is one error object with exit code 2."""
+
+    @pytest.mark.parametrize(
+        "op,count", [(op, count) for op, k in WITT_ARITY.items() for count in (0, k + 1)]
+    )
+    def test_wrong_argument_count_is_bad_arity(self, op, count, tmp_path):
+        k = WITT_ARITY[op]
+        assert _witt_eval(tmp_path, {"op": op, "args": [[1]] * count}) == (
+            2,
+            f'{{"code":"bad-arity","message":"op \'{op}\' needs {k} argument(s)"}}\n',
+        )
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_unknown_op(self, count, tmp_path):
+        assert _witt_eval(tmp_path, {"op": "sqrt", "args": [[1]] * count}) == (
+            2,
+            '{"code":"unknown-op","message":"unknown witt op \'sqrt\'"}\n',
+        )
+
+    @pytest.mark.parametrize("op", ["sqrt", "add", "neg"])
+    def test_elements_are_parsed_first(self, op, tmp_path):
+        assert _witt_eval(tmp_path, {"op": op, "args": [[1], [True], [1]]}) == (
+            2,
+            '{"code":"bad-element","message":"element must be a list of integers"}\n',
+        )

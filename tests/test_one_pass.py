@@ -1,8 +1,9 @@
 """The motive pipeline computes each derived object of a presentation once:
 one realization and one set of graded blocks per presentation, one verify report per module, one
 canonical dual per assembled module, one action inverse per lattice, read
-off one Smith normal form, three Smith forms per cocharacter group (each
-building only the transforms it reads), and one
+off one Smith normal form, two Smith forms per cocharacter group (each
+building only the transforms it reads), one characteristic polynomial per
+unit-determinant inverse, and one
 matrix product per pairing identity.
 And an internal invariant that fails raises InternalError, also under
 python -O."""
@@ -24,7 +25,7 @@ import fcrystals.onemotive as onemotive
 import fcrystals.semilinear as semilinear
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, torus_block
 from fcrystals.cli import main
-from fcrystals.errors import InternalError
+from fcrystals.errors import InternalError, SingularFrobeniusError
 from fcrystals.onemotive import OneMotiveSpec, assemble, cartier_dual, pair
 from fcrystals.semilinear import FilteredFModule, wm_scal
 from fcrystals.serialize import motive_from_doc
@@ -158,10 +159,10 @@ def test_action_is_eliminated_once(monkeypatch):
     assert d.sigma_inverse == ((0, 1, 0), (0, 0, -1), (1, 0, 0))
 
 
-def test_cocharacters_take_three_eliminations(monkeypatch):
+def test_cocharacters_take_two_eliminations(monkeypatch):
     """One simplicial-cochar call reads the kernel, the coordinates of Im d^1
-    and the lift off three Smith forms (five, plus one solve_exact and one
-    inverse_unimodular, before the transforms carried their inverses)."""
+    and the lift off two Smith forms, and its summand check off the second
+    one's diagonal; no solve_exact or inverse_unimodular runs."""
     calls = Counter()
     for name in ("smith_normal_form", "solve_exact", "inverse_unimodular"):
         _count_calls(monkeypatch, calls, fcrystals.intmat, name)
@@ -170,16 +171,16 @@ def test_cocharacters_take_three_eliminations(monkeypatch):
         code = main(["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
     assert code == 0 and json.loads(out.getvalue())["rank"] == 1
     assert {name: calls[name] for name in ("smith_normal_form", "solve_exact", "inverse_unimodular")} == {
-        "smith_normal_form": 3,
+        "smith_normal_form": 2,
         "solve_exact": 0,
         "inverse_unimodular": 0,
     }
 
 
 def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
-    """Of the three Smith forms of one simplicial-cochar call, the summand
-    check on d_1 builds no transform, the kernel form V and V^(-1), and the
-    lift form U^(-1) alone."""
+    """Of the two Smith forms of one simplicial-cochar call, the kernel form
+    builds V and V^(-1), and the lift form U^(-1) alone; the summand check
+    reads the lift form's diagonal."""
     built = []
     original = fcrystals.intmat.smith_normal_form
 
@@ -193,7 +194,22 @@ def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
     assert code == 0
-    assert built == [set(), {"v", "v_inv"}, {"u_inv"}]
+    assert built == [{"v", "v_inv"}, {"u_inv"}]
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_inverse_unit_reads_one_characteristic_polynomial(monkeypatch, r):
+    """wm_inverse_unit takes the determinant and the adjugate off one
+    characteristic polynomial, also when the determinant is not a unit."""
+    calls = Counter()
+    _count_calls(monkeypatch, calls, semilinear, "charpoly")
+    a = semilinear.wmat_from_ints(P54, [[int(i == j) + (i < j) for j in range(r)] for i in range(r)])
+    inv = semilinear.wm_inverse_unit(P54, a)
+    assert semilinear.wm_mul(P54, a, inv) == semilinear.wm_identity(P54, r)
+    assert calls["charpoly"] == 1
+    with pytest.raises(SingularFrobeniusError):
+        semilinear.wm_inverse_unit(P54, semilinear.wm_scal(P54.from_int(5), a))
+    assert calls["charpoly"] == 2
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

@@ -25,7 +25,7 @@ from fcrystals.simplicial import (
 )
 from fcrystals.witt import RingParams, default_modulus
 
-from helpers import bareiss_det, kernel_rank_over_q, rank_over_q, random_simplicial
+from helpers import bareiss_det, kernel_rank_over_q, matvec, rank_over_q, random_simplicial
 
 P54 = RingParams(5, 4)
 
@@ -198,6 +198,8 @@ class TestCocharacters:
         [
             ([[2, 0]], [[0], [1]], "not a direct summand"),
             ([[1, 0]], [[1], [0]], "does not land in Ker d"),
+            # Im d^1 = 2 Ker d^2: the quotient has torsion, the same invariant
+            ([[0, 2]], [[1], [0]], "not a direct summand"),
         ],
     )
     def test_broken_complex_is_internal_error(self, monkeypatch, d1, d2, message):
@@ -207,14 +209,34 @@ class TestCocharacters:
         with pytest.raises(InternalError, match=message):
             cocharacter_group(NODAL)
 
-    def test_torsion_quotient_is_internal_error(self, monkeypatch):
-        """Ker d^2 / Im d^1 is torsion-free once Im d_1 is a direct summand, so
-        the torsion check is reached only past a summand check that lies:
-        here Im d^1 = 2 Ker d^2."""
-        monkeypatch.setattr(simplicial, "component_complex", lambda s: ([[0, 2]], [[1], [0]]))
-        monkeypatch.setattr(intmat, "elementary_divisors", lambda a: [1])
-        with pytest.raises(InternalError, match="cocharacter quotient has torsion"):
-            cocharacter_group(NODAL)
+    def test_summand_check_is_the_elementary_divisors_of_d1(self, monkeypatch):
+        """On complexes with d_1 d_2 = 0 whose d_1 need not be a graph
+        incidence matrix, the one diagonal check of the lift form fails
+        exactly when d_1 has an elementary divisor other than 1, and
+        otherwise the rank is c1 - rank d_2 - rank d_1."""
+        rng = random.Random(36)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            c0, c1, c2 = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 4)
+            d2 = [[rng.randint(-2, 2) for _ in range(c2)] for _ in range(c1)]
+            dual2 = intmat.transpose(d2) or [[0] * c1]
+            kernel = intmat.kernel_basis(dual2)  # columns y with y^T d_2 = 0
+            mix = [[rng.randint(-3, 3) for _ in range(c0)] for _ in kernel]
+            # d_1^T = K R, so d_1 d_2 = R^T K^T d_2 = 0
+            d1 = [[sum(k[i] * r[j] for k, r in zip(kernel, mix)) for i in range(c1)] for j in range(c0)]
+            monkeypatch.setattr(simplicial, "component_complex", lambda s: (d1, d2))
+            broken = any(x != 1 for x in intmat.elementary_divisors(d1))
+            seen[broken] += 1
+            shell = SimplicialComponents((c0, c1, c2), ())
+            if broken:
+                with pytest.raises(InternalError, match="image of C_1 -> C_0 is not a direct summand"):
+                    cocharacter_group(shell)
+                continue
+            rank, basis = cocharacter_group(shell)
+            assert rank == c1 - rank_over_q(d2) - rank_over_q(d1)
+            assert len(basis) == rank
+            assert all(x == 0 for col in basis for x in matvec(dual2, col))
+        assert min(seen.values()) >= 20
 
 
 class TestStrictInts:
@@ -295,7 +317,7 @@ class TestDiv0:
             assert rank == kernel_rank_over_q(stacked)
             assert rank <= m
             for col in basis:
-                assert all(x == 0 for x in intmat.matvec(stacked, col))
+                assert all(x == 0 for x in matvec(stacked, col))
 
 
 class TestPicardSkeleton:

@@ -17,15 +17,10 @@ from fcrystals.cli import main
 from fcrystals.serialize import ring_from_doc
 from fcrystals.witt import (
     RingParams,
-    WittCoords,
     WittElem,
-    coords_add,
-    coords_mul,
-    coords_to_elem,
     default_modulus,
     dp_exp,
     dp_log,
-    elem_to_coords,
     frobenius,
     frobenius_inverse,
     reduce_elem,
@@ -33,7 +28,17 @@ from fcrystals.witt import (
     with_precision,
 )
 
-from helpers import exp_oracle, frobenius_oracle, log_oracle, residue_pow_p
+from helpers import (
+    WittCoords,
+    coords_add,
+    coords_mul,
+    coords_to_elem,
+    elem_to_coords,
+    exp_oracle,
+    frobenius_oracle,
+    log_oracle,
+    residue_pow_p,
+)
 
 F9 = RingParams(3, 3, 2, default_modulus(3, 2))
 F8 = RingParams(2, 2, 3, default_modulus(2, 3))
