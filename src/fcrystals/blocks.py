@@ -22,13 +22,7 @@ from .errors import (
     ShapeError,
     UnsupportedInputError,
 )
-from .semilinear import (
-    FilteredFModule,
-    direct_sum,
-    newton_slopes,
-    verify,
-    wmat_from_ints,
-)
+from .semilinear import FilteredFModule, _int_rows, direct_sum, newton_slopes, verify
 from .witt import RingParams, _ints
 
 ORDER_SEARCH_LIMIT = 120
@@ -66,8 +60,8 @@ class LatticeData:
 
     The same data presents a torus by its cocharacter lattice, so TorusData
     is an alias of this class.  The inverse of the action is computed once,
-    on construction, and read by every block built from the data.  Rank and
-    action entries must be ints, not bools (else bad-type)."""
+    on construction, and read by every block built from the data (and by
+    dual).  Rank and action entries must be ints, not bools (else bad-type)."""
 
     rank: int
     sigma_action: tuple[tuple[int, ...], ...]
@@ -85,6 +79,16 @@ class LatticeData:
     def trivial(rank: int) -> "LatticeData":
         return LatticeData(rank, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
 
+    def dual(self) -> "LatticeData":
+        """The data with the inverse-transpose action (A^-1)^T, read off this
+        one without a new elimination: it is unimodular of A's order, with
+        inverse A^T."""
+        d = object.__new__(LatticeData)
+        d.__dict__.update(
+            rank=self.rank, sigma_action=tuple(zip(*self.sigma_inverse)), sigma_inverse=tuple(zip(*self.sigma_action))
+        )
+        return d
+
 
 TorusData = LatticeData
 
@@ -97,28 +101,22 @@ def tate(m: int, params: RingParams) -> FilteredFModule:
     the tensor product, at the cost of level |m| resp. 1 - m.
     """
     if m >= 1:
-        f = wmat_from_ints(params, [[1]])
-        v = wmat_from_ints(params, [[params.p**m]])
-        level = m
+        f, v, level = 1, params.p**m, m
     else:
-        f = wmat_from_ints(params, [[params.p ** (1 - m)]])
-        v = wmat_from_ints(params, [[1]])
-        level = 1 - m
-    return FilteredFModule(params, 1, (-2 * m,), f, v, level)
+        f, v, level = params.p ** (1 - m), 1, 1 - m
+    return FilteredFModule._of_rows(params, 1, (-2 * m,), _int_rows(params, [[f]]), _int_rows(params, [[v]]), level)
 
 
 def lattice_block(d: LatticeData, params: RingParams) -> FilteredFModule:
     """Weight-0 block: F = p A, V = A^(-1) for the lifted sigma action A."""
-    f = wmat_from_ints(params, [[params.p * x for x in row] for row in d.sigma_action])
-    v = wmat_from_ints(params, d.sigma_inverse)
-    return FilteredFModule(params, d.rank, (0,) * d.rank, f, v, 1)
+    f = _int_rows(params, [[params.p * x for x in row] for row in d.sigma_action])
+    return FilteredFModule._of_rows(params, d.rank, (0,) * d.rank, f, _int_rows(params, d.sigma_inverse), 1)
 
 
 def torus_block(d: TorusData, params: RingParams) -> FilteredFModule:
     """Weight -2 block: F = B, V = p B^(-1) for the lifted sigma action B."""
-    f = wmat_from_ints(params, d.sigma_action)
-    v = wmat_from_ints(params, [[params.p * x for x in row] for row in d.sigma_inverse])
-    return FilteredFModule(params, d.rank, (-2,) * d.rank, f, v, 1)
+    v = _int_rows(params, [[params.p * x for x in row] for row in d.sigma_inverse])
+    return FilteredFModule._of_rows(params, d.rank, (-2,) * d.rank, _int_rows(params, d.sigma_action), v, 1)
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ class AbelianBlock:
             raise UnsupportedInputError("abelian block must have even rank 2g")
         if any(w != -1 for w in module.weights):
             raise UnsupportedInputError("abelian block must be pure of weight -1")
-        if module.level != 1 or module.v_mat is None:
+        if module.level != 1 or module.v_rows is None:
             raise UnsupportedInputError("abelian block must be a level-1 module with V")
         rep = verify(module)
         if not rep.ok:
@@ -178,9 +176,9 @@ def abelian_from_ap(a_p: int, params: RingParams) -> AbelianBlock:
             f"V = p F^(-1) is not integral over F_{q}: the companion model needs q = p; "
             "pass an explicit weight -1 module instead"
         )
-    f = wmat_from_ints(params, [[0, -q], [1, a_p]])
-    v = wmat_from_ints(params, [[x // q for x in row] for row in entries])
-    module = FilteredFModule(params, 2, (-1, -1), f, v, 1)
+    f = _int_rows(params, [[0, -q], [1, a_p]])
+    v = _int_rows(params, [[x // q for x in row] for row in entries])
+    module = FilteredFModule._of_rows(params, 2, (-1, -1), f, v, 1)
     slopes = newton_slopes(module).as_list()
     if sorted(Fraction(1) - s for s in slopes) != slopes:
         raise InternalError(f"companion block slopes {slopes} are not symmetric under s -> 1-s")

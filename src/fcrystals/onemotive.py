@@ -6,9 +6,10 @@ W_n(k).  Assembly produces a level-1 filtered module whose basis is ordered
 torus part (weight -2), abelian part (weight -1), lattice part (weight 0),
 with the extension blocks sitting strictly above the diagonal; Verschiebung
 is determined as sigma^(-1)(p F^(-1)) from the canonical integer lift of F
-and must come out integral.  The realization computes on coordinate rows at
-two guard digits and boxes only the three off-diagonal V blocks it returns;
-the graded blocks are built once per presentation.
+and must come out integral.  The realization, the dual presentation, the
+pairing and the structural checks all compute on the modules' coordinate
+rows (the realization at two guard digits); the graded blocks are built
+once per presentation.
 
 The dual presentation is constructed so that assembling it reproduces the
 twisted dual of the assembled module up to an explicit basis permutation,
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, lattice_block, torus_block
 from .errors import (
     FCrystalsError,
@@ -32,26 +32,9 @@ from .errors import (
     ShapeError,
     UnsupportedInputError,
 )
-from .semilinear import (
-    FilteredFModule,
-    VerifyReport,
-    _box,
-    _mul,
-    _scalar_gap,
-    _sigma_rows,
-    conjugate_by_permutation,
-    twisted_dual,
-    verify,
-    wm_block,
-    wm_det,
-    wm_eq,
-    wm_mul,
-    wm_shape,
-    wm_submatrix,
-    wm_transpose,
-    wm_zero,
-    WMat,
-)
+from .semilinear import FilteredFModule, Rows, VerifyReport, WMat, _block, _box, _charpoly, _checked, _coords, _det
+from .semilinear import _int_rows, _mul, _scalar_gap, _sigma_rows, conjugate_by_permutation, twisted_dual, verify
+from .semilinear import wm_shape, wm_transpose, wm_zero
 from .witt import RingParams, with_precision
 
 __all__ = [
@@ -185,40 +168,31 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
     """F and V of the presentation (see assemble), without the self-check."""
     params = s.params
     rT, g2, rX = s.segments
-    r = rT + g2 + rX
     tb, ab, lb = s.blocks
-    sizes = [rT, g2, rX]
-    f = wm_block(
-        params,
-        [
-            [tb.f_mat, s.ext_at, s.ext_xt],
-            [None, ab.f_mat, s.ext_xa],
-            [None, None, lb.f_mat],
-        ],
-        sizes,
-        sizes,
-    )
-    # Off-diagonal blocks of p F^(-1), on coordinate rows at two guard digits
-    # from balanced lifts.  The cancellations in F sigma(V) = V sigma^(-1)(F)
-    # = p are exact provided the lifted abelian identities hold on the nose,
-    # as for every built-in block constructor (their matrices have small
-    # integer representatives); reject other abelian data.
+    sizes, zero = [rT, g2, rX], (0,) * params.a
+    ext_at, ext_xa, ext_xt = (_coords(params, m) for m in (s.ext_at, s.ext_xa, s.ext_xt))
+    f = _block([[tb.f_rows, ext_at, ext_xt], [None, ab.f_rows, ext_xa], [None, None, lb.f_rows]], sizes, sizes, zero)
+    # Off-diagonal blocks of p F^(-1), at two guard digits from balanced
+    # lifts.  The cancellations in F sigma(V) = V sigma^(-1)(F) = p are exact
+    # provided the lifted abelian identities hold on the nose, as for every
+    # built-in block constructor (their matrices have small integer
+    # representatives); reject other abelian data.
     big = with_precision(params, params.n + 2)
-    p, pn, half, bpn, pad = params.p, params.pn, params.pn // 2, big.pn, (0,) * (params.a - 1)
+    p, pn, half, bpn = params.p, params.pn, params.pn // 2, big.pn
 
-    def lift(m: WMat) -> list[list[tuple[int, ...]]]:
-        return [[tuple((c if c <= half else c - pn) % bpn for c in x.coords) for x in row] for row in m]
+    def lift(m: Rows) -> Rows:
+        return [[tuple((c if c <= half else c - pn) % bpn for c in x) for x in row] for row in m]
 
     # p F^(-1) has blocks -B^(-1) ext_at sigma(V_A), -w_div A^(-1) and
     # -B^(-1) (ext_xt - ext_at w_div) A^(-1); V's blocks are sigma^(-1) of them
-    def down(rows) -> WMat:  # -sigma^(-1)(rows), reduced to W_n and boxed
+    def down(rows: Rows) -> Rows:  # -sigma^(-1)(rows), reduced to W_n
         inv = _sigma_rows(big, rows, "frobenius_inverse_matrix")
-        return _box(params, [[tuple(-c % pn for c in x) for x in row] for row in inv])
+        return [[tuple(-c % pn for c in x) for x in row] for row in inv]
 
-    va = lift(ab.v_mat)
+    va = lift(ab.v_rows)
     sig_va = _sigma_rows(big, va, "frobenius_matrix")
     if g2:
-        d = lift(ab.f_mat)
+        d = lift(ab.f_rows)
         if _scalar_gap(big, _mul(big, d, sig_va), p) or _scalar_gap(
             big, _mul(big, va, _sigma_rows(big, d, "frobenius_inverse_matrix")), p
         ):
@@ -226,12 +200,11 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
                 "abelian block does not lift exactly: its balanced representatives "
                 "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
             )
-    binv = [[(c % bpn,) + pad for c in row] for row in s.torus.sigma_inverse]
-    ainv = [[(c % bpn,) + pad for c in row] for row in s.lattice.sigma_inverse]
-    v_ta, v_ax, v_tx = wm_zero(params, rT, g2), wm_zero(params, g2, rX), wm_zero(params, rT, rX)
-    at, inner = lift(s.ext_at), lift(s.ext_xt)  # inner: ext_xt - ext_at . w_div
+    binv, ainv = _int_rows(big, s.torus.sigma_inverse), _int_rows(big, s.lattice.sigma_inverse)
+    v_ta = v_ax = v_tx = None  # zero blocks
+    at, inner = lift(ext_at), lift(ext_xt)  # inner: ext_xt - ext_at . w_div
     if g2 and rX:
-        prod_ax = _mul(big, sig_va, lift(s.ext_xa))
+        prod_ax = _mul(big, sig_va, lift(ext_xa))
         if any(c % p for row in prod_ax for x in row for c in x):
             raise InvalidExtensionDataError(
                 "sigma(V_A) . ext_xa is not divisible by p: Verschiebung is not integral"
@@ -244,22 +217,14 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
         v_ta = down(_mul(big, binv, _mul(big, at, sig_va)))
     if rT and rX:
         v_tx = down(_mul(big, binv, _mul(big, inner, ainv)))
-    v = wm_block(
-        params,
-        [
-            [tb.v_mat, v_ta, v_tx],
-            [None, ab.v_mat, v_ax],
-            [None, None, lb.v_mat],
-        ],
-        sizes,
-        sizes,
-    )
+    v = _block([[tb.v_rows, v_ta, v_tx], [None, ab.v_rows, v_ax], [None, None, lb.v_rows]], sizes, sizes, zero)
     weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
-    return FilteredFModule(params, r, weights, f, v, 1)
+    return FilteredFModule._of_rows(params, rT + g2 + rX, weights, f, v, 1, ab.foreign)
 
 
-def _inverse_transpose(d: LatticeData) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in intmat.transpose(d.sigma_inverse))
+def _sub(rows: Rows, r: slice, c: slice) -> Rows:
+    """The block of rows r and columns c."""
+    return [row[c] for row in rows[r]]
 
 
 def _dual_permutation(rX: int, g2: int, rT: int) -> list[int]:
@@ -275,29 +240,22 @@ def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
     """Dual presentation: lattice and torus swap with inverse-transpose
     actions, the abelian block is replaced by its twisted dual, and the
     extension blocks are read off the canonical dual of assemble(s), so that
-    assembling the dual reproduces it (see dual_witness).  Nothing of s is
-    rebuilt: its realization and canonical dual are the ones kept on
-    assemble(s)."""
+    assembling it reproduces that canonical dual (see dual_witness).  Nothing
+    of s is rebuilt: its realization and canonical dual are the ones kept on
+    assemble(s), and the dual actions are read off its actions and their
+    inverses."""
     params = s.params
     rT, g2, rX = s.segments
-    f_c = assemble(s).canonical_dual.f_mat
-    torus2 = TorusData(rX, _inverse_transpose(s.lattice))
-    lattice2 = LatticeData(rT, _inverse_transpose(s.torus))
+    f_c = assemble(s).canonical_dual.f_rows
+    seg_t, seg_a, seg_x = slice(0, rX), slice(rX, rX + g2), slice(rX + g2, rX + g2 + rT)
+
     abelian2 = AbelianBlock(s.abelian.dim, twisted_dual(s.abelian.crystal)) if g2 else AbelianBlock.empty(params)
-    seg_t, seg_a, seg_x = range(0, rX), range(rX, rX + g2), range(rX + g2, rX + g2 + rT)
-    dual = OneMotiveSpec(
-        params,
-        lattice2,
-        torus2,
-        abelian2,
-        wm_submatrix(f_c, seg_t, seg_a),
-        wm_submatrix(f_c, seg_a, seg_x),
-        wm_submatrix(f_c, seg_t, seg_x),
-        label=f"{s.label}^dual" if s.label else "dual",
-    )
+    ext = (_box(params, _sub(f_c, rows, cols)) for rows, cols in ((seg_t, seg_a), (seg_a, seg_x), (seg_t, seg_x)))
+    label = f"{s.label}^dual" if s.label else "dual"
+    dual = OneMotiveSpec(params, s.torus.dual(), s.lattice.dual(), abelian2, *ext, label=label)
     # diagonal blocks of the canonical dual must agree with the dual blocks
     for what, seg, block in zip(("torus", "abelian", "lattice"), (seg_t, seg_a, seg_x), dual.blocks):
-        if not wm_eq(wm_submatrix(f_c, seg, seg), block.f_mat):
+        if _sub(f_c, seg, seg) != block.f_rows:
             raise InternalError(f"the {what} block of the canonical dual disagrees with the dual spec")
     return dual
 
@@ -359,21 +317,22 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
             f"their presentations {r}"
         )
     pi = _dual_permutation(rX, g2, rT)[::-1]
-    zero = params.zero()
 
-    def placed(c):  # c at each (i, pi[i]), zero elsewhere
-        return tuple(tuple(c if j == pi[i] else zero for j in range(r)) for i in range(r))
+    def placed(c) -> list[list[int]]:  # c at each (i, pi[i]), 0 elsewhere
+        return [[c if j == pi[i] else 0 for j in range(r)] for i in range(r)]
 
-    gram, p_gram = placed(params.one()), placed(params.from_int(params.p))
+    one, zero = params.one(), params.zero()
+    gram = tuple(tuple(one if c else zero for c in row) for row in placed(1))  # two elements, r^2 references
+    p_gram = _int_rows(params, placed(params.p))
     perfect = sorted(pi) == list(range(r))
     wts, wts_d = m.module.weights, m_dual.module.weights
     weight_orth = all(wts[i] + wts_d[pi[i]] >= -2 for i in range(r))
 
-    def compatible(a: WMat, b: WMat) -> bool:
-        return wm_eq(wm_mul(params, wm_transpose(a), tuple(b[k] for k in pi)), p_gram)
+    def compatible(a: Rows, b: Rows) -> bool:
+        return _mul(params, wm_transpose(a), [b[k] for k in pi]) == p_gram
 
-    frob_ok = compatible(m.module.f_mat, m_dual.module.f_mat)
-    versch_ok = m.module.v_mat is None or compatible(m.module.v_mat, m.canonical_dual.v_mat)
+    frob_ok = compatible(_checked(m.module).f_rows, _checked(m_dual.module).f_rows)
+    versch_ok = m.module.v_rows is None or compatible(m.module.v_rows, m.canonical_dual.v_rows)
     return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
 
 
@@ -419,18 +378,13 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     items.append(("2.c", n_le_m2 == rT, f"rank W_-2 = {n_le_m2} (expected {rT})"))
     items.append(("2.d", all(w >= -2 for w in mod.weights), "no weights below -2"))
 
-    shape_ok = mod.weights == (-2,) * rT + (-1,) * g2 + (0,) * rX and mod.rank == r_expect
+    shape_ok = ok and mod.weights == (-2,) * rT + (-1,) * g2 + (0,) * rX  # ok: same rank, same ring
     tb, ab, lb = s.blocks
-    seg_t = range(0, rT)
-    seg_a = range(rT, rT + g2)
-    seg_x = range(rT + g2, r_expect)
+    seg_t, seg_a, seg_x = slice(0, rT), slice(rT, rT + g2), slice(rT + g2, r_expect)
 
     def graded_match(seg, block):
-        if not shape_ok:
-            return False
-        f_ok = wm_eq(wm_submatrix(mod.f_mat, seg, seg), block.f_mat)
-        v_ok = mod.v_mat is not None and wm_eq(wm_submatrix(mod.v_mat, seg, seg), block.v_mat)
-        return f_ok and v_ok
+        f_ok = shape_ok and _sub(mod.f_rows, seg, seg) == block.f_rows
+        return f_ok and mod.v_rows is not None and _sub(mod.v_rows, seg, seg) == block.v_rows
 
     items.append(("3.a", graded_match(seg_t, tb), f"Gr_-2 free of rank {rT}, toric block"))
     items.append(("3.b", graded_match(seg_a, ab), f"Gr_-1 free of rank {g2}, abelian block"))
@@ -445,7 +399,7 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     )
     items.append(("4.a", flag_ok, "F and V respect the weight flag"))
     fv_ok = (
-        mod.v_mat is not None
+        mod.v_rows is not None
         and by_name.get("fv-product") is not None
         and by_name["fv-product"].ok
         and by_name["vf-product"].ok
@@ -454,11 +408,11 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     items.append(("4.b", bool(fv_ok), "F sigma(V) = V sigma^-1(F) = p"))
     v_gr0_ok = (
         shape_ok
-        and mod.v_mat is not None
-        and (rX == 0 or wm_det(params, wm_submatrix(mod.v_mat, seg_x, seg_x)).is_unit())
+        and mod.v_rows is not None
+        and (rX == 0 or _det(_charpoly(params, _sub(mod.v_rows, seg_x, seg_x))).is_unit())
     )
     items.append(("4.c", bool(v_gr0_ok), "V unimodular on Gr_0"))
-    f_gr2_ok = shape_ok and (rT == 0 or wm_det(params, wm_submatrix(mod.f_mat, seg_t, seg_t)).is_unit())
+    f_gr2_ok = shape_ok and (rT == 0 or _det(_charpoly(params, _sub(mod.f_rows, seg_t, seg_t))).is_unit())
     items.append(("4.d", f_gr2_ok, "F unimodular on Gr_-2"))
 
     try:

@@ -4,11 +4,14 @@ Verschiebung, tensor and twisted-dual constructions, Newton slopes.
 A sigma-linear map is stored as a matrix M with the convention
 v |-> M . sigma(v), sigma applied entrywise to the coordinate column; a
 sigma^(-1)-linear map as v |-> M . sigma^(-1)(v).  Matrices over the Witt
-ring are immutable tuples of tuples of WittElem at the API boundary.  The
-kernels check each entry's ring once, compute on coordinate rows (rows of
-canonical coordinate tuples, packed into ints for products) and box a
-WittElem per entry only for the matrix they hand back.  One product kernel
-on coordinate rows serves wm_mul, verify and the motive realization.
+ring are kept as coordinate rows: lists of lists of canonical coordinate
+tuples.  A FilteredFModule stores its F and V that way, every kernel reads
+and builds such rows (packing entries into ints for products), and one
+product kernel serves them all.  The public WMat functions (wm_mul,
+wm_sigma, wm_kron, charpoly, ...) take and return immutable tuples of tuples
+of WittElem: they check each entry's ring once on the way in and box a
+WittElem per entry only for the matrix they hand back.  A module's f_mat and
+v_mat are such boxed views, built on first read.
 
 The weight flag is stored in an adapted basis: one weight per basis vector,
 non-decreasing along the basis (lowest weight first), with W_j spanned by
@@ -17,7 +20,7 @@ the basis vectors of weight <= j.  Graded pieces are free by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter, lshift, mul
@@ -34,6 +37,7 @@ from .errors import (
 from .witt import RingParams, WittElem, _apply, balanced_lift_elem, reduce_elem
 
 WMat = tuple[tuple[WittElem, ...], ...]
+Rows = list[list[tuple[int, ...]]]  # coordinate rows, the kernels' one operand type
 
 smith_normal_form = intmat.smith_normal_form  # exact integer SNF lives in intmat
 
@@ -100,6 +104,12 @@ def wmat(params: RingParams, rows: Sequence[Sequence]) -> WMat:
 
 def wmat_from_ints(params: RingParams, rows: Sequence[Sequence[int]]) -> WMat:
     return tuple(tuple(params.from_int(x) for x in row) for row in rows)
+
+
+def _int_rows(params: RingParams, m: Sequence[Sequence[int]]) -> Rows:
+    """The coordinate rows of an integer matrix."""
+    pn, pad = params.pn, (0,) * (params.a - 1)
+    return [[(x % pn,) + pad for x in row] for row in m]
 
 
 def wm_shape(a: WMat) -> tuple[int, int]:
@@ -179,8 +189,8 @@ def wm_scal(c: WittElem, a: WMat) -> WMat:
 
 
 def wm_transpose(a: WMat) -> WMat:
-    r, c = wm_shape(a)
-    return tuple(tuple(a[i][j] for i in range(r)) for j in range(c))
+    """The transpose, as a tuple of tuples of a's entries (WittElem or coordinates)."""
+    return tuple(zip(*a))
 
 
 def _sigma_rows(params: RingParams, rows, table: str):
@@ -213,20 +223,30 @@ def wm_eq(a: WMat, b: WMat) -> bool:
     )
 
 
-def wm_kron(params: RingParams, a: WMat, b: WMat) -> WMat:
+def _kron(params: RingParams, a: Rows, b: Rows) -> Rows:
     pack, unpack, _ = _packing(params, 1)
-    pb = _coords(params, b, pack)
-    return _box(params, ([unpack(x * y) for x in ra for y in rb] for ra in _coords(params, a, pack) for rb in pb))
+    pa, pb = ([[pack(x) for x in row] for row in m] for m in (a, b))
+    return [[unpack(x * y) for x in ra for y in rb] for ra in pa for rb in pb]
 
 
-def wm_block(params: RingParams, grid: Sequence[Sequence[WMat]], row_sizes, col_sizes) -> WMat:
-    zero, rows = params.zero(), []
+def wm_kron(params: RingParams, a: WMat, b: WMat) -> WMat:
+    return _box(params, _kron(params, _coords(params, a), _coords(params, b)))
+
+
+def _block(grid, row_sizes, col_sizes, zero) -> list[list]:
+    """The block matrix of grid (None for a zero block), as lists of entries;
+    zero is the entry of the zero blocks."""
+    rows = []
     for blocks, rsize in zip(grid, row_sizes):
         if rsize and any(b is not None and wm_shape(b) != (rsize, c) for b, c in zip(blocks, col_sizes)):
             raise ShapeError("block has the wrong shape")
-        pieces = [((zero,) * c,) * rsize if b is None else b for b, c in zip(blocks, col_sizes)]
-        rows.extend(tuple(chain.from_iterable(parts)) for parts in zip(*pieces))
-    return tuple(rows)
+        pieces = [[[zero] * c] * rsize if b is None else b for b, c in zip(blocks, col_sizes)]
+        rows.extend(list(chain.from_iterable(parts)) for parts in zip(*pieces))
+    return rows
+
+
+def wm_block(params: RingParams, grid: Sequence[Sequence[WMat]], row_sizes, col_sizes) -> WMat:
+    return tuple(map(tuple, _block(grid, row_sizes, col_sizes, params.zero())))
 
 
 def wm_balanced_lift(a: WMat, big: RingParams) -> WMat:
@@ -237,19 +257,22 @@ def wm_reduce(a: WMat, small: RingParams) -> WMat:
     return tuple(tuple(reduce_elem(x, small) for x in row) for row in a)
 
 
-def wm_submatrix(a: WMat, rows: range, cols: range) -> WMat:
-    return tuple(tuple(a[i][j] for j in cols) for i in rows)
-
-
 def charpoly(params: RingParams, a: WMat) -> list[WittElem]:
     """Characteristic polynomial det(xI - a), ascending coefficients
-    [c_0, ..., c_{r-1}, 1], by the division-free Samuelson-Berkowitz scheme,
-    on packed entries with one reduction per dot product."""
+    [c_0, ..., c_{r-1}, 1]."""
     r, c = wm_shape(a)
     if r != c:
         raise ShapeError("characteristic polynomial of a non-square matrix")
+    return _charpoly(params, _coords(params, a))
+
+
+def _charpoly(params: RingParams, rows: Rows) -> list[WittElem]:
+    """charpoly of square coordinate rows, by the division-free
+    Samuelson-Berkowitz scheme, on packed entries with one reduction per dot
+    product."""
+    r = len(rows)
     pack, unpack, _ = _packing(params, r + 1)
-    m, minus = _coords(params, a, pack), params.pn - 1  # -1 packs to p^n - 1 for every a
+    m, minus = [[pack(x) for x in row] for row in rows], params.pn - 1  # -1 packs to p^n - 1 for every a
 
     def red(s: int) -> int:
         return pack(unpack(s))
@@ -283,7 +306,8 @@ def wm_adjugate(params: RingParams, a: WMat, coeffs: list[WittElem]) -> WMat:
     if r == 0:
         return ()
     m, pn = _coords(params, a), params.pn
-    acc = _coords(params, wm_identity(params, r))  # builds A^{r-1} + c_{r-1} A^{r-2} + ... + c_1 I
+    # acc builds A^{r-1} + c_{r-1} A^{r-2} + ... + c_1 I
+    acc = _int_rows(params, [[int(i == j) for j in range(r)] for i in range(r)])
     for i in range(r - 1, 0, -1):
         acc = _mul(params, m, acc)
         for k in range(r):
@@ -309,25 +333,74 @@ def wm_inverse_unit(params: RingParams, a: WMat) -> WMat:
 class FilteredFModule:
     """Free W_n(k)-module with sigma-linear F, optional sigma^(-1)-linear V,
     and an adapted weight flag (weights non-decreasing along the basis).
-    Rank, weights and level must be ints, not bools (else bad-type)."""
+    Rank, weights and level must be ints, not bools (else bad-type).
+
+    F and V are stored as coordinate rows (f_rows, v_rows), which every
+    kernel reads; f_mat and v_mat are boxed views of them, built on first
+    read (a module constructed from WMats keeps the given ones).  An entry
+    from another ring is recorded in `foreign` on construction, and the
+    kernels that read entries as ring elements raise IncompatibleRingsError
+    for it."""
 
     params: RingParams
     rank: int
     weights: tuple[int, ...]
-    f_mat: WMat
-    v_mat: WMat | None
+    f_mat: WMat = field(compare=False)
+    v_mat: WMat | None = field(compare=False)
     level: int = 1
+    f_rows: Rows = field(init=False, repr=False)
+    v_rows: Rows | None = field(init=False, repr=False)
+    foreign: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._check(self.f_mat, self.v_mat)
+        params, entries = self.params, [x for m in (self.f_mat, self.v_mat or ()) for row in m for x in row]
+        if any(type(x) is not WittElem for x in entries):
+            raise MalformedInputError("matrix entries must be Witt elements", code="bad-element")
+        f, v = ([[x.coords for x in row] for row in m] if m is not None else None for m in (self.f_mat, self.v_mat))
+        foreign = any(x.params is not params and x.params != params for x in entries)
+        self.__dict__.update(f_rows=f, v_rows=v, foreign=foreign)
+
+    @classmethod
+    def _of_rows(cls, params, rank, weights, f: Rows, v: Rows | None, level: int = 1, foreign: bool = False):
+        """The module on coordinate rows of params (the kernels' and the
+        parser's constructor): rank, weights, level and shapes are checked as
+        in the public one, the entries are taken as they are."""
+        m = object.__new__(cls)
+        m.__dict__.update(params=params, rank=rank, weights=weights, level=level, f_rows=f, v_rows=v, foreign=foreign)
+        m._check(f, v)
+        return m
+
+    def _check(self, f, v) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not all(type(x) is int for x in (self.rank, self.level, *self.weights)):
             raise MalformedInputError("rank, weights and level must be integers", code="bad-type")
         if len(self.weights) != self.rank:
             raise ShapeError("one weight per basis vector required")
-        if wm_shape(self.f_mat) != (self.rank, self.rank):
+        if wm_shape(f) != (self.rank, self.rank):
             raise ShapeError("F matrix must be rank x rank")
-        if self.v_mat is not None and wm_shape(self.v_mat) != (self.rank, self.rank):
+        if v is not None and wm_shape(v) != (self.rank, self.rank):
             raise ShapeError("V matrix must be rank x rank")
+
+    def __getattr__(self, name: str):
+        # only reached when f_mat / v_mat is not set yet: box it once and keep it
+        if name not in ("f_mat", "v_mat") or "f_rows" not in self.__dict__:
+            raise AttributeError(name)
+        rows = self.f_rows if name == "f_mat" else self.v_rows
+        view = self.__dict__[name] = None if rows is None else _box(self.params, rows)
+        return view
+
+    def __hash__(self):
+        rows = (tuple(map(tuple, m)) for m in (self.f_rows, self.v_rows or ()))
+        return hash((self.params, self.rank, self.weights, self.level, self.foreign, *rows))
+
+
+def _checked(m: FilteredFModule) -> FilteredFModule:
+    """m, after the one ring check of the kernels that read its entries as
+    elements of its ring."""
+    if m.foreign:
+        raise IncompatibleRingsError("matrix entry from a different ring")
+    return m
 
 
 @dataclass(frozen=True)
@@ -362,22 +435,22 @@ def _scalar_gap(params: RingParams, rows, c: int):
     return None
 
 
-def _flag_check(what: str, weights, mat: WMat) -> CheckResult:
-    """No entry of mat maps a basis vector into a lower weight."""
-    lower = ((i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if weights[i] > weights[j])
-    bad = next(((i, j) for i, j, x in lower if any(x.coords)), None)
+def _flag_check(what: str, weights, rows: Rows) -> CheckResult:
+    """No entry of rows maps a basis vector into a lower weight."""
+    lower = ((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if weights[i] > weights[j])
+    bad = next(((i, j) for i, j, x in lower if any(x)), None)
     detail = "" if bad is None else f"{what}[{bad[0]}][{bad[1]}] breaks the flag"
     return CheckResult(f"flag-{what}", bad is None, detail)
 
 
-def _product_check(name: str, what: str, m: FilteredFModule, a: WMat, b: WMat, table: str) -> CheckResult:
+def _product_check(name: str, what: str, m: FilteredFModule, a: Rows, b: Rows, table: str) -> CheckResult:
     """a . sigma^(+-1)(b) = p^level I (table names sigma's matrix), else name
     the first entry that differs, with its actual and expected coordinates."""
     claim = f"{what} != p^{m.level} I"
     if m.level < 0:
         return CheckResult(name, False, f"{claim}: p^{m.level} is not in W_n(k)")
-    params = m.params
-    prod = _mul(params, _coords(params, a), _sigma_rows(params, _coords(params, b), table))
+    params = _checked(m).params
+    prod = _mul(params, a, _sigma_rows(params, b, table))
     gap = _scalar_gap(params, prod, params.p**m.level)
     if gap is None:
         return CheckResult(name, True)
@@ -393,18 +466,14 @@ def verify(m: FilteredFModule) -> VerifyReport:
     checks: list[CheckResult] = []
     checks.append(CheckResult("level", m.level >= 1, f"level = {m.level}"))
     sorted_ok = all(m.weights[i] <= m.weights[i + 1] for i in range(m.rank - 1))
-    checks.append(
-        CheckResult(
-            "weight-order",
-            sorted_ok,
-            "" if sorted_ok else f"weights {m.weights} are not non-decreasing",
-        )
-    )
-    checks.append(_flag_check("F", m.weights, m.f_mat))
-    if m.v_mat is not None:
-        checks.append(_flag_check("V", m.weights, m.v_mat))
-        checks.append(_product_check("fv-product", "F sigma(V)", m, m.f_mat, m.v_mat, "frobenius_matrix"))
-        checks.append(_product_check("vf-product", "V sigma^-1(F)", m, m.v_mat, m.f_mat, "frobenius_inverse_matrix"))
+    order = "" if sorted_ok else f"weights {m.weights} are not non-decreasing"
+    checks.append(CheckResult("weight-order", sorted_ok, order))
+    f, v = m.f_rows, m.v_rows
+    checks.append(_flag_check("F", m.weights, f))
+    if v is not None:
+        checks.append(_flag_check("V", m.weights, v))
+        checks.append(_product_check("fv-product", "F sigma(V)", m, f, v, "frobenius_matrix"))
+        checks.append(_product_check("vf-product", "V sigma^-1(F)", m, v, f, "frobenius_inverse_matrix"))
     return VerifyReport(tuple(checks))
 
 
@@ -412,8 +481,15 @@ def _argsort_stable(weights: Sequence[int]) -> list[int]:
     return sorted(range(len(weights)), key=lambda i: weights[i])
 
 
-def _permute(m: WMat, perm: Sequence[int]) -> WMat:
-    return tuple(tuple(m[perm[i]][perm[j]] for j in range(len(perm))) for i in range(len(perm)))
+def _permute(m: Rows, perm: Sequence[int]) -> Rows:
+    return [[m[i][j] for j in perm] for i in perm]
+
+
+def _sorted_by_weight(params, weights, f: Rows, v: Rows | None, level: int, foreign: bool) -> FilteredFModule:
+    """The module with its basis re-sorted by weight (stable)."""
+    perm = _argsort_stable(weights)
+    w = tuple(weights[i] for i in perm)
+    return FilteredFModule._of_rows(params, len(w), w, _permute(f, perm), v and _permute(v, perm), level, foreign)
 
 
 def tensor(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
@@ -421,21 +497,12 @@ def tensor(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
     levels add.  The Kronecker basis is re-sorted by weight (stable)."""
     if m1.params != m2.params:
         raise IncompatibleRingsError("tensor operands live over different rings")
-    params = m1.params
+    params = _checked(m1).params
+    _checked(m2)
     weights = [w1 + w2 for w1 in m1.weights for w2 in m2.weights]
-    f = wm_kron(params, m1.f_mat, m2.f_mat)
-    v = None
-    if m1.v_mat is not None and m2.v_mat is not None:
-        v = wm_kron(params, m1.v_mat, m2.v_mat)
-    perm = _argsort_stable(weights)
-    return FilteredFModule(
-        params,
-        m1.rank * m2.rank,
-        tuple(weights[i] for i in perm),
-        _permute(f, perm),
-        _permute(v, perm) if v is not None else None,
-        m1.level + m2.level,
-    )
+    f = _kron(params, m1.f_rows, m2.f_rows)
+    v = None if m1.v_rows is None or m2.v_rows is None else _kron(params, m1.v_rows, m2.v_rows)
+    return _sorted_by_weight(params, weights, f, v, m1.level + m2.level, False)
 
 
 def direct_sum(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
@@ -444,31 +511,12 @@ def direct_sum(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
     if m1.level != m2.level:
         raise ShapeError("direct sum requires equal levels")
     params = m1.params
-    r = m1.rank + m2.rank
-    weights = list(m1.weights) + list(m2.weights)
-    f = wm_block(
-        params,
-        [[m1.f_mat, None], [None, m2.f_mat]],
-        [m1.rank, m2.rank],
-        [m1.rank, m2.rank],
-    )
+    sizes, zero = [m1.rank, m2.rank], (0,) * params.a
+    f = _block([[m1.f_rows, None], [None, m2.f_rows]], sizes, sizes, zero)
     v = None
-    if m1.v_mat is not None and m2.v_mat is not None:
-        v = wm_block(
-            params,
-            [[m1.v_mat, None], [None, m2.v_mat]],
-            [m1.rank, m2.rank],
-            [m1.rank, m2.rank],
-        )
-    perm = _argsort_stable(weights)
-    return FilteredFModule(
-        params,
-        r,
-        tuple(weights[i] for i in perm),
-        _permute(f, perm),
-        _permute(v, perm) if v is not None else None,
-        m1.level,
-    )
+    if m1.v_rows is not None and m2.v_rows is not None:
+        v = _block([[m1.v_rows, None], [None, m2.v_rows]], sizes, sizes, zero)
+    return _sorted_by_weight(params, m1.weights + m2.weights, f, v, m1.level, m1.foreign or m2.foreign)
 
 
 def twisted_dual(m: FilteredFModule) -> FilteredFModule:
@@ -479,13 +527,16 @@ def twisted_dual(m: FilteredFModule) -> FilteredFModule:
     non-decreasing again.  Applying the construction twice returns the
     original module on the nose.
     """
-    if m.v_mat is None:
+    if m.v_rows is None:
         raise SingularFrobeniusError("the twisted dual needs an integral Verschiebung")
+    params = m.params
+    if params.a > 1:
+        _checked(m)  # sigma reads each entry as an element of the ring
     reverse = range(m.rank - 1, -1, -1)
-    f_dual = _permute(wm_sigma(wm_transpose(m.v_mat)), reverse)
-    v_dual = _permute(wm_sigma_inv(wm_transpose(m.f_mat)), reverse)
+    f_dual = _permute(_sigma_rows(params, wm_transpose(m.v_rows), "frobenius_matrix"), reverse)
+    v_dual = _permute(_sigma_rows(params, wm_transpose(m.f_rows), "frobenius_inverse_matrix"), reverse)
     weights = tuple(-2 - w for w in reversed(m.weights))
-    return FilteredFModule(m.params, m.rank, weights, f_dual, v_dual, m.level)
+    return FilteredFModule._of_rows(params, m.rank, weights, f_dual, v_dual, m.level, m.foreign)
 
 
 def conjugate(m: FilteredFModule, g: WMat) -> FilteredFModule:
@@ -494,24 +545,22 @@ def conjugate(m: FilteredFModule, g: WMat) -> FilteredFModule:
     Weights are kept; the caller is responsible for g respecting the flag.
     """
     params = m.params
-    ginv = wm_inverse_unit(params, g)
-    f = wm_mul(params, ginv, wm_mul(params, m.f_mat, wm_sigma(g)))
-    v = None
-    if m.v_mat is not None:
-        v = wm_mul(params, ginv, wm_mul(params, m.v_mat, wm_sigma_inv(g)))
-    return FilteredFModule(params, m.rank, m.weights, f, v, m.level)
+    ginv = _coords(params, wm_inverse_unit(params, g))
+    rows = _coords(params, g)
+
+    def base_change(a: Rows, table: str) -> Rows:
+        return _mul(params, ginv, _mul(params, a, _sigma_rows(params, rows, table)))
+
+    f, v = _checked(m).f_rows, m.v_rows
+    f = base_change(f, "frobenius_matrix")
+    v = v and base_change(v, "frobenius_inverse_matrix")
+    return FilteredFModule._of_rows(params, m.rank, m.weights, f, v, m.level)
 
 
 def conjugate_by_permutation(m: FilteredFModule, perm: Sequence[int]) -> FilteredFModule:
     """Relabel the basis by e'_k = e_{perm[k]}."""
-    return FilteredFModule(
-        m.params,
-        m.rank,
-        tuple(m.weights[i] for i in perm),
-        _permute(m.f_mat, perm),
-        _permute(m.v_mat, perm) if m.v_mat is not None else None,
-        m.level,
-    )
+    weights, v = tuple(m.weights[i] for i in perm), m.v_rows and _permute(m.v_rows, perm)
+    return FilteredFModule._of_rows(m.params, m.rank, weights, _permute(m.f_rows, perm), v, m.level, m.foreign)
 
 
 def is_isomorphism_witness(g: WMat, m1: FilteredFModule, m2: FilteredFModule) -> bool:
@@ -519,16 +568,7 @@ def is_isomorphism_witness(g: WMat, m1: FilteredFModule, m2: FilteredFModule) ->
     conjugating m1 by g reproduces m2 (weights included)."""
     if m1.params != m2.params or m1.rank != m2.rank or m1.level != m2.level:
         return False
-    c = conjugate(m1, g)
-    if c.weights != m2.weights:
-        return False
-    if not wm_eq(c.f_mat, m2.f_mat):
-        return False
-    if (c.v_mat is None) != (m2.v_mat is None):
-        return False
-    if c.v_mat is not None and not wm_eq(c.v_mat, m2.v_mat):
-        return False
-    return True
+    return conjugate(m1, g) == m2
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +629,11 @@ def newton_slopes(m: FilteredFModule) -> SlopeProfile:
             f"newton slopes need n >= {required} at rank {m.rank}, level {m.level}, a = {params.a}",
             required=required,
         )
-    linear = m.f_mat
-    twisted = m.f_mat
+    linear = twisted = _checked(m).f_rows
     for _ in range(params.a - 1):
-        twisted = wm_sigma(twisted)
-        linear = wm_mul(params, linear, twisted)
-    coeffs = charpoly(params, linear)
+        twisted = _sigma_rows(params, twisted, "frobenius_matrix")
+        linear = _mul(params, linear, twisted)
+    coeffs = _charpoly(params, linear)
     n = params.n
     vals = [c.valuation() for c in coeffs]
     if vals[0] >= n:

@@ -15,7 +15,7 @@ from typing import Any
 from .blocks import AbelianBlock, LatticeData, abelian_from_ap
 from .errors import MalformedInputError, ShapeError
 from .onemotive import MotiveReport, OneMotiveSpec, PairingMatrix
-from .semilinear import FilteredFModule, SlopeProfile, VerifyReport, wmat, WMat
+from .semilinear import FilteredFModule, Rows, SlopeProfile, VerifyReport, _box, wmat, WMat
 from .simplicial import DivisorPresentation, H1Ledger, PicardSkeleton, SimplicialComponents
 from .witt import RingParams, WittElem, intern_ring
 
@@ -90,23 +90,32 @@ def wmat_to_doc(m: WMat) -> list[list[list[int]]]:
     return [[elem_to_doc(x) for x in row] for row in m]
 
 
-def wmat_from_doc(doc, params: RingParams) -> WMat:
-    """The matrix in one pass: a list of exactly a ints is reduced mod p^n
-    here, any other entry goes through elem_from_doc (for its value or its
-    error).  Every entry is parsed before the rows' widths are compared."""
+def _rows_from_doc(doc, params: RingParams) -> Rows:
+    """The matrix as coordinate rows, in one pass: a list of exactly a ints is
+    reduced mod p^n here, any other entry goes through elem_from_doc (for its
+    value or its error).  Every entry is parsed before the rows' widths are
+    compared."""
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise MalformedInputError("matrix must be a nested list", code="bad-matrix")
-    a, pn, raw = params.a, params.pn, WittElem._raw
+    a, pn = params.a, params.pn
     rows = []
     for row in doc:
         cells = []
         for x in row:
             coords = tuple([c % pn for c in x if type(c) is int]) if type(x) is list else ()
-            cells.append(raw(params, coords) if len(coords) == a == len(x) else elem_from_doc(x, params))
-        rows.append(tuple(cells))
+            cells.append(coords if len(coords) == a == len(x) else elem_from_doc(x, params).coords)
+        rows.append(cells)
     if any(len(cells) != len(rows[0]) for cells in rows):
         raise ShapeError("ragged matrix")
-    return tuple(rows)
+    return rows
+
+
+def wmat_from_doc(doc, params: RingParams) -> WMat:
+    return _box(params, _rows_from_doc(doc, params))
+
+
+def _rows_to_doc(rows: Rows) -> list[list[list[int]]]:
+    return [[list(x) for x in row] for row in rows]
 
 
 def module_to_doc(m: FilteredFModule) -> dict:
@@ -114,8 +123,8 @@ def module_to_doc(m: FilteredFModule) -> dict:
         "ring": ring_to_doc(m.params),
         "rank": m.rank,
         "weights": list(m.weights),
-        "F": wmat_to_doc(m.f_mat),
-        "V": wmat_to_doc(m.v_mat) if m.v_mat is not None else None,
+        "F": _rows_to_doc(m.f_rows),
+        "V": _rows_to_doc(m.v_rows) if m.v_rows is not None else None,
         "level": m.level,
     }
 
@@ -127,13 +136,13 @@ def module_from_doc(doc: dict, params: RingParams | None = None) -> FilteredFMod
     weights = _need(doc, "weights", list)
     if not all(_is_int(w) for w in weights):
         raise MalformedInputError("weights must be integers", code="bad-type")
-    f = wmat_from_doc(_need(doc, "F"), params)
+    f = _rows_from_doc(_need(doc, "F"), params)
     vdoc = doc.get("V")
-    v = wmat_from_doc(vdoc, params) if vdoc is not None else None
+    v = _rows_from_doc(vdoc, params) if vdoc is not None else None
     level = doc.get("level", 1)
     if not _is_int(level):
         raise MalformedInputError("level must be an integer", code="bad-type")
-    return FilteredFModule(params, rank, tuple(weights), f, v, level)
+    return FilteredFModule._of_rows(params, rank, tuple(weights), f, v, level)
 
 
 def slopes_to_doc(profile: SlopeProfile) -> dict:

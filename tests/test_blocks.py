@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import fcrystals.intmat as intmat
+
 from fcrystals.blocks import (
     AbelianBlock,
     LatticeData,
@@ -31,6 +33,7 @@ from fcrystals.semilinear import (
     wmat_from_ints,
 )
 from fcrystals.witt import RingParams, default_modulus
+from helpers import random_signed_permutation, random_unimodular
 
 P54 = RingParams(5, 4)
 P34 = RingParams(3, 4)
@@ -76,6 +79,25 @@ class TestLatticeTorus:
             LatticeData(rank, action)
         assert exc.value.code == "bad-type"
         assert LatticeData(1, [[-1]]).sigma_action == ((-1,),)
+
+    def test_dual_is_the_inverse_transpose(self, monkeypatch):
+        """dual() equals LatticeData(rank, inverse transpose) field for field,
+        on 200 random finite-order actions U P U^-1 (P a signed permutation),
+        and runs no elimination."""
+        rng = random.Random(13)
+        calls = []
+        for _ in range(200):
+            r = rng.randint(0, 4)
+            u = random_unimodular(rng, r)
+            action = intmat.mul(intmat.mul(u, random_signed_permutation(rng, r)), intmat.inverse_unimodular(u))
+            d = LatticeData(r, action)
+            want = LatticeData(r, tuple(zip(*d.sigma_inverse)))
+            monkeypatch.setattr(intmat, "smith_normal_form", lambda *a, **k: calls.append(a))
+            got = d.dual()
+            monkeypatch.undo()
+            assert (got.rank, got.sigma_action, got.sigma_inverse) == (want.rank, want.sigma_action, want.sigma_inverse)
+            assert got.dual().sigma_action == d.sigma_action
+        assert calls == []
 
     def test_rank1_trivial_matches_twists(self):
         lb = lattice_block(LatticeData.trivial(1), P54)

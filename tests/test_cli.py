@@ -25,6 +25,10 @@ GOLDEN_CASES = [
     ("assemble_mixed.json", ["motive-assemble", "--in", "motive_mixed.json"]),
     ("mverify_kummer.json", ["motive-verify", "--in", "motive_kummer.json"]),
     ("mverify_mixed.json", ["motive-verify", "--in", "motive_mixed.json"]),
+    # an abelian block given as a g = 2 crystal document, as motive-batch sends it
+    ("assemble_g2.json", ["motive-assemble", "--in", "motive_g2.json"]),
+    ("mdual_g2.json", ["motive-dual", "--in", "motive_g2.json"]),
+    ("mverify_g2.json", ["motive-verify", "--in", "motive_g2.json"]),
     ("mdual_kummer.json", ["motive-dual", "--in", "motive_kummer.json"]),
     ("mpair_kummer.json", ["motive-pair", "--in", "motive_kummer.json"]),
     ("mpair_mixed.json", ["motive-pair", "--in", "motive_mixed.json"]),
@@ -88,6 +92,17 @@ def test_cocharacters_without_level_two(name, tmp_path):
     picard.write_text(json.dumps({"simplicial": NO_LEVEL_TWO[name], "divisor": {"m": 0}, "g": 0}))
     assert run_cli(["picard-skeleton", "--ring", "ring_f5n4.json", "--in", str(picard)], out) == (0, "")
     assert json.loads(out.read_text())["skeleton"] == {"g": 0, "lattice_rank": 0, "torus_rank": 1}
+
+
+def test_tampered_g2_module_fails_item_4b(tmp_path):
+    """motive_g2.json's assembled module with one F entry moved by 5^v (the
+    motive-batch tampering): exit 1, items 4.b and 5 fail, golden bytes."""
+    out = tmp_path / "o.json"
+    code, err = run_cli(["motive-verify", "--in", "motive_g2_tampered.json"], out)
+    assert code == 1
+    assert json.loads(err)["message"] == "items failed: 4.b,5"
+    with open(os.path.join(GOLD, "mverify_g2_tampered.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 class TestExitCodes:
