@@ -19,7 +19,7 @@ satisfying <F-, F-> = p sigma<-,-> and <V-, V-> = p sigma^(-1)<-,->.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .blocks import AbelianBlock, LatticeData, TorusData, lattice_block, torus_block
@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     UnsupportedInputError,
 )
-from .semilinear import FilteredFModule, Rows, VerifyReport, WMat, _block, _box, _charpoly, _checked, _coords, _det
+from .semilinear import FilteredFModule, Rows, VerifyReport, WMat, _block, _box, _charpoly, _coords, _det
 from .semilinear import _int_rows, _mul, _scalar_gap, _sigma_rows, conjugate_by_permutation, twisted_dual, verify
 from .semilinear import wm_shape, wm_transpose, wm_zero
 from .witt import RingParams, with_precision
@@ -58,7 +58,9 @@ class OneMotiveSpec:
 
     Block shapes (g = abelian.dim): ext_at is torus.rank x 2g (abelian into
     torus), ext_xa is 2g x lattice.rank (lattice into abelian), ext_xt is
-    torus.rank x lattice.rank (lattice into torus).
+    torus.rank x lattice.rank (lattice into torus).  Their entries are
+    checked once, on construction (bad-element, IncompatibleRingsError), and
+    kept as coordinate rows in ext_rows, which the realization reads.
     """
 
     params: RingParams
@@ -69,6 +71,7 @@ class OneMotiveSpec:
     ext_xa: WMat
     ext_xt: WMat
     label: str = ""
+    ext_rows: tuple[Rows, Rows, Rows] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rT, g2, rX = self.segments
@@ -83,6 +86,8 @@ class OneMotiveSpec:
             ok = len(blk) == shp[0] and (shp[0] == 0 or all(len(r) == shp[1] for r in blk))
             if not ok:
                 raise ShapeError(f"{name} must be {shp[0]}x{shp[1]}, got {wm_shape(blk)}")
+        ext = tuple(_coords(self.params, m) for m in (self.ext_at, self.ext_xa, self.ext_xt))
+        object.__setattr__(self, "ext_rows", ext)
 
     @property
     def segments(self) -> tuple[int, int, int]:
@@ -170,7 +175,7 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
     rT, g2, rX = s.segments
     tb, ab, lb = s.blocks
     sizes, zero = [rT, g2, rX], (0,) * params.a
-    ext_at, ext_xa, ext_xt = (_coords(params, m) for m in (s.ext_at, s.ext_xa, s.ext_xt))
+    ext_at, ext_xa, ext_xt = s.ext_rows
     f = _block([[tb.f_rows, ext_at, ext_xt], [None, ab.f_rows, ext_xa], [None, None, lb.f_rows]], sizes, sizes, zero)
     # Off-diagonal blocks of p F^(-1), at two guard digits from balanced
     # lifts.  The cancellations in F sigma(V) = V sigma^(-1)(F) = p are exact
@@ -219,7 +224,7 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
         v_tx = down(_mul(big, binv, _mul(big, inner, ainv)))
     v = _block([[tb.v_rows, v_ta, v_tx], [None, ab.v_rows, v_ax], [None, None, lb.v_rows]], sizes, sizes, zero)
     weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
-    return FilteredFModule._of_rows(params, rT + g2 + rX, weights, f, v, 1, ab.foreign)
+    return FilteredFModule._of_rows(params, rT + g2 + rX, weights, f, v, 1)
 
 
 def _sub(rows: Rows, r: slice, c: slice) -> Rows:
@@ -331,7 +336,7 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     def compatible(a: Rows, b: Rows) -> bool:
         return _mul(params, wm_transpose(a), [b[k] for k in pi]) == p_gram
 
-    frob_ok = compatible(_checked(m.module).f_rows, _checked(m_dual.module).f_rows)
+    frob_ok = compatible(m.module.f_rows, m_dual.module.f_rows)
     versch_ok = m.module.v_rows is None or compatible(m.module.v_rows, m.canonical_dual.v_rows)
     return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
 

@@ -9,9 +9,12 @@ tuples.  A FilteredFModule stores its F and V that way, every kernel reads
 and builds such rows (packing entries into ints for products), and one
 product kernel serves them all.  The public WMat functions (wm_mul,
 wm_sigma, wm_kron, charpoly, ...) take and return immutable tuples of tuples
-of WittElem: they check each entry's ring once on the way in and box a
-WittElem per entry only for the matrix they hand back.  A module's f_mat and
-v_mat are such boxed views, built on first read.
+of WittElem, and box a WittElem per entry only for the matrix they hand
+back.  A module's f_mat and v_mat are such boxed views, built on first read.
+Entries are checked once, where a WittElem matrix enters the rows (_coords:
+a module's or a motive presentation's constructor, a public WMat function):
+a non-element is bad-element, an element of another ring
+IncompatibleRingsError.  The kernels never check again.
 
 The weight flag is stored in an adapted basis: one weight per basis vector,
 non-decreasing along the basis (lowest weight first), with W_j spanned by
@@ -144,11 +147,14 @@ def _packing(params: RingParams, terms: int):
     )
 
 
-def _coords(params: RingParams, m: WMat, pack=None) -> list[list]:
-    """m's coordinate rows (pack applied to each entry), after one ring check per entry."""
-    if any(x.params is not params and x.params != params for row in m for x in row):
+def _coords(params: RingParams, m: WMat) -> Rows:
+    """m's coordinate rows: the one place a WittElem matrix enters the row
+    world, so the one check of each entry's type and ring."""
+    if not all(type(x) is WittElem and (x.params is params or x.params == params) for row in m for x in row):
+        if any(type(x) is not WittElem for row in m for x in row):
+            raise MalformedInputError("matrix entries must be Witt elements", code="bad-element")
         raise IncompatibleRingsError("matrix entry from a different ring")
-    return [[x.coords if pack is None else pack(x.coords) for x in row] for row in m]
+    return [[x.coords for x in row] for row in m]
 
 
 def _box(params: RingParams, rows) -> WMat:
@@ -202,11 +208,13 @@ def _sigma_rows(params: RingParams, rows, table: str):
 
 
 def _sigma_each(a: WMat, table: str) -> WMat:
-    """_sigma_rows on the entries of a, boxed; a itself when a = 1."""
-    params = a[0][0].params if a and a[0] else None
-    if params is None or params.a == 1:
+    """_sigma_rows on the entries of a, checked against the ring of a[0][0]
+    and boxed; a itself when a = 1."""
+    if not (a and a[0]):
         return a
-    return _box(params, _sigma_rows(params, _coords(params, a), table))
+    params = a[0][0].params if type(a[0][0]) is WittElem else None  # None: _coords raises bad-element
+    rows = _coords(params, a)
+    return a if params.a == 1 else _box(params, _sigma_rows(params, rows, table))
 
 
 def wm_sigma(a: WMat) -> WMat:
@@ -337,10 +345,9 @@ class FilteredFModule:
 
     F and V are stored as coordinate rows (f_rows, v_rows), which every
     kernel reads; f_mat and v_mat are boxed views of them, built on first
-    read (a module constructed from WMats keeps the given ones).  An entry
-    from another ring is recorded in `foreign` on construction, and the
-    kernels that read entries as ring elements raise IncompatibleRingsError
-    for it."""
+    read (a module constructed from WMats keeps the given ones).  Each
+    entry's type and ring is checked once, on construction (bad-element,
+    IncompatibleRingsError), so no kernel checks it again."""
 
     params: RingParams
     rank: int
@@ -350,24 +357,19 @@ class FilteredFModule:
     level: int = 1
     f_rows: Rows = field(init=False, repr=False)
     v_rows: Rows | None = field(init=False, repr=False)
-    foreign: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self._check(self.f_mat, self.v_mat)
-        params, entries = self.params, [x for m in (self.f_mat, self.v_mat or ()) for row in m for x in row]
-        if any(type(x) is not WittElem for x in entries):
-            raise MalformedInputError("matrix entries must be Witt elements", code="bad-element")
-        f, v = ([[x.coords for x in row] for row in m] if m is not None else None for m in (self.f_mat, self.v_mat))
-        foreign = any(x.params is not params and x.params != params for x in entries)
-        self.__dict__.update(f_rows=f, v_rows=v, foreign=foreign)
+        f, v = (None if m is None else _coords(self.params, m) for m in (self.f_mat, self.v_mat))
+        self.__dict__.update(f_rows=f, v_rows=v)
 
     @classmethod
-    def _of_rows(cls, params, rank, weights, f: Rows, v: Rows | None, level: int = 1, foreign: bool = False):
+    def _of_rows(cls, params, rank, weights, f: Rows, v: Rows | None, level: int = 1):
         """The module on coordinate rows of params (the kernels' and the
         parser's constructor): rank, weights, level and shapes are checked as
         in the public one, the entries are taken as they are."""
         m = object.__new__(cls)
-        m.__dict__.update(params=params, rank=rank, weights=weights, level=level, f_rows=f, v_rows=v, foreign=foreign)
+        m.__dict__.update(params=params, rank=rank, weights=weights, level=level, f_rows=f, v_rows=v)
         m._check(f, v)
         return m
 
@@ -377,10 +379,9 @@ class FilteredFModule:
             raise MalformedInputError("rank, weights and level must be integers", code="bad-type")
         if len(self.weights) != self.rank:
             raise ShapeError("one weight per basis vector required")
-        if wm_shape(f) != (self.rank, self.rank):
-            raise ShapeError("F matrix must be rank x rank")
-        if v is not None and wm_shape(v) != (self.rank, self.rank):
-            raise ShapeError("V matrix must be rank x rank")
+        for what, m in (("F", f), ("V", v)) if v is not None else (("F", f),):  # V may be absent, F may not
+            if len(m) != self.rank or any(len(row) != self.rank for row in m):
+                raise ShapeError(f"{what} matrix must be rank x rank")
 
     def __getattr__(self, name: str):
         # only reached when f_mat / v_mat is not set yet: box it once and keep it
@@ -392,15 +393,7 @@ class FilteredFModule:
 
     def __hash__(self):
         rows = (tuple(map(tuple, m)) for m in (self.f_rows, self.v_rows or ()))
-        return hash((self.params, self.rank, self.weights, self.level, self.foreign, *rows))
-
-
-def _checked(m: FilteredFModule) -> FilteredFModule:
-    """m, after the one ring check of the kernels that read its entries as
-    elements of its ring."""
-    if m.foreign:
-        raise IncompatibleRingsError("matrix entry from a different ring")
-    return m
+        return hash((self.params, self.rank, self.weights, self.level, *rows))
 
 
 @dataclass(frozen=True)
@@ -449,7 +442,7 @@ def _product_check(name: str, what: str, m: FilteredFModule, a: Rows, b: Rows, t
     claim = f"{what} != p^{m.level} I"
     if m.level < 0:
         return CheckResult(name, False, f"{claim}: p^{m.level} is not in W_n(k)")
-    params = _checked(m).params
+    params = m.params
     prod = _mul(params, a, _sigma_rows(params, b, table))
     gap = _scalar_gap(params, prod, params.p**m.level)
     if gap is None:
@@ -485,11 +478,11 @@ def _permute(m: Rows, perm: Sequence[int]) -> Rows:
     return [[m[i][j] for j in perm] for i in perm]
 
 
-def _sorted_by_weight(params, weights, f: Rows, v: Rows | None, level: int, foreign: bool) -> FilteredFModule:
+def _sorted_by_weight(params, weights, f: Rows, v: Rows | None, level: int) -> FilteredFModule:
     """The module with its basis re-sorted by weight (stable)."""
     perm = _argsort_stable(weights)
     w = tuple(weights[i] for i in perm)
-    return FilteredFModule._of_rows(params, len(w), w, _permute(f, perm), v and _permute(v, perm), level, foreign)
+    return FilteredFModule._of_rows(params, len(w), w, _permute(f, perm), v and _permute(v, perm), level)
 
 
 def tensor(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
@@ -497,12 +490,11 @@ def tensor(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
     levels add.  The Kronecker basis is re-sorted by weight (stable)."""
     if m1.params != m2.params:
         raise IncompatibleRingsError("tensor operands live over different rings")
-    params = _checked(m1).params
-    _checked(m2)
+    params = m1.params
     weights = [w1 + w2 for w1 in m1.weights for w2 in m2.weights]
     f = _kron(params, m1.f_rows, m2.f_rows)
     v = None if m1.v_rows is None or m2.v_rows is None else _kron(params, m1.v_rows, m2.v_rows)
-    return _sorted_by_weight(params, weights, f, v, m1.level + m2.level, False)
+    return _sorted_by_weight(params, weights, f, v, m1.level + m2.level)
 
 
 def direct_sum(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
@@ -516,7 +508,7 @@ def direct_sum(m1: FilteredFModule, m2: FilteredFModule) -> FilteredFModule:
     v = None
     if m1.v_rows is not None and m2.v_rows is not None:
         v = _block([[m1.v_rows, None], [None, m2.v_rows]], sizes, sizes, zero)
-    return _sorted_by_weight(params, m1.weights + m2.weights, f, v, m1.level, m1.foreign or m2.foreign)
+    return _sorted_by_weight(params, m1.weights + m2.weights, f, v, m1.level)
 
 
 def twisted_dual(m: FilteredFModule) -> FilteredFModule:
@@ -530,13 +522,11 @@ def twisted_dual(m: FilteredFModule) -> FilteredFModule:
     if m.v_rows is None:
         raise SingularFrobeniusError("the twisted dual needs an integral Verschiebung")
     params = m.params
-    if params.a > 1:
-        _checked(m)  # sigma reads each entry as an element of the ring
     reverse = range(m.rank - 1, -1, -1)
     f_dual = _permute(_sigma_rows(params, wm_transpose(m.v_rows), "frobenius_matrix"), reverse)
     v_dual = _permute(_sigma_rows(params, wm_transpose(m.f_rows), "frobenius_inverse_matrix"), reverse)
     weights = tuple(-2 - w for w in reversed(m.weights))
-    return FilteredFModule._of_rows(params, m.rank, weights, f_dual, v_dual, m.level, m.foreign)
+    return FilteredFModule._of_rows(params, m.rank, weights, f_dual, v_dual, m.level)
 
 
 def conjugate(m: FilteredFModule, g: WMat) -> FilteredFModule:
@@ -551,16 +541,15 @@ def conjugate(m: FilteredFModule, g: WMat) -> FilteredFModule:
     def base_change(a: Rows, table: str) -> Rows:
         return _mul(params, ginv, _mul(params, a, _sigma_rows(params, rows, table)))
 
-    f, v = _checked(m).f_rows, m.v_rows
-    f = base_change(f, "frobenius_matrix")
-    v = v and base_change(v, "frobenius_inverse_matrix")
+    f = base_change(m.f_rows, "frobenius_matrix")
+    v = m.v_rows and base_change(m.v_rows, "frobenius_inverse_matrix")
     return FilteredFModule._of_rows(params, m.rank, m.weights, f, v, m.level)
 
 
 def conjugate_by_permutation(m: FilteredFModule, perm: Sequence[int]) -> FilteredFModule:
     """Relabel the basis by e'_k = e_{perm[k]}."""
     weights, v = tuple(m.weights[i] for i in perm), m.v_rows and _permute(m.v_rows, perm)
-    return FilteredFModule._of_rows(m.params, m.rank, weights, _permute(m.f_rows, perm), v, m.level, m.foreign)
+    return FilteredFModule._of_rows(m.params, m.rank, weights, _permute(m.f_rows, perm), v, m.level)
 
 
 def is_isomorphism_witness(g: WMat, m1: FilteredFModule, m2: FilteredFModule) -> bool:
@@ -629,7 +618,7 @@ def newton_slopes(m: FilteredFModule) -> SlopeProfile:
             f"newton slopes need n >= {required} at rank {m.rank}, level {m.level}, a = {params.a}",
             required=required,
         )
-    linear = twisted = _checked(m).f_rows
+    linear = twisted = m.f_rows
     for _ in range(params.a - 1):
         twisted = _sigma_rows(params, twisted, "frobenius_matrix")
         linear = _mul(params, linear, twisted)

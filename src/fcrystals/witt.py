@@ -339,6 +339,10 @@ class WittElem:
     def __setattr__(self, *args):
         raise AttributeError("WittElem is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating constructor
+        return WittElem, (self.params, self.coords)
+
     def __repr__(self):
         return f"WittElem({self.coords}, p={self.params.p}, n={self.params.n}, a={self.params.a})"
 

@@ -5,9 +5,11 @@ every kernel hands back rows of the one row type, and a motive-verify run
 reads rows only."""
 
 import contextlib
+import copy
 import dataclasses
 import io
 import os
+import pickle
 import random
 from collections import Counter
 
@@ -16,14 +18,13 @@ import pytest
 import fcrystals.semilinear as semilinear
 from fcrystals.blocks import LatticeData, abelian_from_ap, lattice_block, tate, torus_block
 from fcrystals.cli import main
-from fcrystals.errors import IncompatibleRingsError, MalformedInputError
+from fcrystals.errors import IncompatibleRingsError, MalformedInputError, ShapeError
 from fcrystals.onemotive import assemble
 from fcrystals.semilinear import (
     FilteredFModule,
     conjugate,
     conjugate_by_permutation,
     direct_sum,
-    newton_slopes,
     tensor,
     twisted_dual,
     wm_identity,
@@ -61,7 +62,7 @@ def test_rows_and_boxed_constructors_agree():
     for m in _assembled():
         b = _boxed(m)
         assert b == m and hash(b) == hash(m)
-        assert b.f_rows == m.f_rows and b.v_rows == m.v_rows and not b.foreign
+        assert b.f_rows == m.f_rows and b.v_rows == m.v_rows
         if m.rank:
             moved = [list(row) for row in m.f_rows]
             moved[0][0] = tuple((c + 1) % m.params.pn for c in moved[0][0])
@@ -134,18 +135,15 @@ def test_motive_verify_boxes_no_view(monkeypatch, fixture):
     assert [name for name in read if name in ("f_mat", "v_mat")] == []
 
 
-def test_foreign_entry_is_recorded_not_raised():
-    """The ring check runs once, on construction, and is raised by the
-    kernels that read entries as ring elements."""
+def test_foreign_entry_is_raised_on_construction():
+    """The ring check runs once, on construction, so no module holds an entry
+    from another ring and no kernel checks again."""
     m = tate(1, P54)
     alien = WittElem(with_precision(P54, 5), (1,))
-    t = FilteredFModule(P54, 1, (-2,), ((alien,),), m.v_mat, 1)
-    assert t.foreign and t.f_mat[0][0] is alien and t != m
-    for kernel in (lambda: tensor(t, m), lambda: newton_slopes(t), lambda: conjugate(t, wm_identity(P54, 1))):
-        with pytest.raises(IncompatibleRingsError, match="matrix entry from a different ring"):
-            kernel()
-    assert conjugate_by_permutation(t, [0]).foreign and direct_sum(t, m).foreign
-    assert twisted_dual(t).foreign  # sigma is the identity at a = 1: no entry is read
+    for f, v in (((alien,),), m.v_mat), (m.f_mat, ((alien,),)):
+        for level in (1, -1):
+            with pytest.raises(IncompatibleRingsError, match="^matrix entry from a different ring$"):
+                FilteredFModule(P54, 1, (-2,), f, v, level)
 
 
 def test_non_element_entry_is_bad_element():
@@ -153,3 +151,23 @@ def test_non_element_entry_is_bad_element():
         FilteredFModule(P54, 1, (0,), ((5,),), None, 1)
     assert exc.value.code == "bad-element"
 
+
+@pytest.mark.parametrize("which", ["F", "V"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_ragged_matrix_is_a_shape_error(which, width):
+    """Every row's width is checked, not only row 0's."""
+    o, i2 = P54.one(), wm_identity(P54, 2)
+    ragged = ((o, o), (o,) * width)
+    f, v = (ragged, i2) if which == "F" else (i2, ragged)
+    with pytest.raises(ShapeError, match=f"^{which} matrix must be rank x rank$"):
+        FilteredFModule(P54, 2, (0, 0), f, v, 1)
+
+
+def test_viewed_module_survives_copy_and_pickle():
+    """A module whose boxed views have been read holds WittElem entries; copy,
+    deepcopy and a pickle round-trip rebuild them as equal elements."""
+    for m in {m.params.a: m for m in _assembled() if m.rank}.values():  # one at a = 1, one at a = 2
+        assert m.f_mat and m.v_mat  # build the views
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and hash(twin) == hash(m)
+            assert twin.f_mat == m.f_mat and twin.v_mat == m.v_mat and twin.f_rows == m.f_rows

@@ -11,9 +11,10 @@ from fcrystals.blocks import (
     lattice_block,
     torus_block,
 )
-from fcrystals import onemotive
+from fcrystals import intmat, onemotive
 from fcrystals.errors import (
     FCrystalsError,
+    IncompatibleRingsError,
     InvalidExtensionDataError,
     MalformedInputError,
     ShapeError,
@@ -166,6 +167,33 @@ class TestAssemble:
                 wm_zero(P54, 2, 1),  # wrong: should be 1x1
                 "bad-shape",
             )
+
+
+    @pytest.mark.parametrize("block", ["ext_at", "ext_xa", "ext_xt"])
+    def test_ext_entries_are_checked_on_construction(self, block):
+        """A non-element entry is bad-element and an entry from another ring
+        IncompatibleRingsError, both from the constructor, before assembly."""
+        s = mixed_spec(P54)
+        alien = with_precision(P54, 5).one()
+        for entry, error in ((5, MalformedInputError), (alien, IncompatibleRingsError)):
+            rows = [list(row) for row in getattr(s, block)]
+            rows[0][0] = entry
+            with pytest.raises(error) as exc:
+                dataclasses.replace(s, **{block: tuple(map(tuple, rows))})
+            if error is MalformedInputError:
+                assert exc.value.code == "bad-element"
+            else:
+                assert str(exc.value) == "matrix entry from a different ring"
+
+    def test_realization_reads_the_kept_ext_rows(self, monkeypatch):
+        s = random_motive_spec(random.Random(4), P54)
+        assert s.ext_rows == tuple([[x.coords for x in row] for row in m] for m in (s.ext_at, s.ext_xa, s.ext_xt))
+
+        def unexpected(params, m):
+            raise AssertionError("the realization converted a matrix again")
+
+        monkeypatch.setattr(onemotive, "_coords", unexpected)
+        assert verify(assemble(s).module).ok
 
 
 class TestCartierDual:
@@ -603,6 +631,34 @@ class TestRealizeOracle:
         got = _outcome(onemotive._realize, s)
         assert got[:2] == ("error", UnsupportedInputError)
         assert got == _outcome(realize_oracle, s)
+
+    @pytest.mark.parametrize(
+        "f,v,exact",
+        [
+            ([[34, 40], [35, 32]], [[62, 44], [79, 76]], "F sigma(V)"),
+            ([[62, 25], [61, 74]], [[23, 59], [50, 74]], "V sigma^-1(F)"),
+        ],
+    )
+    def test_one_sided_exact_lift(self, f, v, exact):
+        """Abelian blocks over W_4(F_3) that verify, and whose balanced lifts
+        satisfy exactly one of the two identities on the nose (mod 3^6, the
+        realization's two guard digits): both must be rejected."""
+        params, big = P34, 3**6
+        bal = [[[x if x <= params.pn // 2 else x - params.pn for x in row] for row in m] for m in (f, v)]
+        products = {
+            "F sigma(V)": intmat.mul(bal[0], bal[1]),
+            "V sigma^-1(F)": intmat.mul(bal[1], bal[0]),
+        }
+        lifts = {k: [[x % big for x in row] for row in prod] == [[3, 0], [0, 3]] for k, prod in products.items()}
+        assert [k for k, ok in lifts.items() if ok] == [exact]
+        module = FilteredFModule(params, 2, (-1, -1), wmat_from_ints(params, f), wmat_from_ints(params, v), 1)
+        abelian = AbelianBlock.from_module(module)
+        s = OneMotiveSpec.split(params, LatticeData.trivial(0), TorusData.trivial(0), abelian)
+        got = _outcome(onemotive._realize, s)
+        assert got[:2] == ("error", UnsupportedInputError) and "does not lift exactly" in got[2]
+        assert got == _outcome(realize_oracle, s)
+        with pytest.raises(UnsupportedInputError):
+            assemble(s)
 
     @pytest.mark.parametrize("p,n,a", [(3, 4, 1), (5, 6, 1), (2, 5, 2), (3, 7, 3)])
     def test_indivisible_extension(self, p, n, a):

@@ -351,13 +351,6 @@ class TestVerify:
         assert "flag-V" in names
 
 
-def _report_or_error(check, m):
-    try:
-        return check(m)
-    except IncompatibleRingsError as exc:
-        return "raised", str(exc)
-
-
 def _replaced(m: FilteredFModule, which: str, i: int, j: int, x: WittElem, level=None) -> FilteredFModule:
     """m with entry (i, j) of F or V replaced by x, at m's level or the one given."""
     mats = {"F": [list(row) for row in m.f_mat], "V": [list(row) for row in m.v_mat]}
@@ -420,28 +413,23 @@ class TestVerifyOracle:
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_ring_mismatch(self, level):
-        """An entry from another ring raises the oracle's IncompatibleRingsError."""
+        """An entry from another ring is IncompatibleRingsError on
+        construction, so no module holds one and verify never meets it."""
         for rng, m in _oracle_modules():
             i, j = rng.randrange(m.rank), rng.randrange(m.rank)
             for which in "FV":
                 old = (m.f_mat if which == "F" else m.v_mat)[i][j]
-                t = _replaced(m, which, i, j, WittElem(with_precision(m.params, m.params.n + 1), old.coords), level)
-                got = _report_or_error(verify, t)
-                assert got == ("raised", "matrix entry from a different ring")
-                assert got == _report_or_error(verify_oracle, t)
+                alien = WittElem(with_precision(m.params, m.params.n + 1), old.coords)
+                with pytest.raises(IncompatibleRingsError, match="^matrix entry from a different ring$"):
+                    _replaced(m, which, i, j, alien, level)
 
     def test_ring_mismatch_at_negative_level(self):
-        """At level < 0 no product is formed and verify reads no entry's ring:
-        it reports and does not raise.  The oracle agrees at a = 1; at a > 1 it
-        raised from the sigma pass it made before looking at the level."""
+        """The ring check does not depend on the level: at level < 0, where
+        verify forms no product, the entry is refused on construction too."""
         for rng, m in _oracle_modules():
-            t = _replaced(m, "V", 0, 0, WittElem(with_precision(m.params, m.params.n + 1), m.v_mat[0][0].coords), -1)
-            rep = verify(t)
-            assert [c.name for c in rep.checks if not c.ok] == ["level", "fv-product", "vf-product"]
-            if m.params.a == 1:
-                assert rep == verify_oracle(t)
-            else:
-                assert _report_or_error(verify_oracle, t) == ("raised", "matrix entry from a different ring")
+            alien = WittElem(with_precision(m.params, m.params.n + 1), m.v_mat[0][0].coords)
+            with pytest.raises(IncompatibleRingsError, match="^matrix entry from a different ring$"):
+                _replaced(m, "V", 0, 0, alien, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +747,23 @@ class TestPackedKernels:
             wm_kron(P54, a, b)
         with pytest.raises(IncompatibleRingsError):
             charpoly(P54, bad)
+
+    def test_non_element_entry_is_bad_element(self):
+        """An int entry is refused where the matrix enters the row kernels."""
+        one = ((P54.one(),),)
+        for call in (
+            lambda: wm_mul(P54, ((1,),), one),
+            lambda: wm_mul(P54, one, ((1,),)),
+            lambda: wm_kron(P54, one, ((1,),)),
+            lambda: charpoly(P54, ((2,),)),
+            lambda: charpoly(P54, ((P54.one(), 2), (P54.one(), P54.one()))),
+            lambda: wm_sigma(((1,),)),
+            lambda: wm_sigma(((P54.one(), 2),)),  # a = 1, where sigma returns its argument
+            lambda: wm_sigma_inv(((F9.one(), 2),)),
+        ):
+            with pytest.raises(MalformedInputError) as exc:
+                call()
+            assert exc.value.code == "bad-element"
 
     def test_equal_ring_from_another_object_is_accepted(self):
         twin = RingParams(5, 4)

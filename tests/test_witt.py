@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -239,6 +241,29 @@ class TestIrreducibilityMemo:
         }
         for _ in range(2):
             assert {key: default_modulus(*key) for key in expected} == expected
+
+
+class TestCopyAndPickle:
+    """An element rebuilds through the validating constructor, so copy,
+    deepcopy and pickle give an equal, equally hashed, still immutable one."""
+
+    @pytest.mark.parametrize("params", [RingParams(5, 4), F9, F27], ids=["a1", "a2", "a3"])
+    def test_round_trips(self, params):
+        rng = random.Random(params.a)
+        for _ in range(5):
+            x = params.elem([rng.randrange(params.pn) for _ in range(params.a)])
+            for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert twin == x and hash(twin) == hash(x) and twin.coords == x.coords
+                assert frobenius(twin) == frobenius(x) and twin * x == x * x
+                with pytest.raises(AttributeError, match="immutable"):
+                    twin.coords = (0,) * params.a
+
+    def test_rebuild_validates(self):
+        cls, args = F9.one().__reduce__()
+        assert cls is WittElem and args == (F9, (1, 0))
+        with pytest.raises(MalformedInputError) as exc:
+            cls(F9, (1,))
+        assert exc.value.code == "bad-element"
 
 
 class TestAddMul:
