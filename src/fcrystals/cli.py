@@ -245,10 +245,7 @@ def _h_picard_skeleton(args, doc):
     params = _ring(args, None)
     simp = ser.simplicial_from_doc(ser._need(doc, "simplicial", dict))
     div = ser.divisor_from_doc(ser._need(doc, "divisor", dict))
-    g = doc.get("g", 0)
-    if not ser._is_int(g):
-        raise MalformedInputError("g must be an integer", code="bad-type")
-    skeleton, spec = picard_skeleton(simp, div, g, params)
+    skeleton, spec = picard_skeleton(simp, div, doc.get("g", 0), params)
     return {"skeleton": ser.skeleton_to_doc(skeleton), "spec": ser.motive_to_doc(spec)}
 
 

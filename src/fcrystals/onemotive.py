@@ -34,7 +34,7 @@ from .errors import (
 )
 from .semilinear import FilteredFModule, Rows, VerifyReport, WMat, _block, _box, _charpoly, _coords, _det
 from .semilinear import _int_rows, _mul, _scalar_gap, _sigma_rows, conjugate_by_permutation, twisted_dual, verify
-from .semilinear import wm_shape, wm_transpose, wm_zero
+from .semilinear import wm_shape, wm_zero
 from .witt import RingParams, with_precision
 
 __all__ = [
@@ -77,16 +77,12 @@ class OneMotiveSpec:
         rT, g2, rX = self.segments
         if self.abelian.crystal.params != self.params:
             raise IncompatibleRingsError("abelian block lives over a different ring")
-        for name, blk, shp in (
-            ("ext_at", self.ext_at, (rT, g2)),
-            ("ext_xa", self.ext_xa, (g2, rX)),
-            ("ext_xt", self.ext_xt, (rT, rX)),
-        ):
+        ext = tuple(_coords(self.params, m) for m in (self.ext_at, self.ext_xa, self.ext_xt))
+        for name, blk, shp in zip(("ext_at", "ext_xa", "ext_xt"), ext, ((rT, g2), (g2, rX), (rT, rX))):
             # a 0-row matrix is an empty tuple and carries no column count
             ok = len(blk) == shp[0] and (shp[0] == 0 or all(len(r) == shp[1] for r in blk))
             if not ok:
                 raise ShapeError(f"{name} must be {shp[0]}x{shp[1]}, got {wm_shape(blk)}")
-        ext = tuple(_coords(self.params, m) for m in (self.ext_at, self.ext_xa, self.ext_xt))
         object.__setattr__(self, "ext_rows", ext)
 
     @property
@@ -334,7 +330,7 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     weight_orth = all(wts[i] + wts_d[pi[i]] >= -2 for i in range(r))
 
     def compatible(a: Rows, b: Rows) -> bool:
-        return _mul(params, wm_transpose(a), [b[k] for k in pi]) == p_gram
+        return _mul(params, list(zip(*a)), [b[k] for k in pi]) == p_gram
 
     frob_ok = compatible(m.module.f_rows, m_dual.module.f_rows)
     versch_ok = m.module.v_rows is None or compatible(m.module.v_rows, m.canonical_dual.v_rows)

@@ -7,14 +7,16 @@ sigma^(-1)-linear map as v |-> M . sigma^(-1)(v).  Matrices over the Witt
 ring are kept as coordinate rows: lists of lists of canonical coordinate
 tuples.  A FilteredFModule stores its F and V that way, every kernel reads
 and builds such rows (packing entries into ints for products), and one
-product kernel serves them all.  The public WMat functions (wm_mul,
-wm_sigma, wm_kron, charpoly, ...) take and return immutable tuples of tuples
-of WittElem, and box a WittElem per entry only for the matrix they hand
-back.  A module's f_mat and v_mat are such boxed views, built on first read.
-Entries are checked once, where a WittElem matrix enters the rows (_coords:
-a module's or a motive presentation's constructor, a public WMat function):
-a non-element is bad-element, an element of another ring
-IncompatibleRingsError.  The kernels never check again.
+product kernel serves them all.  The public WMat functions (wm_shape,
+wm_transpose, wm_mul, wm_sigma, wm_sigma_inv, charpoly, wm_det, wm_kron,
+wm_adjugate, wm_inverse_unit; wmat and wm_zero build one) take and return
+immutable tuples of tuples of WittElem, and box a WittElem per entry only
+for the matrix they hand back.  A module's f_mat and v_mat are such boxed
+views, built on first read.  Each checks its entries once, where a WittElem
+matrix enters the rows (_coords: a module's or a motive presentation's
+constructor, a public WMat function): a non-matrix is bad-matrix, a
+non-element bad-element, an element of another ring IncompatibleRingsError
+(wm_shape reads no entry).  The kernels never check again.
 
 The weight flag is stored in an adapted basis: one weight per basis vector,
 non-decreasing along the basis (lowest weight first), with W_j spanned by
@@ -37,7 +39,7 @@ from .errors import (
     ShapeError,
     SingularFrobeniusError,
 )
-from .witt import RingParams, WittElem, _apply, balanced_lift_elem, reduce_elem
+from .witt import RingParams, WittElem, _apply, _ints
 
 WMat = tuple[tuple[WittElem, ...], ...]
 Rows = list[list[tuple[int, ...]]]  # coordinate rows, the kernels' one operand type
@@ -58,24 +60,17 @@ __all__ = [
     "is_isomorphism_witness",
     "smith_normal_form",
     "wmat",
-    "wmat_from_ints",
-    "wm_identity",
     "wm_zero",
-    "wm_mul",
-    "wm_sub",
-    "wm_neg",
-    "wm_scal",
+    "wm_shape",
     "wm_transpose",
+    "wm_mul",
     "wm_sigma",
     "wm_sigma_inv",
-    "wm_eq",
-    "wm_kron",
-    "wm_block",
-    "wm_balanced_lift",
-    "wm_reduce",
-    "wm_inverse_unit",
     "charpoly",
     "wm_det",
+    "wm_kron",
+    "wm_adjugate",
+    "wm_inverse_unit",
 ]
 
 
@@ -83,10 +78,21 @@ __all__ = [
 # matrix helpers
 
 
+def _matrix(m):
+    """m, if it is a tuple or list of rows that are tuples or lists, else bad-matrix."""
+    if not isinstance(m, (tuple, list)):
+        raise MalformedInputError(f"matrix must be a sequence of rows, got {m!r}", code="bad-matrix")
+    for i, row in enumerate(m):
+        if not isinstance(row, (tuple, list)):
+            raise MalformedInputError(f"matrix row {i} must be a sequence, got {row!r}", code="bad-matrix")
+    return m
+
+
 def wmat(params: RingParams, rows: Sequence[Sequence]) -> WMat:
+    """The WMat of rows whose entries are elements of params, ints or coordinate lists."""
     out = []
     width = None
-    for row in rows:
+    for row in _matrix(rows):
         cells = []
         for x in row:
             if isinstance(x, WittElem):
@@ -105,10 +111,6 @@ def wmat(params: RingParams, rows: Sequence[Sequence]) -> WMat:
     return tuple(out)
 
 
-def wmat_from_ints(params: RingParams, rows: Sequence[Sequence[int]]) -> WMat:
-    return tuple(tuple(params.from_int(x) for x in row) for row in rows)
-
-
 def _int_rows(params: RingParams, m: Sequence[Sequence[int]]) -> Rows:
     """The coordinate rows of an integer matrix."""
     pn, pad = params.pn, (0,) * (params.a - 1)
@@ -116,12 +118,8 @@ def _int_rows(params: RingParams, m: Sequence[Sequence[int]]) -> Rows:
 
 
 def wm_shape(a: WMat) -> tuple[int, int]:
-    return len(a), (len(a[0]) if a else 0)
-
-
-def wm_identity(params: RingParams, r: int) -> WMat:
-    one, zero = params.one(), params.zero()
-    return tuple(tuple(one if i == j else zero for j in range(r)) for i in range(r))
+    """(rows, columns) of a matrix or of coordinate rows; it reads no entry."""
+    return len(_matrix(a)), (len(a[0]) if a else 0)
 
 
 def wm_zero(params: RingParams, r: int, c: int) -> WMat:
@@ -149,12 +147,21 @@ def _packing(params: RingParams, terms: int):
 
 def _coords(params: RingParams, m: WMat) -> Rows:
     """m's coordinate rows: the one place a WittElem matrix enters the row
-    world, so the one check of each entry's type and ring."""
-    if not all(type(x) is WittElem and (x.params is params or x.params == params) for row in m for x in row):
+    world, so the one check that m is a matrix (bad-matrix) and of each
+    entry's type (bad-element) and ring (IncompatibleRingsError)."""
+    if not all(type(x) is WittElem and (x.params is params or x.params == params) for row in _matrix(m) for x in row):
         if any(type(x) is not WittElem for row in m for x in row):
             raise MalformedInputError("matrix entries must be Witt elements", code="bad-element")
         raise IncompatibleRingsError("matrix entry from a different ring")
     return [[x.coords for x in row] for row in m]
+
+
+def _own_coords(a: WMat) -> tuple[RingParams | None, Rows]:
+    """The ring of a's first entry (None when a has none) and a's coordinate
+    rows checked against it: the boundary of the functions that take no ring."""
+    first = next(chain.from_iterable(_matrix(a)), None)
+    params = first.params if type(first) is WittElem else None  # None: _coords raises bad-element
+    return params, _coords(params, a)
 
 
 def _box(params: RingParams, rows) -> WMat:
@@ -173,30 +180,17 @@ def _mul(params: RingParams, a, b) -> list[list[tuple[int, ...]]]:
 
 
 def wm_mul(params: RingParams, a: WMat, b: WMat) -> WMat:
-    ra, ca = wm_shape(a)
-    rb, cb = wm_shape(b)
+    x, y = _coords(params, a), _coords(params, b)
+    (ra, ca), (rb, cb) = wm_shape(x), wm_shape(y)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return _box(params, _mul(params, _coords(params, a), _coords(params, b)))
-
-
-def wm_sub(a: WMat, b: WMat) -> WMat:
-    if wm_shape(a) != wm_shape(b):
-        raise ShapeError("matrix subtraction with mismatched shapes")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def wm_neg(a: WMat) -> WMat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def wm_scal(c: WittElem, a: WMat) -> WMat:
-    return tuple(tuple(c * x for x in row) for row in a)
+    return _box(params, _mul(params, x, y))
 
 
 def wm_transpose(a: WMat) -> WMat:
-    """The transpose, as a tuple of tuples of a's entries (WittElem or coordinates)."""
-    return tuple(zip(*a))
+    """The transpose of a, its entries checked against the ring of its first one."""
+    params, rows = _own_coords(a)
+    return _box(params, zip(*rows))
 
 
 def _sigma_rows(params: RingParams, rows, table: str):
@@ -208,13 +202,10 @@ def _sigma_rows(params: RingParams, rows, table: str):
 
 
 def _sigma_each(a: WMat, table: str) -> WMat:
-    """_sigma_rows on the entries of a, checked against the ring of a[0][0]
-    and boxed; a itself when a = 1."""
-    if not (a and a[0]):
-        return a
-    params = a[0][0].params if type(a[0][0]) is WittElem else None  # None: _coords raises bad-element
-    rows = _coords(params, a)
-    return a if params.a == 1 else _box(params, _sigma_rows(params, rows, table))
+    """_sigma_rows on the entries of a, checked against the ring of its first
+    entry and boxed; a itself when a = 1 or a has no entry."""
+    params, rows = _own_coords(a)
+    return a if params is None or params.a == 1 else _box(params, _sigma_rows(params, rows, table))
 
 
 def wm_sigma(a: WMat) -> WMat:
@@ -223,12 +214,6 @@ def wm_sigma(a: WMat) -> WMat:
 
 def wm_sigma_inv(a: WMat) -> WMat:
     return _sigma_each(a, "frobenius_inverse_matrix")
-
-
-def wm_eq(a: WMat, b: WMat) -> bool:
-    return wm_shape(a) == wm_shape(b) and all(
-        x.coords == y.coords and (x.params is y.params or x.params == y.params) for x, y in zip(chain(*a), chain(*b))
-    )
 
 
 def _kron(params: RingParams, a: Rows, b: Rows) -> Rows:
@@ -246,32 +231,21 @@ def _block(grid, row_sizes, col_sizes, zero) -> list[list]:
     zero is the entry of the zero blocks."""
     rows = []
     for blocks, rsize in zip(grid, row_sizes):
-        if rsize and any(b is not None and wm_shape(b) != (rsize, c) for b, c in zip(blocks, col_sizes)):
+        if rsize and any(b is not None and (len(b) != rsize or len(b[0]) != c) for b, c in zip(blocks, col_sizes)):
             raise ShapeError("block has the wrong shape")
         pieces = [[[zero] * c] * rsize if b is None else b for b, c in zip(blocks, col_sizes)]
         rows.extend(list(chain.from_iterable(parts)) for parts in zip(*pieces))
     return rows
 
 
-def wm_block(params: RingParams, grid: Sequence[Sequence[WMat]], row_sizes, col_sizes) -> WMat:
-    return tuple(map(tuple, _block(grid, row_sizes, col_sizes, params.zero())))
-
-
-def wm_balanced_lift(a: WMat, big: RingParams) -> WMat:
-    return tuple(tuple(balanced_lift_elem(x, big) for x in row) for row in a)
-
-
-def wm_reduce(a: WMat, small: RingParams) -> WMat:
-    return tuple(tuple(reduce_elem(x, small) for x in row) for row in a)
-
-
 def charpoly(params: RingParams, a: WMat) -> list[WittElem]:
     """Characteristic polynomial det(xI - a), ascending coefficients
     [c_0, ..., c_{r-1}, 1]."""
-    r, c = wm_shape(a)
+    rows = _coords(params, a)
+    r, c = wm_shape(rows)
     if r != c:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    return _charpoly(params, _coords(params, a))
+    return _charpoly(params, rows)
 
 
 def _charpoly(params: RingParams, rows: Rows) -> list[WittElem]:
@@ -310,18 +284,18 @@ def wm_det(params: RingParams, a: WMat) -> WittElem:
 def wm_adjugate(params: RingParams, a: WMat, coeffs: list[WittElem]) -> WMat:
     """adj(a) with a . adj(a) = det(a) I, from the characteristic polynomial
     ``coeffs`` of the square matrix a (ascending, as ``charpoly`` returns it)."""
-    r = len(a)
-    if r == 0:
-        return ()
-    m, pn = _coords(params, a), params.pn
+    m, (cs,), pn = _coords(params, a), _coords(params, (coeffs,)), params.pn
+    r = len(m)
+    if any(len(row) != r for row in m) or len(cs) != r + 1:
+        raise ShapeError(f"the adjugate needs a square matrix and its {r + 1} characteristic coefficients")
     # acc builds A^{r-1} + c_{r-1} A^{r-2} + ... + c_1 I
     acc = _int_rows(params, [[int(i == j) for j in range(r)] for i in range(r)])
     for i in range(r - 1, 0, -1):
         acc = _mul(params, m, acc)
         for k in range(r):
-            acc[k][k] = tuple((x + y) % pn for x, y in zip(acc[k][k], coeffs[i].coords))
-    # A * acc = -c_0 I = (-1)^(r+1) det(A) I
-    return _box(params, acc) if r % 2 == 1 else wm_neg(_box(params, acc))
+            acc[k][k] = tuple((x + y) % pn for x, y in zip(acc[k][k], cs[i]))
+    # A * acc = -c_0 I = (-1)^(r+1) det(A) I, so adj(A) is acc negated when r is even
+    return _box(params, acc if r % 2 else [[tuple(-c % pn for c in x) for x in row] for row in acc])
 
 
 def wm_inverse_unit(params: RingParams, a: WMat) -> WMat:
@@ -330,7 +304,8 @@ def wm_inverse_unit(params: RingParams, a: WMat) -> WMat:
     d = _det(coeffs)
     if not d.is_unit():
         raise SingularFrobeniusError("matrix determinant is not a unit")
-    return wm_scal(d.inverse(), wm_adjugate(params, a, coeffs))
+    dinv = d.inverse()
+    return tuple(tuple(dinv * x for x in row) for row in wm_adjugate(params, a, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +334,8 @@ class FilteredFModule:
     v_rows: Rows | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._check(self.f_mat, self.v_mat)
-        f, v = (None if m is None else _coords(self.params, m) for m in (self.f_mat, self.v_mat))
+        f, v = _coords(self.params, self.f_mat), None if self.v_mat is None else _coords(self.params, self.v_mat)
+        self._check(f, v)
         self.__dict__.update(f_rows=f, v_rows=v)
 
     @classmethod
@@ -374,9 +349,9 @@ class FilteredFModule:
         return m
 
     def _check(self, f, v) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not all(type(x) is int for x in (self.rank, self.level, *self.weights)):
-            raise MalformedInputError("rank, weights and level must be integers", code="bad-type")
+        object.__setattr__(self, "weights", _ints(self.weights, "bad-type", "weights"))
+        if type(self.rank) is not int or type(self.level) is not int:
+            raise MalformedInputError(f"rank and level must be integers, got {(self.rank, self.level)!r}", code="bad-type")
         if len(self.weights) != self.rank:
             raise ShapeError("one weight per basis vector required")
         for what, m in (("F", f), ("V", v)) if v is not None else (("F", f),):  # V may be absent, F may not
@@ -523,8 +498,8 @@ def twisted_dual(m: FilteredFModule) -> FilteredFModule:
         raise SingularFrobeniusError("the twisted dual needs an integral Verschiebung")
     params = m.params
     reverse = range(m.rank - 1, -1, -1)
-    f_dual = _permute(_sigma_rows(params, wm_transpose(m.v_rows), "frobenius_matrix"), reverse)
-    v_dual = _permute(_sigma_rows(params, wm_transpose(m.f_rows), "frobenius_inverse_matrix"), reverse)
+    f_dual = _permute(_sigma_rows(params, list(zip(*m.v_rows)), "frobenius_matrix"), reverse)
+    v_dual = _permute(_sigma_rows(params, list(zip(*m.f_rows)), "frobenius_inverse_matrix"), reverse)
     weights = tuple(-2 - w for w in reversed(m.weights))
     return FilteredFModule._of_rows(params, m.rank, weights, f_dual, v_dual, m.level)
 

@@ -132,17 +132,11 @@ def module_to_doc(m: FilteredFModule) -> dict:
 def module_from_doc(doc: dict, params: RingParams | None = None) -> FilteredFModule:
     if params is None:
         params = ring_from_doc(_need(doc, "ring", dict))
-    rank = _need(doc, "rank", int)
-    weights = _need(doc, "weights", list)
-    if not all(_is_int(w) for w in weights):
-        raise MalformedInputError("weights must be integers", code="bad-type")
+    rank, weights = _need(doc, "rank"), _need(doc, "weights", list)
     f = _rows_from_doc(_need(doc, "F"), params)
     vdoc = doc.get("V")
     v = _rows_from_doc(vdoc, params) if vdoc is not None else None
-    level = doc.get("level", 1)
-    if not _is_int(level):
-        raise MalformedInputError("level must be an integer", code="bad-type")
-    return FilteredFModule._of_rows(params, rank, tuple(weights), f, v, level)
+    return FilteredFModule._of_rows(params, rank, weights, f, v, doc.get("level", 1))
 
 
 def slopes_to_doc(profile: SlopeProfile) -> dict:
@@ -231,22 +225,19 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
 
 
 def simplicial_from_doc(doc: dict) -> SimplicialComponents:
+    """The components of the document; SimplicialComponents checks that the
+    counts and face map entries are ints (bad-type)."""
     counts = _need(doc, "counts", list)
     faces = _need(doc, "faces", dict)
-    if not all(_is_int(c) for c in counts):
-        raise MalformedInputError("counts must be integers", code="bad-type")
-    levels = len(counts) - 1
     face_maps = []
-    for j in range(1, levels + 1):
+    for j in range(1, len(counts)):
         key = str(j)
         level = faces.get(key)
         if level is None:
             raise MalformedInputError(f"faces missing level {key!r}", code="missing-field")
-        if not isinstance(level, list) or not all(
-            isinstance(fmap, list) and all(_is_int(x) for x in fmap) for fmap in level
-        ):
-            raise MalformedInputError(f"faces[{key!r}] must be integer lists", code="bad-type")
-        face_maps.append(tuple(tuple(fmap) for fmap in level))
+        if not isinstance(level, list) or not all(isinstance(fmap, list) for fmap in level):
+            raise MalformedInputError(f"faces[{key!r}] must be a list of lists", code="bad-type")
+        face_maps.append(level)
     return SimplicialComponents(tuple(counts), tuple(face_maps))
 
 
@@ -269,11 +260,7 @@ def skeleton_to_doc(sk: PicardSkeleton) -> dict:
 
 
 def skeleton_from_doc(doc: dict) -> PicardSkeleton:
-    return PicardSkeleton(
-        _need(doc, "lattice_rank", int),
-        _need(doc, "torus_rank", int),
-        _need(doc, "g", int),
-    )
+    return PicardSkeleton(_need(doc, "lattice_rank"), _need(doc, "torus_rank"), _need(doc, "g"))
 
 
 def verify_report_to_doc(rep: VerifyReport) -> dict:

@@ -190,14 +190,14 @@ def div0_lattice(d: DivisorPresentation) -> tuple[int, list[list[int]]]:
 class PicardSkeleton:
     """Discrete invariants of a Picard-type presentation: boundary lattice
     rank, torus cocharacter rank, and the abelian dimension supplied by the
-    caller."""
+    caller.  The ranks must be ints, not bools (else bad-type)."""
 
     lattice_rank: int
     torus_rank: int
     abelian_dim: int
 
     def __post_init__(self):
-        if min(self.lattice_rank, self.torus_rank, self.abelian_dim) < 0:
+        if min(_ints((self.lattice_rank, self.torus_rank, self.abelian_dim), "bad-type", "skeleton ranks")) < 0:
             raise ShapeError("skeleton ranks must be non-negative")
 
 
@@ -208,9 +208,9 @@ def _default_abelian(g: int, params: RingParams) -> AbelianBlock:
         raise UnsupportedInputError(
             "default abelian blocks use the companion model and need a = 1; pass an explicit block"
         )
-    block = abelian_from_ap(0, params)
+    block = one = abelian_from_ap(0, params)
     for _ in range(g - 1):
-        block = block + abelian_from_ap(0, params)
+        block = block + one
     return block
 
 
@@ -242,8 +242,8 @@ def picard_skeleton(
     """
     lattice_rank, _ = div0_lattice(d)
     torus_rank, _ = cocharacter_group(s)
-    spec = _split_spec(lattice_rank, torus_rank, g, params, abelian, "picard-skeleton")
-    return PicardSkeleton(lattice_rank, torus_rank, g), spec
+    skeleton = PicardSkeleton(lattice_rank, torus_rank, g)
+    return skeleton, _split_spec(lattice_rank, torus_rank, g, params, abelian, "picard-skeleton")
 
 
 @dataclass(frozen=True)

@@ -475,15 +475,6 @@ def lift_elem(x: WittElem, big: RingParams) -> WittElem:
     return WittElem._raw(big, x.coords)
 
 
-def balanced_lift_elem(x: WittElem, big: RingParams) -> WittElem:
-    """Lift choosing the representative of smallest absolute value per
-    coordinate, so small-integer matrices lift to themselves and their exact
-    integer identities survive the precision raise."""
-    pn = x.params.pn
-    half = pn // 2
-    return WittElem._raw(big, tuple((c if c <= half else c - pn) % big.pn for c in x.coords))
-
-
 def reduce_elem(x: WittElem, small: RingParams) -> WittElem:
     pn = small.pn
     return WittElem._raw(small, tuple(c % pn for c in x.coords))

@@ -10,10 +10,14 @@ Frobenius oracle goes through Teichmuller digits instead of the precomputed
 matrix, the matrix-product and characteristic-polynomial oracles multiply
 WittElem entries one by one instead of packed coordinates, and the pairing
 oracle places the gram entries block by block and checks it as a dense
-matrix instead of reindexing by the dual permutation.  The classical Witt
-coordinates (WittCoords, the ghost maps, coords_add, coords_mul and the
-bijection coords_to_elem / elem_to_coords through Teichmuller digits) are a
-second element representation for a = 1, kept here as an oracle: they add
+matrix instead of reindexing by the dual permutation.  The realization and
+pairing oracles (and the base-change reductions of the motive tests) use
+their own element-by-element matrix loops (mat_sub, mat_neg, mat_scale,
+mat_balanced_lift, mat_reduce, mat_block), not the package's _block or its
+realization's lifts.  The classical Witt coordinates (WittCoords, the
+ghost maps, coords_add, coords_mul and the bijection coords_to_elem /
+elem_to_coords through Teichmuller digits) are a second element
+representation for a = 1, kept here as an oracle: they add
 and multiply through integer ghost components, and the Z/p^n model of
 W_n(F_p) is their ground truth.  matvec is the integer matrix-vector product
 of the kernel checks.
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from fcrystals import intmat
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, lattice_block, torus_block
 from fcrystals.errors import (
     DomainError,
@@ -41,22 +46,13 @@ from fcrystals.semilinear import (
     FilteredFModule,
     VerifyReport,
     WMat,
-    wm_balanced_lift,
-    wm_block,
     wm_det,
-    wm_eq,
-    wm_identity,
     wm_mul,
-    wm_neg,
-    wm_reduce,
-    wm_scal,
     wm_sigma,
     wm_sigma_inv,
-    wm_sub,
     wm_transpose,
     wm_zero,
     wmat,
-    wmat_from_ints,
 )
 from fcrystals.serialize import elem_from_doc
 from fcrystals.simplicial import SimplicialComponents
@@ -202,6 +198,45 @@ def elem_to_coords(x: WittElem) -> WittCoords:
 
 
 # ---------------------------------------------------------------------------
+# element-by-element matrix loops of the oracles
+
+
+def mat_sub(a: WMat, b: WMat) -> WMat:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_neg(a: WMat) -> WMat:
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def mat_scale(c: WittElem, a: WMat) -> WMat:
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_balanced_lift(a: WMat, big: RingParams) -> WMat:
+    """Each entry lifted to big through its coordinates of least absolute
+    value, so small-integer matrices lift to themselves."""
+    return tuple(
+        tuple(WittElem(big, [c if c <= x.params.pn // 2 else c - x.params.pn for c in x.coords]) for x in row)
+        for row in a
+    )
+
+
+def mat_reduce(a: WMat, small: RingParams) -> WMat:
+    return tuple(tuple(WittElem(small, x.coords) for x in row) for row in a)
+
+
+def mat_block(params: RingParams, grid, row_sizes, col_sizes) -> WMat:
+    """The block matrix of grid (None for a zero block), entry by entry."""
+    zero = params.zero()
+    return tuple(
+        tuple(zero if b is None else b[i][j] for b, c in zip(blocks, col_sizes) for j in range(c))
+        for blocks, rsize in zip(grid, row_sizes)
+        for i in range(rsize)
+    )
+
+
+# ---------------------------------------------------------------------------
 # element-path matrix kernels: one WittElem product and sum per scalar op
 
 
@@ -281,11 +316,11 @@ def pair_oracle(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     )
     p_elem = params.from_int(params.p)
     lhs_f = wm_mul(params, wm_transpose(m.module.f_mat), wm_mul(params, gram, m_dual.module.f_mat))
-    frob_ok = wm_eq(lhs_f, wm_scal(p_elem, wm_sigma(gram)))
+    frob_ok = lhs_f == mat_scale(p_elem, wm_sigma(gram))
     versch_ok = True
     if m.module.v_mat is not None:
         lhs_v = wm_mul(params, wm_transpose(m.module.v_mat), wm_mul(params, gram, m.canonical_dual.v_mat))
-        versch_ok = wm_eq(lhs_v, wm_scal(p_elem, wm_sigma_inv(gram)))
+        versch_ok = lhs_v == mat_scale(p_elem, wm_sigma_inv(gram))
     return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
 
 
@@ -303,7 +338,7 @@ def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
     ab = s.abelian.crystal
     lb = lattice_block(s.lattice, params)
     sizes = [rT, g2, rX]
-    f = wm_block(
+    f = mat_block(
         params,
         [
             [tb.f_mat, s.ext_at, s.ext_xt],
@@ -319,14 +354,12 @@ def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
     # which is the case for every built-in block constructor (their matrices
     # have small integer representatives); reject other abelian data.
     big = with_precision(params, params.n + 2)
-    va_lift = wm_balanced_lift(ab.v_mat, big)
+    va_lift = mat_balanced_lift(ab.v_mat, big)
     sig_va = wm_sigma(va_lift)
     if g2:
-        d_lift = wm_balanced_lift(ab.f_mat, big)
-        p_ident = wm_scal(big.from_int(params.p), wm_identity(big, g2))
-        if not wm_eq(wm_mul(big, d_lift, sig_va), p_ident) or not wm_eq(
-            wm_mul(big, va_lift, wm_sigma_inv(d_lift)), p_ident
-        ):
+        d_lift = mat_balanced_lift(ab.f_mat, big)
+        p_ident = mat_scale(big.from_int(params.p), wmat(big, intmat.identity(g2)))
+        if wm_mul(big, d_lift, sig_va) != p_ident or wm_mul(big, va_lift, wm_sigma_inv(d_lift)) != p_ident:
             raise UnsupportedInputError(
                 "abelian block does not lift exactly: its balanced representatives "
                 "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
@@ -335,7 +368,7 @@ def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
     ainv_int = wmat(big, s.lattice.sigma_inverse) if rX else None
     w_div = None
     if g2 and rX:
-        prod_ax = wm_mul(big, sig_va, wm_balanced_lift(s.ext_xa, big))
+        prod_ax = wm_mul(big, sig_va, mat_balanced_lift(s.ext_xa, big))
         try:
             w_div = tuple(tuple(x.divide_exact(1) for x in row) for row in prod_ax)
         except DomainError:
@@ -344,23 +377,23 @@ def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
             )
     v_ta = wm_zero(params, rT, g2)
     if rT and g2:
-        pinv_ta = wm_neg(
-            wm_mul(big, binv_int, wm_mul(big, wm_balanced_lift(s.ext_at, big), sig_va))
+        pinv_ta = mat_neg(
+            wm_mul(big, binv_int, wm_mul(big, mat_balanced_lift(s.ext_at, big), sig_va))
         )
-        v_ta = wm_reduce(wm_sigma_inv(pinv_ta), params)
+        v_ta = mat_reduce(wm_sigma_inv(pinv_ta), params)
     v_ax = wm_zero(params, g2, rX)
     if g2 and rX:
-        v_ax = wm_reduce(wm_sigma_inv(wm_neg(wm_mul(big, w_div, ainv_int))), params)
+        v_ax = mat_reduce(wm_sigma_inv(mat_neg(wm_mul(big, w_div, ainv_int))), params)
     v_tx = wm_zero(params, rT, rX)
     if rT and rX:
-        inner = wm_neg(wm_balanced_lift(s.ext_xt, big))
+        inner = mat_neg(mat_balanced_lift(s.ext_xt, big))
         if g2:
-            inner = wm_sub(
-                wm_mul(big, wm_balanced_lift(s.ext_at, big), w_div),
-                wm_balanced_lift(s.ext_xt, big),
+            inner = mat_sub(
+                wm_mul(big, mat_balanced_lift(s.ext_at, big), w_div),
+                mat_balanced_lift(s.ext_xt, big),
             )
-        v_tx = wm_reduce(wm_sigma_inv(wm_mul(big, binv_int, wm_mul(big, inner, ainv_int))), params)
-    v = wm_block(
+        v_tx = mat_reduce(wm_sigma_inv(wm_mul(big, binv_int, wm_mul(big, inner, ainv_int))), params)
+    v = mat_block(
         params,
         [
             [tb.v_mat, v_ta, v_tx],
@@ -658,7 +691,7 @@ def random_motive_spec(
 def slope_half_block(params: RingParams) -> AbelianBlock:
     """The rank-2 abelian block with F = V = [[0, p], [1, 0]] (both slopes 1/2),
     valid at every residue degree a once n >= 2a + 1."""
-    mat = wmat_from_ints(params, [[0, params.p], [1, 0]])
+    mat = wmat(params, [[0, params.p], [1, 0]])
     return AbelianBlock.from_module(FilteredFModule(params, 2, (-1, -1), mat, mat, 1))
 
 

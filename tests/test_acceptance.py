@@ -29,18 +29,24 @@ from fcrystals.semilinear import (
     newton_slopes,
     twisted_dual,
     verify,
-    wm_eq,
-    wm_identity,
     wm_mul,
-    wm_scal,
     wm_sigma,
     wm_transpose,
+    wmat,
     is_isomorphism_witness,
 )
 from fcrystals.simplicial import PicardSkeleton, component_complex, h1_weight_ledger
 from fcrystals.witt import RingParams, dp_exp, dp_log
 
-from helpers import coords_add, coords_mul, coords_to_elem, elem_to_coords, random_motive_spec, random_simplicial
+from helpers import (
+    coords_add,
+    coords_mul,
+    coords_to_elem,
+    elem_to_coords,
+    mat_scale,
+    random_motive_spec,
+    random_simplicial,
+)
 
 
 def _report(num, elapsed, budget, desc):
@@ -199,16 +205,16 @@ def test_criterion_6_duality(spec_corpus):
         pm = pair(mc, dual)
         assert pm.perfect and pm.weight_orthogonal
         assert pm.frobenius_compatible and pm.verschiebung_compatible
-        lhs = wm_scal(p_elem, wm_sigma(pm.gram))
+        lhs = mat_scale(p_elem, wm_sigma(pm.gram))
         rhs = wm_mul(
             params,
             wm_transpose(mc.module.f_mat),
             wm_mul(params, wm_sigma(pm.gram), wm_sigma(dual.module.f_mat)),
         )
-        assert wm_eq(lhs, rhs)
+        assert lhs == rhs
         if mc.module.rank:
             dd = twisted_dual(twisted_dual(mc.module))
-            witness = wm_identity(params, mc.module.rank)
+            witness = wmat(params, intmat.identity(mc.module.rank))
             assert is_isomorphism_witness(witness, mc.module, dd)
     _report(6, time.time() - start, 10.0, "pairing identities exact, double-dual witness checked")
 

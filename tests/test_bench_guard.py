@@ -3,7 +3,8 @@
 The span tracer in bench/layers.py rebinds fcrystals functions and methods by
 name, so deleting or renaming one would silently drop a layer from the traced
 benchmark.  The public names of the package are pinned here as well, both
-ways: none may go missing and none may appear unlisted.
+ways: none may go missing and none may appear unlisted.  So are the names
+of fcrystals.semilinear.__all__.
 """
 
 import importlib
@@ -31,6 +32,15 @@ DivisorPresentation H1Ledger PicardSkeleton SimplicialComponents cocharacter_gro
 component_complex div0_lattice h1_weight_ledger picard_skeleton
 RingParams WittElem default_modulus dp_exp dp_log frobenius frobenius_inverse teichmuller
 with_precision
+""".split()
+
+# fcrystals.semilinear's public names: the filtered-module API and the boxed
+# WMat functions, each of which checks its entries once on the way in
+SEMILINEAR_NAMES = """
+FilteredFModule SlopeProfile VerifyReport verify tensor twisted_dual newton_slopes direct_sum
+conjugate conjugate_by_permutation is_isomorphism_witness smith_normal_form
+wmat wm_zero wm_shape wm_transpose wm_mul wm_sigma wm_sigma_inv charpoly wm_det wm_kron
+wm_adjugate wm_inverse_unit
 """.split()
 
 
@@ -70,3 +80,12 @@ def test_no_unlisted_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(exported - set(PUBLIC_NAMES)) == []
+
+
+def test_semilinear_all_is_pinned():
+    """semilinear.__all__ is the listed set, both ways, and every name resolves."""
+    semilinear = importlib.import_module("fcrystals.semilinear")
+    assert sorted(set(semilinear.__all__) - set(SEMILINEAR_NAMES)) == []
+    assert sorted(set(SEMILINEAR_NAMES) - set(semilinear.__all__)) == []
+    assert len(semilinear.__all__) == len(SEMILINEAR_NAMES)
+    assert all(hasattr(semilinear, name) for name in SEMILINEAR_NAMES)

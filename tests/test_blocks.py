@@ -27,10 +27,9 @@ from fcrystals.semilinear import (
     twisted_dual,
     verify,
     wm_det,
-    wm_eq,
     wm_mul,
     wm_sigma,
-    wmat_from_ints,
+    wmat,
 )
 from fcrystals.witt import RingParams, default_modulus
 from helpers import random_signed_permutation, random_unimodular
@@ -52,14 +51,14 @@ class TestTate:
         assert (t.rank, t.level, t.weights) == (1, 1, (0,))
         assert t.f_mat[0][0] == P54.from_int(5)
         assert t.v_mat[0][0] == P54.one()
-        assert wm_eq(twisted_dual(tate(1, P54)).f_mat, t.f_mat)
+        assert twisted_dual(tate(1, P54)).f_mat == t.f_mat
 
     def test_higher_twists_consistent_with_tensor(self):
         from fcrystals.semilinear import tensor
 
         sq = tensor(tate(1, P54), tate(1, P54))
         t2 = tate(2, P54)
-        assert wm_eq(sq.f_mat, t2.f_mat) and wm_eq(sq.v_mat, t2.v_mat)
+        assert sq.f_mat == t2.f_mat and sq.v_mat == t2.v_mat
         assert sq.weights == t2.weights and sq.level == t2.level
 
     def test_negative_twist(self):
@@ -101,24 +100,24 @@ class TestLatticeTorus:
 
     def test_rank1_trivial_matches_twists(self):
         lb = lattice_block(LatticeData.trivial(1), P54)
-        assert wm_eq(lb.f_mat, tate(0, P54).f_mat)
+        assert lb.f_mat == tate(0, P54).f_mat
         tb = torus_block(TorusData.trivial(1), P54)
-        assert wm_eq(tb.f_mat, tate(1, P54).f_mat)
+        assert tb.f_mat == tate(1, P54).f_mat
 
     def test_swap_action_lattice(self):
         d = LatticeData(2, ((0, 1), (1, 0)))
         m = lattice_block(d, P34)
-        assert wm_eq(m.f_mat, wmat_from_ints(P34, [[0, 3], [3, 0]]))
-        assert wm_eq(m.v_mat, wmat_from_ints(P34, [[0, 1], [1, 0]]))
+        assert m.f_mat == wmat(P34, [[0, 3], [3, 0]])
+        assert m.v_mat == wmat(P34, [[0, 1], [1, 0]])
         fv = wm_mul(P34, m.f_mat, wm_sigma(m.v_mat))
-        assert wm_eq(fv, wmat_from_ints(P34, [[3, 0], [0, 3]]))
+        assert fv == wmat(P34, [[3, 0], [0, 3]])
         assert verify(m).ok
 
     def test_swap_action_torus(self):
         d = TorusData(2, ((0, 1), (1, 0)))
         m = torus_block(d, P54)
-        assert wm_eq(m.f_mat, wmat_from_ints(P54, [[0, 1], [1, 0]]))
-        assert wm_eq(m.v_mat, wmat_from_ints(P54, [[0, 5], [5, 0]]))
+        assert m.f_mat == wmat(P54, [[0, 1], [1, 0]])
+        assert m.v_mat == wmat(P54, [[0, 5], [5, 0]])
         assert verify(m).ok
 
     def test_lattice_slopes_all_one(self):
@@ -139,8 +138,8 @@ class TestLatticeTorus:
         lb = lattice_block(LatticeData(2, dual_action), P54)
         relabeled = conjugate_by_permutation(td, [1, 0])
         assert relabeled.weights == lb.weights
-        assert wm_eq(relabeled.f_mat, lb.f_mat)
-        assert wm_eq(relabeled.v_mat, lb.v_mat)
+        assert relabeled.f_mat == lb.f_mat
+        assert relabeled.v_mat == lb.v_mat
 
     def test_duality_lattice_to_torus(self):
         action = ((0, 1), (-1, 0))
@@ -148,8 +147,8 @@ class TestLatticeTorus:
         tb = torus_block(TorusData(2, action), P54)  # inverse transpose is itself
         relabeled = conjugate_by_permutation(td, [1, 0])
         assert relabeled.weights == tb.weights
-        assert wm_eq(relabeled.f_mat, tb.f_mat)
-        assert wm_eq(relabeled.v_mat, tb.v_mat)
+        assert relabeled.f_mat == tb.f_mat
+        assert relabeled.v_mat == tb.v_mat
 
     def test_non_unimodular_action_rejected(self):
         with pytest.raises(InvalidActionError):

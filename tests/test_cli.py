@@ -338,6 +338,14 @@ STRICT_INT_CASES = [
     ("crystal-verify", "module_tate1.json", _set("ring", {"p": 5, "n": 4, "a": 2, "modulus": 7}), "bad-modulus"),
     ("crystal-verify", "module_tate1.json", _set("ring", {"p": 5, "n": 4, "a": 2, "modulus": "211"}), "bad-modulus"),
     ("crystal-verify", "module_tate1.json", _set("ring", "a", 2.0), "bad-type"),
+    ("simplicial-cochar", "simplicial_nodal.json", _set("faces", "1", [{}, [0, 0]]), "bad-type"),
+    ("simplicial-cochar", "simplicial_nodal.json", _set("faces", "1", {}), "bad-type"),
+    ("simplicial-cochar", "simplicial_nodal.json", _set("counts", [1, "2", 1]), "bad-type"),
+    ("h1-ledger", "skeleton_g1m3.json", _set("g", 1.5), "bad-type"),
+    ("h1-ledger", "skeleton_g1m3.json", _set("torus_rank", "0"), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("rank", "1"), "bad-type"),
+    ("crystal-verify", "module_tate1.json", _set("level", None), "bad-type"),
+    ("picard-skeleton", "picard_input.json", _set("g", 1.5), "bad-type"),
 ]
 
 

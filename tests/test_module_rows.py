@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 import fcrystals.semilinear as semilinear
+from fcrystals import intmat
 from fcrystals.blocks import LatticeData, abelian_from_ap, lattice_block, tate, torus_block
 from fcrystals.cli import main
 from fcrystals.errors import IncompatibleRingsError, MalformedInputError, ShapeError
@@ -27,7 +28,7 @@ from fcrystals.semilinear import (
     direct_sum,
     tensor,
     twisted_dual,
-    wm_identity,
+    wmat,
 )
 from fcrystals.serialize import module_from_doc, module_to_doc
 from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
@@ -80,7 +81,7 @@ def test_every_kernel_returns_the_one_row_type():
         perm = list(range(m.rank))[::-1]
         made = [m, _boxed(m), twisted_dual(m), conjugate_by_permutation(m, perm), module_from_doc(module_to_doc(m))]
         made += [tensor(m, tate(1, m.params)), direct_sum(m, tate(0, m.params))]
-        made.append(conjugate(m, wm_identity(m.params, m.rank)))
+        made.append(conjugate(m, wmat(m.params, intmat.identity(m.rank))))
         for x in made:
             assert _is_rows(x.f_rows, a) and _is_rows(x.v_rows, a)
     rng = random.Random(3)
@@ -152,11 +153,26 @@ def test_non_element_entry_is_bad_element():
     assert exc.value.code == "bad-element"
 
 
+@pytest.mark.parametrize("f,v", [(None, None), (5, None), ((5,), None), ("F", None), (((P54.one(),),), 7)])
+def test_non_matrix_is_bad_matrix(f, v):
+    """A matrix that is not a sequence of rows is refused before its shape is read."""
+    with pytest.raises(MalformedInputError) as exc:
+        FilteredFModule(P54, 1, (0,), f, v, 1)
+    assert exc.value.code == "bad-matrix"
+
+
+@pytest.mark.parametrize("rank,weights,level", [(1, 5, 1), (1, (True,), 1), (1.0, (0,), 1), (1, (0,), None)])
+def test_rank_weights_and_level_are_strict_ints(rank, weights, level):
+    with pytest.raises(MalformedInputError) as exc:
+        FilteredFModule(P54, rank, weights, ((P54.one(),),), None, level)
+    assert exc.value.code == "bad-type"
+
+
 @pytest.mark.parametrize("which", ["F", "V"])
 @pytest.mark.parametrize("width", [1, 3])
 def test_ragged_matrix_is_a_shape_error(which, width):
     """Every row's width is checked, not only row 0's."""
-    o, i2 = P54.one(), wm_identity(P54, 2)
+    o, i2 = P54.one(), wmat(P54, intmat.identity(2))
     ragged = ((o, o), (o,) * width)
     f, v = (ragged, i2) if which == "F" else (i2, ragged)
     with pytest.raises(ShapeError, match=f"^{which} matrix must be rank x rank$"):

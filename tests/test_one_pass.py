@@ -23,13 +23,15 @@ import fcrystals.intmat
 import fcrystals.witt
 import fcrystals.onemotive as onemotive
 import fcrystals.semilinear as semilinear
-from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, torus_block
+import fcrystals.simplicial as simplicial
+from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, torus_block
 from fcrystals.cli import main
 from fcrystals.errors import InternalError, SingularFrobeniusError
 from fcrystals.onemotive import OneMotiveSpec, assemble, cartier_dual, pair
-from fcrystals.semilinear import FilteredFModule, wm_scal
+from fcrystals.semilinear import FilteredFModule
 from fcrystals.serialize import motive_from_doc
 from fcrystals.witt import RingParams
+from helpers import mat_scale
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 FX = os.path.join(TESTS, "fixtures")
@@ -92,6 +94,18 @@ def test_graded_blocks_are_built_once_per_presentation(monkeypatch):
     assert s.blocks is s.blocks
 
 
+def test_default_abelian_builds_its_companion_block_once(monkeypatch):
+    """The default abelian block of dimension g is g copies of one companion
+    block, built once (it was built g times, each with a slope and a verify
+    pass); the sum is the same module."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, simplicial, "abelian_from_ap")
+    block = simplicial._default_abelian(3, P54)
+    assert counts["abelian_from_ap"] == 1
+    one = abelian_from_ap(0, P54)
+    assert block == one + one + one and block.dim == 3
+
+
 def test_dual_block_disagreement_raises_internal_error(monkeypatch):
     """cartier_dual checks the canonical dual's diagonal blocks against the
     dual presentation's blocks; here the dual torus block is skewed to 2 B."""
@@ -100,7 +114,7 @@ def test_dual_block_disagreement_raises_internal_error(monkeypatch):
         block = torus_block(d, params)
         if not d.rank:
             return block
-        f = wm_scal(params.from_int(2), block.f_mat)
+        f = mat_scale(params.from_int(2), block.f_mat)
         return FilteredFModule(params, d.rank, block.weights, f, block.v_mat, block.level)
 
     monkeypatch.setattr(onemotive, "torus_block", skewed)
@@ -204,12 +218,12 @@ def test_inverse_unit_reads_one_characteristic_polynomial(monkeypatch, r):
     characteristic polynomial, also when the determinant is not a unit."""
     calls = Counter()
     _count_calls(monkeypatch, calls, semilinear, "charpoly")
-    a = semilinear.wmat_from_ints(P54, [[int(i == j) + (i < j) for j in range(r)] for i in range(r)])
+    a = semilinear.wmat(P54, [[int(i == j) + (i < j) for j in range(r)] for i in range(r)])
     inv = semilinear.wm_inverse_unit(P54, a)
-    assert semilinear.wm_mul(P54, a, inv) == semilinear.wm_identity(P54, r)
+    assert semilinear.wm_mul(P54, a, inv) == semilinear.wmat(P54, fcrystals.intmat.identity(r))
     assert calls["charpoly"] == 1
     with pytest.raises(SingularFrobeniusError):
-        semilinear.wm_inverse_unit(P54, semilinear.wm_scal(P54.from_int(5), a))
+        semilinear.wm_inverse_unit(P54, mat_scale(P54.from_int(5), a))
     assert calls["charpoly"] == 2
 
 

@@ -38,17 +38,15 @@ from fcrystals.semilinear import (
     direct_sum,
     newton_slopes,
     verify,
-    wm_eq,
     wm_mul,
-    wm_reduce,
-    wm_scal,
     wm_zero,
     wmat,
-    wmat_from_ints,
 )
 from fcrystals.witt import RingParams, default_modulus, with_precision
 
 from helpers import (
+    mat_reduce,
+    mat_scale,
     pair_oracle,
     random_galois_motive_spec,
     cube_root_block,
@@ -78,8 +76,8 @@ class TestAssemble:
         mc = assemble(kummer_spec())
         assert mc.module.rank == 2
         assert mc.module.weights == (-2, 0)
-        assert wm_eq(mc.module.f_mat, wmat_from_ints(P54, [[1, 0], [0, 5]]))
-        assert wm_eq(mc.module.v_mat, wmat_from_ints(P54, [[5, 0], [0, 1]]))
+        assert mc.module.f_mat == wmat(P54, [[1, 0], [0, 5]])
+        assert mc.module.v_mat == wmat(P54, [[5, 0], [0, 1]])
         assert [str(s) for s, _ in newton_slopes(mc.module).pairs] == ["0", "1"]
 
     def test_mixed_rank_five(self):
@@ -103,8 +101,8 @@ class TestAssemble:
                 "coupled",
             )
             m = assemble(s).module
-            assert wm_eq(m.f_mat, wmat(P34, [[1, xval], [0, 3]]))
-            assert wm_eq(m.v_mat, wmat(P34, [[3, -xval % 81], [0, 1]]))
+            assert m.f_mat == wmat(P34, [[1, xval], [0, 3]])
+            assert m.v_mat == wmat(P34, [[3, -xval % 81], [0, 1]])
             assert verify(m).ok
 
     def test_graded_blocks_match_constructors(self):
@@ -185,6 +183,12 @@ class TestAssemble:
             else:
                 assert str(exc.value) == "matrix entry from a different ring"
 
+    @pytest.mark.parametrize("block,value", [("ext_at", None), ("ext_xt", 5), ("ext_xa", (5,))])
+    def test_non_matrix_ext_block_is_bad_matrix(self, block, value):
+        with pytest.raises(MalformedInputError) as exc:
+            dataclasses.replace(mixed_spec(P54), **{block: value})
+        assert exc.value.code == "bad-matrix"
+
     def test_realization_reads_the_kept_ext_rows(self, monkeypatch):
         s = random_motive_spec(random.Random(4), P54)
         assert s.ext_rows == tuple([[x.coords for x in row] for row in m] for m in (s.ext_at, s.ext_xa, s.ext_xt))
@@ -233,8 +237,8 @@ class TestCartierDual:
             assert dd.torus.sigma_action == s.torus.sigma_action
             m0, m2 = assemble(s).module, assemble(dd).module
             assert m0.weights == m2.weights
-            assert wm_eq(m0.f_mat, m2.f_mat)
-            assert wm_eq(m0.v_mat, m2.v_mat)
+            assert m0.f_mat == m2.f_mat
+            assert m0.v_mat == m2.v_mat
 
     def test_involution_on_coupled_specs(self):
         # the dual presentation only remembers its blocks mod p^n, so the
@@ -263,7 +267,7 @@ class TestCartierDual:
             td, ad, perm = dual_witness(s)
             c = conjugate_by_permutation(td, perm)
             assert c.weights == ad.weights
-            assert wm_eq(c.f_mat, ad.f_mat)
+            assert c.f_mat == ad.f_mat
             # V agrees up to two-sidedly annihilated slack in the top digit
             for i in range(ad.rank):
                 for j in range(ad.rank):
@@ -276,16 +280,16 @@ class TestCartierDual:
             from fcrystals.semilinear import wm_sigma, wm_sigma_inv, wm_zero as wz
 
             zero = wz(P54, ad.rank, ad.rank)
-            assert wm_eq(wm_mul(P54, ad.f_mat, wm_sigma(delta)), zero)
-            assert wm_eq(wm_mul(P54, delta, wm_sigma_inv(ad.f_mat)), zero)
+            assert wm_mul(P54, ad.f_mat, wm_sigma(delta)) == zero
+            assert wm_mul(P54, delta, wm_sigma_inv(ad.f_mat)) == zero
 
     def test_dual_witness_exact_on_split_specs(self):
         s = mixed_spec(P54)
         td, ad, perm = dual_witness(s)
         c = conjugate_by_permutation(td, perm)
         assert c.weights == ad.weights
-        assert wm_eq(c.f_mat, ad.f_mat)
-        assert wm_eq(c.v_mat, ad.v_mat)
+        assert c.f_mat == ad.f_mat
+        assert c.v_mat == ad.v_mat
 
     def test_dual_action_is_inverse_transpose(self):
         action = ((0, 1), (-1, 0))
@@ -331,7 +335,7 @@ class TestPair:
     def test_kummer_antidiagonal(self):
         s = kummer_spec()
         pm = pair(assemble(s), assemble(cartier_dual(s)))
-        assert wm_eq(pm.gram, wmat_from_ints(P54, [[0, 1], [1, 0]]))
+        assert pm.gram == wmat(P54, [[0, 1], [1, 0]])
         assert pm.ok
 
     def test_supersingular_frobenius_compatibility(self):
@@ -345,8 +349,8 @@ class TestPair:
         assert pm.frobenius_compatible and pm.verschiebung_compatible
         # explicit identity: F^T G F' = p sigma(G)
         lhs = wm_mul(P54, wm_mul(P54, tuple(zip(*m.module.f_mat)), pm.gram), d.module.f_mat)
-        rhs = wm_scal(P54.from_int(5), pm.gram)
-        assert wm_eq(lhs, rhs)
+        rhs = mat_scale(P54.from_int(5), pm.gram)
+        assert lhs == rhs
 
     def test_random_specs_pair_perfectly(self):
         rng = random.Random(24)
@@ -405,7 +409,7 @@ class TestVerifyMotive:
     def test_flag_breaking_module_fails_4a(self):
         s = kummer_spec()
         good = assemble(s).module
-        broken_f = wmat_from_ints(P54, [[1, 0], [1, 5]])  # weight -2 leaks into weight 0
+        broken_f = wmat(P54, [[1, 0], [1, 5]])  # weight -2 leaks into weight 0
         bad = FilteredFModule(P54, 2, good.weights, broken_f, good.v_mat, 1)
         rep = verify_motive(MotiveCrystal(bad, s))
         assert not rep.ok
@@ -495,12 +499,12 @@ class TestIsomorphismInvariance:
             s.lattice,
             s.torus,
             s.abelian,
-            wm_scal(P54.from_int(u), eat),
-            wm_scal(P54.from_int(v), exa),
-            wm_scal(P54.from_int(u * v), ext),
+            mat_scale(P54.from_int(u), eat),
+            mat_scale(P54.from_int(v), exa),
+            mat_scale(P54.from_int(u * v), ext),
             "scaled",
         )
-        g = wmat_from_ints(
+        g = wmat(
             P54,
             [
                 [1, 0, 0, 0],
@@ -511,8 +515,8 @@ class TestIsomorphismInvariance:
         )
         conj = conjugate(assemble(s).module, g)
         m2 = assemble(s2).module
-        assert wm_eq(conj.f_mat, m2.f_mat)
-        assert wm_eq(conj.v_mat, m2.v_mat)
+        assert conj.f_mat == m2.f_mat
+        assert conj.v_mat == m2.v_mat
         assert verify(conj).ok
 
     def test_slopes_ignore_extension_blocks(self):
@@ -534,16 +538,16 @@ def _reduced_spec(s: OneMotiveSpec, small: RingParams) -> OneMotiveSpec:
     """The presentation with every block over W_n reduced to W_(n-1)."""
     c = s.abelian.crystal
     crystal = FilteredFModule(
-        small, c.rank, c.weights, wm_reduce(c.f_mat, small), wm_reduce(c.v_mat, small), c.level
+        small, c.rank, c.weights, mat_reduce(c.f_mat, small), mat_reduce(c.v_mat, small), c.level
     )
     return OneMotiveSpec(
         small,
         s.lattice,
         s.torus,
         AbelianBlock(s.abelian.dim, crystal),
-        wm_reduce(s.ext_at, small),
-        wm_reduce(s.ext_xa, small),
-        wm_reduce(s.ext_xt, small),
+        mat_reduce(s.ext_at, small),
+        mat_reduce(s.ext_xa, small),
+        mat_reduce(s.ext_xt, small),
         s.label,
     )
 
@@ -562,8 +566,8 @@ class TestBaseChange:
             s = random_motive_spec(random.Random(seed), big)
             m_big, m_small = assemble(s), assemble(_reduced_spec(s, small))
             assert m_big.report.ok and m_small.report.ok
-            assert wm_eq(m_small.module.f_mat, wm_reduce(m_big.module.f_mat, small))
-            assert wm_eq(wm_reduce(m_small.module.v_mat, v_prec), wm_reduce(m_big.module.v_mat, v_prec))
+            assert m_small.module.f_mat == mat_reduce(m_big.module.f_mat, small)
+            assert mat_reduce(m_small.module.v_mat, v_prec) == mat_reduce(m_big.module.v_mat, v_prec)
             divided += s.abelian.dim > 0 and s.lattice.rank > 0
         assert divided >= 10
 
@@ -624,8 +628,8 @@ class TestRealizeOracle:
         params = RingParams(p, 4)
         u = 2 if p != 2 else 3
         uinv = pow(u, -1, params.pn)
-        f = wmat_from_ints(params, [[u, 0], [0, p * u]])
-        v = wmat_from_ints(params, [[p * uinv, 0], [0, uinv]])
+        f = wmat(params, [[u, 0], [0, p * u]])
+        v = wmat(params, [[p * uinv, 0], [0, uinv]])
         abelian = AbelianBlock.from_module(FilteredFModule(params, 2, (-1, -1), f, v, 1))
         s = OneMotiveSpec.split(params, LatticeData.trivial(1), TorusData.trivial(1), abelian)
         got = _outcome(onemotive._realize, s)
@@ -651,7 +655,7 @@ class TestRealizeOracle:
         }
         lifts = {k: [[x % big for x in row] for row in prod] == [[3, 0], [0, 3]] for k, prod in products.items()}
         assert [k for k, ok in lifts.items() if ok] == [exact]
-        module = FilteredFModule(params, 2, (-1, -1), wmat_from_ints(params, f), wmat_from_ints(params, v), 1)
+        module = FilteredFModule(params, 2, (-1, -1), wmat(params, f), wmat(params, v), 1)
         abelian = AbelianBlock.from_module(module)
         s = OneMotiveSpec.split(params, LatticeData.trivial(0), TorusData.trivial(0), abelian)
         got = _outcome(onemotive._realize, s)

@@ -29,19 +29,19 @@ from fcrystals.semilinear import (
     tensor,
     twisted_dual,
     verify,
+    wm_adjugate,
     wm_det,
-    wm_eq,
-    wm_block,
-    wm_identity,
     wm_inverse_unit,
     wm_kron,
     wm_mul,
     wm_shape,
     wm_sigma,
     wm_sigma_inv,
+    wm_transpose,
     wmat,
-    wmat_from_ints,
     _argsort_stable,
+    _block,
+    _int_rows,
 )
 from fcrystals.simplicial import component_complex
 from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
@@ -264,7 +264,7 @@ class TestVerify:
 
     def test_fv_product_failure(self):
         P = RingParams(3, 3)
-        m = FilteredFModule(P, 1, (-2,), wmat_from_ints(P, [[1]]), wmat_from_ints(P, [[1]]), 1)
+        m = FilteredFModule(P, 1, (-2,), wmat(P, [[1]]), wmat(P, [[1]]), 1)
         rep = verify(m)
         assert not rep.ok
         assert rep.first_failure.name == "fv-product"
@@ -275,8 +275,8 @@ class TestVerify:
     def test_product_failure_names_first_offending_entry(self):
         P = RingParams(3, 3)
         good = tate(1, P)  # F = [1], V = [3]
-        f = wmat_from_ints(P, [[1, 0], [0, 1]])
-        v = wmat_from_ints(P, [[3, 0], [2, 3]])  # V[1][0] breaks F sigma(V) = 3 I off the diagonal
+        f = wmat(P, [[1, 0], [0, 1]])
+        v = wmat(P, [[3, 0], [2, 3]])  # V[1][0] breaks F sigma(V) = 3 I off the diagonal
         m = FilteredFModule(P, 2, good.weights * 2, f, v, 1)
         details = {c.name: c.detail for c in verify(m).checks if not c.ok}
         assert details == {
@@ -310,7 +310,7 @@ class TestVerify:
     )
     def test_module_rejects_non_int_rank_weight_or_level(self, rank, weights, level):
         P = RingParams(3, 3)
-        one = wmat_from_ints(P, [[1]])
+        one = wmat(P, [[1]])
         with pytest.raises(MalformedInputError) as exc:
             FilteredFModule(P, rank, weights, one, None, level)
         assert exc.value.code == "bad-type"
@@ -318,7 +318,7 @@ class TestVerify:
     def test_descending_weights_rejected(self):
         P = RingParams(3, 3)
         m = FilteredFModule(
-            P, 2, (0, -2), wmat_from_ints(P, [[3, 0], [1, 1]]), None, 1
+            P, 2, (0, -2), wmat(P, [[3, 0], [1, 1]]), None, 1
         )
         rep = verify(m)
         assert not rep.ok
@@ -329,7 +329,7 @@ class TestVerify:
         # ascending weights (-2, 0); the weight-0 image may not hit weight -2... it may;
         # the forbidden direction is weight -2 feeding weight 0 output
         m = FilteredFModule(
-            P, 2, (-2, 0), wmat_from_ints(P, [[1, 0], [1, 3]]), None, 1
+            P, 2, (-2, 0), wmat(P, [[1, 0], [1, 3]]), None, 1
         )
         rep = verify(m)
         assert not rep.ok
@@ -342,8 +342,8 @@ class TestVerify:
             P,
             2,
             (-2, 0),
-            wmat_from_ints(P, [[1, 0], [0, 3]]),
-            wmat_from_ints(P, [[3, 0], [1, 1]]),
+            wmat(P, [[1, 0], [0, 3]]),
+            wmat(P, [[3, 0], [1, 1]]),
             1,
         )
         rep = verify(m)
@@ -449,7 +449,7 @@ class TestTensor:
         t0 = tate(0, P54)
         out = tensor(m, t0)
         assert out.level == 2
-        assert wm_eq(out.f_mat, wmat_from_ints(P54, [[0, -25], [5, 0]]))
+        assert out.f_mat == wmat(P54, [[0, -25], [5, 0]])
         assert out.weights == (-1, -1)
 
     def test_mixed_twist_product(self):
@@ -518,8 +518,8 @@ class TestTensor:
         perm = [rt.index(t) for t in lt]  # right-basis index for each left-basis vector
         relabeled = conjugate_by_permutation(right, perm)
         assert relabeled.weights == left.weights
-        assert wm_eq(relabeled.f_mat, left.f_mat)
-        assert wm_eq(relabeled.v_mat, left.v_mat)
+        assert relabeled.f_mat == left.f_mat
+        assert relabeled.v_mat == left.v_mat
 
     def test_incompatible_rings(self):
         with pytest.raises(IncompatibleRingsError):
@@ -536,7 +536,7 @@ class TestTwistedDual:
     def test_involution_on_twists(self):
         t0 = tate(0, P54)
         dd = twisted_dual(twisted_dual(t0))
-        assert wm_eq(dd.f_mat, t0.f_mat) and wm_eq(dd.v_mat, t0.v_mat)
+        assert dd.f_mat == t0.f_mat and dd.v_mat == t0.v_mat
         assert dd.weights == t0.weights
 
     def test_supersingular_self_dual_slopes(self):
@@ -552,13 +552,13 @@ class TestTwistedDual:
             m = assemble(random_motive_spec(rng, P54, 2, 2, 1)).module
             dd = twisted_dual(twisted_dual(m))
             assert dd.weights == m.weights
-            assert wm_eq(dd.f_mat, m.f_mat)
-            assert wm_eq(dd.v_mat, m.v_mat)
-            assert is_isomorphism_witness(wm_identity(P54, m.rank), m, dd)
+            assert dd.f_mat == m.f_mat
+            assert dd.v_mat == m.v_mat
+            assert is_isomorphism_witness(wmat(P54, intmat.identity(m.rank)), m, dd)
 
     def test_requires_verschiebung(self):
         P = RingParams(3, 3)
-        m = FilteredFModule(P, 1, (-2,), wmat_from_ints(P, [[1]]), None, 1)
+        m = FilteredFModule(P, 1, (-2,), wmat(P, [[1]]), None, 1)
         with pytest.raises(SingularFrobeniusError):
             twisted_dual(m)
 
@@ -572,12 +572,12 @@ class TestTwistedDual:
 
 class TestSlopes:
     def test_supersingular_companion(self):
-        f = wmat_from_ints(P54, [[0, -5], [1, 0]])
+        f = wmat(P54, [[0, -5], [1, 0]])
         m = FilteredFModule(P54, 2, (-1, -1), f, None, 1)
         assert newton_slopes(m).pairs == ((Fraction(1, 2), 2),)
 
     def test_ordinary_companion(self):
-        f = wmat_from_ints(P54, [[0, -5], [1, 1]])
+        f = wmat(P54, [[0, -5], [1, 1]])
         m = FilteredFModule(P54, 2, (-1, -1), f, None, 1)
         assert newton_slopes(m).pairs == ((Fraction(0), 1), (Fraction(1), 1))
 
@@ -587,7 +587,7 @@ class TestSlopes:
 
     def test_precision_error(self):
         P = RingParams(5, 2)
-        f = wmat_from_ints(P, [[0, -5], [1, 0]])
+        f = wmat(P, [[0, -5], [1, 0]])
         m = FilteredFModule(P, 2, (-1, -1), f, None, 1)
         with pytest.raises(PrecisionError) as exc:
             newton_slopes(m)
@@ -622,7 +622,7 @@ class TestSlopes:
 
 class TestMatrixKernels:
     def test_charpoly_companion(self):
-        f = wmat_from_ints(P54, [[0, -5], [1, 1]])
+        f = wmat(P54, [[0, -5], [1, 1]])
         coeffs = charpoly(P54, f)
         assert [c.coords[0] for c in coeffs] == [5, 624, 1]
 
@@ -634,30 +634,101 @@ class TestMatrixKernels:
         for _ in range(10):
             a = wmat(P54, random_unimodular(rng, 3))
             inv = wm_inverse_unit(P54, a)
-            assert wm_eq(wm_mul(P54, a, inv), wm_identity(P54, 3))
+            assert wm_mul(P54, a, inv) == wmat(P54, intmat.identity(3))
 
     def test_wm_eq_compares_rings(self):
         """Equal coordinates over different rings are different matrices, as
         for WittElem ==; an equal ring need not be the same object."""
-        a = wmat_from_ints(P54, [[1, 2], [3, 4]])
-        assert wm_eq(a, wmat_from_ints(RingParams(5, 4), [[1, 2], [3, 4]]))
-        assert not wm_eq(a, wmat_from_ints(RingParams(5, 5), [[1, 2], [3, 4]]))
-        assert not wm_eq(a, wmat_from_ints(P54, [[1, 2], [3, 5]]))
+        a = wmat(P54, [[1, 2], [3, 4]])
+        assert a == wmat(RingParams(5, 4), [[1, 2], [3, 4]])
+        assert a != wmat(RingParams(5, 5), [[1, 2], [3, 4]])
+        assert a != wmat(P54, [[1, 2], [3, 5]])
 
     def test_block_shapes(self):
-        one, i2 = wmat_from_ints(P54, [[1]]), wm_identity(P54, 2)
-        assert wm_eq(wm_block(P54, [[one, None], [None, i2]], [1, 2], [1, 2]), wm_identity(P54, 3))
+        one, i2, zero = _int_rows(P54, [[1]]), _int_rows(P54, intmat.identity(2)), (0,)
+        assert _block([[one, None], [None, i2]], [1, 2], [1, 2], zero) == _int_rows(P54, intmat.identity(3))
         with pytest.raises(ShapeError):
-            wm_block(P54, [[one, one], [None, i2]], [1, 2], [1, 2])
-        assert wm_block(P54, [[one, None]], [0], [1, 1]) == ()  # a block row of height 0 reads no block
+            _block([[one, one], [None, i2]], [1, 2], [1, 2], zero)
+        assert _block([[one, None]], [0], [1, 1], zero) == []  # a block row of height 0 reads no block
 
     def test_conjugate_isomorphism_witness(self):
         rng = random.Random(19)
         m = assemble(random_motive_spec(rng, P54, 1, 1, 1)).module
-        g = wm_identity(P54, m.rank)
+        g = wmat(P54, intmat.identity(m.rank))
         assert is_isomorphism_witness(g, m, m)
         c = conjugate(m, g)
-        assert wm_eq(c.f_mat, m.f_mat)
+        assert c.f_mat == m.f_mat
+
+
+# ---------------------------------------------------------------------------
+# the one checked boundary of the boxed matrix functions
+
+_I2 = wmat(P54, [[1, 0], [0, 1]])
+
+# every public function that takes a WMat, called on a 2x2 matrix of P54
+BOUNDARY_CALLS = {
+    "wm_shape": wm_shape,
+    "wm_transpose": wm_transpose,
+    "wm_mul-left": lambda a: wm_mul(P54, a, _I2),
+    "wm_mul-right": lambda a: wm_mul(P54, _I2, a),
+    "wm_sigma": wm_sigma,
+    "wm_sigma_inv": wm_sigma_inv,
+    "charpoly": lambda a: charpoly(P54, a),
+    "wm_det": lambda a: wm_det(P54, a),
+    "wm_kron-left": lambda a: wm_kron(P54, a, _I2),
+    "wm_kron-right": lambda a: wm_kron(P54, _I2, a),
+    "wm_adjugate": lambda a: wm_adjugate(P54, a, charpoly(P54, _I2)),
+    "wm_inverse_unit": lambda a: wm_inverse_unit(P54, a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_CALLS))
+@pytest.mark.parametrize("at", [(0, 0), (1, 1)])
+def test_boundary_checks_every_entry(name, at):
+    """A non-matrix is bad-matrix; an int entry bad-element and an element
+    of another ring IncompatibleRingsError, wherever it sits (wm_shape reads
+    no entry)."""
+    call = BOUNDARY_CALLS[name]
+    for bad in (None, 5, (5,), (_I2[0], 7), "ab"):
+        with pytest.raises(MalformedInputError) as exc:
+            call(bad)
+        assert exc.value.code == "bad-matrix"
+    if name == "wm_shape":
+        return
+
+    def with_entry(x):
+        rows = [list(row) for row in _I2]
+        rows[at[0]][at[1]] = x
+        return tuple(map(tuple, rows))
+
+    with pytest.raises(MalformedInputError) as exc:
+        call(with_entry(1))
+    assert exc.value.code == "bad-element"
+    with pytest.raises(IncompatibleRingsError):
+        call(with_entry(RingParams(5, 3).one()))
+    call(_I2)
+
+
+def test_adjugate_checks_its_coefficients():
+    coeffs = charpoly(P54, _I2)
+    assert wm_mul(P54, _I2, wm_adjugate(P54, _I2, coeffs)) == _I2
+    with pytest.raises(MalformedInputError) as exc:
+        wm_adjugate(P54, _I2, [1, -2, 1])
+    assert exc.value.code == "bad-element"
+    with pytest.raises(IncompatibleRingsError):
+        wm_adjugate(P54, _I2, charpoly(RingParams(5, 3), wmat(RingParams(5, 3), [[1, 0], [0, 1]])))
+    for short in (coeffs[:2], coeffs + coeffs[:1]):
+        with pytest.raises(ShapeError):
+            wm_adjugate(P54, _I2, short)
+    with pytest.raises(ShapeError):
+        wm_adjugate(P54, (_I2[0],), coeffs[:2])  # a 1x2 matrix with two coefficients
+
+
+def test_wmat_of_a_non_matrix_is_bad_matrix():
+    for bad in (None, 5, (5,), [[1], 2]):
+        with pytest.raises(MalformedInputError) as exc:
+            wmat(P54, bad)
+        assert exc.value.code == "bad-matrix"
 
 
 # ---------------------------------------------------------------------------
@@ -727,18 +798,18 @@ class TestPackedKernels:
             while not wm_det(params, a).is_unit():
                 a = _random_wmat(rng, params, r, r)
             inv = wm_inverse_unit(params, a)
-            assert wm_mul_oracle(params, a, inv) == wm_identity(params, r)
-            assert wm_mul_oracle(params, inv, a) == wm_identity(params, r)
+            assert wm_mul_oracle(params, a, inv) == wmat(params, intmat.identity(r))
+            assert wm_mul_oracle(params, inv, a) == wmat(params, intmat.identity(r))
 
     def test_sigma_is_the_identity_object_at_a_1(self):
-        m = wmat_from_ints(P54, [[1, 2], [3, 4]])
+        m = wmat(P54, [[1, 2], [3, 4]])
         assert wm_sigma(m) is m
         assert wm_sigma_inv(m) is m
 
     @pytest.mark.parametrize("where", ["left", "right"])
     def test_mixed_ring_entry_raises(self, where):
         other = RingParams(5, 3)
-        m = wmat_from_ints(P54, [[1, 2], [3, 4]])
+        m = wmat(P54, [[1, 2], [3, 4]])
         bad = ((m[0][0], WittElem(other, [2])), m[1])
         a, b = (bad, m) if where == "left" else (m, bad)
         with pytest.raises(IncompatibleRingsError):
@@ -768,6 +839,6 @@ class TestPackedKernels:
     def test_equal_ring_from_another_object_is_accepted(self):
         twin = RingParams(5, 4)
         assert twin is not P54
-        m = wmat_from_ints(P54, [[1, 2], [3, 4]])
+        m = wmat(P54, [[1, 2], [3, 4]])
         assert wm_mul(twin, m, m) == wm_mul_oracle(P54, m, m)
         assert charpoly(twin, m) == charpoly_oracle(P54, m)

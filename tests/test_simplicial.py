@@ -274,8 +274,23 @@ class TestStrictInts:
             DivisorPresentation(*args)
         assert exc.value.code == "bad-type"
 
+    @pytest.mark.parametrize("args", [(True, 0, 0), (0, False, 0), (0, 0, 1.0), (1.5, 0, 0), ("1", 0, 0), (None, 0, 0)])
+    def test_picard_skeleton(self, args):
+        with pytest.raises(MalformedInputError) as exc:
+            PicardSkeleton(*args)
+        assert exc.value.code == "bad-type"
+
+    @pytest.mark.parametrize("g", [True, 1.5, "1"])
+    def test_picard_skeleton_genus(self, g):
+        """The genus is checked by PicardSkeleton before the default abelian
+        block is built from it."""
+        with pytest.raises(MalformedInputError) as exc:
+            picard_skeleton(POINT, DivisorPresentation(0, (), (), ()), g, P54)
+        assert exc.value.code == "bad-type"
+
     def test_ints_still_build(self):
         assert SimplicialComponents([1, 2, 1], [[[0, 0], [0, 0]], [[0], [0], [0]]]) == NODAL
+        assert PicardSkeleton(1, 0, 2).abelian_dim == 2
         assert DivisorPresentation(1, [[1]], [[0]], [[1]]).pull0 == ((1,),)
 
 
