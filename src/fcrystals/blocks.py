@@ -40,18 +40,23 @@ __all__ = [
 
 def _validated_action(sigma, rank: int) -> list[list[int]]:
     """Check that sigma is a unimodular rank x rank matrix of finite order and
-    return its inverse."""
+    return its inverse: sigma^(k-1) for the order k, read off the order
+    search.  A matrix of finite order is unimodular, so the elimination that
+    tells a non-unimodular matrix apart runs only when the search fails."""
     r, c = intmat.shape(sigma) if sigma else (0, 0)
     if (r, c) != (rank, rank):
         raise ShapeError(f"sigma action must be {rank}x{rank}")
     if rank == 0:
         return []
-    try:
-        inverse = intmat.inverse_unimodular(sigma)
-    except InvalidActionError:
-        raise InvalidActionError("sigma action must be unimodular over Z") from None
-    intmat.matrix_order(sigma, ORDER_SEARCH_LIMIT)
-    return inverse
+    ident = intmat.identity(rank)
+    previous, power = ident, [list(row) for row in sigma]
+    for _ in range(ORDER_SEARCH_LIMIT):
+        if power == ident:
+            return previous
+        previous, power = power, intmat.mul(power, sigma)
+    if intmat.elementary_divisors(sigma) != [1] * rank:
+        raise InvalidActionError("sigma action must be unimodular over Z")
+    raise InvalidActionError(f"matrix has no finite order up to {ORDER_SEARCH_LIMIT}")
 
 
 @dataclass(frozen=True)

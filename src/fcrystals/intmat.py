@@ -13,6 +13,15 @@ row-major) so outputs are reproducible.  The pivot search stops at the
 first +-1, the pivot a full scan picks: nothing nonzero is smaller, and
 every later entry loses the tie.  A pivot of 1 divides every entry, so its
 divisor-chain sweep is skipped.
+
+The elimination works in proportion to the nonzeros of sparse input, with
+the same integers out.  The pivot row is not written while its column is
+cleared, so it is subtracted from each row below on its support alone, and
+the row sweep visits only that support.  The inverse transforms add a
+non-pivot row into the pivot row, and a non-pivot row is mostly still the
+unit vector e_k it started as: one int per row records k (or -1 once the
+row is negated, written as a pivot or hit by the divisor-chain fix-up), and
+such an update is one entry, += q at k.
 """
 
 from __future__ import annotations
@@ -79,20 +88,6 @@ def inverse_unimodular(a) -> IntMat:
     return mul(v, u)
 
 
-def matrix_order(a, limit: int = 64) -> int:
-    """Multiplicative order of a, searched up to ``limit``."""
-    r, c = shape(a)
-    if r != c:
-        raise ShapeError("order of a non-square matrix")
-    ident = identity(r)
-    power = copy(a)
-    for k in range(1, limit + 1):
-        if power == ident:
-            return k
-        power = mul(power, a)
-    raise InvalidActionError(f"matrix has no finite order up to {limit}")
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -140,8 +135,11 @@ def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None 
     vt = identity(cols) if "v" in build else None
     ut = identity(rows) if "u_inv" in build else None
     vi = identity(cols) if "v_inv" in build else None
+    # ue[k] (ve[k]) is j while row k of ut (vi) is still the unit vector e_j, else -1
+    ue = None if ut is None else list(range(rows))
+    ve = None if vi is None else list(range(cols))
     row_ops = [x for x in (m, u, ut) if x is not None]  # swapped and negated with the rows of m
-    col_ops = [x for x in (vt, vi) if x is not None]  # swapped with the columns of m
+    col_ops = [x for x in (vt, vi, ve) if x is not None]  # swapped with the columns of m
     t = 0
     while t < min(rows, cols):
         piv = _pivot(m, t, rows, cols)
@@ -152,56 +150,73 @@ def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None 
             if pi != t:
                 for x in row_ops:
                     x[t], x[pi] = x[pi], x[t]
+                if ue is not None:
+                    ue[t], ue[pi] = ue[pi], ue[t]
             if pj != t:
                 for row in m[t:]:  # rows above t are zero from column t on
                     row[t], row[pj] = row[pj], row[t]
                 for x in col_ops:
                     x[t], x[pj] = x[pj], x[t]
-            if m[t][t] < 0:
+            mt = m[t]
+            if mt[t] < 0:
                 for x in row_ops:
                     x[t] = [-y for y in x[t]]
-            # reduce column t
+                mt = m[t]
+                if ue is not None:
+                    ue[t] = -1
+            # reduce column t; row t is not written here, so it is subtracted on its support alone
+            support = [j for j in range(t, cols) if mt[j]]
             dirty = False
             for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
+                mi = m[i]
+                if mi[t]:
+                    q = mi[t] // mt[t]
                     if q:
-                        m[i][t:] = [x - q * y for x, y in zip(m[i][t:], m[t][t:])]
+                        for j in support:
+                            mi[j] -= q * mt[j]
                         if u is not None:
                             u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                         if ut is not None:
-                            ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
-                    if m[i][t]:
+                            if ue[i] >= 0:  # ut[i] = e_k
+                                ut[t][ue[i]] += q
+                            else:
+                                ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
+                            ue[t] = -1
+                    if mi[t]:
                         dirty = True
             if dirty:
                 piv = _pivot(m, t, rows, cols)
                 continue
             # reduce row t; column t of m is zero off the diagonal by now
             dirty = False
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    if q:
-                        m[t][j] -= q * m[t][t]
-                        if vt is not None:
-                            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
-                        if vi is not None:
+            for j in support[1:]:  # support[0] is the pivot's column t
+                q = mt[j] // mt[t]
+                if q:
+                    mt[j] -= q * mt[t]
+                    if vt is not None:
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    if vi is not None:
+                        if ve[j] >= 0:  # vi[j] = e_k
+                            vi[t][ve[j]] += q
+                        else:
                             vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
-                    if m[t][j]:
-                        dirty = True
+                        ve[t] = -1
+                if mt[j]:
+                    dirty = True
             if dirty:
                 piv = _pivot(m, t, rows, cols)
                 continue
             # pivot must divide the remaining submatrix for the divisor chain
-            rest = range(t + 1, rows) if m[t][t] != 1 else ()  # 1 divides everything
-            bad = next((i for i in rest if any(x % m[t][t] for x in m[i][t + 1 :])), None)
+            rest = range(t + 1, rows) if mt[t] != 1 else ()  # 1 divides everything
+            bad = next((i for i in rest if any(x % mt[t] for x in m[i][t + 1 :])), None)
             if bad is None:
                 break
-            m[t] = [x + y for x, y in zip(m[t], m[bad])]
+            m[t] = [x + y for x, y in zip(mt, m[bad])]
             if u is not None:
                 u[t] = [x + y for x, y in zip(u[t], u[bad])]
             if ut is not None:
                 ut[bad] = [x - y for x, y in zip(ut[bad], ut[t])]
+                ue[bad] = -1
             piv = _pivot(m, t, rows, cols)
         t += 1
     out = (u, m, None if vt is None else [list(col) for col in zip(*vt)])

@@ -17,6 +17,7 @@ from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap
 from .errors import InternalError, InvalidSimplicialError, ShapeError, UnsupportedInputError
 from .onemotive import OneMotiveSpec, assemble
+from .semilinear import FilteredFModule, _block
 from .witt import RingParams, _ints
 
 __all__ = [
@@ -119,26 +120,40 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     incidence matrix, whose divisors are 1, so the check names a broken
     invariant, not an input error.  When d^2 is injective nothing is left to
     check: d_1 d_2 = 0 (checked by component_complex) forces d^1 = 0.
+
+    Both products run on the sparse factor.  V^(-1) d^1 is gathered from the
+    nonzeros of each column of d_1 (two in an incidence matrix).  The basis
+    is formed transposed, as (U^(-1) tail)^T (V_ker)^T, so the left factor
+    is the tail of U^(-1), mostly unit columns, whose zeros intmat.mul skips.
     """
     d1, d2 = component_complex(s)
     c1 = s.counts[1]
-    dual1 = intmat.transpose(d1)  # C^0 -> C^1
     dual2 = intmat.transpose(d2) or [[0] * c1]  # C^1 -> C^2; [] would lose c1 when c2 = 0
     _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True, build=("v", "v_inv"))
     r2 = sum(1 for i in range(min(len(d), c1)) if d[i][i])  # rank of d^2
     if r2 == c1:
         return 0, []
     # V^(-1) d^1 = [0; coords], coords being Im d^1 in the saturated kernel basis
-    image = intmat.mul(vinv, dual1)
+    columns = [[(j, x) for j, x in enumerate(col) if x] for col in zip(*d1)]
+    image = []
+    for row in vinv:
+        out = [0] * len(d1)
+        for y, col in zip(row, columns):
+            if y:
+                for j, x in col:
+                    out[j] += y * x
+        image.append(out)
     if any(x for row in image[:r2] for x in row):
         raise InternalError("image of d^1 does not land in Ker d^2")
     _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True, build=("u_inv",))
     nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
     if any(x != 1 for x in nz):
         raise InternalError("image of C_1 -> C_0 is not a direct summand")
-    # free-part basis lifts: kernel columns of V times trailing columns of U^(-1)
-    lift = intmat.mul([row[r2:] for row in v], [row[len(nz):] for row in uinv])
-    return c1 - r2 - len(nz), intmat.transpose(lift)
+    rank = c1 - r2 - len(nz)
+    if not rank:
+        return 0, []
+    # free-part basis: trailing columns of U^(-1), lifted through the kernel columns of V
+    return rank, intmat.mul(list(zip(*uinv))[len(nz) :], list(zip(*v))[r2:])
 
 
 @dataclass(frozen=True)
@@ -208,10 +223,16 @@ def _default_abelian(g: int, params: RingParams) -> AbelianBlock:
         raise UnsupportedInputError(
             "default abelian blocks use the companion model and need a = 1; pass an explicit block"
         )
-    block = one = abelian_from_ap(0, params)
-    for _ in range(g - 1):
-        block = block + one
-    return block
+    one = abelian_from_ap(0, params).crystal
+    sizes, zero = [2] * g, (0,) * params.a
+
+    def diagonal(rows):
+        return _block([[rows if i == j else None for j in range(g)] for i in range(g)], sizes, sizes, zero)
+
+    # the g-fold direct sum in one block matrix: every copy has weight -1, so
+    # the sum's stable re-sort by weight would leave the basis in place
+    module = FilteredFModule._of_rows(params, 2 * g, (-1,) * (2 * g), diagonal(one.f_rows), diagonal(one.v_rows), 1)
+    return AbelianBlock(g, module)
 
 
 def _split_spec(

@@ -20,7 +20,9 @@ elem_to_coords through Teichmuller digits) are a second element
 representation for a = 1, kept here as an oracle: they add
 and multiply through integer ghost components, and the Z/p^n model of
 W_n(F_p) is their ground truth.  matvec is the integer matrix-vector product
-of the kernel checks.
+of the kernel checks.  The cocharacter oracle forms V^(-1) d^1 and the lift
+as dense transposes and products, where cocharacter_group gathers them
+from the nonzeros of the sparse factor.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_
 from fcrystals.errors import (
     DomainError,
     IncompatibleRingsError,
+    InternalError,
     InvalidExtensionDataError,
     MalformedInputError,
     UnsupportedInputError,
@@ -613,6 +616,28 @@ def smith_oracle(a):
             piv = _smith_pivot(m, t, rows, cols)
         t += 1
     return u, m, v
+
+
+def cocharacter_oracle(d1, d2, c1: int):
+    """(rank, basis) of Ker d^2 / Im d^1 by the dense formula: the same two
+    Smith forms as simplicial.cocharacter_group, with d^1 and the lift formed
+    by intmat.transpose and intmat.mul on full matrices.  Raises the same
+    InternalError when an invariant fails."""
+    dual1 = intmat.transpose(d1)
+    dual2 = intmat.transpose(d2) or [[0] * c1]
+    _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True)
+    r2 = sum(1 for i in range(min(len(d), c1)) if d[i][i])
+    if r2 == c1:
+        return 0, []
+    image = intmat.mul(vinv, dual1)
+    if any(x for row in image[:r2] for x in row):
+        raise InternalError("image of d^1 does not land in Ker d^2")
+    _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True)
+    nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+    if any(x != 1 for x in nz):
+        raise InternalError("image of C_1 -> C_0 is not a direct summand")
+    lift = intmat.mul([row[r2:] for row in v], [row[len(nz) :] for row in uinv])
+    return c1 - r2 - len(nz), intmat.transpose(lift)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,49 @@ class TestLatticeTorus:
             assert got.dual().sigma_action == d.sigma_action
         assert calls == []
 
+    def test_inverse_is_the_power_before_the_order(self, monkeypatch):
+        """sigma_inverse, read off the order search, is the Smith-form inverse
+        intmat.inverse_unimodular, on 200 random finite-order actions
+        U P U^-1, and no elimination runs."""
+        rng = random.Random(16)
+        cases = []
+        for _ in range(200):
+            r = rng.randint(1, 5)
+            u = random_unimodular(rng, r)
+            cases.append(intmat.mul(intmat.mul(u, random_signed_permutation(rng, r)), intmat.inverse_unimodular(u)))
+        calls = []
+        monkeypatch.setattr(intmat, "smith_normal_form", lambda *a, **k: calls.append(a))
+        got = [LatticeData(len(action), action).sigma_inverse for action in cases]
+        monkeypatch.undo()
+        assert calls == []
+        for action, inverse in zip(cases, got):
+            assert [list(row) for row in inverse] == intmat.inverse_unimodular(action)
+
+    @pytest.mark.parametrize(
+        "action,message",
+        [
+            ([[2, 0], [0, 1]], "sigma action must be unimodular over Z"),
+            ([[1, 2], [2, 4]], "sigma action must be unimodular over Z"),
+            ([[1, 1], [0, 1]], "matrix has no finite order up to 120"),
+            ([[2, 1], [1, 1]], "matrix has no finite order up to 120"),
+        ],
+    )
+    def test_failed_order_search_takes_one_d_only_form(self, monkeypatch, action, message):
+        """Only an action whose order search fails is eliminated, once and
+        D-only, to tell a non-unimodular matrix from one of infinite order."""
+        built = []
+        original = intmat.smith_normal_form
+
+        def recording(*args, **kwargs):
+            built.append(kwargs.get("build"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(intmat, "smith_normal_form", recording)
+        with pytest.raises(InvalidActionError) as exc:
+            LatticeData(len(action), action)
+        assert str(exc.value) == message
+        assert built == [()]
+
     def test_rank1_trivial_matches_twists(self):
         lb = lattice_block(LatticeData.trivial(1), P54)
         assert lb.f_mat == tate(0, P54).f_mat

@@ -1,8 +1,8 @@
 """The motive pipeline computes each derived object of a presentation once:
 one realization and one set of graded blocks per presentation, one verify report per module, one
 canonical dual per assembled module, one action inverse per lattice, read
-off one Smith normal form (the dual presentation's actions reuse it), two Smith forms per cocharacter group (each
-building only the transforms it reads), one characteristic polynomial per
+off its order search with no Smith normal form (the dual presentation's actions reuse it), two Smith forms and
+one product per cocharacter group (each form building only the transforms it reads), one characteristic polynomial per
 unit-determinant inverse, and one
 matrix product per pairing identity.
 And an internal invariant that fails raises InternalError, also under
@@ -69,7 +69,7 @@ def _counted_run(monkeypatch, argv):
 @pytest.mark.parametrize(
     "fixture,expected",
     [
-        ("motive_mixed.json", {"_realize": 2, "verify": 2, "twisted_dual": 2, "inverse_unimodular": 2}),
+        ("motive_mixed.json", {"_realize": 2, "verify": 2, "twisted_dual": 2, "inverse_unimodular": 0}),
         ("motive_kummer.json", {"_realize": 2, "twisted_dual": 1}),
         ("motive_badflag.json", {"_realize": 2}),
     ],
@@ -104,6 +104,21 @@ def test_default_abelian_builds_its_companion_block_once(monkeypatch):
     assert counts["abelian_from_ap"] == 1
     one = abelian_from_ap(0, P54)
     assert block == one + one + one and block.dim == 3
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_default_abelian_is_the_iterated_direct_sum(monkeypatch, g):
+    """The default block of dimension g is one block matrix, the module the
+    g - 1 direct sums built, with no re-sort of its basis by weight."""
+    one = abelian_from_ap(0, P54)
+    want = one
+    for _ in range(g - 1):
+        want = want + one
+    counts = Counter()
+    _count_calls(monkeypatch, counts, semilinear, "_permute")
+    block = simplicial._default_abelian(g, P54)
+    assert counts["_permute"] == 0
+    assert block == want and block.dim == g
 
 
 def test_dual_block_disagreement_raises_internal_error(monkeypatch):
@@ -160,36 +175,47 @@ def test_assemble_is_kept_on_the_spec():
     assert mc.canonical_dual is mc.canonical_dual
 
 
-def test_action_is_eliminated_once(monkeypatch):
+def test_action_takes_no_elimination(monkeypatch):
+    """The inverse of a finite-order action is sigma^(k-1), left by the order
+    search: constructing the data runs no Smith form."""
     calls = Counter()
-    original = fcrystals.intmat.smith_normal_form
-
-    def counting(a):
-        calls["smith_normal_form"] += 1
-        return original(a)
-
-    monkeypatch.setattr(fcrystals.intmat, "smith_normal_form", counting)
+    _count_calls(monkeypatch, calls, fcrystals.intmat, "smith_normal_form")
     d = LatticeData(3, ((0, 0, 1), (1, 0, 0), (0, -1, 0)))
-    assert calls["smith_normal_form"] == 1
+    assert calls["smith_normal_form"] == 0
     assert d.sigma_inverse == ((0, 1, 0), (0, 0, -1), (1, 0, 0))
+
+
+def _cochar_calls(monkeypatch, path):
+    """The output rank of one simplicial-cochar call on path, and its intmat
+    calls by name."""
+    calls = Counter()
+    for name in ("smith_normal_form", "mul", "solve_exact", "inverse_unimodular"):
+        _count_calls(monkeypatch, calls, fcrystals.intmat, name)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["simplicial-cochar", "--in", str(path)])
+    assert code == 0
+    return json.loads(out.getvalue())["rank"], calls
 
 
 def test_cocharacters_take_two_eliminations(monkeypatch):
     """One simplicial-cochar call reads the kernel, the coordinates of Im d^1
     and the lift off two Smith forms, and its summand check off the second
-    one's diagonal; no solve_exact or inverse_unimodular runs."""
-    calls = Counter()
-    for name in ("smith_normal_form", "solve_exact", "inverse_unimodular"):
-        _count_calls(monkeypatch, calls, fcrystals.intmat, name)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
-    assert code == 0 and json.loads(out.getvalue())["rank"] == 1
-    assert {name: calls[name] for name in ("smith_normal_form", "solve_exact", "inverse_unimodular")} == {
-        "smith_normal_form": 2,
-        "solve_exact": 0,
-        "inverse_unimodular": 0,
-    }
+    one's diagonal; no solve_exact or inverse_unimodular runs.  V^(-1) d^1 is
+    gathered without intmat.mul, so the lift is the one product."""
+    rank, calls = _cochar_calls(monkeypatch, os.path.join(FX, "simplicial_nodal.json"))
+    assert rank == 1
+    assert dict(calls) == {"smith_normal_form": 2, "mul": 1}
+
+
+def test_empty_free_part_takes_no_product(monkeypatch, tmp_path):
+    """An edge between two vertices: Ker d^2 is all of C^1 and Im d^1 fills
+    it, so both Smith forms run and the lift is skipped."""
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"counts": [2, 1, 0], "faces": {"1": [[0], [1]], "2": [[], [], []]}}))
+    rank, calls = _cochar_calls(monkeypatch, path)
+    assert rank == 0
+    assert dict(calls) == {"smith_normal_form": 2}
 
 
 def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):

@@ -167,7 +167,9 @@ class TestSmith:
 def _smith_cases():
     """Matrices for the differential Smith test: [] and k x 0, zero and
     unit-free ones that need the divisor-chain fix-up, random ones of every
-    small shape and density, and the d1 / d2 of random simplicial structures."""
+    small shape and density, the d1 / d2 of random simplicial structures up
+    to 40 components a level, and columns whose re-pivot leaves a non-unit
+    row behind the pivot."""
     rng = random.Random(15)
     cases = [[], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0]]]
     cases += [[[2, 0], [0, 3]], [[6, 0, 0], [0, 10, 0], [0, 0, 15]], [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]]
@@ -182,6 +184,12 @@ def _smith_cases():
     for _ in range(40):
         d1, d2 = component_complex(random_simplicial(rng, max_count=8))
         cases += [d1, d2, intmat.transpose(d1), intmat.transpose(d2)]
+    for _ in range(8):  # up to 40 components a level
+        d1, d2 = component_complex(random_simplicial(rng, max_count=40))
+        cases += [d1, d2, intmat.transpose(d1), intmat.transpose(d2)]
+    # 2 leaves remainder 1 below (beside) it: after the re-pivot's row (column)
+    # swap the source row of the U^(-1) (V^(-1)) update is no longer a unit vector
+    cases += [[[2], [3]], [[2, 0], [3, 5]], [[2, 3]]]
     return cases
 
 

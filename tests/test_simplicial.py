@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from fcrystals.simplicial import (
 )
 from fcrystals.witt import RingParams, default_modulus
 
-from helpers import bareiss_det, kernel_rank_over_q, matvec, rank_over_q, random_simplicial
+from helpers import bareiss_det, cocharacter_oracle, kernel_rank_over_q, matvec, rank_over_q, random_simplicial
 
 P54 = RingParams(5, 4)
 
@@ -214,29 +215,69 @@ class TestCocharacters:
         incidence matrix, the one diagonal check of the lift form fails
         exactly when d_1 has an elementary divisor other than 1, and
         otherwise the rank is c1 - rank d_2 - rank d_1."""
-        rng = random.Random(36)
         seen = {True: 0, False: 0}
-        for _ in range(200):
-            c0, c1, c2 = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 4)
-            d2 = [[rng.randint(-2, 2) for _ in range(c2)] for _ in range(c1)]
-            dual2 = intmat.transpose(d2) or [[0] * c1]
-            kernel = intmat.kernel_basis(dual2)  # columns y with y^T d_2 = 0
-            mix = [[rng.randint(-3, 3) for _ in range(c0)] for _ in kernel]
-            # d_1^T = K R, so d_1 d_2 = R^T K^T d_2 = 0
-            d1 = [[sum(k[i] * r[j] for k, r in zip(kernel, mix)) for i in range(c1)] for j in range(c0)]
+        for shell, d1, d2 in _general_complexes(random.Random(36), 200):
             monkeypatch.setattr(simplicial, "component_complex", lambda s: (d1, d2))
             broken = any(x != 1 for x in intmat.elementary_divisors(d1))
             seen[broken] += 1
-            shell = SimplicialComponents((c0, c1, c2), ())
             if broken:
                 with pytest.raises(InternalError, match="image of C_1 -> C_0 is not a direct summand"):
                     cocharacter_group(shell)
                 continue
             rank, basis = cocharacter_group(shell)
-            assert rank == c1 - rank_over_q(d2) - rank_over_q(d1)
+            assert rank == shell.counts[1] - rank_over_q(d2) - rank_over_q(d1)
             assert len(basis) == rank
+            dual2 = intmat.transpose(d2) or [[0] * shell.counts[1]]
             assert all(x == 0 for col in basis for x in matvec(dual2, col))
         assert min(seen.values()) >= 20
+
+    def test_same_basis_as_the_dense_formula(self):
+        """The products gathered from the sparse factors give the rank and
+        basis of the dense transpose-and-multiply formula, on random
+        structures of the sizes the benchmark draws and on those without
+        level 2."""
+        rng = random.Random(37)
+        structures = [POINT, NODAL, TWO_CYCLE, LOOP]
+        structures += [random_simplicial(rng, max_count=rng.choice([6, 12, 40])) for _ in range(200)]
+        for _ in range(20):
+            c0, c1 = rng.randint(1, 6), rng.randint(0, 6)
+            faces = tuple(tuple(rng.randrange(c0) for _ in range(c1)) for _ in range(2))
+            structures.append(SimplicialComponents((c0, c1, 0), (faces, ((), (), ()))))
+        ranks = set()
+        for s in structures:
+            d1, d2 = component_complex(s)
+            got = cocharacter_group(s)
+            assert got == cocharacter_oracle(d1, d2, s.counts[1]), s
+            ranks.add(got[0])
+        assert len(ranks) >= 5
+
+    def test_same_basis_as_the_dense_formula_on_general_d1(self, monkeypatch):
+        """On the d_1 that are not incidence matrices, the same (rank, basis)
+        as the dense formula, or the same invariant error."""
+        for shell, d1, d2 in _general_complexes(random.Random(38), 200):
+            monkeypatch.setattr(simplicial, "component_complex", lambda s: (d1, d2))
+            try:
+                want = cocharacter_oracle(d1, d2, shell.counts[1])
+            except InternalError as exc:
+                with pytest.raises(InternalError, match=re.escape(str(exc))):
+                    cocharacter_group(shell)
+                continue
+            assert cocharacter_group(shell) == want, (d1, d2)
+
+
+def _general_complexes(rng, count):
+    """(shell, d_1, d_2) with d_1 d_2 = 0 and d_1 not necessarily a graph
+    incidence matrix: d_1^T = K R for a kernel basis K of d^2.  The shell
+    carries the counts only."""
+    for _ in range(count):
+        c0, c1, c2 = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 4)
+        d2 = [[rng.randint(-2, 2) for _ in range(c2)] for _ in range(c1)]
+        dual2 = intmat.transpose(d2) or [[0] * c1]
+        kernel = intmat.kernel_basis(dual2)  # columns y with y^T d_2 = 0
+        mix = [[rng.randint(-3, 3) for _ in range(c0)] for _ in kernel]
+        # d_1^T = K R, so d_1 d_2 = R^T K^T d_2 = 0
+        d1 = [[sum(k[i] * r[j] for k, r in zip(kernel, mix)) for i in range(c1)] for j in range(c0)]
+        yield SimplicialComponents((c0, c1, c2), ()), d1, d2
 
 
 class TestStrictInts:
