@@ -4,11 +4,12 @@ JSON out.
 Exit codes: 0 success, 1 verification failure (an invariant of the input
 data is violated), 2 malformed input, 3 precision error, 4 internal error (an
 invariant that holds by construction failed: a bug in fcrystals, not in the
-input).  Errors are reported as one machine-readable object on standard error;
-a precision error's object also carries the least sufficient length as
-"required".  Any exception that is not an FCrystalsError is a bug too: it is
-reported as one {"code": "internal-error", ...} object with exit code 4, never
-as a traceback.
+input).  Each error class in fcrystals.errors carries its exit code.  Errors
+are reported as one machine-readable object on standard error; a precision
+error's object also carries the least sufficient length as "required".  Any
+exception that is not an FCrystalsError is a bug too: it is reported as one
+{"code": "internal-error", ...} object with exit code 4, never as a
+traceback.
 """
 
 from __future__ import annotations
@@ -23,22 +24,7 @@ import traceback
 
 from . import serialize as ser
 from .blocks import LatticeData, TorusData, abelian_from_ap, lattice_block, tate, torus_block
-from .errors import (
-    DomainError,
-    FCrystalsError,
-    IncompatibleRingsError,
-    InternalError,
-    InvalidActionError,
-    InvalidExtensionDataError,
-    InvalidSimplicialError,
-    InvalidTraceError,
-    MalformedInputError,
-    PrecisionError,
-    ShapeError,
-    SingularFrobeniusError,
-    UnsupportedCharacteristicError,
-    UnsupportedInputError,
-)
+from .errors import FCrystalsError, InternalError, MalformedInputError, PrecisionError
 from .onemotive import (
     MotiveCrystal,
     assemble,
@@ -54,31 +40,14 @@ from .witt import WittElem, dp_exp, dp_log, frobenius, frobenius_inverse, teichm
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
-EXIT_MALFORMED = 2
-EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
-
-_MALFORMED = (
-    MalformedInputError,
-    ShapeError,
-    IncompatibleRingsError,
-    UnsupportedCharacteristicError,
-    UnsupportedInputError,
-)
-_INVARIANT = (
-    InvalidExtensionDataError,
-    InvalidSimplicialError,
-    InvalidTraceError,
-    InvalidActionError,
-    DomainError,
-    SingularFrobeniusError,
-)
 
 
 class VerificationFailure(FCrystalsError):
     """Raised by handlers when a report comes back negative."""
 
     code = "verification-failed"
+    exit_code = EXIT_VERIFICATION
 
     def __init__(self, message: str, doc):
         super().__init__(message)
@@ -278,16 +247,6 @@ _HANDLERS = {
 }
 
 
-def _classify(exc: Exception) -> int:
-    if isinstance(exc, PrecisionError):
-        return EXIT_PRECISION
-    if isinstance(exc, _MALFORMED):
-        return EXIT_MALFORMED
-    if isinstance(exc, _INVARIANT):
-        return EXIT_VERIFICATION
-    return EXIT_INTERNAL
-
-
 def _error_doc(exc: FCrystalsError) -> dict:
     doc = {"code": exc.code, "message": str(exc)}
     if isinstance(exc, PrecisionError) and exc.required is not None:
@@ -355,10 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         _emit(ser.canonical_dumps(exc.doc), args.out)
         sys.stderr.write(ser.canonical_dumps(_error_doc(exc)))
-        return EXIT_VERIFICATION
+        return exc.exit_code
     except FCrystalsError as exc:
         sys.stderr.write(ser.canonical_dumps(_error_doc(exc)))
-        return _classify(exc)
+        return exc.exit_code
     except Exception as exc:
         # no library check names this failure, so it is a bug in fcrystals
         frame = traceback.extract_tb(exc.__traceback__)[-1]

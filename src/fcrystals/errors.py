@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Every error carries a short machine-readable ``code`` used by the CLI when
-emitting error objects and picking exit codes.
+Every error carries a short machine-readable ``code``, which names it in the
+CLI's error object, and the CLI's ``exit_code`` for it: 1 a violated input
+invariant, 2 malformed input, 3 precision, 4 (the default) a bug.
 """
 
 
@@ -9,6 +10,7 @@ class FCrystalsError(Exception):
     """Base class for all library errors."""
 
     code = "error"
+    exit_code = 4
 
     def __init__(self, message: str, code: str | None = None):
         super().__init__(message)
@@ -20,30 +22,35 @@ class MalformedInputError(FCrystalsError):
     """Input document or ring description does not parse / validate."""
 
     code = "malformed-input"
+    exit_code = 2
 
 
 class IncompatibleRingsError(FCrystalsError):
     """Operands live over different ring parameters."""
 
     code = "incompatible-rings"
+    exit_code = 2
 
 
 class UnsupportedCharacteristicError(FCrystalsError):
     """Operation not defined at this characteristic (p = 2 exp/log)."""
 
     code = "unsupported-characteristic"
+    exit_code = 2
 
 
 class DomainError(FCrystalsError):
     """Argument outside the mathematical domain of the operation."""
 
     code = "domain-error"
+    exit_code = 1
 
 
 class PrecisionError(FCrystalsError):
     """Working precision too small to determine the result exactly."""
 
     code = "precision-error"
+    exit_code = 3
 
     def __init__(self, message: str, required: int | None = None):
         super().__init__(message)
@@ -54,42 +61,49 @@ class ShapeError(FCrystalsError):
     """Matrix or block dimensions do not match."""
 
     code = "shape-error"
+    exit_code = 2
 
 
 class SingularFrobeniusError(FCrystalsError):
     """Frobenius matrix not invertible where invertibility is required."""
 
     code = "singular-frobenius"
+    exit_code = 1
 
 
 class InvalidActionError(FCrystalsError):
     """Galois action matrix is not unimodular of finite order."""
 
     code = "invalid-action"
+    exit_code = 1
 
 
 class InvalidTraceError(FCrystalsError):
     """Frobenius trace violates the Weil bound."""
 
     code = "invalid-trace"
+    exit_code = 1
 
 
 class UnsupportedInputError(FCrystalsError):
     """Input is valid-looking but outside the supported constructions."""
 
     code = "unsupported-input"
+    exit_code = 2
 
 
 class InvalidExtensionDataError(FCrystalsError):
     """Extension blocks do not yield an integral Verschiebung."""
 
     code = "invalid-extension-data"
+    exit_code = 1
 
 
 class InvalidSimplicialError(FCrystalsError):
     """Component face maps violate the simplicial identities."""
 
     code = "invalid-simplicial"
+    exit_code = 1
 
 
 class InternalError(FCrystalsError):

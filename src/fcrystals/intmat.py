@@ -1,18 +1,19 @@
 """Exact integer matrix algebra: Smith normal form, kernels, unimodular inverses.
 
-Matrices are plain lists of lists of Python ints (row-major).  The Smith
-normal form is the only elimination: kernels, exact solutions, ranks and
-unimodular inverses are read off U a V = D, and ``inverses=True`` carries
-U^(-1) and V^(-1) beside U and V (the inverse of each row or column
-operation, applied on the other side).  An elimination builds only the
-transforms its caller asks for (``build``); pivots are chosen from the
-working matrix alone, so skipping a transform cannot move D or any
-transform that is built.  All routines are deterministic; the
-Smith pivot rule is fixed (smallest absolute nonzero value, ties broken
-row-major) so outputs are reproducible.  The pivot search stops at the
-first +-1, the pivot a full scan picks: nothing nonzero is smaller, and
-every later entry loses the tie.  A pivot of 1 divides every entry, so its
-divisor-chain sweep is skipped.
+Matrices are plain lists of lists of Python ints (row-major).  ``mul`` is
+the package's one integer product, over the nonzeros of both factors, and
+``diagonal`` its one reader of a Smith diagonal.  The Smith normal form is
+the only elimination: kernels, exact solutions, ranks and unimodular
+inverses are read off U a V = D, and ``inverses=True`` carries U^(-1) and
+V^(-1) beside U and V (the inverse of each row or column operation, applied
+on the other side).  An elimination builds only the transforms its caller
+asks for (``build``); pivots are chosen from the working matrix alone, so
+skipping a transform cannot move D or any transform that is built.  All
+routines are deterministic; the Smith pivot rule is fixed (smallest absolute
+nonzero value, ties broken row-major) so outputs are reproducible.  The
+pivot search stops at the first +-1, the pivot a full scan picks: nothing
+nonzero is smaller, and every later entry loses the tie.  A pivot of 1
+divides every entry, so its divisor-chain sweep is skipped.
 
 The elimination works in proportion to the nonzeros of sparse input, with
 the same integers out.  The pivot row is not written while its column is
@@ -54,7 +55,9 @@ def copy(a) -> IntMat:
 
 
 def transpose(a) -> IntMat:
-    shape(a)
+    r, c = shape(a)
+    if r and not c:  # the 0 x r transpose would read as [] (0 x 0)
+        raise ShapeError(f"the transpose of a {r}x0 matrix would lose its {r} columns")
     return [list(col) for col in zip(*a)]
 
 
@@ -63,17 +66,20 @@ def mul(a, b) -> IntMat:
     rb, cb = shape(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    supports = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = zeros(ra, cb)
-    for i in range(ra):
-        row = a[i]
-        for k in range(ca):
-            v = row[k]
+    for row, orow in zip(a, out):
+        for v, support in zip(row, supports):
             if v:
-                brow = b[k]
-                orow = out[i]
-                for j in range(cb):
-                    orow[j] += v * brow[j]
+                for j, x in support:
+                    orow[j] += v * x
     return out
+
+
+def diagonal(d) -> list[int]:
+    """The nonzero diagonal entries of any r x c matrix D (or []), in order."""
+    n = min(len(d), len(d[0])) if d else 0
+    return [d[i][i] for i in range(n) if d[i][i]]
 
 
 def inverse_unimodular(a) -> IntMat:
@@ -83,7 +89,7 @@ def inverse_unimodular(a) -> IntMat:
     if r != c:
         raise ShapeError("inverse of a non-square matrix")
     u, d, v = smith_normal_form(a)
-    if any(d[i][i] != 1 for i in range(r)):
+    if diagonal(d) != [1] * r:
         raise InvalidActionError("matrix is not unimodular")
     return mul(v, u)
 
@@ -224,8 +230,7 @@ def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None 
 
 
 def elementary_divisors(a) -> list[int]:
-    _, d, _ = smith_normal_form(a, build=())
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+    return diagonal(smith_normal_form(a, build=())[1])
 
 
 def rank(a) -> int:
@@ -235,12 +240,9 @@ def rank(a) -> int:
 def kernel_basis(a) -> list[list[int]]:
     """Basis (as columns) of the integer kernel; the basis spans a saturated
     sublattice since V is unimodular."""
-    rows, cols = shape(a)
-    if cols == 0:
-        return []
     _, d, v = smith_normal_form(a, build=("v",))
-    nonzero = sum(1 for i in range(min(rows, cols)) if d[i][i])
-    return [[v[i][j] for i in range(cols)] for j in range(nonzero, cols)]
+    cols = len(v)
+    return [[v[i][j] for i in range(cols)] for j in range(len(diagonal(d)), cols)]
 
 
 def solve_exact(a, b) -> IntMat | None:

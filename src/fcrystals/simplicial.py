@@ -121,32 +121,25 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     invariant, not an input error.  When d^2 is injective nothing is left to
     check: d_1 d_2 = 0 (checked by component_complex) forces d^1 = 0.
 
-    Both products run on the sparse factor.  V^(-1) d^1 is gathered from the
-    nonzeros of each column of d_1 (two in an incidence matrix).  The basis
-    is formed transposed, as (U^(-1) tail)^T (V_ker)^T, so the left factor
-    is the tail of U^(-1), mostly unit columns, whose zeros intmat.mul skips.
+    Both products are intmat.mul, which skips the zeros of both factors.
+    V^(-1) d^1 runs over the nonzeros of each row of d^1, the columns of
+    d_1 (two in an incidence matrix).  The basis is formed transposed, as
+    (U^(-1) tail)^T (V_ker)^T, so the left factor is the tail of U^(-1),
+    mostly unit columns.
     """
     d1, d2 = component_complex(s)
-    c1 = s.counts[1]
-    dual2 = intmat.transpose(d2) or [[0] * c1]  # C^1 -> C^2; [] would lose c1 when c2 = 0
+    c1, c2 = s.counts[1], s.counts[2]
+    dual2 = intmat.transpose(d2) if c2 else [[0] * c1]  # C^1 -> C^2, one zero row when C^2 = 0
     _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True, build=("v", "v_inv"))
-    r2 = sum(1 for i in range(min(len(d), c1)) if d[i][i])  # rank of d^2
+    r2 = len(intmat.diagonal(d))  # rank of d^2
     if r2 == c1:
         return 0, []
     # V^(-1) d^1 = [0; coords], coords being Im d^1 in the saturated kernel basis
-    columns = [[(j, x) for j, x in enumerate(col) if x] for col in zip(*d1)]
-    image = []
-    for row in vinv:
-        out = [0] * len(d1)
-        for y, col in zip(row, columns):
-            if y:
-                for j, x in col:
-                    out[j] += y * x
-        image.append(out)
+    image = intmat.mul(vinv, list(zip(*d1)))
     if any(x for row in image[:r2] for x in row):
         raise InternalError("image of d^1 does not land in Ker d^2")
     _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True, build=("u_inv",))
-    nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+    nz = intmat.diagonal(d)
     if any(x != 1 for x in nz):
         raise InternalError("image of C_1 -> C_0 is not a direct summand")
     rank = c1 - r2 - len(nz)

@@ -20,9 +20,11 @@ elem_to_coords through Teichmuller digits) are a second element
 representation for a = 1, kept here as an oracle: they add
 and multiply through integer ghost components, and the Z/p^n model of
 W_n(F_p) is their ground truth.  matvec is the integer matrix-vector product
-of the kernel checks.  The cocharacter oracle forms V^(-1) d^1 and the lift
-as dense transposes and products, where cocharacter_group gathers them
-from the nonzeros of the sparse factor.
+of the kernel checks, and int_mul_oracle the plain triple-loop integer
+product, with no zero skipping, that intmat.mul is checked against.  The
+cocharacter oracle forms d^1 with intmat.transpose, where cocharacter_group
+hands intmat.mul the rows of zip(*d_1), and reads the Smith diagonals with
+its own loops, not intmat.diagonal.
 """
 
 from __future__ import annotations
@@ -503,6 +505,12 @@ def matvec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def int_mul_oracle(a, b, cols: int) -> list[list[int]]:
+    """The integer product a b by the triple loop, every term summed; cols is
+    the width of b, which b = [] cannot carry."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)] for i in range(len(a))]
+
+
 def kernel_rank_over_q(mat: list[list[int]]) -> int:
     cols = len(mat[0]) if mat else 0
     return cols - rank_over_q(mat)
@@ -623,21 +631,24 @@ def cocharacter_oracle(d1, d2, c1: int):
     Smith forms as simplicial.cocharacter_group, with d^1 and the lift formed
     by intmat.transpose and intmat.mul on full matrices.  Raises the same
     InternalError when an invariant fails."""
-    dual1 = intmat.transpose(d1)
-    dual2 = intmat.transpose(d2) or [[0] * c1]
+    c2 = len(d2[0]) if d2 else 0
+    dual2 = intmat.transpose(d2) if c2 else [[0] * c1]
     _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True)
     r2 = sum(1 for i in range(min(len(d), c1)) if d[i][i])
     if r2 == c1:
         return 0, []
-    image = intmat.mul(vinv, dual1)
+    image = intmat.mul(vinv, intmat.transpose(d1))
     if any(x for row in image[:r2] for x in row):
         raise InternalError("image of d^1 does not land in Ker d^2")
     _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True)
     nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
     if any(x != 1 for x in nz):
         raise InternalError("image of C_1 -> C_0 is not a direct summand")
+    rank = c1 - r2 - len(nz)
+    if not rank:  # the c1 x 0 lift has no transpose to take
+        return 0, []
     lift = intmat.mul([row[r2:] for row in v], [row[len(nz) :] for row in uinv])
-    return c1 - r2 - len(nz), intmat.transpose(lift)
+    return rank, intmat.transpose(lift)
 
 
 # ---------------------------------------------------------------------------

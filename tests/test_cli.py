@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from fcrystals import errors
 from fcrystals.cli import _HANDLERS, main
 
 FX = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -105,7 +106,51 @@ def test_tampered_g2_module_fails_item_4b(tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+# each error class of fcrystals.errors and its exit code: 1 a violated input
+# invariant, 2 malformed or unsupported input, 3 precision, 4 a bug
+EXIT_CODES = {
+    "FCrystalsError": 4,
+    "InternalError": 4,
+    "PrecisionError": 3,
+    "MalformedInputError": 2,
+    "ShapeError": 2,
+    "IncompatibleRingsError": 2,
+    "UnsupportedCharacteristicError": 2,
+    "UnsupportedInputError": 2,
+    "InvalidExtensionDataError": 1,
+    "InvalidSimplicialError": 1,
+    "InvalidTraceError": 1,
+    "InvalidActionError": 1,
+    "DomainError": 1,
+    "SingularFrobeniusError": 1,
+}
+
+
 class TestExitCodes:
+    def test_every_error_class_carries_its_exit_code(self):
+        """A new class in fcrystals.errors must pick its code here."""
+        classes = {
+            name: obj
+            for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.FCrystalsError)
+        }
+        assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
+
+    @pytest.mark.parametrize("name", ["InvalidActionError", "ShapeError", "PrecisionError", "InternalError"])
+    def test_raised_class_picks_the_exit_code(self, name, monkeypatch, tmp_path):
+        cls = getattr(errors, name)
+
+        def raising(args, doc):
+            raise cls("raised by the handler")
+
+        monkeypatch.setitem(_HANDLERS, "crystal-verify", raising)
+        out = tmp_path / "o.json"
+        code, err = run_cli(["crystal-verify", "--in", "module_tate1.json"], out)
+        assert code == EXIT_CODES[name]
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"code": cls.code, "message": "raised by the handler"}
+        assert not out.exists()
+
     def test_verification_failure_is_exit_1(self, tmp_path):
         code, err = run_cli(["crystal-verify", "--in", "module_bad_flag.json"], tmp_path / "o.json")
         assert code == 1

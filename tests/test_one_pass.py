@@ -201,21 +201,22 @@ def _cochar_calls(monkeypatch, path):
 def test_cocharacters_take_two_eliminations(monkeypatch):
     """One simplicial-cochar call reads the kernel, the coordinates of Im d^1
     and the lift off two Smith forms, and its summand check off the second
-    one's diagonal; no solve_exact or inverse_unimodular runs.  V^(-1) d^1 is
-    gathered without intmat.mul, so the lift is the one product."""
+    one's diagonal; no solve_exact or inverse_unimodular runs.  The two
+    products are V^(-1) d^1 and the lift, both through intmat.mul."""
     rank, calls = _cochar_calls(monkeypatch, os.path.join(FX, "simplicial_nodal.json"))
     assert rank == 1
-    assert dict(calls) == {"smith_normal_form": 2, "mul": 1}
+    assert dict(calls) == {"smith_normal_form": 2, "mul": 2}
 
 
-def test_empty_free_part_takes_no_product(monkeypatch, tmp_path):
+def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
     """An edge between two vertices: Ker d^2 is all of C^1 and Im d^1 fills
-    it, so both Smith forms run and the lift is skipped."""
+    it, so both Smith forms and the product V^(-1) d^1 run, and the lift is
+    skipped."""
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"counts": [2, 1, 0], "faces": {"1": [[0], [1]], "2": [[], [], []]}}))
     rank, calls = _cochar_calls(monkeypatch, path)
     assert rank == 0
-    assert dict(calls) == {"smith_normal_form": 2}
+    assert dict(calls) == {"smith_normal_form": 2, "mul": 1}
 
 
 def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):

@@ -50,6 +50,7 @@ from helpers import (
     bareiss_det,
     charpoly_oracle,
     frobenius_oracle,
+    int_mul_oracle,
     matvec,
     random_galois_motive_spec,
     random_motive_spec,
@@ -260,6 +261,61 @@ class TestSmithAgainstOracle:
         assert smith_normal_form(a) == (u, d, v) == smith_oracle(a)
         assert intmat.mul(u, u_inv) == intmat.identity(r) and intmat.mul(v_inv, v) == intmat.identity(c)
         _check_subsets(a)
+
+
+def _random_int_matrix(rng, r, c):
+    """An r x c matrix mixing zeros, small entries of both signs and entries
+    beyond 2^64, with all-zero rows and columns drawn often."""
+    hi = rng.choice([1, 5, 2**70])
+    zero_rows = {i for i in range(r) if rng.random() < 0.2}
+    zero_cols = {j for j in range(c) if rng.random() < 0.2}
+    density = rng.random()
+    return [
+        [
+            0 if i in zero_rows or j in zero_cols or rng.random() > density else rng.randint(-hi, hi)
+            for j in range(c)
+        ]
+        for i in range(r)
+    ]
+
+
+class TestIntegerProduct:
+    """intmat.mul skips the zeros of both factors and gives the integers of
+    the plain triple loop; intmat.diagonal reads a Smith diagonal of any
+    shape."""
+
+    def test_mul_against_the_triple_loop(self):
+        rng = random.Random(16)
+        for _ in range(500):
+            r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+            k = k if r else 0  # a = [] is 0 x 0
+            a, b = _random_int_matrix(rng, r, k), _random_int_matrix(rng, k, c)
+            cols = c if k else 0  # b = [] carries no width
+            if rng.random() < 0.3:  # rows as zip(*m) hands them over
+                b = [tuple(row) for row in b]
+            if rng.random() < 0.3:
+                a = [tuple(row) for row in a]
+            assert intmat.mul(a, b) == int_mul_oracle(a, b, cols), (a, b)
+
+    def test_mismatched_shapes_raise(self):
+        for a, b in (([[1, 2]], [[1, 2]]), ([[1]], [[1], [2]]), ([[1, 2], [3]], [[1], [1]]), ([[1]], []), ([], [[1]])):
+            with pytest.raises(ShapeError):
+                intmat.mul(a, b)
+
+    def test_diagonal_of_every_smith_shape(self):
+        for a in TestSmithAgainstOracle.CASES:
+            d = smith_normal_form(a, build=())[1]
+            want = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+            assert intmat.diagonal(d) == want == intmat.elementary_divisors(a), a
+
+    def test_transpose_never_loses_a_width(self):
+        """The transpose of an r x 0 matrix would read as [] (0 x 0), so it
+        raises; the 0 x c matrix is [], whose transpose is []."""
+        for r in (1, 3):
+            with pytest.raises(ShapeError):
+                intmat.transpose(intmat.zeros(r, 0))
+        assert intmat.transpose(intmat.zeros(0, 3)) == [] == intmat.transpose([])
+        assert intmat.transpose([[1, 2, 3]]) == [[1], [2], [3]]
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class TestCocharacters:
             rank, basis = cocharacter_group(shell)
             assert rank == shell.counts[1] - rank_over_q(d2) - rank_over_q(d1)
             assert len(basis) == rank
-            dual2 = intmat.transpose(d2) or [[0] * shell.counts[1]]
+            dual2 = intmat.transpose(d2) if shell.counts[2] else [[0] * shell.counts[1]]
             assert all(x == 0 for col in basis for x in matvec(dual2, col))
         assert min(seen.values()) >= 20
 
@@ -272,7 +272,7 @@ def _general_complexes(rng, count):
     for _ in range(count):
         c0, c1, c2 = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 4)
         d2 = [[rng.randint(-2, 2) for _ in range(c2)] for _ in range(c1)]
-        dual2 = intmat.transpose(d2) or [[0] * c1]
+        dual2 = intmat.transpose(d2) if c2 else [[0] * c1]
         kernel = intmat.kernel_basis(dual2)  # columns y with y^T d_2 = 0
         mix = [[rng.randint(-3, 3) for _ in range(c0)] for _ in kernel]
         # d_1^T = K R, so d_1 d_2 = R^T K^T d_2 = 0
