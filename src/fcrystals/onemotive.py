@@ -195,7 +195,7 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
     if g2:
         d = lift(ab.f_rows)
         if _scalar_gap(big, _mul(big, d, sig_va), p) or _scalar_gap(
-            big, _mul(big, va, _sigma_rows(big, d, "frobenius_inverse_matrix")), p
+            big, _mul(big, va, d, "frobenius_inverse_matrix"), p
         ):
             raise UnsupportedInputError(
                 "abelian block does not lift exactly: its balanced representatives "

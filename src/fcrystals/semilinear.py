@@ -6,9 +6,11 @@ v |-> M . sigma(v), sigma applied entrywise to the coordinate column; a
 sigma^(-1)-linear map as v |-> M . sigma^(-1)(v).  Matrices over the Witt
 ring are kept as coordinate rows: lists of lists of canonical coordinate
 tuples.  A FilteredFModule stores its F and V that way, every kernel reads
-and builds such rows (packing entries into ints for products), and one
-product kernel serves them all.  The public WMat functions (wm_shape,
-wm_transpose, wm_mul, wm_sigma, wm_sigma_inv, charpoly, wm_det, wm_kron,
+and builds such rows, and one product kernel serves them all.  It packs
+each row of its right factor into one int, applying sigma or sigma^(-1)
+inside the packing when asked, and folds the modulus onto each packed row
+of the product at once before cutting it into coordinates.  The public
+WMat functions (wm_shape, wm_transpose, wm_mul, wm_sigma, wm_sigma_inv, charpoly, wm_det, wm_kron,
 wm_adjugate, wm_inverse_unit; wmat and wm_zero build one) take and return
 immutable tuples of tuples of WittElem, and box a WittElem per entry only
 for the matrix they hand back.  A module's f_mat and v_mat are such boxed
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, lshift, mul
 from typing import Sequence
@@ -127,22 +130,59 @@ def wm_zero(params: RingParams, r: int, c: int) -> WMat:
     return tuple((zero,) * c for _ in range(r))
 
 
-def _packing(params: RingParams, terms: int):
-    """(pack, unpack, width) between entry coordinates and the ints the kernels
-    use.  An entry packs to its coordinate (a = 1), else to its polynomial at
-    2^bits, so an int product packs the length-(2a-1) polynomial product, and
-    a sum of `terms` of them fits in `width` bits without carrying; unpack
-    reduces it once (modulus, p^n)."""
+@lru_cache(maxsize=256)  # pure in its arguments (equal rings share a packing); bounded
+def _packing(params: RingParams, terms: int, table: str | None = None):
+    """(pack, pack_rows, cutter) between coordinate entries and the ints the
+    kernels use, for sums of `terms` products.
+
+    pack: an entry packs to its coordinate polynomial at 2^bits (its
+    coordinate when a = 1), so an int product packs the length-(2a-1)
+    polynomial product, one field per degree.  pack_rows: each row of the
+    right factor packs into one int, entries 2a-1 fields apart; when `table`
+    names sigma's matrix S (or sigma^(-1)'s), x packs to sum_j x_j S_j, with
+    S_j column j of S packed, which is sigma(x) with unreduced fields.
+    cutter(count): cuts a packed int of count entries into coordinate tuples.
+    It folds the fields of degree >= a of every entry at once onto the low
+    ones, by the packed t^d mod f (RingParams.reduction_table), and then
+    reduces each coordinate once by p^n.  bits is the bit length of the
+    largest value a field can reach, before or after the fold (all
+    coordinates at p^n - 1 reach it), so no field carries."""
     pn, a = params.pn, params.a
-    bits = (terms * a * (pn - 1) ** 2).bit_length()
-    if a == 1:
-        return itemgetter(0), (lambda s: (s % pn,)), bits
-    mask = (1 << bits) - 1
-    return (
-        lambda c: sum(x << (bits * i) for i, x in enumerate(c)),
-        lambda s: params.reduce([(s >> (bits * i)) & mask for i in range(2 * a - 1)]),
-        (2 * a - 1) * bits,
-    )
+    sigma = getattr(params, table) if table and a > 1 else None
+    # the largest value of a right-factor field, of the field of degree d of
+    # a sum of `terms` products, and of a field of degree < a after the fold
+    right = [pn - 1] * a if sigma is None else [(pn - 1) * sum(row) for row in sigma]
+    high = [terms * (pn - 1) * sum(right[max(0, d - a + 1) : d + 1]) for d in range(2 * a - 1)]
+    folded = [high[i] + sum(h * r[i] for h, r in zip(high[a:], params.reduction_table)) for i in range(a)]
+    bits = max(high + folded).bit_length()
+    width, mask, powers = (2 * a - 1) * bits, (1 << bits) - 1, [1 << (bits * i) for i in range(a)]
+
+    def packed(coords) -> int:
+        return sum(map(mul, coords, powers))
+
+    cols = powers if sigma is None else [packed(col) for col in zip(*sigma)]
+    pack, pack_right = (itemgetter(0),) * 2 if a == 1 else (packed, lambda c: sum(map(mul, c, cols)))
+    folds = [(bits * d, packed(r)) for d, r in enumerate(params.reduction_table, a)]
+
+    def pack_rows(m) -> list[int]:
+        shifts = [width * e for e in range(len(m[0]))] if m else ()
+        return [sum(map(lshift, map(pack_right, row), shifts)) for row in m]
+
+    @lru_cache(maxsize=64)
+    def cutter(count: int):
+        starts = [width * e for e in range(count)]
+        low, field0 = (sum(m << k for k in starts) for m in ((1 << bits * a) - 1, mask))
+        coords = [k + i for k in starts for i in range(0, bits * a, bits)]
+
+        def cut(s: int) -> list[tuple[int, ...]]:
+            if not folds:  # a = 1: an entry is its one coordinate
+                return [(((s >> k) & mask) % pn,) for k in coords]
+            s = (s & low) + sum(((s >> k) & field0) * r for k, r in folds)
+            return list(zip(*[iter([((s >> k) & mask) % pn for k in coords])] * a))
+
+        return cut
+
+    return pack, pack_rows, cutter
 
 
 def _coords(params: RingParams, m: WMat) -> Rows:
@@ -169,14 +209,14 @@ def _box(params: RingParams, rows) -> WMat:
     return tuple(tuple(WittElem._raw(params, c) for c in row) for row in rows)
 
 
-def _mul(params: RingParams, a, b) -> list[list[tuple[int, ...]]]:
-    """The product kernel: a . b on coordinate rows.  Each row of b packs into
-    one int, entries `width` bits apart, so a row of a . b is one sum of int
-    products, cut into entries that are each reduced once."""
-    pack, unpack, width = _packing(params, len(b))
-    mask, shifts = (1 << width) - 1, range(0, width * len(b[0]), width) if b else ()
-    rows_b = [sum(map(lshift, map(pack, row), shifts)) for row in b]
-    return [[unpack((s >> k) & mask) for k in shifts] for s in (sum(map(mul, map(pack, row), rows_b)) for row in a)]
+def _mul(params: RingParams, a, b, table: str | None = None) -> list[list[tuple[int, ...]]]:
+    """The product kernel: a . b on coordinate rows, or a . sigma^(+-1)(b)
+    when table names sigma's (sigma^(-1)'s) matrix, which goes into the
+    packing of b.  Each row of b packs into one int, so a row of the product
+    is one sum of int products, folded by the modulus once and cut."""
+    pack, pack_rows, cutter = _packing(params, len(b), table)
+    cut, rows_b = cutter(len(b[0]) if b else 0), pack_rows(b)
+    return [cut(sum(map(mul, map(pack, row), rows_b))) for row in a]
 
 
 def wm_mul(params: RingParams, a: WMat, b: WMat) -> WMat:
@@ -217,9 +257,10 @@ def wm_sigma_inv(a: WMat) -> WMat:
 
 
 def _kron(params: RingParams, a: Rows, b: Rows) -> Rows:
-    pack, unpack, _ = _packing(params, 1)
-    pa, pb = ([[pack(x) for x in row] for row in m] for m in (a, b))
-    return [[unpack(x * y) for x in ra for y in rb] for ra in pa for rb in pb]
+    """The Kronecker product: each entry x of a times a packed row of b, cut."""
+    pack, pack_rows, cutter = _packing(params, 1)
+    cut, rows_b, pa = cutter(len(b[0]) if b else 0), pack_rows(b), [list(map(pack, row)) for row in a]
+    return [list(chain.from_iterable(cut(x * y) for x in ra)) for ra in pa for y in rows_b]
 
 
 def wm_kron(params: RingParams, a: WMat, b: WMat) -> WMat:
@@ -241,23 +282,22 @@ def _block(grid, row_sizes, col_sizes, zero) -> list[list]:
 def charpoly(params: RingParams, a: WMat) -> list[WittElem]:
     """Characteristic polynomial det(xI - a), ascending coefficients
     [c_0, ..., c_{r-1}, 1]."""
-    rows = _coords(params, a)
-    r, c = wm_shape(rows)
-    if r != c:
-        raise ShapeError("characteristic polynomial of a non-square matrix")
-    return _charpoly(params, rows)
+    return _charpoly(params, _coords(params, a))
 
 
 def _charpoly(params: RingParams, rows: Rows) -> list[WittElem]:
-    """charpoly of square coordinate rows, by the division-free
-    Samuelson-Berkowitz scheme, on packed entries with one reduction per dot
-    product."""
+    """charpoly of square coordinate rows (else ShapeError), by the
+    division-free Samuelson-Berkowitz scheme, on packed entries with one
+    reduction per dot product."""
     r = len(rows)
-    pack, unpack, _ = _packing(params, r + 1)
+    if any(len(row) != r for row in rows):
+        raise ShapeError("characteristic polynomial of a non-square matrix")
+    pack, _, cutter = _packing(params, r + 1)
+    cut = cutter(1)
     m, minus = [[pack(x) for x in row] for row in rows], params.pn - 1  # -1 packs to p^n - 1 for every a
 
-    def red(s: int) -> int:
-        return pack(unpack(s))
+    def red(s: int) -> int:  # one packed entry, reduced and packed again
+        return pack(cut(s)[0])
 
     poly = [1]  # descending, packed (1 packs to 1); the char poly of the 0x0 block
     for k in range(1, r + 1):
@@ -269,7 +309,7 @@ def _charpoly(params: RingParams, rows: Rows) -> list[WittElem]:
                 w = [red(sum(map(mul, srow, w))) for srow in sub]
             toeplitz.append(red(sum(map(mul, neg_row, w))))
         poly = [red(sum(map(mul, toeplitz[max(0, i - k + 1) : i + 1], poly[i::-1]))) for i in range(k + 1)]
-    return [WittElem._raw(params, unpack(x)) for x in reversed(poly)]
+    return [WittElem._raw(params, cut(x)[0]) for x in reversed(poly)]
 
 
 def _det(coeffs: list[WittElem]) -> WittElem:
@@ -284,28 +324,40 @@ def wm_det(params: RingParams, a: WMat) -> WittElem:
 def wm_adjugate(params: RingParams, a: WMat, coeffs: list[WittElem]) -> WMat:
     """adj(a) with a . adj(a) = det(a) I, from the characteristic polynomial
     ``coeffs`` of the square matrix a (ascending, as ``charpoly`` returns it)."""
-    m, (cs,), pn = _coords(params, a), _coords(params, (coeffs,)), params.pn
+    m, (cs,) = _coords(params, a), _coords(params, (coeffs,))
     r = len(m)
     if any(len(row) != r for row in m) or len(cs) != r + 1:
         raise ShapeError(f"the adjugate needs a square matrix and its {r + 1} characteristic coefficients")
+    return _box(params, _adjugate(params, m, cs))
+
+
+def _adjugate(params: RingParams, m: Rows, cs: list[tuple[int, ...]]) -> Rows:
+    """adj(m) of square coordinate rows, from the coordinates cs of their characteristic polynomial."""
+    r, pn = len(m), params.pn
     # acc builds A^{r-1} + c_{r-1} A^{r-2} + ... + c_1 I
-    acc = _int_rows(params, [[int(i == j) for j in range(r)] for i in range(r)])
+    acc = _int_rows(params, intmat.identity(r))
     for i in range(r - 1, 0, -1):
         acc = _mul(params, m, acc)
         for k in range(r):
             acc[k][k] = tuple((x + y) % pn for x, y in zip(acc[k][k], cs[i]))
     # A * acc = -c_0 I = (-1)^(r+1) det(A) I, so adj(A) is acc negated when r is even
-    return _box(params, acc if r % 2 else [[tuple(-c % pn for c in x) for x in row] for row in acc])
+    return acc if r % 2 else [[tuple(-c % pn for c in x) for x in row] for row in acc]
+
+
+def _inverse_rows(params: RingParams, m: Rows) -> Rows:
+    """m^(-1) for square coordinate rows with a unit determinant, else
+    SingularFrobeniusError: adj(m) scaled by det(m)^(-1), both read off one
+    characteristic polynomial."""
+    coeffs = _charpoly(params, m)
+    d = _det(coeffs)
+    if not d.is_unit():
+        raise SingularFrobeniusError("matrix determinant is not a unit")
+    return _kron(params, [[d.inverse().coords]], _adjugate(params, m, [c.coords for c in coeffs]))
 
 
 def wm_inverse_unit(params: RingParams, a: WMat) -> WMat:
     """Inverse of a matrix with unit determinant, from one characteristic polynomial."""
-    coeffs = charpoly(params, a)
-    d = _det(coeffs)
-    if not d.is_unit():
-        raise SingularFrobeniusError("matrix determinant is not a unit")
-    dinv = d.inverse()
-    return tuple(tuple(dinv * x for x in row) for row in wm_adjugate(params, a, coeffs))
+    return _box(params, _inverse_rows(params, _coords(params, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +470,7 @@ def _product_check(name: str, what: str, m: FilteredFModule, a: Rows, b: Rows, t
     if m.level < 0:
         return CheckResult(name, False, f"{claim}: p^{m.level} is not in W_n(k)")
     params = m.params
-    prod = _mul(params, a, _sigma_rows(params, b, table))
+    prod = _mul(params, a, b, table)
     gap = _scalar_gap(params, prod, params.p**m.level)
     if gap is None:
         return CheckResult(name, True)
@@ -505,19 +557,15 @@ def twisted_dual(m: FilteredFModule) -> FilteredFModule:
 
 
 def conjugate(m: FilteredFModule, g: WMat) -> FilteredFModule:
-    """Base change by an invertible matrix g: F -> g^(-1) F sigma(g).
+    """Base change by an invertible matrix g: F -> g^(-1) F sigma(g) and
+    V -> g^(-1) V sigma^(-1)(g), on g's rows, checked once.
 
     Weights are kept; the caller is responsible for g respecting the flag.
     """
-    params = m.params
-    ginv = _coords(params, wm_inverse_unit(params, g))
-    rows = _coords(params, g)
-
-    def base_change(a: Rows, table: str) -> Rows:
-        return _mul(params, ginv, _mul(params, a, _sigma_rows(params, rows, table)))
-
-    f = base_change(m.f_rows, "frobenius_matrix")
-    v = m.v_rows and base_change(m.v_rows, "frobenius_inverse_matrix")
+    params, rows = m.params, _coords(m.params, g)
+    ginv = _inverse_rows(params, rows)
+    f = _mul(params, ginv, _mul(params, m.f_rows, rows, "frobenius_matrix"))
+    v = m.v_rows and _mul(params, ginv, _mul(params, m.v_rows, rows, "frobenius_inverse_matrix"))
     return FilteredFModule._of_rows(params, m.rank, m.weights, f, v, m.level)
 
 
@@ -594,9 +642,10 @@ def newton_slopes(m: FilteredFModule) -> SlopeProfile:
             required=required,
         )
     linear = twisted = m.f_rows
-    for _ in range(params.a - 1):
-        twisted = _sigma_rows(params, twisted, "frobenius_matrix")
-        linear = _mul(params, linear, twisted)
+    for k in range(params.a - 1):  # linear . sigma(twisted), twisted = sigma^k(F)
+        if k:
+            twisted = _sigma_rows(params, twisted, "frobenius_matrix")
+        linear = _mul(params, linear, twisted, "frobenius_matrix")
     coeffs = _charpoly(params, linear)
     n = params.n
     vals = [c.valuation() for c in coeffs]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -247,6 +248,12 @@ class RingParams:
                     poly[d - a + i] -= c * mod[i]  # type: ignore[index]
         return tuple(c % pn for c in poly[:a])
 
+    @cached_property
+    def reduction_table(self) -> tuple[tuple[int, ...], ...]:
+        """The coordinates of t^d mod the modulus, for a <= d <= 2a - 2: the
+        packed kernels fold every high-degree coefficient of a product at once."""
+        return tuple(self.reduce([0] * d + [1]) for d in range(self.a, 2 * self.a - 1))
+
     def residue_modulus(self) -> list[int]:
         if self.a == 1:
             return [0, 1]
@@ -299,7 +306,14 @@ _RINGS: dict[tuple, RingParams] = {}  # the last 32 validated rings, by normaliz
 def intern_ring(p: int, n: int, a: int = 1, modulus: Sequence[int] | None = None) -> RingParams:
     """RingParams(p, n, a, modulus), validated, as one shared object per
     normalized (p, n, a, modulus): its Frobenius tables are built once, and
-    the kernels' ring checks pass on identity."""
+    the kernels' ring checks pass on identity.  Arguments that already are
+    the key of an interned ring, ints with the modulus reduced mod p^n, find
+    it before anything is built or validated again."""
+    mod = tuple(modulus) if type(modulus) in (tuple, list) else modulus
+    if (mod is None or type(mod) is tuple) and all(type(x) is int for x in (p, n, a, *(mod or ()))):
+        ring = _RINGS.get((p, n, a, mod))
+        if ring is not None:
+            return ring
     ring = RingParams(p, n, a, modulus)
     key = (ring.p, ring.n, ring.a, ring.modulus)
     if key not in _RINGS:
@@ -507,7 +521,7 @@ def teichmuller(params: RingParams, c) -> WittElem:
 
 def _apply(params: RingParams, rows: tuple[tuple[int, ...], ...], xs: tuple[int, ...]) -> tuple[int, ...]:
     pn = params.pn
-    return tuple(sum(r * c for r, c in zip(row, xs)) % pn for row in rows)
+    return tuple(sum(map(mul, row, xs)) % pn for row in rows)
 
 
 def frobenius(x: WittElem) -> WittElem:

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -30,8 +31,8 @@ from fcrystals.errors import InternalError, SingularFrobeniusError
 from fcrystals.onemotive import OneMotiveSpec, assemble, cartier_dual, pair
 from fcrystals.semilinear import FilteredFModule
 from fcrystals.serialize import motive_from_doc
-from fcrystals.witt import RingParams
-from helpers import mat_scale
+from fcrystals.witt import RingParams, default_modulus
+from helpers import mat_scale, slope_half_block
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 FX = os.path.join(TESTS, "fixtures")
@@ -167,6 +168,32 @@ def test_verify_takes_no_frobenius_at_a_1(monkeypatch):
     assert (counts["frobenius"], counts["frobenius_inverse"]) == (0, 0)
 
 
+@pytest.mark.parametrize("a", [2, 3])
+def test_galois_verify_is_two_products(monkeypatch, a):
+    """sigma and sigma^(-1) go into the packing of the right factors: one
+    verify of a module over W_n(F_{p^a}) makes the two products and no
+    sigma pass over a matrix's rows."""
+    module = slope_half_block(RingParams(3, 7, a, default_modulus(3, a))).crystal
+    counts = Counter()
+    for name in ("_mul", "_sigma_rows"):
+        _count_calls(monkeypatch, counts, semilinear, name)
+    assert semilinear.verify(module).ok
+    assert (counts["_mul"], counts["_sigma_rows"]) == (2, 0)
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_newton_slopes_folds_one_sigma_per_product(monkeypatch, a):
+    """The a-fold iterate F sigma(F) ... sigma^(a-1)(F) is a - 1 products,
+    each with one sigma in the packing of its right factor, so only a - 2
+    sigma passes run (none at a = 2)."""
+    module = slope_half_block(RingParams(3, 7, a, default_modulus(3, a))).crystal
+    counts = Counter()
+    for name in ("_mul", "_sigma_rows"):
+        _count_calls(monkeypatch, counts, semilinear, name)
+    assert semilinear.newton_slopes(module).as_list() == [Fraction(1, 2)] * 2
+    assert (counts["_mul"], counts["_sigma_rows"]) == (a - 1, a - 2)
+
+
 def test_assemble_is_kept_on_the_spec():
     s = _kummer()
     mc = assemble(s)
@@ -242,16 +269,17 @@ def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
 @pytest.mark.parametrize("r", [1, 3])
 def test_inverse_unit_reads_one_characteristic_polynomial(monkeypatch, r):
     """wm_inverse_unit takes the determinant and the adjugate off one
-    characteristic polynomial, also when the determinant is not a unit."""
+    characteristic polynomial, also when the determinant is not a unit.  It
+    computes on the rows it checked, so the row kernel is what is counted."""
     calls = Counter()
-    _count_calls(monkeypatch, calls, semilinear, "charpoly")
+    _count_calls(monkeypatch, calls, semilinear, "_charpoly")
     a = semilinear.wmat(P54, [[int(i == j) + (i < j) for j in range(r)] for i in range(r)])
     inv = semilinear.wm_inverse_unit(P54, a)
     assert semilinear.wm_mul(P54, a, inv) == semilinear.wmat(P54, fcrystals.intmat.identity(r))
-    assert calls["charpoly"] == 1
+    assert calls["_charpoly"] == 1
     with pytest.raises(SingularFrobeniusError):
         semilinear.wm_inverse_unit(P54, mat_scale(P54.from_int(5), a))
-    assert calls["charpoly"] == 2
+    assert calls["_charpoly"] == 2
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

@@ -42,6 +42,8 @@ from fcrystals.semilinear import (
     _argsort_stable,
     _block,
     _int_rows,
+    _kron,
+    _mul,
 )
 from fcrystals.simplicial import component_complex
 from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
@@ -788,6 +790,17 @@ def test_adjugate_checks_its_coefficients():
         wm_adjugate(P54, (_I2[0],), coeffs[:2])  # a 1x2 matrix with two coefficients
 
 
+def test_ragged_matrix_is_not_square():
+    """A ragged matrix is no square matrix, even with a unit leading block:
+    charpoly, wm_det, wm_inverse_unit and conjugate raise ShapeError."""
+    o, z = P54.one(), P54.zero()
+    m = FilteredFModule(P54, 2, (0, 0), _I2, _I2)
+    for ragged in (((o, z), (z, o, z)), ((o, z, z), (z, o))):
+        for call in (charpoly, wm_det, wm_inverse_unit, lambda params, g: conjugate(m, g)):
+            with pytest.raises(ShapeError):
+                call(P54, ragged)
+
+
 def test_wmat_of_a_non_matrix_is_bad_matrix():
     for bad in (None, 5, (5,), [[1], 2]):
         with pytest.raises(MalformedInputError) as exc:
@@ -815,6 +828,13 @@ def _oracle_kron(a, b):
     return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
 
+def _rows(m):
+    return [[x.coords for x in row] for row in m]
+
+
+SIGMA_TABLES = [("frobenius_matrix", wm_sigma), ("frobenius_inverse_matrix", wm_sigma_inv)]
+
+
 class TestPackedKernels:
     """wm_mul, charpoly, wm_det, wm_kron, sigma and the unit inverse compute on
     packed coordinates; each must agree with the WittElem-by-WittElem oracle."""
@@ -838,13 +858,31 @@ class TestPackedKernels:
             assert charpoly(params, a) == coeffs
             assert wm_det(params, a) == (coeffs[0] if r % 2 == 0 else -coeffs[0])
 
+    @pytest.mark.parametrize("params", PACKED_RINGS)
+    def test_sigma_folded_mul_matches_oracle(self, params):
+        """a . sigma^(+-1)(b) with sigma's matrix in the packing of b."""
+        rng = random.Random(params.p * 30 + params.a)
+        for rows, inner in SHAPES:
+            a = _random_wmat(rng, params, rows, inner)
+            for cols in (0, 1, 4):
+                b = _random_wmat(rng, params, inner, cols)
+                for table, sigma in SIGMA_TABLES:
+                    want = wm_mul_oracle(params, a, sigma(b))
+                    assert _mul(params, _rows(a), _rows(b), table) == _rows(want)
+
     def test_charpoly_carries_no_digit_at_full_size(self):
-        """Every entry at p^n - 1, the largest coefficient sums the packing allows."""
-        for params in (RingParams(5, 8), RingParams(2, 9, 3, default_modulus(2, 3))):
-            top = [params.pn - 1] * params.a
-            a = wmat(params, [[top] * 6 for _ in range(6)])
-            assert charpoly(params, a) == charpoly_oracle(params, a)
-            assert wm_mul(params, a, a) == wm_mul_oracle(params, a, a)
+        """Every coordinate at p^n - 1 at rank 8, the largest coefficient sums
+        the packing allows, through each kernel (sigma folded into the right
+        factor or not) and the fold of the modulus on the packed rows."""
+        for p, n, a in ((5, 8, 1), (2, 9, 3), (5, 8, 3), (3, 7, 2), (2, 5, 4)):
+            params = RingParams(p, n, a, None if a == 1 else default_modulus(p, a))
+            m = wmat(params, [[[params.pn - 1] * a] * 8 for _ in range(8)])
+            rows = _rows(m)
+            assert charpoly(params, m) == charpoly_oracle(params, m)
+            assert _mul(params, rows, rows) == _rows(wm_mul_oracle(params, m, m))
+            for table, sigma in SIGMA_TABLES:
+                assert _mul(params, rows, rows, table) == _rows(wm_mul_oracle(params, m, sigma(m)))
+            assert _kron(params, rows, rows) == _rows(_oracle_kron(m, m))
 
     @pytest.mark.parametrize("params", PACKED_RINGS)
     def test_sigma_matches_digit_oracle(self, params):
@@ -864,6 +902,31 @@ class TestPackedKernels:
             inv = wm_inverse_unit(params, a)
             assert wm_mul_oracle(params, a, inv) == wmat(params, intmat.identity(r))
             assert wm_mul_oracle(params, inv, a) == wmat(params, intmat.identity(r))
+
+    @pytest.mark.parametrize("params", PACKED_RINGS)
+    def test_conjugate_matches_oracle(self, params):
+        """g . conjugate(m, g) has F sigma(g) and V sigma^(-1)(g) for F and V,
+        in WittElem arithmetic with the digit-based sigma; the result is an
+        isomorphism witness and a moved entry is not."""
+        rng = random.Random(params.p * 70 + params.a)
+
+        def sigma(m, times=1):
+            for _ in range(times):
+                m = tuple(tuple(frobenius_oracle(x) for x in row) for row in m)
+            return m
+
+        for r in (1, 2, 4):
+            f, v = _random_wmat(rng, params, r, r), _random_wmat(rng, params, r, r)
+            m = FilteredFModule(params, r, (0,) * r, f, v)
+            g = _random_wmat(rng, params, r, r)
+            while not wm_det(params, g).is_unit():
+                g = _random_wmat(rng, params, r, r)
+            c = conjugate(m, g)
+            assert wm_mul_oracle(params, g, c.f_mat) == wm_mul_oracle(params, f, sigma(g))
+            assert wm_mul_oracle(params, g, c.v_mat) == wm_mul_oracle(params, v, sigma(g, params.a - 1))
+            assert is_isomorphism_witness(g, m, c)
+            moved = ((c.f_mat[0][0] + params.one(),) + c.f_mat[0][1:],) + c.f_mat[1:]
+            assert not is_isomorphism_witness(g, m, FilteredFModule(params, r, m.weights, moved, c.v_mat))
 
     def test_sigma_is_the_identity_object_at_a_1(self):
         m = wmat(P54, [[1, 2], [3, 4]])

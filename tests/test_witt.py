@@ -25,6 +25,7 @@ from fcrystals.witt import (
     dp_log,
     frobenius,
     frobenius_inverse,
+    intern_ring,
     reduce_elem,
     teichmuller,
     with_precision,
@@ -156,6 +157,35 @@ class TestInterning:
         assert with_precision(params, 5) is with_precision(params, 5)
         assert with_precision(with_precision(params, 5), 3) is params
 
+    def test_a_known_ring_is_looked_up_not_rebuilt(self, monkeypatch):
+        """Arguments that already are an interned ring's key (a document's
+        ints, or with_precision's reduced modulus) return the interned object
+        with no RingParams built or validated; a bad n still reaches the
+        validating constructor."""
+        params = ring_from_doc(self.DOC)
+        big = with_precision(params, 5)
+        ring_from_doc({"p": 7, "n": 1})
+        builds = []
+        check = RingParams.__post_init__
+        monkeypatch.setattr(RingParams, "__post_init__", lambda ring: builds.append(ring) or check(ring))
+        assert with_precision(params, 5) is big is ring_from_doc({**self.DOC, "n": 5})
+        assert with_precision(big, 3) is params is ring_from_doc(self.DOC) is intern_ring(7, 3, 2, tuple(self.DOC["modulus"]))
+        assert builds == []
+        for bad in (0, -1):
+            with pytest.raises(MalformedInputError) as exc:
+                with_precision(params, bad)
+            assert exc.value.code == "bad-length"
+        with pytest.raises(MalformedInputError) as exc:
+            with_precision(ring_from_doc({"p": 7, "n": 3}), True)  # True equals the n = 1 key, but is no int
+        assert exc.value.code == "bad-type"
+        for bad_mod, code in ((True, "bad-modulus"), ([c + 0.0 for c in self.DOC["modulus"]], "bad-modulus")):
+            with pytest.raises(MalformedInputError) as exc:
+                intern_ring(7, 3, 2, bad_mod)  # floats equal the interned key, but are no ints
+            assert exc.value.code == code
+        with pytest.raises(MalformedInputError) as exc:
+            intern_ring(7, 3, 1, ())
+        assert exc.value.code == "bad-modulus"
+
     def test_frobenius_table_built_once(self, monkeypatch):
         builds = []
         table = RingParams.__dict__["frobenius_matrix"]
@@ -190,13 +220,17 @@ class TestInterning:
 
 class TestIrreducibilityMemo:
     """A modulus is tested for irreducibility once per process; every other
-    check of RingParams runs on every document."""
+    check of RingParams runs on every document whose ring is not already
+    interned under the document's own values."""
 
     DOC = {"p": 7, "n": 3, "a": 2, "modulus": list(default_modulus(7, 2))}
 
-    def test_second_parse_reuses_the_test(self):
+    def test_second_parse_reuses_the_test(self, monkeypatch):
+        monkeypatch.setattr(witt, "_RINGS", {})
         witt._irreducible_mod_p.cache_clear()
-        assert ring_from_doc(self.DOC) is ring_from_doc(dict(self.DOC))
+        shifted = {**self.DOC, "modulus": [c + 7**3 for c in self.DOC["modulus"][:-1]] + [1]}
+        # the shifted modulus is no interned key, so it is validated again; the plain one is looked up
+        assert ring_from_doc(self.DOC) is ring_from_doc(shifted) is ring_from_doc(dict(self.DOC))
         info = witt._irreducible_mod_p.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
@@ -449,6 +483,20 @@ class TestLinearFrobenius:
         for params in (base, other):
             t = params.elem([0, 1])
             assert frobenius(t) == frobenius_oracle(t)
+
+    @pytest.mark.parametrize("params", GALOIS_RINGS)
+    def test_reduction_table_is_t_to_the_d(self, params):
+        """Row d - a of the table is t^d mod the modulus, for a <= d <= 2a - 2:
+        reduce on t^d, and t times the row before, reduced by hand."""
+        a, pn, f = params.a, params.pn, params.modulus
+        table = params.reduction_table
+        assert len(table) == a - 1
+        power = tuple(-c % pn for c in f[:a])  # t^a = -(f_0 + ... + f_(a-1) t^(a-1))
+        for d, row in enumerate(table, a):
+            assert row == params.reduce([0] * d + [1]) == power
+            top = power[-1]  # t . t^d: shift up, then replace t^a
+            power = tuple((low - top * c) % pn for low, c in zip((0,) + power[:-1], f))
+        assert RingParams(5, 3).reduction_table == ()
 
     def test_no_teichmuller_lifts(self, monkeypatch):
         import fcrystals.witt as witt
