@@ -20,6 +20,7 @@ from .errors import (
     InvalidTraceError,
     PrecisionError,
     ShapeError,
+    SizeLimitError,
     UnsupportedInputError,
 )
 from .semilinear import FilteredFModule, _int_rows, direct_sum, newton_slopes, verify
@@ -66,14 +67,15 @@ class LatticeData:
     The same data presents a torus by its cocharacter lattice, so TorusData
     is an alias of this class.  The inverse of the action is computed once,
     on construction, and read by every block built from the data (and by
-    dual).  Rank and action entries must be ints, not bools (else bad-type)."""
+    dual).  Rank and action entries must be ints, not bools (else bad-type),
+    and the rank at most SizeLimitError.BOUND."""
 
     rank: int
     sigma_action: tuple[tuple[int, ...], ...]
     sigma_inverse: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _ints((self.rank,), "bad-type", "rank")
+        SizeLimitError.check("rank", _ints((self.rank,), "bad-type", "rank")[0])
         object.__setattr__(
             self, "sigma_action", tuple(_ints(row, "bad-type", "sigma_action") for row in self.sigma_action)
         )
@@ -82,6 +84,7 @@ class LatticeData:
 
     @staticmethod
     def trivial(rank: int) -> "LatticeData":
+        SizeLimitError.check("rank", rank)  # before the identity matrix is built
         return LatticeData(rank, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
 
     def dual(self) -> "LatticeData":
@@ -106,9 +109,9 @@ def tate(m: int, params: RingParams) -> FilteredFModule:
     the tensor product, at the cost of level |m| resp. 1 - m.
     """
     if m >= 1:
-        f, v, level = 1, params.p**m, m
+        f, v, level = 1, pow(params.p, m, params.pn), m
     else:
-        f, v, level = params.p ** (1 - m), 1, 1 - m
+        f, v, level = pow(params.p, 1 - m, params.pn), 1, 1 - m
     return FilteredFModule._of_rows(params, 1, (-2 * m,), _int_rows(params, [[f]]), _int_rows(params, [[v]]), level)
 
 

@@ -2,7 +2,8 @@
 JSON out.
 
 Exit codes: 0 success, 1 verification failure (an invariant of the input
-data is violated), 2 malformed input, 3 precision error, 4 internal error (an
+data is violated), 2 malformed input (also a file that cannot be read or an
+--out path that cannot be written), 3 precision error, 4 internal error (an
 invariant that holds by construction failed: a bug in fcrystals, not in the
 input).  Each error class in fcrystals.errors carries its exit code.  Errors
 are reported as one machine-readable object on standard error; a precision
@@ -60,8 +61,11 @@ def _load(path: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise MalformedInputError(f"no such file: {path}", code="missing-file")
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"invalid JSON in {path}: {exc}", code="bad-json")
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc.strerror or exc}", code="unreadable-file") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, invalid UTF-8, an int past the int-to-str limit, or nesting past the recursion limit
+        raise MalformedInputError(f"invalid JSON in {path}: {exc}", code="bad-json") from None
     if not isinstance(doc, dict):
         raise MalformedInputError(f"{path} does not hold a JSON object", code="bad-type")
     return doc
@@ -255,11 +259,14 @@ def _error_doc(exc: FCrystalsError) -> dict:
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise MalformedInputError(f"cannot write {out_path}: {exc.strerror or exc}", code="unwritable-output") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,19 +309,23 @@ def main(argv: list[str] | None = None) -> int:
         except VerificationFailure as exc:
             return {"ok": False, "report": exc.doc}
 
+    # the outcome is settled before anything is emitted, so a failed write is
+    # the one error object of the call
     try:
+        failure = None
         if len(args.inputs) == 1:
-            result = run_one(args.inputs[0])
-            _emit(ser.canonical_dumps(result), args.out)
-            return EXIT_OK
-        # batch verification over independent input files, run serially
-        results = {path: run_guarded(path) for path in args.inputs}
-        _emit(ser.canonical_dumps(results), args.out)
-        return EXIT_OK if all(r["ok"] for r in results.values()) else EXIT_VERIFICATION
-    except VerificationFailure as exc:
-        _emit(ser.canonical_dumps(exc.doc), args.out)
-        sys.stderr.write(ser.canonical_dumps(_error_doc(exc)))
-        return exc.exit_code
+            try:
+                result, status = run_one(args.inputs[0]), EXIT_OK
+            except VerificationFailure as exc:
+                result, status, failure = exc.doc, exc.exit_code, exc
+        else:
+            # batch verification over independent input files, run serially
+            result = {path: run_guarded(path) for path in args.inputs}
+            status = EXIT_OK if all(r["ok"] for r in result.values()) else EXIT_VERIFICATION
+        _emit(ser.canonical_dumps(result), args.out)
+        if failure is not None:
+            sys.stderr.write(ser.canonical_dumps(_error_doc(failure)))
+        return status
     except FCrystalsError as exc:
         sys.stderr.write(ser.canonical_dumps(_error_doc(exc)))
         return exc.exit_code

@@ -106,6 +106,23 @@ class InvalidSimplicialError(FCrystalsError):
     exit_code = 1
 
 
+class SizeLimitError(FCrystalsError):
+    """A stated size beyond the documented bound: g, a rank, a component
+    count or m above BOUND, or a ring with p >= 2^31 or a p^n of more than
+    4300 decimal digits.  Each is checked before the work it sizes starts."""
+
+    code = "too-large"
+    exit_code = 2
+    BOUND = 256
+
+    @classmethod
+    def check(cls, what: str, value: int) -> int:
+        """value, unless it exceeds BOUND."""
+        if value > cls.BOUND:
+            raise cls(f"{what} = {value} exceeds the size bound {cls.BOUND}")
+        return value
+
+
 class InternalError(FCrystalsError):
     """An invariant that holds by construction failed: a bug, not bad input."""
 

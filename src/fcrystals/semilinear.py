@@ -471,7 +471,7 @@ def _product_check(name: str, what: str, m: FilteredFModule, a: Rows, b: Rows, t
         return CheckResult(name, False, f"{claim}: p^{m.level} is not in W_n(k)")
     params = m.params
     prod = _mul(params, a, b, table)
-    gap = _scalar_gap(params, prod, params.p**m.level)
+    gap = _scalar_gap(params, prod, pow(params.p, m.level, params.pn))
     if gap is None:
         return CheckResult(name, True)
     (i, j), want = gap

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap
-from .errors import InternalError, InvalidSimplicialError, ShapeError, UnsupportedInputError
+from .errors import InternalError, InvalidSimplicialError, ShapeError, SizeLimitError, UnsupportedInputError
 from .onemotive import OneMotiveSpec, assemble
 from .semilinear import FilteredFModule, _block
 from .witt import RingParams, _ints
@@ -37,13 +37,16 @@ __all__ = [
 class SimplicialComponents:
     """Component counts of X_0..X_2 (optionally X_3) and the face maps at the
     component level: face_maps[j-1][i] sends level-j components through d_i.
-    Counts and face maps must be ints, not bools (else bad-type)."""
+    Counts and face maps must be ints, not bools (else bad-type), and each
+    count at most SizeLimitError.BOUND."""
 
     counts: tuple[int, ...]
     face_maps: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _ints(self.counts, "bad-type", "counts"))
+        for i, c in enumerate(self.counts):
+            SizeLimitError.check(f"counts[{i}]", c)
         object.__setattr__(
             self,
             "face_maps",
@@ -155,7 +158,8 @@ class DivisorPresentation:
     components upstairs, the two pullback matrices to level 1 (rows =
     divisor components on X_1), and the matrix of degree classes cutting out
     the subgroup mapping to zero in the component group of the Picard
-    functor.  All entries must be ints, not bools (else bad-type)."""
+    functor.  All entries must be ints, not bools (else bad-type), and m at
+    most SizeLimitError.BOUND."""
 
     m: int
     pull0: tuple[tuple[int, ...], ...]
@@ -163,7 +167,7 @@ class DivisorPresentation:
     ns_classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _ints((self.m,), "bad-type", "m")
+        SizeLimitError.check("m", _ints((self.m,), "bad-type", "m")[0])
         for name in ("pull0", "pull1", "ns_classes"):
             object.__setattr__(self, name, tuple(_ints(row, "bad-type", name) for row in getattr(self, name)))
         if self.m < 0:
@@ -198,15 +202,19 @@ def div0_lattice(d: DivisorPresentation) -> tuple[int, list[list[int]]]:
 class PicardSkeleton:
     """Discrete invariants of a Picard-type presentation: boundary lattice
     rank, torus cocharacter rank, and the abelian dimension supplied by the
-    caller.  The ranks must be ints, not bools (else bad-type)."""
+    caller.  The ranks must be ints, not bools (else bad-type), and at most
+    SizeLimitError.BOUND."""
 
     lattice_rank: int
     torus_rank: int
     abelian_dim: int
 
     def __post_init__(self):
-        if min(_ints((self.lattice_rank, self.torus_rank, self.abelian_dim), "bad-type", "skeleton ranks")) < 0:
+        ranks = _ints((self.lattice_rank, self.torus_rank, self.abelian_dim), "bad-type", "skeleton ranks")
+        if min(ranks) < 0:
             raise ShapeError("skeleton ranks must be non-negative")
+        for what, r in zip(("lattice_rank", "torus_rank", "g"), ranks):
+            SizeLimitError.check(what, r)
 
 
 def _default_abelian(g: int, params: RingParams) -> AbelianBlock:

@@ -15,20 +15,25 @@ Conventions
   1, t, ..., t^(a-1): column j holds sigma(t)^j, where sigma(t) is the
   Newton lift of the root of f congruent to t^p mod p, and sigma^(-1) is
   S^(a-1),
-* the divided-power exp/log are defined on (p) and 1 + (p) for p >= 3.
+* the divided-power exp/log on (p) and 1 + (p), p >= 3, are one series
+  sum_m s^(m-1) y^m / d_m (d_m = m! or m), cut at the first M with
+  m - v_p(d_m) >= n for all m >= M and summed at n + max_{m<M} v_p(d_m) digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
+from . import intmat
 from .errors import (
     DomainError,
     IncompatibleRingsError,
     MalformedInputError,
+    SizeLimitError,
     UnsupportedCharacteristicError,
 )
 
@@ -60,6 +65,15 @@ def _is_prime(m: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _vp(m: int, p: int) -> int:
+    """v_p(m) for m != 0."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -124,29 +138,15 @@ def _irreducible_mod_p(modulus: tuple[int, ...], p: int, a: int) -> bool:
     f = [c % p for c in modulus]
     if len(_ptrim(list(f))) != a + 1:
         return False
+
+    def x_pk_minus_x(k: int) -> list[int]:  # x^(p^k) - x mod (f, p)
+        xq = _ppowmod([0, 1], p**k, f, p) + [0, 0]
+        xq[1] -= 1
+        return _pmod(xq, f, p)
+
     # x^{p^a} == x mod f, and gcd(x^{p^{a/q}} - x, f) = 1 for primes q | a
-    x = [0, 1]
-    xq = _ppowmod(x, p**a, f, p)
-    sub = _ptrim([(xq[i] if i < len(xq) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(xq), 2))])
-    if _pmod([c % p for c in sub], f, p):
-        return False
-    d = a
-    q = 2
-    primes = set()
-    while q * q <= d:
-        while d % q == 0:
-            primes.add(q)
-            d //= q
-        q += 1
-    if d > 1:
-        primes.add(d)
-    for q in primes:
-        xq = _ppowmod(x, p ** (a // q), f, p)
-        sub = [(xq[i] if i < len(xq) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(xq), 2))]
-        g = _pgcd(sub, f, p)
-        if len(g) != 1:
-            return False
-    return True
+    primes = (q for q in range(2, a + 1) if a % q == 0 and _is_prime(q))
+    return not x_pk_minus_x(a) and all(len(_pgcd(x_pk_minus_x(a // q), f, p)) == 1 for q in primes)
 
 
 def _ints(values, code: str, what: str) -> tuple[int, ...]:
@@ -176,6 +176,10 @@ def default_modulus(p: int, a: int) -> tuple[int, ...]:
     raise MalformedInputError("no irreducible modulus found", code="bad-modulus")
 
 
+_PN_DIGITS = 4300  # the most decimal digits of a p^n: Python's default int-to-str limit
+_PN_LIMIT = 10**_PN_DIGITS
+
+
 @dataclass(frozen=True)
 class RingParams:
     """Parameters of W_n(F_{p^a}): characteristic p, length n, residue degree a.
@@ -192,13 +196,16 @@ class RingParams:
 
     def __post_init__(self):
         _ints((self.p, self.n, self.a), "bad-type", "p, n and a")
+        if self.p >= 2**31:
+            raise SizeLimitError(f"p = {self.p} is not below the size bound 2^31")
         if not _is_prime(self.p):
             raise MalformedInputError(f"p = {self.p} is not prime", code="not-prime")
         if self.n < 1:
             raise MalformedInputError(f"n = {self.n} must be a positive integer", code="bad-length")
         if self.a < 1:
             raise MalformedInputError(f"a = {self.a} must be a positive integer", code="bad-degree")
-        pn = self.p**self.n
+        if self.n * math.log10(self.p) > _PN_DIGITS + 1 or (pn := self.p**self.n) >= _PN_LIMIT:
+            raise SizeLimitError(f"p^n = {self.p}^{self.n} has more than {_PN_DIGITS} decimal digits")
         if self.a == 1:
             if self.modulus is not None:
                 raise MalformedInputError("modulus must be omitted when a = 1", code="bad-modulus")
@@ -218,12 +225,7 @@ class RingParams:
     def elem(self, coords: Iterable[int] | int) -> "WittElem":
         if isinstance(coords, int):
             coords = [coords] + [0] * (self.a - 1)
-        coords = _ints(coords, "bad-element", "element coordinates")
-        if len(coords) != self.a:
-            raise MalformedInputError(
-                f"element needs {self.a} coordinates, got {len(coords)}", code="bad-element"
-            )
-        return WittElem._raw(self, tuple(c % self.pn for c in coords))
+        return WittElem(self, coords)
 
     def zero(self) -> "WittElem":
         return WittElem._raw(self, (0,) * self.a)
@@ -292,11 +294,9 @@ class RingParams:
     @cached_property
     def frobenius_inverse_matrix(self) -> tuple[tuple[int, ...], ...]:
         """S^(a-1), the matrix of sigma^(a-1) = sigma^(-1)."""
-        s, pn = self.frobenius_matrix, self.pn
-        cols = tuple(zip(*s))
-        out = s
+        s = out = self.frobenius_matrix
         for _ in range(self.a - 2):
-            out = tuple(tuple(sum(x * y for x, y in zip(row, col)) % pn for col in cols) for row in out)
+            out = tuple(tuple(c % self.pn for c in row) for row in intmat.mul(out, s))
         return out
 
 
@@ -327,7 +327,9 @@ def with_precision(params: RingParams, n: int) -> RingParams:
     """Same residue field and modulus lift, Witt length n (interned)."""
     if n == params.n:
         return params
-    mod = None if params.a == 1 else tuple(c % params.p**n for c in params.modulus)  # type: ignore[union-attr]
+    mod = params.modulus  # reduced mod p^n already when n grows, so no p^n is formed before its bound
+    if mod is not None and n < params.n:
+        mod = tuple(c % params.p**n for c in mod)
     return intern_ring(params.p, n, params.a, mod)
 
 
@@ -337,11 +339,12 @@ class WittElem:
     __slots__ = ("params", "coords")
 
     def __init__(self, params: RingParams, coords: Sequence[int]):
-        coords = tuple(c % params.pn for c in _ints(coords, "bad-element", "element coordinates"))
+        """The one coordinate check: a ints, reduced mod p^n (bad-element otherwise)."""
+        coords = _ints(coords, "bad-element", "element coordinates")
         if len(coords) != params.a:
-            raise MalformedInputError("coordinate vector has the wrong length", code="bad-element")
+            raise MalformedInputError(f"element needs {params.a} coordinates, got {len(coords)}", code="bad-element")
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(c % params.pn for c in coords))
 
     @staticmethod
     def _raw(params: RingParams, coords: tuple[int, ...]) -> "WittElem":
@@ -425,18 +428,8 @@ class WittElem:
 
     def valuation(self) -> int:
         """p-adic valuation, capped at n (the zero element reports n)."""
-        p, n = self.params.p, self.params.n
-        v = n
-        for c in self.coords:
-            if c:
-                w = 0
-                while c % p == 0:
-                    c //= p
-                    w += 1
-                v = min(v, w)
-                if v == 0:
-                    return 0
-        return v
+        p = self.params.p
+        return min((_vp(c, p) for c in self.coords if c), default=self.params.n)
 
     def divide_exact(self, k: int) -> "WittElem":
         """Divide by p^k; all coordinates must be divisible.
@@ -497,19 +490,12 @@ def reduce_elem(x: WittElem, small: RingParams) -> WittElem:
 def teichmuller(params: RingParams, c) -> WittElem:
     """Teichmuller lift of a residue-field element.
 
-    ``c`` may be a WittElem (taken mod p), an integer, or a coordinate
-    sequence mod p; a bool or any other type is a bad-element.  The lift is the unique root of x^(p^a) = x reducing
-    to c, obtained by Hensel iteration x <- x^(p^a).
+    ``c`` may be a WittElem (taken mod p), or an integer or a coordinate
+    sequence as RingParams.elem takes them, taken mod p; a bool or any other
+    type is a bad-element.  The lift is the unique root of x^(p^a) = x
+    reducing to c, obtained by Hensel iteration x <- x^(p^a).
     """
-    if isinstance(c, WittElem):
-        res = c.residue()
-    elif type(c) is int:
-        res = (c % params.p,) + (0,) * (params.a - 1)
-    else:
-        res = tuple(v % params.p for v in _ints(c, "bad-element", "residue coordinates"))
-        if len(res) != params.a:
-            raise MalformedInputError("residue element has the wrong length", code="bad-element")
-    x = params.elem(res)
+    x = params.elem((c if isinstance(c, WittElem) else params.elem(c)).residue())
     q = params.p**params.a
     for _ in range(params.n):
         nxt = x**q
@@ -524,116 +510,78 @@ def _apply(params: RingParams, rows: tuple[tuple[int, ...], ...], xs: tuple[int,
     return tuple(sum(map(mul, row, xs)) % pn for row in rows)
 
 
-def frobenius(x: WittElem) -> WittElem:
-    """The ring automorphism sigma lifting c -> c^p: the identity for a = 1,
-    else one product with the ring's matrix S (``RingParams.frobenius_matrix``)."""
+def _sigma_power(x: WittElem, table: str) -> WittElem:
+    """x times the ring's matrix named table; the identity for a = 1."""
     params = x.params
     if params.a == 1:
         return x
-    return WittElem._raw(params, _apply(params, params.frobenius_matrix, x.coords))
+    return WittElem._raw(params, _apply(params, getattr(params, table), x.coords))
+
+
+def frobenius(x: WittElem) -> WittElem:
+    """The ring automorphism sigma lifting c -> c^p: the identity for a = 1,
+    else one product with the ring's matrix S (``RingParams.frobenius_matrix``)."""
+    return _sigma_power(x, "frobenius_matrix")
 
 
 def frobenius_inverse(x: WittElem) -> WittElem:
     """sigma^(-1) = sigma^(a-1), since sigma has order a: one product with S^(a-1)."""
-    params = x.params
-    if params.a == 1:
-        return x
-    return WittElem._raw(params, _apply(params, params.frobenius_inverse_matrix, x.coords))
+    return _sigma_power(x, "frobenius_inverse_matrix")
 
 
 # ---------------------------------------------------------------------------
 # divided-power exponential and logarithm on the ideal (p), p >= 3
 
 
-def _vp_factorial(m: int, p: int) -> int:
-    v = 0
-    q = p
-    while q <= m:
-        v += m // q
-        q *= p
-    return v
-
-
-def _vp(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
-def _exp_cutoff(p: int, n: int) -> tuple[int, int]:
-    """Smallest M with m - v_p(m!) >= n for all m >= M, plus the valuation buffer."""
-    # m - v_p(m!) >= m (p-2)/(p-1), so anything past n(p-1)/(p-2) is safe
-    bound = (n * (p - 1)) // (p - 2) + p + 2
-    last_bad = 0
-    for m in range(1, bound + 1):
-        if m - _vp_factorial(m, p) < n:
-            last_bad = m
-    cutoff = last_bad + 1
-    buffer = max((_vp_factorial(m, p) for m in range(cutoff)), default=0)
-    return cutoff, buffer
-
-
-def _log_cutoff(p: int, n: int) -> tuple[int, int]:
-    bound = n + 40
-    last_bad = 0
-    for m in range(1, bound + 1):
-        if m - _vp(m, p) < n:
-            last_bad = m
-    cutoff = last_bad + 1
-    buffer = max((_vp(m, p) for m in range(1, cutoff)), default=0)
-    return cutoff, buffer
-
-
-def dp_exp(x: WittElem) -> WittElem:
-    """exp(x) = sum_m x^m / m! for x in the ideal (p); requires p >= 3.
-
-    The series is truncated at the first index past which every term
-    vanishes mod p^n; each term is evaluated by exact division at raised
-    precision, so no p-adic digits are lost.
-    """
-    params = x.params
+def _dp_series(y: WittElem, factorial: bool, sign: int) -> WittElem:
+    """sum_{m >= 1} sign^(m-1) y^m / d_m for y in (p), d_m = m! if factorial
+    else m.  v_p(d_m) <= v_p(m!) < m/(p-1) bounds the cutoff search by
+    n(p-1)/(p-2) + p + 2; each term is divided exactly at n + max v_p(d_m)
+    digits, so none of its n digits is lost."""
+    params = y.params
     p, n = params.p, params.n
-    if p == 2:
-        raise UnsupportedCharacteristicError("divided-power exp is not defined for p = 2")
-    if x.valuation() < 1:
-        raise DomainError("exp requires an argument divisible by p")
-    cutoff, buffer = _exp_cutoff(p, n)
-    big = with_precision(params, n + buffer)
-    xb = lift_elem(x, big)
-    acc = big.one()
-    power = big.one()
-    fact = 1
+    vals, v = [], 0  # vals[m - 1] = v_p(d_m)
+    for m in range(1, (n * (p - 1)) // (p - 2) + p + 3):
+        v = (v if factorial else 0) + _vp(m, p)
+        vals.append(v)
+    cutoff = 1 + max((m for m, w in enumerate(vals, 1) if m - w < n), default=0)
+    big = with_precision(params, n + max(vals[: cutoff - 1], default=0))
+    yb = lift_elem(y, big)
+    acc, power, inv = big.zero(), big.one(), 1
     for m in range(1, cutoff):
-        power = power * xb
-        fact *= m
-        v = _vp_factorial(m, p)
-        unit = big.from_int(fact // p**v)
-        acc = acc + power.divide_exact(v) * unit.inverse()
+        power = power * yb
+        k_inv = pow(m // p ** _vp(m, p), -1, big.pn)  # the inverse of m's unit part
+        inv = inv * k_inv % big.pn if factorial else k_inv  # and that of d_m's
+        term = power.divide_exact(vals[m - 1]) * big.from_int(inv)
+        acc = acc + term if sign == 1 or m % 2 else acc - term
     return reduce_elem(acc, params)
 
 
-def dp_log(u: WittElem) -> WittElem:
-    """log(u) = sum_m (-1)^(m-1) (u-1)^m / m for u in 1 + (p); requires p >= 3.
+def dp_exp(x: WittElem) -> WittElem:
+    """exp(x) = 1 + sum_{m >= 1} x^m / m! for x in the ideal (p); requires p >= 3.
 
-    Inverse of dp_exp on its domain.
+    The sum is _dp_series with d_m = m!: cut at the first M with
+    m - v_p(m!) >= n for every m >= M, each term divided exactly at
+    n + max_{m<M} v_p(m!) digits, so no p-adic digits are lost.
+    """
+    params = x.params
+    if params.p == 2:
+        raise UnsupportedCharacteristicError("divided-power exp is not defined for p = 2")
+    if x.valuation() < 1:
+        raise DomainError("exp requires an argument divisible by p")
+    return params.one() + _dp_series(x, True, 1)
+
+
+def dp_log(u: WittElem) -> WittElem:
+    """log(u) = sum_{m >= 1} (-1)^(m-1) (u-1)^m / m for u in 1 + (p); requires p >= 3.
+
+    The sum is _dp_series with d_m = m, cut at the first M with
+    m - v_p(m) >= n for every m >= M.  Inverse of dp_exp on its domain.
     """
     params = u.params
-    p, n = params.p, params.n
-    if p == 2:
+    if params.p == 2:
         raise UnsupportedCharacteristicError("divided-power log is not defined for p = 2")
     y = u - params.one()
     if y.valuation() < 1:
         raise DomainError("log requires an argument congruent to 1 mod p")
-    cutoff, buffer = _log_cutoff(p, n)
-    big = with_precision(params, n + buffer)
-    yb = lift_elem(y, big)
-    acc = big.zero()
-    power = big.one()
-    for m in range(1, cutoff):
-        power = power * yb
-        v = _vp(m, p)
-        term = power.divide_exact(v) * big.from_int(m // p**v).inverse()
-        acc = acc + term if m % 2 == 1 else acc - term
-    return reduce_elem(acc, params)
+    return _dp_series(y, False, -1)

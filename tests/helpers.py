@@ -1,7 +1,11 @@
 """Shared test utilities: independent oracles and random-instance generators.
 
 Oracles here deliberately avoid the library code paths they check: the
-exp/log oracles work in plain integer arithmetic mod p^n, the kernel oracle
+exp/log oracles work in plain integer arithmetic mod p^n, the divided-power
+series oracles sum WittElem terms under a fixed generous rule (every
+m <= 3n + p, at precision 3n + p) instead of the package's cutoff and
+buffer, the irreducibility oracle tries every monic factor of degree at most
+a/2 by its own polynomial division, the kernel oracle
 does fraction-field Gaussian elimination, the determinant oracle is Bareiss
 fraction-free elimination instead of the Smith form, the Smith oracle is
 the elimination without its fast paths or inverse bookkeeping, the matrix
@@ -29,6 +33,7 @@ its own loops, not intmat.diagonal.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -61,7 +66,7 @@ from fcrystals.semilinear import (
 )
 from fcrystals.serialize import elem_from_doc
 from fcrystals.simplicial import SimplicialComponents
-from fcrystals.witt import RingParams, WittElem, teichmuller, with_precision
+from fcrystals.witt import RingParams, WittElem, lift_elem, reduce_elem, teichmuller, with_precision
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +100,52 @@ def log_oracle(u: int, p: int, n: int) -> int:
         v += 1
     assert num % p**v == 0
     return (num // p**v) * pow(d, -1, p**n) % p**n
+
+
+def _dp_series_oracle(y: WittElem, denominator, sign: int) -> WittElem:
+    """sum_{m >= 1} sign^(m-1) y^m / denominator(m) for y in (p), in WittElem
+    arithmetic: every m <= 3n + p at precision 3n + p, then reduced mod p^n.
+    For p >= 3, v_p(m!) < m/2, so each kept term keeps n digits after its
+    division and every later term vanishes mod p^n."""
+    params = y.params
+    top = 3 * params.n + params.p
+    big = with_precision(params, top)
+    yb = lift_elem(y, big)
+    acc = big.zero()
+    for m in range(1, top + 1):
+        d, v = denominator(m), 0
+        while d % params.p == 0:
+            d //= params.p
+            v += 1
+        term = (yb**m).divide_exact(v) * big.from_int(pow(d, -1, big.pn))
+        acc = acc + term if sign == 1 or m % 2 else acc - term
+    return reduce_elem(acc, params)
+
+
+def dp_exp_oracle(x: WittElem) -> WittElem:
+    """exp(x) = 1 + sum_{m >= 1} x^m / m! by _dp_series_oracle (any a)."""
+    return x.params.one() + _dp_series_oracle(x, math.factorial, 1)
+
+
+def dp_log_oracle(u: WittElem) -> WittElem:
+    """log(u) = sum_{m >= 1} (-1)^(m-1) (u-1)^m / m by _dp_series_oracle (any a)."""
+    return _dp_series_oracle(u - u.params.one(), lambda m: m, -1)
+
+
+def irreducible_oracle(modulus: Sequence[int], p: int, a: int) -> bool:
+    """A monic degree-a f is irreducible mod p iff no monic g of degree
+    1..a/2 divides it: tried one by one, by schoolbook division mod p."""
+    f = [c % p for c in modulus]
+    for d in range(1, a // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            g, rem = list(tail) + [1], list(f)
+            for top in range(len(rem) - 1, d - 1, -1):
+                c = rem[top]
+                for i, gc in enumerate(g):
+                    rem[top - d + i] = (rem[top - d + i] - c * gc) % p
+            if not any(rem[:d]):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -117,6 +118,7 @@ EXIT_CODES = {
     "IncompatibleRingsError": 2,
     "UnsupportedCharacteristicError": 2,
     "UnsupportedInputError": 2,
+    "SizeLimitError": 2,
     "InvalidExtensionDataError": 1,
     "InvalidSimplicialError": 1,
     "InvalidTraceError": 1,
@@ -523,3 +525,174 @@ class TestWittEvalErrors:
             2,
             '{"code":"bad-element","message":"element must be a list of integers"}\n',
         )
+
+
+# error codes of the CLI's file boundary and of the size bound, each exit 2
+FILE_AND_SIZE_CODES = {"missing-file": 2, "unreadable-file": 2, "unwritable-output": 2, "bad-json": 2, "too-large": 2}
+
+
+def _timed_cli(argv):
+    """(exit code, stderr, seconds) of one in-process call."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+def _one_error(code, err, seconds, expected):
+    """The call ended in exactly one JSON error object with the expected code and exit code, in under 1 s."""
+    assert (code, err.count("\n"), json.loads(err)["code"]) == (FILE_AND_SIZE_CODES[expected], 1, expected), err
+    assert "Traceback" not in err
+    assert seconds < 1.0
+
+
+class TestFileBoundary:
+    """An input that cannot be read or decoded and an output that cannot be
+    written each end in one error object, exit 2: never exit 4, never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{", b"[" * 200000, b'{"p": ' + b"7" * 5000 + b"}"],
+        ids=["invalid-utf8", "deep-nesting", "5000-digit-int"],
+    )
+    def test_undecodable_input_is_bad_json(self, content, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(content)
+        _one_error(*_timed_cli(["crystal-verify", "--in", str(doc), "--out", str(tmp_path / "o.json")]), "bad-json")
+
+    @pytest.mark.parametrize("flag", ["--in", "--ring"])
+    def test_directory_is_unreadable_file(self, flag, tmp_path):
+        argv = ["crystal-twist", "--ring", os.path.join(FX, "ring_f5n4.json"), "--in", os.path.join(FX, "twist_tate1.json")]
+        argv[argv.index(flag) + 1] = str(tmp_path)
+        code, err, seconds = _timed_cli(argv + ["--out", str(tmp_path / "o.json")])
+        _one_error(code, err, seconds, "unreadable-file")
+        assert json.loads(err)["message"] == f"cannot read {tmp_path}: Is a directory"
+
+    @pytest.mark.parametrize("fixture", ["module_tate1.json", "module_bad_flag.json"], ids=["success", "failure"])
+    def test_unwritable_output(self, fixture, tmp_path):
+        """A verification failure settles its outcome before the one write,
+        so a failed write is the call's only error object."""
+        out = tmp_path / "missing" / "o.json"
+        code, err, seconds = _timed_cli(["crystal-verify", "--in", os.path.join(FX, fixture), "--out", str(out)])
+        _one_error(code, err, seconds, "unwritable-output")
+        assert json.loads(err)["message"] == f"cannot write {out}: No such file or directory"
+
+    def test_missing_file_is_unchanged(self, tmp_path):
+        _one_error(*_timed_cli(["crystal-verify", "--in", str(tmp_path / "none.json")]), "missing-file")
+
+
+class TestHugeLevels:
+    """A level or twist exponent far above n forms no p^level: the result is
+    that of a level >= n, in under 1 s."""
+
+    def _module(self, tmp_path, level):
+        with open(os.path.join(FX, "module_tate1.json"), encoding="utf-8") as fh:
+            doc = {**json.load(fh), "level": level}
+        path = tmp_path / f"level{level}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_verify_at_level_1e8(self, tmp_path):
+        code, err, seconds = _timed_cli(["crystal-verify", "--in", self._module(tmp_path, 10**8), "--out", str(tmp_path / "big.json")])
+        assert (code, json.loads(err)["code"], seconds < 1.0) == (1, "verification-failed", True)
+        assert run_cli(["crystal-verify", "--in", self._module(tmp_path, 4)], tmp_path / "n.json")[0] == 1
+        big, at_n = (json.loads((tmp_path / name).read_text())["checks"] for name in ("big.json", "n.json"))
+        assert [c["ok"] for c in big] == [c["ok"] for c in at_n]
+        assert big[4]["detail"] == "F sigma(V) != p^100000000 I: entry (0, 0) is [5], expected [0]"
+
+    @pytest.mark.parametrize("m,at_n", [(10**8, 4), (1 - 10**8, -3)])
+    def test_tate_twist_at_1e8(self, m, at_n, tmp_path):
+        outs = []
+        for k in (m, at_n):
+            doc = tmp_path / f"twist{k}.json"
+            doc.write_text(json.dumps({"kind": "tate", "m": k}))
+            out = tmp_path / f"o{k}.json"
+            code, err, seconds = _timed_cli(["crystal-twist", "--ring", os.path.join(FX, "ring_f5n4.json"), "--in", str(doc), "--out", str(out)])
+            assert (code, err, seconds < 1.0) == (0, "", True)
+            outs.append(json.loads(out.read_text()))
+        f_v = ([[[1]]], [[[0]]]) if m >= 1 else ([[[0]]], [[[1]]])  # p^level = 0 mod p^4 on its side
+        assert [(o["F"], o["V"]) for o in outs] == [f_v, f_v]
+        assert outs[0]["level"] == (m if m >= 1 else 1 - m)
+
+
+def _motive_doc(key, rank):
+    with open(os.path.join(FX, "motive_kummer.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return {**doc, "ext": None, key: {"rank": rank}}
+
+
+def _simplicial_doc(level, count):
+    counts = [1, 1, 1]
+    counts[level] = count
+    return {"counts": counts, "faces": {"1": [[0] * counts[1]] * 2, "2": [[0] * counts[2]] * 3}}
+
+
+# field -> (verb, document with the field set to k, ring fixture or None): each
+# call runs at the bound and fails in under 0.5 s one above it
+SIZE_FIELDS = {
+    "g": ("picard-skeleton", lambda k: {"simplicial": _simplicial_doc(0, 1), "divisor": {"m": 0}, "g": k}, "ring_f5n4.json"),
+    "lattice_rank": ("h1-ledger", lambda k: {"lattice_rank": k, "torus_rank": 0, "g": 0}, "ring_f5n4.json"),
+    "torus_rank": ("h1-ledger", lambda k: {"lattice_rank": 0, "torus_rank": k, "g": 0}, "ring_f5n4.json"),
+    "lattice.rank": ("motive-height", lambda k: _motive_doc("lattice", k), None),
+    "torus.rank": ("motive-height", lambda k: _motive_doc("torus", k), None),
+    "counts[0]": ("simplicial-cochar", lambda k: _simplicial_doc(0, k), None),
+    "counts[1]": ("simplicial-cochar", lambda k: _simplicial_doc(1, k), None),
+    "counts[2]": ("simplicial-cochar", lambda k: _simplicial_doc(2, k), None),
+    "m": ("simplicial-div0", lambda k: {"m": k}, None),
+}
+
+
+class TestSizeBound:
+    """One documented bound, SizeLimitError.BOUND = 256, on the sizes a
+    document states without listing their entries, and a ring bound checked
+    before p^n is formed: p < 2^31 and p^n of at most 4300 decimal digits."""
+
+    def _call(self, tmp_path, verb, doc, ring):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [verb, "--in", str(path), "--out", str(tmp_path / "o.json")]
+        return _timed_cli(argv + (["--ring", ring if os.path.isabs(ring) else os.path.join(FX, ring)] if ring else []))
+
+    def test_bound_is_256(self):
+        assert errors.SizeLimitError.BOUND == 256
+
+    @pytest.mark.parametrize("field", sorted(SIZE_FIELDS))
+    def test_field_at_and_above_the_bound(self, field, tmp_path):
+        verb, make, ring = SIZE_FIELDS[field]
+        assert self._call(tmp_path, verb, make(256), ring)[:2] == (0, "")
+        code, err, seconds = self._call(tmp_path, verb, make(257), ring)
+        _one_error(code, err, seconds, "too-large")
+        assert seconds < 0.5
+        assert json.loads(err)["message"].endswith("= 257 exceeds the size bound 256")
+
+    @pytest.mark.parametrize(
+        "at,above,message",
+        [
+            ({"p": 2**31 - 1, "n": 1}, {"p": 2**31, "n": 1}, "p = 2147483648 is not below the size bound 2^31"),
+            ({"p": 5, "n": 6151}, {"p": 5, "n": 6152}, "p^n = 5^6152 has more than 4300 decimal digits"),
+        ],
+        ids=["p", "n"],
+    )
+    def test_ring_at_and_above_the_bound(self, at, above, message, tmp_path):
+        neg = {"op": "neg", "args": [1]}
+        for ring, ok in ((at, True), (above, False)):
+            path = tmp_path / "ring.json"
+            path.write_text(json.dumps(ring))
+            code, err, seconds = self._call(tmp_path, "witt-eval", neg, str(path))
+            if ok:
+                assert (code, err) == (0, "")
+                assert json.loads((tmp_path / "o.json").read_text())["result"] == [ring["p"] ** ring["n"] - 1]
+            else:
+                _one_error(code, err, seconds, "too-large")
+                assert seconds < 0.5
+                assert json.loads(err)["message"] == message
+
+    def test_precision_above_the_ring_bound(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"op": "neg", "args": [1]}))
+        ring = os.path.join(FX, "ring_f5n4.json")
+        code, err, seconds = _timed_cli(["witt-eval", "--ring", ring, "--in", str(doc), "--precision", str(10**8)])
+        _one_error(code, err, seconds, "too-large")
+        assert seconds < 0.5

@@ -36,8 +36,11 @@ from helpers import (
     coords_add,
     coords_mul,
     coords_to_elem,
+    dp_exp_oracle,
+    dp_log_oracle,
     elem_to_coords,
     exp_oracle,
+    irreducible_oracle,
     frobenius_oracle,
     log_oracle,
     residue_pow_p,
@@ -584,6 +587,41 @@ class TestDividedPowers:
             dp_exp(P.from_int(1))
         with pytest.raises(DomainError):
             dp_log(P.from_int(2))
+
+
+class TestDividedPowerOracle:
+    """dp_exp and dp_log against sums with a fixed generous rule (every
+    m <= 3n + p at precision 3n + p), which share no cutoff or buffer with
+    the package: for a in {1, 2, 3}, p in {3, 5, 7} and n in 1..8, on 0, p,
+    and elements of valuation 1 and 2."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_series_match_oracle(self, a, p):
+        rng = random.Random(100 * a + p)
+        for n in range(1, 9):
+            params = RingParams(p, n, a, default_modulus(p, a) if a > 1 else None)
+            xs = [params.zero(), params.from_int(p)]
+            for v in (1, 2):
+                unit = [rng.randrange(params.pn) for _ in range(a)]
+                unit[0] = unit[0] - unit[0] % p + 1  # a unit, so p^v * unit has valuation v
+                xs.append(params.elem([p**v * c for c in unit]))
+            for x in xs:
+                assert dp_exp(x) == dp_exp_oracle(x), (n, x)
+                u = params.one() + x
+                assert dp_log(u) == dp_log_oracle(u), (n, u)
+
+
+class TestIrreducibilityOracle:
+    """_irreducible_mod_p on every monic degree-a polynomial mod p against
+    the brute-force search for a monic factor of degree <= a/2."""
+
+    @pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
+    def test_every_monic_polynomial(self, p, a):
+        test = witt._irreducible_mod_p.__wrapped__  # the test itself, not its memo
+        for tail in range(p**a):
+            f = tuple((tail // p**i) % p for i in range(a)) + (1,)
+            assert test(f, p, a) == irreducible_oracle(f, p, a), f
 
 
 class TestWittCoordinates:
