@@ -23,10 +23,26 @@ non-pivot row into the pivot row, and a non-pivot row is mostly still the
 unit vector e_k it started as: one int per row records k (or -1 once the
 row is negated, written as a pivot or hit by the divisor-chain fix-up), and
 such an update is one entry, += q at k.
+
+The scans over zeros run at C level.  The pivot search passes over a row
+whose remainder is all zero with one ``any`` and walks the nonzeros of the
+others through ``itertools.compress``; the column sweep visits only the
+rows with a nonzero in the pivot column, and the supports of the pivot
+row, of the row of V^T it subtracts and of ``mul``'s rows are read the
+same way.  ``shape`` compares the row lengths as a set.
+
+The elimination builds V and U^(-1) transposed, since their column
+operations are then row operations.  ``_eliminate`` returns
+(U, D, V^T, (U^(-1))^T, V^(-1)) as built; ``smith_normal_form`` is that
+call plus the two transposes of its contract, ``kernel_basis`` returns the
+trailing rows of V^T, and ``simplicial.cocharacter_group`` forms its basis
+from the trailing rows of V^T and (U^(-1))^T with no transposed copy.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InternalError, InvalidActionError, ShapeError
@@ -36,14 +52,16 @@ IntMat = list[list[int]]
 
 def shape(a: Sequence[Sequence[int]]) -> tuple[int, int]:
     r = len(a)
-    c = len(a[0]) if r else 0
-    if any(len(row) != c for row in a):
+    if r and len(set(map(len, a))) > 1:
         raise ShapeError("ragged integer matrix")
-    return r, c
+    return r, len(a[0]) if r else 0
 
 
 def identity(r: int) -> IntMat:
-    return [[0] * i + [1] + [0] * (r - 1 - i) for i in range(r)]
+    out = zeros(r, r)
+    for i, row in enumerate(out):
+        row[i] = 1
+    return out
 
 
 def zeros(r: int, c: int) -> IntMat:
@@ -66,13 +84,13 @@ def mul(a, b) -> IntMat:
     rb, cb = shape(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    supports = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    cols = range(cb)
+    supports = [[(j, row[j]) for j in compress(cols, row)] for row in b]
     out = zeros(ra, cb)
     for row, orow in zip(a, out):
-        for v, support in zip(row, supports):
-            if v:
-                for j, x in support:
-                    orow[j] += v * x
+        for v, support in compress(zip(row, supports), row):
+            for j, x in support:
+                orow[j] += v * x
     return out
 
 
@@ -99,14 +117,18 @@ def inverse_unimodular(a) -> IntMat:
 
 
 def _pivot(m: IntMat, t: int, rows: int, cols: int):
-    best = None
+    best, least = None, 0
+    span = range(t, cols)
     for i in range(t, rows):
-        for j in range(t, cols):
-            v = m[i][j]
-            if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-                if v in (1, -1):
-                    return best
+        tail = m[i][t:]
+        if any(tail):
+            for j, v in compress(zip(span, tail), tail):
+                if v < 0:
+                    v = -v
+                if not least or v < least:
+                    best, least = (i, j), v
+                    if v == 1:
+                        return best
     return best
 
 
@@ -129,12 +151,21 @@ def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None 
     >>> smith_normal_form([[2, 4], [6, 8]], inverses=True, build=("v_inv",)) == (None, d, None, None, vi)
     True
     """
-    rows, cols = shape(a)
     slots = ("u", "v", "u_inv", "v_inv") if inverses else ("u", "v")
     if build is None:
         build = slots
     elif not set(build) <= set(slots):
         raise InternalError(f"cannot build {sorted(set(build) - set(slots))}; the slots are {slots}")
+    u, d, vt, ut, vi = _eliminate(a, build)
+    out = (u, d, None if vt is None else [list(col) for col in zip(*vt)])
+    return out + (None if ut is None else [list(col) for col in zip(*ut)], vi) if inverses else out
+
+
+def _eliminate(a, build) -> tuple[IntMat | None, ...]:
+    """The elimination of smith_normal_form, with its transforms as built:
+    (U, D, V^T, (U^(-1))^T, V^(-1)), each slot None unless ``build`` names
+    it ("u", "v", "u_inv", "v_inv")."""
+    rows, cols = shape(a)
     m = copy(a)
     # vt and ut hold the transposes of V and U^(-1): their column ops are row ops
     u = identity(rows) if "u" in build else None
@@ -170,26 +201,26 @@ def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None 
                 mt = m[t]
                 if ue is not None:
                     ue[t] = -1
-            # reduce column t; row t is not written here, so it is subtracted on its support alone
-            support = [j for j in range(t, cols) if mt[j]]
+            # reduce column t, visiting only the rows with a nonzero there; row t
+            # is not written here, so it is subtracted on its support alone
+            support = list(compress(range(t, cols), mt[t:]))
             dirty = False
-            for i in range(t + 1, rows):
+            for i in compress(range(t + 1, rows), map(itemgetter(t), m[t + 1 :])):
                 mi = m[i]
+                q = mi[t] // mt[t]
+                if q:
+                    for j in support:
+                        mi[j] -= q * mt[j]
+                    if u is not None:
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if ut is not None:
+                        if ue[i] >= 0:  # ut[i] = e_k
+                            ut[t][ue[i]] += q
+                        else:
+                            ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
+                        ue[t] = -1
                 if mi[t]:
-                    q = mi[t] // mt[t]
-                    if q:
-                        for j in support:
-                            mi[j] -= q * mt[j]
-                        if u is not None:
-                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                        if ut is not None:
-                            if ue[i] >= 0:  # ut[i] = e_k
-                                ut[t][ue[i]] += q
-                            else:
-                                ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
-                            ue[t] = -1
-                    if mi[t]:
-                        dirty = True
+                    dirty = True
             if dirty:
                 piv = _pivot(m, t, rows, cols)
                 continue
@@ -199,8 +230,10 @@ def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None 
                 q = mt[j] // mt[t]
                 if q:
                     mt[j] -= q * mt[t]
-                    if vt is not None:
-                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    if vt is not None:  # on the support of row t of V^T
+                        vj, vtt = vt[j], vt[t]
+                        for k in compress(range(cols), vtt):
+                            vj[k] -= q * vtt[k]
                     if vi is not None:
                         if ve[j] >= 0:  # vi[j] = e_k
                             vi[t][ve[j]] += q
@@ -225,8 +258,7 @@ def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None 
                 ue[bad] = -1
             piv = _pivot(m, t, rows, cols)
         t += 1
-    out = (u, m, None if vt is None else [list(col) for col in zip(*vt)])
-    return out + (None if ut is None else [list(col) for col in zip(*ut)], vi) if inverses else out
+    return u, m, vt, ut, vi
 
 
 def elementary_divisors(a) -> list[int]:
@@ -239,10 +271,10 @@ def rank(a) -> int:
 
 def kernel_basis(a) -> list[list[int]]:
     """Basis (as columns) of the integer kernel; the basis spans a saturated
-    sublattice since V is unimodular."""
-    _, d, v = smith_normal_form(a, build=("v",))
-    cols = len(v)
-    return [[v[i][j] for i in range(cols)] for j in range(len(diagonal(d)), cols)]
+    sublattice since V is unimodular.  The columns of V past the rank are
+    the trailing rows of V^T, as the elimination builds it."""
+    _, d, vt, _, _ = _eliminate(a, ("v",))
+    return vt[len(diagonal(d)) :]
 
 
 def solve_exact(a, b) -> IntMat | None:

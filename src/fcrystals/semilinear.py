@@ -144,9 +144,11 @@ def _packing(params: RingParams, terms: int, table: str | None = None):
     cutter(count): cuts a packed int of count entries into coordinate tuples.
     It folds the fields of degree >= a of every entry at once onto the low
     ones, by the packed t^d mod f (RingParams.reduction_table), and then
-    reduces each coordinate once by p^n.  bits is the bit length of the
-    largest value a field can reach, before or after the fold (all
-    coordinates at p^n - 1 reach it), so no field carries."""
+    reduces each coordinate once by p^n.  reduce: the same fold and
+    reduction on one packed entry, each coordinate shifted back into its
+    field, so reduce(s) == pack(cutter(1)(s)[0]) with no tuple.  bits is
+    the bit length of the largest value a field can reach, before or after
+    the fold (all coordinates at p^n - 1 reach it), so no field carries."""
     pn, a = params.pn, params.a
     sigma = getattr(params, table) if table and a > 1 else None
     # the largest value of a right-factor field, of the field of degree d of
@@ -182,7 +184,13 @@ def _packing(params: RingParams, terms: int, table: str | None = None):
 
         return cut
 
-    return pack, pack_rows, cutter
+    fields, low = [bits * i for i in range(a)], (1 << bits * a) - 1
+
+    def reduce(s: int) -> int:
+        s = (s & low) + sum(((s >> k) & mask) * r for k, r in folds)
+        return sum((((s >> k) & mask) % pn) << k for k in fields)
+
+    return pack, pack_rows, cutter, (lambda s: (s & mask) % pn) if a == 1 else reduce
 
 
 def _coords(params: RingParams, m: WMat) -> Rows:
@@ -214,7 +222,7 @@ def _mul(params: RingParams, a, b, table: str | None = None) -> list[list[tuple[
     when table names sigma's (sigma^(-1)'s) matrix, which goes into the
     packing of b.  Each row of b packs into one int, so a row of the product
     is one sum of int products, folded by the modulus once and cut."""
-    pack, pack_rows, cutter = _packing(params, len(b), table)
+    pack, pack_rows, cutter, _ = _packing(params, len(b), table)
     cut, rows_b = cutter(len(b[0]) if b else 0), pack_rows(b)
     return [cut(sum(map(mul, map(pack, row), rows_b))) for row in a]
 
@@ -258,7 +266,7 @@ def wm_sigma_inv(a: WMat) -> WMat:
 
 def _kron(params: RingParams, a: Rows, b: Rows) -> Rows:
     """The Kronecker product: each entry x of a times a packed row of b, cut."""
-    pack, pack_rows, cutter = _packing(params, 1)
+    pack, pack_rows, cutter, _ = _packing(params, 1)
     cut, rows_b, pa = cutter(len(b[0]) if b else 0), pack_rows(b), [list(map(pack, row)) for row in a]
     return [list(chain.from_iterable(cut(x * y) for x in ra)) for ra in pa for y in rows_b]
 
@@ -292,12 +300,9 @@ def _charpoly(params: RingParams, rows: Rows) -> list[WittElem]:
     r = len(rows)
     if any(len(row) != r for row in rows):
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    pack, _, cutter = _packing(params, r + 1)
+    pack, _, cutter, red = _packing(params, r + 1)
     cut = cutter(1)
     m, minus = [[pack(x) for x in row] for row in rows], params.pn - 1  # -1 packs to p^n - 1 for every a
-
-    def red(s: int) -> int:  # one packed entry, reduced and packed again
-        return pack(cut(s)[0])
 
     poly = [1]  # descending, packed (1 packs to 1); the char poly of the 0x0 block
     for k in range(1, r + 1):

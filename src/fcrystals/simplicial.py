@@ -124,16 +124,18 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     invariant, not an input error.  When d^2 is injective nothing is left to
     check: d_1 d_2 = 0 (checked by component_complex) forces d^1 = 0.
 
-    Both products are intmat.mul, which skips the zeros of both factors.
+    Both eliminations are intmat._eliminate, which hands over V^T and
+    (U^(-1))^T as it builds them, so no transform is transposed here.  Both
+    products are intmat.mul, which skips the zeros of both factors.
     V^(-1) d^1 runs over the nonzeros of each row of d^1, the columns of
     d_1 (two in an incidence matrix).  The basis is formed transposed, as
-    (U^(-1) tail)^T (V_ker)^T, so the left factor is the tail of U^(-1),
-    mostly unit columns.
+    (U^(-1) tail)^T (V_ker)^T: the trailing rows of (U^(-1))^T, mostly unit
+    rows, times the trailing rows of V^T.
     """
     d1, d2 = component_complex(s)
     c1, c2 = s.counts[1], s.counts[2]
     dual2 = intmat.transpose(d2) if c2 else [[0] * c1]  # C^1 -> C^2, one zero row when C^2 = 0
-    _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True, build=("v", "v_inv"))
+    _, d, vt, _, vinv = intmat._eliminate(dual2, ("v", "v_inv"))
     r2 = len(intmat.diagonal(d))  # rank of d^2
     if r2 == c1:
         return 0, []
@@ -141,7 +143,7 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     image = intmat.mul(vinv, list(zip(*d1)))
     if any(x for row in image[:r2] for x in row):
         raise InternalError("image of d^1 does not land in Ker d^2")
-    _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True, build=("u_inv",))
+    _, d, _, uinv_t, _ = intmat._eliminate(image[r2:], ("u_inv",))
     nz = intmat.diagonal(d)
     if any(x != 1 for x in nz):
         raise InternalError("image of C_1 -> C_0 is not a direct summand")
@@ -149,7 +151,7 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     if not rank:
         return 0, []
     # free-part basis: trailing columns of U^(-1), lifted through the kernel columns of V
-    return rank, intmat.mul(list(zip(*uinv))[len(nz) :], list(zip(*v))[r2:])
+    return rank, intmat.mul(uinv_t[len(nz) :], vt[r2:])
 
 
 @dataclass(frozen=True)

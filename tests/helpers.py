@@ -24,8 +24,9 @@ elem_to_coords through Teichmuller digits) are a second element
 representation for a = 1, kept here as an oracle: they add
 and multiply through integer ghost components, and the Z/p^n model of
 W_n(F_p) is their ground truth.  matvec is the integer matrix-vector product
-of the kernel checks, and int_mul_oracle the plain triple-loop integer
-product, with no zero skipping, that intmat.mul is checked against.  The
+of the kernel checks, int_mul_oracle the plain triple-loop integer
+product, with no zero skipping, that intmat.mul is checked against, and
+int_shape_oracle the row-by-row length check behind intmat.shape.  The
 cocharacter oracle forms d^1 with intmat.transpose, where cocharacter_group
 hands intmat.mul the rows of zip(*d_1), and reads the Smith diagonals with
 its own loops, not intmat.diagonal.
@@ -562,6 +563,16 @@ def int_mul_oracle(a, b, cols: int) -> list[list[int]]:
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)] for i in range(len(a))]
 
 
+def int_shape_oracle(a) -> tuple[int, int] | None:
+    """(rows, columns) of a sequence of rows, read row by row; None when two
+    rows differ in length."""
+    widths = [len(row) for row in a]
+    for w in widths:
+        if w != widths[0]:
+            return None
+    return len(a), widths[0] if widths else 0
+
+
 def kernel_rank_over_q(mat: list[list[int]]) -> int:
     cols = len(mat[0]) if mat else 0
     return cols - rank_over_q(mat)
@@ -820,15 +831,16 @@ def random_galois_motive_spec(
     )
 
 
-def random_simplicial(rng: random.Random, max_count: int = 6) -> SimplicialComponents:
-    """A valid random 2-truncated component structure.
+def random_simplicial(rng: random.Random, max_count: int = 6, min_count: int = 1) -> SimplicialComponents:
+    """A valid random 2-truncated component structure, with min_count to
+    max_count components a level.
 
     Edge 0 is forced to be a loop on vertex 0 so level-2 faces can always be
     completed compatibly with the simplicial identities.
     """
-    c0 = rng.randint(1, max_count)
-    c1 = rng.randint(1, max_count)
-    c2 = rng.randint(1, max_count)
+    c0 = rng.randint(min_count, max_count)
+    c1 = rng.randint(min_count, max_count)
+    c2 = rng.randint(min_count, max_count)
     d0 = [0] + [rng.randrange(c0) for _ in range(c1 - 1)]
     d1 = [0] + [rng.randrange(c0) for _ in range(c1 - 1)]
     f0, f1, f2 = [], [], []

@@ -216,7 +216,7 @@ def _cochar_calls(monkeypatch, path):
     """The output rank of one simplicial-cochar call on path, and its intmat
     calls by name."""
     calls = Counter()
-    for name in ("smith_normal_form", "mul", "solve_exact", "inverse_unimodular"):
+    for name in ("smith_normal_form", "_eliminate", "mul", "solve_exact", "inverse_unimodular"):
         _count_calls(monkeypatch, calls, fcrystals.intmat, name)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -227,12 +227,14 @@ def _cochar_calls(monkeypatch, path):
 
 def test_cocharacters_take_two_eliminations(monkeypatch):
     """One simplicial-cochar call reads the kernel, the coordinates of Im d^1
-    and the lift off two Smith forms, and its summand check off the second
-    one's diagonal; no solve_exact or inverse_unimodular runs.  The two
-    products are V^(-1) d^1 and the lift, both through intmat.mul."""
+    and the lift off two eliminations, and its summand check off the second
+    one's diagonal; no solve_exact or inverse_unimodular runs.  It takes the
+    transforms as the elimination builds them, so the transposing wrapper
+    smith_normal_form does not run.  The two products are V^(-1) d^1 and the
+    lift, both through intmat.mul."""
     rank, calls = _cochar_calls(monkeypatch, os.path.join(FX, "simplicial_nodal.json"))
     assert rank == 1
-    assert dict(calls) == {"smith_normal_form": 2, "mul": 2}
+    assert dict(calls) == {"_eliminate": 2, "mul": 2}
 
 
 def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
@@ -243,23 +245,23 @@ def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
     path.write_text(json.dumps({"counts": [2, 1, 0], "faces": {"1": [[0], [1]], "2": [[], [], []]}}))
     rank, calls = _cochar_calls(monkeypatch, path)
     assert rank == 0
-    assert dict(calls) == {"smith_normal_form": 2, "mul": 1}
+    assert dict(calls) == {"_eliminate": 2, "mul": 1}
 
 
 def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
-    """Of the two Smith forms of one simplicial-cochar call, the kernel form
-    builds V and V^(-1), and the lift form U^(-1) alone; the summand check
-    reads the lift form's diagonal."""
+    """Of the two eliminations of one simplicial-cochar call, the kernel form
+    builds V^T and V^(-1), and the lift form (U^(-1))^T alone; the summand
+    check reads the lift form's diagonal."""
     built = []
-    original = fcrystals.intmat.smith_normal_form
+    original = fcrystals.intmat._eliminate
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        names = ("u", None, "v", "u_inv", "v_inv")
+        names = ("u", None, "v", "u_inv", "v_inv")  # the slots of (U, D, V^T, (U^(-1))^T, V^(-1))
         built.append({name for name, x in zip(names, result) if name and x is not None})
         return result
 
-    monkeypatch.setattr(fcrystals.intmat, "smith_normal_form", recording)
+    monkeypatch.setattr(fcrystals.intmat, "_eliminate", recording)
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
     assert code == 0

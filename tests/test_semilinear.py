@@ -44,6 +44,7 @@ from fcrystals.semilinear import (
     _int_rows,
     _kron,
     _mul,
+    _packing,
 )
 from fcrystals.simplicial import component_complex
 from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
@@ -53,6 +54,7 @@ from helpers import (
     charpoly_oracle,
     frobenius_oracle,
     int_mul_oracle,
+    int_shape_oracle,
     matvec,
     random_galois_motive_spec,
     random_motive_spec,
@@ -171,8 +173,9 @@ def _smith_cases():
     """Matrices for the differential Smith test: [] and k x 0, zero and
     unit-free ones that need the divisor-chain fix-up, random ones of every
     small shape and density, the d1 / d2 of random simplicial structures up
-    to 40 components a level, and columns whose re-pivot leaves a non-unit
-    row behind the pivot."""
+    to 40 components a level and at the bench's 60 to 80, sparse ones with
+    mostly all-zero rows and long zero runs, and columns whose re-pivot
+    leaves a non-unit row behind the pivot."""
     rng = random.Random(15)
     cases = [[], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0]]]
     cases += [[[2, 0], [0, 3]], [[6, 0, 0], [0, 10, 0], [0, 0, 15]], [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]]
@@ -190,6 +193,17 @@ def _smith_cases():
     for _ in range(8):  # up to 40 components a level
         d1, d2 = component_complex(random_simplicial(rng, max_count=40))
         cases += [d1, d2, intmat.transpose(d1), intmat.transpose(d2)]
+    for _ in range(3):  # 60 to 80 components a level, as the picard-lattice bench draws them
+        d1, d2 = component_complex(random_simplicial(rng, max_count=80, min_count=60))
+        cases += [d1, d2, intmat.transpose(d1), intmat.transpose(d2)]
+    for _ in range(6):  # mostly all-zero rows; the nonzeros of a row sit in a short window
+        r, c = rng.randint(20, 70), rng.randint(20, 80)
+        sparse = intmat.zeros(r, c)
+        for row in rng.sample(sparse, max(1, r // 4)):
+            start = rng.randrange(c)
+            for j in rng.sample(range(start, min(c, start + 6)), min(c - start, rng.randint(1, 3))):
+                row[j] = rng.choice([1, -1, 2, -2, 3, 6, -9])
+        cases += [sparse, intmat.transpose(sparse)]
     # 2 leaves remainder 1 below (beside) it: after the re-pivot's row (column)
     # swap the source row of the U^(-1) (V^(-1)) update is no longer a unit vector
     cases += [[[2], [3]], [[2, 0], [3, 5]], [[2, 3]]]
@@ -250,6 +264,23 @@ class TestSmithAgainstOracle:
         for a in self.CASES:
             _check_subsets(a)
 
+    def test_elimination_returns_the_transforms_as_built(self):
+        """intmat._eliminate hands over V^T and (U^(-1))^T, whose transposes
+        are smith_normal_form's V and U^(-1); its U, D and V^(-1) are the
+        same matrices."""
+        for a in self.CASES:
+            u, d, v, u_inv, v_inv = smith_normal_form(a, inverses=True)
+            rows, cols = len(a), len(a[0]) if a else 0
+            want_vt = [[v[i][j] for i in range(cols)] for j in range(cols)]
+            want_ut = [[u_inv[i][j] for i in range(rows)] for j in range(rows)]
+            assert intmat._eliminate(a, ("u", "v", "u_inv", "v_inv")) == (u, d, want_vt, want_ut, v_inv), a
+
+    def test_kernel_basis_is_the_trailing_columns_of_v(self):
+        for a in self.CASES:
+            _, d, v = smith_normal_form(a)
+            cols, r = len(v), len(intmat.diagonal(d))
+            assert intmat.kernel_basis(a) == [[v[i][j] for i in range(cols)] for j in range(r, cols)], a
+
     def test_unknown_transform_is_internal_error(self):
         for build in (("u_inv",), ("v_inv", "v"), ("w",)):
             with pytest.raises(InternalError, match="cannot build"):
@@ -299,10 +330,74 @@ class TestIntegerProduct:
                 a = [tuple(row) for row in a]
             assert intmat.mul(a, b) == int_mul_oracle(a, b, cols), (a, b)
 
+    def test_mul_at_bench_sizes(self):
+        """Sparse and dense factors of up to 80 rows and columns, as the
+        cocharacter products meet them: a left factor of unit rows against
+        an incidence-like right factor, and both factors dense."""
+        rng = random.Random(17)
+        for _ in range(30):
+            r, k, c = rng.randint(1, 80), rng.randint(1, 80), rng.randint(1, 80)
+            a, b = _random_int_matrix(rng, r, k), _random_int_matrix(rng, k, c)
+            if rng.random() < 0.5:  # mostly unit rows on the left, two or three +-1 a row on the right
+                a = [[int(j == rng.randrange(k)) for j in range(k)] for _ in range(r)]
+                b = intmat.zeros(k, c)
+                for row in b:
+                    for j in rng.sample(range(c), min(c, rng.randint(0, 3))):
+                        row[j] = rng.choice([1, -1])
+            assert intmat.mul(a, b) == int_mul_oracle(a, b, c), (r, k, c)
+            assert intmat.mul(a, [tuple(row) for row in b]) == int_mul_oracle(a, b, c)
+            assert intmat.mul([tuple(row) for row in a], list(zip(*intmat.transpose(b)))) == int_mul_oracle(a, b, c)
+
+    def test_mul_with_no_inner_dimension(self):
+        """An r x 0 factor times [] (0 x 0, no width to carry) is r x 0, the
+        oracle's product; [] times [] is []."""
+        for r in range(4):
+            a = [[] for _ in range(r)]
+            assert intmat.mul(a, []) == int_mul_oracle(a, [], 0) == a
+            assert intmat.mul([tuple(row) for row in a], []) == a
+        assert intmat.mul([], []) == []
+
     def test_mismatched_shapes_raise(self):
         for a, b in (([[1, 2]], [[1, 2]]), ([[1]], [[1], [2]]), ([[1, 2], [3]], [[1], [1]]), ([[1]], []), ([], [[1]])):
             with pytest.raises(ShapeError):
                 intmat.mul(a, b)
+
+    def test_shape_error_texts(self):
+        cases = (
+            (([[1, 2]], [[1, 2]]), "cannot multiply 1x2 by 1x2"),
+            (([[1]], [[1], [2]]), "cannot multiply 1x1 by 2x1"),
+            (([[1]], []), "cannot multiply 1x1 by 0x0"),
+            (([], [[1]]), "cannot multiply 0x0 by 1x1"),
+            (([(1, 2), (3, 4)], [(1,), (2,), (3,)]), "cannot multiply 2x2 by 3x1"),
+            (([[1, 2], [3]], [[1], [1]]), "ragged integer matrix"),
+            (([[1], [1]], [[1, 2], (3,)]), "ragged integer matrix"),
+        )
+        for (a, b), text in cases:
+            with pytest.raises(ShapeError) as err:
+                intmat.mul(a, b)
+            assert str(err.value) == text, (a, b)
+
+    def test_shape_against_the_row_by_row_check(self):
+        """Lists and tuples of rows, ragged at any row (longer or shorter,
+        first or last), and rows of width 0."""
+        rng = random.Random(18)
+        cases = [[], [[]], [[], []], [[], [1]], [[1], []], [(1, 2), [3, 4]], ((1, 2, 3),)]
+        for _ in range(300):
+            r, c = rng.randint(1, 6), rng.randint(0, 5)
+            m = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.5:
+                i = rng.randrange(r)
+                m[i] = m[i] + [1] if rng.random() < 0.5 or not c else m[i][:-1]
+            if rng.random() < 0.3:
+                m = [tuple(row) for row in m]
+            cases.append(m)
+        for m in cases:
+            want = int_shape_oracle(m)
+            if want is None:
+                with pytest.raises(ShapeError, match="^ragged integer matrix$"):
+                    intmat.shape(m)
+            else:
+                assert intmat.shape(m) == want, m
 
     def test_diagonal_of_every_smith_shape(self):
         for a in TestSmithAgainstOracle.CASES:
@@ -869,6 +964,24 @@ class TestPackedKernels:
                 for table, sigma in SIGMA_TABLES:
                     want = wm_mul_oracle(params, a, sigma(b))
                     assert _mul(params, _rows(a), _rows(b), table) == _rows(want)
+
+    @pytest.mark.parametrize("params", PACKED_RINGS)
+    def test_one_entry_reduce_is_the_cut_repacked(self, params):
+        """_charpoly's reduction of one packed dot product folds and reduces
+        on the int: the cut entry packed again, at every size of sum the
+        packing admits, with every coordinate at p^n - 1 at the top."""
+        rng = random.Random(params.p * 50 + params.a)
+        a = params.a
+        for terms in (1, 2, 5, 9):
+            pack, _, cutter, reduce = _packing(params, terms)
+            cut = cutter(1)
+            top = pack((params.pn - 1,) * a)
+            sums = [0, terms * top * top]
+            for _ in range(40):
+                entries = [pack(tuple(rng.randrange(params.pn) for _ in range(a))) for _ in range(2 * terms)]
+                sums.append(sum(x * y for x, y in zip(entries[:terms], entries[terms:])))
+            for total in sums:
+                assert reduce(total) == pack(cut(total)[0]), (terms, total)
 
     def test_charpoly_carries_no_digit_at_full_size(self):
         """Every coordinate at p^n - 1 at rank 8, the largest coefficient sums
