@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedCharacteristicError,
     UnsupportedInputError,
 )
+from .intmat import smith_normal_form
 from .onemotive import (
     MotiveCrystal,
     MotiveReport,
@@ -47,7 +48,6 @@ from .semilinear import (
     VerifyReport,
     direct_sum,
     newton_slopes,
-    smith_normal_form,
     tensor,
     twisted_dual,
     verify,

@@ -4,14 +4,16 @@ Matrices are plain lists of lists of Python ints (row-major).  ``mul`` is
 the package's one integer product, over the nonzeros of both factors, and
 ``diagonal`` its one reader of a Smith diagonal.  The Smith normal form is
 the only elimination: kernels, exact solutions, ranks and unimodular
-inverses are read off U a V = D, and ``inverses=True`` carries U^(-1) and
-V^(-1) beside U and V (the inverse of each row or column operation, applied
-on the other side).  An elimination builds only the transforms its caller
-asks for (``build``); pivots are chosen from the working matrix alone, so
-skipping a transform cannot move D or any transform that is built.  All
-routines are deterministic; the Smith pivot rule is fixed (smallest absolute
-nonzero value, ties broken row-major) so outputs are reproducible.  The
-pivot search stops at the first +-1, the pivot a full scan picks: nothing
+inverses are read off U a V = D.  ``smith_normal_form(a)`` returns
+(U, D, V); the private ``_eliminate(a, build)`` behind it builds only the
+transforms named in ``build``, from U, V, U^(-1) and V^(-1) (the inverse
+of each row or column operation, applied on the other side).  Pivots are
+chosen from the working matrix alone, so skipping a transform cannot move
+D or any transform that is built.
+
+All routines are deterministic; the Smith pivot rule is fixed (smallest
+absolute nonzero value, ties broken row-major) so outputs are reproducible.
+The pivot search stops at the first +-1, the pivot a full scan picks: nothing
 nonzero is smaller, and every later entry loses the tie.  A pivot of 1
 divides every entry, so its divisor-chain sweep is skipped.
 
@@ -33,19 +35,21 @@ same way.  ``shape`` compares the row lengths as a set.
 
 The elimination builds V and U^(-1) transposed, since their column
 operations are then row operations.  ``_eliminate`` returns
-(U, D, V^T, (U^(-1))^T, V^(-1)) as built; ``smith_normal_form`` is that
-call plus the two transposes of its contract, ``kernel_basis`` returns the
-trailing rows of V^T, and ``simplicial.cocharacter_group`` forms its basis
-from the trailing rows of V^T and (U^(-1))^T with no transposed copy.
+(U, D, V^T, (U^(-1))^T, V^(-1)) as built, and its callers read them so:
+``smith_normal_form`` builds U and V and transposes V^T back,
+``elementary_divisors`` builds nothing and reads D, ``kernel_basis``
+returns the trailing rows of V^T, and ``simplicial.cocharacter_group``
+forms its basis from the trailing rows of V^T and (U^(-1))^T with no
+transposed copy.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import InternalError, InvalidActionError, ShapeError
+from .errors import InvalidActionError, ShapeError
 
 IntMat = list[list[int]]
 
@@ -132,12 +136,9 @@ def _pivot(m: IntMat, t: int, rows: int, cols: int):
     return best
 
 
-def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None = None) -> tuple[IntMat | None, ...]:
+def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
     """Return (U, D, V) with U a V = D, U and V unimodular, D diagonal with
-    each diagonal entry dividing the next; (U, D, V, U^(-1), V^(-1)) with
-    ``inverses=True``.  ``build`` names the transforms to compute, from
-    "u", "v" and, with ``inverses=True``, "u_inv" and "v_inv" (default: all
-    of them); a slot not built is None.
+    each diagonal entry dividing the next.
 
     Pivot selection is the smallest nonzero absolute value, ties broken
     row-major, so the decomposition is reproducible.
@@ -145,26 +146,17 @@ def smith_normal_form(a, *, inverses: bool = False, build: Iterable[str] | None 
     >>> u, d, v = smith_normal_form([[2, 4], [6, 8]])
     >>> [d[0][0], d[1][1]]
     [2, 4]
-    >>> u, d, v, ui, vi = smith_normal_form([[2, 4], [6, 8]], inverses=True)
-    >>> mul(u, ui) == identity(2) == mul(vi, v)
-    True
-    >>> smith_normal_form([[2, 4], [6, 8]], inverses=True, build=("v_inv",)) == (None, d, None, None, vi)
+    >>> mul(mul(u, [[2, 4], [6, 8]]), v) == d
     True
     """
-    slots = ("u", "v", "u_inv", "v_inv") if inverses else ("u", "v")
-    if build is None:
-        build = slots
-    elif not set(build) <= set(slots):
-        raise InternalError(f"cannot build {sorted(set(build) - set(slots))}; the slots are {slots}")
-    u, d, vt, ut, vi = _eliminate(a, build)
-    out = (u, d, None if vt is None else [list(col) for col in zip(*vt)])
-    return out + (None if ut is None else [list(col) for col in zip(*ut)], vi) if inverses else out
+    u, d, vt, _, _ = _eliminate(a, ("u", "v"))
+    return u, d, [list(col) for col in zip(*vt)]
 
 
 def _eliminate(a, build) -> tuple[IntMat | None, ...]:
     """The elimination of smith_normal_form, with its transforms as built:
-    (U, D, V^T, (U^(-1))^T, V^(-1)), each slot None unless ``build`` names
-    it ("u", "v", "u_inv", "v_inv")."""
+    (U, D, V^T, (U^(-1))^T, V^(-1)), each slot None unless ``build``, a
+    collection, names it ("u", "v", "u_inv", "v_inv")."""
     rows, cols = shape(a)
     m = copy(a)
     # vt and ut hold the transposes of V and U^(-1): their column ops are row ops
@@ -262,11 +254,7 @@ def _eliminate(a, build) -> tuple[IntMat | None, ...]:
 
 
 def elementary_divisors(a) -> list[int]:
-    return diagonal(smith_normal_form(a, build=())[1])
-
-
-def rank(a) -> int:
-    return len(elementary_divisors(a))
+    return diagonal(_eliminate(a, ())[1])
 
 
 def kernel_basis(a) -> list[list[int]]:

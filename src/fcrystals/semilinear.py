@@ -9,16 +9,19 @@ tuples.  A FilteredFModule stores its F and V that way, every kernel reads
 and builds such rows, and one product kernel serves them all.  It packs
 each row of its right factor into one int, applying sigma or sigma^(-1)
 inside the packing when asked, and folds the modulus onto each packed row
-of the product at once before cutting it into coordinates.  The public
-WMat functions (wm_shape, wm_transpose, wm_mul, wm_sigma, wm_sigma_inv, charpoly, wm_det, wm_kron,
-wm_adjugate, wm_inverse_unit; wmat and wm_zero build one) take and return
-immutable tuples of tuples of WittElem, and box a WittElem per entry only
-for the matrix they hand back.  A module's f_mat and v_mat are such boxed
-views, built on first read.  Each checks its entries once, where a WittElem
-matrix enters the rows (_coords: a module's or a motive presentation's
-constructor, a public WMat function): a non-matrix is bad-matrix, a
-non-element bad-element, an element of another ring IncompatibleRingsError
-(wm_shape reads no entry).  The kernels never check again.
+of the product at once before cutting it into coordinates.
+
+A WMat is an immutable tuple of tuples of WittElem: wmat and wm_zero build
+one, wm_shape reads its shape.  A module's f_mat and v_mat are such boxed
+views of its rows, built on first read.  Four boxed functions remain beside
+the row kernels: wm_mul, wm_sigma, wm_sigma_inv and charpoly.  No verb
+calls them; they are the entry points the span tracer in bench/layers.py
+binds by name, and each boxes a WittElem per entry only for what it hands
+back.  Entries are checked once, where a WittElem matrix enters the rows
+(_coords: a module's or a motive presentation's constructor, one of the
+four): a non-matrix is bad-matrix, a non-element bad-element, an element
+of another ring IncompatibleRingsError (wm_shape reads no entry).  The
+kernels never check again.
 
 The weight flag is stored in an adapted basis: one weight per basis vector,
 non-decreasing along the basis (lowest weight first), with W_j spanned by
@@ -34,7 +37,6 @@ from itertools import chain
 from operator import itemgetter, lshift, mul
 from typing import Sequence
 
-from . import intmat
 from .errors import (
     IncompatibleRingsError,
     MalformedInputError,
@@ -47,8 +49,6 @@ from .witt import RingParams, WittElem, _apply, _ints
 WMat = tuple[tuple[WittElem, ...], ...]
 Rows = list[list[tuple[int, ...]]]  # coordinate rows, the kernels' one operand type
 
-smith_normal_form = intmat.smith_normal_form  # exact integer SNF lives in intmat
-
 __all__ = [
     "FilteredFModule",
     "SlopeProfile",
@@ -58,22 +58,14 @@ __all__ = [
     "twisted_dual",
     "newton_slopes",
     "direct_sum",
-    "conjugate",
     "conjugate_by_permutation",
-    "is_isomorphism_witness",
-    "smith_normal_form",
     "wmat",
     "wm_zero",
     "wm_shape",
-    "wm_transpose",
     "wm_mul",
     "wm_sigma",
     "wm_sigma_inv",
     "charpoly",
-    "wm_det",
-    "wm_kron",
-    "wm_adjugate",
-    "wm_inverse_unit",
 ]
 
 
@@ -235,12 +227,6 @@ def wm_mul(params: RingParams, a: WMat, b: WMat) -> WMat:
     return _box(params, _mul(params, x, y))
 
 
-def wm_transpose(a: WMat) -> WMat:
-    """The transpose of a, its entries checked against the ring of its first one."""
-    params, rows = _own_coords(a)
-    return _box(params, zip(*rows))
-
-
 def _sigma_rows(params: RingParams, rows, table: str):
     """The ring's `table` (S or S^(a-1)) on each coordinate entry; rows itself when a = 1."""
     if params.a == 1:
@@ -269,10 +255,6 @@ def _kron(params: RingParams, a: Rows, b: Rows) -> Rows:
     pack, pack_rows, cutter, _ = _packing(params, 1)
     cut, rows_b, pa = cutter(len(b[0]) if b else 0), pack_rows(b), [list(map(pack, row)) for row in a]
     return [list(chain.from_iterable(cut(x * y) for x in ra)) for ra in pa for y in rows_b]
-
-
-def wm_kron(params: RingParams, a: WMat, b: WMat) -> WMat:
-    return _box(params, _kron(params, _coords(params, a), _coords(params, b)))
 
 
 def _block(grid, row_sizes, col_sizes, zero) -> list[list]:
@@ -320,49 +302,6 @@ def _charpoly(params: RingParams, rows: Rows) -> list[WittElem]:
 def _det(coeffs: list[WittElem]) -> WittElem:
     """det(a) = (-1)^r c_0, read off the characteristic polynomial of an r x r matrix."""
     return coeffs[0] if len(coeffs) % 2 == 1 else -coeffs[0]
-
-
-def wm_det(params: RingParams, a: WMat) -> WittElem:
-    return _det(charpoly(params, a))
-
-
-def wm_adjugate(params: RingParams, a: WMat, coeffs: list[WittElem]) -> WMat:
-    """adj(a) with a . adj(a) = det(a) I, from the characteristic polynomial
-    ``coeffs`` of the square matrix a (ascending, as ``charpoly`` returns it)."""
-    m, (cs,) = _coords(params, a), _coords(params, (coeffs,))
-    r = len(m)
-    if any(len(row) != r for row in m) or len(cs) != r + 1:
-        raise ShapeError(f"the adjugate needs a square matrix and its {r + 1} characteristic coefficients")
-    return _box(params, _adjugate(params, m, cs))
-
-
-def _adjugate(params: RingParams, m: Rows, cs: list[tuple[int, ...]]) -> Rows:
-    """adj(m) of square coordinate rows, from the coordinates cs of their characteristic polynomial."""
-    r, pn = len(m), params.pn
-    # acc builds A^{r-1} + c_{r-1} A^{r-2} + ... + c_1 I
-    acc = _int_rows(params, intmat.identity(r))
-    for i in range(r - 1, 0, -1):
-        acc = _mul(params, m, acc)
-        for k in range(r):
-            acc[k][k] = tuple((x + y) % pn for x, y in zip(acc[k][k], cs[i]))
-    # A * acc = -c_0 I = (-1)^(r+1) det(A) I, so adj(A) is acc negated when r is even
-    return acc if r % 2 else [[tuple(-c % pn for c in x) for x in row] for row in acc]
-
-
-def _inverse_rows(params: RingParams, m: Rows) -> Rows:
-    """m^(-1) for square coordinate rows with a unit determinant, else
-    SingularFrobeniusError: adj(m) scaled by det(m)^(-1), both read off one
-    characteristic polynomial."""
-    coeffs = _charpoly(params, m)
-    d = _det(coeffs)
-    if not d.is_unit():
-        raise SingularFrobeniusError("matrix determinant is not a unit")
-    return _kron(params, [[d.inverse().coords]], _adjugate(params, m, [c.coords for c in coeffs]))
-
-
-def wm_inverse_unit(params: RingParams, a: WMat) -> WMat:
-    """Inverse of a matrix with unit determinant, from one characteristic polynomial."""
-    return _box(params, _inverse_rows(params, _coords(params, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -561,31 +500,10 @@ def twisted_dual(m: FilteredFModule) -> FilteredFModule:
     return FilteredFModule._of_rows(params, m.rank, weights, f_dual, v_dual, m.level)
 
 
-def conjugate(m: FilteredFModule, g: WMat) -> FilteredFModule:
-    """Base change by an invertible matrix g: F -> g^(-1) F sigma(g) and
-    V -> g^(-1) V sigma^(-1)(g), on g's rows, checked once.
-
-    Weights are kept; the caller is responsible for g respecting the flag.
-    """
-    params, rows = m.params, _coords(m.params, g)
-    ginv = _inverse_rows(params, rows)
-    f = _mul(params, ginv, _mul(params, m.f_rows, rows, "frobenius_matrix"))
-    v = m.v_rows and _mul(params, ginv, _mul(params, m.v_rows, rows, "frobenius_inverse_matrix"))
-    return FilteredFModule._of_rows(params, m.rank, m.weights, f, v, m.level)
-
-
 def conjugate_by_permutation(m: FilteredFModule, perm: Sequence[int]) -> FilteredFModule:
     """Relabel the basis by e'_k = e_{perm[k]}."""
     weights, v = tuple(m.weights[i] for i in perm), m.v_rows and _permute(m.v_rows, perm)
     return FilteredFModule._of_rows(m.params, m.rank, weights, _permute(m.f_rows, perm), v, m.level)
-
-
-def is_isomorphism_witness(g: WMat, m1: FilteredFModule, m2: FilteredFModule) -> bool:
-    """Check that g is an isomorphism m2 -> m1 in coordinates, i.e.
-    conjugating m1 by g reproduces m2 (weights included)."""
-    if m1.params != m2.params or m1.rank != m2.rank or m1.level != m2.level:
-        return False
-    return conjugate(m1, g) == m2
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,30 @@ Frobenius oracle goes through Teichmuller digits instead of the precomputed
 matrix, the matrix-product and characteristic-polynomial oracles multiply
 WittElem entries one by one instead of packed coordinates, and the pairing
 oracle places the gram entries block by block and checks it as a dense
-matrix instead of reindexing by the dual permutation.  The realization and
-pairing oracles (and the base-change reductions of the motive tests) use
-their own element-by-element matrix loops (mat_sub, mat_neg, mat_scale,
-mat_balanced_lift, mat_reduce, mat_block), not the package's _block or its
-realization's lifts.  The classical Witt coordinates (WittCoords, the
-ghost maps, coords_add, coords_mul and the bijection coords_to_elem /
-elem_to_coords through Teichmuller digits) are a second element
-representation for a = 1, kept here as an oracle: they add
+matrix instead of reindexing by the dual permutation.  The realization,
+verify and pairing oracles (and the base-change reductions of the motive
+tests) use their own element-by-element matrix loops (mat_sub, mat_neg,
+mat_scale, mat_transpose, mat_balanced_lift, mat_reduce, mat_block), not
+the package's _block or its realization's lifts, and none of them runs the
+package's packed kernels: products go through wm_mul_oracle, determinants
+through det_oracle (charpoly_oracle's constant term), and sigma and
+sigma^(-1) through mat_sigma and mat_sigma_inv, one witt.frobenius or
+witt.frobenius_inverse call per entry.  The isomorphism-witness oracle
+checks g . F_2 = F_1 . sigma(g) and g . V_2 = V_1 . sigma^(-1)(g) that way,
+with det g a unit, and so needs no matrix inverse.  The classical Witt
+coordinates (WittCoords, the ghost maps, coords_add, coords_mul and the
+bijection coords_to_elem / elem_to_coords through Teichmuller digits) are
+a second element representation for a = 1, kept here as an oracle: they add
 and multiply through integer ghost components, and the Z/p^n model of
 W_n(F_p) is their ground truth.  matvec is the integer matrix-vector product
 of the kernel checks, int_mul_oracle the plain triple-loop integer
 product, with no zero skipping, that intmat.mul is checked against, and
 int_shape_oracle the row-by-row length check behind intmat.shape.  The
-cocharacter oracle forms d^1 with intmat.transpose, where cocharacter_group
-hands intmat.mul the rows of zip(*d_1), and reads the Smith diagonals with
-its own loops, not intmat.diagonal.
+cocharacter oracle takes its Smith forms from the Smith oracle and their
+inverses from inverse_oracle (fraction-free Gauss-Jordan), not from
+intmat._eliminate; it forms d^1 with intmat.transpose, where
+cocharacter_group hands intmat.mul the rows of zip(*d_1), and reads the
+Smith diagonals with its own loops, not intmat.diagonal.
 """
 
 from __future__ import annotations
@@ -57,17 +65,21 @@ from fcrystals.semilinear import (
     FilteredFModule,
     VerifyReport,
     WMat,
-    wm_det,
-    wm_mul,
-    wm_sigma,
-    wm_sigma_inv,
-    wm_transpose,
     wm_zero,
     wmat,
 )
 from fcrystals.serialize import elem_from_doc
 from fcrystals.simplicial import SimplicialComponents
-from fcrystals.witt import RingParams, WittElem, lift_elem, reduce_elem, teichmuller, with_precision
+from fcrystals.witt import (
+    RingParams,
+    WittElem,
+    frobenius,
+    frobenius_inverse,
+    lift_elem,
+    reduce_elem,
+    teichmuller,
+    with_precision,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +282,20 @@ def mat_scale(c: WittElem, a: WMat) -> WMat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def mat_transpose(a: WMat) -> WMat:
+    return tuple(zip(*a))
+
+
+def mat_sigma(a: WMat) -> WMat:
+    """sigma on each entry, one witt.frobenius call apiece."""
+    return tuple(tuple(frobenius(x) for x in row) for row in a)
+
+
+def mat_sigma_inv(a: WMat) -> WMat:
+    """sigma^(-1) on each entry, one witt.frobenius_inverse call apiece."""
+    return tuple(tuple(frobenius_inverse(x) for x in row) for row in a)
+
+
 def mat_balanced_lift(a: WMat, big: RingParams) -> WMat:
     """Each entry lifted to big through its coordinates of least absolute
     value, so small-integer matrices lift to themselves."""
@@ -344,6 +370,29 @@ def charpoly_oracle(params: RingParams, a) -> list[WittElem]:
     return list(reversed(poly))
 
 
+def det_oracle(params: RingParams, a) -> WittElem:
+    """det(a) = (-1)^r c_0, read off charpoly_oracle of the r x r matrix a."""
+    c0 = charpoly_oracle(params, a)[0]
+    return -c0 if len(a) % 2 else c0
+
+
+def witness_oracle(g: WMat, m1: FilteredFModule, m2: FilteredFModule) -> bool:
+    """Whether g is an isomorphism m2 -> m1 in coordinates, checked with no
+    matrix inverse: the same ring, rank, weights and level, V on both or on
+    neither, g . F_2 = F_1 . sigma(g), g . V_2 = V_1 . sigma^(-1)(g), and
+    det g a unit."""
+    params = m1.params
+    if (m2.params, m2.rank, m2.weights, m2.level) != (params, m1.rank, m1.weights, m1.level):
+        return False
+    if (m1.v_mat is None) != (m2.v_mat is None):
+        return False
+    if wm_mul_oracle(params, g, m2.f_mat) != wm_mul_oracle(params, m1.f_mat, mat_sigma(g)):
+        return False
+    if m1.v_mat is not None and wm_mul_oracle(params, g, m2.v_mat) != wm_mul_oracle(params, m1.v_mat, mat_sigma_inv(g)):
+        return False
+    return det_oracle(params, g).is_unit()
+
+
 # ---------------------------------------------------------------------------
 # dense pairing oracle
 
@@ -366,18 +415,18 @@ def pair_oracle(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     for j in range(rX):
         rows[rT + g2 + j][j] = one
     gram = tuple(tuple(row) for row in rows)
-    perfect = wm_det(params, gram).is_unit() if r else True
+    perfect = det_oracle(params, gram).is_unit()
     wts, wts_d = m.module.weights, m_dual.module.weights
     weight_orth = all(
         gram[i][j].is_zero() for i in range(r) for j in range(r) if wts[i] + wts_d[j] < -2
     )
     p_elem = params.from_int(params.p)
-    lhs_f = wm_mul(params, wm_transpose(m.module.f_mat), wm_mul(params, gram, m_dual.module.f_mat))
-    frob_ok = lhs_f == mat_scale(p_elem, wm_sigma(gram))
+    lhs_f = wm_mul_oracle(params, mat_transpose(m.module.f_mat), wm_mul_oracle(params, gram, m_dual.module.f_mat))
+    frob_ok = lhs_f == mat_scale(p_elem, mat_sigma(gram))
     versch_ok = True
     if m.module.v_mat is not None:
-        lhs_v = wm_mul(params, wm_transpose(m.module.v_mat), wm_mul(params, gram, m.canonical_dual.v_mat))
-        versch_ok = lhs_v == mat_scale(p_elem, wm_sigma_inv(gram))
+        lhs_v = wm_mul_oracle(params, mat_transpose(m.module.v_mat), wm_mul_oracle(params, gram, m.canonical_dual.v_mat))
+        versch_ok = lhs_v == mat_scale(p_elem, mat_sigma_inv(gram))
     return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
 
 
@@ -412,11 +461,11 @@ def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
     # have small integer representatives); reject other abelian data.
     big = with_precision(params, params.n + 2)
     va_lift = mat_balanced_lift(ab.v_mat, big)
-    sig_va = wm_sigma(va_lift)
+    sig_va = mat_sigma(va_lift)
     if g2:
         d_lift = mat_balanced_lift(ab.f_mat, big)
         p_ident = mat_scale(big.from_int(params.p), wmat(big, intmat.identity(g2)))
-        if wm_mul(big, d_lift, sig_va) != p_ident or wm_mul(big, va_lift, wm_sigma_inv(d_lift)) != p_ident:
+        if wm_mul_oracle(big, d_lift, sig_va) != p_ident or wm_mul_oracle(big, va_lift, mat_sigma_inv(d_lift)) != p_ident:
             raise UnsupportedInputError(
                 "abelian block does not lift exactly: its balanced representatives "
                 "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
@@ -425,7 +474,7 @@ def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
     ainv_int = wmat(big, s.lattice.sigma_inverse) if rX else None
     w_div = None
     if g2 and rX:
-        prod_ax = wm_mul(big, sig_va, mat_balanced_lift(s.ext_xa, big))
+        prod_ax = wm_mul_oracle(big, sig_va, mat_balanced_lift(s.ext_xa, big))
         try:
             w_div = tuple(tuple(x.divide_exact(1) for x in row) for row in prod_ax)
         except DomainError:
@@ -435,21 +484,21 @@ def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
     v_ta = wm_zero(params, rT, g2)
     if rT and g2:
         pinv_ta = mat_neg(
-            wm_mul(big, binv_int, wm_mul(big, mat_balanced_lift(s.ext_at, big), sig_va))
+            wm_mul_oracle(big, binv_int, wm_mul_oracle(big, mat_balanced_lift(s.ext_at, big), sig_va))
         )
-        v_ta = mat_reduce(wm_sigma_inv(pinv_ta), params)
+        v_ta = mat_reduce(mat_sigma_inv(pinv_ta), params)
     v_ax = wm_zero(params, g2, rX)
     if g2 and rX:
-        v_ax = mat_reduce(wm_sigma_inv(mat_neg(wm_mul(big, w_div, ainv_int))), params)
+        v_ax = mat_reduce(mat_sigma_inv(mat_neg(wm_mul_oracle(big, w_div, ainv_int))), params)
     v_tx = wm_zero(params, rT, rX)
     if rT and rX:
         inner = mat_neg(mat_balanced_lift(s.ext_xt, big))
         if g2:
             inner = mat_sub(
-                wm_mul(big, mat_balanced_lift(s.ext_at, big), w_div),
+                wm_mul_oracle(big, mat_balanced_lift(s.ext_at, big), w_div),
                 mat_balanced_lift(s.ext_xt, big),
             )
-        v_tx = mat_reduce(wm_sigma_inv(wm_mul(big, binv_int, wm_mul(big, inner, ainv_int))), params)
+        v_tx = mat_reduce(mat_sigma_inv(wm_mul_oracle(big, binv_int, wm_mul_oracle(big, inner, ainv_int))), params)
     v = mat_block(
         params,
         [
@@ -483,7 +532,7 @@ def _product_check(name: str, what: str, m: FilteredFModule, a: WMat, b: WMat) -
     if m.level < 0:
         return CheckResult(name, False, f"{claim}: p^{m.level} is not in W_n(k)")
     c, zero = m.params.from_int(m.params.p**m.level), m.params.zero()
-    prod = wm_mul(m.params, a, b)
+    prod = wm_mul_oracle(m.params, a, b)
     bad = _first_entry(prod, lambda i, j, x: x != (c if i == j else zero))
     if bad is None:
         return CheckResult(name, True)
@@ -510,8 +559,8 @@ def verify_oracle(m: FilteredFModule) -> VerifyReport:
     checks.append(_flag_check("F", m.weights, m.f_mat))
     if m.v_mat is not None:
         checks.append(_flag_check("V", m.weights, m.v_mat))
-        checks.append(_product_check("fv-product", "F sigma(V)", m, m.f_mat, wm_sigma(m.v_mat)))
-        checks.append(_product_check("vf-product", "V sigma^-1(F)", m, m.v_mat, wm_sigma_inv(m.f_mat)))
+        checks.append(_product_check("fv-product", "F sigma(V)", m, m.f_mat, mat_sigma(m.v_mat)))
+        checks.append(_product_check("vf-product", "V sigma^-1(F)", m, m.v_mat, mat_sigma_inv(m.f_mat)))
     return VerifyReport(tuple(checks))
 
 
@@ -599,6 +648,27 @@ def bareiss_det(a: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+def inverse_oracle(a: list[list[int]]) -> list[list[int]]:
+    """The integer inverse of a unimodular matrix by fraction-free
+    Gauss-Jordan elimination (Bareiss) on [a | I]: every division is exact,
+    and the left block ends as d I with d = +-1, the right one as d a^(-1)."""
+    r = len(a)
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(r):
+        pivot_row = next(i for i in range(k, r) if m[i][k])
+        m[k], m[pivot_row] = m[pivot_row], m[k]
+        pivot = m[k]
+        for i in range(r):
+            if i != k:
+                mi, c = m[i], m[i][k]
+                m[i] = [(pivot[k] * x - c * y) // prev for x, y in zip(mi, pivot)]
+        prev = pivot[k]
+    if abs(prev) != 1:
+        raise ValueError("matrix is not unimodular")
+    return [[x * prev for x in row[r:]] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -690,26 +760,27 @@ def smith_oracle(a):
 
 def cocharacter_oracle(d1, d2, c1: int):
     """(rank, basis) of Ker d^2 / Im d^1 by the dense formula: the same two
-    Smith forms as simplicial.cocharacter_group, with d^1 and the lift formed
-    by intmat.transpose and intmat.mul on full matrices.  Raises the same
+    Smith forms as simplicial.cocharacter_group, taken from smith_oracle
+    with their inverses from inverse_oracle, and d^1 and the lift formed by
+    intmat.transpose and intmat.mul on full matrices.  Raises the same
     InternalError when an invariant fails."""
     c2 = len(d2[0]) if d2 else 0
     dual2 = intmat.transpose(d2) if c2 else [[0] * c1]
-    _, d, v, _, vinv = intmat.smith_normal_form(dual2, inverses=True)
+    _, d, v = smith_oracle(dual2)
     r2 = sum(1 for i in range(min(len(d), c1)) if d[i][i])
     if r2 == c1:
         return 0, []
-    image = intmat.mul(vinv, intmat.transpose(d1))
+    image = intmat.mul(inverse_oracle(v), intmat.transpose(d1))
     if any(x for row in image[:r2] for x in row):
         raise InternalError("image of d^1 does not land in Ker d^2")
-    _, d, _, uinv, _ = intmat.smith_normal_form(image[r2:], inverses=True)
+    u, d, _ = smith_oracle(image[r2:])
     nz = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
     if any(x != 1 for x in nz):
         raise InternalError("image of C_1 -> C_0 is not a direct summand")
     rank = c1 - r2 - len(nz)
     if not rank:  # the c1 x 0 lift has no transpose to take
         return 0, []
-    lift = intmat.mul([row[r2:] for row in v], [row[len(nz) :] for row in uinv])
+    lift = intmat.mul([row[r2:] for row in v], [row[len(nz) :] for row in inverse_oracle(u)])
     return rank, intmat.transpose(lift)
 
 
@@ -780,7 +851,7 @@ def random_motive_spec(
     ext_xt = rand_mat(r_t, r_x)
     if g2 and r_x:
         seed_block = rand_mat(g2, r_x)
-        ext_xa = wm_mul(params, abelian.crystal.f_mat, seed_block)
+        ext_xa = wm_mul_oracle(params, abelian.crystal.f_mat, seed_block)
     else:
         ext_xa = wm_zero(params, g2, r_x)
     return OneMotiveSpec(params, lattice, torus, abelian, ext_at, ext_xa, ext_xt, label)
@@ -818,7 +889,7 @@ def random_galois_motive_spec(
         entries = [[[rng.randrange(params.pn) for _ in range(params.a)] for _ in range(cols)] for _ in range(rows)]
         return wmat(params, entries) if rows else wm_zero(params, rows, cols)
 
-    ext_xa = wm_mul(params, abelian.crystal.f_mat, rand_mat(g2, r_x)) if g2 and r_x else wm_zero(params, g2, r_x)
+    ext_xa = wm_mul_oracle(params, abelian.crystal.f_mat, rand_mat(g2, r_x)) if g2 and r_x else wm_zero(params, g2, r_x)
     return OneMotiveSpec(
         params,
         LatticeData(r_x, random_signed_permutation(rng, r_x)),

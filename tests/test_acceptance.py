@@ -29,11 +29,6 @@ from fcrystals.semilinear import (
     newton_slopes,
     twisted_dual,
     verify,
-    wm_mul,
-    wm_sigma,
-    wm_transpose,
-    wmat,
-    is_isomorphism_witness,
 )
 from fcrystals.simplicial import PicardSkeleton, component_complex, h1_weight_ledger
 from fcrystals.witt import RingParams, dp_exp, dp_log
@@ -44,8 +39,11 @@ from helpers import (
     coords_to_elem,
     elem_to_coords,
     mat_scale,
+    mat_sigma,
+    mat_transpose,
     random_motive_spec,
     random_simplicial,
+    wm_mul_oracle,
 )
 
 
@@ -195,8 +193,9 @@ def test_criterion_5_property_list(spec_corpus):
 
 def test_criterion_6_duality(spec_corpus):
     """Unit gram determinant and the literal Frobenius compatibility
-    p sigma(gram) = F^T sigma(gram) sigma(F') for every corpus spec; the
-    twisted double dual comes with an explicit isomorphism witness."""
+    p sigma(gram) = F^T sigma(gram) sigma(F') for every corpus spec, checked
+    entry by entry through the WittElem oracles; the twisted double dual is
+    the module itself, so the identity matrix is its isomorphism witness."""
     start = time.time()
     params, corpus = spec_corpus
     p_elem = params.from_int(params.p)
@@ -205,18 +204,15 @@ def test_criterion_6_duality(spec_corpus):
         pm = pair(mc, dual)
         assert pm.perfect and pm.weight_orthogonal
         assert pm.frobenius_compatible and pm.verschiebung_compatible
-        lhs = mat_scale(p_elem, wm_sigma(pm.gram))
-        rhs = wm_mul(
+        lhs = mat_scale(p_elem, mat_sigma(pm.gram))
+        rhs = wm_mul_oracle(
             params,
-            wm_transpose(mc.module.f_mat),
-            wm_mul(params, wm_sigma(pm.gram), wm_sigma(dual.module.f_mat)),
+            mat_transpose(mc.module.f_mat),
+            wm_mul_oracle(params, mat_sigma(pm.gram), mat_sigma(dual.module.f_mat)),
         )
         assert lhs == rhs
-        if mc.module.rank:
-            dd = twisted_dual(twisted_dual(mc.module))
-            witness = wmat(params, intmat.identity(mc.module.rank))
-            assert is_isomorphism_witness(witness, mc.module, dd)
-    _report(6, time.time() - start, 10.0, "pairing identities exact, double-dual witness checked")
+        assert twisted_dual(twisted_dual(mc.module)) == mc.module
+    _report(6, time.time() - start, 10.0, "pairing identities exact, double dual is the module")
 
 
 def test_criterion_7_rank_shadow(spec_corpus):

@@ -4,9 +4,12 @@ The span tracer in bench/layers.py rebinds fcrystals functions and methods by
 name, so deleting or renaming one would silently drop a layer from the traced
 benchmark.  The public names of the package are pinned here as well, both
 ways: none may go missing and none may appear unlisted.  So are the names
-of fcrystals.semilinear.__all__.
+of fcrystals.semilinear.__all__.  And no module keeps a public function or
+class that nothing reaches: each is used elsewhere in the package, exported
+by it, or bound by the tracer.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -17,6 +20,7 @@ import pytest
 import fcrystals
 
 LAYERS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "layers.py")
+PACKAGE = os.path.dirname(fcrystals.__file__)
 
 PUBLIC_NAMES = """
 AbelianBlock LatticeData TorusData abelian_from_ap lattice_block tate torus_block
@@ -34,13 +38,13 @@ RingParams WittElem default_modulus dp_exp dp_log frobenius frobenius_inverse te
 with_precision
 """.split()
 
-# fcrystals.semilinear's public names: the filtered-module API and the boxed
-# WMat functions, each of which checks its entries once on the way in
+# fcrystals.semilinear's public names: the filtered-module API, the WMat
+# builders, and the four boxed functions the tracer binds, each of which
+# checks its entries once on the way in
 SEMILINEAR_NAMES = """
 FilteredFModule SlopeProfile VerifyReport verify tensor twisted_dual newton_slopes direct_sum
-conjugate conjugate_by_permutation is_isomorphism_witness smith_normal_form
-wmat wm_zero wm_shape wm_transpose wm_mul wm_sigma wm_sigma_inv charpoly wm_det wm_kron
-wm_adjugate wm_inverse_unit
+conjugate_by_permutation
+wmat wm_zero wm_shape wm_mul wm_sigma wm_sigma_inv charpoly
 """.split()
 
 
@@ -89,3 +93,61 @@ def test_semilinear_all_is_pinned():
     assert sorted(set(SEMILINEAR_NAMES) - set(semilinear.__all__)) == []
     assert len(semilinear.__all__) == len(SEMILINEAR_NAMES)
     assert all(hasattr(semilinear, name) for name in SEMILINEAR_NAMES)
+
+
+def _module_references(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """The (module, name) pairs that module's code uses, each resolved to the
+    module that defines it: a bare name to its own top-level definition or
+    to the relative import that binds it, and an attribute only on the alias
+    of an imported fcrystals module, so that ``m.rank`` is no use of
+    ``intmat.rank``.  A use inside a name's own definition does not count."""
+    defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    imported, aliases = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module is None:  # from . import intmat
+                    aliases[a.asname or a.name] = a.name
+                else:
+                    imported[a.asname or a.name] = (node.module, a.name)
+    refs = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id != own:
+                if node.id in imported:
+                    refs.add(imported[node.id])
+                elif node.id in defined:
+                    refs.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def _package_modules() -> dict[str, ast.Module]:
+    trees = {}
+    for name in sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, f"{name}.py"), encoding="utf-8") as fh:
+            trees[name] = ast.parse(fh.read())
+    return trees
+
+
+def test_every_public_definition_is_reached():
+    """Every public top-level function or class of an fcrystals module is
+    used by another definition in the package (fcrystals/__init__.py's
+    imports are exports, not uses), exported by the package, or named in
+    bench/layers.py's FUNCTIONS."""
+    modules = _package_modules()
+    used = set().union(*(_module_references(m, tree) for m, tree in modules.items() if m != "__init__"))
+    traced = {(m, f) for m, f, _, _ in layers.FUNCTIONS}
+    unreached = []
+    for module, tree in modules.items():
+        loaded = importlib.import_module(f"fcrystals.{module}")
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            key = (module, node.name)
+            exported = getattr(fcrystals, node.name, None) is getattr(loaded, node.name)
+            if key not in used and key not in traced and not exported:
+                unreached.append(f"{module}.{node.name}")
+    assert unreached == []

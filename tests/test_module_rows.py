@@ -23,7 +23,6 @@ from fcrystals.errors import IncompatibleRingsError, MalformedInputError, ShapeE
 from fcrystals.onemotive import assemble
 from fcrystals.semilinear import (
     FilteredFModule,
-    conjugate,
     conjugate_by_permutation,
     direct_sum,
     tensor,
@@ -81,7 +80,6 @@ def test_every_kernel_returns_the_one_row_type():
         perm = list(range(m.rank))[::-1]
         made = [m, _boxed(m), twisted_dual(m), conjugate_by_permutation(m, perm), module_from_doc(module_to_doc(m))]
         made += [tensor(m, tate(1, m.params)), direct_sum(m, tate(0, m.params))]
-        made.append(conjugate(m, wmat(m.params, intmat.identity(m.rank))))
         for x in made:
             assert _is_rows(x.f_rows, a) and _is_rows(x.v_rows, a)
     rng = random.Random(3)

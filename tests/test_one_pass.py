@@ -27,7 +27,7 @@ import fcrystals.semilinear as semilinear
 import fcrystals.simplicial as simplicial
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, torus_block
 from fcrystals.cli import main
-from fcrystals.errors import InternalError, SingularFrobeniusError
+from fcrystals.errors import InternalError
 from fcrystals.onemotive import OneMotiveSpec, assemble, cartier_dual, pair
 from fcrystals.semilinear import FilteredFModule
 from fcrystals.serialize import motive_from_doc
@@ -206,9 +206,10 @@ def test_action_takes_no_elimination(monkeypatch):
     """The inverse of a finite-order action is sigma^(k-1), left by the order
     search: constructing the data runs no Smith form."""
     calls = Counter()
-    _count_calls(monkeypatch, calls, fcrystals.intmat, "smith_normal_form")
+    for name in ("smith_normal_form", "_eliminate"):
+        _count_calls(monkeypatch, calls, fcrystals.intmat, name)
     d = LatticeData(3, ((0, 0, 1), (1, 0, 0), (0, -1, 0)))
-    assert calls["smith_normal_form"] == 0
+    assert calls["smith_normal_form"] == calls["_eliminate"] == 0
     assert d.sigma_inverse == ((0, 1, 0), (0, 0, -1), (1, 0, 0))
 
 
@@ -266,22 +267,6 @@ def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
         code = main(["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
     assert code == 0
     assert built == [{"v", "v_inv"}, {"u_inv"}]
-
-
-@pytest.mark.parametrize("r", [1, 3])
-def test_inverse_unit_reads_one_characteristic_polynomial(monkeypatch, r):
-    """wm_inverse_unit takes the determinant and the adjugate off one
-    characteristic polynomial, also when the determinant is not a unit.  It
-    computes on the rows it checked, so the row kernel is what is counted."""
-    calls = Counter()
-    _count_calls(monkeypatch, calls, semilinear, "_charpoly")
-    a = semilinear.wmat(P54, [[int(i == j) + (i < j) for j in range(r)] for i in range(r)])
-    inv = semilinear.wm_inverse_unit(P54, a)
-    assert semilinear.wm_mul(P54, a, inv) == semilinear.wmat(P54, fcrystals.intmat.identity(r))
-    assert calls["_charpoly"] == 1
-    with pytest.raises(SingularFrobeniusError):
-        semilinear.wm_inverse_unit(P54, mat_scale(P54.from_int(5), a))
-    assert calls["_charpoly"] == 2
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

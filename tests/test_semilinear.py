@@ -9,38 +9,32 @@ from fcrystals import intmat
 from fcrystals.blocks import LatticeData, TorusData, abelian_from_ap, lattice_block, tate, torus_block
 from fcrystals.errors import (
     IncompatibleRingsError,
-    InternalError,
     InvalidActionError,
     MalformedInputError,
     PrecisionError,
     ShapeError,
     SingularFrobeniusError,
 )
+from fcrystals.intmat import smith_normal_form
 from fcrystals.onemotive import assemble
 from fcrystals.semilinear import (
     FilteredFModule,
     charpoly,
-    conjugate,
     conjugate_by_permutation,
     direct_sum,
-    is_isomorphism_witness,
     newton_slopes,
-    smith_normal_form,
     tensor,
     twisted_dual,
     verify,
-    wm_adjugate,
-    wm_det,
-    wm_inverse_unit,
-    wm_kron,
     wm_mul,
     wm_shape,
     wm_sigma,
     wm_sigma_inv,
-    wm_transpose,
     wmat,
     _argsort_stable,
     _block,
+    _charpoly,
+    _det,
     _int_rows,
     _kron,
     _mul,
@@ -52,16 +46,20 @@ from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
 from helpers import (
     bareiss_det,
     charpoly_oracle,
+    det_oracle,
     frobenius_oracle,
     int_mul_oracle,
     int_shape_oracle,
+    mat_sigma,
     matvec,
     random_galois_motive_spec,
     random_motive_spec,
     random_simplicial,
     random_unimodular,
+    rank_over_q,
     smith_oracle,
     verify_oracle,
+    witness_oracle,
     wm_mul_oracle,
 )
 
@@ -133,7 +131,7 @@ class TestSmith:
             basis = intmat.kernel_basis(a)
             for col in basis:
                 assert all(x == 0 for x in matvec(a, col))
-            assert len(basis) == 4 - intmat.rank(a)
+            assert len(basis) == 4 - rank_over_q(a)
 
     def test_solve_exact(self):
         a = [[2, 0], [0, 3]]
@@ -210,26 +208,35 @@ def _smith_cases():
     return cases
 
 
-SLOTS = {"u": 0, "v": 2, "u_inv": 3, "v_inv": 4}  # name -> place in the inverses=True tuple
+SLOTS = {"u": 0, "v": 2, "u_inv": 3, "v_inv": 4}  # name -> place in the tuple intmat._eliminate returns
 SUBSETS = [subset for k in range(len(SLOTS) + 1) for subset in itertools.combinations(SLOTS, k)]
 
 
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def _full(a):
+    """intmat._eliminate with every transform, V^T and (U^(-1))^T
+    transposed back: (U, D, V, U^(-1), V^(-1))."""
+    u, d, vt, ut, vi = intmat._eliminate(a, tuple(SLOTS))
+    return u, d, _transpose(vt), _transpose(ut), vi
+
+
 def _selected(full, subset):
-    """The full (U, D, V[, U^(-1), V^(-1)]) with every transform outside subset set to None."""
+    """The full (U, D, V^T, (U^(-1))^T, V^(-1)) with every transform outside subset set to None."""
     keep = {1} | {SLOTS[name] for name in subset}
     return tuple(x if i in keep else None for i, x in enumerate(full))
 
 
 def _check_subsets(a):
     """Each transform subset keeps the oracle's D, builds its transforms as
-    the full call does and leaves the others None, with and without inverses."""
-    full = smith_normal_form(a, inverses=True)
+    the full elimination does and leaves the others None."""
+    full = intmat._eliminate(a, tuple(SLOTS))
     d = smith_oracle(a)[1]
     for subset in SUBSETS:
-        got = smith_normal_form(a, inverses=True, build=subset)
+        got = intmat._eliminate(a, subset)
         assert got[1] == d and got == _selected(full, subset), (a, subset)
-        if not {"u_inv", "v_inv"} & set(subset):
-            assert smith_normal_form(a, build=subset) == _selected(full[:3], subset), (a, subset)
 
 
 class TestSmithAgainstOracle:
@@ -250,12 +257,12 @@ class TestSmithAgainstOracle:
 
     def test_same_triple_with_inverses(self):
         for a in self.CASES:
-            assert smith_normal_form(a, inverses=True)[:3] == smith_oracle(a), a
+            assert _full(a)[:3] == smith_oracle(a), a
 
     def test_inverses_invert(self):
         for a in self.CASES:
             rows, cols = intmat.shape(a)
-            u, _, v, u_inv, v_inv = smith_normal_form(a, inverses=True)
+            u, _, v, u_inv, v_inv = _full(a)
             assert intmat.mul(u, u_inv) == intmat.identity(rows) == intmat.mul(u_inv, u), a
             assert intmat.mul(v_inv, v) == intmat.identity(cols) == intmat.mul(v, v_inv), a
 
@@ -265,15 +272,11 @@ class TestSmithAgainstOracle:
             _check_subsets(a)
 
     def test_elimination_returns_the_transforms_as_built(self):
-        """intmat._eliminate hands over V^T and (U^(-1))^T, whose transposes
-        are smith_normal_form's V and U^(-1); its U, D and V^(-1) are the
-        same matrices."""
+        """intmat._eliminate hands over V^T, whose transpose is
+        smith_normal_form's V, beside the same U and D."""
         for a in self.CASES:
-            u, d, v, u_inv, v_inv = smith_normal_form(a, inverses=True)
-            rows, cols = len(a), len(a[0]) if a else 0
-            want_vt = [[v[i][j] for i in range(cols)] for j in range(cols)]
-            want_ut = [[u_inv[i][j] for i in range(rows)] for j in range(rows)]
-            assert intmat._eliminate(a, ("u", "v", "u_inv", "v_inv")) == (u, d, want_vt, want_ut, v_inv), a
+            u, d, v = smith_normal_form(a)
+            assert intmat._eliminate(a, ("u", "v"))[:3] == (u, d, _transpose(v)), a
 
     def test_kernel_basis_is_the_trailing_columns_of_v(self):
         for a in self.CASES:
@@ -281,16 +284,11 @@ class TestSmithAgainstOracle:
             cols, r = len(v), len(intmat.diagonal(d))
             assert intmat.kernel_basis(a) == [[v[i][j] for i in range(cols)] for j in range(r, cols)], a
 
-    def test_unknown_transform_is_internal_error(self):
-        for build in (("u_inv",), ("v_inv", "v"), ("w",)):
-            with pytest.raises(InternalError, match="cannot build"):
-                smith_normal_form([[2, 4], [6, 8]], build=build)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
     def test_hypothesis_matrices(self, r, c, data):
         a = [[data.draw(st.integers(-12, 12)) for _ in range(c)] for _ in range(r)]
-        u, d, v, u_inv, v_inv = smith_normal_form(a, inverses=True)
+        u, d, v, u_inv, v_inv = _full(a)
         assert smith_normal_form(a) == (u, d, v) == smith_oracle(a)
         assert intmat.mul(u, u_inv) == intmat.identity(r) and intmat.mul(v_inv, v) == intmat.identity(c)
         _check_subsets(a)
@@ -401,7 +399,7 @@ class TestIntegerProduct:
 
     def test_diagonal_of_every_smith_shape(self):
         for a in TestSmithAgainstOracle.CASES:
-            d = smith_normal_form(a, build=())[1]
+            d = intmat._eliminate(a, ())[1]
             want = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
             assert intmat.diagonal(d) == want == intmat.elementary_divisors(a), a
 
@@ -715,7 +713,7 @@ class TestTwistedDual:
             assert dd.weights == m.weights
             assert dd.f_mat == m.f_mat
             assert dd.v_mat == m.v_mat
-            assert is_isomorphism_witness(wmat(P54, intmat.identity(m.rank)), m, dd)
+            assert dd == m
 
     def test_requires_verschiebung(self):
         P = RingParams(3, 3)
@@ -769,7 +767,7 @@ class TestSlopes:
             prof = newton_slopes(m)
             assert all(0 <= s <= m.level for s, _ in prof.pairs)
             total = sum(s * mult for s, mult in prof.pairs)
-            assert total == Fraction(wm_det(m.params, m.f_mat).valuation())
+            assert total == Fraction(det_oracle(m.params, m.f_mat).valuation())
 
     def test_direct_sum_slopes_union(self):
         P = RingParams(5, 6)
@@ -790,13 +788,6 @@ class TestMatrixKernels:
     def test_charpoly_empty(self):
         assert [c.coords[0] for c in charpoly(P54, ())] == [1]
 
-    def test_inverse_unit(self):
-        rng = random.Random(18)
-        for _ in range(10):
-            a = wmat(P54, random_unimodular(rng, 3))
-            inv = wm_inverse_unit(P54, a)
-            assert wm_mul(P54, a, inv) == wmat(P54, intmat.identity(3))
-
     def test_wm_eq_compares_rings(self):
         """Equal coordinates over different rings are different matrices, as
         for WittElem ==; an equal ring need not be the same object."""
@@ -813,12 +804,15 @@ class TestMatrixKernels:
         assert _block([[one, None]], [0], [1, 1], zero) == []  # a block row of height 0 reads no block
 
     def test_conjugate_isomorphism_witness(self):
+        """The identity relabelling returns the module, and the identity is
+        its witness; p I satisfies both identities but is no unit."""
         rng = random.Random(19)
-        m = assemble(random_motive_spec(rng, P54, 1, 1, 1)).module
+        m = next(m for m in (assemble(random_motive_spec(rng, P54, 1, 1, 1)).module for _ in range(20)) if m.rank)
         g = wmat(P54, intmat.identity(m.rank))
-        assert is_isomorphism_witness(g, m, m)
-        c = conjugate(m, g)
-        assert c.f_mat == m.f_mat
+        assert witness_oracle(g, m, m)
+        c = conjugate_by_permutation(m, range(m.rank))
+        assert c == m and c.f_mat == m.f_mat
+        assert not witness_oracle(wmat(P54, [[5 * x for x in row] for row in intmat.identity(m.rank)]), m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -829,17 +823,11 @@ _I2 = wmat(P54, [[1, 0], [0, 1]])
 # every public function that takes a WMat, called on a 2x2 matrix of P54
 BOUNDARY_CALLS = {
     "wm_shape": wm_shape,
-    "wm_transpose": wm_transpose,
     "wm_mul-left": lambda a: wm_mul(P54, a, _I2),
     "wm_mul-right": lambda a: wm_mul(P54, _I2, a),
     "wm_sigma": wm_sigma,
     "wm_sigma_inv": wm_sigma_inv,
     "charpoly": lambda a: charpoly(P54, a),
-    "wm_det": lambda a: wm_det(P54, a),
-    "wm_kron-left": lambda a: wm_kron(P54, a, _I2),
-    "wm_kron-right": lambda a: wm_kron(P54, _I2, a),
-    "wm_adjugate": lambda a: wm_adjugate(P54, a, charpoly(P54, _I2)),
-    "wm_inverse_unit": lambda a: wm_inverse_unit(P54, a),
 }
 
 
@@ -870,30 +858,15 @@ def test_boundary_checks_every_entry(name, at):
     call(_I2)
 
 
-def test_adjugate_checks_its_coefficients():
-    coeffs = charpoly(P54, _I2)
-    assert wm_mul(P54, _I2, wm_adjugate(P54, _I2, coeffs)) == _I2
-    with pytest.raises(MalformedInputError) as exc:
-        wm_adjugate(P54, _I2, [1, -2, 1])
-    assert exc.value.code == "bad-element"
-    with pytest.raises(IncompatibleRingsError):
-        wm_adjugate(P54, _I2, charpoly(RingParams(5, 3), wmat(RingParams(5, 3), [[1, 0], [0, 1]])))
-    for short in (coeffs[:2], coeffs + coeffs[:1]):
-        with pytest.raises(ShapeError):
-            wm_adjugate(P54, _I2, short)
-    with pytest.raises(ShapeError):
-        wm_adjugate(P54, (_I2[0],), coeffs[:2])  # a 1x2 matrix with two coefficients
-
-
 def test_ragged_matrix_is_not_square():
     """A ragged matrix is no square matrix, even with a unit leading block:
-    charpoly, wm_det, wm_inverse_unit and conjugate raise ShapeError."""
+    charpoly and its row kernel raise ShapeError."""
     o, z = P54.one(), P54.zero()
-    m = FilteredFModule(P54, 2, (0, 0), _I2, _I2)
     for ragged in (((o, z), (z, o, z)), ((o, z, z), (z, o))):
-        for call in (charpoly, wm_det, wm_inverse_unit, lambda params, g: conjugate(m, g)):
-            with pytest.raises(ShapeError):
-                call(P54, ragged)
+        with pytest.raises(ShapeError):
+            charpoly(P54, ragged)
+        with pytest.raises(ShapeError):
+            _charpoly(P54, _rows(ragged))
 
 
 def test_wmat_of_a_non_matrix_is_bad_matrix():
@@ -931,8 +904,9 @@ SIGMA_TABLES = [("frobenius_matrix", wm_sigma), ("frobenius_inverse_matrix", wm_
 
 
 class TestPackedKernels:
-    """wm_mul, charpoly, wm_det, wm_kron, sigma and the unit inverse compute on
-    packed coordinates; each must agree with the WittElem-by-WittElem oracle."""
+    """The row kernels _mul, _kron and _charpoly, the sigma passes and the
+    boxed functions over them compute on packed coordinates; each must agree
+    with the WittElem-by-WittElem oracle."""
 
     @pytest.mark.parametrize("params", PACKED_RINGS)
     def test_mul_and_kron_match_oracle(self, params):
@@ -941,8 +915,9 @@ class TestPackedKernels:
             a = _random_wmat(rng, params, rows, inner)
             for cols in (0, 1, 4):
                 b = _random_wmat(rng, params, wm_shape(a)[1], cols)
+                assert _mul(params, _rows(a), _rows(b)) == _rows(wm_mul_oracle(params, a, b))
+                assert _kron(params, _rows(a), _rows(b)) == _rows(_oracle_kron(a, b))
                 assert wm_mul(params, a, b) == wm_mul_oracle(params, a, b)
-                assert wm_kron(params, a, b) == _oracle_kron(a, b)
 
     @pytest.mark.parametrize("params", PACKED_RINGS)
     def test_charpoly_and_det_match_oracle(self, params):
@@ -950,8 +925,8 @@ class TestPackedKernels:
         for r in range(7):
             a = _random_wmat(rng, params, r, r)
             coeffs = charpoly_oracle(params, a)
-            assert charpoly(params, a) == coeffs
-            assert wm_det(params, a) == (coeffs[0] if r % 2 == 0 else -coeffs[0])
+            assert _charpoly(params, _rows(a)) == coeffs == charpoly(params, a)
+            assert _det(coeffs) == det_oracle(params, a)
 
     @pytest.mark.parametrize("params", PACKED_RINGS)
     def test_sigma_folded_mul_matches_oracle(self, params):
@@ -1006,40 +981,22 @@ class TestPackedKernels:
             assert tuple(tuple(frobenius_oracle(x) for x in row) for row in wm_sigma_inv(m)) == m
 
     @pytest.mark.parametrize("params", PACKED_RINGS)
-    def test_inverse_unit_matches_oracle(self, params):
-        rng = random.Random(params.p * 7 + params.a)
-        for r in (1, 2, 4):
-            a = _random_wmat(rng, params, r, r)
-            while not wm_det(params, a).is_unit():
-                a = _random_wmat(rng, params, r, r)
-            inv = wm_inverse_unit(params, a)
-            assert wm_mul_oracle(params, a, inv) == wmat(params, intmat.identity(r))
-            assert wm_mul_oracle(params, inv, a) == wmat(params, intmat.identity(r))
-
-    @pytest.mark.parametrize("params", PACKED_RINGS)
     def test_conjugate_matches_oracle(self, params):
-        """g . conjugate(m, g) has F sigma(g) and V sigma^(-1)(g) for F and V,
-        in WittElem arithmetic with the digit-based sigma; the result is an
-        isomorphism witness and a moved entry is not."""
+        """conjugate_by_permutation(m, perm) is the base change by the
+        permutation matrix g with g e_k = e_perm[k]: g . F' = F . sigma(g) in
+        WittElem arithmetic, g is an isomorphism witness, and a moved entry
+        is not."""
         rng = random.Random(params.p * 70 + params.a)
-
-        def sigma(m, times=1):
-            for _ in range(times):
-                m = tuple(tuple(frobenius_oracle(x) for x in row) for row in m)
-            return m
-
         for r in (1, 2, 4):
             f, v = _random_wmat(rng, params, r, r), _random_wmat(rng, params, r, r)
             m = FilteredFModule(params, r, (0,) * r, f, v)
-            g = _random_wmat(rng, params, r, r)
-            while not wm_det(params, g).is_unit():
-                g = _random_wmat(rng, params, r, r)
-            c = conjugate(m, g)
-            assert wm_mul_oracle(params, g, c.f_mat) == wm_mul_oracle(params, f, sigma(g))
-            assert wm_mul_oracle(params, g, c.v_mat) == wm_mul_oracle(params, v, sigma(g, params.a - 1))
-            assert is_isomorphism_witness(g, m, c)
+            perm = rng.sample(range(r), r)
+            g = wmat(params, [[int(i == perm[k]) for k in range(r)] for i in range(r)])
+            c = conjugate_by_permutation(m, perm)
+            assert wm_mul_oracle(params, g, c.f_mat) == wm_mul_oracle(params, f, mat_sigma(g))
+            assert witness_oracle(g, m, c)
             moved = ((c.f_mat[0][0] + params.one(),) + c.f_mat[0][1:],) + c.f_mat[1:]
-            assert not is_isomorphism_witness(g, m, FilteredFModule(params, r, m.weights, moved, c.v_mat))
+            assert not witness_oracle(g, m, FilteredFModule(params, r, m.weights, moved, c.v_mat))
 
     def test_sigma_is_the_identity_object_at_a_1(self):
         m = wmat(P54, [[1, 2], [3, 4]])
@@ -1055,8 +1012,6 @@ class TestPackedKernels:
         with pytest.raises(IncompatibleRingsError):
             wm_mul(P54, a, b)
         with pytest.raises(IncompatibleRingsError):
-            wm_kron(P54, a, b)
-        with pytest.raises(IncompatibleRingsError):
             charpoly(P54, bad)
 
     def test_non_element_entry_is_bad_element(self):
@@ -1065,7 +1020,6 @@ class TestPackedKernels:
         for call in (
             lambda: wm_mul(P54, ((1,),), one),
             lambda: wm_mul(P54, one, ((1,),)),
-            lambda: wm_kron(P54, one, ((1,),)),
             lambda: charpoly(P54, ((2,),)),
             lambda: charpoly(P54, ((P54.one(), 2), (P54.one(), P54.one()))),
             lambda: wm_sigma(((1,),)),
