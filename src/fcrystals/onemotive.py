@@ -8,8 +8,9 @@ with the extension blocks sitting strictly above the diagonal; Verschiebung
 is determined as sigma^(-1)(p F^(-1)) from the canonical integer lift of F
 and must come out integral.  The realization, the dual presentation, the
 pairing and the structural checks all compute on the modules' coordinate
-rows (the realization at two guard digits); the graded blocks are built
-once per presentation.
+rows (the realization at two guard digits); a presentation keeps its ext
+blocks as rows, and its graded blocks and F are built once per
+presentation (the dual's F is read off the canonical dual).
 
 The dual presentation is constructed so that assembling it reproduces the
 twisted dual of the assembled module up to an explicit basis permutation,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .semilinear import FilteredFModule, Rows, VerifyReport, WMat, _block, _box, _charpoly, _coords, _det
 from .semilinear import _int_rows, _mul, _scalar_gap, _sigma_rows, conjugate_by_permutation, twisted_dual, verify
-from .semilinear import wm_shape, wm_zero
+from .semilinear import wm_shape
 from .witt import RingParams, with_precision
 
 __all__ = [
@@ -58,32 +59,58 @@ class OneMotiveSpec:
 
     Block shapes (g = abelian.dim): ext_at is torus.rank x 2g (abelian into
     torus), ext_xa is 2g x lattice.rank (lattice into abelian), ext_xt is
-    torus.rank x lattice.rank (lattice into torus).  Their entries are
-    checked once, on construction (bad-element, IncompatibleRingsError), and
-    kept as coordinate rows in ext_rows, which the realization reads.
+    torus.rank x lattice.rank (lattice into torus).  The blocks are kept as
+    coordinate rows in ext_rows, which the realization reads; ext_at, ext_xa
+    and ext_xt are boxed views of them, built on first read (a presentation
+    constructed from WMats keeps the given ones).  The public constructor
+    checks every entry once (bad-element, IncompatibleRingsError).
     """
 
     params: RingParams
     lattice: LatticeData
     torus: TorusData
     abelian: AbelianBlock
-    ext_at: WMat
-    ext_xa: WMat
-    ext_xt: WMat
+    ext_at: WMat = field(compare=False)
+    ext_xa: WMat = field(compare=False)
+    ext_xt: WMat = field(compare=False)
     label: str = ""
-    ext_rows: tuple[Rows, Rows, Rows] = field(init=False, compare=False, repr=False)
+    ext_rows: tuple[Rows, Rows, Rows] = field(init=False, repr=False, hash=False)
 
     def __post_init__(self):
+        self._check(None)
+
+    @classmethod
+    def _of_rows(cls, params, lattice, torus, abelian, ext_rows: tuple[Rows, Rows, Rows], label: str = ""):
+        """The presentation on ext coordinate rows of params (the parser's and
+        cartier_dual's constructor): the abelian ring and the block shapes
+        are checked as in the public one, the entries are taken as they are."""
+        s = object.__new__(cls)
+        s.__dict__.update(params=params, lattice=lattice, torus=torus, abelian=abelian, label=label)
+        s._check(ext_rows)
+        return s
+
+    def _check(self, ext: tuple[Rows, Rows, Rows] | None) -> None:
+        """Check the abelian ring and the ext shapes and keep the ext rows;
+        ext None: read them off the ext WMats, checking every entry."""
         rT, g2, rX = self.segments
         if self.abelian.crystal.params != self.params:
             raise IncompatibleRingsError("abelian block lives over a different ring")
-        ext = tuple(_coords(self.params, m) for m in (self.ext_at, self.ext_xa, self.ext_xt))
+        if ext is None:
+            ext = tuple(_coords(self.params, m) for m in (self.ext_at, self.ext_xa, self.ext_xt))
         for name, blk, shp in zip(("ext_at", "ext_xa", "ext_xt"), ext, ((rT, g2), (g2, rX), (rT, rX))):
             # a 0-row matrix is an empty tuple and carries no column count
             ok = len(blk) == shp[0] and (shp[0] == 0 or all(len(r) == shp[1] for r in blk))
             if not ok:
                 raise ShapeError(f"{name} must be {shp[0]}x{shp[1]}, got {wm_shape(blk)}")
-        object.__setattr__(self, "ext_rows", ext)
+        self.__dict__["ext_rows"] = ext
+
+    def __getattr__(self, name: str):
+        # only reached when an ext view is not set yet: box it once and keep it
+        names = ("ext_at", "ext_xa", "ext_xt")
+        if name not in names or "ext_rows" not in self.__dict__:
+            raise AttributeError(name)
+        view = self.__dict__[name] = _box(self.params, self.ext_rows[names.index(name)])
+        return view
 
     @property
     def segments(self) -> tuple[int, int, int]:
@@ -94,6 +121,16 @@ class OneMotiveSpec:
     def blocks(self) -> tuple[FilteredFModule, FilteredFModule, FilteredFModule]:
         """The (torus, abelian, lattice) graded blocks, built once per presentation."""
         return torus_block(self.torus, self.params), self.abelian.crystal, lattice_block(self.lattice, self.params)
+
+    @cached_property
+    def f_rows(self) -> Rows:
+        """F of the realization: the graded blocks' F on the diagonal, the ext
+        rows above it, zero below; built once per presentation (cartier_dual
+        sets it on the dual from the canonical dual it checks against)."""
+        sizes = list(self.segments)
+        (tb, ab, lb), (ext_at, ext_xa, ext_xt) = self.blocks, self.ext_rows
+        grid = [[tb.f_rows, ext_at, ext_xt], [None, ab.f_rows, ext_xa], [None, None, lb.f_rows]]
+        return _block(grid, sizes, sizes, (0,) * self.params.a)
 
     @cached_property
     def assembled(self) -> "MotiveCrystal":
@@ -113,16 +150,9 @@ class OneMotiveSpec:
         label: str = "",
     ) -> "OneMotiveSpec":
         rT, g2, rX = torus.rank, 2 * abelian.dim, lattice.rank
-        return OneMotiveSpec(
-            params,
-            lattice,
-            torus,
-            abelian,
-            wm_zero(params, rT, g2),
-            wm_zero(params, g2, rX),
-            wm_zero(params, rT, rX),
-            label,
-        )
+        zero = (0,) * params.a
+        ext = tuple([[zero] * c for _ in range(r)] for r, c in ((rT, g2), (g2, rX), (rT, rX)))
+        return OneMotiveSpec._of_rows(params, lattice, torus, abelian, ext, label)
 
 
 @dataclass(frozen=True)
@@ -166,13 +196,12 @@ def assemble(s: OneMotiveSpec) -> MotiveCrystal:
 
 
 def _realize(s: OneMotiveSpec) -> FilteredFModule:
-    """F and V of the presentation (see assemble), without the self-check."""
+    """F and V of the presentation (see assemble), without the self-check:
+    F is s.f_rows, V is computed here."""
     params = s.params
     rT, g2, rX = s.segments
     tb, ab, lb = s.blocks
-    sizes, zero = [rT, g2, rX], (0,) * params.a
     ext_at, ext_xa, ext_xt = s.ext_rows
-    f = _block([[tb.f_rows, ext_at, ext_xt], [None, ab.f_rows, ext_xa], [None, None, lb.f_rows]], sizes, sizes, zero)
     # Off-diagonal blocks of p F^(-1), at two guard digits from balanced
     # lifts.  The cancellations in F sigma(V) = V sigma^(-1)(F) = p are exact
     # provided the lifted abelian identities hold on the nose, as for every
@@ -218,9 +247,10 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
         v_ta = down(_mul(big, binv, _mul(big, at, sig_va)))
     if rT and rX:
         v_tx = down(_mul(big, binv, _mul(big, inner, ainv)))
-    v = _block([[tb.v_rows, v_ta, v_tx], [None, ab.v_rows, v_ax], [None, None, lb.v_rows]], sizes, sizes, zero)
+    sizes = [rT, g2, rX]
+    v = _block([[tb.v_rows, v_ta, v_tx], [None, ab.v_rows, v_ax], [None, None, lb.v_rows]], sizes, sizes, (0,) * params.a)
     weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
-    return FilteredFModule._of_rows(params, rT + g2 + rX, weights, f, v, 1)
+    return FilteredFModule._of_rows(params, rT + g2 + rX, weights, s.f_rows, v, 1)
 
 
 def _sub(rows: Rows, r: slice, c: slice) -> Rows:
@@ -244,20 +274,29 @@ def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
     assembling it reproduces that canonical dual (see dual_witness).  Nothing
     of s is rebuilt: its realization and canonical dual are the ones kept on
     assemble(s), and the dual actions are read off its actions and their
-    inverses."""
+    inverses.
+
+    The dual's F (its f_rows) is f_c, the canonical dual's F, once its
+    diagonal blocks are checked against the dual's graded blocks (else
+    InternalError): its blocks above the diagonal are the dual's ext rows
+    and those below are zero, so f_c is the matrix the blocks would build.
+    Assembling the dual still computes V, with the abelian-lift and
+    integrality checks, and self-checks the module (flag-F covers the
+    blocks below the diagonal)."""
     params = s.params
     rT, g2, rX = s.segments
     f_c = assemble(s).canonical_dual.f_rows
     seg_t, seg_a, seg_x = slice(0, rX), slice(rX, rX + g2), slice(rX + g2, rX + g2 + rT)
 
     abelian2 = AbelianBlock(s.abelian.dim, twisted_dual(s.abelian.crystal)) if g2 else AbelianBlock.empty(params)
-    ext = (_box(params, _sub(f_c, rows, cols)) for rows, cols in ((seg_t, seg_a), (seg_a, seg_x), (seg_t, seg_x)))
+    ext = tuple(_sub(f_c, rows, cols) for rows, cols in ((seg_t, seg_a), (seg_a, seg_x), (seg_t, seg_x)))
     label = f"{s.label}^dual" if s.label else "dual"
-    dual = OneMotiveSpec(params, s.torus.dual(), s.lattice.dual(), abelian2, *ext, label=label)
+    dual = OneMotiveSpec._of_rows(params, s.torus.dual(), s.lattice.dual(), abelian2, ext, label)
     # diagonal blocks of the canonical dual must agree with the dual blocks
     for what, seg, block in zip(("torus", "abelian", "lattice"), (seg_t, seg_a, seg_x), dual.blocks):
         if _sub(f_c, seg, seg) != block.f_rows:
             raise InternalError(f"the {what} block of the canonical dual disagrees with the dual spec")
+    dual.__dict__["f_rows"] = f_c
     return dual
 
 
@@ -360,8 +399,26 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
     duality pairing against the assembled dual presentation.
 
     Item 4 reads m.report, so a module from assemble reuses the report of
-    its self-check.  Item 5 reads the dual off assemble(s), the realization
-    of the presentation kept on s, never off the module under test."""
+    its self-check.  Items 4.c and 4.d take the determinant of the Gr_0 V
+    and Gr_-2 F blocks only when 3.c resp. 3.a failed: when it passed, the
+    block is the lattice block's V = A^(-1) (the torus block's F = B), for
+    an integer action that LatticeData proved unimodular, so its
+    determinant is +-1, a unit.
+
+    Item 5 reads the dual off assemble(s), the realization of the
+    presentation kept on s, never off the module under test.  It rests on
+    these checks, each of which runs on every document:
+    - cartier_dual: the canonical dual's diagonal blocks equal the dual
+      presentation's graded blocks (InternalError otherwise); the dual's F
+      is then the canonical dual's F;
+    - the dual's realization: the exact lift of its abelian block and the
+      integrality of its V (reported as "pairing failed");
+    - the dual's self-check (InternalError), flag-F included;
+    - pair: perfectness, weight orthogonality, and the Frobenius and
+      Verschiebung identities <F-, F-> = p sigma<-,-> and
+      <V-, V-> = p sigma^(-1)<-,-> (Andreatta and Barbieri-Viale,
+      Crystalline realizations of 1-motives, sections 1-2; Deligne, Theorie
+      de Hodge III, section 10)."""
     s = m.provenance
     params = s.params
     mod = m.module
@@ -387,9 +444,10 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
         f_ok = shape_ok and _sub(mod.f_rows, seg, seg) == block.f_rows
         return f_ok and mod.v_rows is not None and _sub(mod.v_rows, seg, seg) == block.v_rows
 
-    items.append(("3.a", graded_match(seg_t, tb), f"Gr_-2 free of rank {rT}, toric block"))
+    t_ok, x_ok = graded_match(seg_t, tb), graded_match(seg_x, lb)
+    items.append(("3.a", t_ok, f"Gr_-2 free of rank {rT}, toric block"))
     items.append(("3.b", graded_match(seg_a, ab), f"Gr_-1 free of rank {g2}, abelian block"))
-    items.append(("3.c", graded_match(seg_x, lb), f"Gr_0 free of rank {rX}, lattice block"))
+    items.append(("3.c", x_ok, f"Gr_0 free of rank {rX}, lattice block"))
 
     rep = m.report
     by_name = {c.name: c for c in rep.checks}
@@ -407,13 +465,14 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
         and mod.level == 1
     )
     items.append(("4.b", bool(fv_ok), "F sigma(V) = V sigma^-1(F) = p"))
+    # a block that passed 3.c (3.a) has det +-1: see the docstring
     v_gr0_ok = (
         shape_ok
         and mod.v_rows is not None
-        and (rX == 0 or _det(_charpoly(params, _sub(mod.v_rows, seg_x, seg_x))).is_unit())
+        and (rX == 0 or x_ok or _det(_charpoly(params, _sub(mod.v_rows, seg_x, seg_x))).is_unit())
     )
     items.append(("4.c", bool(v_gr0_ok), "V unimodular on Gr_0"))
-    f_gr2_ok = shape_ok and (rT == 0 or _det(_charpoly(params, _sub(mod.f_rows, seg_t, seg_t))).is_unit())
+    f_gr2_ok = shape_ok and (rT == 0 or t_ok or _det(_charpoly(params, _sub(mod.f_rows, seg_t, seg_t))).is_unit())
     items.append(("4.d", f_gr2_ok, "F unimodular on Gr_-2"))
 
     try:

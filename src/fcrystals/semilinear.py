@@ -11,13 +11,12 @@ each row of its right factor into one int, applying sigma or sigma^(-1)
 inside the packing when asked, and folds the modulus onto each packed row
 of the product at once before cutting it into coordinates.
 
-A WMat is an immutable tuple of tuples of WittElem: wmat and wm_zero build
-one, wm_shape reads its shape.  A module's f_mat and v_mat are such boxed
-views of its rows, built on first read.  Four boxed functions remain beside
-the row kernels: wm_mul, wm_sigma, wm_sigma_inv and charpoly.  No verb
-calls them; they are the entry points the span tracer in bench/layers.py
-binds by name, and each boxes a WittElem per entry only for what it hands
-back.  Entries are checked once, where a WittElem matrix enters the rows
+A WMat is an immutable tuple of tuples of WittElem; wm_shape reads its
+shape.  A module's f_mat and v_mat are such boxed views of its rows, built
+on first read.  Four boxed functions remain beside the row kernels: wm_mul,
+wm_sigma, wm_sigma_inv and charpoly.  No verb calls them; they are the
+entry points the span tracer in bench/layers.py binds by name, and each
+boxes a WittElem per entry only for what it hands back.  Entries are checked once, where a WittElem matrix enters the rows
 (_coords: a module's or a motive presentation's constructor, one of the
 four): a non-matrix is bad-matrix, a non-element bad-element, an element
 of another ring IncompatibleRingsError (wm_shape reads no entry).  The
@@ -59,8 +58,6 @@ __all__ = [
     "newton_slopes",
     "direct_sum",
     "conjugate_by_permutation",
-    "wmat",
-    "wm_zero",
     "wm_shape",
     "wm_mul",
     "wm_sigma",
@@ -83,29 +80,6 @@ def _matrix(m):
     return m
 
 
-def wmat(params: RingParams, rows: Sequence[Sequence]) -> WMat:
-    """The WMat of rows whose entries are elements of params, ints or coordinate lists."""
-    out = []
-    width = None
-    for row in _matrix(rows):
-        cells = []
-        for x in row:
-            if isinstance(x, WittElem):
-                if x.params != params:
-                    raise IncompatibleRingsError("matrix entry from a different ring")
-                cells.append(x)
-            elif isinstance(x, int):
-                cells.append(params.from_int(x))
-            else:
-                cells.append(params.elem(x))
-        if width is None:
-            width = len(cells)
-        elif width != len(cells):
-            raise ShapeError("ragged matrix")
-        out.append(tuple(cells))
-    return tuple(out)
-
-
 def _int_rows(params: RingParams, m: Sequence[Sequence[int]]) -> Rows:
     """The coordinate rows of an integer matrix."""
     pn, pad = params.pn, (0,) * (params.a - 1)
@@ -115,11 +89,6 @@ def _int_rows(params: RingParams, m: Sequence[Sequence[int]]) -> Rows:
 def wm_shape(a: WMat) -> tuple[int, int]:
     """(rows, columns) of a matrix or of coordinate rows; it reads no entry."""
     return len(_matrix(a)), (len(a[0]) if a else 0)
-
-
-def wm_zero(params: RingParams, r: int, c: int) -> WMat:
-    zero = params.zero()
-    return tuple((zero,) * c for _ in range(r))
 
 
 @lru_cache(maxsize=256)  # pure in its arguments (equal rings share a packing); bounded

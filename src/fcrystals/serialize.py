@@ -15,7 +15,7 @@ from typing import Any
 from .blocks import AbelianBlock, LatticeData, abelian_from_ap
 from .errors import MalformedInputError, ShapeError
 from .onemotive import MotiveReport, OneMotiveSpec, PairingMatrix
-from .semilinear import FilteredFModule, Rows, SlopeProfile, VerifyReport, _box, wmat, WMat
+from .semilinear import FilteredFModule, Rows, SlopeProfile, VerifyReport, _box, WMat
 from .simplicial import DivisorPresentation, H1Ledger, PicardSkeleton, SimplicialComponents
 from .witt import RingParams, WittElem, intern_ring
 
@@ -165,11 +165,7 @@ def motive_to_doc(s: OneMotiveSpec) -> dict:
         "lattice": {"rank": s.lattice.rank, "sigma": [list(r) for r in s.lattice.sigma_action]},
         "torus": {"rank": s.torus.rank, "sigma": [list(r) for r in s.torus.sigma_action]},
         "abelian": abelian_doc,
-        "ext": {
-            "AT": wmat_to_doc(s.ext_at),
-            "XA": wmat_to_doc(s.ext_xa),
-            "XT": wmat_to_doc(s.ext_xt),
-        },
+        "ext": dict(zip(("AT", "XA", "XT"), map(_rows_to_doc, s.ext_rows))),
         "label": s.label,
     }
 
@@ -206,22 +202,14 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
     g2 = 2 * abelian.dim
     rT, rX = torus.rank, lattice.rank
 
-    def ext_block(key: str, rows: int, cols: int) -> WMat:
+    def ext_block(key: str, rows: int, cols: int) -> Rows:
         sub = ext.get(key)
         if sub is None or rows == 0 or cols == 0:
-            return wmat(params, [[params.zero()] * cols for _ in range(rows)])
-        return wmat_from_doc(sub, params)
+            return [[(0,) * params.a] * cols for _ in range(rows)]
+        return _rows_from_doc(sub, params)
 
-    return OneMotiveSpec(
-        params,
-        lattice,
-        torus,
-        abelian,
-        ext_block("AT", rT, g2),
-        ext_block("XA", g2, rX),
-        ext_block("XT", rT, rX),
-        label=str(doc.get("label", "")),
-    )
+    ext_rows = (ext_block("AT", rT, g2), ext_block("XA", g2, rX), ext_block("XT", rT, rX))
+    return OneMotiveSpec._of_rows(params, lattice, torus, abelian, ext_rows, str(doc.get("label", "")))
 
 
 def simplicial_from_doc(doc: dict) -> SimplicialComponents:

@@ -37,7 +37,9 @@ cocharacter oracle takes its Smith forms from the Smith oracle and their
 inverses from inverse_oracle (fraction-free Gauss-Jordan), not from
 intmat._eliminate; it forms d^1 with intmat.transpose, where
 cocharacter_group hands intmat.mul the rows of zip(*d_1), and reads the
-Smith diagonals with its own loops, not intmat.diagonal.
+Smith diagonals with its own loops, not intmat.diagonal.  wmat and wm_zero
+build WittElem matrices for the tests: the package keeps its matrices as
+coordinate rows and builds no WMat but the boxed views of them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from fcrystals.errors import (
     InternalError,
     InvalidExtensionDataError,
     MalformedInputError,
+    ShapeError,
     UnsupportedInputError,
 )
 from fcrystals.onemotive import MotiveCrystal, OneMotiveSpec, PairingMatrix
@@ -65,8 +68,7 @@ from fcrystals.semilinear import (
     FilteredFModule,
     VerifyReport,
     WMat,
-    wm_zero,
-    wmat,
+    _matrix,
 )
 from fcrystals.serialize import elem_from_doc
 from fcrystals.simplicial import SimplicialComponents
@@ -264,6 +266,38 @@ def elem_to_coords(x: WittElem) -> WittCoords:
     if x.params.a != 1:
         raise IncompatibleRingsError("classical coordinates are kept for a = 1 only")
     return WittCoords(x.params.p, tuple(d[0] for d in teichmuller_digits(x)))
+
+
+# ---------------------------------------------------------------------------
+# WittElem matrix builders (the package keeps matrices as coordinate rows)
+
+
+def wmat(params: RingParams, rows: Sequence[Sequence]) -> WMat:
+    """The WMat of rows whose entries are elements of params, ints or coordinate lists."""
+    out = []
+    width = None
+    for row in _matrix(rows):
+        cells = []
+        for x in row:
+            if isinstance(x, WittElem):
+                if x.params != params:
+                    raise IncompatibleRingsError("matrix entry from a different ring")
+                cells.append(x)
+            elif isinstance(x, int):
+                cells.append(params.from_int(x))
+            else:
+                cells.append(params.elem(x))
+        if width is None:
+            width = len(cells)
+        elif width != len(cells):
+            raise ShapeError("ragged matrix")
+        out.append(tuple(cells))
+    return tuple(out)
+
+
+def wm_zero(params: RingParams, r: int, c: int) -> WMat:
+    zero = params.zero()
+    return tuple((zero,) * c for _ in range(r))
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,13 @@ RingParams WittElem default_modulus dp_exp dp_log frobenius frobenius_inverse te
 with_precision
 """.split()
 
-# fcrystals.semilinear's public names: the filtered-module API, the WMat
-# builders, and the four boxed functions the tracer binds, each of which
-# checks its entries once on the way in
+# fcrystals.semilinear's public names: the filtered-module API, wm_shape,
+# and the four boxed functions the tracer binds, each of which checks its
+# entries once on the way in
 SEMILINEAR_NAMES = """
 FilteredFModule SlopeProfile VerifyReport verify tensor twisted_dual newton_slopes direct_sum
 conjugate_by_permutation
-wmat wm_zero wm_shape wm_mul wm_sigma wm_sigma_inv charpoly
+wm_shape wm_mul wm_sigma wm_sigma_inv charpoly
 """.split()
 
 

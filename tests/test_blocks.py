@@ -28,10 +28,9 @@ from fcrystals.semilinear import (
     verify,
     wm_mul,
     wm_sigma,
-    wmat,
 )
 from fcrystals.witt import RingParams, default_modulus
-from helpers import det_oracle, random_signed_permutation, random_unimodular
+from helpers import det_oracle, inverse_oracle, random_signed_permutation, random_unimodular, wmat
 
 P54 = RingParams(5, 4)
 P34 = RingParams(3, 4)
@@ -191,6 +190,23 @@ class TestLatticeTorus:
         assert relabeled.weights == tb.weights
         assert relabeled.f_mat == tb.f_mat
         assert relabeled.v_mat == tb.v_mat
+
+    @pytest.mark.parametrize(
+        "params", [P54, RingParams(2, 5), RingParams(3, 5, 2, default_modulus(3, 2))], ids=["p5", "p2", "p3-a2"]
+    )
+    def test_graded_blocks_have_unit_determinant(self, params):
+        """The lattice block's V = A^(-1) and the torus block's F = B have a
+        unit determinant, for 60 random finite-order actions U P U^-1 (P a
+        signed permutation), their duals and the trivial actions:
+        verify_motive reads items 4.c and 4.d off 3.c and 3.a on this."""
+        rng = random.Random(31)
+        for _ in range(60):
+            r = rng.randint(0, 4)
+            u = random_unimodular(rng, r)
+            d = LatticeData(r, intmat.mul(intmat.mul(u, random_signed_permutation(rng, r)), inverse_oracle(u)))
+            for data in (d, d.dual(), LatticeData.trivial(r)):
+                assert det_oracle(params, lattice_block(data, params).v_mat).is_unit()
+                assert det_oracle(params, torus_block(data, params).f_mat).is_unit()
 
     def test_non_unimodular_action_rejected(self):
         with pytest.raises(InvalidActionError):

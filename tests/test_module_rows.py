@@ -27,11 +27,10 @@ from fcrystals.semilinear import (
     direct_sum,
     tensor,
     twisted_dual,
-    wmat,
 )
 from fcrystals.serialize import module_from_doc, module_to_doc
 from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
-from helpers import random_galois_motive_spec, random_motive_spec, random_signed_permutation
+from helpers import random_galois_motive_spec, random_motive_spec, random_signed_permutation, wmat
 
 FX = os.path.join(os.path.dirname(__file__), "fixtures")
 P54 = RingParams(5, 4)

@@ -1,12 +1,13 @@
 """The motive pipeline computes each derived object of a presentation once:
-one realization and one set of graded blocks per presentation, one verify report per module, one
-canonical dual per assembled module, one action inverse per lattice, read
-off its order search with no Smith normal form (the dual presentation's actions reuse it), two Smith forms and
-one product per cocharacter group (each form building only the transforms it reads), one characteristic polynomial per
-unit-determinant inverse, and one
-matrix product per pairing identity.
-And an internal invariant that fails raises InternalError, also under
-python -O."""
+one realization, one set of graded blocks and one F per presentation (the
+dual's F is its canonical dual's), one verify report per module, one
+canonical dual per assembled module, no characteristic polynomial for a
+graded block that matches its lattice or torus block, one action inverse
+per lattice, read off its order search with no Smith normal form (the dual
+presentation's actions reuse it), two Smith forms and one product per
+cocharacter group (each form building only the transforms it reads), and
+one matrix product per pairing identity.  And an internal invariant that
+fails raises InternalError, also under python -O."""
 
 import contextlib
 import io
@@ -58,7 +59,7 @@ def _count_calls(monkeypatch, counts, module, name):
 
 def _counted_run(monkeypatch, argv):
     counts = Counter()
-    for name in ("_realize", "verify", "twisted_dual"):
+    for name in ("_realize", "verify", "twisted_dual", "_charpoly", "_block"):
         _count_calls(monkeypatch, counts, onemotive, name)
     _count_calls(monkeypatch, counts, fcrystals.intmat, "inverse_unimodular")
     out, err = io.StringIO(), io.StringIO()
@@ -70,7 +71,10 @@ def _counted_run(monkeypatch, argv):
 @pytest.mark.parametrize(
     "fixture,expected",
     [
-        ("motive_mixed.json", {"_realize": 2, "verify": 2, "twisted_dual": 2, "inverse_unimodular": 0}),
+        (
+            "motive_mixed.json",
+            {"_realize": 2, "verify": 2, "twisted_dual": 2, "inverse_unimodular": 0, "_charpoly": 0, "_block": 3},
+        ),
         ("motive_kummer.json", {"_realize": 2, "twisted_dual": 1}),
         ("motive_badflag.json", {"_realize": 2}),
     ],
@@ -78,6 +82,19 @@ def _counted_run(monkeypatch, argv):
 def test_motive_verify_work_counts(monkeypatch, fixture, expected):
     _, counts, _ = _counted_run(monkeypatch, ["motive-verify", "--in", os.path.join(FX, fixture)])
     assert {name: counts[name] for name in expected} == expected
+
+
+def test_dual_takes_its_frobenius_from_the_canonical_dual(monkeypatch):
+    """Assembling the dual of motive_mixed.json builds its V with one _block
+    call, and its F is the canonical dual's F, not rebuilt by _block."""
+    with open(os.path.join(FX, "motive_mixed.json"), encoding="utf-8") as fh:
+        spec = motive_from_doc(json.load(fh))
+    m = assemble(spec)
+    counts = Counter()
+    _count_calls(monkeypatch, counts, onemotive, "_block")
+    d = assemble(cartier_dual(spec))
+    assert counts["_block"] == 1
+    assert d.module.f_rows is m.canonical_dual.f_rows
 
 
 def test_graded_blocks_are_built_once_per_presentation(monkeypatch):

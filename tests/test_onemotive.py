@@ -22,6 +22,7 @@ from fcrystals.errors import (
 )
 from fcrystals.onemotive import (
     MotiveCrystal,
+    MotiveReport,
     OneMotiveSpec,
     assemble,
     cartier_dual,
@@ -33,17 +34,19 @@ from fcrystals.onemotive import (
 )
 from fcrystals.semilinear import (
     FilteredFModule,
+    _box,
     conjugate_by_permutation,
     direct_sum,
     newton_slopes,
+    twisted_dual,
     verify,
     wm_mul,
-    wm_zero,
-    wmat,
 )
+from fcrystals.serialize import motive_from_doc, motive_to_doc, wmat_to_doc
 from fcrystals.witt import RingParams, default_modulus, with_precision
 
 from helpers import (
+    det_oracle,
     mat_reduce,
     mat_scale,
     pair_oracle,
@@ -53,6 +56,8 @@ from helpers import (
     realize_oracle,
     slope_half_block,
     witness_oracle,
+    wm_zero,
+    wmat,
 )
 
 P54 = RingParams(5, 4)
@@ -199,6 +204,45 @@ class TestAssemble:
         monkeypatch.setattr(onemotive, "_coords", unexpected)
         assert verify(assemble(s).module).ok
 
+    def test_rows_constructor_checks_as_the_public_one(self):
+        """OneMotiveSpec._of_rows, the constructor of the parser, split and
+        cartier_dual, builds from ext rows the presentation the public
+        constructor builds from their boxed blocks (equal, equally hashed,
+        with equal views, boxed once), and raises its error with its message
+        on each misshapen block and on an abelian block over another ring."""
+
+        def outcome(build):
+            try:
+                return "spec", build()
+            except FCrystalsError as exc:
+                return "error", type(exc), str(exc)
+
+        rng = random.Random(41)
+        for _ in range(12):
+            s = random_motive_spec(rng, RingParams(5, 6))  # n = 6: the parser takes the slopes of g = 2
+            args = (s.params, s.lattice, s.torus, s.abelian)
+            t = OneMotiveSpec._of_rows(*args, s.ext_rows, s.label)
+            assert t == s and hash(t) == hash(s)
+            assert (t.ext_at, t.ext_xa, t.ext_xt) == (s.ext_at, s.ext_xa, s.ext_xt) and t.ext_xa is t.ext_xa
+            assert motive_from_doc(motive_to_doc(s)) == s
+            assert motive_to_doc(s)["ext"] == {k: wmat_to_doc(m) for k, m in zip(("AT", "XA", "XT"), (s.ext_at, s.ext_xa, s.ext_xt))}
+            rT, g2, rX = s.segments
+            for k, (blk, width) in enumerate(zip(s.ext_rows, (g2, rX, rX))):
+                for bad in (blk + [[(0,)] * width], [row + [(0,)] for row in blk], blk[1:]):
+                    if bad == blk:
+                        continue
+                    ext = list(s.ext_rows)
+                    ext[k] = bad
+                    got = outcome(lambda: OneMotiveSpec._of_rows(*args, tuple(ext), s.label))
+                    assert got[:2] == ("error", ShapeError)
+                    assert got == outcome(lambda: OneMotiveSpec(*args, *(_box(s.params, m) for m in ext), s.label))
+        alien = abelian_from_ap(0, with_precision(P54, 5))
+        for build in (
+            lambda: OneMotiveSpec.split(P54, LatticeData.trivial(1), TorusData.trivial(1), alien),
+            lambda: OneMotiveSpec(P54, LatticeData.trivial(0), TorusData.trivial(0), alien, (), (), ()),
+        ):
+            assert outcome(build) == ("error", IncompatibleRingsError, "abelian block lives over a different ring")
+
 
 class TestCartierDual:
     def test_kummer_dual_swaps_graded_ranks(self):
@@ -277,9 +321,9 @@ class TestCartierDual:
                 tuple(c.v_mat[i][j] - ad.v_mat[i][j] for j in range(ad.rank))
                 for i in range(ad.rank)
             )
-            from fcrystals.semilinear import wm_sigma, wm_sigma_inv, wm_zero as wz
+            from fcrystals.semilinear import wm_sigma, wm_sigma_inv
 
-            zero = wz(P54, ad.rank, ad.rank)
+            zero = wm_zero(P54, ad.rank, ad.rank)
             assert wm_mul(P54, ad.f_mat, wm_sigma(delta)) == zero
             assert wm_mul(P54, delta, wm_sigma_inv(ad.f_mat)) == zero
 
@@ -683,3 +727,104 @@ class TestRealizeOracle:
             assert got == _outcome(realize_oracle, s)
             rejected += got[:2] == ("error", InvalidExtensionDataError)
         assert rejected >= 8
+
+
+# ---------------------------------------------------------------------------
+# the dual's F taken from the canonical dual, and items 4.c / 4.d read off
+# 3.c / 3.a, against the path that builds the dual through the public
+# constructor and always takes the determinant
+
+
+def _public_dual(s: OneMotiveSpec) -> OneMotiveSpec:
+    """The dual presentation of s built through the public constructor: ext
+    blocks boxed from the canonical dual and checked entry by entry, and F
+    left to the graded blocks and ext rows."""
+    params = s.params
+    rT, g2, rX = s.segments
+    f_c = assemble(s).canonical_dual.f_rows
+    seg_t, seg_a, seg_x = slice(0, rX), slice(rX, rX + g2), slice(rX + g2, rX + g2 + rT)
+    ext = [_box(params, [row[c] for row in f_c[r]]) for r, c in ((seg_t, seg_a), (seg_a, seg_x), (seg_t, seg_x))]
+    abelian = AbelianBlock(s.abelian.dim, twisted_dual(s.abelian.crystal)) if g2 else AbelianBlock.empty(params)
+    return OneMotiveSpec(params, s.torus.dual(), s.lattice.dual(), abelian, *ext, f"{s.label}^dual" if s.label else "dual")
+
+
+def _reference_report(m: MotiveCrystal) -> MotiveReport:
+    """verify_motive(m) with the dual from _public_dual, and items 4.c / 4.d
+    from det_oracle of the graded block whatever 3.c / 3.a say."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(onemotive, "cartier_dual", _public_dual)
+        rep = verify_motive(m)
+    s, mod = m.provenance, m.module
+    rT, g2, rX = s.segments
+    r = rT + g2 + rX
+    shape_ok = mod.rank == r and mod.params == s.params and mod.weights == (-2,) * rT + (-1,) * g2 + (0,) * rX
+
+    def unit_det(rows, seg):
+        return det_oracle(s.params, _box(s.params, [row[seg] for row in rows[seg]])).is_unit()
+
+    fixed = {
+        "4.c": shape_ok and mod.v_rows is not None and (rX == 0 or unit_det(mod.v_rows, slice(rT + g2, r))),
+        "4.d": shape_ok and (rT == 0 or unit_det(mod.f_rows, slice(0, rT))),
+    }
+    return MotiveReport(tuple((k, fixed.get(k, ok), d) for k, ok, d in rep.items), rep.graded_ranks)
+
+
+def _graded_edits(module: FilteredFModule, segments):
+    """(block, matrix, kind, module) for one edited entry in each graded block
+    of F and of V: kind "unit" adds p to the first nonzero entry of the
+    block's first row, which keeps a unit determinant unit, and kind "p"
+    replaces it by p, which makes a signed-permutation block's determinant
+    divisible by p."""
+    params, (rT, g2, rX) = module.params, segments
+    p, pn = params.p, params.pn
+    for block, seg in (("torus", slice(0, rT)), ("abelian", slice(rT, rT + g2)), ("lattice", slice(rT + g2, rT + g2 + rX))):
+        if seg.start == seg.stop:
+            continue
+        for which in ("F", "V"):
+            for kind in ("unit", "p"):
+                rows = [list(row) for row in (module.f_rows if which == "F" else module.v_rows)]
+                i = seg.start
+                j = next((j for j in range(seg.start, seg.stop) if any(rows[i][j])), seg.start)
+                x = rows[i][j]
+                rows[i][j] = ((x[0] + p) % pn,) + x[1:] if kind == "unit" else (p % pn,) + (0,) * (params.a - 1)
+                f, v = (rows, module.v_rows) if which == "F" else (module.f_rows, rows)
+                edited = FilteredFModule._of_rows(params, module.rank, module.weights, f, v, module.level)
+                yield block, which, kind, edited
+
+
+DIFFERENTIAL_RINGS = [pytest.param(RingParams(p, 6), id=f"p{p}") for p in (2, 3, 5)] + [
+    pytest.param(RingParams(3, n, a, default_modulus(3, a)), id=f"p3-a{a}") for n, a in ((5, 2), (7, 3))
+]
+
+
+class TestDualFromCanonicalDual:
+    @pytest.mark.parametrize("params", DIFFERENTIAL_RINGS)
+    def test_same_reports_duals_and_realizations(self, params):
+        """On random presentations and on modules with one entry of a graded
+        block edited: verify_motive gives the reference report, the dual's F
+        is the matrix its graded blocks and ext rows build, the dual equals
+        the publicly built one, and its assembly is realize_oracle of it."""
+        seen = {"4.c": 0, "4.d": 0, "3.c-only": 0, "3.a-only": 0}
+        for seed in range(10):
+            rng = random.Random(seed)
+            s = random_motive_spec(rng, params) if params.a == 1 else random_galois_motive_spec(rng, params)
+            public, d = _public_dual(s), cartier_dual(s)
+            assert d == public
+            assert d.f_rows == OneMotiveSpec.f_rows.func(d) == public.f_rows
+            assert assemble(d).module == realize_oracle(public) == assemble(public).module
+            m = assemble(s)
+            assert verify_motive(m) == _reference_report(m) and verify_motive(m).ok
+            for block, which, kind, edited in _graded_edits(m.module, s.segments):
+                tampered = MotiveCrystal(edited, s)
+                rep = verify_motive(tampered)
+                assert rep == _reference_report(tampered), (seed, block, which, kind)
+                items = {k: ok for k, ok, _ in rep.items}
+                if (block, which) == ("lattice", "V"):
+                    assert not items["3.c"] and items["4.c"] == (kind == "unit")
+                    seen["4.c"] += not items["4.c"]
+                if (block, which) == ("torus", "F"):
+                    assert not items["3.a"] and items["4.d"] == (kind == "unit")
+                    seen["4.d"] += not items["4.d"]
+                seen["3.c-only"] += (block, which) == ("lattice", "F") and items["4.c"] and not items["3.c"]
+                seen["3.a-only"] += (block, which) == ("torus", "V") and items["4.d"] and not items["3.a"]
+        assert min(seen.values()) >= 2, seen

@@ -30,7 +30,6 @@ from fcrystals.semilinear import (
     wm_shape,
     wm_sigma,
     wm_sigma_inv,
-    wmat,
     _argsort_stable,
     _block,
     _charpoly,
@@ -61,6 +60,7 @@ from helpers import (
     verify_oracle,
     witness_oracle,
     wm_mul_oracle,
+    wmat,
 )
 
 P54 = RingParams(5, 4)
@@ -870,10 +870,13 @@ def test_ragged_matrix_is_not_square():
 
 
 def test_wmat_of_a_non_matrix_is_bad_matrix():
+    """A non-matrix is bad-matrix at the package's matrix boundary (wm_shape,
+    and _coords behind charpoly), and in the tests' wmat, which shares it."""
     for bad in (None, 5, (5,), [[1], 2]):
-        with pytest.raises(MalformedInputError) as exc:
-            wmat(P54, bad)
-        assert exc.value.code == "bad-matrix"
+        for call in (lambda: wmat(P54, bad), lambda: wm_shape(bad), lambda: charpoly(P54, bad)):
+            with pytest.raises(MalformedInputError) as exc:
+                call()
+            assert exc.value.code == "bad-matrix"
 
 
 # ---------------------------------------------------------------------------
