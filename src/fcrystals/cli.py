@@ -1,6 +1,15 @@
 """Command-line front end: one verb per library operation, JSON in, canonical
 JSON out.
 
+An argv of the plain form (the verb, and the exact option names each followed
+by a value that does not start with '-') is read directly by _plain_args;
+any other argv goes to the one cached argparse parser, which defines the
+grammar and writes every usage, help and error text.  Both give the same
+namespace.  An --in or --ring document is read as bytes, decoded as UTF-8,
+its newlines translated as a text-mode read translates them (CRLF, then a
+lone CR, become LF), and parsed as JSON.  The result is written by
+serialize.canonical_dumps.
+
 Exit codes: 0 success, 1 verification failure (an invariant of the input
 data is violated), 2 malformed input (also a file that cannot be read or an
 --out path that cannot be written), 3 precision error, 4 internal error (an
@@ -56,13 +65,19 @@ class VerificationFailure(FCrystalsError):
 
 
 def _load(path: str) -> dict:
+    """The JSON object in the file at path.  The bytes are decoded as UTF-8 and
+    their newlines translated as a text-mode read translates them, so every
+    document and every error is the one json.load of the file opened in text
+    mode gives."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise MalformedInputError(f"no such file: {path}", code="missing-file")
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror or exc}", code="unreadable-file") from None
+    try:
+        doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, invalid UTF-8, an int past the int-to-str limit, or nesting past the recursion limit
         raise MalformedInputError(f"invalid JSON in {path}: {exc}", code="bad-json") from None
@@ -292,9 +307,57 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the options of the plain form: option name -> (namespace field, value type)
+_PLAIN_OPTIONS = {
+    "--ring": ("ring", str),
+    "--in": ("inputs", None),
+    "--out": ("out", str),
+    "--precision": ("precision", int),
+    "--n": ("n", int),
+}
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace _parser().parse_args(argv) returns, read directly when
+    argv has the plain form: one verb, and the exact option names of
+    _PLAIN_OPTIONS each followed by a value that does not start with '-' (an
+    int option's value read by int(), as type=int reads it).  None for any
+    other argv (an abbreviation, --in=x, -h, --, a dash-led or missing value,
+    a second positional, a bad int), which the parser then reads, so it stays
+    the one definition of the grammar and the one writer of usage, help and
+    error text."""
+    fields = {"verb": None, "ring": None, "inputs": [], "out": None, "precision": None, "n": 1}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if fields["verb"] is not None or token not in _HANDLERS:
+                return None
+            fields["verb"] = token
+            continue
+        option = _PLAIN_OPTIONS.get(token)
+        value = next(tokens, None)
+        if option is None or value is None or value.startswith("-"):
+            return None
+        name, kind = option
+        if kind is None:
+            fields[name].append(value)
+        elif kind is int:
+            try:
+                fields[name] = int(value)
+            except ValueError:
+                return None
+        else:
+            fields[name] = value
+    if fields["verb"] is None:
+        return None
+    return argparse.Namespace(**fields)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = parser.parse_args(argv)
 
     handler = _HANDLERS[args.verb]
     if not args.inputs:

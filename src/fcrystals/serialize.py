@@ -43,8 +43,16 @@ __all__ = [
 ]
 
 
+# stateless between calls, so one encoder serves every document
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """The canonical text of obj: sorted keys, compact separators, ASCII, and
+    a final newline.  It is json.dumps(obj, sort_keys=True, separators=(",",
+    ":")) plus the newline, written by one module-level encoder instead of
+    one built per call."""
+    return _ENCODER.encode(obj) + "\n"
 
 
 def _is_int(x) -> bool:
@@ -204,9 +212,12 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
 
     def ext_block(key: str, rows: int, cols: int) -> Rows:
         sub = ext.get(key)
-        if sub is None or rows == 0 or cols == 0:
+        block = None if sub is None else _rows_from_doc(sub, params)
+        # an absent block, or one of no entry ([], [[]], ...) where the shape
+        # has none, is the zero block of the shape
+        if block is None or (rows * cols == 0 and not any(block)):
             return [[(0,) * params.a] * cols for _ in range(rows)]
-        return _rows_from_doc(sub, params)
+        return block
 
     ext_rows = (ext_block("AT", rT, g2), ext_block("XA", g2, rX), ext_block("XT", rT, rX))
     return OneMotiveSpec._of_rows(params, lattice, torus, abelian, ext_rows, str(doc.get("label", "")))

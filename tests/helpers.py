@@ -39,12 +39,15 @@ intmat._eliminate; it forms d^1 with intmat.transpose, where
 cocharacter_group hands intmat.mul the rows of zip(*d_1), and reads the
 Smith diagonals with its own loops, not intmat.diagonal.  wmat and wm_zero
 build WittElem matrices for the tests: the package keeps its matrices as
-coordinate rows and builds no WMat but the boxed views of them.
+coordinate rows and builds no WMat but the boxed views of them.  The load
+oracle reads a CLI document through a text-mode file, where the CLI decodes
+the bytes of an unbuffered binary read itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -608,6 +611,28 @@ def wmat_from_doc_oracle(doc, params: RingParams) -> WMat:
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise MalformedInputError("matrix must be a nested list", code="bad-matrix")
     return wmat(params, [[elem_from_doc(x, params) for x in row] for row in doc])
+
+
+# ---------------------------------------------------------------------------
+# the CLI's document read, in text mode
+
+
+def load_oracle(path: str) -> dict:
+    """The --in / --ring document read as a text-mode file: json.load of the
+    file opened with encoding utf-8, whose reader decodes the bytes and
+    translates their newlines, with the CLI's error codes and messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise MalformedInputError(f"no such file: {path}", code="missing-file")
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc.strerror or exc}", code="unreadable-file") from None
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInputError(f"invalid JSON in {path}: {exc}", code="bad-json") from None
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"{path} does not hold a JSON object", code="bad-type")
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -696,3 +696,62 @@ class TestSizeBound:
         code, err, seconds = _timed_cli(["witt-eval", "--ring", ring, "--in", str(doc), "--precision", str(10**8)])
         _one_error(code, err, seconds, "too-large")
         assert seconds < 0.5
+
+
+def _motive_verify(tmp_path, doc):
+    """(exit code, stdout, stderr) of motive-verify on doc."""
+    path = tmp_path / "motive.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["motive-verify", "--in", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestZeroDimensionExt:
+    """An ext block present in a motive document is decoded whatever its
+    shape: junk in a block with a zero dimension exits 2 with the code it
+    gets where the block has entries, and a block of no entry ([], [[]], ...)
+    is the zero block of its shape, as the goldens write a 1x0 block."""
+
+    def test_junk_in_a_zero_dimension_block_is_malformed(self, tmp_path):
+        with open(os.path.join(FX, "motive_kummer.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.update(torus={"rank": 0}, ext={"AT": [[[7], [8]], [[9]]], "XT": [["junk"]]})
+        code, out, err = _motive_verify(tmp_path, doc)
+        assert (code, out, json.loads(err)) == (2, "", {"code": "shape-error", "message": "ragged matrix"})
+
+    # (ext key, the graded field whose rank sets its zero dimension, junk, error code)
+    JUNK = [
+        (key, field, junk, code)
+        for key, field in (("AT", "torus"), ("XA", "lattice"), ("XT", "torus"))
+        for junk, code in (
+            ([[[7], [8]], [[9]]], "shape-error"),
+            ([["junk"]], "bad-element"),
+            ("x", "bad-matrix"),
+            ([[[1]]], "shape-error"),
+        )
+    ]
+
+    @pytest.mark.parametrize("key,field,junk,code", JUNK)
+    def test_junk_gets_the_code_of_a_nonzero_rank(self, key, field, junk, code, tmp_path):
+        with open(os.path.join(FX, "motive_mixed.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for rank in (0, 1):
+            doc.update({field: {"rank": rank}, "ext": {key: junk}})
+            status, out, err = _motive_verify(tmp_path, doc)
+            assert (status, out, json.loads(err)["code"]) == (2, "", code), rank
+
+    @pytest.mark.parametrize("empty", [[], [[]], [[], []]], ids=["no-rows", "one-empty-row", "two-empty-rows"])
+    @pytest.mark.parametrize("key,field", [("AT", "torus"), ("XA", "lattice"), ("XT", "torus")])
+    def test_entry_less_block_is_the_zero_block(self, key, field, empty, tmp_path):
+        with open(os.path.join(FX, "motive_mixed.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[field] = {"rank": 0}
+        absent = _motive_verify(tmp_path, {**doc, "ext": {}})
+        assert absent[0] == 0
+        assert _motive_verify(tmp_path, {**doc, "ext": {key: empty}}) == absent
+        # where the shape has entries, an entry-less block is the wrong shape
+        doc[field] = {"rank": 1}
+        code, out, err = _motive_verify(tmp_path, {**doc, "ext": {key: empty}})
+        assert (code, out, json.loads(err)["code"]) == (2, "", "shape-error")
