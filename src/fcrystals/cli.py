@@ -4,11 +4,13 @@ JSON out.
 An argv of the plain form (the verb, and the exact option names each followed
 by a value that does not start with '-') is read directly by _plain_args;
 any other argv goes to the one cached argparse parser, which defines the
-grammar and writes every usage, help and error text.  Both give the same
-namespace.  An --in or --ring document is read as bytes, decoded as UTF-8,
-its newlines translated as a text-mode read translates them (CRLF, then a
-lone CR, become LF), and parsed as JSON.  The result is written by
-serialize.canonical_dumps.
+grammar and writes the usage and help text and every argv error message.
+Both give the same namespace.  An argv the parser rejects, or one without
+an --in, ends in one error object with code bad-argv (exit 2); -h and
+--help print the help to standard output and exit 0.  An --in or --ring
+document is read as bytes, decoded as UTF-8, its newlines translated as a
+text-mode read translates them (CRLF, then a lone CR, become LF), and
+parsed as JSON.  The result is written by serialize.canonical_dumps.
 
 Exit codes: 0 success, 1 verification failure (an invariant of the input
 data is violated), 2 malformed input (also a file that cannot be read or an
@@ -284,11 +286,20 @@ def _emit(text: str, out_path: str | None):
         raise MalformedInputError(f"cannot write {out_path}: {exc.strerror or exc}", code="unwritable-output") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise MalformedInputError (code
+    bad-argv), so that main reports them as one error object; -h and --help
+    still print the help and exit 0."""
+
+    def error(self, message: str):
+        raise MalformedInputError(message, code="bad-argv")
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The one parser of the process: parse_args leaves it unchanged, and the
     append action copies the --in default before it appends."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fcrystals",
         description="Exact filtered-module and motive-realization toolbox over truncated Witt rings.",
     )
@@ -324,8 +335,8 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
     int option's value read by int(), as type=int reads it).  None for any
     other argv (an abbreviation, --in=x, -h, --, a dash-led or missing value,
     a second positional, a bad int), which the parser then reads, so it stays
-    the one definition of the grammar and the one writer of usage, help and
-    error text."""
+    the one definition of the grammar and the one writer of usage and help
+    text and of argv error messages."""
     fields = {"verb": None, "ring": None, "inputs": [], "out": None, "precision": None, "n": 1}
     tokens = iter(argv)
     for token in tokens:
@@ -354,17 +365,8 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = _plain_args(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        args = parser.parse_args(argv)
-
-    handler = _HANDLERS[args.verb]
-    if not args.inputs:
-        parser.error("at least one --in document is required")
-
     def run_one(path: str):
-        return handler(args, _load(path))
+        return _HANDLERS[args.verb](args, _load(path))
 
     def run_guarded(path: str) -> dict:
         try:
@@ -373,8 +375,13 @@ def main(argv: list[str] | None = None) -> int:
             return {"ok": False, "report": exc.doc}
 
     # the outcome is settled before anything is emitted, so a failed write is
-    # the one error object of the call
+    # the one error object of the call; an argv error is one too
     try:
+        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = _parser().parse_args(argv)
+        if not args.inputs:
+            raise MalformedInputError("at least one --in document is required", code="bad-argv")
         failure = None
         if len(args.inputs) == 1:
             try:

@@ -2,9 +2,12 @@
 
 Matrices are plain lists of lists of Python ints (row-major).  ``mul`` is
 the package's one integer product, over the nonzeros of both factors, and
-``diagonal`` its one reader of a Smith diagonal.  The Smith normal form is
-the only elimination: kernels, exact solutions, ranks and unimodular
-inverses are read off U a V = D.  ``smith_normal_form(a)`` returns
+``diagonal`` its one reader of a Smith diagonal.  The private
+``_mul_units`` is that product with some rows of the left factor marked as
+unit vectors e_k, each of which gives a copy of row k of the right factor;
+``mul`` marks none.  The Smith normal form is the only elimination:
+kernels, exact solutions, ranks and unimodular inverses are read off
+U a V = D.  ``smith_normal_form(a)`` returns
 (U, D, V); the private ``_eliminate(a, build)`` behind it builds only the
 transforms named in ``build``, from U, V, U^(-1) and V^(-1) (the inverse
 of each row or column operation, applied on the other side).  Pivots are
@@ -24,7 +27,8 @@ the row sweep visits only that support.  The inverse transforms add a
 non-pivot row into the pivot row, and a non-pivot row is mostly still the
 unit vector e_k it started as: one int per row records k (or -1 once the
 row is negated, written as a pivot or hit by the divisor-chain fix-up), and
-such an update is one entry, += q at k.
+such an update is one entry, += q at k.  These marks are returned with the
+transforms, for ``_mul_units`` to read.
 
 The scans over zeros run at C level.  The pivot search passes over a row
 whose remainder is all zero with one ``any`` and walks the nonzeros of the
@@ -35,17 +39,19 @@ same way.  ``shape`` compares the row lengths as a set.
 
 The elimination builds V and U^(-1) transposed, since their column
 operations are then row operations.  ``_eliminate`` returns
-(U, D, V^T, (U^(-1))^T, V^(-1)) as built, and its callers read them so:
+(U, D, V^T, (U^(-1))^T, V^(-1), ue, ve) as built, ue and ve being the
+unit-row marks of (U^(-1))^T and V^(-1), and its callers read them so:
 ``smith_normal_form`` builds U and V and transposes V^T back,
 ``elementary_divisors`` builds nothing and reads D, ``kernel_basis``
 returns the trailing rows of V^T, and ``simplicial.cocharacter_group``
-forms its basis from the trailing rows of V^T and (U^(-1))^T with no
-transposed copy.
+forms V^(-1) d^1 from V^(-1) and its marks, and its basis from the
+trailing rows of V^T and of (U^(-1))^T with its marks, with no transposed
+copy; its rank-only form builds V^(-1) alone and then nothing.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -76,25 +82,33 @@ def copy(a) -> IntMat:
     return [list(row) for row in a]
 
 
-def transpose(a) -> IntMat:
-    r, c = shape(a)
-    if r and not c:  # the 0 x r transpose would read as [] (0 x 0)
-        raise ShapeError(f"the transpose of a {r}x0 matrix would lose its {r} columns")
-    return [list(col) for col in zip(*a)]
-
-
 def mul(a, b) -> IntMat:
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    cols = range(cb)
-    supports = [[(j, row[j]) for j in compress(cols, row)] for row in b]
-    out = zeros(ra, cb)
-    for row, orow in zip(a, out):
+    return _mul_units(a, repeat(-1, ra), b, cb)
+
+
+def _mul_units(a, units, b, width: int) -> IntMat:
+    """a b for b of the given width, where units[i] = k >= 0 says that row i
+    of a is the unit vector e_k (the marks _eliminate returns): that row of
+    the product is a copy of row k of b.  Any other row is summed over the
+    nonzeros of both factors, the supports of b read once."""
+    supports = None
+    out = []
+    for row, k in zip(a, units):
+        if k >= 0:
+            out.append(list(b[k]))
+            continue
+        if supports is None:
+            cols = range(width)
+            supports = [[(j, r[j]) for j in compress(cols, r)] for r in b]
+        orow = [0] * width
         for v, support in compress(zip(row, supports), row):
             for j, x in support:
                 orow[j] += v * x
+        out.append(orow)
     return out
 
 
@@ -149,14 +163,16 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
     >>> mul(mul(u, [[2, 4], [6, 8]]), v) == d
     True
     """
-    u, d, vt, _, _ = _eliminate(a, ("u", "v"))
+    u, d, vt = _eliminate(a, ("u", "v"))[:3]
     return u, d, [list(col) for col in zip(*vt)]
 
 
 def _eliminate(a, build) -> tuple[IntMat | None, ...]:
     """The elimination of smith_normal_form, with its transforms as built:
-    (U, D, V^T, (U^(-1))^T, V^(-1)), each slot None unless ``build``, a
-    collection, names it ("u", "v", "u_inv", "v_inv")."""
+    (U, D, V^T, (U^(-1))^T, V^(-1), ue, ve), each transform None unless
+    ``build``, a collection, names it ("u", "v", "u_inv", "v_inv").  ue
+    (ve) comes with (U^(-1))^T (V^(-1)), else None: ue[k] = j >= 0 says
+    that row k is the unit vector e_j, and -1 that it may not be."""
     rows, cols = shape(a)
     m = copy(a)
     # vt and ut hold the transposes of V and U^(-1): their column ops are row ops
@@ -250,7 +266,7 @@ def _eliminate(a, build) -> tuple[IntMat | None, ...]:
                 ue[bad] = -1
             piv = _pivot(m, t, rows, cols)
         t += 1
-    return u, m, vt, ut, vi
+    return u, m, vt, ut, vi, ue, ve
 
 
 def elementary_divisors(a) -> list[int]:
@@ -261,7 +277,7 @@ def kernel_basis(a) -> list[list[int]]:
     """Basis (as columns) of the integer kernel; the basis spans a saturated
     sublattice since V is unimodular.  The columns of V past the rank are
     the trailing rows of V^T, as the elimination builds it."""
-    _, d, vt, _, _ = _eliminate(a, ("v",))
+    _, d, vt = _eliminate(a, ("v",))[:3]
     return vt[len(diagonal(d)) :]
 
 

@@ -66,7 +66,7 @@ class SimplicialComponents:
             for fmap in maps:
                 if len(fmap) != counts[j]:
                     raise InvalidSimplicialError(f"face map at level {j} has wrong length")
-                if any(not (0 <= v < counts[j - 1]) for v in fmap):
+                if fmap and (min(fmap) < 0 or max(fmap) >= counts[j - 1]):
                     raise InvalidSimplicialError(f"face map at level {j} lands out of range")
         # d_i d_j = d_{j-1} d_i for i < j, checked wherever both sides exist
         for lvl in range(2, len(counts)):
@@ -84,29 +84,79 @@ class SimplicialComponents:
         return self.face_maps[level - 1][i]
 
 
-def component_complex(s: SimplicialComponents) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer chain complex C_2 -> C_1 -> C_0 with differentials the
-    alternating sums of the face maps; validates the simplicial identities."""
+def _coboundaries(s: SimplicialComponents) -> tuple[list[list[int]], list[list[int]]]:
+    """The differentials of the dualized complex C^0 -> C^1 -> C^2 as the
+    eliminations read them, row-major: d^1 as c1 rows over C^0 (at most two
+    nonzeros a row) and d^2 as c2 rows over C^1, the transposes of d_1 and
+    d_2 built straight from the face maps.  Validates the simplicial
+    identities and checks d_1 d_2 = 0."""
     s.validate()
-    c0, c1, c2 = s.counts[0], s.counts[1], s.counts[2]
-    d1 = intmat.zeros(c0, c1)
-    for j in range(c1):
-        d1[s.face(1, 0)[j]][j] += 1
-        d1[s.face(1, 1)[j]][j] -= 1
-    d2 = intmat.zeros(c1, c2)
-    for j in range(c2):
-        d2[s.face(2, 0)[j]][j] += 1
-        d2[s.face(2, 1)[j]][j] -= 1
-        d2[s.face(2, 2)[j]][j] += 1
-    # column j of d_1 d_2 counts the vertices of simplex j's edges with signs: it is
-    # zero exactly when the + and - vertices agree as multisets
+    c0, c1 = s.counts[0], s.counts[1]
     d10, d11 = s.face(1, 0), s.face(1, 1)
+    # column j of d_1 d_2 counts the vertices of simplex j's edges with signs: it is
+    # zero exactly when the + and - vertices agree as multisets.  They agree
+    # term by term where the identities d_0 d_1 = d_0 d_0, d_0 d_2 = d_1 d_0 and
+    # d_1 d_2 = d_1 d_1 hold, so only a simplex where one fails is sorted
+    faces2 = tuple(zip(s.face(2, 0), s.face(2, 1), s.face(2, 2)))
     if any(
-        sorted((d10[e0], d11[e1], d10[e2])) != sorted((d11[e0], d10[e1], d11[e2]))
-        for e0, e1, e2 in zip(s.face(2, 0), s.face(2, 1), s.face(2, 2))
+        (d10[e1] != d10[e0] or d10[e2] != d11[e0] or d11[e2] != d11[e1])
+        and sorted((d10[e0], d11[e1], d10[e2])) != sorted((d11[e0], d10[e1], d11[e2]))
+        for e0, e1, e2 in faces2
     ):
         raise InternalError("d_1 d_2 != 0 although the simplicial identities hold")
+    d1 = []
+    for v0, v1 in zip(d10, d11):
+        row = [0] * c0
+        row[v0] += 1
+        row[v1] -= 1
+        d1.append(row)
+    d2 = []
+    for e0, e1, e2 in faces2:
+        row = [0] * c1
+        row[e0] += 1
+        row[e1] -= 1
+        row[e2] += 1
+        d2.append(row)
     return d1, d2
+
+
+def component_complex(s: SimplicialComponents) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer chain complex C_2 -> C_1 -> C_0 with differentials the
+    alternating sums of the face maps, as c0 x c1 and c1 x c2 matrices;
+    validates the simplicial identities.  The transposes of the rows
+    _coboundaries builds."""
+    d1, d2 = _coboundaries(s)
+    c0, c1 = s.counts[0], s.counts[1]
+    return [[row[i] for row in d1] for i in range(c0)], [[row[j] for row in d2] for j in range(c1)]
+
+
+def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[int]] | None]:
+    """cocharacter_group's rank, with its basis if ``basis`` (else None).
+    Without the basis the kernel form builds V^(-1) alone, the lift form
+    builds nothing and the basis product is skipped; both checks run
+    either way."""
+    d1, d2 = _coboundaries(s)
+    c0, c1 = s.counts[0], s.counts[1]
+    # one zero row over C^1 when C^2 = 0
+    _, d, vt, _, vinv, _, ve = intmat._eliminate(d2 or [[0] * c1], ("v", "v_inv") if basis else ("v_inv",))
+    r2 = len(intmat.diagonal(d))  # rank of d^2
+    if r2 == c1:
+        return 0, [] if basis else None
+    # V^(-1) d^1 = [0; coords], coords being Im d^1 in the saturated kernel basis
+    image = intmat._mul_units(vinv, ve, d1, c0)
+    if any(map(any, image[:r2])):
+        raise InternalError("image of d^1 does not land in Ker d^2")
+    _, d, _, uinv_t, _, ue, _ = intmat._eliminate(image[r2:], ("u_inv",) if basis else ())
+    nz = intmat.diagonal(d)
+    if any(x != 1 for x in nz):
+        raise InternalError("image of C_1 -> C_0 is not a direct summand")
+    rank = c1 - r2 - len(nz)
+    if not basis:
+        return rank, None
+    if not rank:
+        return 0, []
+    # free-part basis: trailing columns of U^(-1), lifted through the kernel columns of V
+    return rank, intmat._mul_units(uinv_t[len(nz) :], ue[len(nz) :], vt[r2:], c1)
 
 
 def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
@@ -122,36 +172,22 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     both say that they are all 1.  d_1 of a component complex is a graph
     incidence matrix, whose divisors are 1, so the check names a broken
     invariant, not an input error.  When d^2 is injective nothing is left to
-    check: d_1 d_2 = 0 (checked by component_complex) forces d^1 = 0.
+    check: d_1 d_2 = 0 (checked by _coboundaries) forces d^1 = 0.
 
-    Both eliminations are intmat._eliminate, which hands over V^T and
-    (U^(-1))^T as it builds them, so no transform is transposed here.  Both
-    products are intmat.mul, which skips the zeros of both factors.
-    V^(-1) d^1 runs over the nonzeros of each row of d^1, the columns of
-    d_1 (two in an incidence matrix).  The basis is formed transposed, as
+    d^2 and d^1 are built once, as rows in the orientation the eliminations
+    read (d^2 as c2 rows over C^1, d^1 as c1 rows over C^0), so nothing is
+    transposed.  Both eliminations are intmat._eliminate, which hands over
+    V^T and (U^(-1))^T as it builds them, with marks of the rows of
+    (U^(-1))^T and V^(-1) that are still unit vectors e_k.  Both products go
+    through intmat._mul_units: a unit row of the left factor is a copy of
+    row k of the right one, and any other row a sum over the nonzeros.
+    V^(-1) d^1 is formed so, and the basis transposed, as
     (U^(-1) tail)^T (V_ker)^T: the trailing rows of (U^(-1))^T, mostly unit
-    rows, times the trailing rows of V^T.
+    rows, times the trailing rows of V^T.  picard_skeleton reads the rank
+    alone, through the same function without the basis: V^T, (U^(-1))^T
+    and the basis product are not built, and both checks still run.
     """
-    d1, d2 = component_complex(s)
-    c1, c2 = s.counts[1], s.counts[2]
-    dual2 = intmat.transpose(d2) if c2 else [[0] * c1]  # C^1 -> C^2, one zero row when C^2 = 0
-    _, d, vt, _, vinv = intmat._eliminate(dual2, ("v", "v_inv"))
-    r2 = len(intmat.diagonal(d))  # rank of d^2
-    if r2 == c1:
-        return 0, []
-    # V^(-1) d^1 = [0; coords], coords being Im d^1 in the saturated kernel basis
-    image = intmat.mul(vinv, list(zip(*d1)))
-    if any(x for row in image[:r2] for x in row):
-        raise InternalError("image of d^1 does not land in Ker d^2")
-    _, d, _, uinv_t, _ = intmat._eliminate(image[r2:], ("u_inv",))
-    nz = intmat.diagonal(d)
-    if any(x != 1 for x in nz):
-        raise InternalError("image of C_1 -> C_0 is not a direct summand")
-    rank = c1 - r2 - len(nz)
-    if not rank:
-        return 0, []
-    # free-part basis: trailing columns of U^(-1), lifted through the kernel columns of V
-    return rank, intmat.mul(uinv_t[len(nz) :], vt[r2:])
+    return _cocharacters(s, True)
 
 
 @dataclass(frozen=True)
@@ -184,20 +220,25 @@ class DivisorPresentation:
             raise ShapeError("ns_classes must have m columns")
 
 
+def _div0(d: DivisorPresentation, basis: bool) -> tuple[int, list[list[int]] | None]:
+    """div0_lattice's rank, with its basis if ``basis`` (else None): the
+    rank alone is m minus the number of elementary divisors of the stacked
+    relations, so no V is built."""
+    if d.m == 0:
+        return 0, [] if basis else None
+    diff = [[a - b for a, b in zip(r0, r1)] for r0, r1 in zip(d.pull0, d.pull1)]
+    stacked = diff + [list(row) for row in d.ns_classes] or [[0] * d.m]
+    if not basis:
+        return d.m - len(intmat.elementary_divisors(stacked)), None
+    kernel = intmat.kernel_basis(stacked)
+    return len(kernel), kernel
+
+
 def div0_lattice(d: DivisorPresentation) -> tuple[int, list[list[int]]]:
     """Rank and basis (columns) of the divisors with equal pullbacks that
     die in the component group: Ker(pull0 - pull1) intersected with
     Ker(ns_classes)."""
-    if d.m == 0:
-        return 0, []
-    diff = [
-        [a - b for a, b in zip(r0, r1)] for r0, r1 in zip(d.pull0, d.pull1)
-    ]
-    stacked = [list(row) for row in diff] + [list(row) for row in d.ns_classes]
-    if not stacked:
-        stacked = [[0] * d.m]
-    kernel = intmat.kernel_basis(stacked)
-    return len(kernel), kernel
+    return _div0(d, True)
 
 
 @dataclass(frozen=True)
@@ -262,10 +303,11 @@ def picard_skeleton(
     plus a split presentation with trivial actions realizing it.
 
     The abelian part is caller data: either an explicit block or the default
-    supersingular companion blocks of dimension g.
+    supersingular companion blocks of dimension g.  Only the two ranks are
+    read, so neither basis is built.
     """
-    lattice_rank, _ = div0_lattice(d)
-    torus_rank, _ = cocharacter_group(s)
+    lattice_rank, _ = _div0(d, False)
+    torus_rank, _ = _cocharacters(s, False)
     skeleton = PicardSkeleton(lattice_rank, torus_rank, g)
     return skeleton, _split_spec(lattice_rank, torus_rank, g, params, abelian, "picard-skeleton")
 

@@ -31,13 +31,17 @@ a second element representation for a = 1, kept here as an oracle: they add
 and multiply through integer ghost components, and the Z/p^n model of
 W_n(F_p) is their ground truth.  matvec is the integer matrix-vector product
 of the kernel checks, int_mul_oracle the plain triple-loop integer
-product, with no zero skipping, that intmat.mul is checked against, and
-int_shape_oracle the row-by-row length check behind intmat.shape.  The
-cocharacter oracle takes its Smith forms from the Smith oracle and their
-inverses from inverse_oracle (fraction-free Gauss-Jordan), not from
-intmat._eliminate; it forms d^1 with intmat.transpose, where
-cocharacter_group hands intmat.mul the rows of zip(*d_1), and reads the
-Smith diagonals with its own loops, not intmat.diagonal.  wmat and wm_zero
+product, with no zero skipping, that intmat.mul and intmat._mul_units are
+checked against, and int_shape_oracle the row-by-row length check behind
+intmat.shape.  transpose is the tests' own integer transpose (the package
+builds its differentials in the orientation it reads and transposes
+nothing).  The cocharacter oracle takes its Smith forms from the Smith
+oracle and their inverses from inverse_oracle (fraction-free
+Gauss-Jordan), not from intmat._eliminate; it forms d^1 by transposing the
+dense d_1 and multiplies full matrices with intmat.mul and no unit-row
+marks, where cocharacter_group builds d^1 as rows from the face maps and
+copies the unit rows through intmat._mul_units, and it reads the Smith
+diagonals with its own loops, not intmat.diagonal.  wmat and wm_zero
 build WittElem matrices for the tests: the package keeps its matrices as
 coordinate rows and builds no WMat but the boxed views of them.  The load
 oracle reads a CLI document through a text-mode file, where the CLI decodes
@@ -671,6 +675,15 @@ def int_mul_oracle(a, b, cols: int) -> list[list[int]]:
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)] for i in range(len(a))]
 
 
+def transpose(a) -> list[list[int]]:
+    """The transpose of an integer matrix; an r x 0 matrix raises, since its
+    0 x r transpose would read as [] (0 x 0)."""
+    r, c = intmat.shape(a)
+    if r and not c:
+        raise ShapeError(f"the transpose of a {r}x0 matrix would lose its {r} columns")
+    return [list(col) for col in zip(*a)]
+
+
 def int_shape_oracle(a) -> tuple[int, int] | None:
     """(rows, columns) of a sequence of rows, read row by row; None when two
     rows differ in length."""
@@ -821,15 +834,15 @@ def cocharacter_oracle(d1, d2, c1: int):
     """(rank, basis) of Ker d^2 / Im d^1 by the dense formula: the same two
     Smith forms as simplicial.cocharacter_group, taken from smith_oracle
     with their inverses from inverse_oracle, and d^1 and the lift formed by
-    intmat.transpose and intmat.mul on full matrices.  Raises the same
+    transpose and intmat.mul on full matrices.  Raises the same
     InternalError when an invariant fails."""
     c2 = len(d2[0]) if d2 else 0
-    dual2 = intmat.transpose(d2) if c2 else [[0] * c1]
+    dual2 = transpose(d2) if c2 else [[0] * c1]
     _, d, v = smith_oracle(dual2)
     r2 = sum(1 for i in range(min(len(d), c1)) if d[i][i])
     if r2 == c1:
         return 0, []
-    image = intmat.mul(inverse_oracle(v), intmat.transpose(d1))
+    image = intmat.mul(inverse_oracle(v), transpose(d1))
     if any(x for row in image[:r2] for x in row):
         raise InternalError("image of d^1 does not land in Ker d^2")
     u, d, _ = smith_oracle(image[r2:])
@@ -840,7 +853,7 @@ def cocharacter_oracle(d1, d2, c1: int):
     if not rank:  # the c1 x 0 lift has no transpose to take
         return 0, []
     lift = intmat.mul([row[r2:] for row in v], [row[len(nz) :] for row in inverse_oracle(u)])
-    return rank, intmat.transpose(lift)
+    return rank, transpose(lift)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from helpers import (
     mat_transpose,
     random_motive_spec,
     random_simplicial,
+    transpose,
     wm_mul_oracle,
 )
 
@@ -237,10 +238,10 @@ def test_criterion_8_cocharacter_freeness():
         d1, d2 = component_complex(s)
         assert all(d == 1 for d in intmat.elementary_divisors(d1))
         # freeness of Ker d^2 / Im d^1 via the dualized complex
-        dual1, dual2 = intmat.transpose(d1), intmat.transpose(d2)
+        dual1, dual2 = transpose(d1), transpose(d2)
         kernel = intmat.kernel_basis(dual2)
         if kernel:
-            kmat = intmat.transpose(kernel)
+            kmat = transpose(kernel)
             coords = intmat.solve_exact(kmat, dual1)
             assert coords is not None
             assert all(d == 1 for d in intmat.elementary_divisors(coords))

@@ -3,15 +3,19 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from fcrystals import errors
 from fcrystals.cli import _HANDLERS, main
+from fcrystals.serialize import canonical_dumps
 
 FX = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLD = os.path.join(FX, "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # (golden name, argv tail, expected exit)
 GOLDEN_CASES = [
@@ -438,26 +442,83 @@ class TestSharedParser:
             assert out.getvalue() == fh.read()
         assert json.loads(out.getvalue())["ring"]["n"] == 4
 
-    # sha256 of the (stdout, stderr) bytes of a parser built for the call, at
-    # 80 columns; the same on CPython 3.10, 3.11 and 3.13
-    EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    ARGV_BYTES = [
-        (["--help"], 0, "daf76d79802f392ca4e487b2707dc0ae615c446b98da6d70fa04baabf218be6c", EMPTY),
-        (["crystal-verify"], 2, EMPTY, "f3aac8ef537bbfe023a43e0efdc9c3b45f6597acb6c0bd6e5e104bcbfdb191d8"),
-        (["no-such-verb", "--in", "x.json"], 2, EMPTY, "d512b50c2bb646993d75a072f7cc28ffe1fc5eddaffb2084f71038ea0e35d4e1"),
+    # sha256 of the help a parser built for the call prints, at 80 columns;
+    # the same on CPython 3.10, 3.11 and 3.13
+    HELP_SHA = "daf76d79802f392ca4e487b2707dc0ae615c446b98da6d70fa04baabf218be6c"
+    # argv -> the start of its one error object (code bad-argv, exit 2); the
+    # list of verbs after "choose from" is quoted or not by Python version
+    ARGV_ERRORS = [
+        (["--help"], None),
+        (["crystal-verify"], '{"code":"bad-argv","message":"at least one --in document is required"}'),
+        (
+            ["no-such-verb", "--in", "x.json"],
+            """{"code":"bad-argv","message":"argument verb: invalid choice: 'no-such-verb' (choose from """,
+        ),
     ]
 
-    @pytest.mark.parametrize("argv,status,out_sha,err_sha", ARGV_BYTES, ids=["help", "no-input", "unknown-verb"])
-    def test_usage_bytes_are_unchanged(self, argv, status, out_sha, err_sha, monkeypatch):
+    @pytest.mark.parametrize("argv,error", ARGV_ERRORS, ids=["help", "no-input", "unknown-verb"])
+    def test_help_and_argv_error_bytes(self, argv, error, monkeypatch):
+        """--help prints the help bytes of a parser built for the call and
+        exits 0; an argv error, the parser's or main's own, is one error
+        object on stderr and exit status 2, with no usage text."""
         monkeypatch.setenv("COLUMNS", "80")
         for _ in range(2):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                with pytest.raises(SystemExit) as exc:
-                    main(argv)
-            assert exc.value.code == status
-            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == out_sha
-            assert hashlib.sha256(err.getvalue().encode()).hexdigest() == err_sha
+                if error is None:
+                    with pytest.raises(SystemExit) as exc:
+                        main(argv)
+                    assert exc.value.code == 0
+                else:
+                    assert main(argv) == 2
+            if error is None:
+                assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.HELP_SHA
+                assert err.getvalue() == ""
+            else:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith(error) and err.getvalue().endswith('"}\n')
+                assert json.loads(err.getvalue())["code"] == "bad-argv"
+
+
+class TestArgvErrors:
+    """Every argv the parser rejects, and one with no --in, ends in exactly
+    one JSON error object on stderr with code bad-argv and exit status 2."""
+
+    CASES = [
+        (["crystal-verify", "--in", "x.json", "--precision", "1.5"], "argument --precision: invalid int value: '1.5'"),
+        (["motive-height", "--in", "x.json", "--n", "two"], "argument --n: invalid int value: 'two'"),
+        (["crystal-verify", "--in"], "argument --in: expected one argument"),
+        (["crystal-verify", "--in", "x.json", "extra"], "unrecognized arguments: extra"),
+        (["crystal-verify", "--bogus", "1", "--in", "x.json"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: verb"),
+        (["crystal-verify", "--out", "o.json"], "at least one --in document is required"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", CASES)
+    def test_one_error_object(self, argv, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == canonical_dumps({"code": "bad-argv", "message": message})
+        assert not os.path.exists(tmp_path / "o.json")
+
+    def test_process_exit_status(self, tmp_path):
+        """Run as a process, a bad int, a missing verb and a missing --in each
+        exit 2 with the one error object as all of stderr; -h prints the help
+        and exits 0."""
+        def run(argv):
+            cmd = [sys.executable, "-m", "fcrystals", *argv]
+            return subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path)
+
+        for argv, message in self.CASES[:1] + self.CASES[-2:]:
+            proc = run(argv)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == canonical_dumps({"code": "bad-argv", "message": message})
+        proc = run(["-h"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: fcrystals")
 
 
 # the ten witt-eval ops and their argument counts

@@ -31,12 +31,16 @@ TOKENS = VERBS[:4] + ["no-such-verb"] + OPTIONS + OTHER_OPTIONS + VALUES
 
 
 def _parse(argv):
-    """What the parser makes of argv: its namespace, or its exit status."""
+    """What the parser makes of argv: its namespace, its exit status (-h), or
+    its error message."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return _parser().parse_args(argv)
         except SystemExit as exc:
             return ("exit", exc.code)
+        except MalformedInputError as exc:
+            assert exc.code == "bad-argv"
+            return ("error", str(exc))
 
 
 def _argv(verb, pairs, edit):
@@ -73,6 +77,41 @@ def test_plain_args_agree_with_the_parser(argv):
     plain = _plain_args(argv)
     if plain is not None:
         assert plain == _parse(argv)
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("argv"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=ARGVS)
+def test_every_argv_ends_in_help_or_one_error_object(empty_dir, argv):
+    """Run from an empty directory, so that no --in document exists, every
+    argv either prints the help (exit 0, nothing on stderr) or ends in one
+    error object on stderr and nothing on stdout: bad-argv exactly where the
+    parser rejects argv or it has no --in."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(empty_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = ("exit", exc.code)
+    finally:
+        os.chdir(cwd)
+    parsed = _parse(argv)
+    if status == ("exit", 0):
+        assert parsed == ("exit", 0) and err.getvalue() == "" and out.getvalue().startswith("usage: fcrystals")
+        return
+    assert status == 2 and out.getvalue() == ""
+    doc = json.loads(err.getvalue())
+    assert err.getvalue() == canonical_dumps(doc) and set(doc) == {"code", "message"}
+    rejected = isinstance(parsed, tuple) or not parsed.inputs
+    assert (doc["code"] == "bad-argv") == rejected, (argv, doc)
+    assert os.listdir(empty_dir) == []
 
 
 # the argv shapes the benchmark builds: verb [--ring r] --in p [--in p ...],

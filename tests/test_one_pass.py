@@ -230,11 +230,17 @@ def test_action_takes_no_elimination(monkeypatch):
     assert d.sigma_inverse == ((0, 1, 0), (0, 0, -1), (1, 0, 0))
 
 
+INTMAT_CALLS = (
+    "smith_normal_form", "_eliminate", "mul", "_mul_units", "solve_exact", "inverse_unimodular", "kernel_basis",
+    "elementary_divisors",
+)
+
+
 def _cochar_calls(monkeypatch, path):
     """The output rank of one simplicial-cochar call on path, and its intmat
     calls by name."""
     calls = Counter()
-    for name in ("smith_normal_form", "_eliminate", "mul", "solve_exact", "inverse_unimodular"):
+    for name in INTMAT_CALLS:
         _count_calls(monkeypatch, calls, fcrystals.intmat, name)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -249,10 +255,10 @@ def test_cocharacters_take_two_eliminations(monkeypatch):
     one's diagonal; no solve_exact or inverse_unimodular runs.  It takes the
     transforms as the elimination builds them, so the transposing wrapper
     smith_normal_form does not run.  The two products are V^(-1) d^1 and the
-    lift, both through intmat.mul."""
+    lift, both through intmat._mul_units, which copies the marked unit rows."""
     rank, calls = _cochar_calls(monkeypatch, os.path.join(FX, "simplicial_nodal.json"))
     assert rank == 1
-    assert dict(calls) == {"_eliminate": 2, "mul": 2}
+    assert dict(calls) == {"_eliminate": 2, "_mul_units": 2}
 
 
 def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
@@ -263,27 +269,61 @@ def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
     path.write_text(json.dumps({"counts": [2, 1, 0], "faces": {"1": [[0], [1]], "2": [[], [], []]}}))
     rank, calls = _cochar_calls(monkeypatch, path)
     assert rank == 0
-    assert dict(calls) == {"_eliminate": 2, "mul": 1}
+    assert dict(calls) == {"_eliminate": 2, "_mul_units": 1}
 
 
-def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
-    """Of the two eliminations of one simplicial-cochar call, the kernel form
-    builds V^T and V^(-1), and the lift form (U^(-1))^T alone; the summand
-    check reads the lift form's diagonal."""
+def _recorded_builds(monkeypatch, argv):
+    """The slots each intmat._eliminate call of one CLI call builds, in call
+    order: transforms by their build names, and the unit-row marks as ue
+    (with (U^(-1))^T) and ve (with V^(-1))."""
     built = []
     original = fcrystals.intmat._eliminate
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        names = ("u", None, "v", "u_inv", "v_inv")  # the slots of (U, D, V^T, (U^(-1))^T, V^(-1))
+        names = ("u", None, "v", "u_inv", "v_inv", "ue", "ve")  # the slots of (U, D, V^T, (U^(-1))^T, V^(-1), ue, ve)
+        assert len(result) == len(names)
         built.append({name for name, x in zip(names, result) if name and x is not None})
         return result
 
     monkeypatch.setattr(fcrystals.intmat, "_eliminate", recording)
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
-    assert code == 0
-    assert built == [{"v", "v_inv"}, {"u_inv"}]
+        assert main(argv) == 0
+    return built
+
+
+def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
+    """Of the two eliminations of one simplicial-cochar call, the kernel form
+    builds V^T and V^(-1) with its marks, and the lift form (U^(-1))^T with
+    its marks alone; the summand check reads the lift form's diagonal."""
+    built = _recorded_builds(monkeypatch, ["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
+    assert built == [{"v", "v_inv", "ve"}, {"u_inv", "ue"}]
+
+
+def test_picard_skeleton_builds_no_basis(monkeypatch, tmp_path):
+    """picard-skeleton reads two ranks: the cocharacter kernel form builds
+    V^(-1) and its marks alone (for V^(-1) d^1), the lift form nothing, and
+    the Div^0 rank is m minus the number of elementary divisors, read off a
+    form that builds nothing.  No kernel_basis and no basis product runs."""
+    ring = os.path.join(FX, "ring_f5n4.json")
+    argv = ["picard-skeleton", "--ring", ring, "--in", os.path.join(FX, "picard_input.json")]  # m = 0
+    assert _recorded_builds(monkeypatch, argv) == [{"v_inv", "ve"}, set()]
+    monkeypatch.undo()
+    with open(os.path.join(FX, "picard_input.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(os.path.join(FX, "divisor_m3.json"), encoding="utf-8") as fh:
+        doc["divisor"] = json.load(fh)
+    path = tmp_path / "picard_m3.json"
+    path.write_text(json.dumps(doc))
+    argv = ["picard-skeleton", "--ring", ring, "--in", str(path)]
+    assert _recorded_builds(monkeypatch, argv) == [set(), {"v_inv", "ve"}, set()]
+    monkeypatch.undo()
+    calls = Counter()
+    for name in INTMAT_CALLS:
+        _count_calls(monkeypatch, calls, fcrystals.intmat, name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert dict(calls) == {"elementary_divisors": 1, "_eliminate": 3, "_mul_units": 1}
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

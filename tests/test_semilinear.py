@@ -57,6 +57,7 @@ from helpers import (
     random_unimodular,
     rank_over_q,
     smith_oracle,
+    transpose,
     verify_oracle,
     witness_oracle,
     wm_mul_oracle,
@@ -187,13 +188,13 @@ def _smith_cases():
         cases.append([[rng.choice([0, 2, -2, 4, 6, 9, -15]) for _ in range(c)] for _ in range(r)])
     for _ in range(40):
         d1, d2 = component_complex(random_simplicial(rng, max_count=8))
-        cases += [d1, d2, intmat.transpose(d1), intmat.transpose(d2)]
+        cases += [d1, d2, transpose(d1), transpose(d2)]
     for _ in range(8):  # up to 40 components a level
         d1, d2 = component_complex(random_simplicial(rng, max_count=40))
-        cases += [d1, d2, intmat.transpose(d1), intmat.transpose(d2)]
+        cases += [d1, d2, transpose(d1), transpose(d2)]
     for _ in range(3):  # 60 to 80 components a level, as the picard-lattice bench draws them
         d1, d2 = component_complex(random_simplicial(rng, max_count=80, min_count=60))
-        cases += [d1, d2, intmat.transpose(d1), intmat.transpose(d2)]
+        cases += [d1, d2, transpose(d1), transpose(d2)]
     for _ in range(6):  # mostly all-zero rows; the nonzeros of a row sit in a short window
         r, c = rng.randint(20, 70), rng.randint(20, 80)
         sparse = intmat.zeros(r, c)
@@ -201,14 +202,16 @@ def _smith_cases():
             start = rng.randrange(c)
             for j in rng.sample(range(start, min(c, start + 6)), min(c - start, rng.randint(1, 3))):
                 row[j] = rng.choice([1, -1, 2, -2, 3, 6, -9])
-        cases += [sparse, intmat.transpose(sparse)]
+        cases += [sparse, transpose(sparse)]
     # 2 leaves remainder 1 below (beside) it: after the re-pivot's row (column)
     # swap the source row of the U^(-1) (V^(-1)) update is no longer a unit vector
     cases += [[[2], [3]], [[2, 0], [3, 5]], [[2, 3]]]
     return cases
 
 
-SLOTS = {"u": 0, "v": 2, "u_inv": 3, "v_inv": 4}  # name -> place in the tuple intmat._eliminate returns
+# name -> places in the tuple intmat._eliminate returns: the transform, and
+# the unit-row marks that come with (U^(-1))^T and V^(-1)
+SLOTS = {"u": (0,), "v": (2,), "u_inv": (3, 5), "v_inv": (4, 6)}
 SUBSETS = [subset for k in range(len(SLOTS) + 1) for subset in itertools.combinations(SLOTS, k)]
 
 
@@ -219,20 +222,32 @@ def _transpose(m):
 def _full(a):
     """intmat._eliminate with every transform, V^T and (U^(-1))^T
     transposed back: (U, D, V, U^(-1), V^(-1))."""
-    u, d, vt, ut, vi = intmat._eliminate(a, tuple(SLOTS))
+    u, d, vt, ut, vi = intmat._eliminate(a, tuple(SLOTS))[:5]
     return u, d, _transpose(vt), _transpose(ut), vi
 
 
 def _selected(full, subset):
-    """The full (U, D, V^T, (U^(-1))^T, V^(-1)) with every transform outside subset set to None."""
-    keep = {1} | {SLOTS[name] for name in subset}
+    """The full (U, D, V^T, (U^(-1))^T, V^(-1), ue, ve) with every slot
+    outside subset set to None."""
+    keep = {1} | {i for name in subset for i in SLOTS[name]}
     return tuple(x if i in keep else None for i, x in enumerate(full))
 
 
+def _check_marks(rows, marks):
+    """Every row marked k >= 0 is the unit vector e_k."""
+    assert len(marks) == len(rows)
+    for row, k in zip(rows, marks):
+        if k >= 0:
+            assert row == [int(j == k) for j in range(len(row))], (row, k)
+
+
 def _check_subsets(a):
-    """Each transform subset keeps the oracle's D, builds its transforms as
-    the full elimination does and leaves the others None."""
+    """Each transform subset keeps the oracle's D, builds its transforms and
+    marks as the full elimination does and leaves the others None; the
+    marks name unit rows only."""
     full = intmat._eliminate(a, tuple(SLOTS))
+    _check_marks(full[3], full[5])
+    _check_marks(full[4], full[6])
     d = smith_oracle(a)[1]
     for subset in SUBSETS:
         got = intmat._eliminate(a, subset)
@@ -322,7 +337,7 @@ class TestIntegerProduct:
             k = k if r else 0  # a = [] is 0 x 0
             a, b = _random_int_matrix(rng, r, k), _random_int_matrix(rng, k, c)
             cols = c if k else 0  # b = [] carries no width
-            if rng.random() < 0.3:  # rows as zip(*m) hands them over
+            if rng.random() < 0.3:  # rows as tuples
                 b = [tuple(row) for row in b]
             if rng.random() < 0.3:
                 a = [tuple(row) for row in a]
@@ -344,7 +359,37 @@ class TestIntegerProduct:
                         row[j] = rng.choice([1, -1])
             assert intmat.mul(a, b) == int_mul_oracle(a, b, c), (r, k, c)
             assert intmat.mul(a, [tuple(row) for row in b]) == int_mul_oracle(a, b, c)
-            assert intmat.mul([tuple(row) for row in a], list(zip(*intmat.transpose(b)))) == int_mul_oracle(a, b, c)
+            assert intmat.mul([tuple(row) for row in a], list(zip(*transpose(b)))) == int_mul_oracle(a, b, c)
+
+    def test_mul_units_is_the_product(self):
+        """intmat._mul_units, given marks of unit rows of the left factor
+        (some unit rows left unmarked, as the elimination's marks may leave
+        them), is the oracle's product; a marked row is a fresh copy of a
+        row of the right factor."""
+        rng = random.Random(18)
+        marked = 0
+        for _ in range(60):
+            r, k, c = rng.randint(0, 80), rng.randint(1, 80), rng.randint(1, 80)
+            b = _random_int_matrix(rng, k, c)
+            if rng.random() < 0.5:  # incidence-like: two or three +-1 a row
+                b = intmat.zeros(k, c)
+                for row in b:
+                    for j in rng.sample(range(c), min(c, rng.randint(0, 3))):
+                        row[j] = rng.choice([1, -1])
+            a, units = [], []
+            for _ in range(r):
+                if rng.random() < 0.7:
+                    j = rng.randrange(k)
+                    a.append([int(i == j) for i in range(k)])
+                    units.append(j if rng.random() < 0.8 else -1)
+                else:
+                    a.append([rng.choice([0, 0, 0, 1, -1, 2, 2**70]) for _ in range(k)])
+                    units.append(-1)
+            marked += sum(x >= 0 for x in units)
+            got = intmat._mul_units(a, units, b, c)
+            assert got == int_mul_oracle(a, b, c), (a, units, b)
+            assert not any(row is brow for row in got for brow in b)
+        assert marked > 500
 
     def test_mul_with_no_inner_dimension(self):
         """An r x 0 factor times [] (0 x 0, no width to carry) is r x 0, the
@@ -408,9 +453,9 @@ class TestIntegerProduct:
         raises; the 0 x c matrix is [], whose transpose is []."""
         for r in (1, 3):
             with pytest.raises(ShapeError):
-                intmat.transpose(intmat.zeros(r, 0))
-        assert intmat.transpose(intmat.zeros(0, 3)) == [] == intmat.transpose([])
-        assert intmat.transpose([[1, 2, 3]]) == [[1], [2], [3]]
+                transpose(intmat.zeros(r, 0))
+        assert transpose(intmat.zeros(0, 3)) == [] == transpose([])
+        assert transpose([[1, 2, 3]]) == [[1], [2], [3]]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,15 @@ from fcrystals.simplicial import (
 )
 from fcrystals.witt import RingParams, default_modulus
 
-from helpers import bareiss_det, cocharacter_oracle, kernel_rank_over_q, matvec, rank_over_q, random_simplicial
+from helpers import (
+    bareiss_det,
+    cocharacter_oracle,
+    kernel_rank_over_q,
+    matvec,
+    rank_over_q,
+    random_simplicial,
+    transpose,
+)
 
 P54 = RingParams(5, 4)
 
@@ -48,6 +56,23 @@ def dense_complex(s: SimplicialComponents):
         for j, e in enumerate(s.face(2, i)):
             d2[e][j] += sign
     return d1, d2
+
+
+def inject(monkeypatch, d1, d2, counts):
+    """Make simplicial._coboundaries hand over the complex d_1 (c0 x c1),
+    d_2 (c1 x c2), in its orientation: d^1 as c1 rows over C^0 and d^2 as c2
+    rows over C^1."""
+    c0, c1, c2 = counts[:3]
+    cob1 = [[d1[i][e] for i in range(c0)] for e in range(c1)]
+    cob2 = [[d2[j][f] for j in range(c1)] for f in range(c2)]
+    monkeypatch.setattr(simplicial, "_coboundaries", lambda s: (cob1, cob2))
+
+
+def random_divisor(rng, m: int) -> DivisorPresentation:
+    rows = rng.randint(1, max(1, m // 2))
+    pull0, pull1 = (tuple(tuple(int(rng.random() < 0.3) for _ in range(m)) for _ in range(rows)) for _ in range(2))
+    ns = tuple(tuple(rng.randrange(3) for _ in range(m)) for _ in range(rng.randint(1, 2)))
+    return DivisorPresentation(m, pull0, pull1, ns)
 
 
 def identity_divisor(m: int) -> DivisorPresentation:
@@ -160,7 +185,7 @@ class TestCocharacters:
         for _ in range(50):
             s = random_simplicial(rng)
             d1, d2 = component_complex(s)
-            dual1, dual2 = intmat.transpose(d1), intmat.transpose(d2)
+            dual1, dual2 = transpose(d1), transpose(d2)
             # rank of Ker d^2 / Im d^1 = dim Ker d^2 - rank d^1 over Q
             ker_rank = kernel_rank_over_q(dual2)
             im_rank = rank_over_q(dual1)
@@ -205,29 +230,37 @@ class TestCocharacters:
     )
     def test_broken_complex_is_internal_error(self, monkeypatch, d1, d2, message):
         """A complex with d_1 d_2 != 0 or a non-summand image cannot come from
-        component_complex; fed one, cocharacter_group names the invariant."""
-        monkeypatch.setattr(simplicial, "component_complex", lambda s: (d1, d2))
+        _coboundaries; fed one, cocharacter_group names the invariant, and so
+        does the rank-only path of picard_skeleton."""
+        inject(monkeypatch, d1, d2, NODAL.counts)
         with pytest.raises(InternalError, match=message):
             cocharacter_group(NODAL)
+        with pytest.raises(InternalError, match=message):
+            simplicial._cocharacters(NODAL, False)
+        with pytest.raises(InternalError, match=message):
+            picard_skeleton(NODAL, identity_divisor(1), 0, P54)
 
     def test_summand_check_is_the_elementary_divisors_of_d1(self, monkeypatch):
         """On complexes with d_1 d_2 = 0 whose d_1 need not be a graph
         incidence matrix, the one diagonal check of the lift form fails
         exactly when d_1 has an elementary divisor other than 1, and
-        otherwise the rank is c1 - rank d_2 - rank d_1."""
+        otherwise the rank is c1 - rank d_2 - rank d_1, in rank-only mode
+        too."""
         seen = {True: 0, False: 0}
         for shell, d1, d2 in _general_complexes(random.Random(36), 200):
-            monkeypatch.setattr(simplicial, "component_complex", lambda s: (d1, d2))
+            inject(monkeypatch, d1, d2, shell.counts)
             broken = any(x != 1 for x in intmat.elementary_divisors(d1))
             seen[broken] += 1
             if broken:
-                with pytest.raises(InternalError, match="image of C_1 -> C_0 is not a direct summand"):
-                    cocharacter_group(shell)
+                for basis in (True, False):
+                    with pytest.raises(InternalError, match="image of C_1 -> C_0 is not a direct summand"):
+                        simplicial._cocharacters(shell, basis)
                 continue
             rank, basis = cocharacter_group(shell)
             assert rank == shell.counts[1] - rank_over_q(d2) - rank_over_q(d1)
+            assert simplicial._cocharacters(shell, False) == (rank, None)
             assert len(basis) == rank
-            dual2 = intmat.transpose(d2) if shell.counts[2] else [[0] * shell.counts[1]]
+            dual2 = transpose(d2) if shell.counts[2] else [[0] * shell.counts[1]]
             assert all(x == 0 for col in basis for x in matvec(dual2, col))
         assert min(seen.values()) >= 20
 
@@ -253,16 +286,37 @@ class TestCocharacters:
 
     def test_same_basis_as_the_dense_formula_on_general_d1(self, monkeypatch):
         """On the d_1 that are not incidence matrices, the same (rank, basis)
-        as the dense formula, or the same invariant error."""
+        as the dense formula, or the same invariant error; the rank-only path
+        gives the same rank or the same error."""
         for shell, d1, d2 in _general_complexes(random.Random(38), 200):
-            monkeypatch.setattr(simplicial, "component_complex", lambda s: (d1, d2))
+            inject(monkeypatch, d1, d2, shell.counts)
             try:
                 want = cocharacter_oracle(d1, d2, shell.counts[1])
             except InternalError as exc:
-                with pytest.raises(InternalError, match=re.escape(str(exc))):
-                    cocharacter_group(shell)
+                for basis in (True, False):
+                    with pytest.raises(InternalError, match=re.escape(str(exc))):
+                        simplicial._cocharacters(shell, basis)
                 continue
             assert cocharacter_group(shell) == want, (d1, d2)
+            assert simplicial._cocharacters(shell, False) == (want[0], None), (d1, d2)
+
+    def test_large_structures_against_the_dense_formula(self):
+        """Up to 80 components a level, the sizes the benchmark draws: the
+        basis is the dense formula's on dense_complex, and picard_skeleton's
+        rank-only paths give the ranks of cocharacter_group and
+        div0_lattice."""
+        rng = random.Random(39)
+        ranks = set()
+        for k in range(24):
+            s = random_simplicial(rng, max_count=80, min_count=40 if k % 2 else 1)
+            d1, d2 = dense_complex(s)
+            got = cocharacter_group(s)
+            assert got == cocharacter_oracle(d1, d2, s.counts[1]), s
+            d = random_divisor(rng, rng.randint(1, 80))
+            skeleton, _ = picard_skeleton(s, d, 0, P54)
+            assert (skeleton.torus_rank, skeleton.lattice_rank) == (got[0], div0_lattice(d)[0])
+            ranks.add(got[0])
+        assert len(ranks) >= 5
 
 
 def _general_complexes(rng, count):
@@ -272,7 +326,7 @@ def _general_complexes(rng, count):
     for _ in range(count):
         c0, c1, c2 = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 4)
         d2 = [[rng.randint(-2, 2) for _ in range(c2)] for _ in range(c1)]
-        dual2 = intmat.transpose(d2) if c2 else [[0] * c1]
+        dual2 = transpose(d2) if c2 else [[0] * c1]
         kernel = intmat.kernel_basis(dual2)  # columns y with y^T d_2 = 0
         mix = [[rng.randint(-3, 3) for _ in range(c0)] for _ in kernel]
         # d_1^T = K R, so d_1 d_2 = R^T K^T d_2 = 0
