@@ -382,19 +382,21 @@ def main(argv: list[str] | None = None) -> int:
             args = _parser().parse_args(argv)
         if not args.inputs:
             raise MalformedInputError("at least one --in document is required", code="bad-argv")
-        failure = None
+        # a failed single input keeps its error object, not the exception,
+        # whose traceback would hold this frame in a reference cycle
+        error = None
         if len(args.inputs) == 1:
             try:
                 result, status = run_one(args.inputs[0]), EXIT_OK
             except VerificationFailure as exc:
-                result, status, failure = exc.doc, exc.exit_code, exc
+                result, status, error = exc.doc, exc.exit_code, _error_doc(exc)
         else:
             # batch verification over independent input files, run serially
             result = {path: run_guarded(path) for path in args.inputs}
             status = EXIT_OK if all(r["ok"] for r in result.values()) else EXIT_VERIFICATION
         _emit(ser.canonical_dumps(result), args.out)
-        if failure is not None:
-            sys.stderr.write(ser.canonical_dumps(_error_doc(failure)))
+        if error is not None:
+            sys.stderr.write(ser.canonical_dumps(error))
         return status
     except FCrystalsError as exc:
         sys.stderr.write(ser.canonical_dumps(_error_doc(exc)))

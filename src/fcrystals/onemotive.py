@@ -10,7 +10,9 @@ and must come out integral.  The realization, the dual presentation, the
 pairing and the structural checks all compute on the modules' coordinate
 rows (the realization at two guard digits); a presentation keeps its ext
 blocks as rows, and its graded blocks and F are built once per
-presentation (the dual's F is read off the canonical dual).
+presentation (the dual's F is read off the canonical dual).  A presentation
+holds its assembled crystal weakly and the crystal holds the presentation,
+so both are freed by reference count, with no reference cycle.
 
 The dual presentation is constructed so that assembling it reproduces the
 twisted dual of the assembled module up to an explicit basis permutation,
@@ -20,6 +22,7 @@ satisfying <F-, F-> = p sigma<-,-> and <V-, V-> = p sigma^(-1)<-,->.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,13 +135,20 @@ class OneMotiveSpec:
         grid = [[tb.f_rows, ext_at, ext_xt], [None, ab.f_rows, ext_xa], [None, None, lb.f_rows]]
         return _block(grid, sizes, sizes, (0,) * self.params.a)
 
-    @cached_property
+    @property
     def assembled(self) -> "MotiveCrystal":
         """The assembled motive crystal (see assemble), realized and
-        self-checked on first use and then kept on this presentation."""
-        mc = MotiveCrystal(_realize(self), self)
-        if not mc.report.ok:
-            raise InternalError(f"assembled module failed verification: {mc.report.first_failure}")
+        self-checked on first use.  The presentation keeps a weak reference
+        to it, so it is the same crystal for as long as a caller holds it
+        and is freed with the caller's last reference; the crystal holds the
+        presentation (its provenance), and no reference cycle remains."""
+        ref = self.__dict__.get("_crystal")
+        mc = ref and ref()
+        if mc is None:
+            mc = MotiveCrystal(_realize(self), self)
+            if not mc.report.ok:
+                raise InternalError(f"assembled module failed verification: {mc.report.first_failure}")
+            self.__dict__["_crystal"] = weakref.ref(mc)
         return mc
 
     @staticmethod
@@ -162,7 +172,10 @@ class MotiveCrystal:
 
     Two values derived from the module are computed on first use and kept
     here: its verify report, and its canonical dual, the twisted dual
-    relabelled into the basis order of the dual presentation.
+    relabelled into the basis order of the dual presentation.  The crystal
+    holds its presentation; an assembled one is held by its presentation
+    only weakly (see assemble), so it lives as long as its callers hold it
+    and no reference cycle keeps it.
     """
 
     module: FilteredFModule
@@ -188,9 +201,14 @@ def assemble(s: OneMotiveSpec) -> MotiveCrystal:
     sigma(V_A) . ext_xa must vanish mod p, otherwise the extension data is
     rejected.
 
-    The work is done once per presentation object: the result is kept on s
-    (OneMotiveSpec.assembled), so assemble(s) is assemble(s), and its report
-    and canonical dual are shared by every later caller.
+    The work is done once per presentation object while a caller holds the
+    result: s keeps a weak reference to it (OneMotiveSpec.assembled), so
+    assemble(s) is assemble(s) as long as either is held, and its report
+    and canonical dual are shared by every caller that holds it.  A caller
+    that needs the crystal again later (as cartier_dual does, inside
+    verify_motive, motive-pair and dual_witness) holds it meanwhile.  Once
+    the last holder drops it, the crystal is freed by reference count (it
+    holds s, s does not hold it), and a later assemble(s) realizes s again.
     """
     return s.assembled
 
@@ -211,13 +229,7 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
     p, pn, half, bpn = params.p, params.pn, params.pn // 2, big.pn
 
     def lift(m: Rows) -> Rows:
-        return [[tuple((c if c <= half else c - pn) % bpn for c in x) for x in row] for row in m]
-
-    # p F^(-1) has blocks -B^(-1) ext_at sigma(V_A), -w_div A^(-1) and
-    # -B^(-1) (ext_xt - ext_at w_div) A^(-1); V's blocks are sigma^(-1) of them
-    def down(rows: Rows) -> Rows:  # -sigma^(-1)(rows), reduced to W_n
-        inv = _sigma_rows(big, rows, "frobenius_inverse_matrix")
-        return [[tuple(-c % pn for c in x) for x in row] for row in inv]
+        return [[tuple([(c if c <= half else c - pn) % bpn for c in x]) for x in row] for row in m]
 
     va = lift(ab.v_rows)
     sig_va = _sigma_rows(big, va, "frobenius_matrix")
@@ -230,23 +242,40 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
                 "abelian block does not lift exactly: its balanced representatives "
                 "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
             )
-    binv, ainv = _int_rows(big, s.torus.sigma_inverse), _int_rows(big, s.lattice.sigma_inverse)
-    v_ta = v_ax = v_tx = None  # zero blocks
-    at, inner = lift(ext_at), lift(ext_xt)  # inner: ext_xt - ext_at . w_div
+    # p F^(-1) has blocks -B^(-1) ext_at sigma(V_A), -w_div A^(-1) and
+    # -B^(-1) inner A^(-1), inner = ext_xt - ext_at w_div; V's blocks are
+    # sigma^(-1) of them.  Products that share a factor are formed as one
+    # product of stacked operands: ext_at [sigma(V_A) | w_div],
+    # [w_div; inner] A^(-1) and B^(-1) [ext_at sigma(V_A) | inner A^(-1)].
+    w_div, inner = [], lift(ext_xt)
     if g2 and rX:
         prod_ax = _mul(big, sig_va, lift(ext_xa))
         if any(c % p for row in prod_ax for x in row for c in x):
             raise InvalidExtensionDataError(
                 "sigma(V_A) . ext_xa is not divisible by p: Verschiebung is not integral"
             )
-        w_div = [[tuple(c // p for c in x) for x in row] for row in prod_ax]
-        v_ax = down(_mul(big, w_div, ainv))
-        at_w = _mul(big, at, w_div)
-        inner = [[tuple((u - v) % bpn for u, v in zip(x, y)) for x, y in zip(r1, r2)] for r1, r2 in zip(inner, at_w)]
+        w_div = [[tuple([c // p for c in x]) for x in row] for row in prod_ax]
+    at_sig = [[] for _ in range(rT)]  # ext_at sigma(V_A)
     if rT and g2:
-        v_ta = down(_mul(big, binv, _mul(big, at, sig_va)))
-    if rT and rX:
-        v_tx = down(_mul(big, binv, _mul(big, inner, ainv)))
+        prod = _mul(big, lift(ext_at), [r1 + r2 for r1, r2 in zip(sig_va, w_div)] if w_div else sig_va)
+        at_sig = [row[:g2] for row in prod]
+        if w_div:
+            inner = [
+                [tuple([(u - v) % bpn for u, v in zip(x, y)]) for x, y in zip(r1, r2[g2:])]
+                for r1, r2 in zip(inner, prod)
+            ]
+    nw = len(w_div)
+    over_a = _mul(big, w_div + inner, _int_rows(big, s.lattice.sigma_inverse)) if rX and (g2 or rT) else []
+    top = []  # B^(-1) [ext_at sigma(V_A) | inner A^(-1)]
+    if rT and (g2 or rX):
+        right = [r1 + r2 for r1, r2 in zip(at_sig, over_a[nw:])] if rX else at_sig
+        top = _mul(big, _int_rows(big, s.torus.sigma_inverse), right)
+    # one pass over the rows of the blocks: -sigma^(-1) of each entry, reduced to W_n
+    down = _sigma_rows(big, top + over_a[:nw], "frobenius_inverse_matrix")
+    down = [[tuple([-c % pn for c in x]) for x in row] for row in down]
+    v_ta = [row[:g2] for row in down[:rT]] if rT and g2 else None  # None: a zero block
+    v_tx = [row[g2:] for row in down[:rT]] if rT and rX else None
+    v_ax = down[rT:] if nw else None
     sizes = [rT, g2, rX]
     v = _block([[tb.v_rows, v_ta, v_tx], [None, ab.v_rows, v_ax], [None, None, lb.v_rows]], sizes, sizes, (0,) * params.a)
     weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
@@ -304,7 +333,8 @@ def dual_witness(s: OneMotiveSpec):
     """Return (twisted, assembled_dual, perm) where conjugating the twisted
     dual of assemble(s) by the permutation reproduces assemble(cartier_dual(s))."""
     rT, g2, rX = s.segments
-    return twisted_dual(assemble(s).module), assemble(cartier_dual(s)).module, _dual_permutation(rX, g2, rT)
+    m = assemble(s)  # held, so cartier_dual reads the same crystal
+    return twisted_dual(m.module), assemble(cartier_dual(s)).module, _dual_permutation(rX, g2, rT)
 
 
 @dataclass(frozen=True)
@@ -358,12 +388,15 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
         )
     pi = _dual_permutation(rX, g2, rT)[::-1]
 
-    def placed(c) -> list[list[int]]:  # c at each (i, pi[i]), 0 elsewhere
-        return [[c if j == pi[i] else 0 for j in range(r)] for i in range(r)]
+    def placed(c, zero) -> list[list]:  # c at each (i, pi[i]), zero elsewhere: one row copy per i
+        rows = [[zero] * r for _ in range(r)]
+        for row, j in zip(rows, pi):
+            row[j] = c
+        return rows
 
-    one, zero = params.one(), params.zero()
-    gram = tuple(tuple(one if c else zero for c in row) for row in placed(1))  # two elements, r^2 references
-    p_gram = _int_rows(params, placed(params.p))
+    gram = tuple(map(tuple, placed(params.one(), params.zero())))  # two elements, r^2 references
+    zero = (0,) * params.a
+    p_gram = placed((params.p % params.pn,) + zero[1:], zero)
     perfect = sorted(pi) == list(range(r))
     wts, wts_d = m.module.weights, m_dual.module.weights
     weight_orth = all(wts[i] + wts_d[pi[i]] >= -2 for i in range(r))

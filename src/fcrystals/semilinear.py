@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter, lshift, mul
 from typing import Sequence
 
@@ -320,7 +320,7 @@ class FilteredFModule:
         if len(self.weights) != self.rank:
             raise ShapeError("one weight per basis vector required")
         for what, m in (("F", f), ("V", v)) if v is not None else (("F", f),):  # V may be absent, F may not
-            if len(m) != self.rank or any(len(row) != self.rank for row in m):
+            if len(m) != self.rank or not {self.rank}.issuperset(map(len, m)):
                 raise ShapeError(f"{what} matrix must be rank x rank")
 
     def __getattr__(self, name: str):
@@ -368,12 +368,21 @@ def _scalar_gap(params: RingParams, rows, c: int):
     return None
 
 
+@lru_cache(maxsize=64)  # pure in the weights; bounded, at most 64 KB a rank-256 entry
+def _lower_masks(weights: tuple[int, ...]) -> tuple[bytes, ...]:
+    """Per basis vector i, the mask of the basis vectors of weight below weights[i]."""
+    return tuple(bytes([u < w for u in weights]) for w in weights)
+
+
 def _flag_check(what: str, weights, rows: Rows) -> CheckResult:
-    """No entry of rows maps a basis vector into a lower weight."""
-    lower = ((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if weights[i] > weights[j])
-    bad = next(((i, j) for i, j, x in lower if any(x)), None)
-    detail = "" if bad is None else f"{what}[{bad[0]}][{bad[1]}] breaks the flag"
-    return CheckResult(f"flag-{what}", bad is None, detail)
+    """No entry of rows maps a basis vector into a lower weight: row i is zero
+    on the columns of weight below weights[i]."""
+    masks = _lower_masks(weights)
+    if not any(map(any, chain.from_iterable(map(compress, rows, masks)))):
+        return CheckResult(f"flag-{what}", True, "")
+    lower = ((i, j, x) for i, (row, mask) in enumerate(zip(rows, masks)) for j, x in enumerate(row) if mask[j])
+    i, j = next((i, j) for i, j, x in lower if any(x))
+    return CheckResult(f"flag-{what}", False, f"{what}[{i}][{j}] breaks the flag")
 
 
 def _product_check(name: str, what: str, m: FilteredFModule, a: Rows, b: Rows, table: str) -> CheckResult:
@@ -485,16 +494,6 @@ class SlopeProfile:
 
     pairs: tuple[tuple[Fraction, int], ...]
 
-    @staticmethod
-    def from_multiset(slopes: Sequence[Fraction]) -> "SlopeProfile":
-        out: list[tuple[Fraction, int]] = []
-        for s in sorted(slopes):
-            if out and out[-1][0] == s:
-                out[-1] = (s, out[-1][1] + 1)
-            else:
-                out.append((s, 1))
-        return SlopeProfile(tuple(out))
-
     @property
     def total(self) -> int:
         return sum(mult for _, mult in self.pairs)
@@ -548,9 +547,8 @@ def newton_slopes(m: FilteredFModule) -> SlopeProfile:
         )
     points = [(i, v) for i, v in enumerate(vals) if v < n]
     hull = _lower_hull(points)
-    slopes: list[Fraction] = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        lam = Fraction(y1 - y2, x2 - x1)
-        slopes.extend([lam / params.a] * (x2 - x1))
-    slopes.sort()
-    return SlopeProfile.from_multiset(slopes)
+    # the hull turns strictly left, so the slopes (y1 - y2) / (x2 - x1) of its
+    # segments are distinct and decrease from left to right: the profile is
+    # the segments read from the right, each slope with its width as multiplicity
+    segments = [(Fraction(y1 - y2, x2 - x1) / params.a, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    return SlopeProfile(tuple(reversed(segments)))

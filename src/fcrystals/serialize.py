@@ -17,7 +17,7 @@ from .errors import MalformedInputError, ShapeError
 from .onemotive import MotiveReport, OneMotiveSpec, PairingMatrix
 from .semilinear import FilteredFModule, Rows, SlopeProfile, VerifyReport, _box, WMat
 from .simplicial import DivisorPresentation, H1Ledger, PicardSkeleton, SimplicialComponents
-from .witt import RingParams, WittElem, intern_ring
+from .witt import _INT, RingParams, WittElem, intern_ring
 
 __all__ = [
     "canonical_dumps",
@@ -156,11 +156,11 @@ def slopes_to_doc(profile: SlopeProfile) -> dict:
 
 
 def _int_matrix_from_doc(doc, what: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(doc, list) or not all(
-        isinstance(row, list) and all(_is_int(x) for x in row) for row in doc
-    ):
+    """The rows of a nested list of ints (JSON true and false are not ints)
+    as tuples, else bad-matrix."""
+    if not isinstance(doc, list) or not all(isinstance(row, list) and _INT.issuperset(map(type, row)) for row in doc):
         raise MalformedInputError(f"{what} must be a nested integer list", code="bad-matrix")
-    return tuple(tuple(row) for row in doc)
+    return tuple(map(tuple, doc))
 
 
 def motive_to_doc(s: OneMotiveSpec) -> dict:
@@ -241,8 +241,10 @@ def simplicial_from_doc(doc: dict) -> SimplicialComponents:
 
 
 def divisor_from_doc(doc: dict) -> DivisorPresentation:
+    """The divisor presentation of the document: each entry is checked once,
+    here (bad-matrix), and the presentation checks m and the shapes."""
     m = _need(doc, "m", int)
-    return DivisorPresentation(
+    return DivisorPresentation._of_rows(
         m,
         _int_matrix_from_doc(doc.get("P0", []), "P0"),
         _int_matrix_from_doc(doc.get("P1", []), "P1"),

@@ -205,8 +205,23 @@ class DivisorPresentation:
     ns_classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        self._check(True)
+
+    @classmethod
+    def _of_rows(cls, m, pull0, pull1, ns_classes) -> "DivisorPresentation":
+        """The presentation on tuples of int rows whose entries the caller
+        checked (divisor_from_doc's constructor): m and the shapes are
+        checked as in the public one, the entries are taken as they are."""
+        d = object.__new__(cls)
+        d.__dict__.update(m=m, pull0=pull0, pull1=pull1, ns_classes=ns_classes)
+        d._check(False)
+        return d
+
+    def _check(self, entries: bool) -> None:
+        """Check m, the entries of the rows if ``entries`` (keeping them as
+        tuples), and the shapes."""
         SizeLimitError.check("m", _ints((self.m,), "bad-type", "m")[0])
-        for name in ("pull0", "pull1", "ns_classes"):
+        for name in ("pull0", "pull1", "ns_classes") if entries else ():
             object.__setattr__(self, name, tuple(_ints(row, "bad-type", name) for row in getattr(self, name)))
         if self.m < 0:
             raise ShapeError("m must be non-negative")

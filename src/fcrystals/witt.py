@@ -149,13 +149,16 @@ def _irreducible_mod_p(modulus: tuple[int, ...], p: int, a: int) -> bool:
     return not x_pk_minus_x(a) and all(len(_pgcd(x_pk_minus_x(a // q), f, p)) == 1 for q in primes)
 
 
+_INT = frozenset([int])  # the one entry type _ints accepts: no bool, no other int subclass
+
+
 def _ints(values, code: str, what: str) -> tuple[int, ...]:
     """values as a tuple of ints, else (a scalar, a bool or any other type) the boundary's error."""
     try:
         values = tuple(values)
     except TypeError:
         raise MalformedInputError(f"{what} must be a sequence, got {values!r}", code=code) from None
-    if not all(type(c) is int for c in values):
+    if not _INT.issuperset(map(type, values)):
         raise MalformedInputError(f"{what} must be integers, got {values!r}", code=code)
     return values
 

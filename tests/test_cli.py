@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -98,6 +99,36 @@ def test_cocharacters_without_level_two(name, tmp_path):
     picard.write_text(json.dumps({"simplicial": NO_LEVEL_TWO[name], "divisor": {"m": 0}, "g": 0}))
     assert run_cli(["picard-skeleton", "--ring", "ring_f5n4.json", "--in", str(picard)], out) == (0, "")
     assert json.loads(out.read_text())["skeleton"] == {"g": 0, "lattice_rank": 0, "torus_rank": 1}
+
+
+# two documents that fail verification (exit 1) and a missing file (exit 2)
+FAILING_CASES = [
+    (["motive-verify", "--in", "motive_g2_tampered.json"], 1),
+    (["motive-verify", "--in", "motive_badflag.json"], 1),
+    (["motive-verify", "--in", "no_such_file.json"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [(argv, 0) for _, argv in GOLDEN_CASES] + FAILING_CASES,
+    ids=[g for g, _ in GOLDEN_CASES] + ["g2-tampered", "badflag", "missing-file"],
+)
+def test_no_call_leaves_cyclic_garbage(argv, expected, tmp_path):
+    """Every object a call makes is freed by its reference count: with the
+    collector off during the call, a full collection after it finds
+    nothing.  A presentation holds its crystal weakly, and a failed input
+    keeps its error object rather than the exception, whose traceback
+    would hold main's frame."""
+    out = tmp_path / "out.json"
+    gc.collect()
+    gc.disable()
+    try:
+        code, _ = run_cli(argv, out)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert (code, garbage) == (expected, 0)
 
 
 def test_tampered_g2_module_fails_item_4b(tmp_path):
@@ -642,6 +673,29 @@ class TestFileBoundary:
 
     def test_missing_file_is_unchanged(self, tmp_path):
         _one_error(*_timed_cli(["crystal-verify", "--in", str(tmp_path / "none.json")]), "missing-file")
+
+
+DIVISOR = {"m": 2, "P0": [[1, 0], [0, 1]], "P1": [[0, 1], [1, 0]], "NS": [[1, 1]]}
+
+
+@pytest.mark.parametrize("key", ["P0", "P1", "NS"])
+@pytest.mark.parametrize("junk", [True, 1.5, "1", None], ids=["bool", "float", "string", "ragged"])
+def test_divisor_entry_error_bytes(key, junk, tmp_path):
+    """divisor_from_doc checks each entry once, as the document's
+    (bad-matrix); a ragged row is left to the presentation's shape checks."""
+    doc = json.loads(json.dumps(DIVISOR))
+    if junk is None:
+        doc[key][0].pop()
+        error = {"code": "shape-error", "message": "ns_classes must have m columns" if key == "NS" else "ragged integer matrix"}
+    else:
+        doc[key][0][1] = junk
+        error = {"code": "bad-matrix", "message": f"{key} must be a nested integer list"}
+    path = tmp_path / "divisor.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simplicial-div0", "--in", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", canonical_dumps(error))
 
 
 class TestHugeLevels:

@@ -10,12 +10,14 @@ one matrix product per pairing identity.  And an internal invariant that
 fails raises InternalError, also under python -O."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from fcrystals.cli import main
 from fcrystals.errors import InternalError
 from fcrystals.onemotive import OneMotiveSpec, assemble, cartier_dual, pair
 from fcrystals.semilinear import FilteredFModule
-from fcrystals.serialize import motive_from_doc
+from fcrystals.serialize import divisor_from_doc, motive_from_doc
 from fcrystals.witt import RingParams, default_modulus
 from helpers import mat_scale, slope_half_block
 
@@ -217,6 +219,48 @@ def test_assemble_is_kept_on_the_spec():
     assert assemble(s) is mc
     assert mc.report is mc.report
     assert mc.canonical_dual is mc.canonical_dual
+
+
+def test_crystal_is_freed_with_its_last_holder(monkeypatch):
+    """The presentation holds its crystal weakly: the crystal is freed by
+    reference count when its caller drops it, and a later assemble realizes
+    the presentation again."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, onemotive, "_realize")
+    s = _kummer()
+    gc.disable()
+    try:
+        ref = weakref.ref(assemble(s))
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert counts["_realize"] == 1
+    assert assemble(s).provenance is s and counts["_realize"] == 2
+
+
+@pytest.mark.parametrize("fixture", ["motive_mixed.json", "motive_g2.json", "motive_kummer.json"])
+def test_dual_witness_realizes_each_presentation_once(monkeypatch, fixture):
+    """dual_witness holds the crystal of s while cartier_dual reads it, so s
+    and its dual are realized once each."""
+    with open(os.path.join(FX, fixture), encoding="utf-8") as fh:
+        spec = motive_from_doc(json.load(fh))
+    counts = Counter()
+    _count_calls(monkeypatch, counts, onemotive, "_realize")
+    twisted, dual, perm = onemotive.dual_witness(spec)
+    assert counts["_realize"] == 2
+    c = semilinear.conjugate_by_permutation(twisted, perm)
+    assert (c.weights, c.f_rows) == (dual.weights, dual.f_rows)  # V may differ in its top digit
+
+
+def test_divisor_entries_are_checked_once(monkeypatch):
+    """divisor_from_doc checks the entries of the document's rows, and the
+    presentation it builds checks only m and the shapes."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, simplicial, "_ints")
+    with open(os.path.join(FX, "divisor_m3.json"), encoding="utf-8") as fh:
+        d = divisor_from_doc(json.load(fh))
+    assert counts["_ints"] == 1  # m
+    assert d == simplicial.DivisorPresentation(d.m, d.pull0, d.pull1, d.ns_classes)
 
 
 def test_action_takes_no_elimination(monkeypatch):
