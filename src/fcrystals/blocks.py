@@ -18,6 +18,7 @@ from .errors import (
     InternalError,
     InvalidActionError,
     InvalidTraceError,
+    MalformedInputError,
     PrecisionError,
     ShapeError,
     SizeLimitError,
@@ -83,19 +84,28 @@ class LatticeData:
         object.__setattr__(self, "sigma_inverse", tuple(tuple(row) for row in inv))
 
     @staticmethod
+    def _of(rank: int, action, inverse) -> "LatticeData":
+        """The data of an action already known to be valid, with its inverse:
+        no check and no order search."""
+        d = object.__new__(LatticeData)
+        d.__dict__.update(rank=rank, sigma_action=action, sigma_inverse=inverse)
+        return d
+
+    @staticmethod
     def trivial(rank: int) -> "LatticeData":
-        SizeLimitError.check("rank", rank)  # before the identity matrix is built
-        return LatticeData(rank, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+        """The identity action, built directly: it is its own inverse.  The
+        rank is checked as the constructor checks it."""
+        SizeLimitError.check("rank", _ints((rank,), "bad-type", "rank")[0])  # before the identity is built
+        if rank < 0:
+            raise ShapeError(f"sigma action must be {rank}x{rank}")
+        ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        return LatticeData._of(rank, ident, ident)
 
     def dual(self) -> "LatticeData":
         """The data with the inverse-transpose action (A^-1)^T, read off this
         one without a new elimination: it is unimodular of A's order, with
         inverse A^T."""
-        d = object.__new__(LatticeData)
-        d.__dict__.update(
-            rank=self.rank, sigma_action=tuple(zip(*self.sigma_inverse)), sigma_inverse=tuple(zip(*self.sigma_action))
-        )
-        return d
+        return LatticeData._of(self.rank, tuple(zip(*self.sigma_inverse)), tuple(zip(*self.sigma_action)))
 
 
 TorusData = LatticeData
@@ -106,8 +116,11 @@ def tate(m: int, params: RingParams) -> FilteredFModule:
 
     m = 1 is the unit-root twist (F = [1], V = [p]); m = 0 its twisted dual
     (F = [p], V = [1]).  Other integers extend the family consistently with
-    the tensor product, at the cost of level |m| resp. 1 - m.
+    the tensor product, at the cost of level |m| resp. 1 - m.  m must be an
+    int, not a bool (else bad-type).
     """
+    if type(m) is not int:
+        raise MalformedInputError("twist exponent must be an integer", code="bad-type")
     if m >= 1:
         f, v, level = 1, pow(params.p, m, params.pn), m
     else:
@@ -167,7 +180,10 @@ def abelian_from_ap(a_p: int, params: RingParams) -> AbelianBlock:
     """Rank-2 abelian block from the companion matrix of x^2 - a_p x + q,
     q = p^a.  Requires |a_p| <= 2 sqrt(q) and an integral V = p F^(-1); the
     latter holds exactly when q = p, otherwise an explanatory error is
-    raised (supply an explicit module instead)."""
+    raised (supply an explicit module instead).  a_p must be an int, not a
+    bool (else bad-type)."""
+    if type(a_p) is not int:
+        raise MalformedInputError("abelian trace must be an integer", code="bad-type")
     p, n, a = params.p, params.n, params.a
     q = p**a
     if a_p * a_p > 4 * q:

@@ -35,7 +35,7 @@ import sys
 import traceback
 
 from . import serialize as ser
-from .blocks import LatticeData, TorusData, abelian_from_ap, lattice_block, tate, torus_block
+from .blocks import LatticeData, abelian_from_ap, lattice_block, tate, torus_block
 from .errors import FCrystalsError, InternalError, MalformedInputError, PrecisionError
 from .onemotive import (
     MotiveCrystal,
@@ -50,16 +50,12 @@ from .semilinear import newton_slopes, tensor, twisted_dual, verify
 from .simplicial import cocharacter_group, div0_lattice, h1_weight_ledger, picard_skeleton
 from .witt import WittElem, dp_exp, dp_log, frobenius, frobenius_inverse, teichmuller, with_precision
 
-EXIT_OK = 0
-EXIT_VERIFICATION = 1
-EXIT_INTERNAL = 4
-
 
 class VerificationFailure(FCrystalsError):
     """Raised by handlers when a report comes back negative."""
 
     code = "verification-failed"
-    exit_code = EXIT_VERIFICATION
+    exit_code = 1
 
     def __init__(self, message: str, doc):
         super().__init__(message)
@@ -162,16 +158,10 @@ def _h_crystal_twist(args, doc):
     params = _ring(args, None)
     kind = ser._need(doc, "kind", str)
     if kind == "tate":
-        m = doc.get("m", 1)
-        if not ser._is_int(m):
-            raise MalformedInputError("twist exponent must be an integer", code="bad-type")
-        module = tate(m, params)
-    elif kind == "lattice":
+        module = tate(doc.get("m", 1), params)  # which checks that m is an int (bad-type)
+    elif kind in ("lattice", "torus"):
         sigma = ser._int_matrix_from_doc(ser._need(doc, "sigma", list), "sigma")
-        module = lattice_block(LatticeData(len(sigma), sigma), params)
-    elif kind == "torus":
-        sigma = ser._int_matrix_from_doc(ser._need(doc, "sigma", list), "sigma")
-        module = torus_block(TorusData(len(sigma), sigma), params)
+        module = (lattice_block if kind == "lattice" else torus_block)(LatticeData(len(sigma), sigma), params)
     elif kind == "abelian":
         module = abelian_from_ap(ser._need(doc, "ap", int), params).crystal
     else:
@@ -387,13 +377,13 @@ def main(argv: list[str] | None = None) -> int:
         error = None
         if len(args.inputs) == 1:
             try:
-                result, status = run_one(args.inputs[0]), EXIT_OK
+                result, status = run_one(args.inputs[0]), 0
             except VerificationFailure as exc:
                 result, status, error = exc.doc, exc.exit_code, _error_doc(exc)
         else:
             # batch verification over independent input files, run serially
             result = {path: run_guarded(path) for path in args.inputs}
-            status = EXIT_OK if all(r["ok"] for r in result.values()) else EXIT_VERIFICATION
+            status = 0 if all(r["ok"] for r in result.values()) else VerificationFailure.exit_code
         _emit(ser.canonical_dumps(result), args.out)
         if error is not None:
             sys.stderr.write(ser.canonical_dumps(error))
@@ -407,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
         message = f"{type(exc).__name__}: {exc} (at {where})"
         sys.stderr.write(ser.canonical_dumps({"code": InternalError.code, "message": message}))
-        return EXIT_INTERNAL
+        return InternalError.exit_code
 
 
 def entry() -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from .blocks import AbelianBlock, LatticeData, TorusData, lattice_block, torus_block
 from .errors import (
@@ -80,7 +81,8 @@ class OneMotiveSpec:
     ext_rows: tuple[Rows, Rows, Rows] = field(init=False, repr=False, hash=False)
 
     def __post_init__(self):
-        self._check(None)
+        # converted lazily, so that the abelian ring is checked before any entry
+        self._check(_coords(self.params, m) for m in (self.ext_at, self.ext_xa, self.ext_xt))
 
     @classmethod
     def _of_rows(cls, params, lattice, torus, abelian, ext_rows: tuple[Rows, Rows, Rows], label: str = ""):
@@ -92,14 +94,13 @@ class OneMotiveSpec:
         s._check(ext_rows)
         return s
 
-    def _check(self, ext: tuple[Rows, Rows, Rows] | None) -> None:
-        """Check the abelian ring and the ext shapes and keep the ext rows;
-        ext None: read them off the ext WMats, checking every entry."""
+    def _check(self, ext: Iterable[Rows]) -> None:
+        """Check the abelian ring, then the three ext blocks' rows (read from
+        ext after the ring check) and their shapes, and keep the rows."""
         rT, g2, rX = self.segments
         if self.abelian.crystal.params != self.params:
             raise IncompatibleRingsError("abelian block lives over a different ring")
-        if ext is None:
-            ext = tuple(_coords(self.params, m) for m in (self.ext_at, self.ext_xa, self.ext_xt))
+        ext = tuple(ext)
         for name, blk, shp in zip(("ext_at", "ext_xa", "ext_xt"), ext, ((rT, g2), (g2, rX), (rT, rX))):
             # a 0-row matrix is an empty tuple and carries no column count
             ok = len(blk) == shp[0] and (shp[0] == 0 or all(len(r) == shp[1] for r in blk))

@@ -165,14 +165,6 @@ def _coords(params: RingParams, m: WMat) -> Rows:
     return [[x.coords for x in row] for row in m]
 
 
-def _own_coords(a: WMat) -> tuple[RingParams | None, Rows]:
-    """The ring of a's first entry (None when a has none) and a's coordinate
-    rows checked against it: the boundary of the functions that take no ring."""
-    first = next(chain.from_iterable(_matrix(a)), None)
-    params = first.params if type(first) is WittElem else None  # None: _coords raises bad-element
-    return params, _coords(params, a)
-
-
 def _box(params: RingParams, rows) -> WMat:
     """Coordinate rows as a WMat: the one boxing pass at the API boundary."""
     return tuple(tuple(WittElem._raw(params, c) for c in row) for row in rows)
@@ -205,9 +197,12 @@ def _sigma_rows(params: RingParams, rows, table: str):
 
 
 def _sigma_each(a: WMat, table: str) -> WMat:
-    """_sigma_rows on the entries of a, checked against the ring of its first
-    entry and boxed; a itself when a = 1 or a has no entry."""
-    params, rows = _own_coords(a)
+    """_sigma_rows on the entries of a, checked by _coords against the ring
+    of its first entry (these functions take no ring) and boxed; a itself
+    when a = 1 or a has no entry."""
+    first = next(chain.from_iterable(_matrix(a)), None)
+    params = first.params if type(first) is WittElem else None  # None: _coords raises bad-element
+    rows = _coords(params, a)
     return a if params is None or params.a == 1 else _box(params, _sigma_rows(params, rows, table))
 
 

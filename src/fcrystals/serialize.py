@@ -55,16 +55,12 @@ def canonical_dumps(obj: Any) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
-def _is_int(x) -> bool:
-    """An integer of the document: JSON true and false are not integers."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _need(doc: dict, key: str, kind=None):
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedInputError(f"missing field {key!r}", code="missing-field")
     val = doc[key]
-    if kind is not None and not (_is_int(val) if kind is int else isinstance(val, kind)):
+    # an int field takes exactly int: JSON true and false are not integers
+    if kind is not None and not (type(val) is int if kind is int else isinstance(val, kind)):
         raise MalformedInputError(f"field {key!r} has the wrong type", code="bad-type")
     return val
 
@@ -87,9 +83,9 @@ def elem_to_doc(x: WittElem) -> list[int]:
 
 
 def elem_from_doc(doc, params: RingParams) -> WittElem:
-    if _is_int(doc):
+    if type(doc) is int:
         return params.from_int(doc)
-    if not isinstance(doc, list) or not all(_is_int(c) for c in doc):
+    if not isinstance(doc, list) or not all(type(c) is int for c in doc):
         raise MalformedInputError("element must be a list of integers", code="bad-element")
     return params.elem(doc)
 
@@ -198,10 +194,7 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
     if abelian_doc is None:
         abelian = AbelianBlock.empty(params)
     elif "ap" in abelian_doc:
-        ap = abelian_doc["ap"]
-        if not _is_int(ap):
-            raise MalformedInputError("abelian trace must be an integer", code="bad-type")
-        abelian = abelian_from_ap(ap, params)
+        abelian = abelian_from_ap(abelian_doc["ap"], params)  # which checks that ap is an int (bad-type)
     elif "crystal" in abelian_doc:
         abelian = AbelianBlock.from_module(module_from_doc(abelian_doc["crystal"], params))
     else:

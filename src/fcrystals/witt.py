@@ -226,7 +226,7 @@ class RingParams:
     # -- element constructors ------------------------------------------------
 
     def elem(self, coords: Iterable[int] | int) -> "WittElem":
-        if isinstance(coords, int):
+        if type(coords) is int:
             coords = [coords] + [0] * (self.a - 1)
         return WittElem(self, coords)
 
@@ -493,12 +493,17 @@ def reduce_elem(x: WittElem, small: RingParams) -> WittElem:
 def teichmuller(params: RingParams, c) -> WittElem:
     """Teichmuller lift of a residue-field element.
 
-    ``c`` may be a WittElem (taken mod p), or an integer or a coordinate
-    sequence as RingParams.elem takes them, taken mod p; a bool or any other
-    type is a bad-element.  The lift is the unique root of x^(p^a) = x
-    reducing to c, obtained by Hensel iteration x <- x^(p^a).
+    ``c`` may be a WittElem of params (taken mod p; one of another ring is an
+    IncompatibleRingsError), or an integer or a coordinate sequence as
+    RingParams.elem takes them, taken mod p; a bool or any other type is a
+    bad-element.  The lift is the unique root of x^(p^a) = x reducing to c,
+    obtained by Hensel iteration x <- x^(p^a).
     """
-    x = params.elem((c if isinstance(c, WittElem) else params.elem(c)).residue())
+    if not isinstance(c, WittElem):
+        c = params.elem(c)
+    elif c.params is not params and c.params != params:
+        raise IncompatibleRingsError("the residue to lift lives in a different Witt ring")
+    x = params.elem(c.residue())
     q = params.p**params.a
     for _ in range(params.n):
         nxt = x**q
@@ -536,9 +541,10 @@ def frobenius_inverse(x: WittElem) -> WittElem:
 # divided-power exponential and logarithm on the ideal (p), p >= 3
 
 
-def _dp_series(y: WittElem, factorial: bool, sign: int) -> WittElem:
-    """sum_{m >= 1} sign^(m-1) y^m / d_m for y in (p), d_m = m! if factorial
-    else m.  v_p(d_m) <= v_p(m!) < m/(p-1) bounds the cutoff search by
+def _dp_series(y: WittElem, factorial: bool) -> WittElem:
+    """For y in (p): exp(y) - 1 = sum_{m >= 1} y^m / d_m, d_m = m!, if
+    factorial, else log(1 + y) = sum_{m >= 1} (-1)^(m-1) y^m / d_m, d_m = m.
+    v_p(d_m) <= v_p(m!) < m/(p-1) bounds the cutoff search by
     n(p-1)/(p-2) + p + 2; each term is divided exactly at n + max v_p(d_m)
     digits, so none of its n digits is lost."""
     params = y.params
@@ -556,7 +562,7 @@ def _dp_series(y: WittElem, factorial: bool, sign: int) -> WittElem:
         k_inv = pow(m // p ** _vp(m, p), -1, big.pn)  # the inverse of m's unit part
         inv = inv * k_inv % big.pn if factorial else k_inv  # and that of d_m's
         term = power.divide_exact(vals[m - 1]) * big.from_int(inv)
-        acc = acc + term if sign == 1 or m % 2 else acc - term
+        acc = acc + term if factorial or m % 2 else acc - term
     return reduce_elem(acc, params)
 
 
@@ -572,7 +578,7 @@ def dp_exp(x: WittElem) -> WittElem:
         raise UnsupportedCharacteristicError("divided-power exp is not defined for p = 2")
     if x.valuation() < 1:
         raise DomainError("exp requires an argument divisible by p")
-    return params.one() + _dp_series(x, True, 1)
+    return params.one() + _dp_series(x, True)
 
 
 def dp_log(u: WittElem) -> WittElem:
@@ -587,4 +593,4 @@ def dp_log(u: WittElem) -> WittElem:
     y = u - params.one()
     if y.valuation() < 1:
         raise DomainError("log requires an argument congruent to 1 mod p")
-    return _dp_series(y, False, -1)
+    return _dp_series(y, False)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import fcrystals.blocks as blocks
 import fcrystals.intmat as intmat
 
 from fcrystals.blocks import (
@@ -19,6 +20,8 @@ from fcrystals.errors import (
     InvalidTraceError,
     MalformedInputError,
     PrecisionError,
+    ShapeError,
+    SizeLimitError,
     UnsupportedInputError,
 )
 from fcrystals.semilinear import (
@@ -95,6 +98,37 @@ class TestLatticeTorus:
             assert (got.rank, got.sigma_action, got.sigma_inverse) == (want.rank, want.sigma_action, want.sigma_inverse)
             assert got.dual().sigma_action == d.sigma_action
         assert calls == []
+
+    def test_trivial_is_built_without_the_order_search(self, monkeypatch):
+        """trivial(r) equals LatticeData(r, identity) field for field, with the
+        same hash, and validates no action."""
+        wants = {r: LatticeData(r, [[int(i == j) for j in range(r)] for i in range(r)]) for r in range(6)}
+        monkeypatch.setattr(blocks, "_validated_action", lambda *a: pytest.fail("the order search ran"))
+        for r, want in wants.items():
+            for cls in (LatticeData, TorusData):
+                got = cls.trivial(r)
+                assert (got.rank, got.sigma_action, got.sigma_inverse) == (want.rank, want.sigma_action, want.sigma_inverse)
+                assert got == want and hash(got) == hash(want)
+                assert got.dual() == got
+
+    @pytest.mark.parametrize(
+        "rank,error,code",
+        [
+            (True, MalformedInputError, "bad-type"),
+            (1.0, MalformedInputError, "bad-type"),
+            ("2", MalformedInputError, "bad-type"),
+            (300.0, MalformedInputError, "bad-type"),
+            (257, SizeLimitError, "too-large"),
+            (-1, ShapeError, "shape-error"),
+        ],
+    )
+    def test_trivial_checks_its_rank(self, rank, error, code):
+        """The rank is checked as the constructor checks it: an int (bad-type)
+        at most the size bound (too-large, before the identity is built),
+        and not negative (shape-error, as the constructor's shape check)."""
+        with pytest.raises(error) as exc:
+            LatticeData.trivial(rank)
+        assert exc.value.code == code
 
     def test_inverse_is_the_power_before_the_order(self, monkeypatch):
         """sigma_inverse, read off the order search, is the Smith-form inverse

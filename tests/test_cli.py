@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from fcrystals import errors
+from fcrystals import cli, errors
 from fcrystals.cli import _HANDLERS, main
 from fcrystals.serialize import canonical_dumps
 
@@ -241,6 +242,52 @@ class TestExitCodes:
         code, err = run_cli(["crystal-twist", "--ring", "ring_f5n4.json", "--in", str(doc)], tmp_path / "o.json")
         assert code == 1
         assert err == '{"code":"invalid-action","message":"sigma action must be unimodular over Z"}\n'
+
+    def test_torus_twist(self, tmp_path):
+        """The torus block of the swap action: F = B, V = p B^(-1), weight -2;
+        a non-unimodular action is exit 1, as for the lattice block."""
+        doc, out = tmp_path / "twist.json", tmp_path / "o.json"
+        doc.write_text(json.dumps({"kind": "torus", "sigma": [[0, 1], [1, 0]]}))
+        assert run_cli(["crystal-twist", "--ring", "ring_f5n4.json", "--in", str(doc)], out) == (0, "")
+        assert out.read_text() == canonical_dumps(
+            {
+                "F": [[[0], [1]], [[1], [0]]],
+                "V": [[[0], [5]], [[5], [0]]],
+                "level": 1,
+                "rank": 2,
+                "ring": {"a": 1, "n": 4, "p": 5},
+                "weights": [-2, -2],
+            }
+        )
+        doc.write_text(json.dumps({"kind": "torus", "sigma": [[2]]}))
+        code, err = run_cli(["crystal-twist", "--ring", "ring_f5n4.json", "--in", str(doc)], tmp_path / "bad.json")
+        assert code == 1
+        assert err == '{"code":"invalid-action","message":"sigma action must be unimodular over Z"}\n'
+
+    def test_failed_pairing_is_exit_1(self, monkeypatch, tmp_path):
+        """A pairing that fails a diagnostic (no document reaches one: the dual
+        is built to pair perfectly) writes its report and one error object."""
+        real = cli.pair
+        monkeypatch.setattr(cli, "pair", lambda m, d: dataclasses.replace(real(m, d), frobenius_compatible=False))
+        out = tmp_path / "o.json"
+        code, err = run_cli(["motive-pair", "--in", "motive_kummer.json"], out)
+        assert code == 1
+        assert err == '{"code":"verification-failed","message":"pairing diagnostics failed"}\n'
+        report = json.loads(out.read_text())
+        assert (report["ok"], report["frobenius_compatible"], report["perfect"]) == (False, False, True)
+
+    def test_inconsistent_ledger_is_exit_1(self, monkeypatch, tmp_path):
+        """A ledger that disagrees with its assembled module (no skeleton
+        reaches one: the module is assembled from the same ranks) writes the
+        ledger and one error object."""
+        real = cli.h1_weight_ledger
+        monkeypatch.setattr(cli, "h1_weight_ledger", lambda sk, p: dataclasses.replace(real(sk, p), crystal_rank=0))
+        out = tmp_path / "o.json"
+        code, err = run_cli(["h1-ledger", "--ring", "ring_f5n4.json", "--in", "skeleton_g1m3.json"], out)
+        assert code == 1
+        assert err == '{"code":"verification-failed","message":"ledger disagrees with the assembled module"}\n'
+        ledger = json.loads(out.read_text())
+        assert (ledger["consistent"], ledger["crystal_rank"]) == (False, 0)
 
     @pytest.mark.parametrize("copies", [1, 2])
     def test_stray_exception_is_exit_4(self, copies, monkeypatch, tmp_path):

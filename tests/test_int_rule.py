@@ -1,0 +1,82 @@
+"""The one integer rule of the library boundary: a scalar integer argument is
+an exact int, `type(x) is int`, so neither a bool nor any other int subclass
+(an IntEnum, say) is taken as an integer.  The static guard keeps a second
+spelling of the rule, `isinstance(x, int)`, out of the package; the other
+tests pin the rule at the entries that take a scalar."""
+
+import ast
+import enum
+import glob
+import os
+
+import pytest
+
+from fcrystals import serialize as ser
+from fcrystals.blocks import abelian_from_ap, tate
+from fcrystals.errors import MalformedInputError
+from fcrystals.witt import RingParams
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "fcrystals")
+P54 = RingParams(5, 4)
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+def _names_int(node) -> bool:
+    """node is the name int, or a tuple that lists it."""
+    if isinstance(node, ast.Tuple):
+        return any(map(_names_int, node.elts))
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def test_no_isinstance_int_in_package():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and _names_int(node.args[1])
+        ]
+    assert found == []
+
+
+@pytest.mark.parametrize("m", [True, Small.ONE, 1.0, "x", "1", None])
+def test_tate_exponent(m):
+    with pytest.raises(MalformedInputError) as exc:
+        tate(m, P54)
+    assert (exc.value.code, str(exc.value)) == ("bad-type", "twist exponent must be an integer")
+
+
+@pytest.mark.parametrize("ap", [True, False, Small.ONE, 1.0, "1", None])
+def test_abelian_trace(ap):
+    with pytest.raises(MalformedInputError) as exc:
+        abelian_from_ap(ap, P54)
+    assert (exc.value.code, str(exc.value)) == ("bad-type", "abelian trace must be an integer")
+
+
+@pytest.mark.parametrize("doc", [Small.ONE, [Small.ONE], True, [True]])
+def test_elem_from_doc(doc):
+    with pytest.raises(MalformedInputError) as exc:
+        ser.elem_from_doc(doc, P54)
+    assert (exc.value.code, str(exc.value)) == ("bad-element", "element must be a list of integers")
+
+
+def test_document_int_fields():
+    """An int field of a document (read by _need) and a motive's ap take
+    exactly int too; the JSON reader gives no int subclass but bool, so the
+    CLI bytes are those of a bool."""
+    with pytest.raises(MalformedInputError) as exc:
+        ser.ring_from_doc({"p": Small.ONE, "n": 2})
+    assert (exc.value.code, str(exc.value)) == ("bad-type", "field 'p' has the wrong type")
+    doc = {"ring": {"p": 5, "n": 4}, "lattice": {"rank": 0}, "torus": {"rank": 0}, "abelian": {"ap": Small.ONE}}
+    with pytest.raises(MalformedInputError) as exc:
+        ser.motive_from_doc(doc)
+    assert (exc.value.code, str(exc.value)) == ("bad-type", "abelian trace must be an integer")

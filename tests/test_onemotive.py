@@ -240,6 +240,8 @@ class TestAssemble:
         for build in (
             lambda: OneMotiveSpec.split(P54, LatticeData.trivial(1), TorusData.trivial(1), alien),
             lambda: OneMotiveSpec(P54, LatticeData.trivial(0), TorusData.trivial(0), alien, (), (), ()),
+            # the ring is checked before any ext entry
+            lambda: OneMotiveSpec(P54, LatticeData.trivial(1), TorusData.trivial(1), alien, ((7, 7),), ((7,),) * 2, ((7,),)),
         ):
             assert outcome(build) == ("error", IncompatibleRingsError, "abelian block lives over a different ring")
 

@@ -372,6 +372,22 @@ class TestTeichmuller:
         # 8 = unique lift of 2 with x^3 = x in Z/9
         assert teichmuller(RingParams(3, 2), 2).coords == (8,)
 
+    def test_element_of_another_ring_rejected(self):
+        """W_4(F_7)'s 3 is not read as a residue of W_4(F_5) (it used to lift
+        to 443), nor an element of another length or modulus."""
+        P = RingParams(5, 4)
+        for alien in (RingParams(7, 4).from_int(3), RingParams(5, 3).from_int(3), F25.one()):
+            with pytest.raises(IncompatibleRingsError):
+                teichmuller(P, alien)
+        with pytest.raises(IncompatibleRingsError):
+            teichmuller(with_precision(F25, 4), F25.elem([2, 1]))
+
+    def test_element_of_an_equal_ring_lifts(self):
+        # an equal ring that is not the same object is the same ring
+        same = RingParams(5, 4)
+        assert same is not intern_ring(5, 4)
+        assert teichmuller(intern_ring(5, 4), same.from_int(3)) == teichmuller(same, 3)
+
     def test_idempotent_f25(self):
         q = 25
         for c in all_residues(F25):
