@@ -69,17 +69,36 @@ class LatticeData:
     is an alias of this class.  The inverse of the action is computed once,
     on construction, and read by every block built from the data (and by
     dual).  Rank and action entries must be ints, not bools (else bad-type),
-    and the rank at most SizeLimitError.BOUND."""
+    the rank at most SizeLimitError.BOUND and not negative (else
+    shape-error)."""
 
     rank: int
     sigma_action: tuple[tuple[int, ...], ...]
     sigma_inverse: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self._check(True)
+
+    @staticmethod
+    def _of_rows(rank: int, action: tuple[tuple[int, ...], ...]) -> "LatticeData":
+        """The data on tuples of int rows whose entries the caller checked
+        (the document readers): the rank and the action are checked as in
+        the public constructor, the entries are taken as they are."""
+        d = object.__new__(LatticeData)
+        d.__dict__.update(rank=rank, sigma_action=action)
+        d._check(False)
+        return d
+
+    def _check(self, entries: bool) -> None:
+        """Check the rank, the entries of the action if ``entries`` (keeping
+        its rows as tuples) and the action, and set its inverse."""
         SizeLimitError.check("rank", _ints((self.rank,), "bad-type", "rank")[0])
-        object.__setattr__(
-            self, "sigma_action", tuple(_ints(row, "bad-type", "sigma_action") for row in self.sigma_action)
-        )
+        if entries:
+            object.__setattr__(
+                self, "sigma_action", tuple(_ints(row, "bad-type", "sigma_action") for row in self.sigma_action)
+            )
+        if self.rank < 0:
+            raise ShapeError("rank must be non-negative")
         inv = _validated_action(self.sigma_action, self.rank)
         object.__setattr__(self, "sigma_inverse", tuple(tuple(row) for row in inv))
 
@@ -97,7 +116,7 @@ class LatticeData:
         rank is checked as the constructor checks it."""
         SizeLimitError.check("rank", _ints((rank,), "bad-type", "rank")[0])  # before the identity is built
         if rank < 0:
-            raise ShapeError(f"sigma action must be {rank}x{rank}")
+            raise ShapeError("rank must be non-negative")
         ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         return LatticeData._of(rank, ident, ident)
 

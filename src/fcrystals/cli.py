@@ -161,9 +161,9 @@ def _h_crystal_twist(args, doc):
         module = tate(doc.get("m", 1), params)  # which checks that m is an int (bad-type)
     elif kind in ("lattice", "torus"):
         sigma = ser._int_matrix_from_doc(ser._need(doc, "sigma", list), "sigma")
-        module = (lattice_block if kind == "lattice" else torus_block)(LatticeData(len(sigma), sigma), params)
+        module = (lattice_block if kind == "lattice" else torus_block)(LatticeData._of_rows(len(sigma), sigma), params)
     elif kind == "abelian":
-        module = abelian_from_ap(ser._need(doc, "ap", int), params).crystal
+        module = abelian_from_ap(ser._need(doc, "ap"), params).crystal  # which checks that ap is an int (bad-type)
     else:
         raise MalformedInputError(f"unknown block kind {kind!r}", code="unknown-op")
     return ser.module_to_doc(module)

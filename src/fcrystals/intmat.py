@@ -1,63 +1,70 @@
 """Exact integer matrix algebra: Smith normal form, kernels, unimodular inverses.
 
-Matrices are plain lists of lists of Python ints (row-major).  ``mul`` is
-the package's one integer product, over the nonzeros of both factors, and
-``diagonal`` its one reader of a Smith diagonal.  The private
-``_mul_units`` is that product with some rows of the left factor marked as
-unit vectors e_k, each of which gives a copy of row k of the right factor;
-``mul`` marks none.  The Smith normal form is the only elimination:
-kernels, exact solutions, ranks and unimodular inverses are read off
-U a V = D.  ``smith_normal_form(a)`` returns
-(U, D, V); the private ``_eliminate(a, build)`` behind it builds only the
-transforms named in ``build``, from U, V, U^(-1) and V^(-1) (the inverse
-of each row or column operation, applied on the other side).  Pivots are
-chosen from the working matrix alone, so skipping a transform cannot move
-D or any transform that is built.
+The public functions take and return lists of int rows.  Inside, a matrix
+is a list of sparse rows, one dict {column: value} of the nonzeros per row,
+its width carried beside it: ``_rows`` reads a dense matrix in, ``_dense``
+and ``_columns`` write sparse rows out as the rows or the columns of a
+dense one, and each dense caller converts once.  ``simplicial`` builds its
+differentials and relations as sparse rows (the degree classes through
+``_rows``) and writes out dense only the matrices it returns.
+``_mul_units`` is the one integer product, over the nonzeros of both
+factors, with some rows of the left factor marked as unit vectors e_k, each
+of which gives a copy of row k of the right factor; ``mul`` is that product
+on dense matrices, with no row marked.
 
-All routines are deterministic; the Smith pivot rule is fixed (smallest
-absolute nonzero value, ties broken row-major) so outputs are reproducible.
-The pivot search stops at the first +-1, the pivot a full scan picks: nothing
-nonzero is smaller, and every later entry loses the tie.  A pivot of 1
-divides every entry, so its divisor-chain sweep is skipped.
+The Smith normal form is the only elimination: kernels, exact solutions,
+ranks and unimodular inverses are read off U a V = D.  The private
+``_eliminate(rows, cols, build)`` behind ``smith_normal_form`` returns the
+Smith diagonal as a list (only ``smith_normal_form`` builds the dense D) and
+builds only the transforms named in ``build``, from U, V, U^(-1) and V^(-1)
+(the inverse of each row or column operation, applied on the other side).
+Pivots are chosen from the working matrix alone, so skipping a transform
+cannot move D or any transform that is built.  The pivot rule is fixed: the
+smallest absolute nonzero value, ties broken row-major by current position.
+The search stops at the first row holding a +-1, the pivot a full scan
+picks, and a pivot of 1 divides every entry, so its divisor-chain sweep is
+skipped.
 
-The elimination works in proportion to the nonzeros of sparse input, with
-the same integers out.  The pivot row is not written while its column is
-cleared, so it is subtracted from each row below on its support alone, and
-the row sweep visits only that support.  The inverse transforms add a
-non-pivot row into the pivot row, and a non-pivot row is mostly still the
-unit vector e_k it started as: one int per row records k (or -1 once the
-row is negated, written as a pivot or hit by the divisor-chain fix-up), and
-such an update is one entry, += q at k.  These marks are returned with the
-transforms, for ``_mul_units`` to read.
+The elimination is the sparse one of Dumas, Saunders and Villard (J.
+Symbolic Comput. 32 (2001)); a pivot step touches only the nonzeros it
+changes.  Nothing is moved: two permutations map a position to the
+original row (column) and back, so a swap exchanges two entries of each,
+and the transforms, indexed by original row or column, are put in position
+order once, at the end.  A column -> rows index, kept up to date as entries
+appear and cancel, names the rows the column sweep visits, and the pivot
+row is subtracted from each on its own support; the row sweep writes only
+the pivot row, whose column is zero off the pivot by then.  Each row's
+update reads only the pivot row (column), and the pivot row of an inverse
+transform sums the updates, so the order in which a sweep visits the rows
+does not change the integers.
 
-The scans over zeros run at C level.  The pivot search passes over a row
-whose remainder is all zero with one ``any`` and walks the nonzeros of the
-others through ``itertools.compress``; the column sweep visits only the
-rows with a nonzero in the pivot column, and the supports of the pivot
-row, of the row of V^T it subtracts and of ``mul``'s rows are read the
-same way.  ``shape`` compares the row lengths as a set.
+The inverse transforms add a non-pivot row into the pivot row, and a
+non-pivot row is mostly still the unit vector e_k it started as: one int
+per row records k (or -1 once the row is negated, written as a pivot or hit
+by the divisor-chain fix-up), and such an update is one entry, += q at k.
+These marks are returned with the transforms, for ``_mul_units`` to read.
 
 The elimination builds V and U^(-1) transposed, since their column
-operations are then row operations.  ``_eliminate`` returns
-(U, D, V^T, (U^(-1))^T, V^(-1), ue, ve) as built, ue and ve being the
-unit-row marks of (U^(-1))^T and V^(-1), and its callers read them so:
-``smith_normal_form`` builds U and V and transposes V^T back,
-``elementary_divisors`` builds nothing and reads D, ``kernel_basis``
-returns the trailing rows of V^T, and ``simplicial.cocharacter_group``
-forms V^(-1) d^1 from V^(-1) and its marks, and its basis from the
-trailing rows of V^T and of (U^(-1))^T with its marks, with no transposed
-copy; its rank-only form builds V^(-1) alone and then nothing.
+operations are then row operations, and returns
+(U, diagonal, V^T, (U^(-1))^T, V^(-1), ue, ve) as built, the transforms as
+sparse rows in position order and ue and ve the marks of (U^(-1))^T and
+V^(-1).  ``smith_normal_form`` writes U out dense and the rows of V^T as the
+columns of V, ``elementary_divisors`` builds nothing and reads the diagonal,
+``kernel_basis`` returns the trailing rows of V^T, and
+``simplicial.cocharacter_group`` forms V^(-1) d^1 from V^(-1) and its
+marks, and its basis from the trailing rows of V^T and of (U^(-1))^T with
+its marks; its rank-only form builds V^(-1) alone and then nothing.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidActionError, ShapeError
 
 IntMat = list[list[int]]
+Rows = list[dict[int, int]]
 
 
 def shape(a: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -78,8 +85,29 @@ def zeros(r: int, c: int) -> IntMat:
     return [[0] * c for _ in range(r)]
 
 
-def copy(a) -> IntMat:
-    return [list(row) for row in a]
+def _rows(a) -> Rows:
+    """The sparse rows of a dense matrix: {column: value} of each row's nonzeros."""
+    return [dict(compress(enumerate(row), row)) for row in a]
+
+
+def _dense(rows: Rows, width: int) -> IntMat:
+    """The dense matrix of sparse rows of the given width."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
+
+
+def _columns(rows: Rows, height: int) -> IntMat:
+    """The dense height x len(rows) matrix whose column j is sparse row j."""
+    out = zeros(height, len(rows))
+    for j, row in enumerate(rows):
+        for i, x in row.items():
+            out[i][j] = x
+    return out
 
 
 def mul(a, b) -> IntMat:
@@ -87,28 +115,25 @@ def mul(a, b) -> IntMat:
     rb, cb = shape(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return _mul_units(a, repeat(-1, ra), b, cb)
+    return _dense(_mul_units(_rows(a), repeat(-1, ra), _rows(b)), cb)
 
 
-def _mul_units(a, units, b, width: int) -> IntMat:
-    """a b for b of the given width, where units[i] = k >= 0 says that row i
-    of a is the unit vector e_k (the marks _eliminate returns): that row of
-    the product is a copy of row k of b.  Any other row is summed over the
-    nonzeros of both factors, the supports of b read once."""
-    supports = None
+def _mul_units(a: Rows, units, b: Rows) -> Rows:
+    """a b on sparse rows, where units[i] = k >= 0 says that row i of a is
+    the unit vector e_k (the marks _eliminate returns): that row of the
+    product is a copy of row k of b.  Any other row is summed over the
+    nonzeros of both factors."""
     out = []
     for row, k in zip(a, units):
         if k >= 0:
-            out.append(list(b[k]))
+            out.append(dict(b[k]))
             continue
-        if supports is None:
-            cols = range(width)
-            supports = [[(j, r[j]) for j in compress(cols, r)] for r in b]
-        orow = [0] * width
-        for v, support in compress(zip(row, supports), row):
-            for j, x in support:
-                orow[j] += v * x
-        out.append(orow)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for i, v in row.items():
+            for j, x in b[i].items():
+                acc[j] = get(j, 0) + v * x
+        out.append({j: x for j, x in acc.items() if x})
     return out
 
 
@@ -134,22 +159,6 @@ def inverse_unimodular(a) -> IntMat:
 # Smith normal form
 
 
-def _pivot(m: IntMat, t: int, rows: int, cols: int):
-    best, least = None, 0
-    span = range(t, cols)
-    for i in range(t, rows):
-        tail = m[i][t:]
-        if any(tail):
-            for j, v in compress(zip(span, tail), tail):
-                if v < 0:
-                    v = -v
-                if not least or v < least:
-                    best, least = (i, j), v
-                    if v == 1:
-                        return best
-    return best
-
-
 def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
     """Return (U, D, V) with U a V = D, U and V unimodular, D diagonal with
     each diagonal entry dividing the next.
@@ -163,122 +172,185 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
     >>> mul(mul(u, [[2, 4], [6, 8]]), v) == d
     True
     """
-    u, d, vt = _eliminate(a, ("u", "v"))[:3]
-    return u, d, [list(col) for col in zip(*vt)]
-
-
-def _eliminate(a, build) -> tuple[IntMat | None, ...]:
-    """The elimination of smith_normal_form, with its transforms as built:
-    (U, D, V^T, (U^(-1))^T, V^(-1), ue, ve), each transform None unless
-    ``build``, a collection, names it ("u", "v", "u_inv", "v_inv").  ue
-    (ve) comes with (U^(-1))^T (V^(-1)), else None: ue[k] = j >= 0 says
-    that row k is the unit vector e_j, and -1 that it may not be."""
     rows, cols = shape(a)
-    m = copy(a)
-    # vt and ut hold the transposes of V and U^(-1): their column ops are row ops
-    u = identity(rows) if "u" in build else None
-    vt = identity(cols) if "v" in build else None
-    ut = identity(rows) if "u_inv" in build else None
-    vi = identity(cols) if "v_inv" in build else None
+    u, diag, vt = _eliminate(_rows(a), cols, ("u", "v"))[:3]
+    d = zeros(rows, cols)
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return _dense(u, rows), d, _columns(vt, cols)
+
+
+def _axpy(dst: dict[int, int], q: int, src: dict[int, int]) -> None:
+    """dst += q src on the support of src, for q != 0; an entry that cancels
+    is dropped."""
+    get = dst.get
+    for k, x in src.items():
+        y = get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _bump(dst: dict[int, int], k: int, q: int) -> None:
+    """dst[k] += q, dropping the entry if it cancels."""
+    y = dst.get(k, 0) + q
+    if y:
+        dst[k] = y
+    else:
+        del dst[k]
+
+
+def _eliminate(rows: Rows, cols: int, build) -> tuple:
+    """The elimination of smith_normal_form on sparse rows (each a dict of
+    nonzeros; not written) of the given width: (U, diagonal, V^T,
+    (U^(-1))^T, V^(-1), ue, ve), the transforms as sparse rows and each None
+    unless ``build``, a collection, names it ("u", "v", "u_inv", "v_inv").
+    ue (ve) comes with (U^(-1))^T (V^(-1)), else None: ue[k] = j >= 0 says
+    that row k is the unit vector e_j, and -1 that it may not be."""
+    n = len(rows)
+    m = [dict(row) for row in rows]  # the working rows, by original index
+    index: list[set[int]] = [set() for _ in range(cols)]  # column -> the rows with a nonzero there
+    for i, row in enumerate(m):
+        for j in row:
+            index[j].add(i)
+    rowat, rowpos = list(range(n)), list(range(n))  # position -> original row, and back
+    colat, colpos = list(range(cols)), list(range(cols))
+    # by original row (column); vt and ut hold the transposes of V and U^(-1): their column ops are row ops
+    u = [{i: 1} for i in range(n)] if "u" in build else None
+    vt = [{j: 1} for j in range(cols)] if "v" in build else None
+    ut = [{i: 1} for i in range(n)] if "u_inv" in build else None
+    vi = [{j: 1} for j in range(cols)] if "v_inv" in build else None
     # ue[k] (ve[k]) is j while row k of ut (vi) is still the unit vector e_j, else -1
-    ue = None if ut is None else list(range(rows))
+    ue = None if ut is None else list(range(n))
     ve = None if vi is None else list(range(cols))
-    row_ops = [x for x in (m, u, ut) if x is not None]  # swapped and negated with the rows of m
-    col_ops = [x for x in (vt, vi, ve) if x is not None]  # swapped with the columns of m
+    diag: list[int] = []
     t = 0
-    while t < min(rows, cols):
-        piv = _pivot(m, t, rows, cols)
-        if piv is None:
+    while t < min(n, cols):
+        # the pivot: the least |v| in the rows at positions t.., ties row-major by position
+        least = 0
+        for r in rowat[t:]:
+            row = m[r]
+            if row:
+                x = min(map(abs, row.values()))
+                if not least or x < least:
+                    least, pr = x, r
+                    if x == 1:
+                        break
+        if not least:
             break
-        while True:
-            pi, pj = piv
-            if pi != t:
-                for x in row_ops:
-                    x[t], x[pi] = x[pi], x[t]
-                if ue is not None:
-                    ue[t], ue[pi] = ue[pi], ue[t]
-            if pj != t:
-                for row in m[t:]:  # rows above t are zero from column t on
-                    row[t], row[pj] = row[pj], row[t]
-                for x in col_ops:
-                    x[t], x[pj] = x[pj], x[t]
-            mt = m[t]
-            if mt[t] < 0:
-                for x in row_ops:
-                    x[t] = [-y for y in x[t]]
-                mt = m[t]
-                if ue is not None:
-                    ue[t] = -1
-            # reduce column t, visiting only the rows with a nonzero there; row t
-            # is not written here, so it is subtracted on its support alone
-            support = list(compress(range(t, cols), mt[t:]))
-            dirty = False
-            for i in compress(range(t + 1, rows), map(itemgetter(t), m[t + 1 :])):
-                mi = m[i]
-                q = mi[t] // mt[t]
-                if q:
-                    for j in support:
-                        mi[j] -= q * mt[j]
-                    if u is not None:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if ut is not None:
-                        if ue[i] >= 0:  # ut[i] = e_k
-                            ut[t][ue[i]] += q
-                        else:
-                            ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
-                        ue[t] = -1
-                if mi[t]:
-                    dirty = True
-            if dirty:
-                piv = _pivot(m, t, rows, cols)
-                continue
-            # reduce row t; column t of m is zero off the diagonal by now
-            dirty = False
-            for j in support[1:]:  # support[0] is the pivot's column t
-                q = mt[j] // mt[t]
-                if q:
-                    mt[j] -= q * mt[t]
-                    if vt is not None:  # on the support of row t of V^T
-                        vj, vtt = vt[j], vt[t]
-                        for k in compress(range(cols), vtt):
-                            vj[k] -= q * vtt[k]
-                    if vi is not None:
-                        if ve[j] >= 0:  # vi[j] = e_k
-                            vi[t][ve[j]] += q
-                        else:
-                            vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
-                        ve[t] = -1
-                if mt[j]:
-                    dirty = True
-            if dirty:
-                piv = _pivot(m, t, rows, cols)
-                continue
-            # pivot must divide the remaining submatrix for the divisor chain
-            rest = range(t + 1, rows) if mt[t] != 1 else ()  # 1 divides everything
-            bad = next((i for i in rest if any(x % mt[t] for x in m[i][t + 1 :])), None)
-            if bad is None:
-                break
-            m[t] = [x + y for x, y in zip(mt, m[bad])]
+        row = m[pr]
+        pc = -1  # the first column by position holding +-least
+        for j, x in row.items():
+            if (x == least or x == -least) and (pc < 0 or colpos[j] < colpos[pc]):
+                pc = j
+        pi, pj = rowpos[pr], colpos[pc]
+        if pi != t:
+            r = rowat[t]
+            rowat[t], rowat[pi], rowpos[pr], rowpos[r] = pr, r, t, pi
+        if pj != t:
+            c = colat[t]
+            colat[t], colat[pj], colpos[pc], colpos[c] = pc, c, t, pj
+        p = row[pc]
+        if p < 0:
+            p = -p
+            row = m[pr] = {j: -x for j, x in row.items()}
             if u is not None:
-                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+                u[pr] = {k: -x for k, x in u[pr].items()}
             if ut is not None:
-                ut[bad] = [x - y for x, y in zip(ut[bad], ut[t])]
+                ut[pr] = {k: -x for k, x in ut[pr].items()}
+                ue[pr] = -1
+        # reduce column pc, visiting only the rows with a nonzero there; the
+        # pivot row is not written here, so it is subtracted on its support
+        dirty = False
+        for i in tuple(index[pc]):
+            if i == pr:
+                continue
+            mi = m[i]
+            q = mi[pc] // p
+            if q:
+                for j, x in row.items():
+                    y = mi.get(j)
+                    if y is None:
+                        mi[j] = -q * x
+                        index[j].add(i)
+                    else:
+                        y -= q * x
+                        if y:
+                            mi[j] = y
+                        else:
+                            del mi[j]
+                            index[j].remove(i)
+                if u is not None:
+                    _axpy(u[i], -q, u[pr])
+                if ut is not None:
+                    if ue[i] >= 0:  # ut[i] = e_k
+                        _bump(ut[pr], ue[i], q)
+                    else:
+                        _axpy(ut[pr], q, ut[i])
+                    ue[pr] = -1
+            if pc in mi:
+                dirty = True
+        if dirty:
+            continue
+        # reduce the pivot row; column pc is zero off the pivot by now
+        for j, x in list(row.items()):
+            if j == pc:
+                continue
+            q = x // p
+            if q:
+                x -= q * p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    index[j].remove(pr)
+                if vt is not None:
+                    _axpy(vt[j], -q, vt[pc])
+                if vi is not None:
+                    if ve[j] >= 0:  # vi[j] = e_k
+                        _bump(vi[pc], ve[j], q)
+                    else:
+                        _axpy(vi[pc], q, vi[j])
+                    ve[pc] = -1
+            if x:
+                dirty = True
+        if dirty:
+            continue
+        # the pivot must divide the rest for the divisor chain (1 divides everything)
+        bad = None if p == 1 else next((r for r in rowat[t + 1 :] if any(x % p for x in m[r].values())), None)
+        if bad is not None:
+            for j, x in m[bad].items():  # the pivot row is {pc: p}, and row bad is 0 at pc
+                row[j] = x
+                index[j].add(pr)
+            if u is not None:
+                _axpy(u[pr], 1, u[bad])
+            if ut is not None:
+                _axpy(ut[bad], -1, ut[pr])
                 ue[bad] = -1
-            piv = _pivot(m, t, rows, cols)
+            continue
+        diag.append(p)
         t += 1
-    return u, m, vt, ut, vi, ue, ve
+
+    def placed(x, at):
+        return None if x is None else [x[k] for k in at]
+
+    u, ut, ue = (placed(x, rowat) for x in (u, ut, ue))
+    vt, vi, ve = (placed(x, colat) for x in (vt, vi, ve))
+    return u, diag, vt, ut, vi, ue, ve
 
 
 def elementary_divisors(a) -> list[int]:
-    return diagonal(_eliminate(a, ())[1])
+    return _eliminate(_rows(a), shape(a)[1], ())[1]
 
 
 def kernel_basis(a) -> list[list[int]]:
     """Basis (as columns) of the integer kernel; the basis spans a saturated
     sublattice since V is unimodular.  The columns of V past the rank are
     the trailing rows of V^T, as the elimination builds it."""
-    _, d, vt = _eliminate(a, ("v",))[:3]
-    return vt[len(diagonal(d)) :]
+    cols = shape(a)[1]
+    _, diag, vt = _eliminate(_rows(a), cols, ("v",))[:3]
+    return _dense(vt[len(diag) :], cols)
 
 
 def solve_exact(a, b) -> IntMat | None:

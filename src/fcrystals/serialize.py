@@ -179,7 +179,7 @@ def _lattice_from_doc(doc: dict) -> LatticeData:
     sigma = doc.get("sigma")
     if sigma is None:
         return LatticeData.trivial(rank)
-    return LatticeData(rank, _int_matrix_from_doc(sigma, "sigma"))
+    return LatticeData._of_rows(rank, _int_matrix_from_doc(sigma, "sigma"))
 
 
 def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpec:

@@ -84,14 +84,14 @@ class SimplicialComponents:
         return self.face_maps[level - 1][i]
 
 
-def _coboundaries(s: SimplicialComponents) -> tuple[list[list[int]], list[list[int]]]:
+def _coboundaries(s: SimplicialComponents) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
     """The differentials of the dualized complex C^0 -> C^1 -> C^2 as the
-    eliminations read them, row-major: d^1 as c1 rows over C^0 (at most two
-    nonzeros a row) and d^2 as c2 rows over C^1, the transposes of d_1 and
-    d_2 built straight from the face maps.  Validates the simplicial
-    identities and checks d_1 d_2 = 0."""
+    eliminations read them, as sparse rows ({column: value} of the
+    nonzeros): d^1 as c1 rows over C^0 (at most two nonzeros a row) and d^2
+    as c2 rows over C^1 (at most three), the transposes of d_1 and d_2
+    built straight from the face maps.  Validates the simplicial identities
+    and checks d_1 d_2 = 0."""
     s.validate()
-    c0, c1 = s.counts[0], s.counts[1]
     d10, d11 = s.face(1, 0), s.face(1, 1)
     # column j of d_1 d_2 counts the vertices of simplex j's edges with signs: it is
     # zero exactly when the + and - vertices agree as multisets.  They agree
@@ -104,18 +104,15 @@ def _coboundaries(s: SimplicialComponents) -> tuple[list[list[int]], list[list[i
         for e0, e1, e2 in faces2
     ):
         raise InternalError("d_1 d_2 != 0 although the simplicial identities hold")
-    d1 = []
-    for v0, v1 in zip(d10, d11):
-        row = [0] * c0
-        row[v0] += 1
-        row[v1] -= 1
-        d1.append(row)
+    d1 = [{v0: 1, v1: -1} if v0 != v1 else {} for v0, v1 in zip(d10, d11)]
     d2 = []
     for e0, e1, e2 in faces2:
-        row = [0] * c1
-        row[e0] += 1
-        row[e1] -= 1
-        row[e2] += 1
+        row = {e0: 1, e1: -1} if e0 != e1 else {}
+        x = row.get(e2, 0) + 1
+        if x:
+            row[e2] = x
+        else:
+            del row[e2]
         d2.append(row)
     return d1, d2
 
@@ -123,11 +120,10 @@ def _coboundaries(s: SimplicialComponents) -> tuple[list[list[int]], list[list[i
 def component_complex(s: SimplicialComponents) -> tuple[list[list[int]], list[list[int]]]:
     """Integer chain complex C_2 -> C_1 -> C_0 with differentials the
     alternating sums of the face maps, as c0 x c1 and c1 x c2 matrices;
-    validates the simplicial identities.  The transposes of the rows
+    validates the simplicial identities.  Their columns are the rows
     _coboundaries builds."""
     d1, d2 = _coboundaries(s)
-    c0, c1 = s.counts[0], s.counts[1]
-    return [[row[i] for row in d1] for i in range(c0)], [[row[j] for row in d2] for j in range(c1)]
+    return intmat._columns(d1, s.counts[0]), intmat._columns(d2, s.counts[1])
 
 
 def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[int]] | None]:
@@ -137,17 +133,15 @@ def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[
     either way."""
     d1, d2 = _coboundaries(s)
     c0, c1 = s.counts[0], s.counts[1]
-    # one zero row over C^1 when C^2 = 0
-    _, d, vt, _, vinv, _, ve = intmat._eliminate(d2 or [[0] * c1], ("v", "v_inv") if basis else ("v_inv",))
-    r2 = len(intmat.diagonal(d))  # rank of d^2
+    _, diag, vt, _, vinv, _, ve = intmat._eliminate(d2, c1, ("v", "v_inv") if basis else ("v_inv",))
+    r2 = len(diag)  # rank of d^2
     if r2 == c1:
         return 0, [] if basis else None
     # V^(-1) d^1 = [0; coords], coords being Im d^1 in the saturated kernel basis
-    image = intmat._mul_units(vinv, ve, d1, c0)
-    if any(map(any, image[:r2])):
+    image = intmat._mul_units(vinv, ve, d1)
+    if any(image[:r2]):
         raise InternalError("image of d^1 does not land in Ker d^2")
-    _, d, _, uinv_t, _, ue, _ = intmat._eliminate(image[r2:], ("u_inv",) if basis else ())
-    nz = intmat.diagonal(d)
+    _, nz, _, uinv_t, _, ue, _ = intmat._eliminate(image[r2:], c0, ("u_inv",) if basis else ())
     if any(x != 1 for x in nz):
         raise InternalError("image of C_1 -> C_0 is not a direct summand")
     rank = c1 - r2 - len(nz)
@@ -156,7 +150,7 @@ def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[
     if not rank:
         return 0, []
     # free-part basis: trailing columns of U^(-1), lifted through the kernel columns of V
-    return rank, intmat._mul_units(uinv_t[len(nz) :], ue[len(nz) :], vt[r2:], c1)
+    return rank, intmat._dense(intmat._mul_units(uinv_t[len(nz) :], ue[len(nz) :], vt[r2:]), c1)
 
 
 def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
@@ -174,18 +168,22 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     invariant, not an input error.  When d^2 is injective nothing is left to
     check: d_1 d_2 = 0 (checked by _coboundaries) forces d^1 = 0.
 
-    d^2 and d^1 are built once, as rows in the orientation the eliminations
-    read (d^2 as c2 rows over C^1, d^1 as c1 rows over C^0), so nothing is
-    transposed.  Both eliminations are intmat._eliminate, which hands over
-    V^T and (U^(-1))^T as it builds them, with marks of the rows of
-    (U^(-1))^T and V^(-1) that are still unit vectors e_k.  Both products go
-    through intmat._mul_units: a unit row of the left factor is a copy of
-    row k of the right one, and any other row a sum over the nonzeros.
-    V^(-1) d^1 is formed so, and the basis transposed, as
+    d^2 and d^1 are built once, as sparse rows ({column: value} of the
+    nonzeros) in the orientation the eliminations read (d^2 as c2 rows over
+    C^1, d^1 as c1 rows over C^0), so nothing is transposed and no dense
+    matrix is formed.  Both eliminations are intmat._eliminate, which works
+    on sparse rows, returns the Smith diagonal as a list and hands over V^T
+    and (U^(-1))^T as sparse rows as it builds them, with marks of the rows
+    of (U^(-1))^T and V^(-1) that are still unit vectors e_k.  Both
+    products go through intmat._mul_units on sparse rows: a unit row of the
+    left factor is a copy of row k of the right one, and any other row a
+    sum over the nonzeros.  V^(-1) d^1 is formed so, sparse, and fed to the
+    second elimination as it is; the basis is formed transposed, as
     (U^(-1) tail)^T (V_ker)^T: the trailing rows of (U^(-1))^T, mostly unit
-    rows, times the trailing rows of V^T.  picard_skeleton reads the rank
-    alone, through the same function without the basis: V^T, (U^(-1))^T
-    and the basis product are not built, and both checks still run.
+    rows, times the trailing rows of V^T, and written out dense once.
+    picard_skeleton reads the rank alone, through the same function
+    without the basis: V^T, (U^(-1))^T and the basis product are not built,
+    and both checks still run.
     """
     return _cocharacters(s, True)
 
@@ -236,16 +234,18 @@ class DivisorPresentation:
 
 
 def _div0(d: DivisorPresentation, basis: bool) -> tuple[int, list[list[int]] | None]:
-    """div0_lattice's rank, with its basis if ``basis`` (else None): the
-    rank alone is m minus the number of elementary divisors of the stacked
-    relations, so no V is built."""
+    """div0_lattice's rank, with its basis if ``basis`` (else None), from
+    one elimination of the stacked relations, built as sparse rows: the
+    rows of pull0 - pull1, then those of ns_classes.  The rank alone is m
+    minus the number of elementary divisors, so no V is built."""
     if d.m == 0:
         return 0, [] if basis else None
-    diff = [[a - b for a, b in zip(r0, r1)] for r0, r1 in zip(d.pull0, d.pull1)]
-    stacked = diff + [list(row) for row in d.ns_classes] or [[0] * d.m]
+    stacked = [{j: a - b for j, (a, b) in enumerate(zip(r0, r1)) if a != b} for r0, r1 in zip(d.pull0, d.pull1)]
+    stacked += intmat._rows(d.ns_classes)
+    _, diag, vt = intmat._eliminate(stacked, d.m, ("v",) if basis else ())[:3]
     if not basis:
-        return d.m - len(intmat.elementary_divisors(stacked)), None
-    kernel = intmat.kernel_basis(stacked)
+        return d.m - len(diag), None
+    kernel = intmat._dense(vt[len(diag) :], d.m)
     return len(kernel), kernel
 
 

@@ -8,7 +8,11 @@ buffer, the irreducibility oracle tries every monic factor of degree at most
 a/2 by its own polynomial division, the kernel oracle
 does fraction-field Gaussian elimination, the determinant oracle is Bareiss
 fraction-free elimination instead of the Smith form, the Smith oracle is
-the elimination without its fast paths or inverse bookkeeping, the matrix
+the elimination without its fast paths or inverse bookkeeping, the
+elimination oracle is the dense-row elimination with its inverse
+bookkeeping and unit-row marks that the sparse intmat._eliminate replaced
+(sparse_rows and dense_rows convert to and from intmat's sparse rows
+entry by entry), the matrix
 document oracle parses entry by entry through elem_from_doc and wmat, the
 Frobenius oracle goes through Teichmuller digits instead of the precomputed
 matrix, the matrix-product and characteristic-polynomial oracles multiply
@@ -828,6 +832,108 @@ def smith_oracle(a):
             piv = _smith_pivot(m, t, rows, cols)
         t += 1
     return u, m, v
+
+
+def sparse_rows(a) -> list[dict[int, int]]:
+    """The rows of a dense integer matrix as intmat's sparse rows: one dict
+    {column: value} of the nonzeros per row, read entry by entry."""
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in a]
+
+
+def dense_rows(rows, width: int) -> list[list[int]]:
+    """The dense matrix of sparse rows of the given width, entry by entry."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
+def _dense_pivot(m, t, rows, cols):
+    best, least = None, 0
+    for i in range(t, rows):
+        for j in range(t, cols):
+            v = abs(m[i][j])
+            if v and (not least or v < least):
+                best, least = (i, j), v
+    return best
+
+
+def eliminate_oracle(a, build):
+    """The dense-row elimination intmat._eliminate replaced, kept as the
+    reference for its transforms and its unit-row marks: (U, D, V^T,
+    (U^(-1))^T, V^(-1), ue, ve) as dense matrices, each transform None
+    unless build names it, with a full pivot scan.  Rows and columns are
+    swapped in place, every transform row is dense, and the marks are set
+    by the same rules: a row of (U^(-1))^T or V^(-1) keeps its mark k while
+    it is e_k, and loses it (-1) once negated, written as a pivot row or
+    hit by the divisor-chain fix-up."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(row) for row in a]
+
+    def ident(n, name):
+        return [[int(i == j) for j in range(n)] for i in range(n)] if name in build else None
+
+    u, vt, ut, vi = ident(rows, "u"), ident(cols, "v"), ident(rows, "u_inv"), ident(cols, "v_inv")
+    ue = None if ut is None else list(range(rows))
+    ve = None if vi is None else list(range(cols))
+    row_ops = [x for x in (m, u, ut, ue) if x is not None]
+    col_ops = [x for x in (vt, vi, ve) if x is not None]
+    t = 0
+    while t < min(rows, cols):
+        piv = _dense_pivot(m, t, rows, cols)
+        if piv is None:
+            break
+        while True:
+            pi, pj = piv
+            for x in row_ops:
+                x[t], x[pi] = x[pi], x[t]
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+            for x in col_ops:
+                x[t], x[pj] = x[pj], x[t]
+            if m[t][t] < 0:
+                for x in (m, u, ut):
+                    if x is not None:
+                        x[t] = [-y for y in x[t]]
+                if ue is not None:
+                    ue[t] = -1
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    if q:
+                        m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                        if u is not None:
+                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                        if ut is not None:
+                            ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
+                            ue[t] = -1
+                    dirty = dirty or bool(m[i][t])
+            if not dirty:
+                for j in range(t + 1, cols):
+                    if m[t][j]:
+                        q = m[t][j] // m[t][t]
+                        if q:
+                            m[t][j] -= q * m[t][t]
+                            if vt is not None:
+                                vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                            if vi is not None:
+                                vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
+                                ve[t] = -1
+                        dirty = dirty or bool(m[t][j])
+            if dirty:
+                piv = _dense_pivot(m, t, rows, cols)
+                continue
+            bad = next((i for i in range(t + 1, rows) if any(x % m[t][t] for x in m[i][t + 1 :])), None)
+            if bad is None:
+                break
+            m[t] = [x + y for x, y in zip(m[t], m[bad])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            if ut is not None:
+                ut[bad] = [x - y for x, y in zip(ut[bad], ut[t])]
+                ue[bad] = -1
+            piv = _dense_pivot(m, t, rows, cols)
+        t += 1
+    return u, m, vt, ut, vi, ue, ve
 
 
 def cocharacter_oracle(d1, d2, c1: int):

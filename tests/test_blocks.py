@@ -125,10 +125,25 @@ class TestLatticeTorus:
     def test_trivial_checks_its_rank(self, rank, error, code):
         """The rank is checked as the constructor checks it: an int (bad-type)
         at most the size bound (too-large, before the identity is built),
-        and not negative (shape-error, as the constructor's shape check)."""
+        and not negative (shape-error, naming the rank as the constructor
+        does)."""
         with pytest.raises(error) as exc:
             LatticeData.trivial(rank)
         assert exc.value.code == code
+        if rank == -1:
+            assert str(exc.value) == "rank must be non-negative"
+
+    @pytest.mark.parametrize("rank,action", [(-1, []), (-1, ()), (-2, [[1]]), (-1, [[1, 0], [0, 1]])])
+    def test_negative_rank_names_the_rank(self, rank, action):
+        """A negative rank is a shape-error that names the rank, not an
+        action of shape rank x rank, from the constructor and from the
+        document readers' constructor alike; rank 0 with no action is the
+        zero lattice."""
+        for build in (LatticeData, LatticeData._of_rows):
+            with pytest.raises(ShapeError) as exc:
+                build(rank, tuple(map(tuple, action)))
+            assert (exc.value.code, str(exc.value)) == ("shape-error", "rank must be non-negative")
+        assert LatticeData(0, ()) == LatticeData.trivial(0)
 
     def test_inverse_is_the_power_before_the_order(self, monkeypatch):
         """sigma_inverse, read off the order search, is the Smith-form inverse
@@ -163,9 +178,9 @@ class TestLatticeTorus:
         built = []
         original = intmat._eliminate
 
-        def recording(a, build):
+        def recording(rows, cols, build):
             built.append(build)
-            return original(a, build)
+            return original(rows, cols, build)
 
         monkeypatch.setattr(intmat, "_eliminate", recording)
         with pytest.raises(InvalidActionError) as exc:

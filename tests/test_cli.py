@@ -264,6 +264,40 @@ class TestExitCodes:
         assert code == 1
         assert err == '{"code":"invalid-action","message":"sigma action must be unimodular over Z"}\n'
 
+    @pytest.mark.parametrize("ap", [True, 1.5, "1", None, [0]])
+    def test_abelian_twist_checks_ap_once(self, ap, tmp_path):
+        """crystal-twist's abelian kind reads ap untyped and leaves the type
+        check to abelian_from_ap: the message a motive document's ap gets,
+        with exit 2; a missing ap is still missing-field."""
+        doc, out = tmp_path / "twist.json", tmp_path / "o.json"
+        doc.write_text(json.dumps({"kind": "abelian", "ap": ap}))
+        want = '{"code":"bad-type","message":"abelian trace must be an integer"}\n'
+        assert run_cli(["crystal-twist", "--ring", "ring_f5n4.json", "--in", str(doc)], out) == (2, want)
+        motive = _edited_fixture(tmp_path, "motive_mixed.json", _set("abelian", "ap", ap))
+        assert run_cli(["motive-assemble", "--in", motive], out) == (2, want)
+        doc.write_text(json.dumps({"kind": "abelian"}))
+        missing = '{"code":"missing-field","message":"missing field \'ap\'"}\n'
+        assert run_cli(["crystal-twist", "--ring", "ring_f5n4.json", "--in", str(doc)], out) == (2, missing)
+
+    @pytest.mark.parametrize("part", ["lattice", "torus"])
+    @pytest.mark.parametrize("block", [{"rank": -1}, {"rank": -1, "sigma": []}, {"rank": -3, "sigma": [[1]]}])
+    def test_negative_rank_names_the_rank(self, part, block, tmp_path):
+        """A negative lattice or torus rank, with or without an action, is a
+        shape-error that names the rank, with exit 2; rank 0 is accepted."""
+
+        def with_block(block):
+            def edit(doc):
+                doc[part], doc["ext"] = block, {}
+
+            return edit
+
+        out = tmp_path / "o.json"
+        motive = _edited_fixture(tmp_path, "motive_kummer.json", with_block(block))
+        want = '{"code":"shape-error","message":"rank must be non-negative"}\n'
+        assert run_cli(["motive-assemble", "--in", motive], out) == (2, want)
+        motive = _edited_fixture(tmp_path, "motive_kummer.json", with_block({"rank": 0, "sigma": []}))
+        assert run_cli(["motive-assemble", "--in", motive], out) == (0, "")
+
     def test_failed_pairing_is_exit_1(self, monkeypatch, tmp_path):
         """A pairing that fails a diagnostic (no document reaches one: the dual
         is built to pair perfectly) writes its report and one error object."""

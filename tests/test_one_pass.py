@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import pytest
 
+import fcrystals.blocks as blocks
 import fcrystals.intmat
 import fcrystals.witt
 import fcrystals.onemotive as onemotive
@@ -263,6 +264,28 @@ def test_divisor_entries_are_checked_once(monkeypatch):
     assert d == simplicial.DivisorPresentation(d.m, d.pull0, d.pull1, d.ns_classes)
 
 
+def test_action_entries_are_checked_once(monkeypatch, tmp_path):
+    """A motive document's lattice and torus actions have their entries
+    checked by the document reader (bad-matrix), and the data built from
+    them checks only the rank and the action, as crystal-twist's lattice
+    kind does; the public constructor still checks the entries (bad-type)."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, blocks, "_ints")
+    with open(os.path.join(FX, "motive_kummer.json"), encoding="utf-8") as fh:
+        spec = motive_from_doc(json.load(fh))
+    assert counts["_ints"] == 2  # the two ranks
+    assert spec.lattice == LatticeData(1, ((1,),)) and spec.torus == TorusData(1, ((1,),))
+    counts.clear()
+    twist = tmp_path / "twist.json"
+    twist.write_text(json.dumps({"kind": "lattice", "sigma": [[0, 1], [1, 0]]}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["crystal-twist", "--ring", os.path.join(FX, "ring_f5n4.json"), "--in", str(twist)]) == 0
+    assert counts["_ints"] == 1  # the rank
+    counts.clear()
+    LatticeData(2, ((0, 1), (1, 0)))
+    assert counts["_ints"] == 3  # the rank and both rows
+
+
 def test_action_takes_no_elimination(monkeypatch):
     """The inverse of a finite-order action is sigma^(k-1), left by the order
     search: constructing the data runs no Smith form."""
@@ -276,7 +299,7 @@ def test_action_takes_no_elimination(monkeypatch):
 
 INTMAT_CALLS = (
     "smith_normal_form", "_eliminate", "mul", "_mul_units", "solve_exact", "inverse_unimodular", "kernel_basis",
-    "elementary_divisors",
+    "elementary_divisors", "_rows", "_dense", "_columns",
 )
 
 
@@ -299,10 +322,12 @@ def test_cocharacters_take_two_eliminations(monkeypatch):
     one's diagonal; no solve_exact or inverse_unimodular runs.  It takes the
     transforms as the elimination builds them, so the transposing wrapper
     smith_normal_form does not run.  The two products are V^(-1) d^1 and the
-    lift, both through intmat._mul_units, which copies the marked unit rows."""
+    lift, both through intmat._mul_units, which copies the marked unit rows.
+    The differentials are built as sparse rows, so no dense matrix is read
+    in; the basis alone is written out dense, once."""
     rank, calls = _cochar_calls(monkeypatch, os.path.join(FX, "simplicial_nodal.json"))
     assert rank == 1
-    assert dict(calls) == {"_eliminate": 2, "_mul_units": 2}
+    assert dict(calls) == {"_eliminate": 2, "_mul_units": 2, "_dense": 1}
 
 
 def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
@@ -347,8 +372,10 @@ def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
 def test_picard_skeleton_builds_no_basis(monkeypatch, tmp_path):
     """picard-skeleton reads two ranks: the cocharacter kernel form builds
     V^(-1) and its marks alone (for V^(-1) d^1), the lift form nothing, and
-    the Div^0 rank is m minus the number of elementary divisors, read off a
-    form that builds nothing.  No kernel_basis and no basis product runs."""
+    the Div^0 rank is m minus the length of the diagonal of an elimination
+    that builds nothing, run on the stacked relations built as sparse rows
+    (ns_classes read through intmat._rows).  No kernel_basis, no dense
+    caller and no basis product runs."""
     ring = os.path.join(FX, "ring_f5n4.json")
     argv = ["picard-skeleton", "--ring", ring, "--in", os.path.join(FX, "picard_input.json")]  # m = 0
     assert _recorded_builds(monkeypatch, argv) == [{"v_inv", "ve"}, set()]
@@ -367,7 +394,7 @@ def test_picard_skeleton_builds_no_basis(monkeypatch, tmp_path):
         _count_calls(monkeypatch, calls, fcrystals.intmat, name)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert dict(calls) == {"elementary_divisors": 1, "_eliminate": 3, "_mul_units": 1}
+    assert dict(calls) == {"_rows": 1, "_eliminate": 3, "_mul_units": 1}
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

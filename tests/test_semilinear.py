@@ -45,7 +45,9 @@ from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
 from helpers import (
     bareiss_det,
     charpoly_oracle,
+    dense_rows,
     det_oracle,
+    eliminate_oracle,
     frobenius_oracle,
     int_mul_oracle,
     int_shape_oracle,
@@ -57,6 +59,7 @@ from helpers import (
     random_unimodular,
     rank_over_q,
     smith_oracle,
+    sparse_rows,
     transpose,
     verify_oracle,
     witness_oracle,
@@ -219,16 +222,34 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def _eliminate(a, build):
+    """intmat._eliminate on the sparse rows of the dense matrix a."""
+    return intmat._eliminate(sparse_rows(a), int_shape_oracle(a)[1], build)
+
+
+def _dense_result(result, rows, cols):
+    """The tuple intmat._eliminate returns for an rows x cols matrix, with
+    its sparse transforms written out dense and its diagonal as the matrix
+    D: the form of helpers.eliminate_oracle."""
+    u, diag, vt, ut, vi, ue, ve = result
+    d = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    dense = [None if x is None else dense_rows(x, w) for x, w in ((u, rows), (vt, cols), (ut, rows), (vi, cols))]
+    return dense[0], d, dense[1], dense[2], dense[3], ue, ve
+
+
 def _full(a):
-    """intmat._eliminate with every transform, V^T and (U^(-1))^T
-    transposed back: (U, D, V, U^(-1), V^(-1))."""
-    u, d, vt, ut, vi = intmat._eliminate(a, tuple(SLOTS))[:5]
+    """intmat._eliminate with every transform, written out dense, V^T and
+    (U^(-1))^T transposed back: (U, D, V, U^(-1), V^(-1))."""
+    rows, cols = int_shape_oracle(a)
+    u, d, vt, ut, vi = _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols)[:5]
     return u, d, _transpose(vt), _transpose(ut), vi
 
 
 def _selected(full, subset):
-    """The full (U, D, V^T, (U^(-1))^T, V^(-1), ue, ve) with every slot
-    outside subset set to None."""
+    """The full (U, diagonal, V^T, (U^(-1))^T, V^(-1), ue, ve) with every
+    slot outside subset set to None."""
     keep = {1} | {i for name in subset for i in SLOTS[name]}
     return tuple(x if i in keep else None for i, x in enumerate(full))
 
@@ -238,27 +259,40 @@ def _check_marks(rows, marks):
     assert len(marks) == len(rows)
     for row, k in zip(rows, marks):
         if k >= 0:
-            assert row == [int(j == k) for j in range(len(row))], (row, k)
+            assert row == {k: 1}, (row, k)
 
 
 def _check_subsets(a):
-    """Each transform subset keeps the oracle's D, builds its transforms and
-    marks as the full elimination does and leaves the others None; the
-    marks name unit rows only."""
-    full = intmat._eliminate(a, tuple(SLOTS))
+    """Each transform subset keeps the oracle's diagonal, builds its
+    transforms and marks as the full elimination does and leaves the others
+    None; the marks name unit rows only, and no sparse row holds a zero."""
+    full = _eliminate(a, tuple(SLOTS))
     _check_marks(full[3], full[5])
     _check_marks(full[4], full[6])
+    assert all(0 not in row.values() for slot in (0, 2, 3, 4) for row in full[slot]), a
     d = smith_oracle(a)[1]
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
     for subset in SUBSETS:
-        got = intmat._eliminate(a, subset)
-        assert got[1] == d and got == _selected(full, subset), (a, subset)
+        got = _eliminate(a, subset)
+        assert got[1] == diag and got == _selected(full, subset), (a, subset)
+
+
+class _ShuffledSet(set):
+    """A set that iterates in a shuffled order."""
+
+    rng = random.Random(0)
+
+    def __iter__(self):
+        items = list(set.__iter__(self))
+        self.rng.shuffle(items)
+        return iter(items)
 
 
 class TestSmithAgainstOracle:
     """The fast paths (return at the first unit pivot, no divisor-chain sweep
-    under a pivot of 1), the inverse bookkeeping and the skipped transforms
-    leave (U, D, V) as the full-scan elimination of tests/helpers.smith_oracle
-    computes it."""
+    under a pivot of 1), the sparse rows, the inverse bookkeeping and the
+    skipped transforms leave (U, D, V) as the full-scan elimination of
+    tests/helpers.smith_oracle computes it."""
 
     CASES = _smith_cases()
 
@@ -286,12 +320,41 @@ class TestSmithAgainstOracle:
         for a in self.CASES:
             _check_subsets(a)
 
-    def test_elimination_returns_the_transforms_as_built(self):
-        """intmat._eliminate hands over V^T, whose transpose is
-        smith_normal_form's V, beside the same U and D."""
+    def test_transforms_and_marks_are_the_dense_references(self):
+        """Every transform and both unit-row marks, with everything built,
+        are those of the dense-row elimination kept in
+        tests/helpers.eliminate_oracle; each subset builds its slots as the
+        full elimination does (test_each_transform_subset)."""
         for a in self.CASES:
+            rows, cols = int_shape_oracle(a)
+            assert _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols) == eliminate_oracle(a, tuple(SLOTS)), a
+
+    def test_sweep_order_does_not_change_the_integers(self, monkeypatch):
+        """The column sweep visits the rows its column index names in set
+        order, and the row sweep the pivot row's entries in dict order: with
+        both orders shuffled, every transform, mark and diagonal entry stays
+        the same."""
+        want = [_eliminate(a, tuple(SLOTS)) for a in self.CASES]
+        monkeypatch.setattr(intmat, "set", _ShuffledSet, raising=False)  # the column index is built with set()
+        rng = random.Random(19)
+        for a, full in zip(self.CASES, want):
+            for _ in range(3):
+                rows = []
+                for row in sparse_rows(a):
+                    items = list(row.items())
+                    rng.shuffle(items)
+                    rows.append(dict(items))
+                assert intmat._eliminate(rows, int_shape_oracle(a)[1], tuple(SLOTS)) == full, a
+
+    def test_elimination_returns_the_transforms_as_built(self):
+        """intmat._eliminate hands over U and V^T as sparse rows, and
+        smith_normal_form writes U out dense and the rows of V^T as the
+        columns of V, beside D with the diagonal on it."""
+        for a in self.CASES:
+            rows, cols = intmat.shape(a)
             u, d, v = smith_normal_form(a)
-            assert intmat._eliminate(a, ("u", "v"))[:3] == (u, d, _transpose(v)), a
+            got = _dense_result(_eliminate(a, ("u", "v")), rows, cols)
+            assert got[:3] == (u, d, _transpose(v)), a
 
     def test_kernel_basis_is_the_trailing_columns_of_v(self):
         for a in self.CASES:
@@ -307,6 +370,24 @@ class TestSmithAgainstOracle:
         assert smith_normal_form(a) == (u, d, v) == smith_oracle(a)
         assert intmat.mul(u, u_inv) == intmat.identity(r) and intmat.mul(v_inv, v) == intmat.identity(c)
         _check_subsets(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 80), st.integers(0, 80), st.data())
+    def test_hypothesis_sparse_matrices(self, r, c, data):
+        """Sparse matrices up to 80 x 80, about two nonzeros a row, their
+        entries units or, often all of them, non-units that force the
+        divisor-chain fix-up: the oracle's (U, D, V), every build subset
+        with valid marks, and the dense reference's transforms and marks."""
+        a = [[0] * c for _ in range(r)]
+        if r and c:
+            values = data.draw(st.sampled_from([(1, -1, 2, -3), (2, -2, 3, 4, -6, 9), (1, -1)]))
+            for _ in range(data.draw(st.integers(0, 2 * max(r, c)))):
+                i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, c - 1))
+                a[i][j] = data.draw(st.sampled_from(values))
+        assert _full(a)[:3] == smith_oracle(a)
+        _check_subsets(a)
+        rows, cols = int_shape_oracle(a)
+        assert _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols) == eliminate_oracle(a, tuple(SLOTS))
 
 
 def _random_int_matrix(rng, r, c):
@@ -364,8 +445,8 @@ class TestIntegerProduct:
     def test_mul_units_is_the_product(self):
         """intmat._mul_units, given marks of unit rows of the left factor
         (some unit rows left unmarked, as the elimination's marks may leave
-        them), is the oracle's product; a marked row is a fresh copy of a
-        row of the right factor."""
+        them), is the oracle's product on sparse rows, with no zero kept; a
+        marked row is a fresh copy of a row of the right factor."""
         rng = random.Random(18)
         marked = 0
         for _ in range(60):
@@ -386,9 +467,11 @@ class TestIntegerProduct:
                     a.append([rng.choice([0, 0, 0, 1, -1, 2, 2**70]) for _ in range(k)])
                     units.append(-1)
             marked += sum(x >= 0 for x in units)
-            got = intmat._mul_units(a, units, b, c)
-            assert got == int_mul_oracle(a, b, c), (a, units, b)
-            assert not any(row is brow for row in got for brow in b)
+            sparse_b = sparse_rows(b)
+            got = intmat._mul_units(sparse_rows(a), units, sparse_b)
+            assert dense_rows(got, c) == int_mul_oracle(a, b, c), (a, units, b)
+            assert all(0 not in row.values() for row in got)
+            assert not any(row is brow for row in got for brow in sparse_b)
         assert marked > 500
 
     def test_mul_with_no_inner_dimension(self):
@@ -444,9 +527,9 @@ class TestIntegerProduct:
 
     def test_diagonal_of_every_smith_shape(self):
         for a in TestSmithAgainstOracle.CASES:
-            d = intmat._eliminate(a, ())[1]
+            d = smith_normal_form(a)[1]
             want = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-            assert intmat.diagonal(d) == want == intmat.elementary_divisors(a), a
+            assert intmat.diagonal(d) == want == intmat.elementary_divisors(a) == _eliminate(a, ())[1], a
 
     def test_transpose_never_loses_a_width(self):
         """The transpose of an r x 0 matrix would read as [] (0 x 0), so it

@@ -33,6 +33,7 @@ from helpers import (
     matvec,
     rank_over_q,
     random_simplicial,
+    sparse_rows,
     transpose,
 )
 
@@ -60,11 +61,11 @@ def dense_complex(s: SimplicialComponents):
 
 def inject(monkeypatch, d1, d2, counts):
     """Make simplicial._coboundaries hand over the complex d_1 (c0 x c1),
-    d_2 (c1 x c2), in its orientation: d^1 as c1 rows over C^0 and d^2 as c2
-    rows over C^1."""
+    d_2 (c1 x c2), in its form: sparse rows ({column: value} of the
+    nonzeros), d^1 as c1 rows over C^0 and d^2 as c2 rows over C^1."""
     c0, c1, c2 = counts[:3]
-    cob1 = [[d1[i][e] for i in range(c0)] for e in range(c1)]
-    cob2 = [[d2[j][f] for j in range(c1)] for f in range(c2)]
+    cob1 = sparse_rows([[d1[i][e] for i in range(c0)] for e in range(c1)])
+    cob2 = sparse_rows([[d2[j][f] for j in range(c1)] for f in range(c2)])
     monkeypatch.setattr(simplicial, "_coboundaries", lambda s: (cob1, cob2))
 
 
