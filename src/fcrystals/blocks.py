@@ -11,21 +11,20 @@ graded piece and V on the highest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import intmat
 from .errors import (
+    FCrystalsError,
     InternalError,
     InvalidActionError,
     InvalidTraceError,
     MalformedInputError,
-    PrecisionError,
     ShapeError,
     SizeLimitError,
     UnsupportedInputError,
 )
 from .semilinear import FilteredFModule, _int_rows, direct_sum, newton_slopes, verify
-from .witt import RingParams, _ints
+from .witt import RingParams, _int_matrix, _ints
 
 ORDER_SEARCH_LIMIT = 120
 
@@ -94,9 +93,7 @@ class LatticeData:
         its rows as tuples) and the action, and set its inverse."""
         SizeLimitError.check("rank", _ints((self.rank,), "bad-type", "rank")[0])
         if entries:
-            object.__setattr__(
-                self, "sigma_action", tuple(_ints(row, "bad-type", "sigma_action") for row in self.sigma_action)
-            )
+            object.__setattr__(self, "sigma_action", _int_matrix(self.sigma_action, "bad-type", "sigma_action"))
         if self.rank < 0:
             raise ShapeError("rank must be non-negative")
         inv = _validated_action(self.sigma_action, self.rank)
@@ -174,58 +171,58 @@ class AbelianBlock:
 
     @staticmethod
     def from_module(module: FilteredFModule) -> "AbelianBlock":
-        if module.rank % 2:
-            raise UnsupportedInputError("abelian block must have even rank 2g")
-        if any(w != -1 for w in module.weights):
-            raise UnsupportedInputError("abelian block must be pure of weight -1")
-        if module.level != 1 or module.v_rows is None:
-            raise UnsupportedInputError("abelian block must be a level-1 module with V")
-        rep = verify(module)
-        if not rep.ok:
-            raise UnsupportedInputError(
-                f"abelian block fails verification: {rep.first_failure.name}"
-            )
-        if module.rank:
-            slopes = newton_slopes(module).as_list()
-            if sorted(1 - s for s in slopes) != slopes:
-                raise UnsupportedInputError("abelian block slopes are not symmetric under s -> 1-s")
-        return AbelianBlock(module.rank // 2, module)
+        """The block of a caller's module, after the checks of
+        _checked_abelian; a failed check is UnsupportedInputError."""
+        return _checked_abelian(module, UnsupportedInputError)
 
     def __add__(self, other: "AbelianBlock") -> "AbelianBlock":
         return AbelianBlock(self.dim + other.dim, direct_sum(self.crystal, other.crystal))
 
 
+def _checked_abelian(module: FilteredFModule, error: type[FCrystalsError]) -> AbelianBlock:
+    """The block of module, after the checks of a weight -1 piece, in this
+    order: even rank 2g, pure weight -1, level 1 with V, verify, and slopes
+    symmetric under s -> 1 - s (the Dieudonne crystal of an abelian variety:
+    Andreatta and Barbieri-Viale, arXiv math/0302161, sections 1-2; Manin,
+    Russian Math. Surveys 18 (1963)).  A failed check raises ``error``:
+    UnsupportedInputError for caller data, InternalError for a block built
+    here."""
+    if module.rank % 2:
+        raise error("abelian block must have even rank 2g")
+    if any(w != -1 for w in module.weights):
+        raise error("abelian block must be pure of weight -1")
+    if module.level != 1 or module.v_rows is None:
+        raise error("abelian block must be a level-1 module with V")
+    rep = verify(module)
+    if not rep.ok:
+        raise error(f"abelian block fails verification: {rep.first_failure.name}")
+    if module.rank:
+        slopes = newton_slopes(module).as_list()
+        if sorted(1 - s for s in slopes) != slopes:
+            raise error("abelian block slopes are not symmetric under s -> 1-s")
+    return AbelianBlock(module.rank // 2, module)
+
+
 def abelian_from_ap(a_p: int, params: RingParams) -> AbelianBlock:
     """Rank-2 abelian block from the companion matrix of x^2 - a_p x + q,
     q = p^a.  Requires |a_p| <= 2 sqrt(q) and an integral V = p F^(-1); the
-    latter holds exactly when q = p, otherwise an explanatory error is
-    raised (supply an explicit module instead).  a_p must be an int, not a
-    bool (else bad-type)."""
+    latter holds exactly when q = p, that is a = 1, otherwise an
+    explanatory error is raised (supply an explicit module instead).  The
+    block is checked as _checked_abelian checks caller data, a failure
+    being an InternalError; its slopes need n >= 3, newton_slopes' bound at
+    rank 2, level 1 and a = 1 (else PrecisionError).  a_p must be an int,
+    not a bool (else bad-type)."""
     if type(a_p) is not int:
         raise MalformedInputError("abelian trace must be an integer", code="bad-type")
-    p, n, a = params.p, params.n, params.a
-    q = p**a
+    p, q = params.p, params.p**params.a
     if a_p * a_p > 4 * q:
         raise InvalidTraceError(f"|a_p| = {abs(a_p)} violates the Weil bound 2 sqrt({q})")
-    if n < 2 * a + 1:
-        raise PrecisionError(
-            f"companion abelian block needs n >= {2*a + 1} to pin its slopes",
-            required=2 * a + 1,
-        )
-    # V = p F^(-1) = (p/q) [[a_p, q], [-1, 0]] entrywise; integral iff q | p * entry
-    entries = [[p * a_p, p * q], [-p, 0]]
-    if any(x % q for row in entries for x in row):
+    # V = p F^(-1) = (p/q) [[a_p, q], [-1, 0]] is integral iff q | p, that is a = 1
+    if params.a != 1:
         raise UnsupportedInputError(
             f"V = p F^(-1) is not integral over F_{q}: the companion model needs q = p; "
             "pass an explicit weight -1 module instead"
         )
-    f = _int_rows(params, [[0, -q], [1, a_p]])
-    v = _int_rows(params, [[x // q for x in row] for row in entries])
-    module = FilteredFModule._of_rows(params, 2, (-1, -1), f, v, 1)
-    slopes = newton_slopes(module).as_list()
-    if sorted(Fraction(1) - s for s in slopes) != slopes:
-        raise InternalError(f"companion block slopes {slopes} are not symmetric under s -> 1-s")
-    rep = verify(module)
-    if not rep.ok:
-        raise InternalError(f"companion block fails verification: {rep.first_failure.name}")
-    return AbelianBlock(1, module)
+    f = _int_rows(params, [[0, -p], [1, a_p]])
+    v = _int_rows(params, [[a_p, p], [-1, 0]])
+    return _checked_abelian(FilteredFModule._of_rows(params, 2, (-1, -1), f, v, 1), InternalError)

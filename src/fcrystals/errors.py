@@ -24,6 +24,15 @@ class MalformedInputError(FCrystalsError):
     code = "malformed-input"
     exit_code = 2
 
+    @classmethod
+    def sequence(cls, values, code: str, what: str) -> tuple:
+        """values as a tuple, unless they are not a sequence (a scalar, None):
+        then the boundary's error, with the given code."""
+        try:
+            return tuple(values)
+        except TypeError:
+            raise cls(f"{what} must be a sequence, got {values!r}", code=code) from None
+
 
 class IncompatibleRingsError(FCrystalsError):
     """Operands live over different ring parameters."""

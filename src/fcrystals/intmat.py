@@ -61,7 +61,7 @@ from __future__ import annotations
 from itertools import compress, repeat
 from typing import Sequence
 
-from .errors import InvalidActionError, ShapeError
+from .errors import InvalidActionError, MalformedInputError, ShapeError
 
 IntMat = list[list[int]]
 Rows = list[dict[int, int]]
@@ -164,7 +164,10 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
     each diagonal entry dividing the next.
 
     Pivot selection is the smallest nonzero absolute value, ties broken
-    row-major, so the decomposition is reproducible.
+    row-major, so the decomposition is reproducible.  The matrix is checked
+    here, where it enters: a matrix or a row that is not a sequence is
+    bad-matrix, an entry that is not an exact int (a bool, a float)
+    bad-type, and a ragged matrix a ShapeError.
 
     >>> u, d, v = smith_normal_form([[2, 4], [6, 8]])
     >>> [d[0][0], d[1][1]]
@@ -172,8 +175,15 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
     >>> mul(mul(u, [[2, 4], [6, 8]]), v) == d
     True
     """
-    rows, cols = shape(a)
-    u, diag, vt = _eliminate(_rows(a), cols, ("u", "v"))[:3]
+    seq = MalformedInputError.sequence
+    m = [seq(row, "bad-matrix", "matrix row") for row in seq(a, "bad-matrix", "matrix")]
+    # witt._ints' rule, spelled here since witt imports this module
+    bad = next(((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if type(x) is not int), None)
+    if bad is not None:
+        i, j, x = bad
+        raise MalformedInputError(f"matrix entry ({i}, {j}) must be an integer, got {x!r}", code="bad-type")
+    rows, cols = shape(m)
+    u, diag, vt = _eliminate(_rows(m), cols, ("u", "v"))[:3]
     d = zeros(rows, cols)
     for i, x in enumerate(diag):
         d[i][i] = x

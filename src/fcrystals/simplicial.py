@@ -12,13 +12,14 @@ presentation afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import intmat
 from .blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap
-from .errors import InternalError, InvalidSimplicialError, ShapeError, SizeLimitError, UnsupportedInputError
+from .errors import InternalError, InvalidSimplicialError, MalformedInputError, ShapeError, SizeLimitError
 from .onemotive import OneMotiveSpec, assemble
 from .semilinear import FilteredFModule, _block
-from .witt import RingParams, _ints
+from .witt import RingParams, _int_matrix, _ints
 
 __all__ = [
     "SimplicialComponents",
@@ -47,11 +48,8 @@ class SimplicialComponents:
         object.__setattr__(self, "counts", _ints(self.counts, "bad-type", "counts"))
         for i, c in enumerate(self.counts):
             SizeLimitError.check(f"counts[{i}]", c)
-        object.__setattr__(
-            self,
-            "face_maps",
-            tuple(tuple(_ints(fmap, "bad-type", "face maps") for fmap in level) for level in self.face_maps),
-        )
+        maps = MalformedInputError.sequence(self.face_maps, "bad-type", "face maps")
+        object.__setattr__(self, "face_maps", tuple(_int_matrix(level, "bad-type", "face maps") for level in maps))
 
     def validate(self) -> None:
         counts = self.counts
@@ -220,7 +218,7 @@ class DivisorPresentation:
         tuples), and the shapes."""
         SizeLimitError.check("m", _ints((self.m,), "bad-type", "m")[0])
         for name in ("pull0", "pull1", "ns_classes") if entries else ():
-            object.__setattr__(self, name, tuple(_ints(row, "bad-type", name) for row in getattr(self, name)))
+            object.__setattr__(self, name, _int_matrix(getattr(self, name), "bad-type", name))
         if self.m < 0:
             raise ShapeError("m must be non-negative")
         r0 = intmat.shape(self.pull0) if self.pull0 else (0, self.m)
@@ -275,14 +273,19 @@ class PicardSkeleton:
             SizeLimitError.check(what, r)
 
 
+@lru_cache(maxsize=32)  # the number of rings witt._RINGS keeps
+def _companion(params: RingParams) -> FilteredFModule:
+    """The module of the supersingular companion block over params, built
+    and checked once per ring (a ring with a > 1 raises every time)."""
+    return abelian_from_ap(0, params).crystal
+
+
 def _default_abelian(g: int, params: RingParams) -> AbelianBlock:
+    """The g-fold sum of the supersingular companion block (so a = 1, as
+    abelian_from_ap states), one block matrix over the cached rank-2 block."""
     if g == 0:
         return AbelianBlock.empty(params)
-    if params.a != 1:
-        raise UnsupportedInputError(
-            "default abelian blocks use the companion model and need a = 1; pass an explicit block"
-        )
-    one = abelian_from_ap(0, params).crystal
+    one = _companion(params)
     sizes, zero = [2] * g, (0,) * params.a
 
     def diagonal(rows):

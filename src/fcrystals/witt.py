@@ -154,13 +154,16 @@ _INT = frozenset([int])  # the one entry type _ints accepts: no bool, no other i
 
 def _ints(values, code: str, what: str) -> tuple[int, ...]:
     """values as a tuple of ints, else (a scalar, a bool or any other type) the boundary's error."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise MalformedInputError(f"{what} must be a sequence, got {values!r}", code=code) from None
+    values = MalformedInputError.sequence(values, code, what)
     if not _INT.issuperset(map(type, values)):
         raise MalformedInputError(f"{what} must be integers, got {values!r}", code=code)
     return values
+
+
+def _int_matrix(rows, code: str, what: str) -> tuple[tuple[int, ...], ...]:
+    """rows as a tuple of _ints rows: a matrix or a row that is not a
+    sequence, or an entry that is not an int, is the boundary's error."""
+    return tuple(_ints(row, code, what) for row in MalformedInputError.sequence(rows, code, what))
 
 
 def default_modulus(p: int, a: int) -> tuple[int, ...]:
@@ -469,12 +472,6 @@ class WittElem:
     def residue(self) -> tuple[int, ...]:
         p = self.params.p
         return tuple(c % p for c in self.coords)
-
-    def frobenius(self) -> "WittElem":
-        return frobenius(self)
-
-    def frobenius_inverse(self) -> "WittElem":
-        return frobenius_inverse(self)
 
 
 _set_params, _set_coords = WittElem.params.__set__, WittElem.coords.__set__

@@ -58,7 +58,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -1033,6 +1033,17 @@ def random_motive_spec(
     else:
         ext_xa = wm_zero(params, g2, r_x)
     return OneMotiveSpec(params, lattice, torus, abelian, ext_at, ext_xa, ext_xt, label)
+
+
+def failing_first_check(verify):
+    """verify, with the first check of each report it returns turned into a
+    failure: a module the checks accept, made to fail them."""
+
+    def failing(m):
+        rep = verify(m)
+        return replace(rep, checks=(replace(rep.checks[0], ok=False),) + rep.checks[1:])
+
+    return failing
 
 
 def slope_half_block(params: RingParams) -> AbelianBlock:

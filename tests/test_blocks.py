@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from fcrystals.blocks import (
     torus_block,
 )
 from fcrystals.errors import (
+    InternalError,
     InvalidActionError,
     InvalidTraceError,
     MalformedInputError,
@@ -33,7 +35,7 @@ from fcrystals.semilinear import (
     wm_sigma,
 )
 from fcrystals.witt import RingParams, default_modulus
-from helpers import det_oracle, inverse_oracle, random_signed_permutation, random_unimodular, wmat
+from helpers import det_oracle, failing_first_check, inverse_oracle, random_signed_permutation, random_unimodular, wmat
 
 P54 = RingParams(5, 4)
 P34 = RingParams(3, 4)
@@ -293,8 +295,56 @@ class TestAbelian:
             abelian_from_ap(5, params)  # |5| <= 2 sqrt(25) but V not integral
 
     def test_precision_gate(self):
-        with pytest.raises(PrecisionError):
+        """At a = 1 the companion's precision bound is newton_slopes' own,
+        n >= rank * level * a + 1 = 3, raised inside the block's checks."""
+        with pytest.raises(PrecisionError) as exc:
             abelian_from_ap(0, RingParams(5, 2))
+        assert exc.value.required == 3
+        assert str(exc.value) == "newton slopes need n >= 3 at rank 2, level 1, a = 1"
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_companion_model_rule_precedes_precision(self, n):
+        """Over F_25 the companion model fails at every n: V is not integral
+        there, so the call is unsupported-input, never a precision error that
+        asks for a longer ring the model would still reject."""
+        with pytest.raises(UnsupportedInputError) as exc:
+            abelian_from_ap(0, RingParams(5, n, 2, default_modulus(5, 2)))
+        assert str(exc.value) == (
+            "V = p F^(-1) is not integral over F_25: the companion model needs q = p; "
+            "pass an explicit weight -1 module instead"
+        )
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_companion_integrality_is_a_equals_one(self, p, a):
+        """V = p F^(-1) = (p/q) [[a_p, q], [-1, 0]] is integral iff q | p:
+        the rule a != 1 rejects exactly the rings whose entries
+        [[p a_p, p q], [-p, 0]] the former entrywise test found not
+        divisible by q, for every trace within the Weil bound."""
+        q = p**a
+        params = RingParams(p, 3, a, default_modulus(p, a) if a > 1 else None)
+        for a_p in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
+            entrywise = any(x % q for row in [[p * a_p, p * q], [-p, 0]] for x in row)
+            assert entrywise == (a != 1)
+            if a != 1:
+                with pytest.raises(UnsupportedInputError):
+                    abelian_from_ap(a_p, params)
+            else:
+                assert abelian_from_ap(a_p, params).dim == 1
+
+    def test_self_check_error_class(self, monkeypatch):
+        """One routine checks a companion block and caller data: a failed
+        check is an InternalError for the companion, built here, and an
+        UnsupportedInputError with the same text for a caller's module."""
+        good = abelian_from_ap(0, P54).crystal
+        name = blocks.verify(good).checks[0].name
+        monkeypatch.setattr(blocks, "verify", failing_first_check(blocks.verify))
+        with pytest.raises(InternalError) as exc:
+            abelian_from_ap(0, P54)
+        assert str(exc.value) == f"abelian block fails verification: {name}"
+        with pytest.raises(UnsupportedInputError) as exc:
+            AbelianBlock.from_module(good)
+        assert str(exc.value) == f"abelian block fails verification: {name}"
 
     def test_det_is_q_times_unit(self):
         rng = random.Random(20)

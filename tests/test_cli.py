@@ -11,9 +11,10 @@ import time
 
 import pytest
 
-from fcrystals import cli, errors
+from fcrystals import blocks, cli, errors
 from fcrystals.cli import _HANDLERS, main
 from fcrystals.serialize import canonical_dumps
+from helpers import failing_first_check
 
 FX = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLD = os.path.join(FX, "golden")
@@ -278,6 +279,52 @@ class TestExitCodes:
         doc.write_text(json.dumps({"kind": "abelian"}))
         missing = '{"code":"missing-field","message":"missing field \'ap\'"}\n'
         assert run_cli(["crystal-twist", "--ring", "ring_f5n4.json", "--in", str(doc)], out) == (2, missing)
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_companion_model_rule_precedes_precision(self, n, tmp_path):
+        """A companion block (ap) over F_25 is unsupported-input with exit 2
+        at every n, through crystal-twist, a motive document and the Picard
+        verbs' default block: V is not integral unless a = 1, and that is
+        checked before precision.  At n < 5 the ap paths were a precision
+        error with exit 3 asking for n >= 5, and the Picard verbs wrote a
+        message of their own."""
+        ring = {"p": 5, "n": n, "a": 2, "modulus": [2, 4, 1]}
+        ring_path, doc, out = tmp_path / "ring.json", tmp_path / "twist.json", tmp_path / "o.json"
+        ring_path.write_text(json.dumps(ring))
+        doc.write_text(json.dumps({"kind": "abelian", "ap": 0}))
+        want = (
+            '{"code":"unsupported-input","message":"V = p F^(-1) is not integral over F_25: '
+            'the companion model needs q = p; pass an explicit weight -1 module instead"}\n'
+        )
+        assert run_cli(["crystal-twist", "--ring", str(ring_path), "--in", str(doc)], out) == (2, want)
+        motive = _edited_fixture(tmp_path, "motive_mixed.json", _set("ring", ring))
+        assert run_cli(["motive-assemble", "--in", motive], out) == (2, want)
+        assert run_cli(["h1-ledger", "--ring", str(ring_path), "--in", "skeleton_g1m3.json"], out) == (2, want)
+        assert run_cli(["picard-skeleton", "--ring", str(ring_path), "--in", "picard_input.json"], out) == (2, want)
+
+    def test_companion_precision_is_newton_slopes_bound(self, tmp_path):
+        """At a = 1 and n < 3 a companion block fails inside its slope check,
+        with newton_slopes' message and the same required length 3."""
+        ring_path, doc, out = tmp_path / "ring.json", tmp_path / "twist.json", tmp_path / "o.json"
+        ring_path.write_text(json.dumps({"p": 5, "n": 2}))
+        doc.write_text(json.dumps({"kind": "abelian", "ap": 0}))
+        want = (
+            '{"code":"precision-error","message":"newton slopes need n >= 3 at rank 2, level 1, a = 1",'
+            '"required":3}\n'
+        )
+        assert run_cli(["crystal-twist", "--ring", str(ring_path), "--in", str(doc)], out) == (3, want)
+        motive = _edited_fixture(tmp_path, "motive_mixed.json", _set("ring", {"p": 5, "n": 2}))
+        assert run_cli(["motive-assemble", "--in", motive], out) == (3, want)
+        assert run_cli(["h1-ledger", "--ring", str(ring_path), "--in", "skeleton_g1m3.json"], out) == (3, want)
+
+    def test_companion_self_check_is_exit_4(self, monkeypatch, tmp_path):
+        """A companion block that fails its own verify (no ring reaches one)
+        is an internal-error with exit 4, worded as a caller's module that
+        fails it, by the one routine that checks both."""
+        monkeypatch.setattr(blocks, "verify", failing_first_check(blocks.verify))
+        argv = ["crystal-twist", "--ring", "ring_f5n4.json", "--in", "twist_abelian0.json"]
+        want = '{"code":"internal-error","message":"abelian block fails verification: level"}\n'
+        assert run_cli(argv, tmp_path / "o.json") == (4, want)
 
     @pytest.mark.parametrize("part", ["lattice", "torus"])
     @pytest.mark.parametrize("block", [{"rank": -1}, {"rank": -1, "sigma": []}, {"rank": -3, "sigma": [[1]]}])

@@ -2,7 +2,7 @@
 an exact int, `type(x) is int`, so neither a bool nor any other int subclass
 (an IntEnum, say) is taken as an integer.  The static guard keeps a second
 spelling of the rule, `isinstance(x, int)`, out of the package; the other
-tests pin the rule at the entries that take a scalar."""
+tests pin the rule at the entries that take a scalar or a matrix."""
 
 import ast
 import enum
@@ -12,8 +12,10 @@ import os
 import pytest
 
 from fcrystals import serialize as ser
-from fcrystals.blocks import abelian_from_ap, tate
-from fcrystals.errors import MalformedInputError
+from fcrystals.blocks import LatticeData, abelian_from_ap, tate
+from fcrystals.errors import MalformedInputError, ShapeError
+from fcrystals.intmat import smith_normal_form
+from fcrystals.simplicial import DivisorPresentation, SimplicialComponents
 from fcrystals.witt import RingParams
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "fcrystals")
@@ -80,3 +82,52 @@ def test_document_int_fields():
     with pytest.raises(MalformedInputError) as exc:
         ser.motive_from_doc(doc)
     assert (exc.value.code, str(exc.value)) == ("bad-type", "abelian trace must be an integer")
+
+
+@pytest.mark.parametrize(
+    "a,code,message",
+    [
+        ([[0.5, 1]], "bad-type", "matrix entry (0, 0) must be an integer, got 0.5"),
+        ([[1, 2], [3, 4.0]], "bad-type", "matrix entry (1, 1) must be an integer, got 4.0"),
+        ([[True, 2], [3, 4]], "bad-type", "matrix entry (0, 0) must be an integer, got True"),
+        ([[Small.ONE]], "bad-type", "matrix entry (0, 0) must be an integer, got <Small.ONE: 1>"),
+        (5, "bad-matrix", "matrix must be a sequence, got 5"),
+        ([5], "bad-matrix", "matrix row must be a sequence, got 5"),
+        (None, "bad-matrix", "matrix must be a sequence, got None"),
+    ],
+)
+def test_smith_normal_form_entry(a, code, message):
+    """The one exported intmat function checks its matrix where it enters:
+    no float or bool reaches D (both were returned on its diagonal), a bad
+    entry is named by its position, and a scalar is a named error, not a
+    bare TypeError."""
+    with pytest.raises(MalformedInputError) as exc:
+        smith_normal_form(a)
+    assert (exc.value.code, str(exc.value)) == (code, message)
+
+
+def test_smith_normal_form_ragged_and_int_rows():
+    with pytest.raises(ShapeError):
+        smith_normal_form([[1, 2], [3]])
+    assert smith_normal_form(((2, 4), (6, 8)))[1] == [[2, 0], [0, 4]]
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: LatticeData(2, 5), "sigma_action must be a sequence, got 5"),
+        (lambda: LatticeData(1, (5,)), "sigma_action must be a sequence, got 5"),
+        (lambda: DivisorPresentation(1, 5, (), ()), "pull0 must be a sequence, got 5"),
+        (lambda: DivisorPresentation(1, (), (), None), "ns_classes must be a sequence, got None"),
+        (lambda: SimplicialComponents((1, 2), 5), "face maps must be a sequence, got 5"),
+        (lambda: SimplicialComponents((1, 2), (5,)), "face maps must be a sequence, got 5"),
+        (lambda: SimplicialComponents((1, 2), (((0, 0), 5),)), "face maps must be a sequence, got 5"),
+    ],
+)
+def test_constructor_matrices(make, message):
+    """A matrix argument of a public class that is not a sequence, or has a
+    row that is not, is bad-type as _ints words it (each was a bare
+    TypeError)."""
+    with pytest.raises(MalformedInputError) as exc:
+        make()
+    assert (exc.value.code, str(exc.value)) == ("bad-type", message)

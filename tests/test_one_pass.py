@@ -117,12 +117,18 @@ def test_graded_blocks_are_built_once_per_presentation(monkeypatch):
 
 def test_default_abelian_builds_its_companion_block_once(monkeypatch):
     """The default abelian block of dimension g is g copies of one companion
-    block, built once (it was built g times, each with a slope and a verify
-    pass); the sum is the same module."""
+    block, built (with its slope and verify pass) once per ring; the sum is
+    the same module.  The cache is cleared first, so the count does not rest
+    on what an earlier test built."""
+    simplicial._companion.cache_clear()
     counts = Counter()
     _count_calls(monkeypatch, counts, simplicial, "abelian_from_ap")
     block = simplicial._default_abelian(3, P54)
     assert counts["abelian_from_ap"] == 1
+    assert simplicial._default_abelian(2, RingParams(5, 4)) == simplicial._default_abelian(2, P54)
+    assert counts["abelian_from_ap"] == 1
+    simplicial._default_abelian(1, RingParams(5, 5))
+    assert counts["abelian_from_ap"] == 2
     one = abelian_from_ap(0, P54)
     assert block == one + one + one and block.dim == 3
 
@@ -257,11 +263,13 @@ def test_divisor_entries_are_checked_once(monkeypatch):
     """divisor_from_doc checks the entries of the document's rows, and the
     presentation it builds checks only m and the shapes."""
     counts = Counter()
-    _count_calls(monkeypatch, counts, simplicial, "_ints")
+    for name in ("_ints", "_int_matrix"):
+        _count_calls(monkeypatch, counts, simplicial, name)
     with open(os.path.join(FX, "divisor_m3.json"), encoding="utf-8") as fh:
         d = divisor_from_doc(json.load(fh))
-    assert counts["_ints"] == 1  # m
+    assert (counts["_ints"], counts["_int_matrix"]) == (1, 0)  # m
     assert d == simplicial.DivisorPresentation(d.m, d.pull0, d.pull1, d.ns_classes)
+    assert counts["_int_matrix"] == 3  # the public constructor checks pull0, pull1 and ns_classes
 
 
 def test_action_entries_are_checked_once(monkeypatch, tmp_path):
@@ -270,20 +278,22 @@ def test_action_entries_are_checked_once(monkeypatch, tmp_path):
     them checks only the rank and the action, as crystal-twist's lattice
     kind does; the public constructor still checks the entries (bad-type)."""
     counts = Counter()
-    _count_calls(monkeypatch, counts, blocks, "_ints")
+    for name in ("_ints", "_int_matrix"):
+        _count_calls(monkeypatch, counts, blocks, name)
     with open(os.path.join(FX, "motive_kummer.json"), encoding="utf-8") as fh:
         spec = motive_from_doc(json.load(fh))
-    assert counts["_ints"] == 2  # the two ranks
+    assert (counts["_ints"], counts["_int_matrix"]) == (2, 0)  # the two ranks
     assert spec.lattice == LatticeData(1, ((1,),)) and spec.torus == TorusData(1, ((1,),))
     counts.clear()
     twist = tmp_path / "twist.json"
     twist.write_text(json.dumps({"kind": "lattice", "sigma": [[0, 1], [1, 0]]}))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["crystal-twist", "--ring", os.path.join(FX, "ring_f5n4.json"), "--in", str(twist)]) == 0
-    assert counts["_ints"] == 1  # the rank
+    assert (counts["_ints"], counts["_int_matrix"]) == (1, 0)  # the rank
     counts.clear()
+    _count_calls(monkeypatch, counts, fcrystals.witt, "_ints")  # the rows, through _int_matrix
     LatticeData(2, ((0, 1), (1, 0)))
-    assert counts["_ints"] == 3  # the rank and both rows
+    assert (counts["_ints"], counts["_int_matrix"]) == (3, 1)  # the rank and both rows
 
 
 def test_action_takes_no_elimination(monkeypatch):
