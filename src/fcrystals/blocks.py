@@ -6,11 +6,28 @@ Normalization: the weight -2 twist has F = [1], V = [p]; its twisted dual
 (weight 0) has F = [p], V = [1].  The torus block carries a unimodular F,
 the lattice block a unimodular V, so F is an isomorphism on the lowest
 graded piece and V on the highest.
+
+Each graded piece of a 1-motive depends on its own discrete datum alone:
+the lattice block on L's Galois action, the torus block on T's, the weight
+-1 block on the Dieudonne crystal of A, and Cartier duality swaps L and T
+and replaces A by its twisted dual (Andreatta and Barbieri-Viale,
+Crystalline realizations of 1-motives, arXiv math/0302161, sections 1-2;
+Deligne, Theorie de Hodge III, section 10).  The pieces recur across the
+documents of a batch, so each distinct piece is checked and built once, in
+four bounded tables keyed by its full content and ring: the inverse of an
+action (_validated_action, with its order search), the lattice and torus
+blocks of a datum over a ring (lattice_block, torus_block), and the checked
+block of a caller's weight -1 module (AbelianBlock.from_module).  A block
+keeps what is derived from it on itself: its exact lift at two guard digits
+and its twisted dual, whose own lift is kept on the dual block.  A failing
+piece is never kept, so it raises the same error on every call; no code
+writes a kept row, so outputs do not depend on what the tables hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from . import intmat
 from .errors import (
@@ -23,8 +40,9 @@ from .errors import (
     SizeLimitError,
     UnsupportedInputError,
 )
-from .semilinear import FilteredFModule, _int_rows, direct_sum, newton_slopes, verify
-from .witt import RingParams, _int_matrix, _ints
+from .semilinear import FilteredFModule, Rows, _int_rows, _mul, _scalar_gap, _sigma_rows, direct_sum, newton_slopes
+from .semilinear import twisted_dual, verify
+from .witt import RingParams, _int_matrix, _ints, with_precision
 
 ORDER_SEARCH_LIMIT = 120
 
@@ -39,21 +57,25 @@ __all__ = [
 ]
 
 
-def _validated_action(sigma, rank: int) -> list[list[int]]:
-    """Check that sigma is a unimodular rank x rank matrix of finite order and
-    return its inverse: sigma^(k-1) for the order k, read off the order
-    search.  A matrix of finite order is unimodular, so the elimination that
-    tells a non-unimodular matrix apart runs only when the search fails."""
+@lru_cache(maxsize=256)  # pure in its arguments; bounded, so documents cannot grow it
+def _validated_action(sigma: tuple[tuple[int, ...], ...], rank: int) -> tuple[tuple[int, ...], ...]:
+    """Check that sigma (int rows as tuples) is a unimodular rank x rank
+    matrix of finite order and return its inverse as tuples: sigma^(k-1) for
+    the order k, read off the order search.  A matrix of finite order is
+    unimodular, so the elimination that tells a non-unimodular matrix apart
+    runs only when the search fails.  One entry holds the inverse of one
+    valid action, at most rank^2 ints; an invalid action raises on every
+    call."""
     r, c = intmat.shape(sigma) if sigma else (0, 0)
     if (r, c) != (rank, rank):
         raise ShapeError(f"sigma action must be {rank}x{rank}")
     if rank == 0:
-        return []
+        return ()
     ident = intmat.identity(rank)
     previous, power = ident, [list(row) for row in sigma]
     for _ in range(ORDER_SEARCH_LIMIT):
         if power == ident:
-            return previous
+            return tuple(map(tuple, previous))
         previous, power = power, intmat.mul(power, sigma)
     if intmat.elementary_divisors(sigma) != [1] * rank:
         raise InvalidActionError("sigma action must be unimodular over Z")
@@ -65,10 +87,12 @@ class LatticeData:
     """A free Z-lattice of finite rank with a finite-order Galois action.
 
     The same data presents a torus by its cocharacter lattice, so TorusData
-    is an alias of this class.  The inverse of the action is computed once,
-    on construction, and read by every block built from the data (and by
-    dual).  Rank and action entries must be ints, not bools (else bad-type),
-    the rank at most SizeLimitError.BOUND and not negative (else
+    is an alias of this class.  The inverse of the action is read on
+    construction from _validated_action's table, so it is computed once per
+    distinct action, and read by every block built from the data (and by
+    dual).  Equal data hash alike, by rank and action, which keys the block
+    tables.  Rank and action entries must be ints, not bools (else
+    bad-type), the rank at most SizeLimitError.BOUND and not negative (else
     shape-error)."""
 
     rank: int
@@ -96,8 +120,7 @@ class LatticeData:
             object.__setattr__(self, "sigma_action", _int_matrix(self.sigma_action, "bad-type", "sigma_action"))
         if self.rank < 0:
             raise ShapeError("rank must be non-negative")
-        inv = _validated_action(self.sigma_action, self.rank)
-        object.__setattr__(self, "sigma_inverse", tuple(tuple(row) for row in inv))
+        object.__setattr__(self, "sigma_inverse", _validated_action(self.sigma_action, self.rank))
 
     @staticmethod
     def _of(rank: int, action, inverse) -> "LatticeData":
@@ -144,14 +167,19 @@ def tate(m: int, params: RingParams) -> FilteredFModule:
     return FilteredFModule._of_rows(params, 1, (-2 * m,), _int_rows(params, [[f]]), _int_rows(params, [[v]]), level)
 
 
+@lru_cache(maxsize=64)  # pure in its arguments; bounded, so documents cannot grow it
 def lattice_block(d: LatticeData, params: RingParams) -> FilteredFModule:
-    """Weight-0 block: F = p A, V = A^(-1) for the lifted sigma action A."""
+    """Weight-0 block: F = p A, V = A^(-1) for the lifted sigma action A.
+    One entry holds the block of one datum over one ring, two rank x rank
+    coordinate matrices; every caller reads the same module."""
     f = _int_rows(params, [[params.p * x for x in row] for row in d.sigma_action])
     return FilteredFModule._of_rows(params, d.rank, (0,) * d.rank, f, _int_rows(params, d.sigma_inverse), 1)
 
 
+@lru_cache(maxsize=64)  # pure in its arguments; bounded, so documents cannot grow it
 def torus_block(d: TorusData, params: RingParams) -> FilteredFModule:
-    """Weight -2 block: F = B, V = p B^(-1) for the lifted sigma action B."""
+    """Weight -2 block: F = B, V = p B^(-1) for the lifted sigma action B.
+    One entry holds the block of one datum over one ring, as lattice_block's."""
     v = _int_rows(params, [[params.p * x for x in row] for row in d.sigma_inverse])
     return FilteredFModule._of_rows(params, d.rank, (-2,) * d.rank, _int_rows(params, d.sigma_action), v, 1)
 
@@ -160,7 +188,12 @@ def torus_block(d: TorusData, params: RingParams) -> FilteredFModule:
 class AbelianBlock:
     """Weight -1 block of even rank 2g with slopes in [0,1] symmetric under
     s -> 1 - s.  Built from a Frobenius trace (elliptic companion matrix)
-    or accepted as an explicit verified module."""
+    or accepted as an explicit verified module.
+
+    Two values derived from the block are computed on first read and kept
+    on it: its exact lift (_sigma_v_lift), which assemble reads, and its
+    twisted dual block (_dual), cartier_dual's weight -1 piece, which keeps
+    its own lift.  A failed lift check raises on every read."""
 
     dim: int
     crystal: FilteredFModule
@@ -172,11 +205,59 @@ class AbelianBlock:
     @staticmethod
     def from_module(module: FilteredFModule) -> "AbelianBlock":
         """The block of a caller's module, after the checks of
-        _checked_abelian; a failed check is UnsupportedInputError."""
-        return _checked_abelian(module, UnsupportedInputError)
+        _checked_abelian; a failed check is UnsupportedInputError.  The
+        block of an equal module over an equal ring comes from
+        _caller_abelian's table, so the checks run once per distinct module."""
+        return _caller_abelian(module)
 
     def __add__(self, other: "AbelianBlock") -> "AbelianBlock":
         return AbelianBlock(self.dim + other.dim, direct_sum(self.crystal, other.crystal))
+
+    @cached_property
+    def _sigma_v_lift(self) -> Rows:
+        """sigma(V) of V's balanced lift to two guard digits (W_(n+2)), the
+        factor every off-diagonal block of assemble's V goes through.  The
+        cancellations in F sigma(V) = V sigma^(-1)(F) = p at that precision
+        are exact provided the balanced lifts of F and V satisfy them on the
+        nose, as every built-in block constructor's small integer
+        representatives do; other data is UnsupportedInputError."""
+        m = self.crystal
+        big = with_precision(m.params, m.params.n + 2)
+        va = _lift(m.params, big, m.v_rows)
+        sig_va = _sigma_rows(big, va, "frobenius_matrix")
+        if self.dim:
+            d, p = _lift(m.params, big, m.f_rows), m.params.p
+            if _scalar_gap(big, _mul(big, d, sig_va), p) or _scalar_gap(
+                big, _mul(big, va, d, "frobenius_inverse_matrix"), p
+            ):
+                raise UnsupportedInputError(
+                    "abelian block does not lift exactly: its balanced representatives "
+                    "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
+                )
+        return sig_va
+
+    @cached_property
+    def _dual(self) -> "AbelianBlock":
+        """The block of the twisted dual of the crystal."""
+        return AbelianBlock(self.dim, twisted_dual(self.crystal))
+
+
+def _lift(params: RingParams, big: RingParams, rows: Rows) -> Rows:
+    """Coordinate rows of params as rows of big, a longer Witt ring: each
+    coordinate's balanced representative, in (-p^n/2, p^n/2], reduced mod
+    big's p^n."""
+    pn, half, bpn = params.pn, params.pn // 2, big.pn
+    return [[tuple([(c if c <= half else c - pn) % bpn for c in x]) for x in row] for row in rows]
+
+
+@lru_cache(maxsize=64)  # pure in the module's content; bounded, so documents cannot grow it
+def _caller_abelian(module: FilteredFModule) -> AbelianBlock:
+    """AbelianBlock.from_module's table, keyed by the module's content and
+    ring.  One entry holds the checked block of one rank-2g module and, once
+    read, what the block keeps: its lift and its dual block with the dual's
+    lift, six 2g x 2g coordinate matrices in all.  A module that fails a
+    check raises on every call."""
+    return _checked_abelian(module, UnsupportedInputError)
 
 
 def _checked_abelian(module: FilteredFModule, error: type[FCrystalsError]) -> AbelianBlock:

@@ -14,6 +14,16 @@ presentation (the dual's F is read off the canonical dual).  A presentation
 holds its assembled crystal weakly and the crystal holds the presentation,
 so both are freed by reference count, with no reference cycle.
 
+The discrete pieces come from the bounded tables of fcrystals.blocks, so
+each distinct piece of a batch is checked and built once: the inverse of an
+action, the lattice and torus blocks of a datum over a ring (the dual's,
+whose data come from LatticeData.dual, included), and the checked abelian
+block of a module.  The realization reads the abelian block's exact lift,
+and cartier_dual its twisted dual, both kept on the block.  Presentations,
+realizations and reports are not kept: each is distinct within a batch.
+Every check that decides an item or raises still runs once per distinct
+piece, and what the tables hold never changes an output.
+
 The dual presentation is constructed so that assembling it reproduces the
 twisted dual of the assembled module up to an explicit basis permutation,
 and the evaluation pairing between the two is the reversed permutation,
@@ -27,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .blocks import AbelianBlock, LatticeData, TorusData, lattice_block, torus_block
+from .blocks import AbelianBlock, LatticeData, TorusData, _lift, lattice_block, torus_block
 from .errors import (
     FCrystalsError,
     IncompatibleRingsError,
@@ -35,10 +45,9 @@ from .errors import (
     InvalidExtensionDataError,
     MalformedInputError,
     ShapeError,
-    UnsupportedInputError,
 )
 from .semilinear import FilteredFModule, Rows, VerifyReport, WMat, _block, _box, _charpoly, _coords, _det
-from .semilinear import _int_rows, _mul, _scalar_gap, _sigma_rows, conjugate_by_permutation, twisted_dual, verify
+from .semilinear import _int_rows, _mul, _sigma_rows, conjugate_by_permutation, twisted_dual, verify
 from .semilinear import wm_shape
 from .witt import RingParams, with_precision
 
@@ -63,7 +72,8 @@ class OneMotiveSpec:
 
     Block shapes (g = abelian.dim): ext_at is torus.rank x 2g (abelian into
     torus), ext_xa is 2g x lattice.rank (lattice into abelian), ext_xt is
-    torus.rank x lattice.rank (lattice into torus).  The blocks are kept as
+    torus.rank x lattice.rank (lattice into torus).  The label is a string;
+    None is the empty label.  The blocks are kept as
     coordinate rows in ext_rows, which the realization reads; ext_at, ext_xa
     and ext_xt are boxed views of them, built on first read (a presentation
     constructed from WMats keeps the given ones).  The public constructor
@@ -87,16 +97,22 @@ class OneMotiveSpec:
     @classmethod
     def _of_rows(cls, params, lattice, torus, abelian, ext_rows: tuple[Rows, Rows, Rows], label: str = ""):
         """The presentation on ext coordinate rows of params (the parser's and
-        cartier_dual's constructor): the abelian ring and the block shapes
-        are checked as in the public one, the entries are taken as they are."""
+        cartier_dual's constructor): the label, the abelian ring and the
+        block shapes are checked as in the public one, the entries are taken
+        as they are."""
         s = object.__new__(cls)
         s.__dict__.update(params=params, lattice=lattice, torus=torus, abelian=abelian, label=label)
         s._check(ext_rows)
         return s
 
     def _check(self, ext: Iterable[Rows]) -> None:
-        """Check the abelian ring, then the three ext blocks' rows (read from
-        ext after the ring check) and their shapes, and keep the rows."""
+        """Check the label (None is "", any other non-string bad-type), the
+        abelian ring, then the three ext blocks' rows (read from ext after
+        the ring check) and their shapes, and keep the label and the rows."""
+        label = "" if self.label is None else self.label
+        if type(label) is not str:
+            raise MalformedInputError(f"label must be a string, got {label!r}", code="bad-type")
+        self.__dict__["label"] = label
         rT, g2, rX = self.segments
         if self.abelian.crystal.params != self.params:
             raise IncompatibleRingsError("abelian block lives over a different ring")
@@ -222,35 +238,19 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
     tb, ab, lb = s.blocks
     ext_at, ext_xa, ext_xt = s.ext_rows
     # Off-diagonal blocks of p F^(-1), at two guard digits from balanced
-    # lifts.  The cancellations in F sigma(V) = V sigma^(-1)(F) = p are exact
-    # provided the lifted abelian identities hold on the nose, as for every
-    # built-in block constructor (their matrices have small integer
-    # representatives); reject other abelian data.
+    # lifts, through the abelian block's exact lift (kept on the block, which
+    # checks it: AbelianBlock._sigma_v_lift).
     big = with_precision(params, params.n + 2)
-    p, pn, half, bpn = params.p, params.pn, params.pn // 2, big.pn
-
-    def lift(m: Rows) -> Rows:
-        return [[tuple([(c if c <= half else c - pn) % bpn for c in x]) for x in row] for row in m]
-
-    va = lift(ab.v_rows)
-    sig_va = _sigma_rows(big, va, "frobenius_matrix")
-    if g2:
-        d = lift(ab.f_rows)
-        if _scalar_gap(big, _mul(big, d, sig_va), p) or _scalar_gap(
-            big, _mul(big, va, d, "frobenius_inverse_matrix"), p
-        ):
-            raise UnsupportedInputError(
-                "abelian block does not lift exactly: its balanced representatives "
-                "must satisfy F sigma(V) = V sigma^(-1)(F) = p on the nose"
-            )
+    p, pn, bpn = params.p, params.pn, big.pn
+    sig_va = s.abelian._sigma_v_lift
     # p F^(-1) has blocks -B^(-1) ext_at sigma(V_A), -w_div A^(-1) and
     # -B^(-1) inner A^(-1), inner = ext_xt - ext_at w_div; V's blocks are
     # sigma^(-1) of them.  Products that share a factor are formed as one
     # product of stacked operands: ext_at [sigma(V_A) | w_div],
     # [w_div; inner] A^(-1) and B^(-1) [ext_at sigma(V_A) | inner A^(-1)].
-    w_div, inner = [], lift(ext_xt)
+    w_div, inner = [], _lift(params, big, ext_xt)
     if g2 and rX:
-        prod_ax = _mul(big, sig_va, lift(ext_xa))
+        prod_ax = _mul(big, sig_va, _lift(params, big, ext_xa))
         if any(c % p for row in prod_ax for x in row for c in x):
             raise InvalidExtensionDataError(
                 "sigma(V_A) . ext_xa is not divisible by p: Verschiebung is not integral"
@@ -258,7 +258,7 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
         w_div = [[tuple([c // p for c in x]) for x in row] for row in prod_ax]
     at_sig = [[] for _ in range(rT)]  # ext_at sigma(V_A)
     if rT and g2:
-        prod = _mul(big, lift(ext_at), [r1 + r2 for r1, r2 in zip(sig_va, w_div)] if w_div else sig_va)
+        prod = _mul(big, _lift(params, big, ext_at), [r1 + r2 for r1, r2 in zip(sig_va, w_div)] if w_div else sig_va)
         at_sig = [row[:g2] for row in prod]
         if w_div:
             inner = [
@@ -299,7 +299,8 @@ def _dual_permutation(rX: int, g2: int, rT: int) -> list[int]:
 
 def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
     """Dual presentation: lattice and torus swap with inverse-transpose
-    actions, the abelian block is replaced by its twisted dual, and the
+    actions, the abelian block is replaced by its twisted dual (kept on the
+    block, AbelianBlock._dual), and the
     extension blocks are read off the canonical dual of assemble(s), so that
     assembling it reproduces that canonical dual (see dual_witness).  Nothing
     of s is rebuilt: its realization and canonical dual are the ones kept on
@@ -318,7 +319,7 @@ def cartier_dual(s: OneMotiveSpec) -> OneMotiveSpec:
     f_c = assemble(s).canonical_dual.f_rows
     seg_t, seg_a, seg_x = slice(0, rX), slice(rX, rX + g2), slice(rX + g2, rX + g2 + rT)
 
-    abelian2 = AbelianBlock(s.abelian.dim, twisted_dual(s.abelian.crystal)) if g2 else AbelianBlock.empty(params)
+    abelian2 = s.abelian._dual if g2 else AbelianBlock.empty(params)
     ext = tuple(_sub(f_c, rows, cols) for rows, cols in ((seg_t, seg_a), (seg_a, seg_x), (seg_t, seg_x)))
     label = f"{s.label}^dual" if s.label else "dual"
     dual = OneMotiveSpec._of_rows(params, s.torus.dual(), s.lattice.dual(), abelian2, ext, label)
@@ -441,7 +442,8 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
 
     Item 5 reads the dual off assemble(s), the realization of the
     presentation kept on s, never off the module under test.  It rests on
-    these checks, each of which runs on every document:
+    these checks, each of which runs on every document (the exact lift once
+    per distinct abelian block, which keeps it):
     - cartier_dual: the canonical dual's diagonal blocks equal the dual
       presentation's graded blocks (InternalError otherwise); the dual's F
       is then the canonical dual's F;

@@ -213,7 +213,7 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
         return block
 
     ext_rows = (ext_block("AT", rT, g2), ext_block("XA", g2, rX), ext_block("XT", rT, rX))
-    return OneMotiveSpec._of_rows(params, lattice, torus, abelian, ext_rows, str(doc.get("label", "")))
+    return OneMotiveSpec._of_rows(params, lattice, torus, abelian, ext_rows, doc.get("label"))  # which checks the label
 
 
 def simplicial_from_doc(doc: dict) -> SimplicialComponents:

@@ -414,6 +414,9 @@ class WittElem:
         return WittElem._raw(params, params.reduce(prod))
 
     def __pow__(self, e: int) -> "WittElem":
+        """x^e for an int e (not a bool, else bad-type); e < 0 needs a unit."""
+        if type(e) is not int:
+            raise MalformedInputError(f"exponent must be an integer, got {e!r}", code="bad-type")
         if e < 0:
             return self.inverse() ** (-e)
         result = self.params.one()

@@ -49,7 +49,9 @@ diagonals with its own loops, not intmat.diagonal.  wmat and wm_zero
 build WittElem matrices for the tests: the package keeps its matrices as
 coordinate rows and builds no WMat but the boxed views of them.  The load
 oracle reads a CLI document through a text-mode file, where the CLI decodes
-the bytes of an unbuffered binary read itself.
+the bytes of an unbuffered binary read itself.  clear_caches empties every
+table of the package (tests/conftest.py calls it before each test), so no
+test rests on what an earlier one left in a table.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -1033,6 +1036,16 @@ def random_motive_spec(
     else:
         ext_xa = wm_zero(params, g2, r_x)
     return OneMotiveSpec(params, lattice, torus, abelian, ext_at, ext_xa, ext_xt, label)
+
+
+def clear_caches() -> None:
+    """Empty every table of the package that has cache_clear: the lru_cache
+    functions found in the namespace of each loaded fcrystals module."""
+    for name, module in list(sys.modules.items()):
+        if name == "fcrystals" or name.startswith("fcrystals."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 def failing_first_check(verify):

@@ -345,6 +345,41 @@ class TestExitCodes:
         motive = _edited_fixture(tmp_path, "motive_kummer.json", with_block({"rank": 0, "sigma": []}))
         assert run_cli(["motive-assemble", "--in", motive], out) == (0, "")
 
+    @pytest.mark.parametrize(
+        "label,shown",
+        [({"a": 1}, "{'a': 1}"), (5, "5"), (True, "True"), ([1], "[1]"), (1.5, "1.5")],
+    )
+    @pytest.mark.parametrize("verb", ["motive-assemble", "motive-dual"])
+    def test_non_string_label_is_bad_type(self, verb, label, shown, tmp_path):
+        """A motive label that is present, not null and not a string is
+        bad-type with exit 2; it used to be coerced by str() and exit 0."""
+
+        def edit(doc):
+            doc["label"] = label
+
+        motive = _edited_fixture(tmp_path, "motive_kummer.json", edit)
+        want = f'{{"code":"bad-type","message":"label must be a string, got {shown}"}}\n'
+        assert run_cli([verb, "--in", motive], tmp_path / "o.json") == (2, want)
+
+    @pytest.mark.parametrize("absent", [True, False])
+    def test_null_or_absent_label_is_empty(self, absent, tmp_path):
+        """An absent or null label is the empty label: motive-assemble writes
+        "" and motive-dual "dual" (a null label used to read "None" and
+        "None^dual")."""
+
+        def edit(doc):
+            if absent:
+                del doc["label"]
+            else:
+                doc["label"] = None
+
+        motive = _edited_fixture(tmp_path, "motive_kummer.json", edit)
+        out = tmp_path / "o.json"
+        assert run_cli(["motive-assemble", "--in", motive], out) == (0, "")
+        assert json.loads(out.read_text())["label"] == ""
+        assert run_cli(["motive-dual", "--in", motive], out) == (0, "")
+        assert json.loads(out.read_text())["label"] == "dual"
+
     def test_failed_pairing_is_exit_1(self, monkeypatch, tmp_path):
         """A pairing that fails a diagnostic (no document reaches one: the dual
         is built to pair perfectly) writes its report and one error object."""

@@ -131,3 +131,21 @@ def test_constructor_matrices(make, message):
     with pytest.raises(MalformedInputError) as exc:
         make()
     assert (exc.value.code, str(exc.value)) == ("bad-type", message)
+
+
+@pytest.mark.parametrize(
+    "e,shown", [(True, "True"), (False, "False"), (Small.ONE, "<Small.ONE: 1>"), (2.0, "2.0"), ("2", "'2'"), (None, "None")]
+)
+def test_witt_exponent(e, shown):
+    """The exponent of x ** e is plain data: x ** True used to return x, and
+    a float, a string or None ended in a bare TypeError."""
+    x = P54.from_int(7)
+    with pytest.raises(MalformedInputError) as exc:
+        x**e
+    assert (exc.value.code, str(exc.value)) == ("bad-type", f"exponent must be an integer, got {shown}")
+
+
+def test_witt_int_exponent():
+    x = P54.from_int(7)
+    assert (x**0, x**1, x**3) == (P54.one(), x, x * x * x)
+    assert x**-2 * x**2 == P54.one()

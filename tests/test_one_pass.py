@@ -64,6 +64,7 @@ def _counted_run(monkeypatch, argv):
     counts = Counter()
     for name in ("_realize", "verify", "twisted_dual", "_charpoly", "_block"):
         _count_calls(monkeypatch, counts, onemotive, name)
+    _count_calls(monkeypatch, counts, blocks, "twisted_dual")  # the abelian block's dual (AbelianBlock._dual)
     _count_calls(monkeypatch, counts, fcrystals.intmat, "inverse_unimodular")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -113,6 +114,28 @@ def test_graded_blocks_are_built_once_per_presentation(monkeypatch):
     assert (counts["torus_block"], counts["lattice_block"]) == (2, 2)
     s = _kummer()
     assert s.blocks is s.blocks
+
+
+def test_a_shared_abelian_block_is_checked_and_lifted_once(monkeypatch, tmp_path):
+    """A motive-verify batch of three documents with one abelian block given
+    as a module (motive_g2.json, its tampered copy and a relabelled copy)
+    checks the block once, forms its dual once, and makes the two
+    exact-lift products once for the block and once for its dual: 1, 1 and
+    4, where the three documents made 3, 3 and 12 before the block table."""
+    with open(os.path.join(FX, "motive_g2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["label"] = "g2-copy"
+    relabelled = tmp_path / "g2_copy.json"
+    relabelled.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["motive-verify"]
+    for path in (os.path.join(FX, "motive_g2.json"), os.path.join(FX, "motive_g2_tampered.json"), str(relabelled)):
+        argv += ["--in", path]
+    counts = Counter()
+    for name in ("_checked_abelian", "twisted_dual", "_mul"):
+        _count_calls(monkeypatch, counts, blocks, name)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 1  # the tampered module fails
+    assert dict(counts) == {"_checked_abelian": 1, "twisted_dual": 1, "_mul": 4}
 
 
 def test_default_abelian_builds_its_companion_block_once(monkeypatch):
