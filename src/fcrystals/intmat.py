@@ -52,8 +52,17 @@ V^(-1).  ``smith_normal_form`` writes U out dense and the rows of V^T as the
 columns of V, ``elementary_divisors`` builds nothing and reads the diagonal,
 ``kernel_basis`` returns the trailing rows of V^T, and
 ``simplicial.cocharacter_group`` forms V^(-1) d^1 from V^(-1) and its
-marks, and its basis from the trailing rows of V^T and of (U^(-1))^T with
-its marks; its rank-only form builds V^(-1) alone and then nothing.
+marks, and its basis from the trailing rows of V^T and of (U^(-1))^T; its
+rank-only form builds V^(-1) alone.
+
+``_forest(rows, cols)``, beside ``_eliminate``, replays the lift form
+(U^(-1) alone) on rows that are each zero or a graph edge +-(e_u - e_v),
+the rows ``cocharacter_group`` meets past the rank of d^2: a graph
+incidence matrix is totally unimodular (Schrijver, Theory of Linear and
+Integer Programming, ch. 19), every pivot is 1, and the elimination
+contracts edges, so a union-find spanning-forest search gives the rank,
+the rows left past it and their order, each still a unit row of
+(U^(-1))^T.  It returns None on any other row, for the elimination to run.
 """
 
 from __future__ import annotations
@@ -348,6 +357,52 @@ def _eliminate(rows: Rows, cols: int, build) -> tuple:
     u, ut, ue = (placed(x, rowat) for x in (u, ut, ue))
     vt, vi, ve = (placed(x, colat) for x in (vt, vi, ve))
     return u, diag, vt, ut, vi, ue, ve
+
+
+def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
+    """_eliminate(rows, cols, ("u_inv",)) replayed by a spanning-forest
+    search, when every row is zero or an edge +-(e_u - e_v), u != v: the
+    rank t (the diagonal is [1] * t) and the original indices k of the rows
+    left past it, in position order, for each of which row t + i of
+    (U^(-1))^T is the unit row e_k, marked k.  None when a row is not an
+    edge; the caller then runs _eliminate.
+
+    The replay is exact because of _eliminate's pivot rule.  On edge rows
+    every nonzero entry is +-1, so the pivot at step t is 1, in the first
+    nonzero row at a position >= t, where the search breaks.  The column
+    sweep turns every row through the pivot column into another edge or
+    into zero: it contracts the pivot edge, so a row is zero exactly when
+    the earlier pivots have joined its two ends.  A step with pivot 1 ends
+    in one pass, with no remainder and no divisor-chain fix-up, and writes
+    only the pivot row of (U^(-1))^T, so the rows past the rank stay the
+    unit rows they started as.  Neither the pivot column nor a column swap
+    decides which rows vanish or where a row goes.  So the scan below, which
+    keeps _eliminate's position list, swaps position t with the first row
+    whose ends are not yet joined and joins them (union-find with path
+    halving; Tarjan, J. ACM 22 (1975)), gives the rank, the rows left and
+    their order.  The rows passed over stay joined, so one pass visits each
+    row once, and the rows from its position on are still unmoved.  A
+    change to _eliminate's pivot rule must change this function too."""
+    parent = list(range(cols))
+    at = list(range(len(rows)))  # position -> original row, as _eliminate keeps it
+    t = 0
+    for k, row in enumerate(rows):  # row k is at position k
+        if not row:
+            continue
+        if len(row) != 2:
+            return None
+        (u, x), (v, y) = row.items()
+        if x * y != -1:
+            return None
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            at[t], at[k] = k, at[t]
+            t += 1
+    return t, at[t:]
 
 
 def elementary_divisors(a) -> list[int]:

@@ -127,8 +127,8 @@ def component_complex(s: SimplicialComponents) -> tuple[list[list[int]], list[li
 def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[int]] | None]:
     """cocharacter_group's rank, with its basis if ``basis`` (else None).
     Without the basis the kernel form builds V^(-1) alone, the lift form
-    builds nothing and the basis product is skipped; both checks run
-    either way."""
+    (the replay, or on rows that are not edges the elimination) builds
+    nothing and the basis is skipped; the checks run either way."""
     d1, d2 = _coboundaries(s)
     c0, c1 = s.counts[0], s.counts[1]
     _, diag, vt, _, vinv, _, ve = intmat._eliminate(d2, c1, ("v", "v_inv") if basis else ("v_inv",))
@@ -139,21 +139,31 @@ def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[
     image = intmat._mul_units(vinv, ve, d1)
     if any(image[:r2]):
         raise InternalError("image of d^1 does not land in Ker d^2")
-    _, nz, _, uinv_t, _, ue, _ = intmat._eliminate(image[r2:], c0, ("u_inv",) if basis else ())
-    if any(x != 1 for x in nz):
-        raise InternalError("image of C_1 -> C_0 is not a direct summand")
-    rank = c1 - r2 - len(nz)
+    coords = image[r2:]
+    forest = intmat._forest(coords, c0)
+    if forest is None:
+        _, nz, _, uinv_t, _, ue, _ = intmat._eliminate(coords, c0, ("u_inv",) if basis else ())
+        if any(x != 1 for x in nz):
+            raise InternalError("image of C_1 -> C_0 is not a direct summand")
+        t = len(nz)
+    else:  # graph edges: every divisor is 1, and the rows of (U^(-1))^T past the rank are unit rows
+        t, left = forest
+    rank = c1 - r2 - t
     if not basis:
         return rank, None
     if not rank:
         return 0, []
     # free-part basis: trailing columns of U^(-1), lifted through the kernel columns of V
-    return rank, intmat._dense(intmat._mul_units(uinv_t[len(nz) :], ue[len(nz) :], vt[r2:]), c1)
+    if forest is None:
+        lift = intmat._mul_units(uinv_t[t:], ue[t:], vt[r2:])
+    else:
+        lift = [vt[r2 + k] for k in left]
+    return rank, intmat._dense(lift, c1)
 
 
 def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     """Rank and a lifted basis (columns) of Ker d^2 / Im d^1 in the dualized
-    complex C^0 -> C^1 -> C^2, from two Smith forms.
+    complex C^0 -> C^1 -> C^2, from one Smith form and a spanning forest.
 
     Ker d^2 is spanned by the trailing columns of V in U d^2 V = D, Im d^1 is
     the trailing rows of V^(-1) d^1 in that basis, and the free part lifts
@@ -166,22 +176,30 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     invariant, not an input error.  When d^2 is injective nothing is left to
     check: d_1 d_2 = 0 (checked by _coboundaries) forces d^1 = 0.
 
+    The trailing rows of V^(-1) d^1 are rows of d^1, graph edges, wherever
+    the trailing rows of V^(-1) are unit rows, and have been edges on every
+    valid structure searched, also where they are not.  On edge rows the
+    second Smith form is read off intmat._forest, a union-find replay of the
+    elimination: every divisor is 1, so the check holds by construction,
+    and the trailing rows of (U^(-1))^T are unit rows e_k, so the basis is
+    row k of (V_ker)^T for each row k the replay leaves past the rank.  On
+    any other rows (a d^1 a test injects, say) the second elimination runs,
+    with its check.  The Ker d^2 check runs on every call.
+
     d^2 and d^1 are built once, as sparse rows ({column: value} of the
     nonzeros) in the orientation the eliminations read (d^2 as c2 rows over
     C^1, d^1 as c1 rows over C^0), so nothing is transposed and no dense
-    matrix is formed.  Both eliminations are intmat._eliminate, which works
-    on sparse rows, returns the Smith diagonal as a list and hands over V^T
-    and (U^(-1))^T as sparse rows as it builds them, with marks of the rows
-    of (U^(-1))^T and V^(-1) that are still unit vectors e_k.  Both
-    products go through intmat._mul_units on sparse rows: a unit row of the
-    left factor is a copy of row k of the right one, and any other row a
-    sum over the nonzeros.  V^(-1) d^1 is formed so, sparse, and fed to the
-    second elimination as it is; the basis is formed transposed, as
-    (U^(-1) tail)^T (V_ker)^T: the trailing rows of (U^(-1))^T, mostly unit
-    rows, times the trailing rows of V^T, and written out dense once.
-    picard_skeleton reads the rank alone, through the same function
-    without the basis: V^T, (U^(-1))^T and the basis product are not built,
-    and both checks still run.
+    matrix is formed.  The elimination is intmat._eliminate, which works on
+    sparse rows, returns the Smith diagonal as a list and hands over V^T and
+    V^(-1) as sparse rows as it builds them, with marks of the rows of
+    V^(-1) that are still unit vectors e_k.  V^(-1) d^1 goes through
+    intmat._mul_units on sparse rows: a unit row of the left factor is a
+    copy of row k of the right one, and any other row a sum over the
+    nonzeros.  It is fed to the replay (or the second elimination) as it
+    is; the basis is formed transposed, as (U^(-1) tail)^T (V_ker)^T, and
+    written out dense once.  picard_skeleton reads the rank alone, through
+    the same function without the basis: V^T and the basis are not built,
+    and every check still runs.
     """
     return _cocharacters(s, True)
 

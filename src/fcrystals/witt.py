@@ -330,11 +330,14 @@ def intern_ring(p: int, n: int, a: int = 1, modulus: Sequence[int] | None = None
 
 
 def with_precision(params: RingParams, n: int) -> RingParams:
-    """Same residue field and modulus lift, Witt length n (interned)."""
+    """Same residue field and modulus lift, Witt length n (interned).  An n
+    that is not an int is bad-type, worded as RingParams words it."""
+    if type(n) is not int:
+        raise MalformedInputError(f"p, n and a must be integers, got {(params.p, n, params.a)!r}", code="bad-type")
     if n == params.n:
         return params
     mod = params.modulus  # reduced mod p^n already when n grows, so no p^n is formed before its bound
-    if mod is not None and n < params.n:
+    if mod is not None and 0 < n < params.n:  # an n < 1 is RingParams' bad-length
         mod = tuple(c % params.p**n for c in mod)
     return intern_ring(params.p, n, params.a, mod)
 

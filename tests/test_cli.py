@@ -103,6 +103,25 @@ def test_cocharacters_without_level_two(name, tmp_path):
     assert json.loads(out.read_text())["skeleton"] == {"g": 0, "lattice_rank": 0, "torus_rank": 1}
 
 
+def test_picard_skeleton_document(tmp_path):
+    """The picard-skeleton document as the README states it: an absent g is
+    0 (h1-ledger requires it), an absent P0, P1 or NS has no rows, and the
+    verb needs --ring."""
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"simplicial": NO_LEVEL_TWO["loop"], "divisor": {"m": 2, "NS": [[1, 1]]}}))
+    out = tmp_path / "o.json"
+    assert run_cli(["picard-skeleton", "--ring", "ring_f5n4.json", "--in", str(doc)], out) == (0, "")
+    result = json.loads(out.read_text())
+    assert sorted(result) == ["skeleton", "spec"]
+    assert result["skeleton"] == {"g": 0, "lattice_rank": 1, "torus_rank": 1}
+    assert result["spec"]["label"] == "picard-skeleton" and result["spec"]["abelian"] is None
+    missing = '{"code":"missing-ring","message":"this verb requires --ring"}\n'
+    assert run_cli(["picard-skeleton", "--in", str(doc)], out) == (2, missing)
+    doc.write_text(json.dumps({"lattice_rank": 1, "torus_rank": 1}))
+    want = '{"code":"missing-field","message":"missing field \'g\'"}\n'
+    assert run_cli(["h1-ledger", "--ring", "ring_f5n4.json", "--in", str(doc)], out) == (2, want)
+
+
 # two documents that fail verification (exit 1) and a missing file (exit 2)
 FAILING_CASES = [
     (["motive-verify", "--in", "motive_g2_tampered.json"], 1),

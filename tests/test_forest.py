@@ -1,0 +1,160 @@
+"""The spanning-forest replay of the lift-form elimination: intmat._forest
+gives what intmat._eliminate(rows, cols, ("u_inv",)) and the dense
+reference tests/helpers.eliminate_oracle give on rows that are each zero or
+a graph edge +-(e_u - e_v), declines every other row, and
+simplicial._cocharacters reads the same rank and basis either way."""
+
+import random
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fcrystals import intmat, simplicial
+from fcrystals.errors import InternalError
+from fcrystals.simplicial import SimplicialComponents, cocharacter_group
+
+from helpers import cocharacter_oracle, dense_rows, eliminate_oracle, random_simplicial
+
+
+@st.composite
+def edge_matrices(draw):
+    """(rows, cols): up to 80 rows over up to 80 columns, each row zero (a
+    loop of the graph) or +-(e_u - e_v) with u != v, in either orientation;
+    the ends come from a few vertices (parallel edges, cycles) or from all
+    of them (isolated vertices)."""
+    cols = draw(st.integers(0, 80))
+    n = draw(st.integers(0, 80))
+    ends = draw(st.integers(2, max(2, cols))) if cols >= 2 else 0
+    rows = []
+    for _ in range(n):
+        if ends < 2 or draw(st.integers(0, 5)) == 0:
+            rows.append({})
+            continue
+        u = draw(st.integers(0, ends - 1))
+        v = draw(st.integers(0, ends - 2))
+        v += v >= u
+        sign = draw(st.sampled_from((1, -1)))
+        rows.append({u: sign, v: -sign})
+    return rows, cols
+
+
+def _replayed(rows, cols):
+    """The lift form _forest gives, as the slots the elimination returns:
+    (diagonal, trailing rows of (U^(-1))^T, their marks)."""
+    t, left = intmat._forest(rows, cols)
+    return [1] * t, [{k: 1} for k in left], left
+
+
+class TestReplay:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(edge_matrices())
+    def test_same_lift_form_as_the_elimination(self, matrix):
+        """The diagonal, the rows past the rank with their marks, and those
+        rows as unit rows, against the sparse elimination and the dense
+        reference (with a full pivot scan)."""
+        rows, cols = matrix
+        diag, units, marks = _replayed(rows, cols)
+        _, got_diag, _, ut, _, ue, _ = intmat._eliminate(rows, cols, ("u_inv",))
+        t = len(got_diag)
+        assert (got_diag, ut[t:], ue[t:]) == (diag, units, marks)
+        dense = dense_rows(rows, cols)
+        _, d, _, ut, _, ue, _ = eliminate_oracle(dense, ("u_inv",))
+        assert [d[i][i] for i in range(min(len(d), cols)) if d[i][i]] == diag
+        assert (ut[t:], ue[t:]) == (dense_rows(units, len(rows)), marks)
+
+    def test_small_graphs(self):
+        """A triangle with a parallel edge and a loop: two rows span, the
+        third edge closes a cycle, and the order past the rank is the
+        elimination's (the swaps move the skipped rows)."""
+        rows = [{}, {0: 1, 1: -1}, {1: -1, 0: 1}, {1: 1, 2: -1}, {2: 1, 0: -1}]
+        assert intmat._forest(rows, 3) == (2, [2, 0, 4])
+        assert intmat._forest(rows, 3)[1] == intmat._eliminate(rows, 3, ("u_inv",))[5][2:]
+        assert intmat._forest([], 0) == (0, [])
+        assert intmat._forest([{}, {}], 0) == (0, [0, 1])
+
+    @pytest.mark.parametrize(
+        "row",
+        [{0: 1}, {0: -1}, {0: 1, 1: 1}, {0: -1, 1: -1}, {0: 2, 1: -2}, {0: 1, 1: -2}, {0: 1, 1: -1, 2: 1}, {0: 1, 1: 1, 2: -2}],
+        ids=["e0", "-e0", "e0+e1", "-e0-e1", "2(e0-e1)", "e0-2e1", "three", "three-2"],
+    )
+    def test_rows_that_are_not_edges_are_declined(self, row):
+        """A row that is not zero or +-(e_u - e_v) anywhere among edges sends
+        the caller to the elimination."""
+        for at in range(3):
+            rows = [{1: 1, 2: -1}, {}, {0: -1, 3: 1}]
+            rows.insert(at, row)
+            assert intmat._forest(rows, 4) is None
+
+
+def inject(monkeypatch, d1, d2, counts):
+    """Make simplicial._coboundaries hand over d^1 (c1 sparse rows over C^0)
+    and d^2 (c2 sparse rows over C^1), and count the eliminations."""
+    monkeypatch.setattr(simplicial, "_coboundaries", lambda s: (d1, d2))
+    calls = []
+    original = intmat._eliminate
+
+    def counting(rows, cols, build):
+        calls.append(tuple(build))
+        return original(rows, cols, build)
+
+    monkeypatch.setattr(intmat, "_eliminate", counting)
+    return SimplicialComponents(counts, ()), calls
+
+
+def _dense_complex(d1, d2, counts):
+    """d_1 (c0 x c1) and d_2 (c1 x c2), the columns of the sparse rows."""
+    return intmat._columns(d1, counts[0]), intmat._columns(d2, counts[1])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{0: 1}, {0: 1, 1: 1}, {0: 2, 1: -2}, {0: 1, 1: -1, 2: 1}, {0: 1, 1: 1, 2: -2}],
+    ids=["e0", "e0+e1", "2(e0-e1)", "three", "three-2"],
+)
+def test_near_edge_rows_take_the_general_path(monkeypatch, row):
+    """With d^2 = 0 the coordinates of Im d^1 are the rows of d^1: edges
+    beside one near-edge row go through the lift-form elimination and its
+    summand check, and give the dense formula's rank and basis or its
+    error, with the basis and without."""
+    counts = (3, 4, 0)
+    d1 = [{0: 1, 1: -1}, row, {}, {1: 1, 2: -1}]
+    shell, calls = inject(monkeypatch, d1, [], counts)
+    dense1, dense2 = _dense_complex(d1, [], counts)
+    try:
+        want = cocharacter_oracle(dense1, dense2, counts[1])
+    except InternalError as exc:
+        for basis in (True, False):
+            with pytest.raises(InternalError, match=re.escape(str(exc))):
+                simplicial._cocharacters(shell, basis)
+    else:
+        assert cocharacter_group(shell) == want
+        assert simplicial._cocharacters(shell, False) == (want[0], None)
+    assert calls[1] == ("u_inv",) and calls[3] == ()
+
+
+def test_same_as_the_dense_formula_on_random_structures():
+    """cocharacter_group and the rank-only form equal the dense formula on
+    random valid structures, among them some whose d^2 has an elementary
+    divisor 2; every one of them takes the replay."""
+    rng = random.Random(41)
+    torsion = replayed = 0
+    for k in range(300):
+        s = random_simplicial(rng, max_count=(4, 6, 12, 30)[k % 4])
+        d1, d2 = simplicial._coboundaries(s)
+        _, diag, _, _, vinv, _, ve = intmat._eliminate(d2, s.counts[1], ("v_inv",))
+        torsion += any(x != 1 for x in diag)
+        replayed += intmat._forest(intmat._mul_units(vinv, ve, d1)[len(diag) :], s.counts[0]) is not None
+        dense1, dense2 = _dense_complex(d1, d2, s.counts)
+        want = cocharacter_oracle(dense1, dense2, s.counts[1])
+        assert cocharacter_group(s) == want, s
+        assert simplicial._cocharacters(s, False) == (want[0], None), s
+    assert torsion >= 5
+    assert replayed == 300
+

@@ -16,7 +16,7 @@ from fcrystals.blocks import LatticeData, abelian_from_ap, tate
 from fcrystals.errors import MalformedInputError, ShapeError
 from fcrystals.intmat import smith_normal_form
 from fcrystals.simplicial import DivisorPresentation, SimplicialComponents
-from fcrystals.witt import RingParams
+from fcrystals.witt import RingParams, with_precision
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "fcrystals")
 P54 = RingParams(5, 4)
@@ -149,3 +149,24 @@ def test_witt_int_exponent():
     x = P54.from_int(7)
     assert (x**0, x**1, x**3) == (P54.one(), x, x * x * x)
     assert x**-2 * x**2 == P54.one()
+
+
+@pytest.mark.parametrize("params", [P54, RingParams(5, 1), RingParams(3, 3, 2, (1, 0, 1))], ids=["a=1", "n=1", "a=2"])
+@pytest.mark.parametrize("n", [None, "5", [5], True, 5.0])
+def test_with_precision_length(params, n):
+    """with_precision checks n where it enters, as RingParams words it: over
+    a > 1 a non-int n ended in a bare TypeError from the comparison with
+    params.n, and True at params.n = 1 returned params."""
+    with pytest.raises(MalformedInputError) as exc:
+        with_precision(params, n)
+    shown = f"({params.p}, {n!r}, {params.a})"
+    assert (exc.value.code, str(exc.value)) == ("bad-type", f"p, n and a must be integers, got {shown}")
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**70)])
+def test_with_precision_below_one(n):
+    """An n < 1 is bad-length over a > 1 too, where a very negative n ended in
+    a bare ZeroDivisionError from reducing the modulus mod p^n."""
+    with pytest.raises(MalformedInputError) as exc:
+        with_precision(RingParams(3, 3, 2, (1, 0, 1)), n)
+    assert (exc.value.code, str(exc.value)) == ("bad-length", f"n = {n} must be a positive integer")

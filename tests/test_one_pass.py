@@ -4,9 +4,9 @@ dual's F is its canonical dual's), one verify report per module, one
 canonical dual per assembled module, no characteristic polynomial for a
 graded block that matches its lattice or torus block, one action inverse
 per lattice, read off its order search with no Smith normal form (the dual
-presentation's actions reuse it), two Smith forms and one product per
-cocharacter group (each form building only the transforms it reads), and
-one matrix product per pairing identity.  And an internal invariant that
+presentation's actions reuse it), one Smith form, one spanning-forest
+replay and one product per cocharacter group (the form building only the
+transforms it reads), and one matrix product per pairing identity.  And an internal invariant that
 fails raises InternalError, also under python -O."""
 
 import contextlib
@@ -331,8 +331,8 @@ def test_action_takes_no_elimination(monkeypatch):
 
 
 INTMAT_CALLS = (
-    "smith_normal_form", "_eliminate", "mul", "_mul_units", "solve_exact", "inverse_unimodular", "kernel_basis",
-    "elementary_divisors", "_rows", "_dense", "_columns",
+    "smith_normal_form", "_eliminate", "_forest", "mul", "_mul_units", "solve_exact", "inverse_unimodular",
+    "kernel_basis", "elementary_divisors", "_rows", "_dense", "_columns",
 )
 
 
@@ -349,35 +349,36 @@ def _cochar_calls(monkeypatch, path):
     return json.loads(out.getvalue())["rank"], calls
 
 
-def test_cocharacters_take_two_eliminations(monkeypatch):
-    """One simplicial-cochar call reads the kernel, the coordinates of Im d^1
-    and the lift off two eliminations, and its summand check off the second
-    one's diagonal; no solve_exact or inverse_unimodular runs.  It takes the
-    transforms as the elimination builds them, so the transposing wrapper
-    smith_normal_form does not run.  The two products are V^(-1) d^1 and the
-    lift, both through intmat._mul_units, which copies the marked unit rows.
-    The differentials are built as sparse rows, so no dense matrix is read
-    in; the basis alone is written out dense, once."""
+def test_cocharacters_take_one_elimination(monkeypatch):
+    """One simplicial-cochar call reads the kernel and the coordinates of
+    Im d^1 off one elimination, and the lift off a spanning-forest replay of
+    the second, since those coordinates are graph edges; no solve_exact or
+    inverse_unimodular runs.  It takes the transforms as the elimination
+    builds them, so the transposing wrapper smith_normal_form does not run.
+    The one product is V^(-1) d^1, through intmat._mul_units, which copies
+    the marked unit rows; the lift copies rows of V^T by the replay's
+    indices.  The differentials are built as sparse rows, so no dense matrix
+    is read in; the basis alone is written out dense, once."""
     rank, calls = _cochar_calls(monkeypatch, os.path.join(FX, "simplicial_nodal.json"))
     assert rank == 1
-    assert dict(calls) == {"_eliminate": 2, "_mul_units": 2, "_dense": 1}
+    assert dict(calls) == {"_eliminate": 1, "_forest": 1, "_mul_units": 1, "_dense": 1}
 
 
 def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
     """An edge between two vertices: Ker d^2 is all of C^1 and Im d^1 fills
-    it, so both Smith forms and the product V^(-1) d^1 run, and the lift is
-    skipped."""
+    it, so the Smith form, the product V^(-1) d^1 and the replay run, and
+    the lift is skipped."""
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"counts": [2, 1, 0], "faces": {"1": [[0], [1]], "2": [[], [], []]}}))
     rank, calls = _cochar_calls(monkeypatch, path)
     assert rank == 0
-    assert dict(calls) == {"_eliminate": 2, "_mul_units": 1}
+    assert dict(calls) == {"_eliminate": 1, "_forest": 1, "_mul_units": 1}
 
 
-def _recorded_builds(monkeypatch, argv):
-    """The slots each intmat._eliminate call of one CLI call builds, in call
-    order: transforms by their build names, and the unit-row marks as ue
-    (with (U^(-1))^T) and ve (with V^(-1))."""
+def _record_builds(monkeypatch):
+    """A list that records, from here on, the slots each intmat._eliminate
+    call builds, in call order: transforms by their build names, and the
+    unit-row marks as ue (with (U^(-1))^T) and ve (with V^(-1))."""
     built = []
     original = fcrystals.intmat._eliminate
 
@@ -389,29 +390,48 @@ def _recorded_builds(monkeypatch, argv):
         return result
 
     monkeypatch.setattr(fcrystals.intmat, "_eliminate", recording)
+    return built
+
+
+def _recorded_builds(monkeypatch, argv):
+    """The slots each intmat._eliminate call of one CLI call builds."""
+    built = _record_builds(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     return built
 
 
 def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
-    """Of the two eliminations of one simplicial-cochar call, the kernel form
-    builds V^T and V^(-1) with its marks, and the lift form (U^(-1))^T with
-    its marks alone; the summand check reads the lift form's diagonal."""
+    """The one elimination of a simplicial-cochar call, the kernel form,
+    builds V^T and V^(-1) with its marks; the lift form is replayed, so no
+    elimination builds (U^(-1))^T."""
     built = _recorded_builds(monkeypatch, ["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
-    assert built == [{"v", "v_inv", "ve"}, {"u_inv", "ue"}]
+    assert built == [{"v", "v_inv", "ve"}]
+
+
+def test_rows_that_are_not_edges_take_the_lift_elimination(monkeypatch):
+    """When a row of V^(-1) d^1 past the rank of d^2 is not a graph edge
+    (here e_0, from an injected d^1 over counts (2, 3, 1)), the lift form is
+    the elimination again, building (U^(-1))^T with its marks, and its
+    diagonal is the summand check; the rank-only form builds nothing."""
+    shell = simplicial.SimplicialComponents((2, 3, 1), ())
+    monkeypatch.setattr(simplicial, "_coboundaries", lambda s: ([{}, {0: 1}, {}], [{0: 1}]))
+    built = _record_builds(monkeypatch)
+    assert simplicial.cocharacter_group(shell) == (1, [[0, 0, 1]])
+    assert simplicial._cocharacters(shell, False) == (1, None)
+    assert built == [{"v", "v_inv", "ve"}, {"u_inv", "ue"}, {"v_inv", "ve"}, set()]
 
 
 def test_picard_skeleton_builds_no_basis(monkeypatch, tmp_path):
     """picard-skeleton reads two ranks: the cocharacter kernel form builds
-    V^(-1) and its marks alone (for V^(-1) d^1), the lift form nothing, and
-    the Div^0 rank is m minus the length of the diagonal of an elimination
+    V^(-1) and its marks alone (for V^(-1) d^1), the lift form is replayed
+    with no elimination, and the Div^0 rank is m minus the length of the diagonal of an elimination
     that builds nothing, run on the stacked relations built as sparse rows
     (ns_classes read through intmat._rows).  No kernel_basis, no dense
     caller and no basis product runs."""
     ring = os.path.join(FX, "ring_f5n4.json")
     argv = ["picard-skeleton", "--ring", ring, "--in", os.path.join(FX, "picard_input.json")]  # m = 0
-    assert _recorded_builds(monkeypatch, argv) == [{"v_inv", "ve"}, set()]
+    assert _recorded_builds(monkeypatch, argv) == [{"v_inv", "ve"}]
     monkeypatch.undo()
     with open(os.path.join(FX, "picard_input.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -420,14 +440,14 @@ def test_picard_skeleton_builds_no_basis(monkeypatch, tmp_path):
     path = tmp_path / "picard_m3.json"
     path.write_text(json.dumps(doc))
     argv = ["picard-skeleton", "--ring", ring, "--in", str(path)]
-    assert _recorded_builds(monkeypatch, argv) == [set(), {"v_inv", "ve"}, set()]
+    assert _recorded_builds(monkeypatch, argv) == [set(), {"v_inv", "ve"}]
     monkeypatch.undo()
     calls = Counter()
     for name in INTMAT_CALLS:
         _count_calls(monkeypatch, calls, fcrystals.intmat, name)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert dict(calls) == {"_rows": 1, "_eliminate": 3, "_mul_units": 1}
+    assert dict(calls) == {"_rows": 1, "_eliminate": 2, "_forest": 1, "_mul_units": 1}
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):
