@@ -177,7 +177,7 @@ def _h_motive_assemble(args, doc):
 def _h_motive_verify(args, doc):
     spec = ser.motive_from_doc(doc, _ring(args, doc))
     if "module" in doc and doc["module"] is not None:
-        module = ser.module_from_doc(doc["module"], spec.params)
+        module = ser._nested_module_from_doc(doc["module"], spec.params, "module")
         mc = MotiveCrystal(module, spec)
     else:
         mc = assemble(spec)

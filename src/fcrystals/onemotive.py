@@ -27,7 +27,9 @@ piece, and what the tables hold never changes an output.
 The dual presentation is constructed so that assembling it reproduces the
 twisted dual of the assembled module up to an explicit basis permutation,
 and the evaluation pairing between the two is the reversed permutation,
-satisfying <F-, F-> = p sigma<-,-> and <V-, V-> = p sigma^(-1)<-,->.
+satisfying <F-, F-> = p sigma<-,-> and <V-, V-> = p sigma^(-1)<-,->.  For
+an assembled crystal both identities are its self-check's two products,
+transposed, so pair reads them off its report (see pair).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (
     ShapeError,
 )
 from .semilinear import FilteredFModule, Rows, VerifyReport, WMat, _block, _box, _charpoly, _coords, _det
-from .semilinear import _int_rows, _mul, _sigma_rows, conjugate_by_permutation, twisted_dual, verify
+from .semilinear import _int_rows, _mul, _sigma_rows, _twisted_dual, twisted_dual, verify
 from .semilinear import wm_shape
 from .witt import RingParams, with_precision
 
@@ -189,10 +191,11 @@ class MotiveCrystal:
 
     Two values derived from the module are computed on first use and kept
     here: its verify report, and its canonical dual, the twisted dual
-    relabelled into the basis order of the dual presentation.  The crystal
-    holds its presentation; an assembled one is held by its presentation
-    only weakly (see assemble), so it lives as long as its callers hold it
-    and no reference cycle keeps it.
+    relabelled into the basis order of the dual presentation (one pass,
+    semilinear._twisted_dual).  The crystal holds its presentation; an
+    assembled one is held by its presentation only weakly (see assemble),
+    so it lives as long as its callers hold it and no reference cycle keeps
+    it.
     """
 
     module: FilteredFModule
@@ -204,8 +207,10 @@ class MotiveCrystal:
 
     @cached_property
     def canonical_dual(self) -> FilteredFModule:
+        # the twisted dual's basis reversal composed with _dual_permutation, in one pass
         rT, g2, rX = self.provenance.segments
-        return conjugate_by_permutation(twisted_dual(self.module), _dual_permutation(rX, g2, rT))
+        r = rT + g2 + rX
+        return _twisted_dual(self.module, [r - 1 - k for k in _dual_permutation(rX, g2, rT)])
 
 
 def assemble(s: OneMotiveSpec) -> MotiveCrystal:
@@ -366,15 +371,35 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
     In the canonical bases G is the matrix of pi, the reverse of
     _dual_permutation (G[i][j] = 1 iff j = pi[i]), and every identity is
     checked on pi: perfectness (pi is a bijection), weight orthogonality
-    <W_i, W_j> = 0 for i + j < -2 on the pairs (i, pi[i]), and
-    F^T . G . F' = p sigma(G),  V^T . G . V' = p sigma^(-1)(G), each one
-    product, as G . X reindexes the rows of X and sigma^(+-1) fixes G.
+    <W_i, W_j> = 0 for i + j < -2 on the pairs (i, pi[i]), and the
+    Frobenius and Verschiebung identities <F-, F-> = p sigma<-,-> and
+    <V-, V-> = p sigma^(-1)<-,-> (Andreatta and Barbieri-Viale,
+    Crystalline realizations of 1-motives, sections 1-2; Deligne, Theorie
+    de Hodge III, section 10): F^T . G . F' = p sigma(G) and
+    V^T . G . V' = p sigma^(-1)(G), each at most one product, as G . X
+    reindexes the rows of X and sigma^(+-1) fixes G.
 
     The Frobenius identity uses the dual module as given.  The Verschiebung
-    identity uses the Verschiebung of m's canonical dual (the twisted-dual
-    matrix determined by m's Frobenius, kept on m): a dual re-assembled from
-    its mod-p^n presentation may legitimately differ from it by kernel slack
-    in the top p-adic digit, which is invisible to the underlying objects.
+    identity uses the Verschiebung V_c of m's canonical dual (the
+    twisted-dual matrix determined by m's Frobenius, kept on m): a dual
+    re-assembled from its mod-p^n presentation may legitimately differ from
+    it by kernel slack in the top p-adic digit, which is invisible to the
+    underlying objects.
+
+    The canonical dual has F_c = sigma(V^T) and V_c = sigma^(-1)(F^T),
+    relabelled, and the relabelling composed with pi is the identity.  So
+    F^T . F_c[pi] is (sigma(V) . F)^T = sigma(V . sigma^(-1)(F))^T and
+    V^T . V_c[pi] is (sigma^(-1)(F) . V)^T = sigma^(-1)(F . sigma(V))^T,
+    with columns reindexed, and each is p G exactly when the self-check's
+    product is p I.  When m's module has a V and level 1 (so that its
+    self-check compares with p I too), the identities are read off m.report:
+    the Verschiebung identity is its fv-product, always, and the Frobenius
+    identity its vf-product when the dual's F is m's canonical F_c, which
+    holds for the assembled dual whenever m's V is the assembled one
+    (cartier_dual gives the dual the canonical dual's F).  Every other case
+    makes the product: a level other than 1, no V (the Frobenius identity),
+    or a dual whose F is not m's F_c, such as the assembled dual against a
+    module whose V was altered by hand.
     """
     params = m.module.params
     if params != m_dual.module.params:
@@ -397,17 +422,28 @@ def pair(m: MotiveCrystal, m_dual: MotiveCrystal) -> PairingMatrix:
         return rows
 
     gram = tuple(map(tuple, placed(params.one(), params.zero())))  # two elements, r^2 references
-    zero = (0,) * params.a
-    p_gram = placed((params.p % params.pn,) + zero[1:], zero)
     perfect = sorted(pi) == list(range(r))
     wts, wts_d = m.module.weights, m_dual.module.weights
     weight_orth = all(wts[i] + wts_d[pi[i]] >= -2 for i in range(r))
 
     def compatible(a: Rows, b: Rows) -> bool:
+        zero = (0,) * params.a
+        p_gram = placed((params.p % params.pn,) + zero[1:], zero)
         return _mul(params, list(zip(*a)), [b[k] for k in pi]) == p_gram
 
-    frob_ok = compatible(m.module.f_rows, m_dual.module.f_rows)
-    versch_ok = m.module.v_rows is None or compatible(m.module.v_rows, m.canonical_dual.v_rows)
+    # at level 1 with a V, the self-check's products decide the identities (see the docstring)
+    mod, f_dual = m.module, m_dual.module.f_rows
+    checks = {c.name: c.ok for c in m.report.checks} if mod.v_rows is not None and mod.level == 1 else None
+    if checks and f_dual == m.canonical_dual.f_rows:
+        frob_ok = checks["vf-product"]
+    else:
+        frob_ok = compatible(mod.f_rows, f_dual)
+    if mod.v_rows is None:
+        versch_ok = True
+    elif checks:
+        versch_ok = checks["fv-product"]
+    else:
+        versch_ok = compatible(mod.v_rows, m.canonical_dual.v_rows)
     return PairingMatrix(gram, perfect, weight_orth, frob_ok, versch_ok)
 
 
@@ -454,7 +490,15 @@ def verify_motive(m: MotiveCrystal) -> MotiveReport:
       Verschiebung identities <F-, F-> = p sigma<-,-> and
       <V-, V-> = p sigma^(-1)<-,-> (Andreatta and Barbieri-Viale,
       Crystalline realizations of 1-motives, sections 1-2; Deligne, Theorie
-      de Hodge III, section 10)."""
+      de Hodge III, section 10).  At level 1 with V they are read off
+      m.report, the self-check item 4.b reads too: the Verschiebung identity
+      is its fv-product (F sigma(V) = p), and the Frobenius identity its
+      vf-product (V sigma^(-1)(F) = p) when the dual's F is m's canonical
+      F, as it is for every module whose V is the assembled one
+      (cartier_dual gives the dual the canonical dual's F).  pair makes the
+      product of an identity the report does not decide: the Frobenius
+      identity when m's V was altered or m has no V, both at a level other
+      than 1."""
     s = m.provenance
     params = s.params
     mod = m.module

@@ -16,11 +16,13 @@ shape.  A module's f_mat and v_mat are such boxed views of its rows, built
 on first read.  Four boxed functions remain beside the row kernels: wm_mul,
 wm_sigma, wm_sigma_inv and charpoly.  No verb calls them; they are the
 entry points the span tracer in bench/layers.py binds by name, and each
-boxes a WittElem per entry only for what it hands back.  Entries are checked once, where a WittElem matrix enters the rows
-(_coords: a module's or a motive presentation's constructor, one of the
-four): a non-matrix is bad-matrix, a non-element bad-element, an element
-of another ring IncompatibleRingsError (wm_shape reads no entry).  The
-kernels never check again.
+boxes a WittElem per entry only for what it hands back.
+
+Entries are checked once, where a WittElem matrix enters the rows (_coords:
+a module's or a motive presentation's constructor, one of the four): a
+non-matrix is bad-matrix, a non-element bad-element, an element of another
+ring IncompatibleRingsError (wm_shape reads no entry).  The kernels never
+check again.
 
 The weight flag is stored in an adapted basis: one weight per basis vector,
 non-decreasing along the basis (lowest weight first), with W_j spanned by
@@ -57,7 +59,6 @@ __all__ = [
     "twisted_dual",
     "newton_slopes",
     "direct_sum",
-    "conjugate_by_permutation",
     "wm_shape",
     "wm_mul",
     "wm_sigma",
@@ -463,20 +464,29 @@ def twisted_dual(m: FilteredFModule) -> FilteredFModule:
     non-decreasing again.  Applying the construction twice returns the
     original module on the nose.
     """
+    return _twisted_dual(m, range(m.rank - 1, -1, -1))
+
+
+def _twisted_dual(m: FilteredFModule, order: Sequence[int]) -> FilteredFModule:
+    """The twisted dual relabelled by e'_k = e_{order[k]} of the untwisted
+    basis: F' = sigma(V^T) and V' = sigma^(-1)(F^T) with entry (k, l) read
+    at (order[k], order[l]), and weight -2 - weights[order[k]].  The
+    transpose, the relabelling and sigma^(+-1) are one pass over each
+    matrix: twisted_dual is order = the reversed basis, and a motive's
+    canonical dual (MotiveCrystal.canonical_dual) is that reversal composed
+    with the dual presentation's permutation."""
     if m.v_rows is None:
         raise SingularFrobeniusError("the twisted dual needs an integral Verschiebung")
     params = m.params
-    reverse = range(m.rank - 1, -1, -1)
-    f_dual = _permute(_sigma_rows(params, list(zip(*m.v_rows)), "frobenius_matrix"), reverse)
-    v_dual = _permute(_sigma_rows(params, list(zip(*m.f_rows)), "frobenius_inverse_matrix"), reverse)
-    weights = tuple(-2 - w for w in reversed(m.weights))
-    return FilteredFModule._of_rows(params, m.rank, weights, f_dual, v_dual, m.level)
 
+    def dual(rows: Rows, table: str) -> Rows:
+        cols = list(zip(*[rows[k] for k in order]))  # cols[j][k] = rows[order[k]][j]
+        picked = [cols[i] for i in order]
+        return list(map(list, picked)) if params.a == 1 else _sigma_rows(params, picked, table)
 
-def conjugate_by_permutation(m: FilteredFModule, perm: Sequence[int]) -> FilteredFModule:
-    """Relabel the basis by e'_k = e_{perm[k]}."""
-    weights, v = tuple(m.weights[i] for i in perm), m.v_rows and _permute(m.v_rows, perm)
-    return FilteredFModule._of_rows(m.params, m.rank, weights, _permute(m.f_rows, perm), v, m.level)
+    weights = tuple(-2 - m.weights[i] for i in order)
+    f, v = dual(m.v_rows, "frobenius_matrix"), dual(m.f_rows, "frobenius_inverse_matrix")
+    return FilteredFModule._of_rows(params, m.rank, weights, f, v, m.level)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .blocks import AbelianBlock, LatticeData, abelian_from_ap
-from .errors import MalformedInputError, ShapeError
+from .errors import IncompatibleRingsError, MalformedInputError, ShapeError
 from .onemotive import MotiveReport, OneMotiveSpec, PairingMatrix
 from .semilinear import FilteredFModule, Rows, SlopeProfile, VerifyReport, _box, WMat
 from .simplicial import DivisorPresentation, H1Ledger, PicardSkeleton, SimplicialComponents
@@ -143,6 +143,20 @@ def module_from_doc(doc: dict, params: RingParams | None = None) -> FilteredFMod
     return FilteredFModule._of_rows(params, rank, weights, f, v, doc.get("level", 1))
 
 
+def _nested_module_from_doc(doc, params: RingParams, what: str) -> FilteredFModule:
+    """A module document nested in one read over params (a presentation's
+    abelian crystal, motive-verify's module), read over params.  Its own
+    ring may be absent or null; a present one must be params, the ring
+    after --ring and --precision (else IncompatibleRingsError)."""
+    if isinstance(doc, dict) and doc.get("ring") is not None:
+        ring = ring_from_doc(_need(doc, "ring", dict))
+        if ring != params:
+            raise IncompatibleRingsError(
+                f"{what} ring {ring_to_doc(ring)} is not the presentation's ring {ring_to_doc(params)}"
+            )
+    return module_from_doc(doc, params)
+
+
 def slopes_to_doc(profile: SlopeProfile) -> dict:
     return {
         "slopes": [
@@ -196,7 +210,7 @@ def motive_from_doc(doc: dict, params: RingParams | None = None) -> OneMotiveSpe
     elif "ap" in abelian_doc:
         abelian = abelian_from_ap(abelian_doc["ap"], params)  # which checks that ap is an int (bad-type)
     elif "crystal" in abelian_doc:
-        abelian = AbelianBlock.from_module(module_from_doc(abelian_doc["crystal"], params))
+        abelian = AbelianBlock.from_module(_nested_module_from_doc(abelian_doc["crystal"], params, "abelian crystal"))
     else:
         raise MalformedInputError("abelian block needs 'ap' or 'crystal'", code="missing-field")
     ext = doc.get("ext") or {}

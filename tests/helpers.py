@@ -51,7 +51,9 @@ coordinate rows and builds no WMat but the boxed views of them.  The load
 oracle reads a CLI document through a text-mode file, where the CLI decodes
 the bytes of an unbuffered binary read itself.  clear_caches empties every
 table of the package (tests/conftest.py calls it before each test), so no
-test rests on what an earlier one left in a table.
+test rests on what an earlier one left in a table.  conjugate_by_permutation
+relabels a module's basis entry by entry, for the tests that compare a
+twisted dual with a block or a tensor product in another basis order.
 """
 
 from __future__ import annotations
@@ -365,6 +367,16 @@ def mat_block(params: RingParams, grid, row_sizes, col_sizes) -> WMat:
         for blocks, rsize in zip(grid, row_sizes)
         for i in range(rsize)
     )
+
+
+def conjugate_by_permutation(m: FilteredFModule, perm: Sequence[int]) -> FilteredFModule:
+    """m with its basis relabelled by e'_k = e_{perm[k]}, entry by entry
+    through the public constructor: the reference the twisted-dual and
+    tensor tests relabel by (the package relabels the canonical dual inside
+    semilinear._twisted_dual)."""
+    relabel = lambda a: None if a is None else tuple(tuple(a[i][j] for j in perm) for i in perm)  # noqa: E731
+    weights = tuple(m.weights[i] for i in perm)
+    return FilteredFModule(m.params, m.rank, weights, relabel(m.f_mat), relabel(m.v_mat), m.level)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ with_precision
 # entries once on the way in
 SEMILINEAR_NAMES = """
 FilteredFModule SlopeProfile VerifyReport verify tensor twisted_dual newton_slopes direct_sum
-conjugate_by_permutation
 wm_shape wm_mul wm_sigma wm_sigma_inv charpoly
 """.split()
 

@@ -27,7 +27,6 @@ from fcrystals.errors import (
     UnsupportedInputError,
 )
 from fcrystals.semilinear import (
-    conjugate_by_permutation,
     newton_slopes,
     twisted_dual,
     verify,
@@ -35,7 +34,15 @@ from fcrystals.semilinear import (
     wm_sigma,
 )
 from fcrystals.witt import RingParams, default_modulus
-from helpers import det_oracle, failing_first_check, inverse_oracle, random_signed_permutation, random_unimodular, wmat
+from helpers import (
+    conjugate_by_permutation,
+    det_oracle,
+    failing_first_check,
+    inverse_oracle,
+    random_signed_permutation,
+    random_unimodular,
+    wmat,
+)
 
 P54 = RingParams(5, 4)
 P34 = RingParams(3, 4)

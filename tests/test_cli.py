@@ -531,6 +531,94 @@ class TestRingResolution:
         assert json.loads(err)["code"] == "missing-field"
 
 
+def _nested(doc, path):
+    return doc["abelian"]["crystal"] if path == "abelian.crystal" else doc["module"]
+
+
+# nested path -> (verb, fixture, exit code on the fixture as it is, name in the error message)
+NESTED = {
+    "abelian.crystal": ("motive-assemble", "motive_g2.json", 0, "abelian crystal"),
+    "module": ("motive-verify", "motive_badflag.json", 1, "module"),
+}
+
+
+class TestNestedRing:
+    """A module document nested in a presentation (abelian.crystal, and
+    motive-verify's module) is read over the presentation's ring, after
+    --ring and --precision: its own ring may be absent or null, and a present
+    one must be that ring, else exit 2 with incompatible-rings.  Earlier
+    versions ignored it and exited 0 (or 1) with the entries read over the
+    presentation's ring."""
+
+    @pytest.mark.parametrize(
+        "path,change,message",
+        [
+            (
+                "abelian.crystal",
+                {"p": 7},
+                "abelian crystal ring {'p': 7, 'n': 6, 'a': 1} is not the presentation's ring {'p': 5, 'n': 6, 'a': 1}",
+            ),
+            (
+                "abelian.crystal",
+                {"n": 3},
+                "abelian crystal ring {'p': 5, 'n': 3, 'a': 1} is not the presentation's ring {'p': 5, 'n': 6, 'a': 1}",
+            ),
+            (
+                "module",
+                {"p": 7},
+                "module ring {'p': 7, 'n': 4, 'a': 1} is not the presentation's ring {'p': 5, 'n': 4, 'a': 1}",
+            ),
+            (
+                "module",
+                {"n": 3},
+                "module ring {'p': 5, 'n': 3, 'a': 1} is not the presentation's ring {'p': 5, 'n': 4, 'a': 1}",
+            ),
+        ],
+    )
+    def test_mismatch_is_incompatible_rings(self, path, change, message, tmp_path):
+        verb, fixture, _, _ = NESTED[path]
+        edited = _edited_fixture(tmp_path, fixture, lambda doc: _nested(doc, path)["ring"].update(change))
+        code, err = run_cli([verb, "--in", edited], tmp_path / "o.json")
+        assert (code, json.loads(err)) == (2, {"code": "incompatible-rings", "message": message})
+
+    @pytest.mark.parametrize("path", sorted(NESTED))
+    @pytest.mark.parametrize("ring", ["absent", None])
+    def test_absent_or_null_ring_is_the_presentations(self, path, ring, tmp_path):
+        verb, fixture, exit_code, _ = NESTED[path]
+
+        def edit(doc):
+            if ring == "absent":
+                del _nested(doc, path)["ring"]
+            else:
+                _nested(doc, path)["ring"] = ring
+
+        edited = _edited_fixture(tmp_path, fixture, edit)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli([verb, "--in", fixture], a)[0] == exit_code
+        assert run_cli([verb, "--in", edited], b)[0] == exit_code
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_precision_and_ring_set_the_ring_a_nested_one_must_match(self, tmp_path):
+        """--precision 7 makes motive_g2.json's ring W_7(F_5), which its
+        crystal's ring W_6 is not, while --precision 6 leaves it W_6 and the
+        bytes as they are; --ring W_3(F_5) is not motive_badflag.json's
+        module ring W_4."""
+        code, err = run_cli(["motive-assemble", "--in", "motive_g2.json", "--precision", "7"], tmp_path / "o.json")
+        assert (code, json.loads(err)["code"]) == (2, "incompatible-rings")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(["motive-assemble", "--in", "motive_g2.json", "--precision", "6"], a)[0] == 0
+        assert run_cli(["motive-assemble", "--in", "motive_g2.json"], b)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        argv = ["motive-verify", "--ring", "ring_f5n3.json", "--in", "motive_badflag.json"]
+        code, err = run_cli(argv, tmp_path / "o.json")
+        assert (code, json.loads(err)["code"]) == (2, "incompatible-rings")
+
+    def test_ring_that_is_not_an_object(self, tmp_path):
+        edited = _edited_fixture(tmp_path, "motive_badflag.json", lambda doc: doc["module"].update(ring=5))
+        code, err = run_cli(["motive-verify", "--in", edited], tmp_path / "o.json")
+        assert (code, json.loads(err)["code"]) == (2, "bad-type")
+
+
 class TestTensorRing:
     def test_precision_sets_both_operands(self, tmp_path):
         out = tmp_path / "o.json"

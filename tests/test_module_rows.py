@@ -23,7 +23,7 @@ from fcrystals.errors import IncompatibleRingsError, MalformedInputError, ShapeE
 from fcrystals.onemotive import assemble
 from fcrystals.semilinear import (
     FilteredFModule,
-    conjugate_by_permutation,
+    _twisted_dual,
     direct_sum,
     tensor,
     twisted_dual,
@@ -77,7 +77,7 @@ def test_every_kernel_returns_the_one_row_type():
     for m in _assembled():
         a = m.params.a
         perm = list(range(m.rank))[::-1]
-        made = [m, _boxed(m), twisted_dual(m), conjugate_by_permutation(m, perm), module_from_doc(module_to_doc(m))]
+        made = [m, _boxed(m), twisted_dual(m), _twisted_dual(m, perm), module_from_doc(module_to_doc(m))]
         made += [tensor(m, tate(1, m.params)), direct_sum(m, tate(0, m.params))]
         for x in made:
             assert _is_rows(x.f_rows, a) and _is_rows(x.v_rows, a)

@@ -6,10 +6,12 @@ graded block that matches its lattice or torus block, one action inverse
 per lattice, read off its order search with no Smith normal form (the dual
 presentation's actions reuse it), one Smith form, one spanning-forest
 replay and one product per cocharacter group (the form building only the
-transforms it reads), and one matrix product per pairing identity.  And an internal invariant that
-fails raises InternalError, also under python -O."""
+transforms it reads), and a matrix product for a pairing identity only
+where the self-check's products do not decide it.  And an internal
+invariant that fails raises InternalError, also under python -O."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -32,11 +34,11 @@ import fcrystals.simplicial as simplicial
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, torus_block
 from fcrystals.cli import main
 from fcrystals.errors import InternalError
-from fcrystals.onemotive import OneMotiveSpec, assemble, cartier_dual, pair
+from fcrystals.onemotive import MotiveCrystal, OneMotiveSpec, assemble, cartier_dual, pair
 from fcrystals.semilinear import FilteredFModule
 from fcrystals.serialize import divisor_from_doc, motive_from_doc
 from fcrystals.witt import RingParams, default_modulus
-from helpers import mat_scale, slope_half_block
+from helpers import conjugate_by_permutation, mat_scale, slope_half_block
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 FX = os.path.join(TESTS, "fixtures")
@@ -62,7 +64,7 @@ def _count_calls(monkeypatch, counts, module, name):
 
 def _counted_run(monkeypatch, argv):
     counts = Counter()
-    for name in ("_realize", "verify", "twisted_dual", "_charpoly", "_block"):
+    for name in ("_realize", "verify", "twisted_dual", "_twisted_dual", "_charpoly", "_block"):
         _count_calls(monkeypatch, counts, onemotive, name)
     _count_calls(monkeypatch, counts, blocks, "twisted_dual")  # the abelian block's dual (AbelianBlock._dual)
     _count_calls(monkeypatch, counts, fcrystals.intmat, "inverse_unimodular")
@@ -77,13 +79,25 @@ def _counted_run(monkeypatch, argv):
     [
         (
             "motive_mixed.json",
-            {"_realize": 2, "verify": 2, "twisted_dual": 2, "inverse_unimodular": 0, "_charpoly": 0, "_block": 3},
+            {
+                "_realize": 2,
+                "verify": 2,
+                "twisted_dual": 1,
+                "_twisted_dual": 1,
+                "inverse_unimodular": 0,
+                "_charpoly": 0,
+                "_block": 3,
+            },
         ),
-        ("motive_kummer.json", {"_realize": 2, "twisted_dual": 1}),
+        ("motive_kummer.json", {"_realize": 2, "twisted_dual": 0, "_twisted_dual": 1}),
         ("motive_badflag.json", {"_realize": 2}),
     ],
 )
 def test_motive_verify_work_counts(monkeypatch, fixture, expected):
+    """The canonical dual is one pass (_twisted_dual, with no relabelling
+    of a twisted dual afterwards); twisted_dual runs only for the abelian
+    block's dual (AbelianBlock._dual), which motive_kummer.json does not
+    have."""
     _, counts, _ = _counted_run(monkeypatch, ["motive-verify", "--in", os.path.join(FX, fixture)])
     assert {name: counts[name] for name in expected} == expected
 
@@ -188,17 +202,30 @@ def test_dual_block_disagreement_raises_internal_error(monkeypatch):
         cartier_dual(s)
 
 
-def test_pair_is_two_products(monkeypatch):
+def test_pair_reads_the_self_check_products(monkeypatch):
+    """pair makes no product for an assembled pair, whose identities are the
+    self-check's fv-product and vf-product; one, for the Frobenius identity,
+    against a dual whose F is not the canonical dual's; and both at level 2,
+    where the self-check compares with p^2 I, not p I."""
     with open(os.path.join(FX, "motive_mixed.json"), encoding="utf-8") as fh:
         spec = motive_from_doc(json.load(fh))
     m, d = assemble(spec), assemble(cartier_dual(spec))
+    f = [list(row) for row in d.module.f_mat]
+    f[0][0] = f[0][0] + P54.one()
+    other_f = MotiveCrystal(dataclasses.replace(d.module, f_mat=tuple(map(tuple, f))), d.provenance)
+    level_2 = MotiveCrystal(dataclasses.replace(m.module, level=2), spec)
     counts = Counter()
     for module in (onemotive, semilinear):
         _count_calls(monkeypatch, counts, module, "_mul")
     for name in ("charpoly", "_charpoly"):
         _count_calls(monkeypatch, counts, semilinear, name)
-    assert pair(m, d).ok
-    assert (counts["_mul"], counts["charpoly"], counts["_charpoly"]) == (2, 0, 0)
+    made = []
+    for crystal, dual in ((m, d), (m, other_f), (level_2, d)):
+        pm = pair(crystal, dual)
+        flags = (pm.frobenius_compatible, pm.verschiebung_compatible)
+        made.append((*flags, counts["_mul"], counts["charpoly"], counts["_charpoly"]))
+        counts.clear()
+    assert made == [(True, True, 0, 0, 0), (False, True, 1, 0, 0), (True, True, 2, 0, 0)]
 
 
 def test_verify_takes_no_frobenius_at_a_1(monkeypatch):
@@ -278,7 +305,7 @@ def test_dual_witness_realizes_each_presentation_once(monkeypatch, fixture):
     _count_calls(monkeypatch, counts, onemotive, "_realize")
     twisted, dual, perm = onemotive.dual_witness(spec)
     assert counts["_realize"] == 2
-    c = semilinear.conjugate_by_permutation(twisted, perm)
+    c = conjugate_by_permutation(twisted, perm)
     assert (c.weights, c.f_rows) == (dual.weights, dual.f_rows)  # V may differ in its top digit
 
 

@@ -35,7 +35,6 @@ from fcrystals.onemotive import (
 from fcrystals.semilinear import (
     FilteredFModule,
     _box,
-    conjugate_by_permutation,
     direct_sum,
     newton_slopes,
     twisted_dual,
@@ -46,6 +45,7 @@ from fcrystals.serialize import motive_from_doc, motive_to_doc, wmat_to_doc
 from fcrystals.witt import RingParams, default_modulus, with_precision
 
 from helpers import (
+    conjugate_by_permutation,
     det_oracle,
     mat_reduce,
     mat_scale,

@@ -20,7 +20,6 @@ from fcrystals.onemotive import assemble
 from fcrystals.semilinear import (
     FilteredFModule,
     charpoly,
-    conjugate_by_permutation,
     direct_sum,
     newton_slopes,
     tensor,
@@ -43,6 +42,7 @@ from fcrystals.simplicial import component_complex
 from fcrystals.witt import RingParams, WittElem, default_modulus, with_precision
 
 from helpers import (
+    conjugate_by_permutation,
     bareiss_det,
     charpoly_oracle,
     dense_rows,
