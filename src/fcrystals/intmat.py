@@ -16,8 +16,8 @@ The Smith normal form is the only elimination: kernels, exact solutions,
 ranks and unimodular inverses are read off U a V = D.  The private
 ``_eliminate(rows, cols, build)`` behind ``smith_normal_form`` returns the
 Smith diagonal as a list (only ``smith_normal_form`` builds the dense D) and
-builds only the transforms named in ``build``, from U, V, U^(-1) and V^(-1)
-(the inverse of each row or column operation, applied on the other side).
+builds only the transforms named in ``build``, from U, V and V^(-1) (the
+inverse of each column operation, applied on the other side).
 Pivots are chosen from the working matrix alone, so skipping a transform
 cannot move D or any transform that is built.  The pivot rule is fixed: the
 smallest absolute nonzero value, ties broken row-major by current position.
@@ -34,35 +34,35 @@ order once, at the end.  A column -> rows index, kept up to date as entries
 appear and cancel, names the rows the column sweep visits, and the pivot
 row is subtracted from each on its own support; the row sweep writes only
 the pivot row, whose column is zero off the pivot by then.  Each row's
-update reads only the pivot row (column), and the pivot row of an inverse
-transform sums the updates, so the order in which a sweep visits the rows
-does not change the integers.
+update reads only the pivot row (column), and the pivot row of V^(-1) sums
+the updates, so the order in which a sweep visits the rows does not change
+the integers.
 
-The inverse transforms add a non-pivot row into the pivot row, and a
-non-pivot row is mostly still the unit vector e_k it started as: one int
-per row records k (or -1 once the row is negated, written as a pivot or hit
-by the divisor-chain fix-up), and such an update is one entry, += q at k.
-These marks are returned with the transforms, for ``_mul_units`` to read.
+V^(-1) adds a non-pivot row into the pivot row, and a non-pivot row is
+mostly still the unit vector e_k it started as: one int per row records k
+(or -1 once the row is written as a pivot), and such an update is one
+entry, += q at k.  These marks are returned with V^(-1), for ``_mul_units``
+to read.
 
-The elimination builds V and U^(-1) transposed, since their column
-operations are then row operations, and returns
-(U, diagonal, V^T, (U^(-1))^T, V^(-1), ue, ve) as built, the transforms as
-sparse rows in position order and ue and ve the marks of (U^(-1))^T and
-V^(-1).  ``smith_normal_form`` writes U out dense and the rows of V^T as the
-columns of V, ``elementary_divisors`` builds nothing and reads the diagonal,
+The elimination builds V transposed, since its column operations are then
+row operations, and returns (U, diagonal, V^T, V^(-1), ve) as built, the
+transforms as sparse rows in position order and ve the marks of V^(-1).
+``smith_normal_form`` writes U out dense and the rows of V^T as the columns
+of V, ``elementary_divisors`` builds nothing and reads the diagonal,
 ``kernel_basis`` returns the trailing rows of V^T, and
 ``simplicial.cocharacter_group`` forms V^(-1) d^1 from V^(-1) and its
-marks, and its basis from the trailing rows of V^T and of (U^(-1))^T; its
-rank-only form builds V^(-1) alone.
+marks, and its basis from the trailing rows of V^T; its rank-only form
+builds V^(-1) alone.
 
-``_forest(rows, cols)``, beside ``_eliminate``, replays the lift form
-(U^(-1) alone) on rows that are each zero or a graph edge +-(e_u - e_v),
-the rows ``cocharacter_group`` meets past the rank of d^2: a graph
-incidence matrix is totally unimodular (Schrijver, Theory of Linear and
-Integer Programming, ch. 19), every pivot is 1, and the elimination
-contracts edges, so a union-find spanning-forest search gives the rank,
-the rows left past it and their order, each still a unit row of
-(U^(-1))^T.  It returns None on any other row, for the elimination to run.
+``_forest(rows, cols)``, beside ``_eliminate``, replays the lift form (the
+diagonal and the trailing columns of U^(-1)) on rows that are each zero or
+a graph edge +-(e_u - e_v), the rows ``cocharacter_group`` meets past the
+rank of d^2: a graph incidence matrix is totally unimodular (Schrijver,
+Theory of Linear and Integer Programming, ch. 19), every pivot is 1, and
+the elimination contracts edges, so a union-find spanning-forest search
+gives the rank, the rows left past it and their order, each a unit column
+of U^(-1).  It returns None on any other row; ``cocharacter_group`` then
+eliminates for U and inverts it with ``inverse_unimodular``.
 """
 
 from __future__ import annotations
@@ -222,11 +222,11 @@ def _bump(dst: dict[int, int], k: int, q: int) -> None:
 
 def _eliminate(rows: Rows, cols: int, build) -> tuple:
     """The elimination of smith_normal_form on sparse rows (each a dict of
-    nonzeros; not written) of the given width: (U, diagonal, V^T,
-    (U^(-1))^T, V^(-1), ue, ve), the transforms as sparse rows and each None
-    unless ``build``, a collection, names it ("u", "v", "u_inv", "v_inv").
-    ue (ve) comes with (U^(-1))^T (V^(-1)), else None: ue[k] = j >= 0 says
-    that row k is the unit vector e_j, and -1 that it may not be."""
+    nonzeros; not written) of the given width: (U, diagonal, V^T, V^(-1),
+    ve), the transforms as sparse rows and each None unless ``build``, a
+    collection, names it ("u", "v", "v_inv").  ve comes with V^(-1), else
+    None: ve[k] = j >= 0 says that row k is the unit vector e_j, and -1 that
+    it may not be."""
     n = len(rows)
     m = [dict(row) for row in rows]  # the working rows, by original index
     index: list[set[int]] = [set() for _ in range(cols)]  # column -> the rows with a nonzero there
@@ -235,14 +235,11 @@ def _eliminate(rows: Rows, cols: int, build) -> tuple:
             index[j].add(i)
     rowat, rowpos = list(range(n)), list(range(n))  # position -> original row, and back
     colat, colpos = list(range(cols)), list(range(cols))
-    # by original row (column); vt and ut hold the transposes of V and U^(-1): their column ops are row ops
+    # by original row (column); vt holds the transpose of V: its column ops are row ops
     u = [{i: 1} for i in range(n)] if "u" in build else None
     vt = [{j: 1} for j in range(cols)] if "v" in build else None
-    ut = [{i: 1} for i in range(n)] if "u_inv" in build else None
     vi = [{j: 1} for j in range(cols)] if "v_inv" in build else None
-    # ue[k] (ve[k]) is j while row k of ut (vi) is still the unit vector e_j, else -1
-    ue = None if ut is None else list(range(n))
-    ve = None if vi is None else list(range(cols))
+    ve = None if vi is None else list(range(cols))  # ve[k] is j while row k of vi is still e_j, else -1
     diag: list[int] = []
     t = 0
     while t < min(n, cols):
@@ -276,9 +273,6 @@ def _eliminate(rows: Rows, cols: int, build) -> tuple:
             row = m[pr] = {j: -x for j, x in row.items()}
             if u is not None:
                 u[pr] = {k: -x for k, x in u[pr].items()}
-            if ut is not None:
-                ut[pr] = {k: -x for k, x in ut[pr].items()}
-                ue[pr] = -1
         # reduce column pc, visiting only the rows with a nonzero there; the
         # pivot row is not written here, so it is subtracted on its support
         dirty = False
@@ -302,12 +296,6 @@ def _eliminate(rows: Rows, cols: int, build) -> tuple:
                             index[j].remove(i)
                 if u is not None:
                     _axpy(u[i], -q, u[pr])
-                if ut is not None:
-                    if ue[i] >= 0:  # ut[i] = e_k
-                        _bump(ut[pr], ue[i], q)
-                    else:
-                        _axpy(ut[pr], q, ut[i])
-                    ue[pr] = -1
             if pc in mi:
                 dirty = True
         if dirty:
@@ -344,9 +332,6 @@ def _eliminate(rows: Rows, cols: int, build) -> tuple:
                 index[j].add(pr)
             if u is not None:
                 _axpy(u[pr], 1, u[bad])
-            if ut is not None:
-                _axpy(ut[bad], -1, ut[pr])
-                ue[bad] = -1
             continue
         diag.append(p)
         t += 1
@@ -354,18 +339,17 @@ def _eliminate(rows: Rows, cols: int, build) -> tuple:
     def placed(x, at):
         return None if x is None else [x[k] for k in at]
 
-    u, ut, ue = (placed(x, rowat) for x in (u, ut, ue))
     vt, vi, ve = (placed(x, colat) for x in (vt, vi, ve))
-    return u, diag, vt, ut, vi, ue, ve
+    return placed(u, rowat), diag, vt, vi, ve
 
 
 def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
-    """_eliminate(rows, cols, ("u_inv",)) replayed by a spanning-forest
-    search, when every row is zero or an edge +-(e_u - e_v), u != v: the
-    rank t (the diagonal is [1] * t) and the original indices k of the rows
-    left past it, in position order, for each of which row t + i of
-    (U^(-1))^T is the unit row e_k, marked k.  None when a row is not an
-    edge; the caller then runs _eliminate.
+    """The lift form of _eliminate(rows, cols, ("u",)) replayed by a
+    spanning-forest search, when every row is zero or an edge
+    +-(e_u - e_v), u != v: the rank t (the diagonal is [1] * t) and the
+    original indices k of the rows left past it, in position order, for
+    each of which column t + i of U^(-1) is the unit vector e_k.  None when
+    a row is not an edge; the caller then runs _eliminate and inverts U.
 
     The replay is exact because of _eliminate's pivot rule.  On edge rows
     every nonzero entry is +-1, so the pivot at step t is 1, in the first
@@ -373,9 +357,10 @@ def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
     sweep turns every row through the pivot column into another edge or
     into zero: it contracts the pivot edge, so a row is zero exactly when
     the earlier pivots have joined its two ends.  A step with pivot 1 ends
-    in one pass, with no remainder and no divisor-chain fix-up, and writes
-    only the pivot row of (U^(-1))^T, so the rows past the rank stay the
-    unit rows they started as.  Neither the pivot column nor a column swap
+    in one pass, with no remainder and no divisor-chain fix-up, and the
+    inverse of each of its row operations writes only the pivot column of
+    U^(-1), so the columns past the rank stay the unit columns they
+    started as.  Neither the pivot column nor a column swap
     decides which rows vanish or where a row goes.  So the scan below, which
     keeps _eliminate's position list, swaps position t with the first row
     whose ends are not yet joined and joins them (union-find with path

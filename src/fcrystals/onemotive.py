@@ -192,10 +192,11 @@ class MotiveCrystal:
     Two values derived from the module are computed on first use and kept
     here: its verify report, and its canonical dual, the twisted dual
     relabelled into the basis order of the dual presentation (one pass,
-    semilinear._twisted_dual).  The crystal holds its presentation; an
-    assembled one is held by its presentation only weakly (see assemble),
-    so it lives as long as its callers hold it and no reference cycle keeps
-    it.
+    semilinear._twisted_dual); a module whose rank is not its presentation's
+    has none, and asking raises a ShapeError naming both ranks.  The crystal
+    holds its presentation; an assembled one is held by its presentation
+    only weakly (see assemble), so it lives as long as its callers hold it
+    and no reference cycle keeps it.
     """
 
     module: FilteredFModule
@@ -210,6 +211,8 @@ class MotiveCrystal:
         # the twisted dual's basis reversal composed with _dual_permutation, in one pass
         rT, g2, rX = self.provenance.segments
         r = rT + g2 + rX
+        if self.module.rank != r:
+            raise ShapeError(f"canonical dual operand has rank {self.module.rank}, its presentation {r}")
         return _twisted_dual(self.module, [r - 1 - k for k in _dual_permutation(rX, g2, rT)])
 
 

@@ -131,7 +131,7 @@ def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[
     nothing and the basis is skipped; the checks run either way."""
     d1, d2 = _coboundaries(s)
     c0, c1 = s.counts[0], s.counts[1]
-    _, diag, vt, _, vinv, _, ve = intmat._eliminate(d2, c1, ("v", "v_inv") if basis else ("v_inv",))
+    _, diag, vt, vinv, ve = intmat._eliminate(d2, c1, ("v", "v_inv") if basis else ("v_inv",))
     r2 = len(diag)  # rank of d^2
     if r2 == c1:
         return 0, [] if basis else None
@@ -142,11 +142,11 @@ def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[
     coords = image[r2:]
     forest = intmat._forest(coords, c0)
     if forest is None:
-        _, nz, _, uinv_t, _, ue, _ = intmat._eliminate(coords, c0, ("u_inv",) if basis else ())
+        u, nz = intmat._eliminate(coords, c0, ("u",) if basis else ())[:2]
         if any(x != 1 for x in nz):
             raise InternalError("image of C_1 -> C_0 is not a direct summand")
         t = len(nz)
-    else:  # graph edges: every divisor is 1, and the rows of (U^(-1))^T past the rank are unit rows
+    else:  # graph edges: every divisor is 1, and the columns of U^(-1) past the rank are unit columns
         t, left = forest
     rank = c1 - r2 - t
     if not basis:
@@ -155,10 +155,9 @@ def _cocharacters(s: SimplicialComponents, basis: bool) -> tuple[int, list[list[
         return 0, []
     # free-part basis: trailing columns of U^(-1), lifted through the kernel columns of V
     if forest is None:
-        lift = intmat._mul_units(uinv_t[t:], ue[t:], vt[r2:])
-    else:
-        lift = [vt[r2 + k] for k in left]
-    return rank, intmat._dense(lift, c1)
+        uinv = intmat.inverse_unimodular(intmat._dense(u, len(coords)))
+        return rank, intmat.mul([*zip(*uinv)][t:], intmat._dense(vt[r2:], c1))
+    return rank, intmat._dense([vt[r2 + k] for k in left], c1)
 
 
 def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
@@ -181,10 +180,11 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     valid structure searched, also where they are not.  On edge rows the
     second Smith form is read off intmat._forest, a union-find replay of the
     elimination: every divisor is 1, so the check holds by construction,
-    and the trailing rows of (U^(-1))^T are unit rows e_k, so the basis is
+    and the trailing columns of U^(-1) are unit vectors e_k, so the basis is
     row k of (V_ker)^T for each row k the replay leaves past the rank.  On
-    any other rows (a d^1 a test injects, say) the second elimination runs,
-    with its check.  The Ker d^2 check runs on every call.
+    any other rows (a d^1 a test injects, say) the second elimination runs
+    for U alone, with its check, and intmat.inverse_unimodular inverts U
+    for the lift.  The Ker d^2 check runs on every call.
 
     d^2 and d^1 are built once, as sparse rows ({column: value} of the
     nonzeros) in the orientation the eliminations read (d^2 as c2 rows over
@@ -196,8 +196,9 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     intmat._mul_units on sparse rows: a unit row of the left factor is a
     copy of row k of the right one, and any other row a sum over the
     nonzeros.  It is fed to the replay (or the second elimination) as it
-    is; the basis is formed transposed, as (U^(-1) tail)^T (V_ker)^T, and
-    written out dense once.  picard_skeleton reads the rank alone, through
+    is; the basis is formed transposed, as (U^(-1) tail)^T (V_ker)^T: rows
+    of (V_ker)^T written out dense once after the replay, one dense
+    intmat.mul after the elimination.  picard_skeleton reads the rank alone, through
     the same function without the basis: V^T and the basis are not built,
     and every check still runs.
     """

@@ -1,6 +1,6 @@
 """The spanning-forest replay of the lift-form elimination: intmat._forest
-gives what intmat._eliminate(rows, cols, ("u_inv",)) and the dense
-reference tests/helpers.eliminate_oracle give on rows that are each zero or
+gives the diagonal and the trailing columns of U^(-1) that the dense
+reference tests/helpers.eliminate_oracle gives on rows that are each zero or
 a graph edge +-(e_u - e_v), declines every other row, and
 simplicial._cocharacters reads the same rank and basis either way."""
 
@@ -40,8 +40,8 @@ def edge_matrices(draw):
 
 
 def _replayed(rows, cols):
-    """The lift form _forest gives, as the slots the elimination returns:
-    (diagonal, trailing rows of (U^(-1))^T, their marks)."""
+    """The lift form _forest gives, as the slots the dense reference
+    returns: (diagonal, trailing rows of (U^(-1))^T, their marks)."""
     t, left = intmat._forest(rows, cols)
     return [1] * t, [{k: 1} for k in left], left
 
@@ -56,16 +56,15 @@ class TestReplay:
     )
     @given(edge_matrices())
     def test_same_lift_form_as_the_elimination(self, matrix):
-        """The diagonal, the rows past the rank with their marks, and those
-        rows as unit rows, against the sparse elimination and the dense
-        reference (with a full pivot scan)."""
+        """The diagonal, the rows of (U^(-1))^T past the rank with their
+        marks, and those rows as unit rows, against the dense reference
+        (with a full pivot scan), and the diagonal of the sparse
+        elimination."""
         rows, cols = matrix
         diag, units, marks = _replayed(rows, cols)
-        _, got_diag, _, ut, _, ue, _ = intmat._eliminate(rows, cols, ("u_inv",))
-        t = len(got_diag)
-        assert (got_diag, ut[t:], ue[t:]) == (diag, units, marks)
-        dense = dense_rows(rows, cols)
-        _, d, _, ut, _, ue, _ = eliminate_oracle(dense, ("u_inv",))
+        assert intmat._eliminate(rows, cols, ())[1] == diag
+        t = len(diag)
+        _, d, _, ut, _, ue, _ = eliminate_oracle(dense_rows(rows, cols), ("u_inv",))
         assert [d[i][i] for i in range(min(len(d), cols)) if d[i][i]] == diag
         assert (ut[t:], ue[t:]) == (dense_rows(units, len(rows)), marks)
 
@@ -75,7 +74,7 @@ class TestReplay:
         elimination's (the swaps move the skipped rows)."""
         rows = [{}, {0: 1, 1: -1}, {1: -1, 0: 1}, {1: 1, 2: -1}, {2: 1, 0: -1}]
         assert intmat._forest(rows, 3) == (2, [2, 0, 4])
-        assert intmat._forest(rows, 3)[1] == intmat._eliminate(rows, 3, ("u_inv",))[5][2:]
+        assert intmat._forest(rows, 3)[1] == eliminate_oracle(dense_rows(rows, 3), ("u_inv",))[5][2:]
         assert intmat._forest([], 0) == (0, [])
         assert intmat._forest([{}, {}], 0) == (0, [0, 1])
 
@@ -120,9 +119,11 @@ def _dense_complex(d1, d2, counts):
 )
 def test_near_edge_rows_take_the_general_path(monkeypatch, row):
     """With d^2 = 0 the coordinates of Im d^1 are the rows of d^1: edges
-    beside one near-edge row go through the lift-form elimination and its
-    summand check, and give the dense formula's rank and basis or its
-    error, with the basis and without."""
+    beside one near-edge row go through the lift-form elimination, which
+    builds U alone, and its summand check, and give the dense formula's
+    rank and basis or its error, with the basis and without.  A nonzero
+    free part inverts U, through the Smith form inverse_unimodular takes;
+    the rank-only form builds nothing."""
     counts = (3, 4, 0)
     d1 = [{0: 1, 1: -1}, row, {}, {1: 1, 2: -1}]
     shell, calls = inject(monkeypatch, d1, [], counts)
@@ -133,10 +134,12 @@ def test_near_edge_rows_take_the_general_path(monkeypatch, row):
         for basis in (True, False):
             with pytest.raises(InternalError, match=re.escape(str(exc))):
                 simplicial._cocharacters(shell, basis)
+        inverse = []
     else:
         assert cocharacter_group(shell) == want
         assert simplicial._cocharacters(shell, False) == (want[0], None)
-    assert calls[1] == ("u_inv",) and calls[3] == ()
+        inverse = [("u", "v")] if want[0] else []
+    assert calls == [("v", "v_inv"), ("u",), *inverse, ("v_inv",), ()]
 
 
 def test_same_as_the_dense_formula_on_random_structures():
@@ -148,7 +151,7 @@ def test_same_as_the_dense_formula_on_random_structures():
     for k in range(300):
         s = random_simplicial(rng, max_count=(4, 6, 12, 30)[k % 4])
         d1, d2 = simplicial._coboundaries(s)
-        _, diag, _, _, vinv, _, ve = intmat._eliminate(d2, s.counts[1], ("v_inv",))
+        _, diag, _, vinv, ve = intmat._eliminate(d2, s.counts[1], ("v_inv",))
         torsion += any(x != 1 for x in diag)
         replayed += intmat._forest(intmat._mul_units(vinv, ve, d1)[len(diag) :], s.counts[0]) is not None
         dense1, dense2 = _dense_complex(d1, d2, s.counts)

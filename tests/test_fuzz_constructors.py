@@ -12,10 +12,10 @@ ints of both signs, ints past the size bound, and values of other types.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fcrystals.blocks import LatticeData, TorusData, abelian_from_ap, tate
-from fcrystals.errors import FCrystalsError, InternalError
+from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, tate
+from fcrystals.errors import FCrystalsError, InternalError, ShapeError
 from fcrystals.intmat import smith_normal_form
-from fcrystals.onemotive import OneMotiveSpec, torsion_height
+from fcrystals.onemotive import MotiveCrystal, OneMotiveSpec, assemble, torsion_height
 from fcrystals.semilinear import FilteredFModule
 from fcrystals.simplicial import DivisorPresentation, PicardSkeleton, SimplicialComponents, cocharacter_group
 from fcrystals.witt import RingParams, WittElem, with_precision
@@ -100,3 +100,48 @@ def test_named_error_or_result(name):
             pass
 
     check()
+
+
+def _split(params, rT, g, rX):
+    """The split presentation of the given ranks over params; the abelian
+    block, for g > 0, is a companion block over P54 and empty over the other
+    rings, which admit none."""
+    abelian = abelian_from_ap(0, params) if g and params == P54 else AbelianBlock.empty(params)
+    return OneMotiveSpec.split(params, LatticeData.trivial(rX), TorusData.trivial(rT), abelian)
+
+
+SPLITS = st.builds(_split, st.sampled_from(RINGS), *[st.integers(0, 3)] * 3)
+SPECS = st.one_of(st.just(SPEC), SPLITS)
+MODULES = st.one_of(
+    st.builds(tate, st.integers(-2, 2), st.sampled_from(RINGS)),
+    SPLITS.map(lambda s: assemble(s).module),
+    SPLITS.map(lambda s: assemble(s).module).map(  # no V: the canonical dual needs one
+        lambda m: FilteredFModule(m.params, m.rank, m.weights, m.f_mat, None, m.level)
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(MODULES, SPECS)
+def test_motive_crystal_of_any_module_and_presentation(module, spec):
+    """MotiveCrystal(module, spec) is an exported pair: its report and its
+    canonical dual are a result or a named error for any module against any
+    presentation, of another rank or ring included."""
+    crystal = MotiveCrystal(module, spec)
+    for name in ("report", "canonical_dual"):
+        try:
+            getattr(crystal, name)
+        except InternalError:
+            raise
+        except FCrystalsError:
+            pass
+
+
+@pytest.mark.parametrize("rank", [1, 4])
+def test_canonical_dual_names_both_ranks(rank):
+    """A module of rank 1 or 4 against a rank-2 split presentation."""
+    spec = _split(P54, 1, 0, 1)
+    module = tate(1, P54) if rank == 1 else assemble(_split(P54, 2, 0, 2)).module
+    with pytest.raises(ShapeError) as exc:
+        MotiveCrystal(module, spec).canonical_dual
+    assert str(exc.value) == f"canonical dual operand has rank {rank}, its presentation 2"

@@ -405,13 +405,13 @@ def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
 def _record_builds(monkeypatch):
     """A list that records, from here on, the slots each intmat._eliminate
     call builds, in call order: transforms by their build names, and the
-    unit-row marks as ue (with (U^(-1))^T) and ve (with V^(-1))."""
+    unit-row marks as ve (with V^(-1))."""
     built = []
     original = fcrystals.intmat._eliminate
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        names = ("u", None, "v", "u_inv", "v_inv", "ue", "ve")  # the slots of (U, D, V^T, (U^(-1))^T, V^(-1), ue, ve)
+        names = ("u", None, "v", "v_inv", "ve")  # the slots of (U, D, V^T, V^(-1), ve)
         assert len(result) == len(names)
         built.append({name for name, x in zip(names, result) if name and x is not None})
         return result
@@ -431,7 +431,7 @@ def _recorded_builds(monkeypatch, argv):
 def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
     """The one elimination of a simplicial-cochar call, the kernel form,
     builds V^T and V^(-1) with its marks; the lift form is replayed, so no
-    elimination builds (U^(-1))^T."""
+    elimination builds U."""
     built = _recorded_builds(monkeypatch, ["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
     assert built == [{"v", "v_inv", "ve"}]
 
@@ -439,14 +439,16 @@ def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
 def test_rows_that_are_not_edges_take_the_lift_elimination(monkeypatch):
     """When a row of V^(-1) d^1 past the rank of d^2 is not a graph edge
     (here e_0, from an injected d^1 over counts (2, 3, 1)), the lift form is
-    the elimination again, building (U^(-1))^T with its marks, and its
-    diagonal is the summand check; the rank-only form builds nothing."""
+    the elimination again, building U alone, and its diagonal is the
+    summand check; U is inverted by inverse_unimodular, whose Smith form
+    builds U and V, for the trailing columns of U^(-1).  The rank-only form
+    builds nothing."""
     shell = simplicial.SimplicialComponents((2, 3, 1), ())
     monkeypatch.setattr(simplicial, "_coboundaries", lambda s: ([{}, {0: 1}, {}], [{0: 1}]))
     built = _record_builds(monkeypatch)
     assert simplicial.cocharacter_group(shell) == (1, [[0, 0, 1]])
     assert simplicial._cocharacters(shell, False) == (1, None)
-    assert built == [{"v", "v_inv", "ve"}, {"u_inv", "ue"}, {"v_inv", "ve"}, set()]
+    assert built == [{"v", "v_inv", "ve"}, {"u"}, {"u", "v"}, {"v_inv", "ve"}, set()]
 
 
 def test_picard_skeleton_builds_no_basis(monkeypatch, tmp_path):

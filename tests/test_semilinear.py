@@ -213,8 +213,8 @@ def _smith_cases():
 
 
 # name -> places in the tuple intmat._eliminate returns: the transform, and
-# the unit-row marks that come with (U^(-1))^T and V^(-1)
-SLOTS = {"u": (0,), "v": (2,), "u_inv": (3, 5), "v_inv": (4, 6)}
+# the unit-row marks that come with V^(-1)
+SLOTS = {"u": (0,), "v": (2,), "v_inv": (3, 4)}
 SUBSETS = [subset for k in range(len(SLOTS) + 1) for subset in itertools.combinations(SLOTS, k)]
 
 
@@ -230,26 +230,34 @@ def _eliminate(a, build):
 def _dense_result(result, rows, cols):
     """The tuple intmat._eliminate returns for an rows x cols matrix, with
     its sparse transforms written out dense and its diagonal as the matrix
-    D: the form of helpers.eliminate_oracle."""
-    u, diag, vt, ut, vi, ue, ve = result
+    D: the form of _oracle."""
+    u, diag, vt, vi, ve = result
     d = [[0] * cols for _ in range(rows)]
     for i, x in enumerate(diag):
         d[i][i] = x
-    dense = [None if x is None else dense_rows(x, w) for x, w in ((u, rows), (vt, cols), (ut, rows), (vi, cols))]
-    return dense[0], d, dense[1], dense[2], dense[3], ue, ve
+    dense = [None if x is None else dense_rows(x, w) for x, w in ((u, rows), (vt, cols), (vi, cols))]
+    return dense[0], d, dense[1], dense[2], ve
+
+
+def _oracle(a):
+    """helpers.eliminate_oracle with every transform intmat._eliminate
+    builds, in its slots: (U, D, V^T, V^(-1), ve)."""
+    u, d, vt, _, vi, _, ve = eliminate_oracle(a, tuple(SLOTS))
+    return u, d, vt, vi, ve
 
 
 def _full(a):
-    """intmat._eliminate with every transform, written out dense, V^T and
-    (U^(-1))^T transposed back: (U, D, V, U^(-1), V^(-1))."""
+    """intmat._eliminate with every transform, written out dense, V^T
+    transposed back, beside U^(-1) from helpers.eliminate_oracle, which
+    still builds it: (U, D, V, U^(-1), V^(-1))."""
     rows, cols = int_shape_oracle(a)
-    u, d, vt, ut, vi = _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols)[:5]
-    return u, d, _transpose(vt), _transpose(ut), vi
+    u, d, vt, vi = _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols)[:4]
+    return u, d, _transpose(vt), _transpose(eliminate_oracle(a, ("u_inv",))[3]), vi
 
 
 def _selected(full, subset):
-    """The full (U, diagonal, V^T, (U^(-1))^T, V^(-1), ue, ve) with every
-    slot outside subset set to None."""
+    """The full (U, diagonal, V^T, V^(-1), ve) with every slot outside
+    subset set to None."""
     keep = {1} | {i for name in subset for i in SLOTS[name]}
     return tuple(x if i in keep else None for i, x in enumerate(full))
 
@@ -267,9 +275,8 @@ def _check_subsets(a):
     transforms and marks as the full elimination does and leaves the others
     None; the marks name unit rows only, and no sparse row holds a zero."""
     full = _eliminate(a, tuple(SLOTS))
-    _check_marks(full[3], full[5])
-    _check_marks(full[4], full[6])
-    assert all(0 not in row.values() for slot in (0, 2, 3, 4) for row in full[slot]), a
+    _check_marks(full[3], full[4])
+    assert all(0 not in row.values() for slot in (0, 2, 3) for row in full[slot]), a
     d = smith_oracle(a)[1]
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
     for subset in SUBSETS:
@@ -309,6 +316,8 @@ class TestSmithAgainstOracle:
             assert _full(a)[:3] == smith_oracle(a), a
 
     def test_inverses_invert(self):
+        """U times the dense reference's U^(-1) is I both ways, and the
+        elimination's V^(-1) inverts its V."""
         for a in self.CASES:
             rows, cols = intmat.shape(a)
             u, _, v, u_inv, v_inv = _full(a)
@@ -316,18 +325,18 @@ class TestSmithAgainstOracle:
             assert intmat.mul(v_inv, v) == intmat.identity(cols) == intmat.mul(v, v_inv), a
 
     def test_each_transform_subset(self):
-        assert len(SUBSETS) == 16
+        assert len(SUBSETS) == 8
         for a in self.CASES:
             _check_subsets(a)
 
     def test_transforms_and_marks_are_the_dense_references(self):
-        """Every transform and both unit-row marks, with everything built,
-        are those of the dense-row elimination kept in
+        """Every transform and the unit-row marks of V^(-1), with everything
+        built, are those of the dense-row elimination kept in
         tests/helpers.eliminate_oracle; each subset builds its slots as the
         full elimination does (test_each_transform_subset)."""
         for a in self.CASES:
             rows, cols = int_shape_oracle(a)
-            assert _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols) == eliminate_oracle(a, tuple(SLOTS)), a
+            assert _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols) == _oracle(a), a
 
     def test_sweep_order_does_not_change_the_integers(self, monkeypatch):
         """The column sweep visits the rows its column index names in set
@@ -387,7 +396,7 @@ class TestSmithAgainstOracle:
         assert _full(a)[:3] == smith_oracle(a)
         _check_subsets(a)
         rows, cols = int_shape_oracle(a)
-        assert _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols) == eliminate_oracle(a, tuple(SLOTS))
+        assert _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols) == _oracle(a)
 
 
 def _random_int_matrix(rng, r, c):

@@ -288,7 +288,17 @@ class TestCocharacters:
     def test_same_basis_as_the_dense_formula_on_general_d1(self, monkeypatch):
         """On the d_1 that are not incidence matrices, the same (rank, basis)
         as the dense formula, or the same invariant error; the rank-only path
-        gives the same rank or the same error."""
+        gives the same rank or the same error.  At least 20 of them decline
+        the replay and return a nonempty basis, read off the inverse of U."""
+        replayed = []
+        forest = intmat._forest
+
+        def recording(rows, cols):
+            replayed.append(forest(rows, cols))
+            return replayed[-1]
+
+        monkeypatch.setattr(intmat, "_forest", recording)
+        inverted = 0
         for shell, d1, d2 in _general_complexes(random.Random(38), 200):
             inject(monkeypatch, d1, d2, shell.counts)
             try:
@@ -298,8 +308,11 @@ class TestCocharacters:
                     with pytest.raises(InternalError, match=re.escape(str(exc))):
                         simplicial._cocharacters(shell, basis)
                 continue
+            replayed.clear()
             assert cocharacter_group(shell) == want, (d1, d2)
+            inverted += replayed == [None] and want[0] > 0
             assert simplicial._cocharacters(shell, False) == (want[0], None), (d1, d2)
+        assert inverted >= 20
 
     def test_large_structures_against_the_dense_formula(self):
         """Up to 80 components a level, the sizes the benchmark draws: the
