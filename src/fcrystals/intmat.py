@@ -14,10 +14,10 @@ on dense matrices, with no row marked.
 
 The Smith normal form is the only elimination: kernels, exact solutions,
 ranks and unimodular inverses are read off U a V = D.  The private
-``_eliminate(rows, cols, build)`` behind ``smith_normal_form`` returns the
-Smith diagonal as a list (only ``smith_normal_form`` builds the dense D) and
-builds only the transforms named in ``build``, from U, V and V^(-1) (the
-inverse of each column operation, applied on the other side).
+``_eliminate(rows, cols, *, u, v, v_inv)`` behind ``smith_normal_form``
+returns the Smith diagonal as a list (only ``smith_normal_form`` builds the
+dense D) and builds only the transforms whose keyword flag is set: U, V and
+V^(-1) (the inverse of each column operation, applied on the other side).
 Pivots are chosen from the working matrix alone, so skipping a transform
 cannot move D or any transform that is built.  The pivot rule is fixed: the
 smallest absolute nonzero value, ties broken row-major by current position.
@@ -51,8 +51,7 @@ transforms as sparse rows in position order and ve the marks of V^(-1).
 of V, ``elementary_divisors`` builds nothing and reads the diagonal,
 ``kernel_basis`` returns the trailing rows of V^T, and
 ``simplicial.cocharacter_group`` forms V^(-1) d^1 from V^(-1) and its
-marks, and its basis from the trailing rows of V^T; its rank-only form
-builds V^(-1) alone.
+marks, and its basis from the trailing rows of V^T.
 
 ``_forest(rows, cols)``, beside ``_eliminate``, replays the lift form (the
 diagonal and the trailing columns of U^(-1)) on rows that are each zero or
@@ -192,7 +191,7 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
         i, j, x = bad
         raise MalformedInputError(f"matrix entry ({i}, {j}) must be an integer, got {x!r}", code="bad-type")
     rows, cols = shape(m)
-    u, diag, vt = _eliminate(_rows(m), cols, ("u", "v"))[:3]
+    u, diag, vt = _eliminate(_rows(m), cols, u=True, v=True)[:3]
     d = zeros(rows, cols)
     for i, x in enumerate(diag):
         d[i][i] = x
@@ -220,13 +219,12 @@ def _bump(dst: dict[int, int], k: int, q: int) -> None:
         del dst[k]
 
 
-def _eliminate(rows: Rows, cols: int, build) -> tuple:
+def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, v_inv: bool = False) -> tuple:
     """The elimination of smith_normal_form on sparse rows (each a dict of
     nonzeros; not written) of the given width: (U, diagonal, V^T, V^(-1),
-    ve), the transforms as sparse rows and each None unless ``build``, a
-    collection, names it ("u", "v", "v_inv").  ve comes with V^(-1), else
-    None: ve[k] = j >= 0 says that row k is the unit vector e_j, and -1 that
-    it may not be."""
+    ve), the transforms as sparse rows and each None unless its flag is set.
+    ve comes with V^(-1), else None: ve[k] = j >= 0 says that row k is the
+    unit vector e_j, and -1 that it may not be."""
     n = len(rows)
     m = [dict(row) for row in rows]  # the working rows, by original index
     index: list[set[int]] = [set() for _ in range(cols)]  # column -> the rows with a nonzero there
@@ -236,9 +234,9 @@ def _eliminate(rows: Rows, cols: int, build) -> tuple:
     rowat, rowpos = list(range(n)), list(range(n))  # position -> original row, and back
     colat, colpos = list(range(cols)), list(range(cols))
     # by original row (column); vt holds the transpose of V: its column ops are row ops
-    u = [{i: 1} for i in range(n)] if "u" in build else None
-    vt = [{j: 1} for j in range(cols)] if "v" in build else None
-    vi = [{j: 1} for j in range(cols)] if "v_inv" in build else None
+    u = [{i: 1} for i in range(n)] if u else None
+    vt = [{j: 1} for j in range(cols)] if v else None
+    vi = [{j: 1} for j in range(cols)] if v_inv else None
     ve = None if vi is None else list(range(cols))  # ve[k] is j while row k of vi is still e_j, else -1
     diag: list[int] = []
     t = 0
@@ -344,7 +342,7 @@ def _eliminate(rows: Rows, cols: int, build) -> tuple:
 
 
 def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
-    """The lift form of _eliminate(rows, cols, ("u",)) replayed by a
+    """The lift form of _eliminate(rows, cols, u=True) replayed by a
     spanning-forest search, when every row is zero or an edge
     +-(e_u - e_v), u != v: the rank t (the diagonal is [1] * t) and the
     original indices k of the rows left past it, in position order, for
@@ -391,7 +389,7 @@ def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
 
 
 def elementary_divisors(a) -> list[int]:
-    return _eliminate(_rows(a), shape(a)[1], ())[1]
+    return _eliminate(_rows(a), shape(a)[1])[1]
 
 
 def kernel_basis(a) -> list[list[int]]:
@@ -399,7 +397,7 @@ def kernel_basis(a) -> list[list[int]]:
     sublattice since V is unimodular.  The columns of V past the rank are
     the trailing rows of V^T, as the elimination builds it."""
     cols = shape(a)[1]
-    _, diag, vt = _eliminate(_rows(a), cols, ("v",))[:3]
+    _, diag, vt = _eliminate(_rows(a), cols, v=True)[:3]
     return _dense(vt[len(diag) :], cols)
 
 

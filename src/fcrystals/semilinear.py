@@ -526,7 +526,10 @@ def newton_slopes(m: FilteredFModule) -> SlopeProfile:
     (an honestly linear map), divided by a.
 
     Requires n >= rank * level * a + 1 so the relevant coefficient
-    valuations are determined; raises PrecisionError otherwise.
+    valuations are determined; raises PrecisionError otherwise.  A constant
+    coefficient that vanishes at working precision raises PrecisionError
+    with no required length: the entries read the same at every n, so no
+    length is known to suffice.
     """
     params = m.params
     if m.rank == 0:
@@ -547,8 +550,7 @@ def newton_slopes(m: FilteredFModule) -> SlopeProfile:
     vals = [c.valuation() for c in coeffs]
     if vals[0] >= n:
         raise PrecisionError(
-            "constant coefficient of the characteristic polynomial vanishes at working precision",
-            required=required,
+            "constant coefficient of the characteristic polynomial vanishes at working precision"
         )
     points = [(i, v) for i, v in enumerate(vals) if v < n]
     hull = _lower_hull(points)

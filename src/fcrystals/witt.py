@@ -135,9 +135,8 @@ def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
 
 @lru_cache(maxsize=64)  # pure in its arguments; bounded, so documents cannot grow it
 def _irreducible_mod_p(modulus: tuple[int, ...], p: int, a: int) -> bool:
+    """Whether a monic degree-a polynomial (low-to-high) is irreducible mod p."""
     f = [c % p for c in modulus]
-    if len(_ptrim(list(f))) != a + 1:
-        return False
 
     def x_pk_minus_x(k: int) -> list[int]:  # x^(p^k) - x mod (f, p)
         xq = _ppowmod([0, 1], p**k, f, p) + [0, 0]

@@ -1116,25 +1116,30 @@ def random_galois_motive_spec(
     )
 
 
-def random_simplicial(rng: random.Random, max_count: int = 6, min_count: int = 1) -> SimplicialComponents:
+def random_simplicial(
+    rng: random.Random, max_count: int | tuple[int, int, int] = 6, min_count: int = 1, redraws: int = 0
+) -> SimplicialComponents:
     """A valid random 2-truncated component structure, with min_count to
-    max_count components a level.
+    max_count components a level (one bound, or one per level c0, c1, c2).
 
     Edge 0 is forced to be a loop on vertex 0 so level-2 faces can always be
-    completed compatibly with the simplicial identities.
+    completed compatibly with the simplicial identities: a face triple with
+    no compatible third edge is drawn again, up to redraws * c2 more times,
+    and then collapsed onto that loop.
     """
-    c0 = rng.randint(min_count, max_count)
-    c1 = rng.randint(min_count, max_count)
-    c2 = rng.randint(min_count, max_count)
+    highs = max_count if isinstance(max_count, tuple) else (max_count,) * 3
+    c0, c1, c2 = (rng.randint(min_count, high) for high in highs)
     d0 = [0] + [rng.randrange(c0) for _ in range(c1 - 1)]
     d1 = [0] + [rng.randrange(c0) for _ in range(c1 - 1)]
     f0, f1, f2 = [], [], []
     for _ in range(c2):
-        e0 = rng.randrange(c1)
-        e1 = rng.choice([e for e in range(c1) if d0[e] == d0[e0]])
-        cands = [e for e in range(c1) if d0[e] == d1[e0] and d1[e] == d1[e1]]
-        if cands:
-            e2 = rng.choice(cands)
+        for _ in range(1 + redraws * c2):
+            e0 = rng.randrange(c1)
+            e1 = rng.choice([e for e in range(c1) if d0[e] == d0[e0]])
+            cands = [e for e in range(c1) if d0[e] == d1[e0] and d1[e] == d1[e1]]
+            if cands:
+                e2 = rng.choice(cands)
+                break
         else:
             e0 = e1 = e2 = 0
         f0.append(e0)

@@ -187,15 +187,15 @@ class TestLatticeTorus:
         built = []
         original = intmat._eliminate
 
-        def recording(rows, cols, build):
-            built.append(build)
-            return original(rows, cols, build)
+        def recording(rows, cols, **flags):
+            built.append(flags)
+            return original(rows, cols, **flags)
 
         monkeypatch.setattr(intmat, "_eliminate", recording)
         with pytest.raises(InvalidActionError) as exc:
             LatticeData(len(action), action)
         assert str(exc.value) == message
-        assert built == [()]
+        assert built == [{}]
 
     def test_rank1_trivial_matches_twists(self):
         lb = lattice_block(LatticeData.trivial(1), P54)

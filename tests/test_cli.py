@@ -184,6 +184,78 @@ EXIT_CODES = {
 }
 
 
+def _module_doc(rank, f, v=None):
+    """A level-1 module document over W_4(F_5) with weights 0."""
+    return {"ring": RING_F5N4, "rank": rank, "weights": [0] * rank, "F": f, "V": v, "level": 1}
+
+
+def _abelian_doc(f, v):
+    """A motive presentation whose one block is a rank-2 abelian crystal."""
+    crystal = {"ring": RING_F5N4, "rank": 2, "weights": [-1, -1], "F": f, "V": v, "level": 1}
+    blocks = {"lattice": {"rank": 0}, "torus": {"rank": 0}, "abelian": {"crystal": crystal}}
+    return {"ring": RING_F5N4, **blocks, "label": "x"}
+
+
+RING_F5N4 = {"p": 5, "n": 4, "a": 1}
+VANISHES = '{"code":"precision-error","message":"constant coefficient of the characteristic polynomial vanishes at working precision"}\n'
+# (verb, document, exit code, the stream written, its bytes)
+DOCUMENT_OUTCOMES = [
+    # F = 0 (and diag(1, 0)): every entry reads the same at any n, so no length is named
+    pytest.param("crystal-slopes", _module_doc(1, [[[0]]]), 3, "stderr", VANISHES, id="slopes-f0"),
+    pytest.param("crystal-slopes", _module_doc(2, [[[1], [0]], [[0], [0]]]), 3, "stderr", VANISHES, id="slopes-diag10"),
+    pytest.param("crystal-slopes", _module_doc(0, []), 0, "stdout", '{"slopes":[]}\n', id="slopes-rank0"),
+    pytest.param(
+        "simplicial-cochar",
+        {"counts": [1, 2, 1], "faces": {"1": [[0]], "2": [[0], [0], [0]]}},
+        1,
+        "stderr",
+        '{"code":"invalid-simplicial","message":"level 1 needs 2 face maps"}\n',
+        id="cochar-one-face-map",
+    ),
+    pytest.param(
+        "simplicial-div0",
+        {"m": 3, "P0": [[1, 0], [0, 1]], "P1": [[1, 0], [0, 1]], "NS": [[1, 1, 1]]},
+        2,
+        "stderr",
+        '{"code":"shape-error","message":"pullback matrices must have m columns"}\n',
+        id="div0-narrow-pullbacks",
+    ),
+    # at m = 0 too: the rows are read as relations on m columns
+    pytest.param(
+        "simplicial-div0",
+        {"m": 0, "P0": [[1, 2]], "P1": [[0, 0]]},
+        2,
+        "stderr",
+        '{"code":"shape-error","message":"pullback matrices must have m columns"}\n',
+        id="div0-m0-wide-pullbacks",
+    ),
+    pytest.param(
+        "simplicial-div0",
+        {"m": 0, "P0": [[]], "P1": [[]], "NS": [[]]},
+        0,
+        "stdout",
+        '{"basis":[],"rank":0}\n',
+        id="div0-m0-empty-rows",
+    ),
+    pytest.param(
+        "motive-assemble",
+        _abelian_doc([[[0], [1]], [[5], [0]]], None),
+        2,
+        "stderr",
+        '{"code":"unsupported-input","message":"abelian block must be a level-1 module with V"}\n',
+        id="abelian-no-v",
+    ),
+    pytest.param(
+        "motive-assemble",
+        _abelian_doc([[[1], [0]], [[0], [1]]], [[[5], [0]], [[0], [5]]]),
+        2,
+        "stderr",
+        '{"code":"unsupported-input","message":"abelian block slopes are not symmetric under s -> 1-s"}\n',
+        id="abelian-asymmetric-slopes",
+    ),
+]
+
+
 class TestExitCodes:
     def test_every_error_class_carries_its_exit_code(self):
         """A new class in fcrystals.errors must pick its code here."""
@@ -436,6 +508,19 @@ class TestExitCodes:
         obj = json.loads(err)
         assert obj["code"] == "internal-error"
         assert obj["message"].startswith("TypeError: unsupported operand (at test_cli.py:")
+
+    @pytest.mark.parametrize("verb,doc,code,stream,text", DOCUMENT_OUTCOMES)
+    def test_document_outcome_bytes(self, verb, doc, code, stream, text, tmp_path):
+        """Each document ends in exactly one output: its result on stdout, or
+        one error object on stderr with the class's exit code."""
+        path, out = tmp_path / "in.json", tmp_path / "o.json"
+        path.write_text(json.dumps(doc))
+        got_code, err = run_cli([verb, "--in", str(path)], out)
+        assert got_code == code
+        if stream == "stdout":
+            assert (err, out.read_text()) == ("", text)
+        else:
+            assert (err, out.exists()) == (text, False)
 
     def test_missing_file_is_exit_2(self, tmp_path):
         code, err = run_cli(["crystal-verify", "--in", "no_such_fixture.json"], tmp_path / "o.json")
@@ -862,7 +947,8 @@ def test_witt_eval_op_results(op, elems, result, tmp_path):
 
 class TestWittEvalErrors:
     """witt-eval parses the elements first, then looks the op up, then checks
-    its argument count; each failure is one error object with exit code 2."""
+    its argument count; each failure is one error object with exit code 2.
+    An element outside the op's domain is one error object with exit code 1."""
 
     @pytest.mark.parametrize(
         "op,count", [(op, count) for op, k in WITT_ARITY.items() for count in (0, k + 1)]
@@ -879,6 +965,20 @@ class TestWittEvalErrors:
         assert _witt_eval(tmp_path, {"op": "sqrt", "args": [[1]] * count}) == (
             2,
             '{"code":"unknown-op","message":"unknown witt op \'sqrt\'"}\n',
+        )
+
+    @pytest.mark.parametrize(
+        "ring,elem",
+        [({"p": 5, "n": 4, "a": 1}, [5]), ({"p": 5, "n": 4, "a": 2, "modulus": [2, 0, 1]}, [5, 0])],
+        ids=["a1", "a2"],
+    )
+    def test_inverse_of_a_non_unit_is_a_domain_error(self, ring, elem, tmp_path):
+        """An element outside the op's domain fails after those checks."""
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"ring": ring, "op": "inv", "args": [elem]}))
+        assert run_cli(["witt-eval", "--in", str(path)], tmp_path / "o.json") == (
+            1,
+            '{"code":"domain-error","message":"element is not a unit"}\n',
         )
 
     @pytest.mark.parametrize("op", ["sqrt", "add", "neg"])

@@ -2,7 +2,7 @@
 gives the diagonal and the trailing columns of U^(-1) that the dense
 reference tests/helpers.eliminate_oracle gives on rows that are each zero or
 a graph edge +-(e_u - e_v), declines every other row, and
-simplicial._cocharacters reads the same rank and basis either way."""
+simplicial.cocharacter_group reads the same rank and basis either way."""
 
 import random
 import re
@@ -62,7 +62,7 @@ class TestReplay:
         elimination."""
         rows, cols = matrix
         diag, units, marks = _replayed(rows, cols)
-        assert intmat._eliminate(rows, cols, ())[1] == diag
+        assert intmat._eliminate(rows, cols)[1] == diag
         t = len(diag)
         _, d, _, ut, _, ue, _ = eliminate_oracle(dense_rows(rows, cols), ("u_inv",))
         assert [d[i][i] for i in range(min(len(d), cols)) if d[i][i]] == diag
@@ -94,14 +94,15 @@ class TestReplay:
 
 def inject(monkeypatch, d1, d2, counts):
     """Make simplicial._coboundaries hand over d^1 (c1 sparse rows over C^0)
-    and d^2 (c2 sparse rows over C^1), and count the eliminations."""
+    and d^2 (c2 sparse rows over C^1), and record the flags each
+    elimination sets."""
     monkeypatch.setattr(simplicial, "_coboundaries", lambda s: (d1, d2))
     calls = []
     original = intmat._eliminate
 
-    def counting(rows, cols, build):
-        calls.append(tuple(build))
-        return original(rows, cols, build)
+    def counting(rows, cols, **flags):
+        calls.append(tuple(name for name, on in flags.items() if on))
+        return original(rows, cols, **flags)
 
     monkeypatch.setattr(intmat, "_eliminate", counting)
     return SimplicialComponents(counts, ()), calls
@@ -121,9 +122,8 @@ def test_near_edge_rows_take_the_general_path(monkeypatch, row):
     """With d^2 = 0 the coordinates of Im d^1 are the rows of d^1: edges
     beside one near-edge row go through the lift-form elimination, which
     builds U alone, and its summand check, and give the dense formula's
-    rank and basis or its error, with the basis and without.  A nonzero
-    free part inverts U, through the Smith form inverse_unimodular takes;
-    the rank-only form builds nothing."""
+    rank and basis or its error.  A nonzero free part inverts U, through
+    the Smith form inverse_unimodular takes."""
     counts = (3, 4, 0)
     d1 = [{0: 1, 1: -1}, row, {}, {1: 1, 2: -1}]
     shell, calls = inject(monkeypatch, d1, [], counts)
@@ -131,33 +131,64 @@ def test_near_edge_rows_take_the_general_path(monkeypatch, row):
     try:
         want = cocharacter_oracle(dense1, dense2, counts[1])
     except InternalError as exc:
-        for basis in (True, False):
-            with pytest.raises(InternalError, match=re.escape(str(exc))):
-                simplicial._cocharacters(shell, basis)
+        with pytest.raises(InternalError, match=re.escape(str(exc))):
+            cocharacter_group(shell)
         inverse = []
     else:
         assert cocharacter_group(shell) == want
-        assert simplicial._cocharacters(shell, False) == (want[0], None)
         inverse = [("u", "v")] if want[0] else []
-    assert calls == [("v", "v_inv"), ("u",), *inverse, ("v_inv",), ()]
+    assert calls == [("v", "v_inv"), ("u",), *inverse]
 
 
-def test_same_as_the_dense_formula_on_random_structures():
-    """cocharacter_group and the rank-only form equal the dense formula on
-    random valid structures, among them some whose d^2 has an elementary
-    divisor 2; every one of them takes the replay."""
+def _marked_past_the_rank(d2, c1):
+    """The Smith diagonal of d^2, V^(-1) and its marks, and whether a row of
+    V^(-1) past the rank is marked -1: an aborted pivot step wrote it, so it
+    need not be a unit row."""
+    _, diag, _, vinv, ve = intmat._eliminate(d2, c1, v_inv=True)
+    return diag, vinv, ve, any(k < 0 for k in ve[len(diag) :])
+
+
+def test_same_as_the_dense_formula_on_random_structures(monkeypatch):
+    """cocharacter_group equals the dense formula on random valid
+    structures, among them some whose d^2 has an elementary divisor 2, and
+    every one of them takes the replay.  The second draw set redraws a face
+    triple with no compatible third edge rather than collapsing it onto the
+    loop; it holds structures where a row of V^(-1) past the rank of d^2 was
+    written by an aborted pivot step (marked -1), the one case whose rows of
+    V^(-1) d^1 could fail to be edges, and the replay takes each of them
+    too: cocharacter_group runs its one elimination and no second."""
     rng = random.Random(41)
     torsion = replayed = 0
     for k in range(300):
         s = random_simplicial(rng, max_count=(4, 6, 12, 30)[k % 4])
         d1, d2 = simplicial._coboundaries(s)
-        _, diag, _, vinv, ve = intmat._eliminate(d2, s.counts[1], ("v_inv",))
+        diag, vinv, ve, _ = _marked_past_the_rank(d2, s.counts[1])
         torsion += any(x != 1 for x in diag)
         replayed += intmat._forest(intmat._mul_units(vinv, ve, d1)[len(diag) :], s.counts[0]) is not None
         dense1, dense2 = _dense_complex(d1, d2, s.counts)
-        want = cocharacter_oracle(dense1, dense2, s.counts[1])
-        assert cocharacter_group(s) == want, s
-        assert simplicial._cocharacters(s, False) == (want[0], None), s
+        assert cocharacter_group(s) == cocharacter_oracle(dense1, dense2, s.counts[1]), s
     assert torsion >= 5
     assert replayed == 300
+    rng = random.Random(5)
+    marked = 0
+    calls = []
+    eliminate = intmat._eliminate
 
+    def recording(rows, cols, **flags):
+        calls.append(flags)
+        return eliminate(rows, cols, **flags)
+
+    monkeypatch.setattr(intmat, "_eliminate", recording)
+    for _ in range(4000):
+        s = random_simplicial(rng, (4, 14, 14), redraws=50)
+        d1, d2 = simplicial._coboundaries(s)
+        diag, vinv, ve, past = _marked_past_the_rank(d2, s.counts[1])
+        if not past:
+            continue
+        marked += 1
+        assert intmat._forest(intmat._mul_units(vinv, ve, d1)[len(diag) :], s.counts[0]) is not None, s
+        dense1, dense2 = _dense_complex(d1, d2, s.counts)
+        calls.clear()
+        assert cocharacter_group(s) == cocharacter_oracle(dense1, dense2, s.counts[1]), s
+        assert calls == [{"v": True, "v_inv": True}], s
+    assert marked >= 10

@@ -404,8 +404,8 @@ def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
 
 def _record_builds(monkeypatch):
     """A list that records, from here on, the slots each intmat._eliminate
-    call builds, in call order: transforms by their build names, and the
-    unit-row marks as ve (with V^(-1))."""
+    call builds, in call order: transforms by the names of their keyword
+    flags, and the unit-row marks as ve (with V^(-1))."""
     built = []
     original = fcrystals.intmat._eliminate
 
@@ -441,26 +441,25 @@ def test_rows_that_are_not_edges_take_the_lift_elimination(monkeypatch):
     (here e_0, from an injected d^1 over counts (2, 3, 1)), the lift form is
     the elimination again, building U alone, and its diagonal is the
     summand check; U is inverted by inverse_unimodular, whose Smith form
-    builds U and V, for the trailing columns of U^(-1).  The rank-only form
-    builds nothing."""
+    builds U and V, for the trailing columns of U^(-1)."""
     shell = simplicial.SimplicialComponents((2, 3, 1), ())
     monkeypatch.setattr(simplicial, "_coboundaries", lambda s: ([{}, {0: 1}, {}], [{0: 1}]))
     built = _record_builds(monkeypatch)
     assert simplicial.cocharacter_group(shell) == (1, [[0, 0, 1]])
-    assert simplicial._cocharacters(shell, False) == (1, None)
-    assert built == [{"v", "v_inv", "ve"}, {"u"}, {"u", "v"}, {"v_inv", "ve"}, set()]
+    assert built == [{"v", "v_inv", "ve"}, {"u"}, {"u", "v"}]
 
 
-def test_picard_skeleton_builds_no_basis(monkeypatch, tmp_path):
-    """picard-skeleton reads two ranks: the cocharacter kernel form builds
-    V^(-1) and its marks alone (for V^(-1) d^1), the lift form is replayed
-    with no elimination, and the Div^0 rank is m minus the length of the diagonal of an elimination
+def test_picard_skeleton_builds_no_div0_basis(monkeypatch, tmp_path):
+    """picard-skeleton reads two ranks.  The torus rank is cocharacter_group's:
+    its kernel form builds V^T, V^(-1) and its marks, the lift form is
+    replayed with no elimination, and the basis is written out and dropped.
+    The Div^0 rank is m minus the length of the diagonal of an elimination
     that builds nothing, run on the stacked relations built as sparse rows
-    (ns_classes read through intmat._rows).  No kernel_basis, no dense
-    caller and no basis product runs."""
+    (ns_classes read through intmat._rows), also at m = 0.  No kernel_basis
+    and no basis product runs."""
     ring = os.path.join(FX, "ring_f5n4.json")
     argv = ["picard-skeleton", "--ring", ring, "--in", os.path.join(FX, "picard_input.json")]  # m = 0
-    assert _recorded_builds(monkeypatch, argv) == [{"v_inv", "ve"}]
+    assert _recorded_builds(monkeypatch, argv) == [set(), {"v", "v_inv", "ve"}]
     monkeypatch.undo()
     with open(os.path.join(FX, "picard_input.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -469,14 +468,14 @@ def test_picard_skeleton_builds_no_basis(monkeypatch, tmp_path):
     path = tmp_path / "picard_m3.json"
     path.write_text(json.dumps(doc))
     argv = ["picard-skeleton", "--ring", ring, "--in", str(path)]
-    assert _recorded_builds(monkeypatch, argv) == [set(), {"v_inv", "ve"}]
+    assert _recorded_builds(monkeypatch, argv) == [set(), {"v", "v_inv", "ve"}]
     monkeypatch.undo()
     calls = Counter()
     for name in INTMAT_CALLS:
         _count_calls(monkeypatch, calls, fcrystals.intmat, name)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert dict(calls) == {"_rows": 1, "_eliminate": 2, "_forest": 1, "_mul_units": 1}
+    assert dict(calls) == {"_rows": 1, "_eliminate": 2, "_forest": 1, "_mul_units": 1, "_dense": 1}
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

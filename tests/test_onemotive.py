@@ -430,6 +430,15 @@ class TestPair:
                 failed |= {f for f in flags if not getattr(got, f)}
         assert failed == flags
 
+    def test_ring_mismatch(self):
+        """Operands over different rings are refused before any rank is read."""
+        m, d = (
+            assemble(OneMotiveSpec.split(p, LatticeData.trivial(0), TorusData.trivial(1), AbelianBlock.empty(p), "gm"))
+            for p in (P54, RingParams(5, 5))
+        )
+        with pytest.raises(IncompatibleRingsError, match="^pairing operands live over different rings$"):
+            pair(m, d)
+
     def test_shape_mismatch(self):
         s1 = kummer_spec()
         s2 = OneMotiveSpec.split(

@@ -143,6 +143,18 @@ class TestSmith:
         assert sol == [[2], [3]]
         assert intmat.solve_exact(a, [[1], [0]]) is None
 
+    def test_solve_exact_rejects_a_wrong_height(self):
+        with pytest.raises(ShapeError, match="^right-hand side has the wrong height$"):
+            intmat.solve_exact([[1, 0], [0, 1]], [[1]])
+
+    def test_solve_exact_inconsistent_system(self):
+        """A rank-deficient system whose right-hand side leaves the image:
+        the row of U b past the rank is nonzero, so there is no solution,
+        over Q either."""
+        assert intmat.solve_exact([[1, 1], [1, 1]], [[1], [2]]) is None
+        assert intmat.solve_exact([[0]], [[1]]) is None
+        assert intmat.solve_exact([[1, 1], [1, 1]], [[2], [2]]) == [[2], [0]]
+
     def test_inverse_unimodular(self):
         rng = random.Random(13)
         cases = [random_unimodular(rng, r) for r in range(9) for _ in range(5)]
@@ -212,8 +224,8 @@ def _smith_cases():
     return cases
 
 
-# name -> places in the tuple intmat._eliminate returns: the transform, and
-# the unit-row marks that come with V^(-1)
+# keyword flag -> places in the tuple intmat._eliminate returns: the
+# transform, and the unit-row marks that come with V^(-1)
 SLOTS = {"u": (0,), "v": (2,), "v_inv": (3, 4)}
 SUBSETS = [subset for k in range(len(SLOTS) + 1) for subset in itertools.combinations(SLOTS, k)]
 
@@ -222,9 +234,10 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _eliminate(a, build):
-    """intmat._eliminate on the sparse rows of the dense matrix a."""
-    return intmat._eliminate(sparse_rows(a), int_shape_oracle(a)[1], build)
+def _eliminate(a, *flags):
+    """intmat._eliminate on the sparse rows of the dense matrix a, with the
+    keyword flags named in flags set."""
+    return intmat._eliminate(sparse_rows(a), int_shape_oracle(a)[1], **dict.fromkeys(flags, True))
 
 
 def _dense_result(result, rows, cols):
@@ -251,7 +264,7 @@ def _full(a):
     transposed back, beside U^(-1) from helpers.eliminate_oracle, which
     still builds it: (U, D, V, U^(-1), V^(-1))."""
     rows, cols = int_shape_oracle(a)
-    u, d, vt, vi = _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols)[:4]
+    u, d, vt, vi = _dense_result(_eliminate(a, *SLOTS), rows, cols)[:4]
     return u, d, _transpose(vt), _transpose(eliminate_oracle(a, ("u_inv",))[3]), vi
 
 
@@ -274,13 +287,13 @@ def _check_subsets(a):
     """Each transform subset keeps the oracle's diagonal, builds its
     transforms and marks as the full elimination does and leaves the others
     None; the marks name unit rows only, and no sparse row holds a zero."""
-    full = _eliminate(a, tuple(SLOTS))
+    full = _eliminate(a, *SLOTS)
     _check_marks(full[3], full[4])
     assert all(0 not in row.values() for slot in (0, 2, 3) for row in full[slot]), a
     d = smith_oracle(a)[1]
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
     for subset in SUBSETS:
-        got = _eliminate(a, subset)
+        got = _eliminate(a, *subset)
         assert got[1] == diag and got == _selected(full, subset), (a, subset)
 
 
@@ -336,14 +349,14 @@ class TestSmithAgainstOracle:
         full elimination does (test_each_transform_subset)."""
         for a in self.CASES:
             rows, cols = int_shape_oracle(a)
-            assert _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols) == _oracle(a), a
+            assert _dense_result(_eliminate(a, *SLOTS), rows, cols) == _oracle(a), a
 
     def test_sweep_order_does_not_change_the_integers(self, monkeypatch):
         """The column sweep visits the rows its column index names in set
         order, and the row sweep the pivot row's entries in dict order: with
         both orders shuffled, every transform, mark and diagonal entry stays
         the same."""
-        want = [_eliminate(a, tuple(SLOTS)) for a in self.CASES]
+        want = [_eliminate(a, *SLOTS) for a in self.CASES]
         monkeypatch.setattr(intmat, "set", _ShuffledSet, raising=False)  # the column index is built with set()
         rng = random.Random(19)
         for a, full in zip(self.CASES, want):
@@ -353,7 +366,17 @@ class TestSmithAgainstOracle:
                     items = list(row.items())
                     rng.shuffle(items)
                     rows.append(dict(items))
-                assert intmat._eliminate(rows, int_shape_oracle(a)[1], tuple(SLOTS)) == full, a
+                assert intmat._eliminate(rows, int_shape_oracle(a)[1], u=True, v=True, v_inv=True) == full, a
+
+    def test_transforms_are_keyword_flags(self):
+        """A transform is asked for by a keyword flag: a positional build
+        list, or a flag for a transform the elimination does not build,
+        raises TypeError at the call."""
+        with pytest.raises(TypeError):
+            intmat._eliminate([{0: 2}], 1, ("u",))
+        with pytest.raises(TypeError):
+            intmat._eliminate([{0: 2}], 1, u_inv=True)
+        assert intmat._eliminate([{0: 2}], 1, u=True) == ([{0: 1}], [2], None, None, None)
 
     def test_elimination_returns_the_transforms_as_built(self):
         """intmat._eliminate hands over U and V^T as sparse rows, and
@@ -362,7 +385,7 @@ class TestSmithAgainstOracle:
         for a in self.CASES:
             rows, cols = intmat.shape(a)
             u, d, v = smith_normal_form(a)
-            got = _dense_result(_eliminate(a, ("u", "v")), rows, cols)
+            got = _dense_result(_eliminate(a, "u", "v"), rows, cols)
             assert got[:3] == (u, d, _transpose(v)), a
 
     def test_kernel_basis_is_the_trailing_columns_of_v(self):
@@ -385,7 +408,7 @@ class TestSmithAgainstOracle:
     def test_hypothesis_sparse_matrices(self, r, c, data):
         """Sparse matrices up to 80 x 80, about two nonzeros a row, their
         entries units or, often all of them, non-units that force the
-        divisor-chain fix-up: the oracle's (U, D, V), every build subset
+        divisor-chain fix-up: the oracle's (U, D, V), every flag subset
         with valid marks, and the dense reference's transforms and marks."""
         a = [[0] * c for _ in range(r)]
         if r and c:
@@ -396,7 +419,7 @@ class TestSmithAgainstOracle:
         assert _full(a)[:3] == smith_oracle(a)
         _check_subsets(a)
         rows, cols = int_shape_oracle(a)
-        assert _dense_result(_eliminate(a, tuple(SLOTS)), rows, cols) == _oracle(a)
+        assert _dense_result(_eliminate(a, *SLOTS), rows, cols) == _oracle(a)
 
 
 def _random_int_matrix(rng, r, c):
@@ -538,7 +561,7 @@ class TestIntegerProduct:
         for a in TestSmithAgainstOracle.CASES:
             d = smith_normal_form(a)[1]
             want = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-            assert intmat.diagonal(d) == want == intmat.elementary_divisors(a) == _eliminate(a, ())[1], a
+            assert intmat.diagonal(d) == want == intmat.elementary_divisors(a) == _eliminate(a)[1], a
 
     def test_transpose_never_loses_a_width(self):
         """The transpose of an r x 0 matrix would read as [] (0 x 0), so it
@@ -906,6 +929,18 @@ class TestSlopes:
             total = sum(s * mult for s, mult in prof.pairs)
             assert total == Fraction(det_oracle(m.params, m.f_mat).valuation())
 
+    def test_total_counts_the_multiplicities(self):
+        assert newton_slopes(abelian_from_ap(1, RingParams(5, 6)).crystal).total == 2
+        assert newton_slopes(tate(1, P54)).total == 1
+        assert newton_slopes(FilteredFModule(P54, 0, (), (), None, 1)).total == 0
+
+    def test_direct_sum_needs_one_ring_and_one_level(self):
+        with pytest.raises(IncompatibleRingsError, match="^direct sum operands live over different rings$"):
+            direct_sum(tate(1, P54), tate(1, RingParams(5, 5)))
+        level2 = FilteredFModule(P54, 1, (0,), wmat(P54, [[1]]), None, 2)
+        with pytest.raises(ShapeError, match="^direct sum requires equal levels$"):
+            direct_sum(tate(1, P54), level2)
+
     def test_direct_sum_slopes_union(self):
         P = RingParams(5, 6)
         a = abelian_from_ap(0, P).crystal
@@ -932,6 +967,12 @@ class TestMatrixKernels:
         assert a == wmat(RingParams(5, 4), [[1, 2], [3, 4]])
         assert a != wmat(RingParams(5, 5), [[1, 2], [3, 4]])
         assert a != wmat(P54, [[1, 2], [3, 5]])
+
+    def test_wm_mul_checks_the_inner_dimension(self):
+        a, b = wmat(P54, [[1, 2], [3, 4]]), wmat(P54, [[1, 2, 3]])
+        with pytest.raises(ShapeError, match="^cannot multiply 2x2 by 1x3$"):
+            wm_mul(P54, a, b)
+        assert wm_mul(P54, b, wmat(P54, [[1], [0], [0]])) == wmat(P54, [[1]])
 
     def test_block_shapes(self):
         one, i2, zero = _int_rows(P54, [[1]]), _int_rows(P54, intmat.identity(2)), (0,)

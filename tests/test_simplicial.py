@@ -144,6 +144,10 @@ class TestComponentComplex:
         with pytest.raises(InvalidSimplicialError):
             component_complex(bad)
 
+    def test_every_level_needs_its_face_maps(self):
+        with pytest.raises(InvalidSimplicialError, match="^face maps required for every level j >= 1$"):
+            component_complex(SimplicialComponents((1, 2, 1), (((0, 0), (0, 0)),)))
+
     def test_three_truncation_validated(self):
         s = SimplicialComponents(
             (1, 1, 1, 1),
@@ -232,12 +236,10 @@ class TestCocharacters:
     def test_broken_complex_is_internal_error(self, monkeypatch, d1, d2, message):
         """A complex with d_1 d_2 != 0 or a non-summand image cannot come from
         _coboundaries; fed one, cocharacter_group names the invariant, and so
-        does the rank-only path of picard_skeleton."""
+        does picard_skeleton, which reads its torus rank there."""
         inject(monkeypatch, d1, d2, NODAL.counts)
         with pytest.raises(InternalError, match=message):
             cocharacter_group(NODAL)
-        with pytest.raises(InternalError, match=message):
-            simplicial._cocharacters(NODAL, False)
         with pytest.raises(InternalError, match=message):
             picard_skeleton(NODAL, identity_divisor(1), 0, P54)
 
@@ -245,21 +247,18 @@ class TestCocharacters:
         """On complexes with d_1 d_2 = 0 whose d_1 need not be a graph
         incidence matrix, the one diagonal check of the lift form fails
         exactly when d_1 has an elementary divisor other than 1, and
-        otherwise the rank is c1 - rank d_2 - rank d_1, in rank-only mode
-        too."""
+        otherwise the rank is c1 - rank d_2 - rank d_1."""
         seen = {True: 0, False: 0}
         for shell, d1, d2 in _general_complexes(random.Random(36), 200):
             inject(monkeypatch, d1, d2, shell.counts)
             broken = any(x != 1 for x in intmat.elementary_divisors(d1))
             seen[broken] += 1
             if broken:
-                for basis in (True, False):
-                    with pytest.raises(InternalError, match="image of C_1 -> C_0 is not a direct summand"):
-                        simplicial._cocharacters(shell, basis)
+                with pytest.raises(InternalError, match="image of C_1 -> C_0 is not a direct summand"):
+                    cocharacter_group(shell)
                 continue
             rank, basis = cocharacter_group(shell)
             assert rank == shell.counts[1] - rank_over_q(d2) - rank_over_q(d1)
-            assert simplicial._cocharacters(shell, False) == (rank, None)
             assert len(basis) == rank
             dual2 = transpose(d2) if shell.counts[2] else [[0] * shell.counts[1]]
             assert all(x == 0 for col in basis for x in matvec(dual2, col))
@@ -287,9 +286,9 @@ class TestCocharacters:
 
     def test_same_basis_as_the_dense_formula_on_general_d1(self, monkeypatch):
         """On the d_1 that are not incidence matrices, the same (rank, basis)
-        as the dense formula, or the same invariant error; the rank-only path
-        gives the same rank or the same error.  At least 20 of them decline
-        the replay and return a nonempty basis, read off the inverse of U."""
+        as the dense formula, or the same invariant error.  At least 20 of
+        them decline the replay and return a nonempty basis, read off the
+        inverse of U."""
         replayed = []
         forest = intmat._forest
 
@@ -304,21 +303,19 @@ class TestCocharacters:
             try:
                 want = cocharacter_oracle(d1, d2, shell.counts[1])
             except InternalError as exc:
-                for basis in (True, False):
-                    with pytest.raises(InternalError, match=re.escape(str(exc))):
-                        simplicial._cocharacters(shell, basis)
+                with pytest.raises(InternalError, match=re.escape(str(exc))):
+                    cocharacter_group(shell)
                 continue
             replayed.clear()
             assert cocharacter_group(shell) == want, (d1, d2)
             inverted += replayed == [None] and want[0] > 0
-            assert simplicial._cocharacters(shell, False) == (want[0], None), (d1, d2)
         assert inverted >= 20
 
     def test_large_structures_against_the_dense_formula(self):
         """Up to 80 components a level, the sizes the benchmark draws: the
-        basis is the dense formula's on dense_complex, and picard_skeleton's
-        rank-only paths give the ranks of cocharacter_group and
-        div0_lattice."""
+        basis is the dense formula's on dense_complex, and picard_skeleton
+        reads the ranks of cocharacter_group and div0_lattice (the latter
+        off its rank-only path)."""
         rng = random.Random(39)
         ranks = set()
         for k in range(24):

@@ -93,6 +93,14 @@ class TestRingParams:
         assert default_modulus(3, 2) == (1, 0, 1)
         assert default_modulus(2, 3) in ((1, 1, 0, 1), (1, 0, 1, 1))
 
+    def test_degree_one_is_the_prime_field(self):
+        """At a = 1 the modulus is t, stored as none, and an element shows its
+        one coordinate."""
+        assert default_modulus(5, 1) == (0, 1)
+        params = RingParams(5, 4)
+        assert params.modulus is None and params.residue_modulus() == [0, 1]
+        assert repr(params.from_int(7)) == "WittElem((7,), p=5, n=4, a=1)"
+
 
 class TestStrictInts:
     """The ring and element constructors take ints only: a bool, a float or a
