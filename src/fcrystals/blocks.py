@@ -14,10 +14,12 @@ and replaces A by its twisted dual (Andreatta and Barbieri-Viale,
 Crystalline realizations of 1-motives, arXiv math/0302161, sections 1-2;
 Deligne, Theorie de Hodge III, section 10).  The pieces recur across the
 documents of a batch, so each distinct piece is checked and built once, in
-four bounded tables keyed by its full content and ring: the inverse of an
+six bounded tables keyed by its full content and ring: the inverse of an
 action (_validated_action, with its order search), the lattice and torus
-blocks of a datum over a ring (lattice_block, torus_block), and the checked
-block of a caller's weight -1 module (AbelianBlock.from_module).  A block
+blocks of a datum over a ring (lattice_block, torus_block), the checked
+block of a caller's weight -1 module (AbelianBlock.from_module), and the
+trivial data of a rank (LatticeData.trivial) and the empty weight -1 block
+of a ring (AbelianBlock.empty), which split presentations read.  A block
 keeps what is derived from it on itself: its exact lift at two guard digits
 and its twisted dual, whose own lift is kept on the dual block.  A failing
 piece is never kept, so it raises the same error on every call; no code
@@ -132,13 +134,13 @@ class LatticeData:
 
     @staticmethod
     def trivial(rank: int) -> "LatticeData":
-        """The identity action, built directly: it is its own inverse.  The
-        rank is checked as the constructor checks it."""
-        SizeLimitError.check("rank", _ints((rank,), "bad-type", "rank")[0])  # before the identity is built
+        """The identity action, from _trivial's table: it is its own
+        inverse.  The rank is checked as the constructor checks it, before
+        the lookup, since the table keys True and 1 alike."""
+        SizeLimitError.check("rank", _ints((rank,), "bad-type", "rank")[0])
         if rank < 0:
             raise ShapeError("rank must be non-negative")
-        ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-        return LatticeData._of(rank, ident, ident)
+        return _trivial(rank)
 
     def dual(self) -> "LatticeData":
         """The data with the inverse-transpose action (A^-1)^T, read off this
@@ -148,6 +150,16 @@ class LatticeData:
 
 
 TorusData = LatticeData
+
+
+@lru_cache(maxsize=32)  # pure in the rank; bounded, so documents cannot grow it
+def _trivial(rank: int) -> LatticeData:
+    """LatticeData.trivial's table, keyed by a checked rank.  One entry holds
+    one rank x rank identity, which is both the action and its inverse:
+    0.54 MB at rank 256, at most 15 MB for the 32 largest ranks, and 0.12 MB
+    for all ranks 0 to 32."""
+    ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    return LatticeData._of(rank, ident, ident)
 
 
 def tate(m: int, params: RingParams) -> FilteredFModule:
@@ -200,7 +212,8 @@ class AbelianBlock:
 
     @staticmethod
     def empty(params: RingParams) -> "AbelianBlock":
-        return AbelianBlock(0, FilteredFModule(params, 0, (), (), (), 1))
+        """The block of dimension 0 over params, from _empty_abelian's table."""
+        return _empty_abelian(params)
 
     @staticmethod
     def from_module(module: FilteredFModule) -> "AbelianBlock":
@@ -248,6 +261,14 @@ def _lift(params: RingParams, big: RingParams, rows: Rows) -> Rows:
     big's p^n."""
     pn, half, bpn = params.pn, params.pn // 2, big.pn
     return [[tuple([(c if c <= half else c - pn) % bpn for c in x]) for x in row] for row in rows]
+
+
+@lru_cache(maxsize=32)  # the number of rings witt._RINGS keeps
+def _empty_abelian(params: RingParams) -> AbelianBlock:
+    """AbelianBlock.empty's table, keyed by the ring.  One entry holds the
+    rank-0 block and, once read, its empty lift and its dual block: under
+    2 KB, so under 64 KB for the table."""
+    return AbelianBlock(0, FilteredFModule(params, 0, (), (), (), 1))
 
 
 @lru_cache(maxsize=64)  # pure in the module's content; bounded, so documents cannot grow it

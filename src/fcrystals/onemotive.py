@@ -6,19 +6,23 @@ W_n(k).  Assembly produces a level-1 filtered module whose basis is ordered
 torus part (weight -2), abelian part (weight -1), lattice part (weight 0),
 with the extension blocks sitting strictly above the diagonal; Verschiebung
 is determined as sigma^(-1)(p F^(-1)) from the canonical integer lift of F
-and must come out integral.  The realization, the dual presentation, the
-pairing and the structural checks all compute on the modules' coordinate
-rows (the realization at two guard digits); a presentation keeps its ext
-blocks as rows, and its graded blocks and F are built once per
-presentation (the dual's F is read off the canonical dual).  A presentation
-holds its assembled crystal weakly and the crystal holds the presentation,
-so both are freed by reference count, with no reference cycle.
+and must come out integral.  A split presentation, whose ext blocks hold
+no nonzero entry, realizes the direct sum of its graded blocks: V is their
+V on the diagonal, with no lift and no product.  The realization, the dual
+presentation, the pairing and the structural checks all compute on the
+modules' coordinate rows (the realization's products at two guard digits);
+a presentation keeps its ext blocks as rows, and its graded blocks and F
+are built once per presentation (the dual's F is read off the canonical
+dual).  A presentation holds its assembled crystal weakly and the crystal
+holds the presentation, so both are freed by reference count, with no
+reference cycle.
 
 The discrete pieces come from the bounded tables of fcrystals.blocks, so
 each distinct piece of a batch is checked and built once: the inverse of an
 action, the lattice and torus blocks of a datum over a ring (the dual's,
-whose data come from LatticeData.dual, included), and the checked abelian
-block of a module.  The realization reads the abelian block's exact lift,
+whose data come from LatticeData.dual, included), the checked abelian
+block of a module, and the trivial data and empty abelian block that split
+presentations read.  The realization reads the abelian block's exact lift,
 and cartier_dual its twisted dual, both kept on the block.  Presentations,
 realizations and reports are not kept: each is distinct within a batch.
 Every check that decides an item or raises still runs once per distinct
@@ -224,7 +228,10 @@ def assemble(s: OneMotiveSpec) -> MotiveCrystal:
     V is sigma^(-1)(p F^(-1)), computed blockwise at raised precision from
     the canonical lift, and must be integral: concretely the product
     sigma(V_A) . ext_xa must vanish mod p, otherwise the extension data is
-    rejected.
+    rejected.  A split presentation (ext blocks with no nonzero entry)
+    gets V as the block diagonal of its graded blocks' V with no product,
+    the same rows, since each block above the diagonal is a product with a
+    zero ext factor; its abelian block's exact lift is still checked.
 
     The work is done once per presentation object while a caller holds the
     result: s keeps a weak reference to it (OneMotiveSpec.assembled), so
@@ -240,17 +247,35 @@ def assemble(s: OneMotiveSpec) -> MotiveCrystal:
 
 def _realize(s: OneMotiveSpec) -> FilteredFModule:
     """F and V of the presentation (see assemble), without the self-check:
-    F is s.f_rows, V is computed here."""
-    params = s.params
+    F is s.f_rows, V is computed here.  V's diagonal blocks are the graded
+    blocks' V.  Its blocks above the diagonal are products through the ext
+    blocks (_v_above), so a split presentation, whose ext blocks hold no
+    nonzero entry, takes them as zero blocks: no lift and no product.  The
+    abelian block's exact lift is read first either way, so a block that
+    does not lift exactly raises on every presentation."""
     rT, g2, rX = s.segments
     tb, ab, lb = s.blocks
+    sig_va = s.abelian._sigma_v_lift  # kept on the block, which checks it
+    if any(any(map(any, row)) for blk in s.ext_rows for row in blk):
+        v_ta, v_tx, v_ax = _v_above(s, sig_va)
+    else:  # None: a zero block
+        v_ta = v_tx = v_ax = None
+    sizes, zero = [rT, g2, rX], (0,) * s.params.a
+    v = _block([[tb.v_rows, v_ta, v_tx], [None, ab.v_rows, v_ax], [None, None, lb.v_rows]], sizes, sizes, zero)
+    weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
+    return FilteredFModule._of_rows(s.params, rT + g2 + rX, weights, s.f_rows, v, 1)
+
+
+def _v_above(s: OneMotiveSpec, sig_va: Rows) -> tuple[Rows | None, Rows | None, Rows | None]:
+    """V's blocks above the diagonal (torus-abelian, torus-lattice,
+    abelian-lattice; None for a block of zero size), from balanced lifts at
+    two guard digits through sig_va, the abelian block's exact lift
+    (AbelianBlock._sigma_v_lift)."""
+    params = s.params
+    rT, g2, rX = s.segments
     ext_at, ext_xa, ext_xt = s.ext_rows
-    # Off-diagonal blocks of p F^(-1), at two guard digits from balanced
-    # lifts, through the abelian block's exact lift (kept on the block, which
-    # checks it: AbelianBlock._sigma_v_lift).
     big = with_precision(params, params.n + 2)
     p, pn, bpn = params.p, params.pn, big.pn
-    sig_va = s.abelian._sigma_v_lift
     # p F^(-1) has blocks -B^(-1) ext_at sigma(V_A), -w_div A^(-1) and
     # -B^(-1) inner A^(-1), inner = ext_xt - ext_at w_div; V's blocks are
     # sigma^(-1) of them.  Products that share a factor are formed as one
@@ -282,13 +307,10 @@ def _realize(s: OneMotiveSpec) -> FilteredFModule:
     # one pass over the rows of the blocks: -sigma^(-1) of each entry, reduced to W_n
     down = _sigma_rows(big, top + over_a[:nw], "frobenius_inverse_matrix")
     down = [[tuple([-c % pn for c in x]) for x in row] for row in down]
-    v_ta = [row[:g2] for row in down[:rT]] if rT and g2 else None  # None: a zero block
+    v_ta = [row[:g2] for row in down[:rT]] if rT and g2 else None
     v_tx = [row[g2:] for row in down[:rT]] if rT and rX else None
     v_ax = down[rT:] if nw else None
-    sizes = [rT, g2, rX]
-    v = _block([[tb.v_rows, v_ta, v_tx], [None, ab.v_rows, v_ax], [None, None, lb.v_rows]], sizes, sizes, (0,) * params.a)
-    weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
-    return FilteredFModule._of_rows(params, rT + g2 + rX, weights, s.f_rows, v, 1)
+    return v_ta, v_tx, v_ax
 
 
 def _sub(rows: Rows, r: slice, c: slice) -> Rows:

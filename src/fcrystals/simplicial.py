@@ -280,15 +280,19 @@ class PicardSkeleton:
 
 
 @lru_cache(maxsize=32)  # the number of rings witt._RINGS keeps
-def _companion(params: RingParams) -> FilteredFModule:
-    """The module of the supersingular companion block over params, built
-    and checked once per ring (a ring with a > 1 raises every time)."""
-    return abelian_from_ap(0, params).crystal
+def _companion(params: RingParams) -> AbelianBlock:
+    """The supersingular companion block over params, built and checked once
+    per ring (a ring with a > 1 raises every time).  The block keeps its
+    exact lift, so the lift and its check run once per ring too."""
+    return abelian_from_ap(0, params)
 
 
 def _default_abelian(g: int, params: RingParams) -> AbelianBlock:
     """The g-fold sum of the supersingular companion block (so a = 1, as
-    abelian_from_ap states), one block matrix over the cached rank-2 block."""
+    abelian_from_ap states), one block matrix over the kept rank-2 block.
+    Its exact lift is the block diagonal of the companion's kept lift: F,
+    V and their lifts are block diagonal, so the exact-lift check of the
+    sum is the companion's, which ran once per ring."""
     if g == 0:
         return AbelianBlock.empty(params)
     one = _companion(params)
@@ -299,8 +303,10 @@ def _default_abelian(g: int, params: RingParams) -> AbelianBlock:
 
     # the g-fold direct sum in one block matrix: every copy has weight -1, so
     # the sum's stable re-sort by weight would leave the basis in place
-    module = FilteredFModule._of_rows(params, 2 * g, (-1,) * (2 * g), diagonal(one.f_rows), diagonal(one.v_rows), 1)
-    return AbelianBlock(g, module)
+    f, v = diagonal(one.crystal.f_rows), diagonal(one.crystal.v_rows)
+    block = AbelianBlock(g, FilteredFModule._of_rows(params, 2 * g, (-1,) * (2 * g), f, v, 1))
+    block.__dict__["_sigma_v_lift"] = diagonal(one._sigma_v_lift)
+    return block
 
 
 def _split_spec(

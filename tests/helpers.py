@@ -54,6 +54,8 @@ table of the package (tests/conftest.py calls it before each test), so no
 test rests on what an earlier one left in a table.  conjugate_by_permutation
 relabels a module's basis entry by entry, for the tests that compare a
 twisted dual with a block or a tensor product in another basis order.
+realize_product_path is the realization's former product path, kept as the
+reference its split path (no product for zero ext blocks) must equal.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from fcrystals import intmat
-from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, lattice_block, torus_block
+from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, _lift, abelian_from_ap, lattice_block, torus_block
 from fcrystals.errors import (
     DomainError,
     IncompatibleRingsError,
@@ -84,7 +86,11 @@ from fcrystals.semilinear import (
     FilteredFModule,
     VerifyReport,
     WMat,
+    _block,
+    _int_rows,
     _matrix,
+    _mul,
+    _sigma_rows,
 )
 from fcrystals.serialize import elem_from_doc
 from fcrystals.simplicial import SimplicialComponents
@@ -571,6 +577,54 @@ def realize_oracle(s: OneMotiveSpec) -> FilteredFModule:
     )
     weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
     return FilteredFModule(params, r, weights, f, v, 1)
+
+
+def realize_product_path(s: OneMotiveSpec) -> FilteredFModule:
+    """onemotive._realize as it was before split presentations skipped the
+    products: every block of V above the diagonal formed through the
+    package's lifts, products and sigma^(-1) pass, zero ext blocks
+    included.  Not an independent oracle (realize_oracle is one): a
+    reference that the split path must give the same rows as."""
+    params = s.params
+    rT, g2, rX = s.segments
+    tb, ab, lb = s.blocks
+    ext_at, ext_xa, ext_xt = s.ext_rows
+    big = with_precision(params, params.n + 2)
+    p, pn, bpn = params.p, params.pn, big.pn
+    sig_va = s.abelian._sigma_v_lift
+    w_div, inner = [], _lift(params, big, ext_xt)
+    if g2 and rX:
+        prod_ax = _mul(big, sig_va, _lift(params, big, ext_xa))
+        if any(c % p for row in prod_ax for x in row for c in x):
+            raise InvalidExtensionDataError(
+                "sigma(V_A) . ext_xa is not divisible by p: Verschiebung is not integral"
+            )
+        w_div = [[tuple([c // p for c in x]) for x in row] for row in prod_ax]
+    at_sig = [[] for _ in range(rT)]
+    if rT and g2:
+        prod = _mul(big, _lift(params, big, ext_at), [r1 + r2 for r1, r2 in zip(sig_va, w_div)] if w_div else sig_va)
+        at_sig = [row[:g2] for row in prod]
+        if w_div:
+            inner = [
+                [tuple([(u - v) % bpn for u, v in zip(x, y)]) for x, y in zip(r1, r2[g2:])]
+                for r1, r2 in zip(inner, prod)
+            ]
+    nw = len(w_div)
+    over_a = _mul(big, w_div + inner, _int_rows(big, s.lattice.sigma_inverse)) if rX and (g2 or rT) else []
+    top = []
+    if rT and (g2 or rX):
+        right = [r1 + r2 for r1, r2 in zip(at_sig, over_a[nw:])] if rX else at_sig
+        top = _mul(big, _int_rows(big, s.torus.sigma_inverse), right)
+    down = _sigma_rows(big, top + over_a[:nw], "frobenius_inverse_matrix")
+    down = [[tuple([-c % pn for c in x]) for x in row] for row in down]
+    v_ta = [row[:g2] for row in down[:rT]] if rT and g2 else None
+    v_tx = [row[g2:] for row in down[:rT]] if rT and rX else None
+    v_ax = down[rT:] if nw else None
+    sizes = [rT, g2, rX]
+    grid = [[tb.v_rows, v_ta, v_tx], [None, ab.v_rows, v_ax], [None, None, lb.v_rows]]
+    v = _block(grid, sizes, sizes, (0,) * params.a)
+    weights = (-2,) * rT + (-1,) * g2 + (0,) * rX
+    return FilteredFModule._of_rows(params, rT + g2 + rX, weights, s.f_rows, v, 1)
 
 
 def _first_entry(m: WMat, bad) -> tuple[int, int] | None:

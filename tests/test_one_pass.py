@@ -7,7 +7,8 @@ per lattice, read off its order search with no Smith normal form (the dual
 presentation's actions reuse it), one Smith form, one spanning-forest
 replay and one product per cocharacter group (the form building only the
 transforms it reads), and a matrix product for a pairing identity only
-where the self-check's products do not decide it.  And an internal
+where the self-check's products do not decide it; a split presentation's
+realization forms no product at all.  And an internal
 invariant that fails raises InternalError, also under python -O."""
 
 import contextlib
@@ -168,6 +169,35 @@ def test_default_abelian_builds_its_companion_block_once(monkeypatch):
     assert counts["abelian_from_ap"] == 2
     one = abelian_from_ap(0, P54)
     assert block == one + one + one and block.dim == 3
+
+
+def test_h1_ledger_makes_only_the_self_check_products(monkeypatch, tmp_path):
+    """h1-ledger on split skeletons with g = 1, 2, 3 over one ring: the
+    realization forms no lift and no product, and the default block's lift
+    is its companion's, computed (two lifts and the two products of its
+    check) once for the ring, in the first call, which also builds and
+    verifies the companion block.  Every call makes the two products of its
+    self-check and no other."""
+    counts = Counter()
+    for module in (semilinear, blocks, onemotive):
+        for name in ("_mul", "_lift") if module is not semilinear else ("_mul",):
+            original = getattr(module, name)
+
+            def wrapper(*args, _key=f"{module.__name__[10:]}.{name}", _original=original, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+    made = []
+    for g in (1, 2, 3):
+        path = tmp_path / f"g{g}.json"
+        path.write_text(json.dumps({"lattice_rank": 2, "torus_rank": 3, "g": g}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["h1-ledger", "--ring", os.path.join(FX, "ring_f5n4.json"), "--in", str(path)]) == 0
+        made.append(dict(counts))
+        counts.clear()
+    first = {"semilinear._mul": 4, "blocks._lift": 2, "blocks._mul": 2}  # with the companion's verify and lift
+    assert made == [first, {"semilinear._mul": 2}, {"semilinear._mul": 2}]
 
 
 @pytest.mark.parametrize("g", range(1, 7))

@@ -1,13 +1,17 @@
 """The bounded tables of fcrystals.blocks: the inverse of an action
 (_validated_action), the lattice and torus blocks of a datum over a ring
-(lattice_block, torus_block) and the checked block of a caller's weight -1
-module (_caller_abelian, behind AbelianBlock.from_module), with what a block
-keeps on itself (its exact lift and its twisted dual).
+(lattice_block, torus_block), the checked block of a caller's weight -1
+module (_caller_abelian, behind AbelianBlock.from_module), the trivial data
+of a rank (_trivial, behind LatticeData.trivial) and the empty weight -1
+block of a ring (_empty_abelian, behind AbelianBlock.empty), with what a
+block keeps on itself (its exact lift and its twisted dual).
 
 Outputs do not depend on what the tables hold: the CLI bytes with every
 table emptied before each document equal the bytes of a warm process.  A
 failing piece is not kept, so it raises the same error on every call; no
-table grows past its bound; and no run writes a row a table holds."""
+table grows past its bound; and no run writes a row a table holds.  The
+Picard verbs (picard-skeleton, h1-ledger), which read the trivial-data and
+empty-block tables and simplicial._companion, are held to the same."""
 
 import contextlib
 import copy
@@ -34,12 +38,20 @@ from helpers import (
     failing_first_check,
     random_galois_motive_spec,
     random_motive_spec,
+    random_simplicial,
     wmat,
 )
 
 FX = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 P54 = RingParams(5, 4)
-TABLES = (blocks._validated_action, blocks.lattice_block, blocks.torus_block, blocks._caller_abelian)
+TABLES = (
+    blocks._validated_action,
+    blocks.lattice_block,
+    blocks.torus_block,
+    blocks._caller_abelian,
+    blocks._trivial,
+    blocks._empty_abelian,
+)
 VERBS = ("motive-verify", "motive-assemble", "motive-dual", "motive-pair")
 
 
@@ -106,6 +118,68 @@ def test_cold_and_warm_outputs_are_byte_identical(tmp_path):
     clear_caches()
     assert _run(batch) == warm
     assert {code for code, _, _ in cold} == {0, 1}  # the tampered documents fail, the others pass
+
+
+def _picard_calls(tmp_path) -> list[list[str]]:
+    """picard-skeleton and h1-ledger calls over W_4(F_5), W_5(F_3) and
+    W_5(F_9) (where a companion block raises), on random structures and
+    skeletons whose ranks and g recur among the calls."""
+    rng = random.Random(34)
+    rings = []
+    for k, ring in enumerate(({"p": 5, "n": 4}, {"p": 3, "n": 5}, {"p": 3, "n": 5, "a": 2, "modulus": [2, 2, 1]})):
+        path = tmp_path / f"ring{k}.json"
+        path.write_text(json.dumps(ring), encoding="utf-8")
+        rings.append(str(path))
+    calls = []
+    for k in range(24):
+        s = random_simplicial(rng, 5)
+        m = rng.randint(0, 4)
+
+        def pullback():
+            return [[rng.randrange(2) for _ in range(m)] for _ in range(2)]
+
+        faces = {str(j): [list(f) for f in s.face_maps[j - 1]] for j in (1, 2)}
+        structure = {"counts": list(s.counts), "faces": faces}
+        divisor = {"m": m, "P0": pullback(), "P1": pullback(), "NS": [[rng.randrange(3) for _ in range(m)]]}
+        if k % 2:
+            verb, doc = "picard-skeleton", {"simplicial": structure, "divisor": divisor, "g": rng.randint(0, 2)}
+        else:
+            verb = "h1-ledger"
+            doc = {"lattice_rank": rng.randint(0, 4), "torus_rank": rng.randint(0, 4), "g": rng.randint(0, 3)}
+        path = tmp_path / f"picard{k:02d}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        calls.append([verb, "--ring", rings[k % 3], "--in", str(path)])
+    return calls
+
+
+def test_cold_and_warm_picard_outputs_are_byte_identical(tmp_path):
+    """picard-skeleton and h1-ledger, once with every table emptied before
+    each call and twice in a warm process, give the same exit code, stdout
+    and stderr; the warm runs read the trivial-data and empty-block tables."""
+    calls = _picard_calls(tmp_path)
+    cold = []
+    for argv in calls:
+        clear_caches()
+        cold.append(_run(argv))
+    clear_caches()
+    first = [_run(argv) for argv in calls]
+    assert blocks._trivial.cache_info().hits > 0 and blocks._empty_abelian.cache_info().hits > 0
+    assert first == cold
+    assert [_run(argv) for argv in calls] == cold
+    assert {code for code, _, _ in cold} == {0, 2}  # a companion block over F_9 is unsupported-input
+
+
+def test_trivial_checks_the_type_before_the_lookup():
+    """The table keys True and 1 alike, so LatticeData.trivial checks the
+    rank's type first: True stays bad-type after trivial(1) filled the
+    table, and 1.0 too; the ranks it accepts come from the table."""
+    one = LatticeData.trivial(1)
+    assert LatticeData.trivial(1) is one and blocks._trivial.cache_info().currsize == 1
+    for rank in (True, False, 1.0):
+        assert _error(lambda: LatticeData.trivial(rank))[1] == "bad-type"
+    assert _error(lambda: LatticeData.trivial(-1))[2] == "rank must be non-negative"
+    assert _error(lambda: LatticeData.trivial(257))[0] == "SizeLimitError"
+    assert blocks._trivial.cache_info().currsize == 1
 
 
 def _error(make) -> tuple[str, str, str]:
@@ -175,7 +249,7 @@ def _conjugate(params: RingParams, k: int) -> FilteredFModule:
 
 
 def test_no_table_grows_past_its_bound():
-    """Each of the four tables, fed more distinct keys than it holds, keeps
+    """Each of the six tables, fed more distinct keys than it holds, keeps
     exactly its maxsize; every table of the package is bounded by 256 (the
     argument-less CLI parser holds one entry)."""
     datas = [LatticeData(2, ((1, k), (0, -1))) for k in range(300)]  # order 2 for every k
@@ -184,6 +258,11 @@ def test_no_table_grows_past_its_bound():
         torus_block(d, P54)
     for k in range(80):
         AbelianBlock.from_module(_conjugate(P54, k))
+    for rank in range(40):
+        LatticeData.trivial(rank)
+    for p in (2, 3, 5, 7, 11):
+        for n in range(1, 9):
+            AbelianBlock.empty(RingParams(p, n))
     for table in TABLES:
         info = table.cache_info()
         assert info.maxsize <= 256 and info.currsize == info.maxsize, table
