@@ -212,7 +212,10 @@ class AbelianBlock:
 
     @staticmethod
     def empty(params: RingParams) -> "AbelianBlock":
-        """The block of dimension 0 over params, from _empty_abelian's table."""
+        """The block of dimension 0 over params, from _empty_abelian's table;
+        params must be a RingParams (else bad-type)."""
+        if type(params) is not RingParams:
+            raise MalformedInputError(f"params must be a RingParams, got {params!r}", code="bad-type")
         return _empty_abelian(params)
 
     @staticmethod

@@ -45,7 +45,7 @@ from .errors import (
     ShapeError,
     SingularFrobeniusError,
 )
-from .witt import RingParams, WittElem, _apply, _ints
+from .witt import RingParams, WittElem, _ints
 
 WMat = tuple[tuple[WittElem, ...], ...]
 Rows = list[list[tuple[int, ...]]]  # coordinate rows, the kernels' one operand type
@@ -110,7 +110,12 @@ def _packing(params: RingParams, terms: int, table: str | None = None):
     reduction on one packed entry, each coordinate shifted back into its
     field, so reduce(s) == pack(cutter(1)(s)[0]) with no tuple.  bits is
     the bit length of the largest value a field can reach, before or after
-    the fold (all coordinates at p^n - 1 reach it), so no field carries."""
+    the fold (all coordinates at p^n - 1 reach it), so no field carries.
+
+    At a > 1 the fold in cut and reduce, and reduce's pass over the fields,
+    are plain loops: reduce runs once per dot product in _charpoly, and a
+    generator there would add a frame to each call, which costs more than
+    the a - 1 folds it runs."""
     pn, a = params.pn, params.a
     sigma = getattr(params, table) if table and a > 1 else None
     # the largest value of a right-factor field, of the field of degree d of
@@ -141,16 +146,23 @@ def _packing(params: RingParams, terms: int, table: str | None = None):
         def cut(s: int) -> list[tuple[int, ...]]:
             if not folds:  # a = 1: an entry is its one coordinate
                 return [(((s >> k) & mask) % pn,) for k in coords]
-            s = (s & low) + sum(((s >> k) & field0) * r for k, r in folds)
-            return list(zip(*[iter([((s >> k) & mask) % pn for k in coords])] * a))
+            t = s & low
+            for k, r in folds:
+                t += ((s >> k) & field0) * r
+            return list(zip(*[iter([((t >> k) & mask) % pn for k in coords])] * a))
 
         return cut
 
     fields, low = [bits * i for i in range(a)], (1 << bits * a) - 1
 
     def reduce(s: int) -> int:
-        s = (s & low) + sum(((s >> k) & mask) * r for k, r in folds)
-        return sum((((s >> k) & mask) % pn) << k for k in fields)
+        t = s & low
+        for k, r in folds:
+            t += ((s >> k) & mask) * r
+        out = 0
+        for k in fields:
+            out += ((t >> k) & mask) % pn << k
+        return out
 
     return pack, pack_rows, cutter, (lambda s: (s & mask) % pn) if a == 1 else reduce
 
@@ -190,11 +202,23 @@ def wm_mul(params: RingParams, a: WMat, b: WMat) -> WMat:
 
 
 def _sigma_rows(params: RingParams, rows, table: str):
-    """The ring's `table` (S or S^(a-1)) on each coordinate entry; rows itself when a = 1."""
+    """The ring's `table` (S or S^(a-1)) on each coordinate entry; rows itself
+    when a = 1.  Plain loops, with the table and p^n in locals: the call is
+    the one Python frame, where a comprehension or a witt._apply call per
+    entry would cost a frame each, more than the few products it runs."""
     if params.a == 1:
         return rows
-    s = getattr(params, table)
-    return [[_apply(params, s, c) for c in row] for row in rows]
+    s, pn = getattr(params, table), params.pn
+    out = []
+    for row in rows:
+        new = []
+        for c in row:
+            coords = []
+            for srow in s:
+                coords.append(sum(map(mul, srow, c)) % pn)
+            new.append(tuple(coords))
+        out.append(new)
+    return out
 
 
 def _sigma_each(a: WMat, table: str) -> WMat:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from typing import Any
 
 from .blocks import AbelianBlock, LatticeData, abelian_from_ap
@@ -98,18 +99,25 @@ def _rows_from_doc(doc, params: RingParams) -> Rows:
     """The matrix as coordinate rows, in one pass: a list of exactly a ints is
     reduced mod p^n here, any other entry goes through elem_from_doc (for its
     value or its error).  Every entry is parsed before the rows' widths are
-    compared."""
-    if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
+    compared.  An entry's coordinates are read by a loop that stops at the
+    first non-int, not by a comprehension, which would cost a frame per
+    entry: the call is the one Python frame."""
+    if not isinstance(doc, list) or not all(map(isinstance, doc, repeat(list))):
         raise MalformedInputError("matrix must be a nested list", code="bad-matrix")
     a, pn = params.a, params.pn
     rows = []
     for row in doc:
         cells = []
         for x in row:
-            coords = tuple([c % pn for c in x if type(c) is int]) if type(x) is list else ()
-            cells.append(coords if len(coords) == a == len(x) else elem_from_doc(x, params).coords)
+            coords = []
+            if type(x) is list and len(x) == a:
+                for c in x:
+                    if type(c) is not int:
+                        break
+                    coords.append(c % pn)
+            cells.append(tuple(coords) if len(coords) == a else elem_from_doc(x, params).coords)
         rows.append(cells)
-    if any(len(cells) != len(rows[0]) for cells in rows):
+    if len(set(map(len, rows))) > 1:
         raise ShapeError("ragged matrix")
     return rows
 

@@ -516,8 +516,12 @@ def teichmuller(params: RingParams, c) -> WittElem:
 
 
 def _apply(params: RingParams, rows: tuple[tuple[int, ...], ...], xs: tuple[int, ...]) -> tuple[int, ...]:
-    pn = params.pn
-    return tuple(sum(map(mul, row, xs)) % pn for row in rows)
+    """The matrix rows times the coordinate column xs, mod p^n: a loop, not a
+    generator, which would add a frame to each call."""
+    pn, out = params.pn, []
+    for row in rows:
+        out.append(sum(map(mul, row, xs)) % pn)
+    return tuple(out)
 
 
 def _sigma_power(x: WittElem, table: str) -> WittElem:

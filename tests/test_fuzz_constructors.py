@@ -5,15 +5,17 @@ TypeError, say) and never InternalError, which names a broken invariant.
 
 Library-object arguments (a ring, a lattice, an abelian block) are drawn
 valid: only plain data is fuzzed, the scope the README states for the
-integer rule.  Each argument is drawn from values of the right kind, small
-ints of both signs, ints past the size bound, and values of other types.
+integer rule.  AbelianBlock.empty is the exception: its ring is its one
+argument and a table key, so it is drawn from rings and plain data alike.
+Each argument is drawn from values of the right kind, small ints of both
+signs, ints past the size bound, and values of other types.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fcrystals.blocks import AbelianBlock, LatticeData, TorusData, abelian_from_ap, tate
-from fcrystals.errors import FCrystalsError, InternalError, ShapeError
+from fcrystals.errors import FCrystalsError, InternalError, MalformedInputError, ShapeError
 from fcrystals.intmat import smith_normal_form
 from fcrystals.onemotive import MotiveCrystal, OneMotiveSpec, assemble, torsion_height
 from fcrystals.semilinear import FilteredFModule
@@ -73,6 +75,7 @@ CALLS = {
     "smith_normal_form": (smith_normal_form, (MATRICES,)),
     "tate": (tate, (SCALARS, st.sampled_from(RINGS))),
     "abelian_from_ap": (abelian_from_ap, (SCALARS, st.sampled_from(RINGS))),
+    "AbelianBlock.empty": (AbelianBlock.empty, (st.one_of(st.sampled_from(RINGS), SCALARS, _seqs(INTS)),)),
     "torsion_height": (torsion_height, (st.just(SPEC), SCALARS)),
 }
 
@@ -100,6 +103,17 @@ def test_named_error_or_result(name):
             pass
 
     check()
+
+
+@pytest.mark.parametrize("params", [None, "x", [5, 4]], ids=["none", "str", "list"])
+def test_empty_block_names_a_ring_of_another_type(params):
+    """AbelianBlock.empty reads its ring from a table keyed by the ring: a
+    value that is not a RingParams is bad-type, named, before the lookup
+    (a list would raise a bare TypeError there)."""
+    with pytest.raises(MalformedInputError) as exc:
+        AbelianBlock.empty(params)
+    assert exc.value.code == "bad-type"
+    assert str(exc.value) == f"params must be a RingParams, got {params!r}"
 
 
 def _split(params, rT, g, rX):

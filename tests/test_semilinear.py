@@ -1061,10 +1061,23 @@ def test_wmat_of_a_non_matrix_is_bad_matrix():
 # packed kernels against the element-path oracles
 
 
+# The default moduli over F_2 and F_3; over F_5 the moduli of the
+# crystal-galois rings in bench/workloads.py, t^2 + 2 and 1 + t + t^3 (the
+# defaults there too); two denser moduli over F_5, whose reduction tables
+# have no zero entry; and a = 4 and 5, where the fold loops of _packing's cut
+# and reduce run three and four times.
 PACKED_RINGS = [
     pytest.param(RingParams(p, 3, a, None if a == 1 else default_modulus(p, a)), id=f"p{p}-a{a}")
-    for p in (2, 3, 5)
+    for p in (2, 3)
     for a in (1, 2, 3)
+] + [
+    pytest.param(RingParams(5, 3), id="p5-a1"),
+    pytest.param(RingParams(5, 3, 2, (2, 0, 1)), id="p5-a2"),
+    pytest.param(RingParams(5, 3, 3, (1, 1, 0, 1)), id="p5-a3"),
+    pytest.param(RingParams(5, 3, 2, (2, 1, 1)), id="p5-a2-2+t+t^2"),
+    pytest.param(RingParams(5, 3, 3, (3, 1, 2, 1)), id="p5-a3-3+t+2t^2+t^3"),
+    pytest.param(RingParams(2, 3, 4, default_modulus(2, 4)), id="p2-a4"),
+    pytest.param(RingParams(3, 2, 5, default_modulus(3, 5)), id="p3-a5"),
 ]
 SHAPES = [(0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (3, 3), (6, 6)]
 

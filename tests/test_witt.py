@@ -484,6 +484,26 @@ class TestLinearFrobenius:
             assert frobenius(x) == frobenius_oracle(x)
             assert frobenius_oracle(frobenius_inverse(x)) == x
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(RingParams(p, n, a, default_modulus(p, a)), id=f"p{p}-a{a}-n{n}")
+            for p in (2, 3, 5)
+            for a in (4, 5)
+            for n in (2, 6)
+        ],
+    )
+    def test_both_directions_match_digit_oracle_past_a_3(self, params):
+        """frobenius and frobenius_inverse at a = 4 and 5, where the loop of
+        witt._apply runs over more rows of S and S^(a-1) than at the bench's
+        a <= 3: each direction against the digit oracle."""
+        rng = random.Random(params.p * params.n + params.a)
+        for _ in range(4):
+            x = _random_elem(rng, params)
+            assert frobenius(x) == frobenius_oracle(x)
+            assert frobenius_inverse(frobenius_oracle(x)) == x
+            assert frobenius_oracle(frobenius_inverse(x)) == x
+
     @pytest.mark.parametrize("params", GALOIS_RINGS)
     def test_ring_automorphism_of_order_a(self, params):
         rng = random.Random(params.pn * params.a)
