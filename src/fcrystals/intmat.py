@@ -27,16 +27,19 @@ skipped.
 
 The elimination is the sparse one of Dumas, Saunders and Villard (J.
 Symbolic Comput. 32 (2001)); a pivot step touches only the nonzeros it
-changes.  Nothing is moved: two permutations map a position to the
-original row (column) and back, so a swap exchanges two entries of each,
-and the transforms, indexed by original row or column, are put in position
-order once, at the end.  A column -> rows index, kept up to date as entries
-appear and cancel, names the rows the column sweep visits, and the pivot
-row is subtracted from each on its own support; the row sweep writes only
+changes.  Rows move: a row swap exchanges two working rows, and the same
+two rows of U, in place, so both are kept by position.  Columns are
+tracked: two permutations map a column position to the original column
+and back, a column swap exchanges two entries of each, and V^T, V^(-1) and
+its marks, indexed by original column, are put in position order once, at
+the end.  The rows before the pivot's position are finished pivot rows,
+each holding its pivot alone, so the column sweep walks the rows past the
+pivot, skips each with no entry in the pivot column, and subtracts the
+pivot row from the others on its own support; the row sweep writes only
 the pivot row, whose column is zero off the pivot by then.  Each row's
 update reads only the pivot row (column), and the pivot row of V^(-1) sums
-the updates, so the order in which a sweep visits the rows does not change
-the integers.
+the updates, so the order in which a sweep visits the rows (entries) does
+not change the integers.
 
 V^(-1) adds a non-pivot row into the pivot row, and a non-pivot row is
 mostly still the unit vector e_k it started as: one int per row records k
@@ -224,16 +227,18 @@ def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, v_inv
     nonzeros; not written) of the given width: (U, diagonal, V^T, V^(-1),
     ve), the transforms as sparse rows and each None unless its flag is set.
     ve comes with V^(-1), else None: ve[k] = j >= 0 says that row k is the
-    unit vector e_j, and -1 that it may not be."""
+    unit vector e_j, and -1 that it may not be.
+
+    Rows move: the working rows and the rows of U are swapped in place, by
+    position.  Columns are tracked by two permutations, and V^T, V^(-1) and
+    ve, kept by original column, are put in position order at the end.
+    The rows before position t are finished pivot rows, each {pc: p}, zero
+    in any later pivot column, so the column sweep walks the rows past the
+    pivot."""
     n = len(rows)
-    m = [dict(row) for row in rows]  # the working rows, by original index
-    index: list[set[int]] = [set() for _ in range(cols)]  # column -> the rows with a nonzero there
-    for i, row in enumerate(m):
-        for j in row:
-            index[j].add(i)
-    rowat, rowpos = list(range(n)), list(range(n))  # position -> original row, and back
-    colat, colpos = list(range(cols)), list(range(cols))
-    # by original row (column); vt holds the transpose of V: its column ops are row ops
+    m = [dict(row) for row in rows]  # the working rows, by position
+    colat, colpos = list(range(cols)), list(range(cols))  # position -> original column, and back
+    # U by position, the others by original column; vt holds the transpose of V: its column ops are row ops
     u = [{i: 1} for i in range(n)] if u else None
     vt = [{j: 1} for j in range(cols)] if v else None
     vi = [{j: 1} for j in range(cols)] if v_inv else None
@@ -243,57 +248,49 @@ def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, v_inv
     while t < min(n, cols):
         # the pivot: the least |v| in the rows at positions t.., ties row-major by position
         least = 0
-        for r in rowat[t:]:
-            row = m[r]
+        for i in range(t, n):
+            row = m[i]
             if row:
                 x = min(map(abs, row.values()))
                 if not least or x < least:
-                    least, pr = x, r
+                    least, pi = x, i
                     if x == 1:
                         break
         if not least:
             break
-        row = m[pr]
+        row = m[pi]
         pc = -1  # the first column by position holding +-least
         for j, x in row.items():
             if (x == least or x == -least) and (pc < 0 or colpos[j] < colpos[pc]):
                 pc = j
-        pi, pj = rowpos[pr], colpos[pc]
         if pi != t:
-            r = rowat[t]
-            rowat[t], rowat[pi], rowpos[pr], rowpos[r] = pr, r, t, pi
+            m[t], m[pi] = row, m[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
+        pj = colpos[pc]
         if pj != t:
             c = colat[t]
             colat[t], colat[pj], colpos[pc], colpos[c] = pc, c, t, pj
         p = row[pc]
         if p < 0:
             p = -p
-            row = m[pr] = {j: -x for j, x in row.items()}
+            row = m[t] = {j: -x for j, x in row.items()}
             if u is not None:
-                u[pr] = {k: -x for k, x in u[pr].items()}
-        # reduce column pc, visiting only the rows with a nonzero there; the
-        # pivot row is not written here, so it is subtracted on its support
+                u[t] = {k: -x for k, x in u[t].items()}
+        # reduce column pc in the rows past the pivot (those before it are 0
+        # there); the pivot row is not written here, so it is subtracted on
+        # its support
         dirty = False
-        for i in tuple(index[pc]):
-            if i == pr:
-                continue
+        for i in range(t + 1, n):
             mi = m[i]
-            q = mi[pc] // p
+            y = mi.get(pc)
+            if y is None:
+                continue
+            q = y // p
             if q:
-                for j, x in row.items():
-                    y = mi.get(j)
-                    if y is None:
-                        mi[j] = -q * x
-                        index[j].add(i)
-                    else:
-                        y -= q * x
-                        if y:
-                            mi[j] = y
-                        else:
-                            del mi[j]
-                            index[j].remove(i)
+                _axpy(mi, -q, row)
                 if u is not None:
-                    _axpy(u[i], -q, u[pr])
+                    _axpy(u[i], -q, u[t])
             if pc in mi:
                 dirty = True
         if dirty:
@@ -309,7 +306,6 @@ def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, v_inv
                     row[j] = x
                 else:
                     del row[j]
-                    index[j].remove(pr)
                 if vt is not None:
                     _axpy(vt[j], -q, vt[pc])
                 if vi is not None:
@@ -323,22 +319,16 @@ def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, v_inv
         if dirty:
             continue
         # the pivot must divide the rest for the divisor chain (1 divides everything)
-        bad = None if p == 1 else next((r for r in rowat[t + 1 :] if any(x % p for x in m[r].values())), None)
+        bad = None if p == 1 else next((i for i in range(t + 1, n) if any(x % p for x in m[i].values())), None)
         if bad is not None:
-            for j, x in m[bad].items():  # the pivot row is {pc: p}, and row bad is 0 at pc
-                row[j] = x
-                index[j].add(pr)
+            row.update(m[bad])  # the pivot row is {pc: p}, and row bad is 0 at pc
             if u is not None:
-                _axpy(u[pr], 1, u[bad])
+                _axpy(u[t], 1, u[bad])
             continue
         diag.append(p)
         t += 1
-
-    def placed(x, at):
-        return None if x is None else [x[k] for k in at]
-
-    vt, vi, ve = (placed(x, colat) for x in (vt, vi, ve))
-    return placed(u, rowat), diag, vt, vi, ve
+    vt, vi, ve = (None if x is None else [x[k] for k in colat] for x in (vt, vi, ve))
+    return u, diag, vt, vi, ve
 
 
 def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
@@ -358,16 +348,16 @@ def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
     in one pass, with no remainder and no divisor-chain fix-up, and the
     inverse of each of its row operations writes only the pivot column of
     U^(-1), so the columns past the rank stay the unit columns they
-    started as.  Neither the pivot column nor a column swap
-    decides which rows vanish or where a row goes.  So the scan below, which
-    keeps _eliminate's position list, swaps position t with the first row
-    whose ends are not yet joined and joins them (union-find with path
-    halving; Tarjan, J. ACM 22 (1975)), gives the rank, the rows left and
-    their order.  The rows passed over stay joined, so one pass visits each
+    started as.  Neither the pivot column nor a column swap decides which
+    rows vanish or where a row goes.  So the scan below, which swaps
+    original row indices where _eliminate swaps its rows, swaps position t
+    with the first row whose ends are not yet joined and joins them
+    (union-find with path halving; Tarjan, J. ACM 22 (1975)), gives the
+    rank, the rows left and their order.  The rows passed over stay joined, so one pass visits each
     row once, and the rows from its position on are still unmoved.  A
     change to _eliminate's pivot rule must change this function too."""
     parent = list(range(cols))
-    at = list(range(len(rows)))  # position -> original row, as _eliminate keeps it
+    at = list(range(len(rows)))  # position -> original row, after _eliminate's row swaps
     t = 0
     for k, row in enumerate(rows):  # row k is at position k
         if not row:

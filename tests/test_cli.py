@@ -44,6 +44,12 @@ GOLDEN_CASES = [
     ("mheight_mixed.json", ["motive-height", "--in", "motive_mixed.json", "--n", "2"]),
     ("cochar_nodal.json", ["simplicial-cochar", "--in", "simplicial_nodal.json"]),
     ("div0_m3.json", ["simplicial-div0", "--in", "divisor_m3.json"]),
+    # eliminations that swap rows, negate a pivot, re-pivot after a sweep
+    # leaves a remainder, and run the divisor-chain fix-up: a 64/78/62
+    # structure whose level-2 faces are all built on loop edges, and m = 27
+    # with NS classes in multiples of 2, 3 and 4
+    ("cochar_torsion.json", ["simplicial-cochar", "--in", "simplicial_torsion.json"]),
+    ("div0_m27.json", ["simplicial-div0", "--in", "divisor_m27.json"]),
     ("picard.json", ["picard-skeleton", "--ring", "ring_f5n4.json", "--in", "picard_input.json"]),
     ("ledger.json", ["h1-ledger", "--ring", "ring_f5n4.json", "--in", "skeleton_g1m3.json"]),
 ]
