@@ -6,55 +6,52 @@ its width carried beside it: ``_rows`` reads a dense matrix in, ``_dense``
 and ``_columns`` write sparse rows out as the rows or the columns of a
 dense one, and each dense caller converts once.  ``simplicial`` builds its
 differentials and relations as sparse rows (the degree classes through
-``_rows``) and writes out dense only the matrices it returns.
-``_mul_units`` is the one integer product, over the nonzeros of both
-factors, with some rows of the left factor marked as unit vectors e_k, each
-of which gives a copy of row k of the right factor; ``mul`` is that product
-on dense matrices, with no row marked.
+``_rows``) and writes out dense only the matrices it returns.  A public
+function reads each matrix it takes through ``_read``, which checks it: a
+matrix or a row that is not a sequence is bad-matrix, an entry that is not
+an exact int (a bool, a float) bad-type, and a ragged matrix a ShapeError.
+``mul`` is the one integer product, over the nonzeros of both factors.
 
 The Smith normal form is the only elimination: kernels, exact solutions,
 ranks and unimodular inverses are read off U a V = D.  The private
-``_eliminate(rows, cols, *, u, v, v_inv)`` behind ``smith_normal_form``
+``_eliminate(rows, cols, *, u, v, carry)`` behind ``smith_normal_form``
 returns the Smith diagonal as a list (only ``smith_normal_form`` builds the
-dense D) and builds only the transforms whose keyword flag is set: U, V and
-V^(-1) (the inverse of each column operation, applied on the other side).
-Pivots are chosen from the working matrix alone, so skipping a transform
-cannot move D or any transform that is built.  The pivot rule is fixed: the
-smallest absolute nonzero value, ties broken row-major by current position.
-The search stops at the first row holding a +-1, the pivot a full scan
-picks, and a pivot of 1 divides every entry, so its divisor-chain sweep is
-skipped.
+dense D) and builds only the transforms whose keyword flag is set, U and
+V, and V^(-1) carry when given rows to carry: the inverse of each column
+operation is applied, as a row operation, to a copy of those rows, as
+homology codes apply each column operation on one boundary matrix to the
+next (Kaczynski, Mischaikow and Mrozek, Computational Homology, ch. 3).
+The identity rows give V^(-1).  Pivots are chosen from the working matrix
+alone, so skipping a transform cannot move D or any transform that is
+built.  The pivot rule is fixed: the smallest absolute nonzero value, ties
+broken row-major by current position.  The search stops at the first row
+holding a +-1, the pivot a full scan picks, and a pivot of 1 divides every
+entry, so its divisor-chain sweep is skipped.
 
 The elimination is the sparse one of Dumas, Saunders and Villard (J.
 Symbolic Comput. 32 (2001)); a pivot step touches only the nonzeros it
 changes.  Rows move: a row swap exchanges two working rows, and the same
 two rows of U, in place, so both are kept by position.  Columns are
 tracked: two permutations map a column position to the original column
-and back, a column swap exchanges two entries of each, and V^T, V^(-1) and
-its marks, indexed by original column, are put in position order once, at
-the end.  The rows before the pivot's position are finished pivot rows,
+and back, a column swap exchanges two entries of each, and V^T and the
+carried rows, indexed by original column, are put in position order once,
+at the end.  The rows before the pivot's position are finished pivot rows,
 each holding its pivot alone, so the column sweep walks the rows past the
 pivot, skips each with no entry in the pivot column, and subtracts the
 pivot row from the others on its own support; the row sweep writes only
 the pivot row, whose column is zero off the pivot by then.  Each row's
-update reads only the pivot row (column), and the pivot row of V^(-1) sums
-the updates, so the order in which a sweep visits the rows (entries) does
-not change the integers.
-
-V^(-1) adds a non-pivot row into the pivot row, and a non-pivot row is
-mostly still the unit vector e_k it started as: one int per row records k
-(or -1 once the row is written as a pivot), and such an update is one
-entry, += q at k.  These marks are returned with V^(-1), for ``_mul_units``
-to read.
+update reads only the pivot row (column), and the pivot row of the carried
+rows sums the updates, so the order in which a sweep visits the rows
+(entries) does not change the integers.
 
 The elimination builds V transposed, since its column operations are then
-row operations, and returns (U, diagonal, V^T, V^(-1), ve) as built, the
-transforms as sparse rows in position order and ve the marks of V^(-1).
-``smith_normal_form`` writes U out dense and the rows of V^T as the columns
-of V, ``elementary_divisors`` builds nothing and reads the diagonal,
-``kernel_basis`` returns the trailing rows of V^T, and
-``simplicial.cocharacter_group`` forms V^(-1) d^1 from V^(-1) and its
-marks, and its basis from the trailing rows of V^T.
+row operations, and returns (U, diagonal, V^T, V^(-1) carry) as built, as
+sparse rows in position order.  ``smith_normal_form`` writes U out dense
+and the rows of V^T as the columns of V, ``elementary_divisors`` builds
+nothing and reads the diagonal, ``kernel_basis`` returns the trailing rows
+of V^T, and ``simplicial.cocharacter_group`` carries d^1 through the
+elimination of d^2 for V^(-1) d^1, and forms its basis from the trailing
+rows of V^T.
 
 ``_forest(rows, cols)``, beside ``_eliminate``, replays the lift form (the
 diagonal and the trailing columns of U^(-1)) on rows that are each zero or
@@ -69,7 +66,7 @@ eliminates for U and inverts it with ``inverse_unimodular``.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from typing import Sequence
 
 from .errors import InvalidActionError, MalformedInputError, ShapeError
@@ -121,31 +118,35 @@ def _columns(rows: Rows, height: int) -> IntMat:
     return out
 
 
+def _read(a) -> tuple[Rows, int, int]:
+    """A matrix a public function takes, read in: its sparse rows and its
+    shape.  A matrix or a row that is not a sequence is bad-matrix, an
+    entry that is not an exact int (a bool, a float) bad-type, and a ragged
+    matrix a ShapeError."""
+    seq = MalformedInputError.sequence
+    m = [seq(row, "bad-matrix", "matrix row") for row in seq(a, "bad-matrix", "matrix")]
+    # witt._ints' rule, spelled here since witt imports this module
+    bad = next(((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if type(x) is not int), None)
+    if bad is not None:
+        i, j, x = bad
+        raise MalformedInputError(f"matrix entry ({i}, {j}) must be an integer, got {x!r}", code="bad-type")
+    return (_rows(m), *shape(m))
+
+
 def mul(a, b) -> IntMat:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
+    """a b, summed over the nonzeros of both factors."""
+    a, ra, ca = _read(a)
+    b, rb, cb = _read(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return _dense(_mul_units(_rows(a), repeat(-1, ra), _rows(b)), cb)
-
-
-def _mul_units(a: Rows, units, b: Rows) -> Rows:
-    """a b on sparse rows, where units[i] = k >= 0 says that row i of a is
-    the unit vector e_k (the marks _eliminate returns): that row of the
-    product is a copy of row k of b.  Any other row is summed over the
-    nonzeros of both factors."""
     out = []
-    for row, k in zip(a, units):
-        if k >= 0:
-            out.append(dict(b[k]))
-            continue
+    for row in a:
         acc: dict[int, int] = {}
-        get = acc.get
         for i, v in row.items():
             for j, x in b[i].items():
-                acc[j] = get(j, 0) + v * x
-        out.append({j: x for j, x in acc.items() if x})
-    return out
+                acc[j] = acc.get(j, 0) + v * x
+        out.append(acc)
+    return _dense(out, cb)
 
 
 def diagonal(d) -> list[int]:
@@ -157,7 +158,7 @@ def diagonal(d) -> list[int]:
 def inverse_unimodular(a) -> IntMat:
     """Integer inverse of a unimodular matrix, read off its Smith normal form:
     U a V = I gives a^(-1) = V U."""
-    r, c = shape(a)
+    _, r, c = _read(a)
     if r != c:
         raise ShapeError("inverse of a non-square matrix")
     u, d, v = smith_normal_form(a)
@@ -176,9 +177,7 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
 
     Pivot selection is the smallest nonzero absolute value, ties broken
     row-major, so the decomposition is reproducible.  The matrix is checked
-    here, where it enters: a matrix or a row that is not a sequence is
-    bad-matrix, an entry that is not an exact int (a bool, a float)
-    bad-type, and a ragged matrix a ShapeError.
+    here, where it enters (_read).
 
     >>> u, d, v = smith_normal_form([[2, 4], [6, 8]])
     >>> [d[0][0], d[1][1]]
@@ -186,15 +185,8 @@ def smith_normal_form(a) -> tuple[IntMat, IntMat, IntMat]:
     >>> mul(mul(u, [[2, 4], [6, 8]]), v) == d
     True
     """
-    seq = MalformedInputError.sequence
-    m = [seq(row, "bad-matrix", "matrix row") for row in seq(a, "bad-matrix", "matrix")]
-    # witt._ints' rule, spelled here since witt imports this module
-    bad = next(((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if type(x) is not int), None)
-    if bad is not None:
-        i, j, x = bad
-        raise MalformedInputError(f"matrix entry ({i}, {j}) must be an integer, got {x!r}", code="bad-type")
-    rows, cols = shape(m)
-    u, diag, vt = _eliminate(_rows(m), cols, u=True, v=True)[:3]
+    m, rows, cols = _read(a)
+    u, diag, vt = _eliminate(m, cols, u=True, v=True)[:3]
     d = zeros(rows, cols)
     for i, x in enumerate(diag):
         d[i][i] = x
@@ -213,36 +205,31 @@ def _axpy(dst: dict[int, int], q: int, src: dict[int, int]) -> None:
             del dst[k]
 
 
-def _bump(dst: dict[int, int], k: int, q: int) -> None:
-    """dst[k] += q, dropping the entry if it cancels."""
-    y = dst.get(k, 0) + q
-    if y:
-        dst[k] = y
-    else:
-        del dst[k]
-
-
-def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, v_inv: bool = False) -> tuple:
+def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, carry: Rows | None = None) -> tuple:
     """The elimination of smith_normal_form on sparse rows (each a dict of
-    nonzeros; not written) of the given width: (U, diagonal, V^T, V^(-1),
-    ve), the transforms as sparse rows and each None unless its flag is set.
-    ve comes with V^(-1), else None: ve[k] = j >= 0 says that row k is the
-    unit vector e_j, and -1 that it may not be.
+    nonzeros; not written) of the given width: (U, diagonal, V^T,
+    V^(-1) carry), as sparse rows, each transform None unless its flag is
+    set and the last None unless carry, cols sparse rows (not written
+    either), is given.  carry=[{j: 1} for j in range(cols)] gives V^(-1).
+
+    V^(-1) is the product of the inverses of the column operations, each
+    applied as a row operation on the other side; the same operations
+    applied to a copy of the carried rows give V^(-1) carry, in the same
+    exact integers, with no product formed.
 
     Rows move: the working rows and the rows of U are swapped in place, by
-    position.  Columns are tracked by two permutations, and V^T, V^(-1) and
-    ve, kept by original column, are put in position order at the end.
-    The rows before position t are finished pivot rows, each {pc: p}, zero
-    in any later pivot column, so the column sweep walks the rows past the
-    pivot."""
+    position.  Columns are tracked by two permutations, and V^T and the
+    carried rows, kept by original column, are put in position order at
+    the end.  The rows before position t are finished pivot rows, each
+    {pc: p}, zero in any later pivot column, so the column sweep walks the
+    rows past the pivot."""
     n = len(rows)
     m = [dict(row) for row in rows]  # the working rows, by position
     colat, colpos = list(range(cols)), list(range(cols))  # position -> original column, and back
     # U by position, the others by original column; vt holds the transpose of V: its column ops are row ops
     u = [{i: 1} for i in range(n)] if u else None
     vt = [{j: 1} for j in range(cols)] if v else None
-    vi = [{j: 1} for j in range(cols)] if v_inv else None
-    ve = None if vi is None else list(range(cols))  # ve[k] is j while row k of vi is still e_j, else -1
+    w = None if carry is None else [dict(row) for row in carry]
     diag: list[int] = []
     t = 0
     while t < min(n, cols):
@@ -308,12 +295,8 @@ def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, v_inv
                     del row[j]
                 if vt is not None:
                     _axpy(vt[j], -q, vt[pc])
-                if vi is not None:
-                    if ve[j] >= 0:  # vi[j] = e_k
-                        _bump(vi[pc], ve[j], q)
-                    else:
-                        _axpy(vi[pc], q, vi[j])
-                    ve[pc] = -1
+                if w is not None:
+                    _axpy(w[pc], q, w[j])
             if x:
                 dirty = True
         if dirty:
@@ -327,8 +310,8 @@ def _eliminate(rows: Rows, cols: int, *, u: bool = False, v: bool = False, v_inv
             continue
         diag.append(p)
         t += 1
-    vt, vi, ve = (None if x is None else [x[k] for k in colat] for x in (vt, vi, ve))
-    return u, diag, vt, vi, ve
+    vt, w = (None if x is None else [x[k] for k in colat] for x in (vt, w))
+    return u, diag, vt, w
 
 
 def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
@@ -379,22 +362,23 @@ def _forest(rows: Rows, cols: int) -> tuple[int, list[int]] | None:
 
 
 def elementary_divisors(a) -> list[int]:
-    return _eliminate(_rows(a), shape(a)[1])[1]
+    m, _, cols = _read(a)
+    return _eliminate(m, cols)[1]
 
 
 def kernel_basis(a) -> list[list[int]]:
     """Basis (as columns) of the integer kernel; the basis spans a saturated
     sublattice since V is unimodular.  The columns of V past the rank are
     the trailing rows of V^T, as the elimination builds it."""
-    cols = shape(a)[1]
-    _, diag, vt = _eliminate(_rows(a), cols, v=True)[:3]
+    m, _, cols = _read(a)
+    _, diag, vt = _eliminate(m, cols, v=True)[:3]
     return _dense(vt[len(diag) :], cols)
 
 
 def solve_exact(a, b) -> IntMat | None:
     """An integer solution X of a X = b (columns of b solved jointly), or None."""
-    rows, cols = shape(a)
-    rb, cb = shape(b)
+    _, rows, cols = _read(a)
+    _, rb, cb = _read(b)
     if rb != rows:
         raise ShapeError("right-hand side has the wrong height")
     u, d, v = smith_normal_form(a)

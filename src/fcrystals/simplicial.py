@@ -126,7 +126,8 @@ def component_complex(s: SimplicialComponents) -> tuple[list[list[int]], list[li
 
 def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     """Rank and a lifted basis (columns) of Ker d^2 / Im d^1 in the dualized
-    complex C^0 -> C^1 -> C^2, from one Smith form and a spanning forest.
+    complex C^0 -> C^1 -> C^2, from one Smith form carrying d^1 and a
+    spanning forest.
 
     Ker d^2 is spanned by the trailing columns of V in U d^2 V = D, Im d^1 is
     the trailing rows of V^(-1) d^1 in that basis, and the free part lifts
@@ -154,19 +155,19 @@ def cocharacter_group(s: SimplicialComponents) -> tuple[int, list[list[int]]]:
     d^2 and d^1 are built once, as sparse rows ({column: value} of the
     nonzeros) in the orientation the eliminations read (d^2 as c2 rows over
     C^1, d^1 as c1 rows over C^0), so nothing is transposed and no dense
-    matrix is formed.  V^(-1) d^1 goes through intmat._mul_units, which
-    copies the rows of d^1 that the marked unit rows of V^(-1) name.  The
-    basis is formed transposed, as (U^(-1) tail)^T (V_ker)^T: rows of
-    (V_ker)^T written out dense once after the replay, one dense intmat.mul
-    after the elimination.  picard_skeleton reads the rank off this
-    function too; the basis it drops costs about a tenth of the call.
+    matrix is formed.  V^(-1) d^1 is d^1 carried through the elimination of
+    d^2: each column operation on d^2 is applied, inverted, to the rows of
+    d^1, so V^(-1) is never formed and no product runs.  The basis is
+    formed transposed, as (U^(-1) tail)^T (V_ker)^T: rows of (V_ker)^T
+    written out dense once after the replay, one dense intmat.mul after the
+    elimination.  picard_skeleton reads the rank off this function too; the
+    basis it drops costs about a tenth of the call.
     """
     d1, d2 = _coboundaries(s)
     c0, c1 = s.counts[0], s.counts[1]
-    _, diag, vt, vinv, ve = intmat._eliminate(d2, c1, v=True, v_inv=True)
-    r2 = len(diag)  # rank of d^2
     # V^(-1) d^1 = [0; coords], coords being Im d^1 in the saturated kernel basis
-    image = intmat._mul_units(vinv, ve, d1)
+    _, diag, vt, image = intmat._eliminate(d2, c1, v=True, carry=d1)
+    r2 = len(diag)  # rank of d^2
     if any(image[:r2]):
         raise InternalError("image of d^1 does not land in Ker d^2")
     coords = image[r2:]

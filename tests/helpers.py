@@ -10,7 +10,7 @@ does fraction-field Gaussian elimination, the determinant oracle is Bareiss
 fraction-free elimination instead of the Smith form, the Smith oracle is
 the elimination without its fast paths or inverse bookkeeping, the
 elimination oracle is the dense-row elimination with its inverse
-bookkeeping and unit-row marks that the sparse intmat._eliminate replaced
+bookkeeping that the sparse intmat._eliminate replaced
 (sparse_rows and dense_rows convert to and from intmat's sparse rows
 entry by entry), the matrix
 document oracle parses entry by entry through elem_from_doc and wmat, the
@@ -35,16 +35,16 @@ a second element representation for a = 1, kept here as an oracle: they add
 and multiply through integer ghost components, and the Z/p^n model of
 W_n(F_p) is their ground truth.  matvec is the integer matrix-vector product
 of the kernel checks, int_mul_oracle the plain triple-loop integer
-product, with no zero skipping, that intmat.mul and intmat._mul_units are
-checked against, and int_shape_oracle the row-by-row length check behind
+product, with no zero skipping, that intmat.mul and the rows
+intmat._eliminate carries are checked against, and int_shape_oracle the row-by-row length check behind
 intmat.shape.  transpose is the tests' own integer transpose (the package
 builds its differentials in the orientation it reads and transposes
 nothing).  The cocharacter oracle takes its Smith forms from the Smith
 oracle and their inverses from inverse_oracle (fraction-free
 Gauss-Jordan), not from intmat._eliminate; it forms d^1 by transposing the
-dense d_1 and multiplies full matrices with intmat.mul and no unit-row
-marks, where cocharacter_group builds d^1 as rows from the face maps and
-copies the unit rows through intmat._mul_units, and it reads the Smith
+dense d_1 and multiplies full matrices with intmat.mul, where
+cocharacter_group builds d^1 as rows from the face maps and carries it
+through the elimination of d^2, and it reads the Smith
 diagonals with its own loops, not intmat.diagonal.  wmat and wm_zero
 build WittElem matrices for the tests: the package keeps its matrices as
 coordinate rows and builds no WMat but the boxed views of them.  The load
@@ -926,13 +926,10 @@ def _dense_pivot(m, t, rows, cols):
 
 def eliminate_oracle(a, build):
     """The dense-row elimination intmat._eliminate replaced, kept as the
-    reference for its transforms and its unit-row marks: (U, D, V^T,
-    (U^(-1))^T, V^(-1), ue, ve) as dense matrices, each transform None
-    unless build names it, with a full pivot scan.  Rows and columns are
-    swapped in place, every transform row is dense, and the marks are set
-    by the same rules: a row of (U^(-1))^T or V^(-1) keeps its mark k while
-    it is e_k, and loses it (-1) once negated, written as a pivot row or
-    hit by the divisor-chain fix-up."""
+    reference for its transforms: (U, D, V^T, (U^(-1))^T, V^(-1)) as dense
+    matrices, each transform None unless build names it, with a full pivot
+    scan.  Rows and columns are swapped in place, and every transform row
+    is dense."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     m = [list(row) for row in a]
@@ -941,10 +938,8 @@ def eliminate_oracle(a, build):
         return [[int(i == j) for j in range(n)] for i in range(n)] if name in build else None
 
     u, vt, ut, vi = ident(rows, "u"), ident(cols, "v"), ident(rows, "u_inv"), ident(cols, "v_inv")
-    ue = None if ut is None else list(range(rows))
-    ve = None if vi is None else list(range(cols))
-    row_ops = [x for x in (m, u, ut, ue) if x is not None]
-    col_ops = [x for x in (vt, vi, ve) if x is not None]
+    row_ops = [x for x in (m, u, ut) if x is not None]
+    col_ops = [x for x in (vt, vi) if x is not None]
     t = 0
     while t < min(rows, cols):
         piv = _dense_pivot(m, t, rows, cols)
@@ -962,8 +957,6 @@ def eliminate_oracle(a, build):
                 for x in (m, u, ut):
                     if x is not None:
                         x[t] = [-y for y in x[t]]
-                if ue is not None:
-                    ue[t] = -1
             dirty = False
             for i in range(t + 1, rows):
                 if m[i][t]:
@@ -974,7 +967,6 @@ def eliminate_oracle(a, build):
                             u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                         if ut is not None:
                             ut[t] = [x + q * y for x, y in zip(ut[t], ut[i])]
-                            ue[t] = -1
                     dirty = dirty or bool(m[i][t])
             if not dirty:
                 for j in range(t + 1, cols):
@@ -986,7 +978,6 @@ def eliminate_oracle(a, build):
                                 vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
                             if vi is not None:
                                 vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
-                                ve[t] = -1
                         dirty = dirty or bool(m[t][j])
             if dirty:
                 piv = _dense_pivot(m, t, rows, cols)
@@ -999,10 +990,9 @@ def eliminate_oracle(a, build):
                 u[t] = [x + y for x, y in zip(u[t], u[bad])]
             if ut is not None:
                 ut[bad] = [x - y for x, y in zip(ut[bad], ut[t])]
-                ue[bad] = -1
             piv = _dense_pivot(m, t, rows, cols)
         t += 1
-    return u, m, vt, ut, vi, ue, ve
+    return u, m, vt, ut, vi
 
 
 def cocharacter_oracle(d1, d2, c1: int):

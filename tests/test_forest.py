@@ -41,9 +41,9 @@ def edge_matrices(draw):
 
 def _replayed(rows, cols):
     """The lift form _forest gives, as the slots the dense reference
-    returns: (diagonal, trailing rows of (U^(-1))^T, their marks)."""
+    returns: (diagonal, trailing rows of (U^(-1))^T)."""
     t, left = intmat._forest(rows, cols)
-    return [1] * t, [{k: 1} for k in left], left
+    return [1] * t, [{k: 1} for k in left]
 
 
 class TestReplay:
@@ -56,17 +56,16 @@ class TestReplay:
     )
     @given(edge_matrices())
     def test_same_lift_form_as_the_elimination(self, matrix):
-        """The diagonal, the rows of (U^(-1))^T past the rank with their
-        marks, and those rows as unit rows, against the dense reference
-        (with a full pivot scan), and the diagonal of the sparse
-        elimination."""
+        """The diagonal and the rows of (U^(-1))^T past the rank, unit rows
+        e_k, against the dense reference (with a full pivot scan), and the
+        diagonal of the sparse elimination."""
         rows, cols = matrix
-        diag, units, marks = _replayed(rows, cols)
+        diag, units = _replayed(rows, cols)
         assert intmat._eliminate(rows, cols)[1] == diag
         t = len(diag)
-        _, d, _, ut, _, ue, _ = eliminate_oracle(dense_rows(rows, cols), ("u_inv",))
+        _, d, _, ut, _ = eliminate_oracle(dense_rows(rows, cols), ("u_inv",))
         assert [d[i][i] for i in range(min(len(d), cols)) if d[i][i]] == diag
-        assert (ut[t:], ue[t:]) == (dense_rows(units, len(rows)), marks)
+        assert ut[t:] == dense_rows(units, len(rows))
 
     def test_small_graphs(self):
         """A triangle with a parallel edge and a loop: two rows span, the
@@ -74,7 +73,8 @@ class TestReplay:
         elimination's (the swaps move the skipped rows)."""
         rows = [{}, {0: 1, 1: -1}, {1: -1, 0: 1}, {1: 1, 2: -1}, {2: 1, 0: -1}]
         assert intmat._forest(rows, 3) == (2, [2, 0, 4])
-        assert intmat._forest(rows, 3)[1] == eliminate_oracle(dense_rows(rows, 3), ("u_inv",))[5][2:]
+        ut = eliminate_oracle(dense_rows(rows, 3), ("u_inv",))[3]
+        assert ut[2:] == dense_rows([{k: 1} for k in intmat._forest(rows, 3)[1]], len(rows))
         assert intmat._forest([], 0) == (0, [])
         assert intmat._forest([{}, {}], 0) == (0, [0, 1])
 
@@ -94,14 +94,14 @@ class TestReplay:
 
 def inject(monkeypatch, d1, d2, counts):
     """Make simplicial._coboundaries hand over d^1 (c1 sparse rows over C^0)
-    and d^2 (c2 sparse rows over C^1), and record the flags each
-    elimination sets."""
+    and d^2 (c2 sparse rows over C^1), and record the keywords each
+    elimination is given."""
     monkeypatch.setattr(simplicial, "_coboundaries", lambda s: (d1, d2))
     calls = []
     original = intmat._eliminate
 
     def counting(rows, cols, **flags):
-        calls.append(tuple(name for name, on in flags.items() if on))
+        calls.append(tuple(flags))
         return original(rows, cols, **flags)
 
     monkeypatch.setattr(intmat, "_eliminate", counting)
@@ -137,15 +137,14 @@ def test_near_edge_rows_take_the_general_path(monkeypatch, row):
     else:
         assert cocharacter_group(shell) == want
         inverse = [("u", "v")] if want[0] else []
-    assert calls == [("v", "v_inv"), ("u",), *inverse]
+    assert calls == [("v", "carry"), ("u",), *inverse]
 
 
-def _marked_past_the_rank(d2, c1):
-    """The Smith diagonal of d^2, V^(-1) and its marks, and whether a row of
-    V^(-1) past the rank is marked -1: an aborted pivot step wrote it, so it
-    need not be a unit row."""
-    _, diag, _, vinv, ve = intmat._eliminate(d2, c1, v_inv=True)
-    return diag, vinv, ve, any(k < 0 for k in ve[len(diag) :])
+def _written_past_the_rank(d2, c1):
+    """The Smith diagonal of d^2, and whether a row of V^(-1) past the rank
+    is not a unit row: an aborted pivot step wrote it."""
+    _, diag, _, vinv = intmat._eliminate(d2, c1, carry=[{j: 1} for j in range(c1)])
+    return diag, any(list(row.values()) != [1] for row in vinv[len(diag) :])
 
 
 def test_same_as_the_dense_formula_on_random_structures(monkeypatch):
@@ -154,23 +153,24 @@ def test_same_as_the_dense_formula_on_random_structures(monkeypatch):
     every one of them takes the replay.  The second draw set redraws a face
     triple with no compatible third edge rather than collapsing it onto the
     loop; it holds structures where a row of V^(-1) past the rank of d^2 was
-    written by an aborted pivot step (marked -1), the one case whose rows of
-    V^(-1) d^1 could fail to be edges, and the replay takes each of them
-    too: cocharacter_group runs its one elimination and no second."""
+    written by an aborted pivot step (it is not a unit row), the one case
+    whose rows of V^(-1) d^1 could fail to be edges, and the replay takes
+    each of them too: cocharacter_group runs its one elimination and no
+    second."""
     rng = random.Random(41)
     torsion = replayed = 0
     for k in range(300):
         s = random_simplicial(rng, max_count=(4, 6, 12, 30)[k % 4])
         d1, d2 = simplicial._coboundaries(s)
-        diag, vinv, ve, _ = _marked_past_the_rank(d2, s.counts[1])
+        _, diag, _, image = intmat._eliminate(d2, s.counts[1], carry=d1)
         torsion += any(x != 1 for x in diag)
-        replayed += intmat._forest(intmat._mul_units(vinv, ve, d1)[len(diag) :], s.counts[0]) is not None
+        replayed += intmat._forest(image[len(diag) :], s.counts[0]) is not None
         dense1, dense2 = _dense_complex(d1, d2, s.counts)
         assert cocharacter_group(s) == cocharacter_oracle(dense1, dense2, s.counts[1]), s
     assert torsion >= 5
     assert replayed == 300
     rng = random.Random(5)
-    marked = 0
+    written = 0
     calls = []
     eliminate = intmat._eliminate
 
@@ -182,13 +182,13 @@ def test_same_as_the_dense_formula_on_random_structures(monkeypatch):
     for _ in range(4000):
         s = random_simplicial(rng, (4, 14, 14), redraws=50)
         d1, d2 = simplicial._coboundaries(s)
-        diag, vinv, ve, past = _marked_past_the_rank(d2, s.counts[1])
+        diag, past = _written_past_the_rank(d2, s.counts[1])
         if not past:
             continue
-        marked += 1
-        assert intmat._forest(intmat._mul_units(vinv, ve, d1)[len(diag) :], s.counts[0]) is not None, s
+        written += 1
+        assert intmat._forest(intmat._eliminate(d2, s.counts[1], carry=d1)[3][len(diag) :], s.counts[0]) is not None, s
         dense1, dense2 = _dense_complex(d1, d2, s.counts)
         calls.clear()
         assert cocharacter_group(s) == cocharacter_oracle(dense1, dense2, s.counts[1]), s
-        assert calls == [{"v": True, "v_inv": True}], s
-    assert marked >= 10
+        assert calls == [{"v": True, "carry": d1}], s
+    assert written >= 10

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from fcrystals import serialize as ser
+from fcrystals import intmat, serialize as ser
 from fcrystals.blocks import LatticeData, abelian_from_ap, tate
 from fcrystals.errors import MalformedInputError, ShapeError
 from fcrystals.intmat import smith_normal_form
@@ -84,18 +84,29 @@ def test_document_int_fields():
     assert (exc.value.code, str(exc.value)) == ("bad-type", "abelian trace must be an integer")
 
 
-@pytest.mark.parametrize(
-    "a,code,message",
-    [
-        ([[0.5, 1]], "bad-type", "matrix entry (0, 0) must be an integer, got 0.5"),
-        ([[1, 2], [3, 4.0]], "bad-type", "matrix entry (1, 1) must be an integer, got 4.0"),
-        ([[True, 2], [3, 4]], "bad-type", "matrix entry (0, 0) must be an integer, got True"),
-        ([[Small.ONE]], "bad-type", "matrix entry (0, 0) must be an integer, got <Small.ONE: 1>"),
-        (5, "bad-matrix", "matrix must be a sequence, got 5"),
-        ([5], "bad-matrix", "matrix row must be a sequence, got 5"),
-        (None, "bad-matrix", "matrix must be a sequence, got None"),
-    ],
-)
+BAD_MATRICES = [
+    ([[0.5, 1]], "bad-type", "matrix entry (0, 0) must be an integer, got 0.5"),
+    ([[1, 2], [3, 4.0]], "bad-type", "matrix entry (1, 1) must be an integer, got 4.0"),
+    ([[True, 2], [3, 4]], "bad-type", "matrix entry (0, 0) must be an integer, got True"),
+    ([[Small.ONE]], "bad-type", "matrix entry (0, 0) must be an integer, got <Small.ONE: 1>"),
+    (5, "bad-matrix", "matrix must be a sequence, got 5"),
+    ([5], "bad-matrix", "matrix row must be a sequence, got 5"),
+    (None, "bad-matrix", "matrix must be a sequence, got None"),
+]
+
+# every other public intmat function that takes a matrix, at each matrix it takes
+MATRIX_CALLS = {
+    "mul-left": lambda a: intmat.mul(a, [[1], [1]]),
+    "mul-right": lambda a: intmat.mul([[1, 1]], a),
+    "kernel_basis": intmat.kernel_basis,
+    "elementary_divisors": intmat.elementary_divisors,
+    "inverse_unimodular": intmat.inverse_unimodular,
+    "solve_exact-a": lambda a: intmat.solve_exact(a, [[1]]),
+    "solve_exact-b": lambda a: intmat.solve_exact([[1]], a),
+}
+
+
+@pytest.mark.parametrize("a,code,message", BAD_MATRICES)
 def test_smith_normal_form_entry(a, code, message):
     """The one exported intmat function checks its matrix where it enters:
     no float or bool reaches D (both were returned on its diagonal), a bad
@@ -110,6 +121,24 @@ def test_smith_normal_form_ragged_and_int_rows():
     with pytest.raises(ShapeError):
         smith_normal_form([[1, 2], [3]])
     assert smith_normal_form(((2, 4), (6, 8)))[1] == [[2, 0], [0, 4]]
+
+
+@pytest.mark.parametrize("a,code,message", BAD_MATRICES)
+@pytest.mark.parametrize("call", MATRIX_CALLS.values(), ids=MATRIX_CALLS)
+def test_intmat_entry(call, a, code, message):
+    """The other public intmat functions check each matrix they take as
+    smith_normal_form does, before any shape is compared: no float reaches
+    a kernel or a product, no bool comes back as a divisor, and a scalar is
+    a named error, not a bare TypeError."""
+    with pytest.raises(MalformedInputError) as exc:
+        call(a)
+    assert (exc.value.code, str(exc.value)) == (code, message)
+
+
+@pytest.mark.parametrize("call", MATRIX_CALLS.values(), ids=MATRIX_CALLS)
+def test_intmat_ragged_matrix(call):
+    with pytest.raises(ShapeError):
+        call([[1, 2], [3]])
 
 
 @pytest.mark.parametrize(

@@ -388,8 +388,8 @@ def test_action_takes_no_elimination(monkeypatch):
 
 
 INTMAT_CALLS = (
-    "smith_normal_form", "_eliminate", "_forest", "mul", "_mul_units", "solve_exact", "inverse_unimodular",
-    "kernel_basis", "elementary_divisors", "_rows", "_dense", "_columns",
+    "smith_normal_form", "_eliminate", "_forest", "mul", "solve_exact", "inverse_unimodular",
+    "kernel_basis", "elementary_divisors", "_read", "_rows", "_dense", "_columns",
 )
 
 
@@ -412,36 +412,36 @@ def test_cocharacters_take_one_elimination(monkeypatch):
     the second, since those coordinates are graph edges; no solve_exact or
     inverse_unimodular runs.  It takes the transforms as the elimination
     builds them, so the transposing wrapper smith_normal_form does not run.
-    The one product is V^(-1) d^1, through intmat._mul_units, which copies
-    the marked unit rows; the lift copies rows of V^T by the replay's
-    indices.  The differentials are built as sparse rows, so no dense matrix
-    is read in; the basis alone is written out dense, once."""
+    No product runs: V^(-1) d^1 is d^1 carried through the elimination,
+    and the lift copies rows of V^T by the replay's indices.  The
+    differentials are built as sparse rows, so no dense matrix is read in;
+    the basis alone is written out dense, once."""
     rank, calls = _cochar_calls(monkeypatch, os.path.join(FX, "simplicial_nodal.json"))
     assert rank == 1
-    assert dict(calls) == {"_eliminate": 1, "_forest": 1, "_mul_units": 1, "_dense": 1}
+    assert dict(calls) == {"_eliminate": 1, "_forest": 1, "_dense": 1}
 
 
-def test_empty_free_part_takes_one_product(monkeypatch, tmp_path):
+def test_empty_free_part_takes_no_product(monkeypatch, tmp_path):
     """An edge between two vertices: Ker d^2 is all of C^1 and Im d^1 fills
-    it, so the Smith form, the product V^(-1) d^1 and the replay run, and
-    the lift is skipped."""
+    it, so the Smith form carrying d^1 and the replay run, and the lift is
+    skipped."""
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"counts": [2, 1, 0], "faces": {"1": [[0], [1]], "2": [[], [], []]}}))
     rank, calls = _cochar_calls(monkeypatch, path)
     assert rank == 0
-    assert dict(calls) == {"_eliminate": 1, "_forest": 1, "_mul_units": 1}
+    assert dict(calls) == {"_eliminate": 1, "_forest": 1}
 
 
 def _record_builds(monkeypatch):
     """A list that records, from here on, the slots each intmat._eliminate
-    call builds, in call order: transforms by the names of their keyword
-    flags, and the unit-row marks as ve (with V^(-1))."""
+    call builds, in call order, by the names of their keywords: U, V^T and
+    the carried rows."""
     built = []
     original = fcrystals.intmat._eliminate
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        names = ("u", None, "v", "v_inv", "ve")  # the slots of (U, D, V^T, V^(-1), ve)
+        names = ("u", None, "v", "carry")  # the slots of (U, D, V^T, V^(-1) carry)
         assert len(result) == len(names)
         built.append({name for name, x in zip(names, result) if name and x is not None})
         return result
@@ -460,10 +460,10 @@ def _recorded_builds(monkeypatch, argv):
 
 def test_cocharacters_build_only_the_transforms_they_read(monkeypatch):
     """The one elimination of a simplicial-cochar call, the kernel form,
-    builds V^T and V^(-1) with its marks; the lift form is replayed, so no
+    builds V^T and carries d^1; the lift form is replayed, so no
     elimination builds U."""
     built = _recorded_builds(monkeypatch, ["simplicial-cochar", "--in", os.path.join(FX, "simplicial_nodal.json")])
-    assert built == [{"v", "v_inv", "ve"}]
+    assert built == [{"v", "carry"}]
 
 
 def test_rows_that_are_not_edges_take_the_lift_elimination(monkeypatch):
@@ -476,12 +476,12 @@ def test_rows_that_are_not_edges_take_the_lift_elimination(monkeypatch):
     monkeypatch.setattr(simplicial, "_coboundaries", lambda s: ([{}, {0: 1}, {}], [{0: 1}]))
     built = _record_builds(monkeypatch)
     assert simplicial.cocharacter_group(shell) == (1, [[0, 0, 1]])
-    assert built == [{"v", "v_inv", "ve"}, {"u"}, {"u", "v"}]
+    assert built == [{"v", "carry"}, {"u"}, {"u", "v"}]
 
 
 def test_picard_skeleton_builds_no_div0_basis(monkeypatch, tmp_path):
     """picard-skeleton reads two ranks.  The torus rank is cocharacter_group's:
-    its kernel form builds V^T, V^(-1) and its marks, the lift form is
+    its kernel form builds V^T and carries d^1, the lift form is
     replayed with no elimination, and the basis is written out and dropped.
     The Div^0 rank is m minus the length of the diagonal of an elimination
     that builds nothing, run on the stacked relations built as sparse rows
@@ -489,7 +489,7 @@ def test_picard_skeleton_builds_no_div0_basis(monkeypatch, tmp_path):
     and no basis product runs."""
     ring = os.path.join(FX, "ring_f5n4.json")
     argv = ["picard-skeleton", "--ring", ring, "--in", os.path.join(FX, "picard_input.json")]  # m = 0
-    assert _recorded_builds(monkeypatch, argv) == [set(), {"v", "v_inv", "ve"}]
+    assert _recorded_builds(monkeypatch, argv) == [set(), {"v", "carry"}]
     monkeypatch.undo()
     with open(os.path.join(FX, "picard_input.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -498,14 +498,14 @@ def test_picard_skeleton_builds_no_div0_basis(monkeypatch, tmp_path):
     path = tmp_path / "picard_m3.json"
     path.write_text(json.dumps(doc))
     argv = ["picard-skeleton", "--ring", ring, "--in", str(path)]
-    assert _recorded_builds(monkeypatch, argv) == [set(), {"v", "v_inv", "ve"}]
+    assert _recorded_builds(monkeypatch, argv) == [set(), {"v", "carry"}]
     monkeypatch.undo()
     calls = Counter()
     for name in INTMAT_CALLS:
         _count_calls(monkeypatch, calls, fcrystals.intmat, name)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert dict(calls) == {"_rows": 1, "_eliminate": 2, "_forest": 1, "_mul_units": 1, "_dense": 1}
+    assert dict(calls) == {"_rows": 1, "_eliminate": 2, "_forest": 1, "_dense": 1}
 
 
 def test_tampered_document_keeps_its_item_5_detail(monkeypatch):

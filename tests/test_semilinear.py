@@ -224,9 +224,9 @@ def _smith_cases():
     return cases
 
 
-# keyword flag -> places in the tuple intmat._eliminate returns: the
-# transform, and the unit-row marks that come with V^(-1)
-SLOTS = {"u": (0,), "v": (2,), "v_inv": (3, 4)}
+# keyword -> place in the tuple intmat._eliminate returns; carry is the
+# identity rows here, so its slot holds V^(-1)
+SLOTS = {"u": (0,), "v": (2,), "carry": (3,)}
 SUBSETS = [subset for k in range(len(SLOTS) + 1) for subset in itertools.combinations(SLOTS, k)]
 
 
@@ -234,29 +234,38 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def _identity_rows(cols):
+    return [{j: 1} for j in range(cols)]
+
+
 def _eliminate(a, *flags):
     """intmat._eliminate on the sparse rows of the dense matrix a, with the
-    keyword flags named in flags set."""
-    return intmat._eliminate(sparse_rows(a), int_shape_oracle(a)[1], **dict.fromkeys(flags, True))
+    keyword flags named in flags set; carry carries the identity rows, for
+    V^(-1)."""
+    cols = int_shape_oracle(a)[1]
+    kwargs = dict.fromkeys(flags, True)
+    if "carry" in kwargs:
+        kwargs["carry"] = _identity_rows(cols)
+    return intmat._eliminate(sparse_rows(a), cols, **kwargs)
 
 
 def _dense_result(result, rows, cols):
     """The tuple intmat._eliminate returns for an rows x cols matrix, with
     its sparse transforms written out dense and its diagonal as the matrix
     D: the form of _oracle."""
-    u, diag, vt, vi, ve = result
+    u, diag, vt, vi = result
     d = [[0] * cols for _ in range(rows)]
     for i, x in enumerate(diag):
         d[i][i] = x
     dense = [None if x is None else dense_rows(x, w) for x, w in ((u, rows), (vt, cols), (vi, cols))]
-    return dense[0], d, dense[1], dense[2], ve
+    return dense[0], d, dense[1], dense[2]
 
 
 def _oracle(a):
     """helpers.eliminate_oracle with every transform intmat._eliminate
-    builds, in its slots: (U, D, V^T, V^(-1), ve)."""
-    u, d, vt, _, vi, _, ve = eliminate_oracle(a, tuple(SLOTS))
-    return u, d, vt, vi, ve
+    builds, in its slots: (U, D, V^T, V^(-1))."""
+    u, d, vt, _, vi = eliminate_oracle(a, ("u", "v", "v_inv"))
+    return u, d, vt, vi
 
 
 def _full(a):
@@ -264,31 +273,22 @@ def _full(a):
     transposed back, beside U^(-1) from helpers.eliminate_oracle, which
     still builds it: (U, D, V, U^(-1), V^(-1))."""
     rows, cols = int_shape_oracle(a)
-    u, d, vt, vi = _dense_result(_eliminate(a, *SLOTS), rows, cols)[:4]
+    u, d, vt, vi = _dense_result(_eliminate(a, *SLOTS), rows, cols)
     return u, d, _transpose(vt), _transpose(eliminate_oracle(a, ("u_inv",))[3]), vi
 
 
 def _selected(full, subset):
-    """The full (U, diagonal, V^T, V^(-1), ve) with every slot outside
-    subset set to None."""
+    """The full (U, diagonal, V^T, V^(-1)) with every slot outside subset
+    set to None."""
     keep = {1} | {i for name in subset for i in SLOTS[name]}
     return tuple(x if i in keep else None for i, x in enumerate(full))
 
 
-def _check_marks(rows, marks):
-    """Every row marked k >= 0 is the unit vector e_k."""
-    assert len(marks) == len(rows)
-    for row, k in zip(rows, marks):
-        if k >= 0:
-            assert row == {k: 1}, (row, k)
-
-
 def _check_subsets(a):
     """Each transform subset keeps the oracle's diagonal, builds its
-    transforms and marks as the full elimination does and leaves the others
-    None; the marks name unit rows only, and no sparse row holds a zero."""
+    transforms as the full elimination does and leaves the others None, and
+    no sparse row holds a zero."""
     full = _eliminate(a, *SLOTS)
-    _check_marks(full[3], full[4])
     assert all(0 not in row.values() for slot in (0, 2, 3) for row in full[slot]), a
     d = smith_oracle(a)[1]
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
@@ -331,18 +331,46 @@ class TestSmithAgainstOracle:
         for a in self.CASES:
             _check_subsets(a)
 
-    def test_transforms_and_marks_are_the_dense_references(self):
-        """Every transform and the unit-row marks of V^(-1), with everything
-        built, are those of the dense-row elimination kept in
+    def test_transforms_are_the_dense_references(self):
+        """Every transform, with everything built (V^(-1) as the identity
+        rows carried), is that of the dense-row elimination kept in
         tests/helpers.eliminate_oracle; each subset builds its slots as the
         full elimination does (test_each_transform_subset).  The rows given
         to the elimination are left as they were."""
         for a in self.CASES:
             rows, cols = int_shape_oracle(a)
             given = sparse_rows(a)
-            got = intmat._eliminate(given, cols, u=True, v=True, v_inv=True)
+            got = intmat._eliminate(given, cols, u=True, v=True, carry=_identity_rows(cols))
             assert _dense_result(got, rows, cols) == _oracle(a), a
             assert given == sparse_rows(a), a
+
+    def test_carry_is_v_inverse_times_the_carried_rows(self):
+        """On every case up to 12 x 12, with U and V each built or not, the
+        rows carried through the elimination come back as the dense
+        reference's V^(-1) times them (the triple-loop product), for the
+        identity rows and for a random sparse matrix with cols rows
+        (entries past 2^64 among them); the carry moves no other slot, and
+        neither the rows eliminated nor the rows carried are written."""
+        rng = random.Random(20)
+        seen = 0
+        for a in self.CASES:
+            rows, cols = int_shape_oracle(a)
+            if rows > 12 or cols > 12:
+                continue
+            seen += 1
+            vi = eliminate_oracle(a, ("v_inv",))[4]
+            width = rng.randint(0, 12)
+            x = _random_int_matrix(rng, cols, width)
+            for carry, dense, w in ((_identity_rows(cols), intmat.identity(cols), cols), (sparse_rows(x), x, width)):
+                want = int_mul_oracle(vi, dense, w)
+                for u, v in itertools.product((False, True), repeat=2):
+                    given, kept = sparse_rows(a), [dict(row) for row in carry]
+                    got = intmat._eliminate(given, cols, u=u, v=v, carry=carry)
+                    assert dense_rows(got[3], w) == want, (a, carry)
+                    assert got[:3] == intmat._eliminate(given, cols, u=u, v=v)[:3], (a, carry)
+                    assert all(0 not in row.values() for row in got[3])
+                    assert given == sparse_rows(a) and carry == kept, (a, carry)
+        assert seen > 500
 
     def test_sweep_order_does_not_change_the_integers(self):
         """The row sweep visits the pivot row's entries in dict order, and
@@ -357,7 +385,8 @@ class TestSmithAgainstOracle:
                     items = list(row.items())
                     rng.shuffle(items)
                     rows.append(dict(items))
-                assert intmat._eliminate(rows, int_shape_oracle(a)[1], u=True, v=True, v_inv=True) == full, a
+                cols = int_shape_oracle(a)[1]
+                assert intmat._eliminate(rows, cols, u=True, v=True, carry=_identity_rows(cols)) == full, a
 
     def test_transforms_are_keyword_flags(self):
         """A transform is asked for by a keyword flag: a positional build
@@ -367,7 +396,9 @@ class TestSmithAgainstOracle:
             intmat._eliminate([{0: 2}], 1, ("u",))
         with pytest.raises(TypeError):
             intmat._eliminate([{0: 2}], 1, u_inv=True)
-        assert intmat._eliminate([{0: 2}], 1, u=True) == ([{0: 1}], [2], None, None, None)
+        with pytest.raises(TypeError):
+            intmat._eliminate([{0: 2}], 1, v_inv=True)
+        assert intmat._eliminate([{0: 2}], 1, u=True) == ([{0: 1}], [2], None, None)
 
     def test_elimination_returns_the_transforms_as_built(self):
         """intmat._eliminate hands over U and V^T as sparse rows, and
@@ -399,8 +430,8 @@ class TestSmithAgainstOracle:
     def test_hypothesis_sparse_matrices(self, r, c, data):
         """Sparse matrices up to 80 x 80, about two nonzeros a row, their
         entries units or, often all of them, non-units that force the
-        divisor-chain fix-up: the oracle's (U, D, V), every flag subset
-        with valid marks, and the dense reference's transforms and marks."""
+        divisor-chain fix-up: the oracle's (U, D, V), every flag subset,
+        and the dense reference's transforms."""
         a = [[0] * c for _ in range(r)]
         if r and c:
             values = data.draw(st.sampled_from([(1, -1, 2, -3), (2, -2, 3, 4, -6, 9), (1, -1)]))
@@ -465,37 +496,34 @@ class TestIntegerProduct:
             assert intmat.mul(a, [tuple(row) for row in b]) == int_mul_oracle(a, b, c)
             assert intmat.mul([tuple(row) for row in a], list(zip(*transpose(b)))) == int_mul_oracle(a, b, c)
 
-    def test_mul_units_is_the_product(self):
-        """intmat._mul_units, given marks of unit rows of the left factor
-        (some unit rows left unmarked, as the elimination's marks may leave
-        them), is the oracle's product on sparse rows, with no zero kept; a
-        marked row is a fresh copy of a row of the right factor."""
+    def test_mul_on_unit_rows_is_the_product(self):
+        """intmat.mul with a left factor of mostly unit rows e_j (the rows
+        V^(-1) mostly holds) and general rows with entries past 2^64,
+        against an incidence-like or a random right factor, is the oracle's
+        product; a row that copies a row of the right factor is a fresh
+        list."""
         rng = random.Random(18)
-        marked = 0
+        units = 0
         for _ in range(60):
-            r, k, c = rng.randint(0, 80), rng.randint(1, 80), rng.randint(1, 80)
+            r, k, c = rng.randint(1, 80), rng.randint(1, 80), rng.randint(1, 80)
             b = _random_int_matrix(rng, k, c)
             if rng.random() < 0.5:  # incidence-like: two or three +-1 a row
                 b = intmat.zeros(k, c)
                 for row in b:
                     for j in rng.sample(range(c), min(c, rng.randint(0, 3))):
                         row[j] = rng.choice([1, -1])
-            a, units = [], []
+            a = []
             for _ in range(r):
                 if rng.random() < 0.7:
                     j = rng.randrange(k)
                     a.append([int(i == j) for i in range(k)])
-                    units.append(j if rng.random() < 0.8 else -1)
+                    units += 1
                 else:
                     a.append([rng.choice([0, 0, 0, 1, -1, 2, 2**70]) for _ in range(k)])
-                    units.append(-1)
-            marked += sum(x >= 0 for x in units)
-            sparse_b = sparse_rows(b)
-            got = intmat._mul_units(sparse_rows(a), units, sparse_b)
-            assert dense_rows(got, c) == int_mul_oracle(a, b, c), (a, units, b)
-            assert all(0 not in row.values() for row in got)
-            assert not any(row is brow for row in got for brow in sparse_b)
-        assert marked > 500
+            got = intmat.mul(a, b)
+            assert got == int_mul_oracle(a, b, c), (a, b)
+            assert not any(row is brow for row in got for brow in b)
+        assert units > 500
 
     def test_mul_with_no_inner_dimension(self):
         """An r x 0 factor times [] (0 x 0, no width to carry) is r x 0, the
